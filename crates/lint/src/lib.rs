@@ -16,6 +16,7 @@
 
 pub mod baseline;
 pub mod lexer;
+pub mod loc;
 pub mod locks;
 pub mod model;
 pub mod report;
@@ -180,7 +181,7 @@ pub fn lint_sources(sources: &[SourceFile]) -> Vec<Violation> {
         let m = FileModel::parse(&s.text);
         rules::pragma_hygiene(&s.rel_path, &m, &mut raw);
         rules::determinism(&s.crate_name, s.kind, &s.rel_path, &m, &mut raw);
-        rules::cost_accounting(&s.rel_path, &m, &mut raw);
+        rules::cost_accounting(&s.crate_name, s.kind, &s.rel_path, &m, &mut raw);
         rules::panic_freedom(&s.crate_name, s.kind, &s.rel_path, &m, &mut raw);
         if matches!(s.kind, FileKind::Lib | FileKind::Bin) {
             lock_facts

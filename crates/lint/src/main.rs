@@ -98,6 +98,7 @@ fn main() -> ExitCode {
     };
     let files_scanned = sources.len();
     let violations = lint::lint_sources(&sources);
+    let loc = lint::loc::count(&sources);
 
     let baseline_path = opts
         .baseline
@@ -139,7 +140,7 @@ fn main() -> ExitCode {
     }
 
     let (fresh, baselined, stale) = baseline::apply(violations, &entries);
-    let run = report::RunReport { fresh: &fresh, baselined, stale: &stale, files_scanned };
+    let run = report::RunReport { fresh: &fresh, baselined, stale: &stale, files_scanned, loc: &loc };
     let rendered = match opts.format {
         Format::Human => report::human(&run),
         Format::Json => report::json(&run),

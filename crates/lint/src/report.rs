@@ -3,6 +3,7 @@
 //! tooling) — the schema is flat enough that escaping strings suffices.
 
 use crate::baseline::BaselineEntry;
+use crate::loc::{LocReport, ITEMIZED_CRATE};
 use crate::Violation;
 use std::fmt::Write as _;
 
@@ -16,6 +17,8 @@ pub struct RunReport<'a> {
     pub stale: &'a [BaselineEntry],
     /// Total files scanned.
     pub files_scanned: usize,
+    /// Non-test lines of code (informational; never gates).
+    pub loc: &'a LocReport,
 }
 
 impl RunReport<'_> {
@@ -42,6 +45,15 @@ pub fn human(r: &RunReport) -> String {
              remove the line (reason was: {})",
             e.file, e.rule, e.fingerprint, e.reason
         );
+    }
+    let _ = writeln!(s, "non-test LOC by crate (code lines outside #[cfg(test)]):");
+    for (name, lines) in &r.loc.crates {
+        let _ = writeln!(s, "  {name:<14} {lines:>6}");
+    }
+    let _ = writeln!(s, "  {:<14} {:>6}", "total", r.loc.total());
+    let _ = writeln!(s, "non-test LOC by file, {ITEMIZED_CRATE}:");
+    for (file, lines) in &r.loc.files {
+        let _ = writeln!(s, "  {file:<44} {lines:>6}");
     }
     let mut by_rule: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
     for v in r.fresh {
@@ -104,9 +116,19 @@ pub fn json(r: &RunReport) -> String {
             esc(&e.reason),
         );
     }
-    s.push_str(if r.stale.is_empty() { "]\n" } else { "\n  ]\n" });
-    s.push_str("}\n");
+    s.push_str(if r.stale.is_empty() { "],\n" } else { "\n  ],\n" });
+    let _ = writeln!(s, "  \"non_test_loc\": {{");
+    let _ = writeln!(s, "    \"total\": {},", r.loc.total());
+    let _ = writeln!(s, "    \"crates\": {},", loc_object(&r.loc.crates));
+    let _ = writeln!(s, "    \"files\": {}", loc_object(&r.loc.files));
+    s.push_str("  }\n}\n");
     s
+}
+
+/// A flat `{"name": lines, ...}` JSON object.
+fn loc_object(counts: &std::collections::BTreeMap<String, usize>) -> String {
+    let fields: Vec<String> = counts.iter().map(|(k, n)| format!("{}: {n}", esc(k))).collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 /// JSON string escaping.
@@ -144,13 +166,21 @@ mod tests {
             snippet: "x.unwrap()\t".into(),
             fingerprint: "00ff".into(),
         }];
-        let r = RunReport { fresh: &fresh, baselined: 1, stale: &[], files_scanned: 2 };
+        let mut loc = LocReport::default();
+        loc.crates.insert("nosql-store".into(), 40);
+        loc.crates.insert("lint".into(), 2);
+        loc.files.insert("crates/nosql-store/src/a.rs".into(), 40);
+        let r = RunReport { fresh: &fresh, baselined: 1, stale: &[], files_scanned: 2, loc: &loc };
         let j = json(&r);
         assert!(j.contains("\\\"no\\\""));
         assert!(j.contains("\\t"));
         assert!(j.contains("\"pass\": false"));
-        let empty = RunReport { fresh: &[], baselined: 0, stale: &[], files_scanned: 2 };
+        assert!(j.contains("\"total\": 42"));
+        assert!(j.contains("\"crates\": {\"lint\": 2, \"nosql-store\": 40}"));
+        assert!(j.contains("\"files\": {\"crates/nosql-store/src/a.rs\": 40}"));
+        let empty = RunReport { fresh: &[], baselined: 0, stale: &[], files_scanned: 2, loc: &loc };
         assert!(json(&empty).contains("\"pass\": true"));
         assert!(human(&empty).contains("PASS"));
+        assert!(human(&empty).contains("nosql-store"), "the LOC table is printed");
     }
 }

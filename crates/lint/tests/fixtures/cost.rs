@@ -1,5 +1,6 @@
-//! Fixture: stands in for `nosql-store/src/cluster.rs` in the
-//! cost-accounting tests (the rule keys on that path).
+//! Fixture: stands in for any library file of `nosql-store` holding an
+//! `impl Cluster` block (the cost-accounting rule keys on the impl, not on
+//! the file name).
 pub struct Cluster {
     inner: Inner,
 }

@@ -23,6 +23,18 @@ pub fn unimplemented_macro() {
     unimplemented!()
 }
 
+pub fn asserts(x: u8) {
+    assert!(x > 0, "positive");
+    assert_eq!(x, 1);
+    assert_ne!(x, 2);
+}
+
+pub fn debug_asserts_are_fine(x: u8) {
+    debug_assert!(x > 0);
+    debug_assert_eq!(x, 1);
+    debug_assert_ne!(x, 2);
+}
+
 pub fn suppressed(x: Option<u8>) -> u8 {
     x.unwrap() // lint-allow(panic-freedom): fixture-justified
 }

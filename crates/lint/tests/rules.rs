@@ -55,9 +55,15 @@ fn panic_freedom_rule_fires_on_each_trigger() {
         include_str!("fixtures/panic.rs"),
     )]);
     let pf: Vec<_> = v.iter().filter(|x| x.rule == "panic-freedom").collect();
-    for needle in ["`.unwrap()`", "`.expect()`", "`panic!`", "`unreachable!`", "`todo!`", "`unimplemented!`"] {
+    for needle in [
+        "`.unwrap()`", "`.expect()`", "`panic!`", "`unreachable!`", "`todo!`", "`unimplemented!`",
+        "`assert!`", "`assert_eq!`", "`assert_ne!`",
+    ] {
         assert!(pf.iter().any(|x| x.message.contains(needle)), "missing {needle}: {pf:?}");
     }
+    // `debug_assert*` compiles out of release builds and never fires.
+    assert!(pf.iter().all(|x| !x.message.contains("debug_assert")), "{pf:?}");
+    assert_eq!(pf.iter().filter(|x| x.message.contains("`assert")).count(), 3);
     // One unwrap and one expect in library code, none from: the pragma'd
     // line, unwrap_or* variants, the free fn named unwrap, or test code.
     assert_eq!(pf.iter().filter(|x| x.message.contains("`.unwrap()`")).count(), 1);
@@ -68,17 +74,23 @@ fn panic_freedom_rule_fires_on_each_trigger() {
 #[test]
 fn cost_accounting_rule_keys_on_cluster_methods() {
     let text = include_str!("fixtures/cost.rs");
-    let v = lint_sources(&[src(
-        "nosql-store",
-        "crates/nosql-store/src/cluster.rs",
-        text,
-    )]);
-    let cost: Vec<_> = v.iter().filter(|x| x.rule == "cost-accounting").collect();
-    assert_eq!(cost.len(), 1, "{cost:?}");
-    assert!(cost[0].message.contains("uncharged_touch"));
-    // The same file under any other path is out of the rule's scope.
-    let elsewhere = lint_sources(&[src("nosql-store", "crates/nosql-store/src/other.rs", text)]);
+    // The rule follows `impl Cluster` into whichever library file of the
+    // store holds it — a method moved out of `cluster.rs` stays covered.
+    for file in ["cluster.rs", "recovery.rs"] {
+        let v = lint_sources(&[src("nosql-store", &format!("crates/nosql-store/src/{file}"), text)]);
+        let cost: Vec<_> = v.iter().filter(|x| x.rule == "cost-accounting").collect();
+        assert_eq!(cost.len(), 1, "{file}: {cost:?}");
+        assert!(cost[0].message.contains("uncharged_touch"));
+    }
+    // Another crate's `Cluster`, and the store's own test files, are out of
+    // the rule's scope.
+    let elsewhere = lint_sources(&[src("synergy", "crates/synergy/src/cluster.rs", text)]);
     assert!(elsewhere.iter().all(|x| x.rule != "cost-accounting"));
+    let test_file = lint_sources(&[SourceFile {
+        kind: FileKind::Test,
+        ..src("nosql-store", "crates/nosql-store/tests/cluster.rs", text)
+    }]);
+    assert!(test_file.iter().all(|x| x.rule != "cost-accounting"));
 }
 
 #[test]

@@ -7,6 +7,37 @@
 //! operation charges its simulated cost (RPC round trip, server work, WAL
 //! sync, scan streaming) into the shared [`SimClock`].
 //!
+//! # The mutation pipeline
+//!
+//! Every client write — put, fenced put, put-fetch, delete, delete-fetch,
+//! increment, check-and-put — is one call of `Cluster::mutate`, which runs
+//! these steps in this order:
+//!
+//! 1. table lookup (so `TableNotFound` beats `ClusterDown`);
+//! 2. `precheck`: the crashed flag, then any due crash / rejoin events;
+//! 3. take the table's region **write** lock;
+//! 4. route the row key to its region;
+//! 5. `inject_faults` against that region's server — a faulted attempt
+//!    charges its penalty, draws no timestamp and appends no WAL record;
+//! 6. for a fenced put, the epoch check — a stale writer is charged one RPC
+//!    round trip, refused, and bumps nothing;
+//! 7. draw the mutation timestamp — under the region lock, so versions
+//!    written to one row order like lock acquisitions; deletes draw one too,
+//!    so replay can sequence them against puts from other server logs;
+//! 8. apply — the op builds its [`WalOp`] and applies it through
+//!    [`Region::apply_op`], or declines (a failed check-and-put: full cost,
+//!    nothing logged, no split check);
+//! 9. append the record to the server's WAL — under group commit the
+//!    batch-closing write pays the sync and, with replication on, the ship
+//!    cost of the whole batch;
+//! 10. split check on the mutated region;
+//! 11. unlock, charge, bump the op's counter.
+//!
+//! The order is a contract, not an implementation detail: the fault
+//! figures' sim identity depends on the exact sequence of clock reads, RNG
+//! draws, timestamp draws and charges.  Reads (`get`, scan pages) share
+//! steps 1–2 and 4–5 under the region *read* lock, then charge and read.
+//!
 //! # Failure model
 //!
 //! Three layers, all deterministic:
@@ -25,7 +56,9 @@
 //!   `effective_wal_sync`.  The durable state is the last
 //!   [`Cluster::checkpoint`] snapshot plus all *synced* WAL records;
 //!   [`Cluster::crash`] drops everything else and [`Cluster::recover`]
-//!   rebuilds exactly that state by timestamp-ordered replay.
+//!   rebuilds exactly that state by timestamp-ordered replay (both in
+//!   `recovery.rs`).  Replica placement, failover and fencing epochs live
+//!   in `replication.rs`.
 //!
 //! With no fault plan and no retry policy configured (the default), the hot
 //! path adds a single branch per op: no RNG draws, no extra charges, and
@@ -37,10 +70,11 @@ use crate::fault::{FaultDraw, FaultPlan, FaultState, FaultStats};
 use crate::metrics::{AtomicOpCounters, ClusterMetrics, ReplicationStats, TableMetrics};
 use crate::ops::{CheckAndPut, Delete, Get, Increment, Put, Scan};
 use crate::region::{Region, RegionId, RegionServerId};
+use crate::replication::Replication;
 use crate::retry::{RetryPolicy, RetryRuntime};
 use crate::table::{ResultRow, TableSchema};
-use crate::wal::{WalEntry, WalOp, WriteAheadLog};
-use parking_lot::{Mutex, RwLock};
+use crate::wal::{WalOp, WriteAheadLog};
+use parking_lot::RwLock;
 use simclock::{CostModel, SimClock, SimDuration, SimInstant};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -93,82 +127,24 @@ impl Default for ClusterConfig {
     }
 }
 
-/// What [`Cluster::recover`] did: how much WAL it replayed and what the
-/// recovery cost on the simulated clock was.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Synced WAL records replayed over the checkpoint baseline.
-    pub replayed_entries: u64,
-    /// Tables whose state was restored (baseline or cleared + replayed).
-    pub restored_tables: usize,
-    /// Simulated time charged for the recovery (`CostModel::recovery_cost`).
-    pub recovery_sim: SimDuration,
-}
-
-/// What [`Cluster::crash`] lost: the acked-but-unsynced WAL tail dropped
-/// from each region server's log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashReport {
-    /// Unsynced records lost per server, indexed by region-server id.
-    pub lost_per_server: Vec<usize>,
-}
-
-impl CrashReport {
-    /// Total unsynced records lost across every server.
-    pub fn total(&self) -> usize {
-        self.lost_per_server.iter().sum()
-    }
-}
-
 pub(crate) struct TableState {
     pub(crate) schema: TableSchema,
     pub(crate) regions: RwLock<Vec<Region>>,
 }
 
-/// One region's entry in the replication registry: who owns it, who follows
-/// it, and how far each follower's shipped-log copy reaches.
-///
-/// `shipped` counts this region's records made durable through the group
-/// commit (the shipped stream); a follower whose `acked` position equals
-/// `shipped` holds a full in-sync copy and is promotable.  Shipping is
-/// *synchronous* bookkeeping — a live, in-sync follower acknowledges each
-/// flushed batch within the write's charge — so a follower only falls
-/// behind while it is down, and catches up by replaying the stream from its
-/// acked position when it rejoins.
-#[derive(Debug, Clone)]
-struct ReplicaSet {
-    /// Server currently owning the region (serves reads and writes).
-    primary: usize,
-    /// Fencing epoch, bumped once per failover.  A writer that captured an
-    /// older epoch is a zombie and its fenced writes are refused.
-    epoch: u64,
-    /// Follower servers, in placement order (the failover tie-break).
-    followers: Vec<usize>,
-    /// Records of this region shipped (synced) so far.
-    shipped: u64,
-    /// Per-follower acknowledged position in the shipped stream.
-    acked: BTreeMap<usize, u64>,
-}
-
-/// The replication registry: replica placement, fencing epochs and shipping
-/// offsets for every region.  Models the metadata a real deployment keeps
-/// in ZooKeeper — it deliberately lives *outside* the region structs so
-/// failover decisions and epochs survive checkpoint-baseline restores.
-#[derive(Debug, Default)]
-struct ReplicationInner {
-    /// Per-region replica sets, keyed by region id.
-    regions: BTreeMap<u64, ReplicaSet>,
-    /// Crashed servers pending rejoin: server → sim nanos of rejoin.
-    rejoin_at: BTreeMap<usize, u64>,
-    /// Ship events (record × follower acknowledgements) so far.
-    records_shipped: u64,
-    /// Failovers performed.
-    failovers: u64,
-    /// Catch-up replays performed by rejoining followers (one per lagging
-    /// region per rejoin).
-    catchup_replays: u64,
-    /// Total records replayed by catch-ups.
-    catchup_records: u64,
+impl TableState {
+    /// Row / byte / region counts.  Reads region metadata only and is
+    /// uncharged by design — no simulated cost, no operation counter — so
+    /// planners can consult statistics freely (e.g. the query optimizer's
+    /// cardinality estimates) without perturbing measured figures.
+    fn stats(&self) -> TableMetrics {
+        let regions = self.regions.read();
+        TableMetrics {
+            rows: regions.iter().map(|r| r.row_count() as u64).sum(),
+            bytes: regions.iter().map(|r| r.byte_size() as u64).sum(),
+            regions: regions.len(),
+        }
+    }
 }
 
 /// The simulated HBase-class cluster.
@@ -182,33 +158,29 @@ struct ReplicationInner {
 /// merged deterministically (max for elapsed, sum for counters).
 #[derive(Clone)]
 pub struct Cluster {
-    inner: Arc<ClusterInner>,
+    pub(crate) inner: Arc<ClusterInner>,
     clock: SimClock,
 }
 
-struct ClusterInner {
+pub(crate) struct ClusterInner {
     config: ClusterConfig,
-    tables: RwLock<BTreeMap<String, Arc<TableState>>>,
+    pub(crate) tables: RwLock<BTreeMap<String, Arc<TableState>>>,
     counters: AtomicOpCounters,
-    wals: Vec<WriteAheadLog>,
+    pub(crate) wals: Vec<WriteAheadLog>,
     next_timestamp: AtomicU64,
     next_region_id: AtomicU64,
     next_server: AtomicU64,
     /// Set by [`Cluster::crash`]; every op fails with `ClusterDown` until
     /// [`Cluster::recover`] clears it.
-    crashed: AtomicBool,
+    pub(crate) crashed: AtomicBool,
     /// Last durable checkpoint: per table, the region snapshot recovery
     /// replays the WAL over.  Empty until the first [`Cluster::checkpoint`].
-    baseline: RwLock<BTreeMap<String, Vec<Region>>>,
+    pub(crate) baseline: RwLock<BTreeMap<String, Vec<Region>>>,
     faults: Option<FaultState>,
     retry: Option<RetryRuntime>,
-    /// Replication registry; untouched (and never locked on any op path)
-    /// when `replication_factor <= 1`.
-    ///
-    /// Lock order: a thread holding a table's region lock may take this
-    /// mutex (the ship path), so no code path may take a region lock while
-    /// holding it.
-    replication: Mutex<ReplicationInner>,
+    /// Replication registry; `None` (and so never reached on any op path)
+    /// unless `replication_factor > 1` on more than one server.
+    pub(crate) replication: Option<Replication>,
 }
 
 impl Cluster {
@@ -229,6 +201,7 @@ impl Cluster {
                     .clone()
                     .map(|plan| FaultState::new(plan, servers)),
                 retry: config.retry.clone().map(RetryRuntime::new),
+                replication: Replication::new(config.replication_factor, config.region_servers),
                 config,
                 tables: RwLock::new(BTreeMap::new()),
                 counters: AtomicOpCounters::default(),
@@ -237,7 +210,6 @@ impl Cluster {
                 next_server: AtomicU64::new(0),
                 crashed: AtomicBool::new(false),
                 baseline: RwLock::new(BTreeMap::new()),
-                replication: Mutex::new(ReplicationInner::default()),
             }),
             clock,
         }
@@ -313,47 +285,13 @@ impl Cluster {
     /// then fires any scheduled region-server crashes that are due on the
     /// sim clock.  Called before any region lock is taken.
     pub(crate) fn precheck(&self) -> StoreResult<()> {
-        if self.inner.crashed.load(Ordering::Acquire) {
+        if self.is_crashed() {
             return Err(StoreError::ClusterDown);
         }
         if let Some(faults) = &self.inner.faults {
             self.advance_faults(faults);
         }
         Ok(())
-    }
-
-    /// Fires every crash event whose scheduled instant has passed: the
-    /// victim loses its unsynced WAL tail (and the affected region state is
-    /// rebuilt from durable state), then stays down for its MTTR.  With
-    /// replication on, rejoins whose MTTR has elapsed are processed first
-    /// (catch-up replay), and each fresh victim's regions fail over to
-    /// their most-caught-up live follower before any rebuild.
-    fn advance_faults(&self, faults: &FaultState) {
-        let now = self.clock.now();
-        if self.replication_enabled() {
-            self.process_rejoins(now);
-        }
-        for victim in faults.due_crashes(now) {
-            faults.server_crashes.fetch_add(1, Ordering::Relaxed);
-            let wal = &self.inner.wals[victim % self.inner.wals.len()];
-            let dropped = wal.drop_unsynced();
-            if dropped > 0 {
-                faults
-                    .wal_records_lost
-                    .fetch_add(dropped as u64, Ordering::Relaxed);
-            }
-            // Down *before* the failover decision: the victim must fail the
-            // liveness check and cannot be chosen as anyone's new primary.
-            faults.mark_down(victim, now + faults.plan.crash_mttr);
-            let moved = if self.replication_enabled() {
-                self.fail_over(victim, now, faults.plan.crash_mttr)
-            } else {
-                Vec::new()
-            };
-            if dropped > 0 {
-                self.rebuild_regions(victim, &moved);
-            }
-        }
     }
 
     /// Draws the per-op fault outcome for an op routed to `server`.  On a
@@ -379,28 +317,16 @@ impl Cluster {
 
     /// Runs `op` under the configured retry policy (or once, when none is
     /// configured — the no-retry path adds a single branch).
-    pub(crate) fn with_retry<T>(&self, op: impl FnMut() -> StoreResult<T>) -> StoreResult<T> {
+    pub(crate) fn with_retry<T>(&self, mut op: impl FnMut() -> StoreResult<T>) -> StoreResult<T> {
         match &self.inner.retry {
-            None => {
-                let mut op = op;
-                op()
-            }
+            None => op(),
             Some(runtime) => runtime.run(&self.clock, op),
         }
     }
 
     /// Snapshot of fault-injection and retry counters.
     pub fn fault_stats(&self) -> FaultStats {
-        let mut stats = FaultStats::default();
-        if let Some(f) = &self.inner.faults {
-            stats.server_crashes = f.server_crashes.load(Ordering::Relaxed);
-            stats.wal_records_lost = f.wal_records_lost.load(Ordering::Relaxed);
-            stats.timeouts = f.timeouts.load(Ordering::Relaxed);
-            stats.transient_errors = f.transients.load(Ordering::Relaxed);
-            stats.slowdowns = f.slowdowns.load(Ordering::Relaxed);
-            stats.unavailable_rejections = f.unavailable.load(Ordering::Relaxed);
-            stats.per_server = f.per_server_stats();
-        }
+        let mut stats = self.inner.faults.as_ref().map(FaultState::stats).unwrap_or_default();
         if let Some(r) = &self.inner.retry {
             stats.retries = r.retries.load(Ordering::Relaxed);
             stats.giveups = r.giveups.load(Ordering::Relaxed);
@@ -413,181 +339,19 @@ impl Cluster {
     /// True when region replication is active: a factor above 1 and more
     /// than one server to place copies on.
     pub fn replication_enabled(&self) -> bool {
-        self.inner.config.replication_factor > 1 && self.inner.config.region_servers > 1
+        self.inner.replication.is_some()
     }
 
     /// True if `server` is inside a crash window at `now`.
     fn server_down(&self, server: usize, now: SimInstant) -> bool {
-        self.inner
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.is_down(server, now))
-    }
-
-    /// Deterministic replica placement: the followers of a region whose
-    /// primary is `primary` are the next `replication_factor - 1` servers
-    /// in ring order.  Placement-order position doubles as the failover
-    /// tie-break among equally-caught-up candidates.
-    fn replica_followers(&self, primary: usize) -> Vec<usize> {
-        let servers = self.inner.config.region_servers.max(1);
-        let rf = self.inner.config.replication_factor.min(servers);
-        (1..rf).map(|k| (primary + k) % servers).collect()
+        self.inner.faults.as_ref().is_some_and(|f| f.is_down(server, now))
     }
 
     /// Registers a region (at creation or split) in the replication
-    /// registry.  No-op with replication off; idempotent otherwise.
+    /// registry.  No-op with replication off.
     fn register_region(&self, id: RegionId, primary: RegionServerId) {
-        if !self.replication_enabled() {
-            return;
-        }
-        let followers = self.replica_followers(primary.0);
-        let acked: BTreeMap<usize, u64> = followers.iter().map(|&f| (f, 0)).collect();
-        self.inner
-            .replication
-            .lock()
-            .regions
-            .entry(id.0)
-            .or_insert(ReplicaSet {
-                primary: primary.0,
-                epoch: 0,
-                followers,
-                shipped: 0,
-                acked,
-            });
-    }
-
-    /// Ships a freshly synced group-commit batch to the followers of the
-    /// regions it touched and returns the replication cost to charge on the
-    /// batch-closing write.  A live follower that was in sync acknowledges
-    /// the record (one ship event); a follower inside a crash window falls
-    /// behind and will catch up on rejoin.  Only called with replication on.
-    fn ship_synced(&self, newly: &[WalEntry]) -> SimDuration {
-        if newly.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let now = self.clock.now();
-        let mut ship_events = 0u64;
-        let mut registry = self.inner.replication.lock();
-        for entry in newly {
-            let Some(region) = entry.region else { continue };
-            let Some(set) = registry.regions.get_mut(&region) else {
-                continue;
-            };
-            set.shipped += 1;
-            let shipped = set.shipped;
-            for i in 0..set.followers.len() {
-                let follower = set.followers[i];
-                if self.server_down(follower, now) {
-                    continue;
-                }
-                let acked = set.acked.entry(follower).or_insert(0);
-                if *acked + 1 == shipped {
-                    *acked = shipped;
-                    ship_events += 1;
-                }
-            }
-        }
-        registry.records_shipped += ship_events;
-        drop(registry);
-        self.cost_model().replication_ship_cost(ship_events)
-    }
-
-    /// Fails over every region whose primary is `victim` to its
-    /// most-caught-up **live** follower, bumping the region's fencing epoch
-    /// so the victim cannot accept stale fenced writes when it comes back
-    /// mid-window.  Because shipping is synchronous, any live follower
-    /// whose acked position equals `shipped` is fully caught up; candidates
-    /// are tried in placement order (the deterministic tie-break).  The
-    /// victim is demoted to follower — its synced log copy survives the
-    /// crash, so it is immediately in sync and becomes promotable again
-    /// after catch-up.  A region with no eligible follower stays on the
-    /// victim and stalls for the MTTR window, exactly like RF=1.  Returns
-    /// the ids of the regions that moved.
-    fn fail_over(&self, victim: usize, now: SimInstant, mttr: SimDuration) -> Vec<u64> {
-        let mut promotions: BTreeMap<u64, usize> = BTreeMap::new();
-        {
-            let mut registry = self.inner.replication.lock();
-            let rejoin = (now + mttr).as_nanos();
-            let slot = registry.rejoin_at.entry(victim).or_insert(0);
-            *slot = (*slot).max(rejoin);
-            let mut fired = 0u64;
-            for (id, set) in registry.regions.iter_mut() {
-                if set.primary != victim {
-                    continue;
-                }
-                let candidate = set.followers.iter().copied().find(|&f| {
-                    f != victim
-                        && !self.server_down(f, now)
-                        && set.acked.get(&f).copied().unwrap_or(0) == set.shipped
-                });
-                let Some(new_primary) = candidate else { continue };
-                set.followers.retain(|&f| f != new_primary);
-                set.followers.push(victim);
-                set.acked.insert(victim, set.shipped);
-                set.acked.remove(&new_primary);
-                set.primary = new_primary;
-                set.epoch += 1;
-                fired += 1;
-                promotions.insert(*id, new_primary);
-            }
-            registry.failovers += fired;
-        }
-        if promotions.is_empty() {
-            return Vec::new();
-        }
-        // Registry released before touching region locks (lock order).
-        for state in self.inner.tables.read().values() {
-            let mut regions = state.regions.write();
-            for region in regions.iter_mut() {
-                if let Some(&new_primary) = promotions.get(&region.id.0) {
-                    region.server = RegionServerId(new_primary);
-                }
-            }
-        }
-        promotions.keys().copied().collect()
-    }
-
-    /// Rejoins every crashed server whose MTTR has elapsed: for each region
-    /// it follows, the server replays the shipped log from its last acked
-    /// position (charged per record), after which it is in sync and
-    /// promotable again.  A region the rejoiner still *owns* (it never
-    /// failed over) needs no catch-up — its own log is the authority.
-    fn process_rejoins(&self, now: SimInstant) {
-        let mut total_lag = 0u64;
-        {
-            let mut registry = self.inner.replication.lock();
-            if registry.rejoin_at.is_empty() {
-                return;
-            }
-            let due: Vec<usize> = registry
-                .rejoin_at
-                .iter()
-                .filter(|(_, &at)| now.as_nanos() >= at)
-                .map(|(&server, _)| server)
-                .collect();
-            for server in due {
-                registry.rejoin_at.remove(&server);
-                let mut replays = 0u64;
-                let mut records = 0u64;
-                for set in registry.regions.values_mut() {
-                    if set.primary == server || !set.followers.contains(&server) {
-                        continue;
-                    }
-                    let acked = set.acked.entry(server).or_insert(0);
-                    let lag = set.shipped - *acked;
-                    if lag > 0 {
-                        *acked = set.shipped;
-                        replays += 1;
-                        records += lag;
-                    }
-                }
-                registry.catchup_replays += replays;
-                registry.catchup_records += records;
-                total_lag += records;
-            }
-        }
-        if total_lag > 0 {
-            self.charge(self.cost_model().catchup_replay_cost(total_lag));
+        if let Some(rep) = &self.inner.replication {
+            rep.register(id.0, primary.0);
         }
     }
 
@@ -599,134 +363,32 @@ impl Cluster {
     pub fn region_epoch_for(&self, table: &str, key: &[u8]) -> StoreResult<(u64, u64)> {
         let state = self.table(table)?;
         let regions = state.regions.read();
-        let idx = Self::region_index_for(&regions, key);
-        let id = regions[idx].id.0;
+        let id = regions[Self::region_index_for(&regions, key)].id.0;
         drop(regions);
         Ok((id, self.current_epoch(id)))
     }
 
     /// Current fencing epoch of a region (0 with replication off or for an
     /// untracked region).
-    // lint-allow(cost-accounting): epoch metadata read, no data movement to charge
     pub fn current_epoch(&self, region: u64) -> u64 {
-        if !self.replication_enabled() {
-            return 0;
-        }
-        self.inner
-            .replication
-            .lock()
-            .regions
-            .get(&region)
-            .map(|set| set.epoch)
-            .unwrap_or(0)
-    }
-
-    /// Fenced write: like [`Cluster::put`], but the caller presents the
-    /// region epoch it captured (via [`Cluster::region_epoch_for`]) when it
-    /// took ownership of the key.  If the region failed over since — its
-    /// epoch advanced — the write is refused with
-    /// [`StoreError::StaleRegionEpoch`] after charging one RPC round trip:
-    /// this is how a zombie ex-primary's writes are fenced off.  The error
-    /// is **not** retryable; the caller must re-read the epoch first.
-    pub fn put_fenced(&self, table: &str, put: Put, epoch: u64) -> StoreResult<()> {
-        self.with_retry(|| self.put_once(table, &put, Some(epoch)))
+        self.inner.replication.as_ref().map_or(0, |rep| rep.epoch(region))
     }
 
     /// Snapshot of the replication registry's counters.
-    // lint-allow(cost-accounting): metrics snapshot, not a client op
     pub fn replication_stats(&self) -> ReplicationStats {
-        let mut stats = ReplicationStats {
-            replication_factor: self.inner.config.replication_factor.max(1),
-            ..ReplicationStats::default()
-        };
-        if !self.replication_enabled() {
-            return stats;
-        }
-        let registry = self.inner.replication.lock();
-        stats.replicated_regions = registry.regions.len();
-        stats.records_shipped = registry.records_shipped;
-        stats.failovers = registry.failovers;
-        stats.catchup_replays = registry.catchup_replays;
-        stats.catchup_records = registry.catchup_records;
-        stats.replica_lag = registry
-            .regions
-            .values()
-            .map(|set| {
-                set.followers
-                    .iter()
-                    .map(|f| set.shipped - set.acked.get(f).copied().unwrap_or(0))
-                    .sum::<u64>()
-            })
-            .sum();
+        let registry = self.inner.replication.as_ref();
+        let mut stats = registry.map(Replication::stats).unwrap_or_default();
+        stats.replication_factor = self.inner.config.replication_factor.max(1);
         stats
-    }
-
-    /// After a cluster-wide [`Cluster::recover`], re-derives routing from
-    /// the replication registry: failover decisions (and fencing epochs)
-    /// live in the registry — the simulated ZooKeeper layer — so they
-    /// survive the baseline restore, while the restored region snapshots
-    /// may predate them.  Registry entries for regions that no longer exist
-    /// (drops) are pruned; live regions missing an entry (created since the
-    /// registry was last consistent) are registered.
-    fn realign_replication(&self) {
-        let tables = self.inner.tables.read();
-        // (region id, current server) of every live region.
-        let mut live: BTreeMap<u64, usize> = BTreeMap::new();
-        for state in tables.values() {
-            for region in state.regions.read().iter() {
-                live.insert(region.id.0, region.server.0);
-            }
-        }
-        let mut routing: BTreeMap<u64, usize> = BTreeMap::new();
-        {
-            let mut registry = self.inner.replication.lock();
-            registry.regions.retain(|id, _| live.contains_key(id));
-            for (&id, &server) in &live {
-                match registry.regions.get(&id) {
-                    Some(set) => {
-                        if set.primary != server {
-                            routing.insert(id, set.primary);
-                        }
-                    }
-                    None => {
-                        let followers = self.replica_followers(server);
-                        let acked: BTreeMap<usize, u64> =
-                            followers.iter().map(|&f| (f, 0)).collect();
-                        registry.regions.insert(
-                            id,
-                            ReplicaSet {
-                                primary: server,
-                                epoch: 0,
-                                followers,
-                                shipped: 0,
-                                acked,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        if routing.is_empty() {
-            return;
-        }
-        for state in tables.values() {
-            let mut regions = state.regions.write();
-            for region in regions.iter_mut() {
-                if let Some(&primary) = routing.get(&region.id.0) {
-                    region.server = RegionServerId(primary);
-                }
-            }
-        }
     }
 
     // ----- table administration --------------------------------------------
 
     /// Creates a table; fails if it already exists or declares no families.
     pub fn create_table(&self, schema: TableSchema) -> StoreResult<()> {
-        assert!(
-            !schema.families.is_empty(),
-            "a table must declare at least one column family"
-        );
+        if schema.families.is_empty() {
+            return Err(StoreError::NoColumnFamilies(schema.name));
+        }
         let mut tables = self.inner.tables.write();
         if tables.contains_key(&schema.name) {
             return Err(StoreError::TableExists(schema.name));
@@ -745,15 +407,22 @@ impl Cluster {
         Ok(())
     }
 
-    /// Drops a table and all its data (including its checkpoint snapshot).
+    /// Drops a table and all its data (including its checkpoint snapshot and
+    /// its regions' replication-registry entries).
+    // lint-allow(cost-accounting): DDL; reads the dropped table's region ids only to prune the registry
     pub fn drop_table(&self, name: &str) -> StoreResult<()> {
         self.inner.baseline.write().remove(name);
-        self.inner
+        let dropped = self
+            .inner
             .tables
             .write()
             .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| StoreError::TableNotFound(name.to_string()))
+            .ok_or_else(|| StoreError::TableNotFound(name.to_string()))?;
+        if let Some(rep) = &self.inner.replication {
+            let regions = dropped.regions.read();
+            rep.prune(|id| !regions.iter().any(|r| r.id.0 == id));
+        }
+        Ok(())
     }
 
     /// True if the named table exists.
@@ -780,24 +449,19 @@ impl Cluster {
             .ok_or_else(|| StoreError::TableNotFound(name.to_string()))
     }
 
-    fn wal_for(&self, server: RegionServerId) -> &WriteAheadLog {
-        &self.inner.wals[server.0 % self.inner.wals.len()]
-    }
-
-    /// The write-ahead log of one region server (for tests and recovery
-    /// experiments).
+    /// The write-ahead log of one region server.
     pub fn wal(&self, server: usize) -> &WriteAheadLog {
         &self.inner.wals[server % self.inner.wals.len()]
     }
 
-    fn region_index_for(regions: &[Region], key: &[u8]) -> usize {
+    pub(crate) fn region_index_for(regions: &[Region], key: &[u8]) -> usize {
         regions
             .iter()
             .position(|r| r.contains(key))
             .unwrap_or(regions.len().saturating_sub(1))
     }
 
-    fn maybe_split(&self, table: &TableState, regions: &mut Vec<Region>, idx: usize) {
+    fn maybe_split(&self, regions: &mut Vec<Region>, idx: usize) {
         if regions[idx].byte_size() <= self.inner.config.region_split_bytes {
             return;
         }
@@ -807,20 +471,15 @@ impl Cluster {
             regions.insert(idx + 1, upper);
             self.register_region(new_id, new_server);
         }
-        let _ = table;
     }
 
-    /// Appends `op` to `server`'s WAL and applies the group-commit rule:
-    /// once the unsynced batch reaches `wal_sync_interval` records the log
-    /// syncs and the write pays its full cost; otherwise the sync is
-    /// deferred and this write's charge drops by `effective_wal_sync` (the
-    /// batch-closing write pays it).  Charges therefore sum to exactly
-    /// `interval-1` deferred syncs fewer than interval=1 — and with the
-    /// default interval of 1 every write syncs and charges the same full
-    /// cost as before group commit existed.  With replication on, the
-    /// batch-closing write additionally ships the newly synced records to
-    /// their regions' followers and pays the shipping cost.  Returns the
-    /// cost to charge.
+    /// Step 9: appends `op` to `server`'s WAL under the group-commit rule and
+    /// returns the cost to charge.  A write that leaves the unsynced batch
+    /// below `wal_sync_interval` defers the sync and charges
+    /// `effective_wal_sync` less; the batch-closing write syncs, pays in full
+    /// and — with replication on — ships the newly synced records to their
+    /// regions' followers and pays for that too.  Charges therefore sum to
+    /// exactly `interval - 1` syncs per batch fewer than at interval 1.
     fn log_write(
         &self,
         server: RegionServerId,
@@ -829,39 +488,57 @@ impl Cluster {
         op: WalOp,
         cost: SimDuration,
     ) -> SimDuration {
-        let wal = self.wal_for(server);
+        let wal = self.wal(server.0);
         wal.append_region(table, region.0, op);
-        let interval = self.inner.config.wal_sync_interval.max(1);
-        if wal.unsynced_len() >= interval {
-            if self.replication_enabled() {
-                let newly = wal.sync_take_new();
-                cost + self.ship_synced(&newly)
-            } else {
-                wal.sync();
-                cost
-            }
-        } else {
-            cost.saturating_sub(self.cost_model().effective_wal_sync())
+        if wal.unsynced_len() < self.inner.config.wal_sync_interval.max(1) {
+            return cost.saturating_sub(self.cost_model().effective_wal_sync());
         }
+        let Some(rep) = &self.inner.replication else {
+            wal.sync();
+            return cost;
+        };
+        let now = self.clock.now();
+        let ship_events = rep.ship(&wal.sync_take_new(), |s| self.server_down(s, now));
+        cost + self.cost_model().replication_ship_cost(ship_events)
     }
 
     // ----- data operations -------------------------------------------------
 
-    /// Writes one row.  Charges one RPC + server work + WAL sync (deferred
-    /// under group commit).  Retries injected faults per the configured
-    /// policy.
-    pub fn put(&self, table: &str, put: Put) -> StoreResult<()> {
-        self.with_retry(|| self.put_once(table, &put, None))
-    }
-
-    fn put_once(&self, table: &str, put: &Put, fence: Option<u64>) -> StoreResult<()> {
+    /// Steps 1–2 of every charged op: resolve the table, then the entry
+    /// gate.
+    fn open(&self, table: &str) -> StoreResult<Arc<TableState>> {
         let state = self.table(table)?;
         self.precheck()?;
-        let cost = self.cost_model().put_cost(put.cell_count());
+        Ok(state)
+    }
+
+    /// Steps 4–5 of every keyed op, under the region lock: route `key` to
+    /// its region, then draw the attempt's fault outcome against that
+    /// region's server.
+    fn route(&self, regions: &[Region], key: &[u8]) -> StoreResult<usize> {
+        let idx = Self::region_index_for(regions, key);
+        self.inject_faults(regions[idx].server)?;
+        Ok(idx)
+    }
+
+    /// One attempt of a client mutation — the single write pipeline (see
+    /// the module docs for the step order, which is a contract).  The op
+    /// supplies only what differs: the routing `row`, its full `cost`, the
+    /// `counter` it bumps, an optional fencing epoch, and `apply`, which
+    /// mutates the routed region at the drawn timestamp and returns its
+    /// result plus the record to log (`None` = nothing was applied).
+    fn mutate<T>(
+        &self,
+        table: &str,
+        row: &[u8],
+        cost: SimDuration,
+        counter: &AtomicU64,
+        fence: Option<u64>,
+        apply: impl FnOnce(&mut Region, &TableSchema, Timestamp) -> StoreResult<(T, Option<WalOp>)>,
+    ) -> StoreResult<T> {
+        let state = self.open(table)?;
         let mut regions = state.regions.write();
-        let idx = Self::region_index_for(&regions, &put.row);
-        let server = regions[idx].server;
-        self.inject_faults(server)?;
+        let idx = self.route(&regions, row)?;
         if let Some(presented) = fence {
             // Zombie fencing: the epoch check happens server-side after
             // routing, so a stale writer burns a round trip and is refused.
@@ -877,27 +554,41 @@ impl Cluster {
                 });
             }
         }
-        // Timestamp is drawn under the region lock so that versions written
-        // to one row are ordered consistently with lock acquisition order
-        // (and only after fault injection, so failed attempts consume none).
         let ts = self.next_timestamp();
-        regions[idx].put(&state.schema, put, ts)?;
-        let charge = self.log_write(
-            server,
-            table,
-            regions[idx].id,
-            WalOp::Put {
-                row: put.row.clone(),
-                cells: put.cells.clone(),
-                timestamp: put.timestamp.unwrap_or(ts),
-            },
-            cost,
-        );
-        self.maybe_split(&state, &mut regions, idx);
+        let (result, logged) = apply(&mut regions[idx], &state.schema, ts)?;
+        let charge = match logged {
+            Some(op) => {
+                let region = &regions[idx];
+                let charge = self.log_write(region.server, table, region.id, op, cost);
+                self.maybe_split(&mut regions, idx);
+                charge
+            }
+            // Nothing applied (a failed check-and-put) still pays the full
+            // RPC: the server did the read-compare and synced nothing new.
+            None => cost,
+        };
         drop(regions);
         self.charge(charge);
-        AtomicOpCounters::bump(&self.inner.counters.puts, 1);
-        Ok(())
+        AtomicOpCounters::bump(counter, 1);
+        Ok(result)
+    }
+
+    /// Writes one row.  Charges one RPC + server work + WAL sync (deferred
+    /// under group commit).  Retries injected faults per the configured
+    /// policy.
+    pub fn put(&self, table: &str, put: Put) -> StoreResult<()> {
+        self.with_retry(|| self.put_row(table, &put, None, false).map(drop))
+    }
+
+    /// Fenced write: like [`Cluster::put`], but the caller presents the
+    /// region epoch it captured (via [`Cluster::region_epoch_for`]) when it
+    /// took ownership of the key.  If the region failed over since — its
+    /// epoch advanced — the write is refused with
+    /// [`StoreError::StaleRegionEpoch`] after charging one RPC round trip:
+    /// this is how a zombie ex-primary's writes are fenced off.  The error
+    /// is **not** retryable; the caller must re-read the epoch first.
+    pub fn put_fenced(&self, table: &str, put: Put, epoch: u64) -> StoreResult<()> {
+        self.with_retry(|| self.put_row(table, &put, Some(epoch), false).map(drop))
     }
 
     /// Writes one row and returns its **before-image**: the row's prior
@@ -906,36 +597,26 @@ impl Cluster {
     /// the write's RPC and row positioning (a server-side read-modify-write),
     /// so no extra round trip is modeled and only the `puts` counter moves.
     pub fn put_fetch(&self, table: &str, put: Put) -> StoreResult<Option<ResultRow>> {
-        self.with_retry(|| self.put_fetch_once(table, &put))
+        self.with_retry(|| self.put_row(table, &put, None, true))
     }
 
-    fn put_fetch_once(&self, table: &str, put: &Put) -> StoreResult<Option<ResultRow>> {
-        let state = self.table(table)?;
-        self.precheck()?;
+    /// The put family's pipeline step: logs and applies `put`, returning the
+    /// row's before-image when `fetch` asks for it.
+    fn put_row(
+        &self,
+        table: &str,
+        put: &Put,
+        fence: Option<u64>,
+        fetch: bool,
+    ) -> StoreResult<Option<ResultRow>> {
         let cost = self.cost_model().put_cost(put.cell_count());
-        let mut regions = state.regions.write();
-        let idx = Self::region_index_for(&regions, &put.row);
-        let server = regions[idx].server;
-        self.inject_faults(server)?;
-        let ts = self.next_timestamp();
-        let before = regions[idx].get(&Get::new(put.row.clone()));
-        regions[idx].put(&state.schema, put, ts)?;
-        let charge = self.log_write(
-            server,
-            table,
-            regions[idx].id,
-            WalOp::Put {
-                row: put.row.clone(),
-                cells: put.cells.clone(),
-                timestamp: put.timestamp.unwrap_or(ts),
-            },
-            cost,
-        );
-        self.maybe_split(&state, &mut regions, idx);
-        drop(regions);
-        self.charge(charge);
-        AtomicOpCounters::bump(&self.inner.counters.puts, 1);
-        Ok(before)
+        let puts = &self.inner.counters.puts;
+        self.mutate(table, &put.row, cost, puts, fence, |region, schema, ts| {
+            let before = fetch.then(|| region.get(&Get::new(put.row.clone()))).flatten();
+            let op = put_record(put, ts);
+            region.apply_op(schema, &op)?;
+            Ok((before, Some(op)))
+        })
     }
 
     /// Bulk-loads rows without charging simulated cost or writing the WAL.
@@ -948,7 +629,7 @@ impl Cluster {
     /// harnesses therefore checkpoint once population finishes.
     // lint-allow(cost-accounting): offline population step; the paper loads before measuring
     pub fn bulk_load(&self, table: &str, puts: impl IntoIterator<Item = Put>) -> StoreResult<usize> {
-        if self.inner.crashed.load(Ordering::Acquire) {
+        if self.is_crashed() {
             return Err(StoreError::ClusterDown);
         }
         let state = self.table(table)?;
@@ -958,7 +639,7 @@ impl Cluster {
             let ts = self.next_timestamp();
             let idx = Self::region_index_for(&regions, &put.row);
             regions[idx].put(&state.schema, &put, ts)?;
-            self.maybe_split(&state, &mut regions, idx);
+            self.maybe_split(&mut regions, idx);
             loaded += 1;
         }
         Ok(loaded)
@@ -970,11 +651,9 @@ impl Cluster {
     }
 
     fn get_once(&self, table: &str, get: &Get) -> StoreResult<Option<ResultRow>> {
-        let state = self.table(table)?;
-        self.precheck()?;
+        let state = self.open(table)?;
         let regions = state.regions.read();
-        let idx = Self::region_index_for(&regions, &get.row);
-        self.inject_faults(regions[idx].server)?;
+        let idx = self.route(&regions, &get.row)?;
         self.charge(self.cost_model().get_cost());
         AtomicOpCounters::bump(&self.inner.counters.gets, 1);
         Ok(regions[idx].get(get))
@@ -982,127 +661,65 @@ impl Cluster {
 
     /// Deletes a row or columns of a row.  Charges one RPC + WAL sync.
     pub fn delete(&self, table: &str, delete: Delete) -> StoreResult<bool> {
-        self.with_retry(|| self.delete_once(table, &delete).map(|(removed, _)| removed))
+        self.with_retry(|| self.delete_row(table, &delete).map(|(removed, _)| removed))
     }
 
     /// Deletes a row and returns its **before-image**, read under the same
     /// region write-lock.  Charges exactly like [`Cluster::delete`]; only
     /// the `deletes` counter moves.  Returns `None` when the row was absent.
     pub fn delete_fetch(&self, table: &str, delete: Delete) -> StoreResult<Option<ResultRow>> {
-        self.with_retry(|| self.delete_once(table, &delete).map(|(_, before)| before))
+        self.with_retry(|| self.delete_row(table, &delete).map(|(_, before)| before))
     }
 
-    fn delete_once(
-        &self,
-        table: &str,
-        delete: &Delete,
-    ) -> StoreResult<(bool, Option<ResultRow>)> {
-        let state = self.table(table)?;
-        self.precheck()?;
+    /// The delete family's pipeline step: `(anything removed, before-image)`.
+    /// A delete is logged even when it removed nothing.
+    fn delete_row(&self, table: &str, delete: &Delete) -> StoreResult<(bool, Option<ResultRow>)> {
         let cost = self.cost_model().delete_cost();
-        let mut regions = state.regions.write();
-        let idx = Self::region_index_for(&regions, &delete.row);
-        let server = regions[idx].server;
-        self.inject_faults(server)?;
-        // Deletes draw a timestamp too: replay needs a globally-ordered
-        // stamp to sequence them against puts from other server logs.
-        let ts = self.next_timestamp();
-        let before = regions[idx].get(&Get::new(delete.row.clone()));
-        let removed = regions[idx].delete(delete)?;
-        let charge = self.log_write(
-            server,
-            table,
-            regions[idx].id,
-            WalOp::Delete {
+        let deletes = &self.inner.counters.deletes;
+        self.mutate(table, &delete.row, cost, deletes, None, |region, schema, ts| {
+            let before = region.get(&Get::new(delete.row.clone()));
+            let op = WalOp::Delete {
                 row: delete.row.clone(),
                 scope: delete.scope.clone(),
                 timestamp: ts,
-            },
-            cost,
-        );
-        drop(regions);
-        self.charge(charge);
-        AtomicOpCounters::bump(&self.inner.counters.deletes, 1);
-        Ok((removed, before))
+            };
+            let removed = region.apply_op(schema, &op)? != 0;
+            Ok(((removed, before), Some(op)))
+        })
     }
 
     /// Atomically adds to a counter cell.  Charges like a put.
     pub fn increment(&self, table: &str, inc: Increment) -> StoreResult<i64> {
-        self.with_retry(|| self.increment_once(table, &inc))
-    }
-
-    fn increment_once(&self, table: &str, inc: &Increment) -> StoreResult<i64> {
-        let state = self.table(table)?;
-        self.precheck()?;
         let cost = self.cost_model().put_cost(1);
-        let mut regions = state.regions.write();
-        let idx = Self::region_index_for(&regions, &inc.row);
-        let server = regions[idx].server;
-        self.inject_faults(server)?;
-        let ts = self.next_timestamp();
-        let value = regions[idx].increment(&state.schema, inc, ts)?;
-        let charge = self.log_write(
-            server,
-            table,
-            regions[idx].id,
-            WalOp::Increment {
-                row: inc.row.clone(),
-                family: inc.family.clone(),
-                qualifier: inc.qualifier.clone(),
-                amount: inc.amount,
-                timestamp: ts,
-            },
-            cost,
-        );
-        drop(regions);
-        self.charge(charge);
-        AtomicOpCounters::bump(&self.inner.counters.increments, 1);
-        Ok(value)
+        let increments = &self.inner.counters.increments;
+        self.with_retry(|| {
+            self.mutate(table, &inc.row, cost, increments, None, |region, schema, ts| {
+                let op = WalOp::Increment {
+                    row: inc.row.clone(),
+                    family: inc.family.clone(),
+                    qualifier: inc.qualifier.clone(),
+                    amount: inc.amount,
+                    timestamp: ts,
+                };
+                Ok((region.apply_op(schema, &op)?, Some(op)))
+            })
+        })
     }
 
     /// Atomic compare-and-set.  Charges one RPC + server work + WAL sync.
     pub fn check_and_put(&self, table: &str, cap: CheckAndPut) -> StoreResult<bool> {
-        self.with_retry(|| self.check_and_put_once(table, &cap))
-    }
-
-    fn check_and_put_once(&self, table: &str, cap: &CheckAndPut) -> StoreResult<bool> {
-        let state = self.table(table)?;
-        self.precheck()?;
         let cost = self.cost_model().check_and_put_cost();
-        let mut regions = state.regions.write();
-        let idx = Self::region_index_for(&regions, &cap.row);
-        let server = regions[idx].server;
-        self.inject_faults(server)?;
-        let ts = self.next_timestamp();
-        let applied = regions[idx].check_and_put(
-            &state.schema,
-            &cap.family,
-            &cap.qualifier,
-            &cap.expect,
-            &cap.put,
-            ts,
-        )?;
-        let charge = if applied {
-            self.log_write(
-                server,
-                table,
-                regions[idx].id,
-                WalOp::Put {
-                    row: cap.put.row.clone(),
-                    cells: cap.put.cells.clone(),
-                    timestamp: cap.put.timestamp.unwrap_or(ts),
-                },
-                cost,
-            )
-        } else {
-            // A failed condition still pays the full RPC (the server did the
-            // read-compare and synced nothing new).
-            cost
-        };
-        drop(regions);
-        self.charge(charge);
-        AtomicOpCounters::bump(&self.inner.counters.check_and_puts, 1);
-        Ok(applied)
+        let cas = &self.inner.counters.check_and_puts;
+        self.with_retry(|| {
+            self.mutate(table, &cap.row, cost, cas, None, |region, schema, ts| {
+                if !region.matches(&cap.put.row, &cap.family, &cap.qualifier, &cap.expect) {
+                    return Ok((false, None));
+                }
+                let op = put_record(&cap.put, ts);
+                region.apply_op(schema, &op)?;
+                Ok((true, Some(op)))
+            })
+        })
     }
 
     /// Scans rows in key order across all regions intersecting the range.
@@ -1124,27 +741,15 @@ impl Cluster {
     }
 
     /// Number of rows currently stored in a table.
-    // lint-allow(cost-accounting): planner statistics read, uncharged like table_stats
     pub fn row_count(&self, table: &str) -> StoreResult<u64> {
-        let state = self.table(table)?;
-        let regions = state.regions.read();
-        Ok(regions.iter().map(|r| r.row_count() as u64).sum())
+        Ok(self.table(table)?.stats().rows)
     }
 
     /// Storage statistics (row / byte / region counts) for one table, or
-    /// `None` when the table does not exist.  This reads region metadata
-    /// only — no simulated cost is charged and no operation counter moves —
-    /// so planners can consult it freely (e.g. the query optimizer's
-    /// cardinality estimates) without perturbing measured figures.
-    // lint-allow(cost-accounting): documented precedent: planner statistics are free
-    pub fn table_stats(&self, table: &str) -> Option<crate::metrics::TableMetrics> {
-        let state = self.table(table).ok()?;
-        let regions = state.regions.read();
-        Some(crate::metrics::TableMetrics {
-            rows: regions.iter().map(|r| r.row_count() as u64).sum(),
-            bytes: regions.iter().map(|r| r.byte_size() as u64).sum(),
-            regions: regions.len(),
-        })
+    /// `None` when the table does not exist.  Free to call: no simulated
+    /// cost is charged and no operation counter moves.
+    pub fn table_stats(&self, table: &str) -> Option<TableMetrics> {
+        Some(self.table(table).ok()?.stats())
     }
 
     /// Major-compacts one table (drops excess cell versions, reclaims space).
@@ -1166,280 +771,32 @@ impl Cluster {
         }
     }
 
-    // ----- crash / recovery ------------------------------------------------
-
-    /// Crashes the whole cluster: every server's acked-but-unsynced WAL tail
-    /// is lost, all volatile region state (memstores) is wiped, and every op
-    /// fails with [`StoreError::ClusterDown`] until [`Cluster::recover`].
-    /// Table metadata (schemas, region boundaries) survives — it lives in
-    /// the simulated ZooKeeper/HDFS layer, as does the replication
-    /// registry.  Returns what was lost, per server.
-    // lint-allow(cost-accounting): fault-injection hook, not a client op
-    pub fn crash(&self) -> CrashReport {
-        self.inner.crashed.store(true, Ordering::Release);
-        let lost_per_server: Vec<usize> = self
-            .inner
-            .wals
-            .iter()
-            .map(WriteAheadLog::drop_unsynced)
-            .collect();
-        for state in self.inner.tables.read().values() {
-            let mut regions = state.regions.write();
-            for region in regions.iter_mut() {
-                region.clear_rows();
-            }
-        }
-        CrashReport { lost_per_server }
-    }
-
-    /// True between [`Cluster::crash`] and [`Cluster::recover`].
-    pub fn is_crashed(&self) -> bool {
-        self.inner.crashed.load(Ordering::Acquire)
-    }
-
-    /// Recovers a crashed cluster to the durable state: the last
-    /// [`Cluster::checkpoint`] snapshot plus every *synced* WAL record,
-    /// replayed across all server logs in global timestamp order.  Charges
-    /// `CostModel::recovery_cost` for the replay, clears the crashed flag
-    /// and finishes with a fresh checkpoint (so the replayed WAL prefix is
-    /// truncated rather than replayed again next time).
-    pub fn recover(&self) -> RecoveryReport {
-        let tables = self.inner.tables.read();
-        {
-            let baseline = self.inner.baseline.read();
-            for (name, state) in tables.iter() {
-                let mut regions = state.regions.write();
-                match baseline.get(name) {
-                    Some(snapshot) => *regions = snapshot.clone(),
-                    None => {
-                        for region in regions.iter_mut() {
-                            region.clear_rows();
-                        }
-                    }
-                }
-            }
-        }
-        // Mutation timestamps are globally unique and monotone, so sorting
-        // the synced records of all server logs by timestamp reconstructs
-        // the cluster-wide mutation order.
-        let mut entries = self.synced_physical_entries();
-        entries.sort_by_key(|e| e.op.timestamp());
-        let mut replayed = 0u64;
-        for entry in &entries {
-            if let Some(state) = tables.get(&entry.table) {
-                let mut regions = state.regions.write();
-                Self::apply_wal_entry(&state.schema, &mut regions, entry);
-                replayed += 1;
-            }
-        }
-        let restored_tables = tables.len();
-        drop(tables);
-        self.inner.crashed.store(false, Ordering::Release);
-        let recovery_sim = self.cost_model().recovery_cost(replayed);
-        self.charge(recovery_sim);
-        if self.replication_enabled() {
-            self.realign_replication();
-        }
-        self.checkpoint();
-        RecoveryReport {
-            replayed_entries: replayed,
-            restored_tables,
-            recovery_sim,
-        }
-    }
-
-    /// Makes the current state durable: snapshots every table's regions as
-    /// the new recovery baseline, then syncs and truncates every WAL (the
-    /// snapshot covers all of it — the memstore-flush that lets HBase
-    /// archive logs).  Charges one `effective_wal_sync` per server log that
-    /// had an unsynced tail (the forced flush); a cluster whose logs are
-    /// clean checkpoints for free.  Call only at quiescent points: the
-    /// snapshot is per-table atomic, not cluster-atomic.  Returns the number
-    /// of WAL records truncated.
-    pub fn checkpoint(&self) -> u64 {
-        {
-            let tables = self.inner.tables.read();
-            let mut baseline = self.inner.baseline.write();
-            baseline.clear();
-            for (name, state) in tables.iter() {
-                baseline.insert(name.clone(), state.regions.read().clone());
-            }
-        }
-        let mut truncated = 0u64;
-        let mut flush_cost = SimDuration::ZERO;
-        for wal in &self.inner.wals {
-            if wal.unsynced_len() > 0 {
-                flush_cost += self.cost_model().effective_wal_sync();
-                wal.sync();
-            }
-            truncated += wal.len() as u64;
-            wal.truncate_before(wal.next_sequence());
-        }
-        if flush_cost > SimDuration::ZERO {
-            self.charge(flush_cost);
-        }
-        if self.replication_enabled() {
-            // A checkpoint is a cluster-wide durability point: the baseline
-            // now covers everything shipped, so every replica — including a
-            // currently-down follower, which would rebuild from the same
-            // baseline on restart — is in sync.  Registry bookkeeping only;
-            // no extra charge (the flush above already paid).  Promotion
-            // still requires liveness, so marking a down follower in sync
-            // cannot hand it a region.
-            let mut registry = self.inner.replication.lock();
-            for set in registry.regions.values_mut() {
-                let shipped = set.shipped;
-                for acked in set.acked.values_mut() {
-                    *acked = shipped;
-                }
-            }
-        }
-        truncated
-    }
-
-    /// All synced physical (non-`Logical`) records across every server log.
-    fn synced_physical_entries(&self) -> Vec<WalEntry> {
-        let mut entries = Vec::new();
-        for wal in &self.inner.wals {
-            entries.extend(
-                wal.entries()
-                    .into_iter()
-                    .filter(|e| e.synced && e.op.timestamp().is_some()),
-            );
-        }
-        entries
-    }
-
-    /// Row key a physical WAL record routes by.
-    fn wal_row_key(op: &WalOp) -> Option<&[u8]> {
-        match op {
-            WalOp::Put { row, .. }
-            | WalOp::Delete { row, .. }
-            | WalOp::Increment { row, .. } => Some(row),
-            WalOp::Logical { .. } => None,
-        }
-    }
-
-    /// Re-applies one WAL record to the owning region at its original
-    /// timestamp.  Cannot fail: the mutation was validated when it was first
-    /// applied and replay repeats it in the original global order.
-    fn apply_wal_entry(schema: &TableSchema, regions: &mut [Region], entry: &WalEntry) {
-        match &entry.op {
-            WalOp::Put { row, cells, timestamp } => {
-                let idx = Self::region_index_for(regions, row);
-                let put = Put {
-                    row: row.clone(),
-                    cells: cells.clone(),
-                    timestamp: Some(*timestamp),
-                };
-                let _ = regions[idx].put(schema, &put, *timestamp);
-            }
-            WalOp::Delete { row, scope, .. } => {
-                let idx = Self::region_index_for(regions, row);
-                let _ = regions[idx].delete(&Delete {
-                    row: row.clone(),
-                    scope: scope.clone(),
-                });
-            }
-            WalOp::Increment {
-                row,
-                family,
-                qualifier,
-                amount,
-                timestamp,
-            } => {
-                let idx = Self::region_index_for(regions, row);
-                let inc = Increment {
-                    row: row.clone(),
-                    family: family.clone(),
-                    qualifier: qualifier.clone(),
-                    amount: *amount,
-                };
-                let _ = regions[idx].increment(schema, &inc, *timestamp);
-            }
-            WalOp::Logical { .. } => {}
-        }
-    }
-
-    /// Rebuilds the regions a server crash dirtied, from durable state
-    /// (checkpoint baseline + synced records from *all* logs — a key's
-    /// mutations may sit in another server's log if its region split and
-    /// moved since the checkpoint).  Affected regions are those still
-    /// hosted on the victim plus those in `moved` (regions that just failed
-    /// over: their memstores hold the victim's lost acked-unsynced writes,
-    /// and the promoted follower's copy is exactly baseline + synced log).
-    /// Regions the new primary *already* hosted are untouched — their
-    /// acked-unsynced writes are healthy and must survive.
-    fn rebuild_regions(&self, victim: usize, moved: &[u64]) {
-        let affected =
-            |region: &Region| region.server.0 == victim || moved.contains(&region.id.0);
-        let tables = self.inner.tables.read();
-        let baseline = self.inner.baseline.read();
-        let mut entries = self.synced_physical_entries();
-        entries.sort_by_key(|e| e.op.timestamp());
-        for (name, state) in tables.iter() {
-            let mut regions = state.regions.write();
-            if !regions.iter().any(affected) {
-                continue;
-            }
-            for region in regions.iter_mut() {
-                if affected(region) {
-                    region.clear_rows();
-                }
-            }
-            if let Some(snapshot) = baseline.get(name) {
-                for snap_region in snapshot {
-                    for (key, row) in snap_region.rows() {
-                        let idx = Self::region_index_for(&regions, key);
-                        if affected(&regions[idx]) {
-                            let row = row.clone();
-                            regions[idx].insert_row(key.clone(), row);
-                        }
-                    }
-                }
-            }
-            for entry in entries.iter().filter(|e| e.table == *name) {
-                let Some(key) = Self::wal_row_key(&entry.op) else {
-                    continue;
-                };
-                let idx = Self::region_index_for(&regions, key);
-                if affected(&regions[idx]) {
-                    Self::apply_wal_entry(&state.schema, &mut regions, entry);
-                }
-            }
-            for region in regions.iter_mut() {
-                if affected(region) {
-                    region.recompute_bytes();
-                }
-            }
-        }
-    }
-
     /// Snapshot of operation counters and per-table storage statistics.
-    // lint-allow(cost-accounting): metrics snapshot, not a client op
     pub fn metrics(&self) -> ClusterMetrics {
-        let mut metrics = ClusterMetrics {
+        let tables = self.inner.tables.read();
+        ClusterMetrics {
             ops: self.inner.counters.snapshot(),
-            tables: BTreeMap::new(),
-        };
-        for (name, state) in self.inner.tables.read().iter() {
-            let regions = state.regions.read();
-            metrics.tables.insert(
-                name.clone(),
-                TableMetrics {
-                    rows: regions.iter().map(|r| r.row_count() as u64).sum(),
-                    bytes: regions.iter().map(|r| r.byte_size() as u64).sum(),
-                    regions: regions.len(),
-                },
-            );
+            tables: tables
+                .iter()
+                .map(|(name, state)| (name.clone(), state.stats()))
+                .collect(),
         }
-        metrics
+    }
+}
+
+/// The WAL record of `put` applied at `ts` (an explicit put timestamp wins).
+fn put_record(put: &Put, ts: Timestamp) -> WalOp {
+    WalOp::Put {
+        row: put.row.clone(),
+        cells: put.cells.clone(),
+        timestamp: put.timestamp.unwrap_or(ts),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::OpCounters;
     use crate::ops::Expectation;
 
     fn cluster() -> Cluster {
@@ -1459,6 +816,12 @@ mod tests {
             c.create_table(orders_schema()),
             Err(StoreError::TableExists(_))
         ));
+        assert_eq!(
+            c.create_table(TableSchema::new("bare")),
+            Err(StoreError::NoColumnFamilies("bare".into())),
+            "a schema without families is an error, not a panic"
+        );
+        assert!(!c.table_exists("bare"));
         c.drop_table("orders").unwrap();
         assert!(!c.table_exists("orders"));
         assert!(matches!(
@@ -1467,26 +830,185 @@ mod tests {
         ));
     }
 
+    /// One client entry point into `Cluster::mutate`, as the
+    /// pipeline-contract table sees it.
+    struct EntryPoint {
+        name: &'static str,
+        /// Runs the op once against `table`; `i` makes the row key fresh.
+        run: fn(&Cluster, &str, usize) -> StoreResult<()>,
+        /// The op's full cost in the cost model's closed form.
+        cost: fn(&CostModel) -> SimDuration,
+        /// The one counter the op bumps.
+        counter: fn(&OpCounters) -> u64,
+        /// Recognizes the WAL record an applied run logs; `None` for the
+        /// entry that applies nothing (the failed check-and-put).
+        logs: Option<fn(&WalOp) -> bool>,
+    }
+
+    fn row(i: usize) -> Put {
+        Put::new(format!("o{i:04}")).with("cf", "v", "1")
+    }
+
+    fn is_put(op: &WalOp) -> bool {
+        matches!(op, WalOp::Put { cells, .. } if cells.len() == 1)
+    }
+
+    fn is_delete(op: &WalOp) -> bool {
+        matches!(op, WalOp::Delete { .. })
+    }
+
+    fn cas(i: usize, expect: Expectation) -> CheckAndPut {
+        CheckAndPut::new(format!("o{i:04}"), "cf", "v", expect, row(i))
+    }
+
+    const ENTRY_POINTS: &[EntryPoint] = &[
+        EntryPoint {
+            name: "put",
+            run: |c, t, i| c.put(t, row(i)),
+            cost: |m| m.put_cost(1),
+            counter: |ops| ops.puts,
+            logs: Some(is_put),
+        },
+        EntryPoint {
+            name: "put_fenced",
+            run: |c, t, i| c.put_fenced(t, row(i), 0),
+            cost: |m| m.put_cost(1),
+            counter: |ops| ops.puts,
+            logs: Some(is_put),
+        },
+        EntryPoint {
+            name: "put_fetch",
+            run: |c, t, i| c.put_fetch(t, row(i)).map(drop),
+            cost: |m| m.put_cost(1),
+            counter: |ops| ops.puts,
+            logs: Some(is_put),
+        },
+        EntryPoint {
+            // Deleting an absent row is still an applied, logged mutation.
+            name: "delete",
+            run: |c, t, i| c.delete(t, Delete::row(format!("o{i:04}"))).map(drop),
+            cost: |m| m.delete_cost(),
+            counter: |ops| ops.deletes,
+            logs: Some(is_delete),
+        },
+        EntryPoint {
+            name: "delete_fetch",
+            run: |c, t, i| c.delete_fetch(t, Delete::row(format!("o{i:04}"))).map(drop),
+            cost: |m| m.delete_cost(),
+            counter: |ops| ops.deletes,
+            logs: Some(is_delete),
+        },
+        EntryPoint {
+            name: "increment",
+            run: |c, t, i| c.increment(t, Increment::new(format!("o{i:04}"), "cf", "n", 1)).map(drop),
+            cost: |m| m.put_cost(1),
+            counter: |ops| ops.increments,
+            logs: Some(|op| matches!(op, WalOp::Increment { amount: 1, .. })),
+        },
+        EntryPoint {
+            name: "check_and_put (applied)",
+            run: |c, t, i| c.check_and_put(t, cas(i, Expectation::Absent)).map(|applied| assert!(applied)),
+            cost: |m| m.check_and_put_cost(),
+            counter: |ops| ops.check_and_puts,
+            logs: Some(is_put),
+        },
+        EntryPoint {
+            // A failed condition pays the full cost and logs nothing.
+            name: "check_and_put (failed)",
+            run: |c, t, i| {
+                c.check_and_put(t, cas(i, Expectation::Equals(b"other".to_vec())))
+                    .map(|applied| assert!(!applied))
+            },
+            cost: |m| m.check_and_put_cost(),
+            counter: |ops| ops.check_and_puts,
+            logs: None,
+        },
+    ];
+
+    /// The pipeline contract, op for op: every entry point charges its
+    /// closed-form cost (group commit moving exactly the sync share onto the
+    /// batch-closing write), logs exactly one WAL record iff it applied,
+    /// bumps exactly its own counter, leaves timestamps and the WAL alone on
+    /// a faulted attempt, and reports a missing table before a crashed
+    /// cluster.
     #[test]
-    fn put_get_delete_round_trip_and_costs() {
+    fn every_entry_point_obeys_the_pipeline_contract() {
+        for entry in ENTRY_POINTS {
+            let name = entry.name;
+            for interval in [1usize, 8] {
+                let c = Cluster::new(ClusterConfig {
+                    region_servers: 1,
+                    wal_sync_interval: interval,
+                    ..ClusterConfig::default()
+                });
+                c.create_table(orders_schema()).unwrap();
+                let full = (entry.cost)(c.cost_model());
+                let deferred = full - c.cost_model().effective_wal_sync();
+                let mut last_stamp = 0;
+                for i in 0..8 {
+                    let ops_before = c.metrics().ops;
+                    let wal_before = c.wal(0).len();
+                    let (result, charged) = c.clock().measure(|| (entry.run)(&c, "orders", i));
+                    result.unwrap();
+                    let closes_batch = (i + 1) % interval == 0;
+                    let expected = if entry.logs.is_none() || closes_batch { full } else { deferred };
+                    assert_eq!(charged, expected, "{name}: charge of op {i} at interval {interval}");
+                    let delta = c.metrics().ops.delta_since(&ops_before);
+                    assert_eq!((entry.counter)(&delta), 1, "{name}: own counter");
+                    assert_eq!(delta.total_ops(), 1, "{name}: no other counter moves");
+                    let logged = &c.wal(0).entries()[wal_before..];
+                    match entry.logs {
+                        None => assert!(logged.is_empty(), "{name}: nothing applied, nothing logged"),
+                        Some(kind) => {
+                            assert_eq!(logged.len(), 1, "{name}: one record per applied op");
+                            assert!(kind(&logged[0].op), "{name}: logged {:?}", logged[0].op);
+                            let stamp = logged[0].op.timestamp().unwrap();
+                            assert!(stamp > last_stamp, "{name}: globally ordered stamps");
+                            last_stamp = stamp;
+                            assert_eq!(c.wal(0).unsynced_len(), (i + 1) % interval, "{name}");
+                        }
+                    }
+                }
+            }
+
+            // A faulted attempt consumes no timestamp, logs nothing, bumps nothing.
+            let c = Cluster::new(ClusterConfig {
+                region_servers: 1,
+                fault_plan: Some(FaultPlan::new(7).with_timeouts(1.0)),
+                ..ClusterConfig::default()
+            });
+            c.create_table(orders_schema()).unwrap();
+            let stamp = c.next_timestamp();
+            assert_eq!(
+                (entry.run)(&c, "orders", 0),
+                Err(StoreError::RpcTimeout { server: 0 }),
+                "{name}"
+            );
+            assert_eq!(c.next_timestamp(), stamp + 1, "{name}: faulted attempt drew a timestamp");
+            assert!(c.wal(0).is_empty(), "{name}: faulted attempt logged");
+            assert_eq!(c.metrics().ops.total_ops(), 0, "{name}: faulted attempt counted");
+
+            // `TableNotFound` beats `ClusterDown`.
+            let c = cluster();
+            c.create_table(orders_schema()).unwrap();
+            c.crash();
+            assert_eq!(
+                (entry.run)(&c, "nope", 0),
+                Err(StoreError::TableNotFound("nope".into())),
+                "{name}"
+            );
+            assert_eq!((entry.run)(&c, "orders", 0), Err(StoreError::ClusterDown), "{name}");
+        }
+        // Reads share the prelude.
         let c = cluster();
         c.create_table(orders_schema()).unwrap();
-        let start = c.clock().now();
-        c.put("orders", Put::new("o1").with("cf", "total", "99")).unwrap();
-        let after_put = c.clock().now();
-        assert!(after_put > start, "puts must charge simulated time");
-        let row = c.get("orders", Get::new("o1")).unwrap().unwrap();
-        assert_eq!(row.value_str("cf", "total").unwrap(), "99");
-        assert!(c.delete("orders", Delete::row("o1")).unwrap());
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_none());
-        let m = c.metrics();
-        assert_eq!(m.ops.puts, 1);
-        assert_eq!(m.ops.gets, 2);
-        assert_eq!(m.ops.deletes, 1);
+        c.crash();
+        assert_eq!(c.get("nope", Get::new("r")), Err(StoreError::TableNotFound("nope".into())));
+        assert_eq!(c.get("orders", Get::new("r")), Err(StoreError::ClusterDown));
     }
 
     #[test]
-    fn fetch_variants_return_before_images_at_plain_write_cost() {
+    fn writes_round_trip_and_fetch_variants_return_before_images() {
         let c = cluster();
         c.create_table(orders_schema()).unwrap();
         assert!(c
@@ -1498,26 +1020,49 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(before.value_str("cf", "v").unwrap(), "1");
-        let (_, put_cost) =
-            c.clock().measure(|| c.put("orders", Put::new("o2").with("cf", "v", "1")).unwrap());
-        let (_, fetch_cost) = c.clock().measure(|| {
-            c.put_fetch("orders", Put::new("o3").with("cf", "v", "1")).unwrap();
-        });
-        assert_eq!(put_cost, fetch_cost, "before-image read rides the write RPC");
-        let gets_before = c.metrics().ops.gets;
+        let row = c.get("orders", Get::new("o1")).unwrap().unwrap();
+        assert_eq!(row.value_str("cf", "v").unwrap(), "2");
         let removed = c.delete_fetch("orders", Delete::row("o1")).unwrap().unwrap();
         assert_eq!(removed.value_str("cf", "v").unwrap(), "2");
         assert!(c.delete_fetch("orders", Delete::row("o1")).unwrap().is_none());
-        assert_eq!(c.metrics().ops.gets, gets_before, "no get counter movement");
+        assert!(c.get("orders", Get::new("o1")).unwrap().is_none());
+        c.put("orders", Put::new("o2").with("cf", "v", "3")).unwrap();
+        assert!(c.delete("orders", Delete::row("o2")).unwrap());
+        assert!(!c.delete("orders", Delete::row("o2")).unwrap());
+        assert_eq!(c.increment("orders", Increment::new("n", "cf", "n", 5)).unwrap(), 5);
+        assert_eq!(c.increment("orders", Increment::new("n", "cf", "n", -2)).unwrap(), 3);
+        assert_eq!(c.metrics().ops.gets, 2, "before-images never count as gets");
     }
 
+    /// The split check runs after every *applied* mutation, whichever entry
+    /// point applied it: a table loaded through check-and-put or increment
+    /// splits exactly like one loaded through put.
     #[test]
-    fn unknown_table_is_an_error() {
-        let c = cluster();
-        assert!(matches!(
-            c.get("nope", Get::new("r")),
-            Err(StoreError::TableNotFound(_))
-        ));
+    fn regions_grown_by_any_mutation_kind_split() {
+        let load = |ops: usize, write: fn(&Cluster, usize)| {
+            let c = Cluster::new(ClusterConfig {
+                region_split_bytes: 2_000,
+                ..ClusterConfig::default()
+            });
+            c.create_table(orders_schema()).unwrap();
+            (0..ops).for_each(|i| write(&c, i));
+            c.table_stats("orders").unwrap()
+        };
+        fn wide(i: usize) -> Put {
+            Put::new(format!("o{i:04}")).with("cf", "v", vec![b'x'; 64])
+        }
+        let by_put = load(200, |c, i| c.put("orders", wide(i)).unwrap());
+        assert!(by_put.regions > 1, "the put-loaded table must have split");
+        let by_cas = load(200, |c, i| {
+            let cap = CheckAndPut::new(format!("o{i:04}"), "cf", "v", Expectation::Absent, wide(i));
+            assert!(c.check_and_put("orders", cap).unwrap());
+        });
+        assert_eq!(by_cas, by_put, "same rows, same splits");
+        let by_increment = load(400, |c, i| {
+            c.increment("orders", Increment::new(format!("o{i:04}"), "cf", "n", 1)).unwrap();
+        });
+        assert_eq!(by_increment.rows, 400);
+        assert!(by_increment.regions > 1, "increment-grown regions split too");
     }
 
     #[test]
@@ -1630,24 +1175,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_records_mutations() {
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 1,
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.put("orders", Put::new("o1").with("cf", "v", "1")).unwrap();
-        c.delete("orders", Delete::row("o1")).unwrap();
-        let wal = c.wal(0);
-        assert_eq!(wal.len(), 2);
-        assert!(wal.unsynced().is_empty());
-        // Entries carry replayable payloads with globally-ordered stamps.
-        let entries = wal.entries();
-        assert!(matches!(&entries[0].op, WalOp::Put { cells, .. } if cells.len() == 1));
-        assert!(entries[0].op.timestamp() < entries[1].op.timestamp());
-    }
-
-    #[test]
     fn scan_cost_grows_with_result_size() {
         let c = cluster();
         c.create_table(orders_schema()).unwrap();
@@ -1659,136 +1186,6 @@ mod tests {
         let (_, small) = c.clock().measure(|| c.scan("orders", Scan::all().with_limit(10)).unwrap());
         let (_, large) = c.clock().measure(|| c.scan("orders", Scan::all()).unwrap());
         assert!(large > small * 2, "large={large} small={small}");
-    }
-
-    #[test]
-    fn group_commit_defers_sync_cost_to_the_batch_closing_write() {
-        let write_n = |interval: usize, n: usize| {
-            let c = Cluster::new(ClusterConfig {
-                region_servers: 1,
-                wal_sync_interval: interval,
-                ..ClusterConfig::default()
-            });
-            c.create_table(orders_schema()).unwrap();
-            let (_, cost) = c.clock().measure(|| {
-                for i in 0..n {
-                    c.put("orders", Put::new(format!("o{i}")).with("cf", "v", "1")).unwrap();
-                }
-            });
-            (c, cost)
-        };
-        let (c1, synced) = write_n(1, 6);
-        let (c3, grouped) = write_n(3, 6);
-        let sync = c1.cost_model().effective_wal_sync();
-        // Interval 3 over 6 writes: 2 syncs instead of 6 → exactly 4 sync
-        // costs cheaper, everything else identical.
-        assert_eq!(synced, grouped + sync * 4);
-        assert_eq!(c1.wal(0).unsynced_len(), 0);
-        assert_eq!(c3.wal(0).unsynced_len(), 0);
-        // A 7th write under interval 3 leaves an unsynced (vulnerable) tail.
-        c3.put("orders", Put::new("o7").with("cf", "v", "1")).unwrap();
-        assert_eq!(c3.wal(0).unsynced_len(), 1);
-    }
-
-    #[test]
-    fn crash_loses_unsynced_tail_and_recover_replays_synced_state() {
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 2,
-            wal_sync_interval: 4,
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        for i in 0..18 {
-            c.put("orders", Put::new(format!("o{i:02}")).with("cf", "v", format!("{i}"))).unwrap();
-        }
-        // Some writes are acked but not yet synced.
-        let unsynced: usize = (0..2).map(|s| c.wal(s).unsynced_len()).sum();
-        assert!(unsynced > 0, "interval 4 must leave an unsynced tail");
-        let synced_rows: Vec<String> = {
-            let mut rows = Vec::new();
-            for s in 0..2 {
-                for e in c.wal(s).entries() {
-                    if e.synced {
-                        if let WalOp::Put { row, .. } = &e.op {
-                            rows.push(String::from_utf8(row.clone()).unwrap());
-                        }
-                    }
-                }
-            }
-            rows.sort();
-            rows
-        };
-        let lost = c.crash();
-        assert_eq!(lost.total(), unsynced);
-        assert_eq!(lost.lost_per_server.len(), 2, "one slot per server");
-        assert!(c.is_crashed());
-        assert!(matches!(
-            c.get("orders", Get::new("o00")),
-            Err(StoreError::ClusterDown)
-        ));
-        let report = c.recover();
-        assert!(!c.is_crashed());
-        assert_eq!(report.replayed_entries, synced_rows.len() as u64);
-        assert!(report.recovery_sim > SimDuration::ZERO);
-        let mut recovered: Vec<String> = c
-            .scan("orders", Scan::all())
-            .unwrap()
-            .iter()
-            .map(ResultRow::key_str)
-            .collect();
-        recovered.sort();
-        assert_eq!(recovered, synced_rows, "exactly the synced writes survive");
-        // recover() checkpointed: the replayed prefix is truncated.
-        assert_eq!(c.wal(0).len() + c.wal(1).len(), 0);
-    }
-
-    #[test]
-    fn checkpoint_makes_bulk_loads_durable_and_truncates_wal() {
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 1,
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.bulk_load(
-            "orders",
-            (0..20).map(|i| Put::new(format!("o{i:02}")).with("cf", "v", "x")),
-        )
-        .unwrap();
-        c.checkpoint();
-        c.put("orders", Put::new("extra").with("cf", "v", "y")).unwrap();
-        assert_eq!(c.wal(0).len(), 1);
-        c.crash();
-        c.recover();
-        assert_eq!(c.row_count("orders").unwrap(), 21, "baseline + synced WAL");
-        assert_eq!(c.wal(0).len(), 0, "recovery re-checkpointed");
-        // Without a checkpoint, bulk loads are volatile.
-        let c2 = Cluster::new(ClusterConfig { region_servers: 1, ..ClusterConfig::default() });
-        c2.create_table(orders_schema()).unwrap();
-        c2.bulk_load("orders", [Put::new("o1").with("cf", "v", "x")]).unwrap();
-        c2.crash();
-        c2.recover();
-        assert_eq!(c2.row_count("orders").unwrap(), 0);
-    }
-
-    #[test]
-    fn recovery_replays_deletes_and_increments_in_order() {
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 3,
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.put("orders", Put::new("a").with("cf", "v", "1")).unwrap();
-        c.increment("orders", Increment::new("n", "cf", "count", 5)).unwrap();
-        c.put("orders", Put::new("b").with("cf", "v", "2")).unwrap();
-        c.delete("orders", Delete::row("a")).unwrap();
-        c.increment("orders", Increment::new("n", "cf", "count", -2)).unwrap();
-        c.crash();
-        c.recover();
-        assert!(c.get("orders", Get::new("a")).unwrap().is_none(), "delete replayed");
-        assert!(c.get("orders", Get::new("b")).unwrap().is_some());
-        let row = c.get("orders", Get::new("n")).unwrap().unwrap();
-        let count = i64::from_be_bytes(row.value("cf", "count").unwrap().try_into().unwrap());
-        assert_eq!(count, 3, "increments replay to the same value");
     }
 
     #[test]
@@ -1838,239 +1235,5 @@ mod tests {
         assert!(stats.injected_op_faults() > 0, "faults were injected");
         assert!(stats.retries >= stats.injected_op_faults());
         assert_eq!(stats.giveups, 0);
-    }
-
-    #[test]
-    fn scheduled_server_crash_downs_the_victim_until_mttr_elapses() {
-        // Server 0 crashes as soon as any sim time has been charged.
-        let plan = FaultPlan::new(1).with_crashes(
-            vec![SimDuration::from_nanos(1)],
-            SimDuration::from_millis(20),
-        );
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 1,
-            fault_plan: Some(plan.clone()),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.put("orders", Put::new("o1").with("cf", "v", "1")).unwrap();
-        // The crash event fires at the next op; server 0 is down.
-        assert!(matches!(
-            c.get("orders", Get::new("o1")),
-            Err(StoreError::RegionUnavailable { server: 0 })
-        ));
-        assert_eq!(c.fault_stats().server_crashes, 1);
-        // Burn past the MTTR window; the server is back.
-        c.clock().charge(SimDuration::from_millis(25));
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_some());
-        // With retries, the same outage is invisible to the caller: backoff
-        // burns sim time until the MTTR window passes.
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 1,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_nanos(1)],
-                SimDuration::from_millis(20),
-            )),
-            retry: Some(RetryPolicy::default().with_max_attempts(16)),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.put("orders", Put::new("o1").with("cf", "v", "1")).unwrap();
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_some());
-        let stats = c.fault_stats();
-        assert_eq!(stats.server_crashes, 1);
-        assert!(stats.retries > 0, "the outage was ridden out by retries");
-    }
-
-    #[test]
-    fn replication_off_keeps_registry_empty_and_epochs_zero() {
-        let c = cluster();
-        c.create_table(orders_schema()).unwrap();
-        assert!(!c.replication_enabled());
-        let stats = c.replication_stats();
-        assert_eq!(stats.replication_factor, 1);
-        assert_eq!(stats.replicated_regions, 0);
-        assert_eq!(stats.records_shipped, 0);
-        let (_, epoch) = c.region_epoch_for("orders", b"o1").unwrap();
-        assert_eq!(epoch, 0);
-        // put_fenced with the (zero) captured epoch works unchanged.
-        c.put_fenced("orders", Put::new("o1").with("cf", "v", "1"), epoch).unwrap();
-    }
-
-    #[test]
-    fn replication_ships_synced_records_and_charges_for_it() {
-        let run = |rf: usize| {
-            let c = Cluster::new(ClusterConfig {
-                region_servers: 3,
-                replication_factor: rf,
-                ..ClusterConfig::default()
-            });
-            c.create_table(orders_schema()).unwrap();
-            let (_, cost) = c.clock().measure(|| {
-                for i in 0..10 {
-                    c.put("orders", Put::new(format!("o{i}")).with("cf", "v", "1")).unwrap();
-                }
-            });
-            (c, cost)
-        };
-        let (c1, cost1) = run(1);
-        let (c3, cost3) = run(3);
-        assert_eq!(c1.replication_stats().records_shipped, 0);
-        // RF=3: every synced record acknowledged by 2 live followers.
-        assert_eq!(c3.replication_stats().records_shipped, 20);
-        assert_eq!(c3.replication_stats().replica_lag, 0);
-        let ship = c3.cost_model().replication_ship_cost(20);
-        assert_eq!(cost3, cost1 + ship, "replication charges exactly the ship cost");
-    }
-
-    #[test]
-    fn failover_keeps_the_region_available_through_the_crash_window() {
-        // Server 0 (the region's primary) crashes at 3ms for a 50ms MTTR.
-        // With RF=2 the region fails over to server 1 and every op inside
-        // the window succeeds without any retry policy at all.
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 2,
-            replication_factor: 2,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_millis(3)],
-                SimDuration::from_millis(50),
-            )),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        for i in 0..20 {
-            c.put("orders", Put::new(format!("o{i:02}")).with("cf", "v", format!("{i}")))
-                .unwrap();
-            let row = c.get("orders", Get::new(format!("o{i:02}"))).unwrap().unwrap();
-            assert_eq!(row.value_str("cf", "v").unwrap(), format!("{i}"));
-        }
-        let stats = c.replication_stats();
-        assert!(stats.failovers >= 1, "the crash must have triggered a failover");
-        assert_eq!(c.fault_stats().server_crashes, 1);
-        assert_eq!(c.fault_stats().unavailable_rejections, 0, "no op saw the outage");
-        assert_eq!(c.row_count("orders").unwrap(), 20, "zero acked-synced loss");
-    }
-
-    #[test]
-    fn rejoined_victim_catches_up_and_is_promotable_again() {
-        // Crash 0: server 0 at 3ms (10ms MTTR) → fail over to server 1,
-        // follower 0 falls behind while down, catches up on rejoin at 13ms.
-        // Crash 1: server 1 at 40ms → fail back over to the caught-up 0.
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 2,
-            replication_factor: 2,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_millis(3), SimDuration::from_millis(40)],
-                SimDuration::from_millis(10),
-            )),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        for i in 0..40 {
-            c.put("orders", Put::new(format!("o{i:02}")).with("cf", "v", "x")).unwrap();
-        }
-        assert!(c.clock().now() > SimInstant::EPOCH + SimDuration::from_millis(50));
-        let stats = c.replication_stats();
-        assert_eq!(stats.failovers, 2, "second crash promoted the rejoined victim");
-        assert!(stats.catchup_replays >= 1, "the rejoin replayed the shipped log");
-        assert!(stats.catchup_records > 0);
-        assert_eq!(c.fault_stats().unavailable_rejections, 0);
-        assert_eq!(c.row_count("orders").unwrap(), 40);
-    }
-
-    #[test]
-    fn put_fenced_refuses_zombie_writers_after_failover() {
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 2,
-            replication_factor: 2,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_nanos(1)],
-                SimDuration::from_millis(20),
-            )),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        // The writer captures the epoch, then the primary crashes.
-        let (region, epoch) = c.region_epoch_for("orders", b"o1").unwrap();
-        assert_eq!(epoch, 0);
-        c.put("orders", Put::new("seed").with("cf", "v", "1")).unwrap();
-        let _ = c.get("orders", Get::new("seed")).unwrap(); // fires the crash + failover
-        let err = c
-            .put_fenced("orders", Put::new("o1").with("cf", "v", "zombie"), epoch)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            StoreError::StaleRegionEpoch { region, current: 1, presented: 0 }
-        );
-        assert!(!err.retryable());
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_none(), "the write was fenced");
-        // Re-reading the epoch un-fences the writer.
-        let (_, fresh) = c.region_epoch_for("orders", b"o1").unwrap();
-        assert_eq!(fresh, 1);
-        c.put_fenced("orders", Put::new("o1").with("cf", "v", "ok"), fresh).unwrap();
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_some());
-    }
-
-    #[test]
-    fn recover_realigns_routing_with_the_replication_registry() {
-        // A failover moves the region to server 1; a full-cluster crash and
-        // recovery must keep routing it to server 1 (the registry, i.e. the
-        // ZooKeeper layer, survives), and keep its bumped epoch.
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 2,
-            replication_factor: 2,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_nanos(1)],
-                SimDuration::from_millis(500),
-            )),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.put("orders", Put::new("a").with("cf", "v", "1")).unwrap();
-        c.put("orders", Put::new("b").with("cf", "v", "2")).unwrap(); // fires failover
-        assert_eq!(c.replication_stats().failovers, 1);
-        let (region, epoch) = c.region_epoch_for("orders", b"a").unwrap();
-        assert_eq!(epoch, 1);
-        c.crash();
-        c.recover();
-        assert_eq!(c.current_epoch(region), 1, "epochs survive recovery");
-        // Server 0 is still inside its MTTR window: if routing had reverted
-        // to it, this op would be rejected as unavailable.
-        c.put("orders", Put::new("c").with("cf", "v", "3")).unwrap();
-        assert_eq!(c.fault_stats().unavailable_rejections, 0);
-        assert_eq!(c.row_count("orders").unwrap(), 3);
-    }
-
-    #[test]
-    fn server_crash_with_unsynced_tail_loses_only_the_victims_writes() {
-        // Group commit leaves an unsynced tail; the scheduled crash must
-        // drop it and rebuild the victim's regions from durable state.
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 1,
-            wal_sync_interval: 100,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_millis(20)],
-                SimDuration::from_nanos(1),
-            )),
-            retry: Some(RetryPolicy::default()),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        c.bulk_load("orders", (0..10).map(|i| Put::new(format!("base{i}")).with("cf", "v", "x")))
-            .unwrap();
-        c.checkpoint();
-        // Non-syncing puts charge ~1ms each (RPC + server work, sync
-        // deferred), so the 20ms crash fires mid-stream with an unsynced
-        // tail in the log.
-        for i in 0..40 {
-            c.put("orders", Put::new(format!("live{i:02}")).with("cf", "v", "y")).unwrap();
-        }
-        let stats = c.fault_stats();
-        assert_eq!(stats.server_crashes, 1);
-        assert!(stats.wal_records_lost > 0, "acked-unsynced records were lost");
-        let rows = c.row_count("orders").unwrap();
-        // Baseline survived; exactly the lost tail is missing.
-        assert!(rows >= 10, "checkpointed rows survive");
-        assert_eq!(rows, 10 + 40 - stats.wal_records_lost);
     }
 }

@@ -12,6 +12,8 @@ pub enum StoreError {
     TableNotFound(String),
     /// A table with this name already exists.
     TableExists(String),
+    /// The schema passed to `create_table` declares no column family.
+    NoColumnFamilies(String),
     /// The named column family is not declared in the table schema.
     UnknownColumnFamily {
         /// Table being accessed.
@@ -99,6 +101,9 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::TableNotFound(t) => write!(f, "table not found: {t}"),
             StoreError::TableExists(t) => write!(f, "table already exists: {t}"),
+            StoreError::NoColumnFamilies(t) => {
+                write!(f, "table {t} must declare at least one column family")
+            }
             StoreError::UnknownColumnFamily { table, family } => {
                 write!(f, "unknown column family {family} in table {table}")
             }

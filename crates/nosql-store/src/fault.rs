@@ -225,9 +225,19 @@ impl FaultState {
         }
     }
 
-    /// Snapshots the per-server attribution columns.
-    pub(crate) fn per_server_stats(&self) -> Vec<ServerFaultStats> {
-        self.per_server.iter().map(ServerFaultCounters::snapshot).collect()
+    /// Snapshot of the injection counters, with the per-server attribution
+    /// columns (retry counters are the retry runtime's to fill).
+    pub(crate) fn stats(&self) -> FaultStats {
+        FaultStats {
+            server_crashes: self.server_crashes.load(Ordering::Relaxed),
+            wal_records_lost: self.wal_records_lost.load(Ordering::Relaxed),
+            timeouts: self.timeouts.load(Ordering::Relaxed),
+            transient_errors: self.transients.load(Ordering::Relaxed),
+            slowdowns: self.slowdowns.load(Ordering::Relaxed),
+            unavailable_rejections: self.unavailable.load(Ordering::Relaxed),
+            per_server: self.per_server.iter().map(ServerFaultCounters::snapshot).collect(),
+            ..FaultStats::default()
+        }
     }
 
     /// Claims every crash event whose scheduled instant has passed and
@@ -378,7 +388,7 @@ mod tests {
         }
         state.mark_down(2, SimInstant::EPOCH + SimDuration::from_millis(1));
         let _ = state.draw(2, SimInstant::EPOCH, SimDuration::from_micros(900));
-        let per = state.per_server_stats();
+        let per = state.stats().per_server;
         assert_eq!(per.len(), 3);
         let sum = |f: fn(&ServerFaultStats) -> u64| per.iter().map(f).sum::<u64>();
         assert_eq!(sum(|s| s.timeouts), state.timeouts.load(Ordering::Relaxed));

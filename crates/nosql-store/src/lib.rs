@@ -50,16 +50,19 @@ pub mod intern;
 mod metrics;
 pub mod ops;
 mod par_scan;
+mod recovery;
 mod region;
+mod replication;
 mod retry;
 mod table;
 mod wal;
 
 pub use cell::{Bytes, Cell, CellCoord, Timestamp};
-pub use cluster::{Cluster, ClusterConfig, CrashReport, RecoveryReport};
+pub use cluster::{Cluster, ClusterConfig};
 pub use cursor::{ScanCursor, SCAN_PAGE_ROWS};
 pub use fault::{FaultPlan, FaultStats, ServerFaultStats};
 pub use par_scan::ParScanCursor;
+pub use recovery::{CrashReport, RecoveryReport};
 pub use retry::RetryPolicy;
 pub use error::{StoreError, StoreResult};
 pub use metrics::{ClusterMetrics, OpCounters, ReplicationStats, TableMetrics};

@@ -218,6 +218,7 @@ impl CheckAndPut {
         put: Put,
     ) -> Self {
         let row = to_bytes(row);
+        // lint-allow(panic-freedom): documented constructor precondition (caller bug, not a fault path)
         assert_eq!(row, put.row, "CheckAndPut is single-row atomic");
         CheckAndPut {
             row,

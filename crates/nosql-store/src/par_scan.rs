@@ -98,6 +98,7 @@ impl Cluster {
     /// identical to [`Cluster::scan_stream`].  With `threads <= 1` (or a
     /// table whose regions cannot be partitioned) this *is* the serial
     /// cursor.  See the module docs for the sim-clock merge rules.
+    // lint-allow(cost-accounting): reads region boundaries only to partition; each worker's `scan_stream_inner` charges
     pub fn par_scan_stream(
         &self,
         table: &str,

@@ -10,6 +10,7 @@ use crate::cell::{Bytes, Cell, Timestamp};
 use crate::error::{StoreError, StoreResult};
 use crate::ops::{Delete, DeleteScope, Expectation, Filter, Get, Increment, Put, Scan};
 use crate::table::{ColKey, ResultRow, RowData, TableSchema};
+use crate::wal::WalOp;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -99,17 +100,48 @@ impl Region {
             .sum();
     }
 
+    /// Applies one logged mutation at the timestamp it carries.  This is the
+    /// single point where a [`WalOp`] meets region state: the live write
+    /// path applies the record it is about to log through here and recovery
+    /// replays synced records through here, so the two cannot drift apart.
+    /// Returns the mutation's scalar outcome — cells written (put), `1` if
+    /// any data was removed (delete), the new counter value (increment);
+    /// logical records touch nothing.
+    pub(crate) fn apply_op(&mut self, schema: &TableSchema, op: &WalOp) -> StoreResult<i64> {
+        match op {
+            WalOp::Put { row, cells, timestamp } => {
+                self.put_cells(schema, row, cells, *timestamp).map(|n| n as i64)
+            }
+            WalOp::Delete { row, scope, .. } => Ok(i64::from(self.delete_scope(row, scope))),
+            WalOp::Increment { row, family, qualifier, amount, timestamp } => {
+                self.increment_cell(schema, row, family, qualifier, *amount, *timestamp)
+            }
+            WalOp::Logical { .. } => Ok(0),
+        }
+    }
+
     /// Applies a [`Put`]; returns the number of cells written.
+    pub fn put(&mut self, schema: &TableSchema, put: &Put, ts: Timestamp) -> StoreResult<usize> {
+        self.put_cells(schema, &put.row, &put.cells, put.timestamp.unwrap_or(ts))
+    }
+
+    /// Writes `cells` to `row` at version `ts`.
     ///
     /// Byte accounting is incremental: each written cell adjusts the
     /// region's size by its own footprint (or by the value-length delta when
     /// it replaces an existing version) instead of re-walking — and
     /// re-materializing the column names of — the whole row per mutation.
-    pub fn put(&mut self, schema: &TableSchema, put: &Put, ts: Timestamp) -> StoreResult<usize> {
-        if put.cells.is_empty() {
+    fn put_cells(
+        &mut self,
+        schema: &TableSchema,
+        row: &[u8],
+        cells: &[(String, String, Bytes)],
+        ts: Timestamp,
+    ) -> StoreResult<usize> {
+        if cells.is_empty() {
             return Err(StoreError::EmptyMutation);
         }
-        for (family, _, _) in &put.cells {
+        for (family, _, _) in cells {
             if !schema.has_family(family) {
                 return Err(StoreError::UnknownColumnFamily {
                     table: schema.name.clone(),
@@ -117,29 +149,32 @@ impl Region {
                 });
             }
         }
-        let effective_ts = put.timestamp.unwrap_or(ts);
-        let key_len = put.row.len();
-        let row = self.rows.entry(put.row.clone()).or_default();
+        let key_len = row.len();
+        let stored = self.rows.entry(row.to_vec()).or_default();
         let mut delta = 0isize;
-        for (family, qualifier, value) in &put.cells {
+        for (family, qualifier, value) in cells {
             let col = ColKey::new(family, qualifier);
             let cell_size = col.cell_heap_size(value.len()) + key_len;
-            let versions = row.columns.entry(col).or_default();
-            match versions.insert(Reverse(effective_ts), Arc::from(&value[..])) {
+            let versions = stored.columns.entry(col).or_default();
+            match versions.insert(Reverse(ts), Arc::from(&value[..])) {
                 Some(old) => delta += value.len() as isize - old.len() as isize,
                 None => delta += cell_size as isize,
             }
         }
         self.bytes = (self.bytes as isize + delta) as usize;
-        Ok(put.cells.len())
+        Ok(cells.len())
     }
 
     /// Applies a [`Delete`]; returns `true` if any data was removed.
     pub fn delete(&mut self, delete: &Delete) -> StoreResult<bool> {
-        let key_len = delete.row.len();
+        Ok(self.delete_scope(&delete.row, &delete.scope))
+    }
+
+    fn delete_scope(&mut self, row_key: &[u8], scope: &DeleteScope) -> bool {
+        let key_len = row_key.len();
         let mut freed = 0usize;
-        let removed = match &delete.scope {
-            DeleteScope::Row => match self.rows.remove(&delete.row) {
+        let removed = match scope {
+            DeleteScope::Row => match self.rows.remove(row_key) {
                 Some(row) => {
                     freed = row.heap_size(key_len);
                     true
@@ -148,7 +183,7 @@ impl Region {
             },
             DeleteScope::Columns(columns) => {
                 let mut removed = false;
-                if let Some(row) = self.rows.get_mut(&delete.row) {
+                if let Some(row) = self.rows.get_mut(row_key) {
                     for (family, qualifier) in columns {
                         let Some(col) = ColKey::lookup(family, qualifier) else {
                             continue; // names never seen → column cannot exist
@@ -162,14 +197,14 @@ impl Region {
                         }
                     }
                     if row.is_empty() {
-                        self.rows.remove(&delete.row);
+                        self.rows.remove(row_key);
                     }
                 }
                 removed
             }
         };
         self.bytes -= freed;
-        Ok(removed)
+        removed
     }
 
     /// Applies an [`Increment`]; returns the new counter value.
@@ -179,30 +214,41 @@ impl Region {
         inc: &Increment,
         ts: Timestamp,
     ) -> StoreResult<i64> {
-        if !schema.has_family(&inc.family) {
+        self.increment_cell(schema, &inc.row, &inc.family, &inc.qualifier, inc.amount, ts)
+    }
+
+    fn increment_cell(
+        &mut self,
+        schema: &TableSchema,
+        row_key: &[u8],
+        family: &str,
+        qualifier: &str,
+        amount: i64,
+        ts: Timestamp,
+    ) -> StoreResult<i64> {
+        if !schema.has_family(family) {
             return Err(StoreError::UnknownColumnFamily {
                 table: schema.name.clone(),
-                family: inc.family.clone(),
+                family: family.to_string(),
             });
         }
-        let key_len = inc.row.len();
-        let col = ColKey::new(&inc.family, &inc.qualifier);
-        let cell_size = col.cell_heap_size(8) + key_len;
-        let row = self.rows.entry(inc.row.clone()).or_default();
+        let col = ColKey::new(family, qualifier);
+        let cell_size = col.cell_heap_size(8) + row_key.len();
+        let row = self.rows.entry(row_key.to_vec()).or_default();
         let versions = row.columns.entry(col).or_default();
         let current = match versions.first_key_value() {
             Some((_, value)) => {
                 let bytes: [u8; 8] = value[..].try_into().map_err(|_| {
                     StoreError::NotACounter {
-                        row: String::from_utf8_lossy(&inc.row).into_owned(),
-                        qualifier: inc.qualifier.clone(),
+                        row: String::from_utf8_lossy(row_key).into_owned(),
+                        qualifier: qualifier.to_string(),
                     }
                 })?;
                 i64::from_be_bytes(bytes)
             }
             None => 0,
         };
-        let next = current + inc.amount;
+        let next = current + amount;
         let delta = match versions.insert(Reverse(ts), Arc::from(&next.to_be_bytes()[..])) {
             Some(old) => 8isize - old.len() as isize,
             None => cell_size as isize,
@@ -221,25 +267,37 @@ impl Region {
         put: &Put,
         ts: Timestamp,
     ) -> StoreResult<bool> {
+        let matches = self.matches(&put.row, family, qualifier, expect);
+        if matches {
+            self.put(schema, put, ts)?;
+        }
+        Ok(matches)
+    }
+
+    /// The check half of a check-and-put: does the newest version of
+    /// `row`'s `family:qualifier` cell meet `expect`?
+    pub(crate) fn matches(
+        &self,
+        row: &[u8],
+        family: &str,
+        qualifier: &str,
+        expect: &Expectation,
+    ) -> bool {
         let current = self
             .rows
-            .get(&put.row)
+            .get(row)
             .and_then(|row| {
                 let col = ColKey::lookup(family, qualifier)?;
                 row.columns.get(&col)
             })
             .and_then(|versions| versions.first_key_value())
-            .map(|(_, value)| value.clone());
-        let matches = match (expect, &current) {
+            .map(|(_, value)| value);
+        match (expect, current) {
             (Expectation::Absent, None) => true,
             (Expectation::Absent, Some(_)) => false,
             (Expectation::Equals(expected), Some(actual)) => expected[..] == actual[..],
             (Expectation::Equals(_), None) => false,
-        };
-        if matches {
-            self.put(schema, put, ts)?;
         }
-        Ok(matches)
     }
 
     /// Resolves a `(family, qualifier)` projection to interned column keys

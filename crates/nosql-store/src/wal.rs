@@ -77,6 +77,16 @@ impl WalOp {
             WalOp::Logical { .. } => None,
         }
     }
+
+    /// Row key the mutation routes by (`None` for [`WalOp::Logical`]).
+    pub(crate) fn row(&self) -> Option<&[u8]> {
+        match self {
+            WalOp::Put { row, .. }
+            | WalOp::Delete { row, .. }
+            | WalOp::Increment { row, .. } => Some(row),
+            WalOp::Logical { .. } => None,
+        }
+    }
 }
 
 /// One durable WAL record.

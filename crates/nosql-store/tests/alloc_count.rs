@@ -126,6 +126,9 @@ fn put_allocations_do_not_scale_with_row_width() {
 /// the store's name-interner table.
 #[test]
 fn repeated_writes_do_not_grow_the_interner() {
+    // The interner is process-global too: a concurrently running test that
+    // interns new column names would grow the count under this one.
+    let _window = exclusive_window();
     let mut region = region();
     let schema = schema();
     let put = Put::new("r").with("cf", "stable_col", "v");

@@ -119,6 +119,7 @@ pub struct ViewDefinition {
 impl ViewDefinition {
     /// Builds a view definition from a non-empty edge path.
     pub fn from_edges(edges: Vec<GraphEdge>) -> Self {
+        // lint-allow(panic-freedom): documented constructor precondition; every caller passes a path it just extended
         assert!(!edges.is_empty(), "a view path needs at least one edge");
         let mut relations = vec![edges[0].from.clone()];
         for e in &edges {
