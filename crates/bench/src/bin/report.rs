@@ -61,7 +61,18 @@ struct Options {
     out: String,
 }
 
-fn parse_args() -> Options {
+/// Every artifact name `report` accepts.
+const ARTIFACTS: [&str; 15] = [
+    "fig10", "fig_par", "fig11", "fig12", "fig13", "fig14", "fig_writes", "fig_faults",
+    "fig_availability", "fig_partial", "table1", "table2", "table3", "ablation", "all",
+];
+
+const USAGE: &str = "usage: report [ARTIFACT] [--customers N] [--reps N] [--threads N] \
+                     [--json] [--out PATH] [--explain]";
+
+/// Parses the command line; the error is the message to print before
+/// exiting with status 2.
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         artifact: "all".to_string(),
         customers: DEFAULT_CUSTOMERS,
@@ -71,35 +82,31 @@ fn parse_args() -> Options {
         explain: false,
         out: "BENCH_report.json".to_string(),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--customers" => {
-                i += 1;
-                options.customers = args[i].parse().expect("--customers takes a number");
-            }
-            "--reps" => {
-                i += 1;
-                options.reps = args[i].parse().expect("--reps takes a number");
-            }
-            "--threads" => {
-                i += 1;
-                options.threads = args[i].parse().expect("--threads takes a number");
-                options.threads = options.threads.max(1);
-            }
-            "--out" => {
-                i += 1;
-                options.out = args[i].clone();
-            }
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value\n{USAGE}"));
+        let number = |text: &String| {
+            text.parse::<u64>()
+                .map_err(|_| format!("{arg} takes a number, got {text:?}\n{USAGE}"))
+        };
+        match arg.as_str() {
+            "--customers" => options.customers = number(value()?)?,
+            "--reps" => options.reps = number(value()?)?,
+            "--threads" => options.threads = (number(value()?)? as usize).max(1),
+            "--out" => options.out = value()?.clone(),
             "--json" => options.json = true,
             "--explain" => options.explain = true,
-            other if !other.starts_with("--") => options.artifact = other.to_string(),
-            other => panic!("unknown flag {other}"),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
+            name if ARTIFACTS.contains(&name) => options.artifact = name.to_string(),
+            name => {
+                return Err(format!(
+                    "unknown artifact {name:?}; valid artifacts: {}",
+                    ARTIFACTS.join(", ")
+                ))
+            }
         }
-        i += 1;
     }
-    options
+    Ok(options)
 }
 
 /// The customer scales of the Figure 10 sweep (the paper scales ×10 per
@@ -110,7 +117,11 @@ fn fig10_scales(customers: u64) -> [u64; 3] {
 }
 
 fn main() {
-    let options = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        std::process::exit(2);
+    });
     let artifact = options.artifact.as_str();
     println!("== Synergy reproduction report ==");
     println!(

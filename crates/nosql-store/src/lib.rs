@@ -57,10 +57,11 @@ mod retry;
 mod table;
 mod wal;
 
-pub use cell::{Bytes, Cell, CellCoord, Timestamp};
+pub use cell::{Bytes, Cell, CellCoord, Timestamp, Val};
 pub use cluster::{Cluster, ClusterConfig};
 pub use cursor::{ScanCursor, SCAN_PAGE_ROWS};
 pub use fault::{FaultPlan, FaultStats, ServerFaultStats};
+pub use intern::Name;
 pub use par_scan::ParScanCursor;
 pub use recovery::{CrashReport, RecoveryReport};
 pub use retry::RetryPolicy;

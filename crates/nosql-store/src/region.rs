@@ -6,15 +6,14 @@
 //! the duration of the operation), which is the atomicity unit the paper's
 //! concurrency analysis starts from.
 
-use crate::cell::{Bytes, Cell, Timestamp};
+use crate::cell::{Bytes, Cell, Timestamp, Val};
 use crate::error::{StoreError, StoreResult};
+use crate::intern::position_from;
 use crate::ops::{Delete, DeleteScope, Expectation, Filter, Get, Increment, Put, Scan};
 use crate::table::{ColKey, ResultRow, RowData, TableSchema};
 use crate::wal::WalOp;
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Identifier of a region within the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -150,19 +149,41 @@ impl Region {
             }
         }
         let key_len = row.len();
-        let stored = self.rows.entry(row.to_vec()).or_default();
-        let mut delta = 0isize;
-        for (family, qualifier, value) in cells {
-            let col = ColKey::new(family, qualifier);
-            let cell_size = col.cell_heap_size(value.len()) + key_len;
-            let versions = stored.columns.entry(col).or_default();
-            match versions.insert(Reverse(ts), Arc::from(&value[..])) {
-                Some(old) => delta += value.len() as isize - old.len() as isize,
-                None => delta += cell_size as isize,
+        let delta = self.with_row(row, cells.len(), |stored| {
+            let mut delta = 0isize;
+            for (family, qualifier, value) in cells {
+                let col = ColKey::new(family, qualifier);
+                delta += match stored.put(col, ts, Val::from(&value[..])) {
+                    Some(old_len) => value.len() as isize - old_len as isize,
+                    None => (col.cell_heap_size(value.len()) + key_len) as isize,
+                };
             }
-        }
+            delta
+        });
         self.bytes = (self.bytes as isize + delta) as usize;
         Ok(cells.len())
+    }
+
+    /// Runs `apply` on the row stored under `key`, or on a new empty row
+    /// (sized for `columns` columns, so a row written by one put is one
+    /// exact allocation) that is stored afterwards if `apply` put anything
+    /// in it.  Looking up before inserting means a write to an existing row
+    /// copies no key.
+    fn with_row<T>(
+        &mut self,
+        key: &[u8],
+        columns: usize,
+        apply: impl FnOnce(&mut RowData) -> T,
+    ) -> T {
+        if let Some(row) = self.rows.get_mut(key) {
+            return apply(row);
+        }
+        let mut row = RowData::with_capacity(columns);
+        let out = apply(&mut row);
+        if !row.is_empty() {
+            self.rows.insert(key.to_vec(), row);
+        }
+        out
     }
 
     /// Applies a [`Delete`]; returns `true` if any data was removed.
@@ -188,11 +209,8 @@ impl Region {
                         let Some(col) = ColKey::lookup(family, qualifier) else {
                             continue; // names never seen → column cannot exist
                         };
-                        if let Some(versions) = row.columns.remove(&col) {
-                            freed += versions
-                                .values()
-                                .map(|v| col.cell_heap_size(v.len()) + key_len)
-                                .sum::<usize>();
+                        if let Some(column) = row.remove(col) {
+                            freed += column.heap_size(key_len);
                             removed = true;
                         }
                     }
@@ -234,25 +252,26 @@ impl Region {
         }
         let col = ColKey::new(family, qualifier);
         let cell_size = col.cell_heap_size(8) + row_key.len();
-        let row = self.rows.entry(row_key.to_vec()).or_default();
-        let versions = row.columns.entry(col).or_default();
-        let current = match versions.first_key_value() {
-            Some((_, value)) => {
-                let bytes: [u8; 8] = value[..].try_into().map_err(|_| {
-                    StoreError::NotACounter {
-                        row: String::from_utf8_lossy(row_key).into_owned(),
-                        qualifier: qualifier.to_string(),
-                    }
-                })?;
-                i64::from_be_bytes(bytes)
-            }
-            None => 0,
-        };
-        let next = current + amount;
-        let delta = match versions.insert(Reverse(ts), Arc::from(&next.to_be_bytes()[..])) {
-            Some(old) => 8isize - old.len() as isize,
-            None => cell_size as isize,
-        };
+        let (next, delta) = self.with_row(row_key, 1, |row| {
+            let current = match row.column(col) {
+                Some(column) => {
+                    let bytes: [u8; 8] = column.value[..].try_into().map_err(|_| {
+                        StoreError::NotACounter {
+                            row: String::from_utf8_lossy(row_key).into_owned(),
+                            qualifier: qualifier.to_string(),
+                        }
+                    })?;
+                    i64::from_be_bytes(bytes)
+                }
+                None => 0,
+            };
+            let next = current + amount;
+            let delta = match row.put(col, ts, Val::from(&next.to_be_bytes()[..])) {
+                Some(old_len) => 8isize - old_len as isize,
+                None => cell_size as isize,
+            };
+            Ok((next, delta))
+        })?;
         self.bytes = (self.bytes as isize + delta) as usize;
         Ok(next)
     }
@@ -286,12 +305,8 @@ impl Region {
         let current = self
             .rows
             .get(row)
-            .and_then(|row| {
-                let col = ColKey::lookup(family, qualifier)?;
-                row.columns.get(&col)
-            })
-            .and_then(|versions| versions.first_key_value())
-            .map(|(_, value)| value);
+            .and_then(|row| row.column(ColKey::lookup(family, qualifier)?))
+            .map(|column| &column.value);
         match (expect, current) {
             (Expectation::Absent, None) => true,
             (Expectation::Absent, Some(_)) => false,
@@ -301,58 +316,49 @@ impl Region {
     }
 
     /// Resolves a `(family, qualifier)` projection to interned column keys
-    /// once per call site, so the per-cell membership check is two pointer
-    /// compares instead of string comparisons.  `None` = no projection.
-    /// Names never interned cannot match any stored column and are dropped
-    /// (an all-unknown projection still projects to nothing, it does not
-    /// fall back to "everything").
+    /// once per call site, sorted like a row's columns so the per-row walk
+    /// finds each column by pointer compares at the position it expects
+    /// ([`position_from`]).  `None` = no projection.  Names never interned
+    /// cannot match any stored column and are dropped (an all-unknown
+    /// projection still projects to nothing, it does not fall back to
+    /// "everything").
     pub(crate) fn resolve_projection(columns: &[(String, String)]) -> Option<Vec<ColKey>> {
         if columns.is_empty() {
             return None;
         }
-        Some(
-            columns
-                .iter()
-                .filter_map(|(f, q)| ColKey::lookup(f, q))
-                .collect(),
-        )
+        let mut keys: Vec<ColKey> =
+            columns.iter().filter_map(|(f, q)| ColKey::lookup(f, q)).collect();
+        keys.sort_unstable();
+        Some(keys)
     }
 
+    /// The cells of `row` a read returns: per projected column, its newest
+    /// `max_versions` versions at or before `time_bound`, newest first.
     fn visible_cells(
         row: &RowData,
         projection: Option<&[ColKey]>,
         max_versions: usize,
         time_bound: Option<Timestamp>,
     ) -> Vec<Cell> {
-        let mut cells = Vec::with_capacity(row.columns.len());
-        for (col, versions) in &row.columns {
+        let columns = row.columns();
+        let width = projection.map_or(columns.len(), |cols| cols.len().min(columns.len()));
+        let mut cells = Vec::with_capacity(width);
+        let mut expected = 0;
+        for column in columns {
             if let Some(cols) = projection {
-                // Interned names are unique, so pointer equality suffices.
-                if !cols.iter().any(|c| {
-                    Arc::ptr_eq(&c.family, &col.family)
-                        && Arc::ptr_eq(&c.qualifier, &col.qualifier)
-                }) {
-                    continue;
+                match position_from(cols, expected, |key| *key == column.key) {
+                    Some(at) => expected = at + 1,
+                    None => continue,
                 }
             }
-            let mut taken = 0;
-            for (Reverse(ts), value) in versions.iter() {
-                if let Some(bound) = time_bound {
-                    if *ts > bound {
-                        continue;
-                    }
-                }
+            column.visible(max_versions, time_bound, |timestamp, value| {
                 cells.push(Cell {
-                    family: Arc::clone(&col.family),
-                    qualifier: Arc::clone(&col.qualifier),
-                    timestamp: *ts,
+                    family: column.key.family,
+                    qualifier: column.key.qualifier,
+                    timestamp,
                     value: value.clone(),
                 });
-                taken += 1;
-                if taken >= max_versions {
-                    break;
-                }
-            }
+            });
         }
         cells
     }
@@ -379,15 +385,8 @@ impl Region {
         family: &str,
         qualifier: &str,
         bound: Option<Timestamp>,
-    ) -> Option<&'a Arc<[u8]>> {
-        let col = ColKey::lookup(family, qualifier)?;
-        let versions = row.columns.get(&col)?;
-        match bound {
-            None => versions.first_key_value().map(|(_, v)| v),
-            // Keys sort by `Reverse(ts)`, so `Reverse(bound)..` walks the
-            // versions with `ts <= bound`, newest first.
-            Some(bound) => versions.range(Reverse(bound)..).next().map(|(_, v)| v),
-        }
+    ) -> Option<&'a Val> {
+        row.column(ColKey::lookup(family, qualifier)?)?.newest_visible(bound)
     }
 
     /// Evaluates a scan filter against the stored row itself (not the

@@ -1,11 +1,39 @@
-//! Table schemas, column families and result rows.
+//! Table schemas, column families, stored rows and result rows.
+//!
+//! # Row layout
+//!
+//! A stored row ([`RowData`]) is one flat `Vec` of columns; a column holds
+//! its newest version **in place** — interned names, timestamp and a
+//! [`Val`] that keeps short values inline — and every other version in a
+//! side `Vec`.  A default read (one version, no timestamp bound) therefore
+//! walks one contiguous array and copies 64 bytes per cell: no tree node,
+//! no allocation and no reference count per cell.  Four invariants hold
+//! after every mutation:
+//!
+//! 1. **Name-sorted columns.**  `columns` is strictly ascending by
+//!    `(family, qualifier)` string order, so reads return cells in that
+//!    order without sorting and decoders can walk a name-sorted schema
+//!    table in step with them.
+//! 2. **Newest in place.**  A column's `timestamp`/`value` is its version
+//!    with the largest timestamp.  A put at a timestamp above it — every
+//!    cluster-stamped write — moves the old newest to the end of `older`
+//!    and overwrites in place: O(1) however many versions have piled up
+//!    (lock rows and dirty markers collect thousands between compactions).
+//! 3. **`older` ascending.**  The remaining versions are strictly ascending
+//!    by timestamp, all below the newest; a put with an explicit older
+//!    timestamp (`Put::timestamp`, MVCC, WAL replay) is inserted at its
+//!    position.  After a single-version compaction `older` is empty and
+//!    unallocated.
+//! 4. **Modelled bytes unchanged.**  [`RowData::heap_size`],
+//!    [`Cell::heap_size`] and [`ResultRow::byte_size`] charge each version
+//!    its names, its value, [`Cell::PER_CELL_OVERHEAD`] and the row key —
+//!    the HBase on-disk model that region splits, scan costs and the
+//!    paper's Table III are built on — whatever the process's own layout
+//!    costs.
 
-use crate::cell::{Bytes, Cell, Timestamp};
-use crate::intern::{intern_name, lookup_name};
+use crate::cell::{Bytes, Cell, Timestamp, Val};
+use crate::intern::{intern_name, lookup_name, Name};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Declaration of one column family of a table.
 ///
@@ -77,22 +105,15 @@ impl TableSchema {
     }
 }
 
-/// Versions of a single column, newest first.  Values are shared with the
-/// cells returned by reads, so materializing a scan result never copies
-/// value bytes.
-pub(crate) type VersionMap = BTreeMap<std::cmp::Reverse<Timestamp>, Arc<[u8]>>;
-
 /// Interned `(family, qualifier)` coordinate of a column within a row.
 ///
-/// The name strings are shared `Arc<str>` handles from [`crate::intern`]:
-/// constructing a key for an existing column clones two pointers instead of
-/// two `String`s.  Ordering follows `(family, qualifier)` string order so
-/// iteration (and therefore returned cells) stays sorted exactly as the
-/// former `BTreeMap<(String, String), _>` was.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Two [`Name`] handles: copying a key copies two pointers, and equality is
+/// two pointer compares.  Ordering follows `(family, qualifier)` string
+/// order, which is the order columns are kept in and cells are returned in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct ColKey {
-    pub(crate) family: Arc<str>,
-    pub(crate) qualifier: Arc<str>,
+    pub(crate) family: Name,
+    pub(crate) qualifier: Name,
 }
 
 impl ColKey {
@@ -114,62 +135,164 @@ impl ColKey {
         })
     }
 
-    /// Byte footprint of one stored version of this column (excluding the
-    /// row key, which the region accounts separately).
+    /// Modelled byte footprint of one stored version of this column
+    /// (excluding the row key, which the region accounts separately).
     pub(crate) fn cell_heap_size(&self, value_len: usize) -> usize {
         self.family.len() + self.qualifier.len() + value_len + Cell::PER_CELL_OVERHEAD
     }
 }
 
-impl PartialOrd for ColKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+/// One column of a stored row with all its versions.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Column {
+    pub(crate) key: ColKey,
+    /// Timestamp of the newest version.
+    pub(crate) timestamp: Timestamp,
+    /// Value of the newest version, in place.
+    pub(crate) value: Val,
+    /// Every other version, oldest first (all timestamps below
+    /// `timestamp`, strictly ascending).
+    older: Vec<(Timestamp, Val)>,
+}
+
+impl Column {
+    /// Hands `emit` the newest `max_versions` (at least one) versions at or
+    /// before `bound`, newest first.  The slot in place is looked at first,
+    /// so a default read — one version, no bound — never touches `older`.
+    pub(crate) fn visible<'a>(
+        &'a self,
+        max_versions: usize,
+        bound: Option<Timestamp>,
+        mut emit: impl FnMut(Timestamp, &'a Val),
+    ) {
+        let in_bound = |ts: Timestamp| bound.is_none_or(|bound| ts <= bound);
+        let mut wanted = max_versions.max(1);
+        if in_bound(self.timestamp) {
+            emit(self.timestamp, &self.value);
+            wanted -= 1;
+        }
+        for (ts, value) in self.older.iter().rev() {
+            if wanted == 0 {
+                break;
+            }
+            if in_bound(*ts) {
+                emit(*ts, value);
+                wanted -= 1;
+            }
+        }
+    }
+
+    /// Newest version at or before `bound` (`None` = newest overall).
+    pub(crate) fn newest_visible(&self, bound: Option<Timestamp>) -> Option<&Val> {
+        let mut newest = None;
+        self.visible(1, bound, |_, value| newest = Some(value));
+        newest
+    }
+
+    /// Stores `value` as version `ts`; returns the length of the value it
+    /// replaced when that exact version already existed.  The common case —
+    /// `ts` above every stored version — moves the current newest to the
+    /// end of `older` and writes the new one in place; an explicit older
+    /// timestamp is inserted at its sorted position.
+    fn put(&mut self, ts: Timestamp, value: Val) -> Option<usize> {
+        if ts > self.timestamp {
+            let previous = std::mem::replace(&mut self.value, value);
+            self.older.push((self.timestamp, previous));
+            self.timestamp = ts;
+            return None;
+        }
+        if ts == self.timestamp {
+            return Some(std::mem::replace(&mut self.value, value).len());
+        }
+        match self.older.binary_search_by_key(&ts, |(t, _)| *t) {
+            Ok(i) => Some(std::mem::replace(&mut self.older[i].1, value).len()),
+            Err(i) => {
+                self.older.insert(i, (ts, value));
+                None
+            }
+        }
+    }
+
+    /// Modelled bytes of every version of this column in a row whose key is
+    /// `row_key_len` bytes long.
+    pub(crate) fn heap_size(&self, row_key_len: usize) -> usize {
+        let mut bytes = 0;
+        self.visible(usize::MAX, None, |_, value| {
+            bytes += self.key.cell_heap_size(value.len()) + row_key_len;
+        });
+        bytes
     }
 }
 
-impl Ord for ColKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (&*self.family, &*self.qualifier).cmp(&(&*other.family, &*other.qualifier))
-    }
-}
-
-/// In-memory representation of one stored row: `(family, qualifier)` →
-/// version map.
+/// In-memory representation of one stored row (see the module docs for the
+/// layout and its invariants).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RowData {
-    pub(crate) columns: BTreeMap<ColKey, VersionMap>,
+    columns: Vec<Column>,
 }
 
 impl RowData {
-    /// Approximate byte footprint of the row (excluding the row key, which
-    /// the region accounts separately per cell).
+    /// An empty row with room for `columns` columns.
+    pub(crate) fn with_capacity(columns: usize) -> RowData {
+        RowData { columns: Vec::with_capacity(columns) }
+    }
+
+    /// The row's columns in `(family, qualifier)` order.
+    pub(crate) fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// The column stored under `key`, if any.
+    pub(crate) fn column(&self, key: ColKey) -> Option<&Column> {
+        self.columns.iter().find(|column| column.key == key)
+    }
+
+    /// Stores `value` as version `ts` of column `key`, creating the column
+    /// at its sorted position if needed.  Returns the length of the value
+    /// it replaced when that exact version already existed.
+    pub(crate) fn put(&mut self, key: ColKey, ts: Timestamp, value: Val) -> Option<usize> {
+        match self.columns.binary_search_by(|column| column.key.cmp(&key)) {
+            Ok(i) => self.columns[i].put(ts, value),
+            Err(i) => {
+                // A row's width is bounded by its schema, so amortized
+                // doubling buys nothing here; it would leave every row that
+                // gains one column (a dirty marker, say) half empty.
+                self.columns.reserve_exact(1);
+                let column = Column { key, timestamp: ts, value, older: Vec::new() };
+                self.columns.insert(i, column);
+                None
+            }
+        }
+    }
+
+    /// Removes column `key` with all its versions.
+    pub(crate) fn remove(&mut self, key: ColKey) -> Option<Column> {
+        let i = self.columns.iter().position(|column| column.key == key)?;
+        Some(self.columns.remove(i))
+    }
+
+    /// Modelled byte footprint of the row: every version of every column,
+    /// each carrying the row key (HBase stores the full coordinate per
+    /// cell).
     pub(crate) fn heap_size(&self, row_key_len: usize) -> usize {
-        self.columns
-            .iter()
-            .map(|(key, versions)| {
-                versions
-                    .values()
-                    .map(|value| key.cell_heap_size(value.len()) + row_key_len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.columns.iter().map(|column| column.heap_size(row_key_len)).sum()
     }
 
     /// Total number of stored cell versions in the row.
     #[cfg(test)]
     pub(crate) fn cell_count(&self) -> usize {
-        self.columns.values().map(|v| v.len()).sum()
+        self.columns.iter().map(|column| 1 + column.older.len()).sum()
     }
 
-    /// Drops all but the newest `max_versions` versions of every column.
+    /// Drops all but the newest `max_versions` versions of every column and
+    /// gives back the side vectors' unused capacity.
     pub(crate) fn compact(&mut self, max_versions: impl Fn(&str) -> usize) {
-        for (key, versions) in self.columns.iter_mut() {
-            let keep = max_versions(&key.family).max(1);
-            while versions.len() > keep {
-                versions.pop_last();
-            }
+        for column in &mut self.columns {
+            let keep_older = max_versions(&column.key.family).max(1) - 1;
+            let excess = column.older.len().saturating_sub(keep_older);
+            column.older.drain(..excess);
+            column.older.shrink_to_fit();
         }
-        self.columns.retain(|_, versions| !versions.is_empty());
     }
 
     /// Is the row empty (no cells at all)?
@@ -191,9 +314,20 @@ pub struct ResultRow {
 impl ResultRow {
     /// The newest returned value of `family:qualifier`, if present.
     pub fn value(&self, family: &str, qualifier: &str) -> Option<&[u8]> {
+        self.newest(|c| &*c.family == family && &*c.qualifier == qualifier)
+    }
+
+    /// [`ResultRow::value`] addressed by interned names: finding the cell is
+    /// two pointer compares per cell instead of two string compares, for
+    /// callers that probe every row of a scan for the same column.
+    pub fn value_interned(&self, family: Name, qualifier: Name) -> Option<&[u8]> {
+        self.newest(|c| c.family == family && c.qualifier == qualifier)
+    }
+
+    fn newest(&self, is_column: impl Fn(&Cell) -> bool) -> Option<&[u8]> {
         self.cells
             .iter()
-            .filter(|c| &*c.family == family && &*c.qualifier == qualifier)
+            .filter(|c| is_column(c))
             .max_by_key(|c| c.timestamp)
             .map(|c| &c.value[..])
     }
@@ -224,7 +358,18 @@ impl ResultRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
+
+    fn val(text: &str) -> Val {
+        Val::from(text.as_bytes())
+    }
+
+    fn versions_of(row: &RowData, key: ColKey) -> Vec<(Timestamp, Vec<u8>)> {
+        let mut versions = Vec::new();
+        if let Some(column) = row.column(key) {
+            column.visible(usize::MAX, None, |ts, value| versions.push((ts, value.to_vec())));
+        }
+        versions
+    }
 
     #[test]
     fn schema_family_lookup() {
@@ -235,17 +380,51 @@ mod tests {
     }
 
     #[test]
-    fn row_data_compaction_keeps_newest_versions() {
+    fn columns_stay_name_sorted_whatever_the_put_order() {
         let mut row = RowData::default();
-        let versions = row.columns.entry(ColKey::new("cf", "a")).or_default();
+        for (family, qualifier) in [("cf", "m"), ("cf", "a"), ("ce", "z"), ("cf", "z"), ("cf", "b")] {
+            row.put(ColKey::new(family, qualifier), 1, val("x"));
+        }
+        let names: Vec<(&str, &str)> =
+            row.columns().iter().map(|c| (c.key.family.as_str(), c.key.qualifier.as_str())).collect();
+        assert_eq!(names, [("ce", "z"), ("cf", "a"), ("cf", "b"), ("cf", "m"), ("cf", "z")]);
+    }
+
+    #[test]
+    fn newest_stays_in_place_and_older_versions_stay_ascending() {
+        let key = ColKey::new("cf", "a");
+        let mut row = RowData::default();
+        // Out-of-order timestamps, a repeat of the newest and of an older one.
+        for (ts, text) in [(5, "five"), (9, "nine"), (2, "two"), (7, "seven"), (1, "one")] {
+            assert_eq!(row.put(key, ts, val(text)), None);
+        }
+        assert_eq!(row.put(key, 9, val("NINE!")), Some(4));
+        assert_eq!(row.put(key, 2, val("2")), Some(3));
+        let column = row.column(key).unwrap();
+        assert_eq!((column.timestamp, &*column.value), (9, &b"NINE!"[..]));
+        assert!(column.older.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(
+            versions_of(&row, key),
+            [(9, b"NINE!".to_vec()), (7, b"seven".to_vec()), (5, b"five".to_vec()), (2, b"2".to_vec()), (1, b"one".to_vec())]
+        );
+        assert_eq!(&**column.newest_visible(None).unwrap(), b"NINE!");
+        assert_eq!(&**column.newest_visible(Some(6)).unwrap(), b"five");
+        assert!(column.newest_visible(Some(0)).is_none());
+        assert_eq!(row.cell_count(), 5);
+    }
+
+    #[test]
+    fn row_data_compaction_keeps_newest_versions() {
+        let key = ColKey::new("cf", "a");
+        let mut row = RowData::default();
         for ts in 1..=5u64 {
-            versions.insert(Reverse(ts), Arc::from(vec![ts as u8]));
+            row.put(key, ts, Val::from(&[ts as u8][..]));
         }
         row.compact(|_| 2);
-        let versions = &row.columns[&ColKey::new("cf", "a")];
-        assert_eq!(versions.len(), 2);
-        assert_eq!(versions.first_key_value().unwrap().0 .0, 5);
-        assert_eq!(versions.last_key_value().unwrap().0 .0, 4);
+        assert_eq!(versions_of(&row, key), [(5, vec![5]), (4, vec![4])]);
+        row.compact(|_| 1);
+        assert_eq!(versions_of(&row, key), [(5, vec![5])]);
+        assert_eq!(row.column(key).unwrap().older.capacity(), 0, "side vector is given back");
     }
 
     #[test]
@@ -261,17 +440,22 @@ mod tests {
         assert_eq!(row.value("cf", "a").unwrap(), b"new");
         assert_eq!(row.value_str("cf", "b").unwrap(), "x");
         assert_eq!(row.value("cf", "zzz"), None);
+        assert_eq!(row.value_interned(intern_name("cf"), intern_name("a")).unwrap(), b"new");
+        assert_eq!(row.value_interned(intern_name("cf"), intern_name("zzz")), None);
         assert!(row.byte_size() > 0);
     }
 
     #[test]
-    fn row_data_size_accounts_cells() {
+    fn row_data_size_is_the_modelled_size() {
+        let key = ColKey::new("cf", "a");
         let mut row = RowData::default();
-        row.columns
-            .entry(ColKey::new("cf", "a"))
-            .or_default()
-            .insert(Reverse(1), Arc::from(&b"hello"[..]));
-        assert!(row.heap_size(3) > 5);
-        assert_eq!(row.cell_count(), 1);
+        row.put(key, 1, val("hello"));
+        row.put(key, 2, Val::from(&[0u8; 100][..]));
+        // names + value + 24 per version, + the 3-byte row key per version.
+        let expected = (2 + 1 + 5 + 24 + 3) + (2 + 1 + 100 + 24 + 3);
+        assert_eq!(row.heap_size(3), expected);
+        assert_eq!(row.cell_count(), 2);
+        assert_eq!(row.remove(key).unwrap().heap_size(3), expected);
+        assert!(row.is_empty());
     }
 }

@@ -15,6 +15,21 @@
 //! flush.  The Synergy transaction layer (paper §VIII) reuses the same
 //! structure for its own statement-level WAL stored in HDFS; this crate
 //! therefore exposes [`WriteAheadLog`] publicly.
+//!
+//! # The group-commit watermark
+//!
+//! The log is never truncated between checkpoints, and every mutation asks
+//! it "how many records are pending?" under the table's write lock, so that
+//! question must not cost a pass over the log.  The log therefore keeps a
+//! **watermark** `first_unsynced` and a counter `unsynced` with one
+//! invariant: *every record before the watermark is synced, and `unsynced`
+//! is the exact number of unsynced records (all at or after it)*.
+//! [`WriteAheadLog::unsynced_len`] reads the counter; `sync`,
+//! `sync_take_new` and `unsynced` touch only `entries[first_unsynced..]`.
+//! That tail is normally exactly the pending batch.  The one case it is
+//! not: [`WriteAheadLog::append_synced`] while records are pending lands a
+//! synced record *behind* unsynced ones, so the walks over the tail still
+//! check each record's own `synced` flag rather than assume a pure suffix.
 
 use crate::cell::{Bytes, Timestamp};
 use crate::ops::DeleteScope;
@@ -118,6 +133,35 @@ pub struct WriteAheadLog {
 struct WalInner {
     entries: Vec<WalEntry>,
     next_sequence: u64,
+    /// Every record before this index is synced (see the module docs).
+    first_unsynced: usize,
+    /// Exact number of unsynced records.
+    unsynced: usize,
+}
+
+impl WalInner {
+    fn push(&mut self, table: String, region: Option<u64>, op: WalOp, synced: bool) -> u64 {
+        let sequence = self.next_sequence;
+        self.next_sequence += 1;
+        if !synced {
+            if self.unsynced == 0 {
+                self.first_unsynced = self.entries.len();
+            }
+            self.unsynced += 1;
+        }
+        self.entries.push(WalEntry { sequence, table, region, op, synced });
+        sequence
+    }
+
+    /// Marks the pending records synced, handing each to `newly`.
+    fn sync(&mut self, mut newly: impl FnMut(&WalEntry)) -> usize {
+        for entry in self.entries[self.first_unsynced..].iter_mut().filter(|e| !e.synced) {
+            entry.synced = true;
+            newly(entry);
+        }
+        self.first_unsynced = self.entries.len();
+        std::mem::take(&mut self.unsynced)
+    }
 }
 
 impl WriteAheadLog {
@@ -129,62 +173,26 @@ impl WriteAheadLog {
     /// Appends a record and returns its sequence number.  The record is not
     /// durable until [`WriteAheadLog::sync`] is called.
     pub fn append(&self, table: impl Into<String>, op: WalOp) -> u64 {
-        let mut inner = self.inner.lock();
-        let sequence = inner.next_sequence;
-        inner.next_sequence += 1;
-        inner.entries.push(WalEntry {
-            sequence,
-            table: table.into(),
-            region: None,
-            op,
-            synced: false,
-        });
-        sequence
+        self.inner.lock().push(table.into(), None, op, false)
     }
 
     /// Appends a record tagged with the region it mutated, so replication
     /// can ship it to that region's followers once it syncs.
     pub fn append_region(&self, table: impl Into<String>, region: u64, op: WalOp) -> u64 {
-        let mut inner = self.inner.lock();
-        let sequence = inner.next_sequence;
-        inner.next_sequence += 1;
-        inner.entries.push(WalEntry {
-            sequence,
-            table: table.into(),
-            region: Some(region),
-            op,
-            synced: false,
-        });
-        sequence
+        self.inner.lock().push(table.into(), Some(region), op, false)
     }
 
     /// Appends a record that is durable immediately (used for offline bulk
     /// loads, which model a population phase that is flushed and compacted
     /// before any measurement starts).
     pub fn append_synced(&self, table: impl Into<String>, op: WalOp) -> u64 {
-        let mut inner = self.inner.lock();
-        let sequence = inner.next_sequence;
-        inner.next_sequence += 1;
-        inner.entries.push(WalEntry {
-            sequence,
-            table: table.into(),
-            region: None,
-            op,
-            synced: true,
-        });
-        sequence
+        self.inner.lock().push(table.into(), None, op, true)
     }
 
     /// Marks every appended record as durable and returns how many records
     /// were newly synced (the group-commit flush).
     pub fn sync(&self) -> usize {
-        let mut inner = self.inner.lock();
-        inner
-            .entries
-            .iter_mut()
-            .filter(|e| !e.synced)
-            .map(|e| e.synced = true)
-            .count()
+        self.inner.lock().sync(|_| {})
     }
 
     /// Like [`WriteAheadLog::sync`], but returns clones of the records this
@@ -193,11 +201,8 @@ impl WriteAheadLog {
     /// commit ships to follower replicas.
     pub fn sync_take_new(&self) -> Vec<WalEntry> {
         let mut inner = self.inner.lock();
-        let mut newly = Vec::new();
-        for entry in inner.entries.iter_mut().filter(|e| !e.synced) {
-            entry.synced = true;
-            newly.push(entry.clone());
-        }
+        let mut newly = Vec::with_capacity(inner.unsynced);
+        inner.sync(|entry| newly.push(entry.clone()));
         newly
     }
 
@@ -208,19 +213,14 @@ impl WriteAheadLog {
 
     /// Records that have not yet been marked durable.
     pub fn unsynced(&self) -> Vec<WalEntry> {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter(|e| !e.synced)
-            .cloned()
-            .collect()
+        let inner = self.inner.lock();
+        inner.entries[inner.first_unsynced..].iter().filter(|e| !e.synced).cloned().collect()
     }
 
     /// Number of records that have not yet been marked durable (the pending
     /// group-commit batch).
     pub fn unsynced_len(&self) -> usize {
-        self.inner.lock().entries.iter().filter(|e| !e.synced).count()
+        self.inner.lock().unsynced
     }
 
     /// Drops every record that has not been synced and returns how many
@@ -228,9 +228,13 @@ impl WriteAheadLog {
     /// writes under deferred log flush.
     pub fn drop_unsynced(&self) -> usize {
         let mut inner = self.inner.lock();
-        let before = inner.entries.len();
-        inner.entries.retain(|e| e.synced);
-        before - inner.entries.len()
+        let lost = inner.unsynced;
+        if lost > 0 {
+            inner.entries.retain(|e| e.synced);
+        }
+        inner.first_unsynced = inner.entries.len();
+        inner.unsynced = 0;
+        lost
     }
 
     /// Number of records in the log.
@@ -251,7 +255,13 @@ impl WriteAheadLog {
 
     /// Drops records with `sequence < up_to` (checkpoint truncation).
     pub fn truncate_before(&self, up_to: u64) {
-        self.inner.lock().entries.retain(|e| e.sequence >= up_to);
+        let mut inner = self.inner.lock();
+        inner.entries.retain(|e| e.sequence >= up_to);
+        // Pending records may have been among the dropped: re-derive the
+        // watermark and the counter from what is left.
+        inner.unsynced = inner.entries.iter().filter(|e| !e.synced).count();
+        inner.first_unsynced =
+            inner.entries.iter().position(|e| !e.synced).unwrap_or(inner.entries.len());
     }
 
     /// Replays synced records in order through `apply`.  Used by the Synergy

@@ -76,10 +76,10 @@ impl PlannedCondition {
                     .cloned()
                     .ok_or(QueryError::MissingParameter(*i))?,
             ),
-            PlannedOperand::Column(_, sym) => BoundOperand::Column(sym.clone()),
+            PlannedOperand::Column(_, sym) => BoundOperand::Column(*sym),
         };
         Ok(BoundCondition {
-            left_sym: self.left_sym.clone(),
+            left_sym: self.left_sym,
             op: self.op,
             right,
         })

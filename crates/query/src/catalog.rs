@@ -1,8 +1,9 @@
 //! Catalog: how logical tables (relations, indexes, views, lock tables) are
 //! laid out as NoSQL tables.
 
+use nosql_store::intern::{intern_name, position_from};
 use nosql_store::ops::Put;
-use nosql_store::ResultRow;
+use nosql_store::{Name, ResultRow};
 use relational::{encode_key, intern, Row, Symbol, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -55,9 +56,10 @@ pub enum TableKind {
 
 /// Layout of one NoSQL table.
 ///
-/// Construction pre-interns every column name and resolves the key
-/// attributes to column indices, so row encoding/decoding on the read path
-/// never re-hashes or re-allocates a column name.
+/// Construction pre-interns every column name — as a relational [`Symbol`]
+/// and as the store's qualifier [`Name`] — and resolves the key attributes
+/// to column indices, so row encoding/decoding on the read path never
+/// hashes, compares or allocates a column name.
 #[derive(Debug, Clone)]
 pub struct TableDef {
     /// Table name in the store.
@@ -70,8 +72,11 @@ pub struct TableDef {
     pub kind: TableKind,
     /// Interned symbol of every column, in declaration order.
     col_syms: Vec<Symbol>,
-    /// Column name → index into `columns`.
-    col_index: BTreeMap<String, usize>,
+    /// `(qualifier, index into columns)` sorted by name: the order a stored
+    /// row's cells arrive in, so the decoder walks it in step with them.
+    by_name: Vec<(Name, usize)>,
+    /// [`FAMILY`] as the store interned it.
+    family: Name,
     /// Indices of the key attributes within `columns`.
     key_cols: Vec<usize>,
 }
@@ -96,32 +101,34 @@ impl TableDef {
         key: Vec<String>,
         kind: TableKind,
     ) -> Self {
+        let name = name.into();
         let col_syms: Vec<Symbol> = columns.iter().map(|(n, _)| intern::intern(n)).collect();
-        let col_index: BTreeMap<String, usize> = columns
+        let positions: BTreeMap<&str, usize> = columns
             .iter()
             .enumerate()
-            .map(|(i, (n, _))| (n.clone(), i))
+            .map(|(i, (n, _))| (n.as_str(), i))
             .collect();
-        let def = TableDef {
-            name: name.into(),
+        let by_name: Vec<(Name, usize)> =
+            positions.iter().map(|(n, &i)| (intern_name(n), i)).collect();
+        let key_cols: Vec<usize> = key
+            .iter()
+            .map(|k| {
+                *positions.get(k.as_str()).unwrap_or_else(|| {
+                    // lint-allow(panic-freedom): schema construction bug, not a runtime fault path
+                    panic!("key attribute {k} is not a column of {name}")
+                })
+            })
+            .collect();
+        TableDef {
+            name,
             columns,
             key,
             kind,
             col_syms,
-            col_index,
-            key_cols: Vec::new(),
-        };
-        let key_cols: Vec<usize> = def
-            .key
-            .iter()
-            .map(|k| {
-                *def.col_index.get(k).unwrap_or_else(|| {
-                    // lint-allow(panic-freedom): schema construction bug, not a runtime fault path
-                    panic!("key attribute {k} is not a column of {}", def.name)
-                })
-            })
-            .collect();
-        TableDef { key_cols, ..def }
+            by_name,
+            family: intern_name(FAMILY),
+            key_cols,
+        }
     }
 
     /// The interned symbols of the columns, in declaration order.
@@ -131,12 +138,13 @@ impl TableDef {
 
     /// Index of a column within [`TableDef::columns`], if it exists.
     pub fn column_position(&self, column: &str) -> Option<usize> {
-        self.col_index.get(column).copied()
+        let at = self.by_name.binary_search_by(|(name, _)| name.as_str().cmp(column)).ok()?;
+        Some(self.by_name[at].1)
     }
 
     /// The declared type of a column, if it exists.
     pub fn column_type(&self, column: &str) -> Option<ColumnType> {
-        self.col_index.get(column).map(|&i| self.columns[i].1)
+        self.column_position(column).map(|i| self.columns[i].1)
     }
 
     /// Column names in declaration order.
@@ -198,7 +206,11 @@ impl TableDef {
     /// Decodes a stored row directly into alias-qualified attribute names:
     /// `qualified[i]` is the output symbol for column `i` (typically
     /// `"alias.column"`), so the executor produces join-ready rows in a
-    /// single pass without an intermediate bare-named row.
+    /// single pass without an intermediate bare-named row.  The symbols
+    /// must sort like the column names they stand for — true of every
+    /// `alias.column` set under one alias — because the decoder appends in
+    /// column-name order without comparing names ([`Row::push_sorted`]
+    /// checks it in debug builds).
     pub fn decode_row_qualified(
         &self,
         stored: &ResultRow,
@@ -209,9 +221,11 @@ impl TableDef {
     }
 
     /// Single-pass cell-walk decoder.  Walks the returned cells once (they
-    /// arrive sorted by family and qualifier) instead of scanning the cell
-    /// list per declared column; adjacent duplicate versions of a column
-    /// keep the newest timestamp, matching [`ResultRow::value`].
+    /// arrive sorted by family and qualifier) in step with `by_name`
+    /// ([`position_from`]: a pointer compare per cell, exact for hand-built
+    /// rows in any order) instead of looking each cell's column up by
+    /// name; adjacent duplicate versions of a column keep the newest
+    /// timestamp, matching [`ResultRow::value`].
     fn decode_cells(
         &self,
         stored: &ResultRow,
@@ -219,44 +233,42 @@ impl TableDef {
         qualified: Option<&[Symbol]>,
     ) -> Row {
         let mut row = Row::with_capacity(stored.cells.len().min(self.columns.len()));
+        let mut next = 0;
         let mut last: Option<(usize, nosql_store::Timestamp)> = None;
-        // Store-produced rows arrive sorted by (family, qualifier), so each
-        // entry appends in O(1) via `push_sorted`; the gate falls back to
-        // `set_interned` for hand-built unsorted inputs.
-        let mut last_sym: Option<Symbol> = None;
+        // Store-produced rows arrive in `by_name` order, so each entry
+        // appends in O(1) via `push_sorted`; a cell behind the furthest
+        // position appended so far (hand-built unsorted input) falls back
+        // to `set_interned`.
+        let mut appended: Option<usize> = None;
         for cell in &stored.cells {
-            if &*cell.family != FAMILY {
+            if cell.family != self.family {
                 continue;
             }
-            let Some(&idx) = self.col_index.get(&*cell.qualifier) else {
+            let Some(at) = position_from(&self.by_name, next, |(name, _)| *name == cell.qualifier)
+            else {
                 continue;
             };
-            if let Some(mask) = mask {
-                if !mask[idx] {
-                    continue;
-                }
+            next = at + 1;
+            let idx = self.by_name[at].1;
+            if mask.is_some_and(|mask| !mask[idx]) {
+                continue;
             }
-            if let Some((last_idx, last_ts)) = last {
-                if last_idx == idx && cell.timestamp <= last_ts {
-                    continue; // older version of the column just decoded
-                }
+            if last.is_some_and(|(last_at, last_ts)| last_at == at && cell.timestamp <= last_ts) {
+                continue; // older version of the column just decoded
             }
             let text = String::from_utf8_lossy(&cell.value);
             let value = self.columns[idx].1.decode(&text);
             let sym = match qualified {
-                Some(syms) => &syms[idx],
-                None => &self.col_syms[idx],
+                Some(syms) => syms[idx],
+                None => self.col_syms[idx],
             };
-            let in_order = last_sym
-                .as_ref()
-                .is_none_or(|prev| prev.name() <= sym.name());
-            if in_order {
-                row.push_sorted(sym.clone(), value);
-                last_sym = Some(sym.clone());
+            if appended.is_none_or(|furthest| furthest <= at) {
+                row.push_sorted(sym, value);
+                appended = Some(at);
             } else {
-                row.set_interned(sym.clone(), value);
+                row.set_interned(sym, value);
             }
-            last = Some((idx, cell.timestamp));
+            last = Some((at, cell.timestamp));
         }
         row
     }

@@ -31,11 +31,12 @@ use crate::catalog::{Catalog, TableDef, FAMILY};
 use crate::optimize;
 use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
+use nosql_store::intern::intern_name;
 use nosql_store::ops::{Get, Scan};
-use nosql_store::Cluster;
+use nosql_store::{Cluster, Name};
 use relational::{Row, Value};
 use sql::{SelectStatement, Statement};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Reserved column marking a row as dirty during a Synergy view update.
 pub const DIRTY_MARKER: &str = "_dirty";
@@ -75,8 +76,12 @@ pub enum AccessPath {
 }
 
 /// True if a stored row carries the dirty marker (see [`DIRTY_MARKER`]).
+/// Every scanned row is probed, so the marker column is addressed by its
+/// interned names: pointer compares per cell, no string compares.
 pub(crate) fn stored_row_is_dirty(stored: &nosql_store::ResultRow) -> bool {
-    stored.value(FAMILY, DIRTY_MARKER).is_some_and(|v| v == b"1")
+    static MARKER: OnceLock<(Name, Name)> = OnceLock::new();
+    let (family, marker) = *MARKER.get_or_init(|| (intern_name(FAMILY), intern_name(DIRTY_MARKER)));
+    stored.value_interned(family, marker).is_some_and(|v| v == b"1")
 }
 
 /// Executes SQL statements against a [`Cluster`] using a [`Catalog`].

@@ -450,12 +450,12 @@ fn build_project(select: &SelectStatement) -> Option<Vec<(Symbol, Symbol)>> {
 /// Renders one planned condition as a plan predicate.
 fn plan_predicate(c: &PlannedCondition) -> PlanPredicate {
     PlanPredicate {
-        left: c.left_sym.clone(),
+        left: c.left_sym,
         op: c.op,
         right: match &c.right {
             PlannedOperand::Literal(v) => PlanOperand::Literal(v.clone()),
             PlannedOperand::Param(i) => PlanOperand::Param(*i),
-            PlannedOperand::Column(_, sym) => PlanOperand::Column(sym.clone()),
+            PlannedOperand::Column(_, sym) => PlanOperand::Column(*sym),
         },
     }
 }
@@ -531,7 +531,7 @@ fn build_logical(
     let sort_keys: Vec<SortKey> = order_keys
         .iter()
         .map(|(sym, desc)| SortKey {
-            column: sym.clone(),
+            column: *sym,
             descending: *desc,
         })
         .collect();
@@ -539,7 +539,7 @@ fn build_logical(
     if let Some(group) = group {
         node = LogicalPlan::Aggregate {
             input: Box::new(node),
-            group_by: group.group_syms.iter().map(|(q, _)| q.clone()).collect(),
+            group_by: group.group_syms.iter().map(|(q, _)| *q).collect(),
             items: select.items.clone(),
         };
         if !sort_keys.is_empty() {
@@ -579,7 +579,7 @@ fn build_logical(
     if let Some(cols) = project {
         node = LogicalPlan::Project {
             input: Box::new(node),
-            columns: cols.iter().map(|(_, out)| out.clone()).collect(),
+            columns: cols.iter().map(|(_, out)| *out).collect(),
         };
     }
 

@@ -837,8 +837,8 @@ fn apply_group_and_aggregates(plan: &GroupPlan, rows: Vec<Row>) -> Vec<Row> {
     for (key, members) in groups {
         let mut row = Row::new();
         for (i, (qualified, bare)) in plan.group_syms.iter().enumerate() {
-            row.set_interned(qualified.clone(), key[i].clone());
-            row.set_interned(bare.clone(), key[i].clone());
+            row.set_interned(*qualified, key[i].clone());
+            row.set_interned(*bare, key[i].clone());
         }
         for item in &plan.items {
             match item {
@@ -848,7 +848,7 @@ fn apply_group_and_aggregates(plan: &GroupPlan, rows: Vec<Row>) -> Vec<Row> {
                     name,
                 } => {
                     let value = compute_aggregate(*function, argument.as_ref(), &members);
-                    row.set_interned(name.clone(), value);
+                    row.set_interned(*name, value);
                 }
                 ItemPlan::Column { lookup, out, alias } => {
                     let value = members
@@ -856,15 +856,15 @@ fn apply_group_and_aggregates(plan: &GroupPlan, rows: Vec<Row>) -> Vec<Row> {
                         .and_then(|m| m.get_interned(lookup))
                         .cloned()
                         .unwrap_or(Value::Null);
-                    row.set_interned(out.clone(), value.clone());
+                    row.set_interned(*out, value.clone());
                     if let Some(a) = alias {
-                        row.set_interned(a.clone(), value);
+                        row.set_interned(*a, value);
                     }
                 }
                 ItemPlan::Wildcard => {
                     if let Some(first) = members.first() {
                         for (sym, v) in first.iter_interned() {
-                            row.set_interned(sym.clone(), v.clone());
+                            row.set_interned(*sym, v.clone());
                         }
                     }
                 }
@@ -944,7 +944,7 @@ fn project_rows(project: &Option<Vec<(Symbol, Symbol)>>, rows: Vec<Row>) -> Vec<
             let mut out = Row::with_capacity(cols.len());
             for (lookup, name) in cols {
                 let value = row.get_interned(lookup).cloned().unwrap_or(Value::Null);
-                out.set_interned(name.clone(), value);
+                out.set_interned(*name, value);
             }
             out
         })

@@ -195,7 +195,7 @@ impl Session {
                 .lines()
                 .map(|line| {
                     let mut row = Row::with_capacity(1);
-                    row.set_interned(plan_sym.clone(), Value::str(line));
+                    row.set_interned(plan_sym, Value::str(line));
                     row
                 })
                 .collect();

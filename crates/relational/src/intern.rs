@@ -2,11 +2,12 @@
 //!
 //! Every attribute name flowing through the row layer (`"c_id"`,
 //! `"c.c_id"`, `"SUM(ol.ol_qty)"`, ...) is interned once into an
-//! append-only table of `Arc<str>` entries and afterwards handled as a
-//! [`Symbol`]: a copy-cheap handle carrying the integer id of the name, the
-//! id of its **bare** form (the suffix after the last `.`), and a shared
-//! pointer to the name's characters.  Equality and hashing are integer
-//! compares on the id; suffix matching — the workhorse of
+//! append-only table and afterwards handled as a [`Symbol`]: a `Copy`
+//! handle carrying the integer id of the name, the id of its **bare** form
+//! (the suffix after the last `.`), and a `&'static str` to the name's
+//! characters (leaked on first sight — the table never evicts, so an
+//! interned name is never freed however it is owned).  Equality and
+//! hashing are integer compares on the id; suffix matching — the workhorse of
 //! [`Row::get`](crate::Row::get) — is an integer compare on `bare_id`
 //! instead of a per-lookup `rsplit('.')` scan.
 //!
@@ -19,7 +20,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// An interned attribute name.
 ///
@@ -27,11 +28,11 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// comparison is a single integer compare.  `Ord` follows the *name's*
 /// lexicographic order (not insertion order) so sorted containers of
 /// symbols iterate in the same order a `BTreeMap<String, _>` would.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Symbol {
     id: u32,
     bare_id: u32,
-    name: Arc<str>,
+    name: &'static str,
 }
 
 impl Symbol {
@@ -47,18 +48,13 @@ impl Symbol {
     }
 
     /// The interned name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// The bare form of the name (`"e.EID"` → `"EID"`).
-    pub fn bare_name(&self) -> &str {
-        self.name.rsplit('.').next().unwrap_or(&self.name)
-    }
-
-    /// Shared handle to the name's characters.
-    pub fn name_arc(&self) -> &Arc<str> {
-        &self.name
+    pub fn bare_name(&self) -> &'static str {
+        self.name.rsplit('.').next().unwrap_or(self.name)
     }
 }
 
@@ -98,9 +94,9 @@ impl fmt::Display for Symbol {
 }
 
 struct Inner {
-    ids: HashMap<Arc<str>, u32>,
+    ids: HashMap<&'static str, u32>,
     /// `id → (name, bare_id)`, append-only.
-    entries: Vec<(Arc<str>, u32)>,
+    entries: Vec<(&'static str, u32)>,
 }
 
 fn table() -> &'static RwLock<Inner> {
@@ -114,12 +110,8 @@ fn table() -> &'static RwLock<Inner> {
 }
 
 fn symbol_at(inner: &Inner, id: u32) -> Symbol {
-    let (name, bare_id) = &inner.entries[id as usize];
-    Symbol {
-        id,
-        bare_id: *bare_id,
-        name: Arc::clone(name),
-    }
+    let (name, bare_id) = inner.entries[id as usize];
+    Symbol { id, bare_id, name }
 }
 
 /// Interns `name`, inserting it (and its bare form) on first sight.
@@ -140,22 +132,14 @@ fn intern_locked(inner: &mut Inner, name: &str) -> u32 {
         return id;
     }
     let bare = name.rsplit('.').next().unwrap_or(name);
+    // The bare form never itself contains a dot, so this recurses at most
+    // once; the qualified name is inserted after it.
+    let bare_id = (bare != name).then(|| intern_locked(inner, bare));
     let id = inner.entries.len() as u32;
-    if bare == name {
-        let shared: Arc<str> = Arc::from(name);
-        inner.ids.insert(Arc::clone(&shared), id);
-        inner.entries.push((shared, id));
-        id
-    } else {
-        // The bare form never itself contains a dot, so this recurses at
-        // most once; the qualified name is inserted after it.
-        let bare_id = intern_locked(inner, bare);
-        let id = inner.entries.len() as u32;
-        let shared: Arc<str> = Arc::from(name);
-        inner.ids.insert(Arc::clone(&shared), id);
-        inner.entries.push((shared, bare_id));
-        id
-    }
+    let leaked: &'static str = Box::leak(Box::from(name));
+    inner.ids.insert(leaked, id);
+    inner.entries.push((leaked, bare_id.unwrap_or(id)));
+    id
 }
 
 /// Resolves `name` without inserting; `None` means the name has never been

@@ -90,7 +90,7 @@ impl Row {
             let seg = self.shared.remove(i);
             for e in seg.iter() {
                 if e.0 != sym {
-                    self.insert_own(e.0.clone(), e.1.clone());
+                    self.insert_own(e.0, e.1.clone());
                 }
             }
         }
