@@ -1,68 +1,84 @@
-//! `bench_diff` — compares two `BENCH_report.json` files figure by figure
-//! and fails on wall-clock regressions, plus semantic gates on the
-//! `fig_writes` maintenance figure (see below).
+//! `bench_diff` — compares a fresh `BENCH_report.json` against a committed
+//! one along the figure registry (`bench::FIGURES`) and fails on wall-clock
+//! regressions, sim-value drift and broken semantic gates.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_diff -- BENCH_report_tiny.json BENCH_report.json
 //! ```
 //!
-//! For every figure present in both reports, the per-figure `wall_ms` (and
-//! `limit_wall_ms` where present) is compared and the delta printed, also
-//! appended as a Markdown table to `$GITHUB_STEP_SUMMARY` when set.  The
-//! process exits non-zero when any figure regresses by more than
-//! `BENCH_DIFF_MAX_RATIO` (default 2.0×) **and** more than
-//! `BENCH_DIFF_MIN_DELTA_MS` (default 250 ms) — the absolute floor keeps
-//! noisy sub-millisecond figures from tripping the gate on slow runners.
+//! The summary is printed and, when `$GITHUB_STEP_SUMMARY` is set, appended
+//! to it as Markdown.  The process exits non-zero when any gate fails:
 //!
-//! When the fresh report carries a `fig_writes` figure, three maintenance
-//! gates apply on top of the wall-clock diff (all on deterministic sim
-//! numbers, so no noise floor is needed): the scan/delta store-rows ratio
-//! must stay ≥ 10×, the 256-write single-key burst must flush at ≤ 2× the
-//! cost of a single write's flush, and the delta path's simulated cost per
-//! write must not exceed the committed report's by more than 25%.
+//! - **Wall clock** (`bench::figure::diff`): every figure-level `wall`
+//!   column both reports carry (`wall_ms`, fig10's `limit_wall_ms`) is
+//!   compared; a series fails when it regresses by more than
+//!   [`MAX_RATIO`] **and** more than [`MIN_DELTA_MS`] — the absolute floor
+//!   keeps noisy sub-millisecond figures from tripping the gate on slow
+//!   runners.  Reports that ran at different thread counts are refused.
+//! - **Nothing vanishes**: a figure, wall-clock series or deterministic
+//!   value the committed report carries and the fresh one lacks fails.
+//! - **Sim identity**: when both reports ran at the same scale and
+//!   repetitions, every `sim` and `count` column of every registry table
+//!   must be bit-identical to the committed report — seeded RNGs, the
+//!   simulated clock and max-merge across workers make them deterministic,
+//!   so any drift means a change taxed a path it was supposed to leave
+//!   alone.  The series come from the registry: a new column is covered
+//!   the moment it is declared.
+//! - **`fig_writes`**: the 256-write single-key burst flushes at ≤ 2× one
+//!   write's flush, and the delta path's sim cost per write stays ≤ 1.25×
+//!   the committed report's.
+//! - **`fig_faults`**: no-fault goodput within 1.25× of the committed
+//!   report (the fault hook may not tax the healthy path), goodput at 1%
+//!   injected faults ≥ 90% of no-fault under the backoff policy, and the
+//!   crash-recovery demonstration reporting zero lost acked-synced writes
+//!   and zero views left dirty.
+//! - **`fig_availability`**: every RF ≥ 2 row rides through the crash
+//!   windows at ≥ 0.7× steady-state goodput with at least one failover and
+//!   zero acked-write loss; the RF = 1 row shows replication fully
+//!   disarmed (no failovers, no shipped records).
+//! - **`fig_partial`**, pinned on the 10%-budget zipf-1.1 cell: hit rate
+//!   ≥ 90%, stored view rows and bytes reduced ≥ 10× vs full
+//!   materialization, hot-key Q1K p95 ≤ 1.25× the fully-materialized
+//!   baseline.  Below 200 customers the zipfian stream touches most of the
+//!   key universe, so the thresholds relax to ≥ 85% / ≥ 6× / ≥ 8×.
 //!
-//! When it carries a `fig_faults` figure, the fault-tolerance gates apply
-//! too: no-fault goodput within 1.25× of the committed report, goodput at
-//! 1% injected faults ≥ 90% of no-fault under the backoff retry policy,
-//! and the crash-recovery demonstration reporting zero lost acked-synced
-//! writes and zero views left dirty.
-//!
-//! When it carries a `fig_availability` figure, the replication gates
-//! apply: every RF ≥ 2 row must ride through the crash windows at ≥ 0.7×
-//! steady-state goodput with at least one failover fired and zero
-//! acked-write loss, and the RF = 1 row must show replication fully
-//! disarmed (no failovers, no shipped records).  The RF = 1 figures also
-//! join the sim-identity series below once both reports carry them.
-//!
-//! When it carries a `fig_partial` figure, the partial-materialization
-//! gates pin the 10%-budget zipf-1.1 cell: hit rate ≥ 90%, resident view
-//! rows and bytes reduced ≥ 10× vs full materialization, and hot-key Q1K
-//! p95 ≤ 1.25× the fully-materialized baseline (thresholds relax below
-//! 200 customers, where the zipf stream touches most of the key
-//! universe).  Finally, because every view-budget default is "off", the
-//! partial path must not perturb the other figures: the deterministic sim
-//! series of `fig10`/`fig_par`/`fig11`/`fig_writes`/`fig_faults` must be
-//! byte-identical to the committed report when both ran at the same scale.
+//! The semantic gates read the fresh report's records through the same
+//! accessor the tests use (`Json::num` / `text` / `rows`): a missing value
+//! reads NaN and fails its threshold.
 
+use bench::figure::{diff, figure_of};
 use bench::json::Json;
 use std::fmt::Write as _;
 
-struct DiffRow {
-    figure: String,
-    old_ms: f64,
-    new_ms: f64,
-}
+/// A wall-clock series regresses when it grows by more than this factor …
+const MAX_RATIO: f64 = 2.0;
 
-impl DiffRow {
-    fn ratio(&self) -> f64 {
-        self.new_ms / self.old_ms.max(f64::EPSILON)
-    }
-}
+/// … and by more than this many milliseconds.
+const MIN_DELTA_MS: f64 = 250.0;
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
+}
+
+/// The Markdown summary and the failed gates, collected as the gates run.
+#[derive(Default)]
+struct Gates {
+    summary: String,
+    failures: Vec<String>,
+}
+
+impl Gates {
+    /// Records one gate's reading under its figure; a gate that did not
+    /// pass is marked in the summary and fails the run.
+    fn check(&mut self, figure: &str, line: String, passed: bool) {
+        let marker = if passed { "" } else { " ⚠️" };
+        let _ = writeln!(self.summary, "- {figure}: {line}{marker}");
+        if !passed {
+            self.failures.push(format!("{figure}: {line}"));
+        }
+    }
 }
 
 fn main() {
@@ -71,15 +87,6 @@ fn main() {
         eprintln!("usage: bench_diff <committed-report.json> <fresh-report.json>");
         std::process::exit(2);
     };
-    let max_ratio: f64 = std::env::var("BENCH_DIFF_MAX_RATIO")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
-    let min_delta_ms: f64 = std::env::var("BENCH_DIFF_MIN_DELTA_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250.0);
-
     let old = load(old_path);
     let new = load(new_path);
     // Schema 2 reports carry the fig10 worker count; wall-clock deltas are
@@ -95,494 +102,198 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let (Some(Json::Obj(old_figures)), Some(Json::Obj(new_figures))) =
-        (old.get("figures"), new.get("figures"))
-    else {
-        panic!("both reports must carry a top-level \"figures\" object");
-    };
 
-    let mut rows: Vec<DiffRow> = Vec::new();
-    // A figure present in the committed report but absent from the fresh
-    // one is itself a regression (it would otherwise silently escape the
-    // gate); a figure only in the fresh report is new and informational.
-    let mut vanished: Vec<String> = Vec::new();
-    for (figure, new_value) in new_figures {
-        let Some(old_value) = old_figures.iter().find(|(k, _)| k == figure).map(|(_, v)| v)
-        else {
-            println!("note: figure \"{figure}\" is new (not in {old_path}); skipping");
-            continue;
-        };
-        for wall_key in ["wall_ms", "limit_wall_ms"] {
-            let suffix = if wall_key == "wall_ms" { "" } else { " (limit)" };
-            match (
-                old_value.get(wall_key).and_then(Json::as_f64),
-                new_value.get(wall_key).and_then(Json::as_f64),
-            ) {
-                (Some(old_ms), Some(new_ms)) => rows.push(DiffRow {
-                    figure: format!("{figure}{suffix}"),
-                    old_ms,
-                    new_ms,
-                }),
-                // A metric the committed report tracked that the fresh one
-                // no longer emits drops a wall-clock series from coverage.
-                (Some(_), None) => vanished.push(format!("{figure}{suffix}")),
-                _ => {}
-            }
-        }
-    }
-    for (figure, old_value) in old_figures {
-        let timed = old_value.get("wall_ms").is_some();
-        let missing = !new_figures.iter().any(|(k, _)| k == figure);
-        if timed && missing {
-            vanished.push(figure.clone());
-        }
-    }
-    assert!(!rows.is_empty(), "no comparable wall_ms figures found");
-
-    let mut summary = String::new();
+    let outcome = diff(&old, &new);
+    assert!(!outcome.walls.is_empty(), "no comparable wall-clock series found");
+    let mut gates = Gates::default();
+    let summary = &mut gates.summary;
     let _ = writeln!(summary, "### Bench wall-clock deltas ({old_path} → {new_path})\n");
-    let _ = writeln!(summary, "| figure | committed (ms) | fresh (ms) | delta | ratio |");
+    let _ = writeln!(summary, "| series | committed (ms) | fresh (ms) | delta | ratio |");
     let _ = writeln!(summary, "|---|---:|---:|---:|---:|");
-    let mut regressions = Vec::new();
-    for row in &rows {
-        let delta = row.new_ms - row.old_ms;
-        let regressed = row.ratio() > max_ratio && delta > min_delta_ms;
+    for (series, old_ms, new_ms) in &outcome.walls {
+        let (delta, ratio) = (new_ms - old_ms, new_ms / old_ms.max(f64::EPSILON));
+        let regressed = ratio > MAX_RATIO && delta > MIN_DELTA_MS;
         let marker = if regressed { " ⚠️" } else { "" };
         let _ = writeln!(
             summary,
-            "| {}{marker} | {:.1} | {:.1} | {:+.1} | {:.2}x |",
-            row.figure, row.old_ms, row.new_ms, delta, row.ratio()
+            "| {series}{marker} | {old_ms:.1} | {new_ms:.1} | {delta:+.1} | {ratio:.2}x |"
         );
         if regressed {
-            regressions.push(row.figure.clone());
+            gates.failures.push(format!("{series} wall clock {old_ms:.1} → {new_ms:.1} ms"));
         }
     }
-    for figure in &vanished {
-        let _ = writeln!(summary, "| {figure} ⚠️ missing | — | — | — | — |");
-        regressions.push(format!("{figure} (missing from fresh report)"));
-    }
-    regressions.extend(fig_writes_gates(&old, &new, &mut summary));
-    regressions.extend(fig_faults_gates(&old, &new, &mut summary));
-    regressions.extend(fig_availability_gates(&new, &mut summary));
-    regressions.extend(fig_partial_gates(&new, &mut summary));
-    regressions.extend(sim_identity_gates(&old, &new, &mut summary));
     let _ = writeln!(
-        summary,
-        "\nGate: ratio > {max_ratio:.1}x **and** delta > {min_delta_ms:.0} ms; \
-         figures vanishing from the fresh report also fail."
+        gates.summary,
+        "\nGate: ratio > {MAX_RATIO:.1}x **and** delta > {MIN_DELTA_MS:.0} ms.\n"
     );
-    println!("{summary}");
+    let identity = match outcome.compared {
+        Some(n) => format!("{n} deterministic values compared"),
+        None => "skipped (reports ran at different scales)".to_string(),
+    };
+    let drifted = outcome.failures.len();
+    gates.check(
+        "sim identity",
+        format!("{identity}; {drifted} drifted or missing"),
+        drifted == 0,
+    );
+    gates.failures.extend(outcome.failures);
+    fig_writes_gates(&old, &new, &mut gates);
+    fig_faults_gates(&old, &new, &mut gates);
+    fig_availability_gates(&new, &mut gates);
+    fig_partial_gates(&new, &mut gates);
+
+    println!("{}", gates.summary);
     if let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") {
         use std::io::Write;
         if let Ok(mut file) = std::fs::OpenOptions::new().append(true).create(true).open(path) {
-            let _ = file.write_all(summary.as_bytes());
+            let _ = file.write_all(gates.summary.as_bytes());
         }
     }
-
-    if !regressions.is_empty() {
-        eprintln!("bench regression in: {}", regressions.join(", "));
+    if !gates.failures.is_empty() {
+        eprintln!("bench regression in:\n  {}", gates.failures.join("\n  "));
         std::process::exit(1);
     }
     println!("no bench regressions beyond the gates.");
 }
 
-/// Semantic gates for the `fig_partial` partial-materialization figure,
-/// pinned on the 10%-budget zipf-1.1 cell of the fresh report (all
-/// deterministic sim numbers): the partial view must answer ≥ 90% of
-/// keyed reads from residency while holding ≥ 10× fewer view rows and
-/// bytes than full materialization, without taxing hot keys (Q1K hot-key
-/// p95 ≤ 1.25× the fully-materialized baseline).  Below 200 customers the
-/// zipfian stream touches most of the key universe, so the footprint and
-/// hit-rate thresholds relax (≥ 6× / ≥ 8× / ≥ 85%).
-fn fig_partial_gates(new: &Json, summary: &mut String) -> Vec<String> {
-    let fresh = match new.get("figures").and_then(|f| f.get("fig_partial")) {
-        Some(figure) => figure,
-        None => return Vec::new(),
-    };
-    let mut failures = Vec::new();
-    let note = |summary: &mut String, line: String, failed: bool| {
-        let marker = if failed { " ⚠️" } else { "" };
-        let _ = writeln!(summary, "- fig_partial: {line}{marker}");
-        failed
-    };
-
-    let customers = fresh.get("customers").and_then(Json::as_f64).unwrap_or(0.0);
-    let full_scale = customers >= 200.0;
-    let (min_hit, min_rows_x, min_bytes_x) = if full_scale {
-        (0.90, 10.0, 10.0)
-    } else {
-        (0.85, 6.0, 8.0)
-    };
-
-    let cell = fresh.get("rows").and_then(|rows| match rows {
-        Json::Arr(rows) => rows.iter().find(|r| {
-            matches!(r.get("budget_label"), Some(Json::Str(label)) if label == "10%")
-                && r.get("zipf_s").and_then(Json::as_f64) == Some(1.1)
-        }),
-        _ => None,
-    });
+/// The `fig_partial` gates (see the module doc), on the fresh report.
+fn fig_partial_gates(new: &Json, gates: &mut Gates) {
+    let Some(fresh) = figure_of(new, "fig_partial") else { return };
+    let (min_hit, min_rows_x, min_bytes_x) =
+        if fresh.num("customers") >= 200.0 { (0.90, 10.0, 10.0) } else { (0.85, 6.0, 8.0) };
+    let cell = fresh
+        .rows("rows")
+        .iter()
+        .find(|r| r.text("budget_label") == "10%" && r.num("zipf_s") == 1.1);
     let Some(cell) = cell else {
-        failures.push("fig_partial 10%-budget zipf-1.1 cell missing".to_string());
-        return failures;
+        return gates.check("fig_partial", "10%-budget zipf-1.1 cell present".into(), false);
     };
-
-    let checks: [(&str, f64, bool); 4] = [
+    for (key, threshold, at_least) in [
         ("hit_rate", min_hit, true),
         ("rows_x_vs_full", min_rows_x, true),
         ("bytes_x_vs_full", min_bytes_x, true),
         ("q1k_hot_p95_x_vs_full", 1.25, false),
-    ];
-    for (key, threshold, at_least) in checks {
-        match cell.get(key).and_then(Json::as_f64) {
-            Some(value) => {
-                let failed = value.is_nan()
-                    || if at_least { value < threshold } else { value > threshold };
-                let op = if at_least { "≥" } else { "≤" };
-                if note(
-                    summary,
-                    format!("10% budget @ zipf 1.1: {key} = {value:.3} (gate {op} {threshold})"),
-                    failed,
-                ) {
-                    failures.push(format!(
-                        "fig_partial {key} = {value:.3} violates {op} {threshold}"
-                    ));
-                }
-            }
-            None => failures.push(format!("fig_partial cell key {key} missing")),
-        }
-    }
-    failures
-}
-
-/// The no-budget identity gate: partial materialization is off by default,
-/// so the deterministic simulated series of every other figure must be
-/// byte-identical to the committed report — any drift means the partial
-/// machinery taxed a code path it was supposed to leave alone.  Applies
-/// only when both reports ran at the same scale and repetition count
-/// (cross-scale sim numbers differ legitimately).
-fn sim_identity_gates(old: &Json, new: &Json, summary: &mut String) -> Vec<String> {
-    let scale_of = |doc: &Json| {
-        (
-            doc.get("customers").and_then(Json::as_f64).unwrap_or(f64::NAN),
-            doc.get("reps").and_then(Json::as_f64).unwrap_or(f64::NAN),
-        )
-    };
-    let (old_scale, new_scale) = (scale_of(old), scale_of(new));
-    if old_scale != new_scale {
-        let _ = writeln!(
-            summary,
-            "- sim identity: skipped (reports ran at different scales)"
+    ] {
+        let value = cell.num(key);
+        let (op, passed) =
+            if at_least { ("≥", value >= threshold) } else { ("≤", value <= threshold) };
+        gates.check(
+            "fig_partial",
+            format!("10% budget @ zipf 1.1: {key} = {value:.3} (gate {op} {threshold})"),
+            passed,
         );
-        return Vec::new();
     }
-
-    // (figure, rows key, sim series keys) — every series is deterministic:
-    // seeded RNGs, simulated clock, max-merge across workers.
-    let series: [(&str, &str, &[&str]); 7] = [
-        ("fig10", "rows", &["view_sim_ms", "join_sim_ms"]),
-        ("fig_par", "rows", &["view_sim_ms", "join_sim_ms"]),
-        ("fig11", "rows", &["sim_ms"]),
-        ("fig_writes", "rows", &["sim_ms_per_write", "store_rows_scanned_per_write"]),
-        ("fig_writes", "bursts", &["coalesced_flush_sim_ms", "uncoalesced_flush_sim_ms"]),
-        ("fig_faults", "rows", &["goodput_ops_per_sim_sec", "p95_sim_ms"]),
-        // Deterministic like the rest; absent from pre-replication reports,
-        // in which case rows_of() returns None and the figure is skipped.
-        (
-            "fig_availability",
-            "rows",
-            &["steady_goodput_ops_per_sim_sec", "window_goodput_ops_per_sim_sec", "window_p95_sim_ms"],
-        ),
-    ];
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    fn rows_of<'a>(doc: &'a Json, figure: &str, rows_key: &str) -> Option<&'a [Json]> {
-        doc.get("figures")
-            .and_then(|f| f.get(figure))
-            .and_then(|f| f.get(rows_key))
-            .and_then(|rows| match rows {
-                Json::Arr(rows) => Some(rows.as_slice()),
-                _ => None,
-            })
-    }
-    for (figure, rows_key, keys) in series {
-        let (Some(old_rows), Some(new_rows)) =
-            (rows_of(old, figure, rows_key), rows_of(new, figure, rows_key))
-        else {
-            continue;
-        };
-        if old_rows.len() != new_rows.len() {
-            failures.push(format!(
-                "sim identity: {figure}.{rows_key} row count {} → {}",
-                old_rows.len(),
-                new_rows.len()
-            ));
-            continue;
-        }
-        for (i, (old_row, new_row)) in old_rows.iter().zip(new_rows).enumerate() {
-            for key in keys {
-                let (old_v, new_v) = (
-                    old_row.get(key).and_then(Json::as_f64),
-                    new_row.get(key).and_then(Json::as_f64),
-                );
-                compared += 1;
-                if old_v.map(f64::to_bits) != new_v.map(f64::to_bits) {
-                    failures.push(format!(
-                        "sim identity: {figure}.{rows_key}[{i}].{key} {:?} → {:?}",
-                        old_v, new_v
-                    ));
-                }
-            }
-        }
-    }
-    let _ = writeln!(
-        summary,
-        "- sim identity: {compared} deterministic sim values compared, {} drifted{}",
-        failures.len(),
-        if failures.is_empty() { "" } else { " ⚠️" }
-    );
-    failures
 }
 
-/// Semantic gates for the `fig_faults` fault-tolerance figure — all on
-/// deterministic sim numbers, so no noise floor applies: the no-fault
-/// goodput must stay within 1.25× of the committed report's (the fault
-/// hook may not tax the healthy path), retries must hold goodput at the
-/// 1% fault point to ≥ 90% of no-fault, and the crash-recovery
-/// demonstration must lose zero acked-synced writes and leave zero views
-/// dirty.
-fn fig_faults_gates(old: &Json, new: &Json, summary: &mut String) -> Vec<String> {
-    let fresh = match new.get("figures").and_then(|f| f.get("fig_faults")) {
-        Some(figure) => figure,
-        None => return Vec::new(),
-    };
-    let mut failures = Vec::new();
-    let note = |summary: &mut String, line: String, failed: bool| {
-        let marker = if failed { " ⚠️" } else { "" };
-        let _ = writeln!(summary, "- fig_faults: {line}{marker}");
-        failed
-    };
-
-    // The backoff-policy cell at one fault rate of a report.
+/// The `fig_faults` gates (see the module doc) — all on deterministic sim
+/// numbers, so no noise floor applies.
+fn fig_faults_gates(old: &Json, new: &Json, gates: &mut Gates) {
+    let Some(fresh) = figure_of(new, "fig_faults") else { return };
+    // One column of the backoff-policy cell at one fault rate of a report.
     let cell = |doc: &Json, rate: f64, key: &str| {
-        doc.get("figures")
-            .and_then(|f| f.get("fig_faults"))
-            .and_then(|f| f.get("rows"))
-            .and_then(|rows| match rows {
-                Json::Arr(rows) => rows
+        figure_of(doc, "fig_faults")
+            .and_then(|f| {
+                f.rows("rows")
                     .iter()
-                    .find(|r| {
-                        matches!(r.get("retry"), Some(Json::Str(m)) if m == "backoff")
-                            && r.get("fault_rate").and_then(Json::as_f64) == Some(rate)
-                    })
-                    .and_then(|r| r.get(key))
-                    .and_then(Json::as_f64),
-                _ => None,
+                    .find(|r| r.text("retry") == "backoff" && r.num("fault_rate") == rate)
             })
+            .map_or(f64::NAN, |r| r.num(key))
     };
-
-    match cell(new, 0.0, "goodput_ops_per_sim_sec") {
-        Some(fresh_goodput) => {
-            if let Some(old_goodput) = cell(old, 0.0, "goodput_ops_per_sim_sec") {
-                let failed = fresh_goodput * 1.25 < old_goodput;
-                if note(
-                    summary,
-                    format!(
-                        "no-fault goodput {old_goodput:.1} → {fresh_goodput:.1} ops/sim-s \
-                         (gate ≥ committed / 1.25)"
-                    ),
-                    failed,
-                ) {
-                    failures.push(format!(
-                        "fig_faults no-fault goodput regressed {old_goodput:.1} → {fresh_goodput:.1}"
-                    ));
-                }
-            }
-        }
-        None => failures.push("fig_faults no-fault backoff row missing".to_string()),
-    }
-
-    match cell(new, 0.01, "goodput_vs_no_fault") {
-        Some(ratio) => {
-            let failed = ratio.is_nan() || ratio < 0.9;
-            if note(
-                summary,
-                format!("goodput at 1% faults with retries {ratio:.3}x no-fault (gate ≥ 0.9x)"),
-                failed,
-            ) {
-                failures.push(format!("fig_faults 1%-fault goodput {ratio:.3}x < 0.9x"));
-            }
-        }
-        None => failures.push("fig_faults 1%-fault backoff row missing".to_string()),
-    }
-
-    let recovery_count = |key: &str| {
-        fresh
-            .get("recovery")
-            .and_then(|r| r.get(key))
-            .and_then(Json::as_f64)
-    };
+    let fresh_goodput = cell(new, 0.0, "goodput_ops_per_sim_sec");
+    let old_goodput = cell(old, 0.0, "goodput_ops_per_sim_sec");
+    gates.check(
+        "fig_faults",
+        format!(
+            "no-fault goodput {old_goodput:.1} → {fresh_goodput:.1} ops/sim-s \
+             (gate ≥ committed / 1.25)"
+        ),
+        fresh_goodput * 1.25 >= old_goodput || (old_goodput.is_nan() && !fresh_goodput.is_nan()),
+    );
+    let ratio = cell(new, 0.01, "goodput_vs_no_fault");
+    gates.check(
+        "fig_faults",
+        format!("goodput at 1% faults with retries {ratio:.3}x no-fault (gate ≥ 0.9x)"),
+        ratio >= 0.9,
+    );
+    let recovery = fresh.get("recovery").unwrap_or(&Json::Null);
     for key in ["lost_acked_synced_writes", "dirty_view_rows_after_recovery"] {
-        match recovery_count(key) {
-            Some(count) => {
-                let failed = count != 0.0;
-                if note(summary, format!("recovery {key} = {count:.0} (gate = 0)"), failed) {
-                    failures.push(format!("fig_faults recovery {key} = {count:.0}"));
-                }
-            }
-            None => failures.push(format!("fig_faults recovery {key} missing")),
-        }
+        let count = recovery.num(key);
+        gates.check("fig_faults", format!("recovery {key} = {count:.0} (gate = 0)"), count == 0.0);
     }
-    failures
 }
 
-/// Semantic gates for the `fig_availability` replication figure — all
-/// deterministic sim numbers.  RF ≥ 2 rows must keep in-window goodput at
-/// ≥ 0.7× steady state with at least one failover fired and zero
-/// acked-write loss; the RF = 1 row must show replication fully disarmed
-/// (zero failovers, zero shipped records) so the legacy figures stay
-/// byte-identical.
-fn fig_availability_gates(new: &Json, summary: &mut String) -> Vec<String> {
-    let rows = match new
-        .get("figures")
-        .and_then(|f| f.get("fig_availability"))
-        .and_then(|f| f.get("rows"))
-    {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Vec::new(),
-    };
-    let mut failures = Vec::new();
-    let note = |summary: &mut String, line: String, failed: bool| {
-        let marker = if failed { " ⚠️" } else { "" };
-        let _ = writeln!(summary, "- fig_availability: {line}{marker}");
-        failed
-    };
+/// The `fig_availability` gates (see the module doc), per replication
+/// factor of the fresh report.
+fn fig_availability_gates(new: &Json, gates: &mut Gates) {
+    let Some(fresh) = figure_of(new, "fig_availability") else { return };
+    let rows = fresh.rows("rows");
     if rows.is_empty() {
-        failures.push("fig_availability has no rows".to_string());
-        return failures;
+        return gates.check("fig_availability", "has rows".into(), false);
     }
     for row in rows {
-        let num = |key: &str| row.get(key).and_then(Json::as_f64);
-        let Some(rf) = num("replication_factor") else {
-            failures.push("fig_availability row without replication_factor".to_string());
-            continue;
-        };
-        let rf = rf as u64;
-        let lost = num("acked_writes_lost").unwrap_or(f64::NAN);
-        if note(
-            summary,
+        let rf = row.num("replication_factor");
+        let lost = row.num("acked_writes_lost");
+        gates.check(
+            "fig_availability",
             format!("rf {rf}: acked writes lost {lost:.0} (gate = 0)"),
-            lost != 0.0,
-        ) {
-            failures.push(format!("fig_availability rf {rf} lost {lost:.0} acked writes"));
-        }
-        let failovers = num("failovers").unwrap_or(f64::NAN);
-        let shipped = num("records_shipped").unwrap_or(f64::NAN);
-        if rf <= 1 {
-            if note(
-                summary,
-                format!("rf 1: failovers {failovers:.0}, shipped {shipped:.0} (gate = 0 — replication disarmed)"),
-                failovers != 0.0 || shipped != 0.0,
-            ) {
-                failures.push("fig_availability rf 1 shows replication activity".to_string());
-            }
+            lost == 0.0,
+        );
+        let (failovers, shipped) = (row.num("failovers"), row.num("records_shipped"));
+        if rf <= 1.0 {
+            gates.check(
+                "fig_availability",
+                format!(
+                    "rf 1: failovers {failovers:.0}, shipped {shipped:.0} \
+                     (gate = 0 — replication disarmed)"
+                ),
+                failovers == 0.0 && shipped == 0.0,
+            );
             continue;
         }
-        let ratio = num("window_over_steady").unwrap_or(f64::NAN);
-        if note(
-            summary,
+        let ratio = row.num("window_over_steady");
+        gates.check(
+            "fig_availability",
             format!("rf {rf}: in-window goodput {ratio:.3}x steady (gate ≥ 0.7x)"),
-            ratio.is_nan() || ratio < 0.7,
-        ) {
-            failures.push(format!(
-                "fig_availability rf {rf} in-window goodput {ratio:.3}x < 0.7x steady"
-            ));
-        }
-        if note(
-            summary,
+            ratio >= 0.7,
+        );
+        gates.check(
+            "fig_availability",
             format!("rf {rf}: failovers {failovers:.0} (gate ≥ 1)"),
-            failovers.is_nan() || failovers < 1.0,
-        ) {
-            failures.push(format!("fig_availability rf {rf} fired no failover"));
-        }
+            failovers >= 1.0,
+        );
     }
-    failures
 }
 
-/// Semantic gates for the `fig_writes` maintenance figure: the headline
-/// cost advantages of delta maintenance and write-batch coalescing are
-/// deterministic sim numbers, so the gate pins them directly instead of
-/// only diffing wall clocks.
-fn fig_writes_gates(old: &Json, new: &Json, summary: &mut String) -> Vec<String> {
-    let fresh = match new.get("figures").and_then(|f| f.get("fig_writes")) {
-        Some(figure) => figure,
-        None => return Vec::new(),
-    };
-    let mut failures = Vec::new();
-    let note = |summary: &mut String, line: String, failed: bool| {
-        let marker = if failed { " ⚠️" } else { "" };
-        let _ = writeln!(summary, "- fig_writes: {line}{marker}");
-        failed
-    };
-
-    match fresh.get("rows_ratio").and_then(Json::as_f64) {
-        Some(ratio) => {
-            let failed = ratio.is_nan() || ratio < 10.0;
-            if note(summary, format!("scan/delta rows ratio {ratio:.1}x (gate ≥ 10x)"), failed) {
-                failures.push(format!("fig_writes rows_ratio {ratio:.1}x < 10x"));
-            }
-        }
-        None => failures.push("fig_writes rows_ratio missing".to_string()),
-    }
-
-    let burst_ratio = fresh.get("bursts").and_then(|b| match b {
-        Json::Arr(rows) => rows
-            .iter()
-            .find(|r| r.get("burst").and_then(Json::as_f64) == Some(256.0))
-            .and_then(|r| r.get("ratio_vs_single"))
-            .and_then(Json::as_f64),
-        _ => None,
-    });
-    match burst_ratio {
-        Some(ratio) => {
-            let failed = ratio.is_nan() || ratio > 2.0;
-            if note(
-                summary,
-                format!("256-write burst flush {ratio:.2}x one write's flush (gate ≤ 2x)"),
-                failed,
-            ) {
-                failures.push(format!("fig_writes burst-256 ratio {ratio:.2}x > 2x"));
-            }
-        }
-        None => failures.push("fig_writes burst-256 row missing".to_string()),
-    }
-
+/// The `fig_writes` gates (see the module doc): the cost of delta
+/// maintenance and the bound write-batch coalescing gives are deterministic
+/// sim numbers, so the gate pins them directly instead of only diffing
+/// wall clocks.
+fn fig_writes_gates(old: &Json, new: &Json, gates: &mut Gates) {
+    let Some(fresh) = figure_of(new, "fig_writes") else { return };
+    let burst_ratio = fresh
+        .rows("bursts")
+        .iter()
+        .find(|r| r.num("burst") == 256.0)
+        .map_or(f64::NAN, |r| r.num("ratio_vs_single"));
+    gates.check(
+        "fig_writes",
+        format!("256-write burst flush {burst_ratio:.2}x one write's flush (gate ≤ 2x)"),
+        burst_ratio <= 2.0,
+    );
     // Maintenance-cost regression vs the committed report: the delta
     // path's sim ms/write is deterministic at equal scale, so any growth
     // beyond slack for intentional cost-model tweaks is a regression.
     let delta_cost = |doc: &Json| {
-        doc.get("figures")
-            .and_then(|f| f.get("fig_writes"))
-            .and_then(|f| f.get("rows"))
-            .and_then(|rows| match rows {
-                Json::Arr(rows) => rows
-                    .iter()
-                    .find(|r| matches!(r.get("mode"), Some(Json::Str(m)) if m == "delta"))
-                    .and_then(|r| r.get("sim_ms_per_write"))
-                    .and_then(Json::as_f64),
-                _ => None,
-            })
+        figure_of(doc, "fig_writes")
+            .and_then(|f| f.rows("rows").iter().find(|r| r.text("mode") == "delta"))
+            .map_or(f64::NAN, |r| r.num("sim_ms_per_write"))
     };
-    if let (Some(old_cost), Some(new_cost)) = (delta_cost(old), delta_cost(new)) {
-        let failed = new_cost > old_cost * 1.25;
-        if note(
-            summary,
+    let (old_cost, new_cost) = (delta_cost(old), delta_cost(new));
+    if !old_cost.is_nan() {
+        gates.check(
+            "fig_writes",
             format!("delta sim ms/write {old_cost:.2} → {new_cost:.2} (gate ≤ 1.25x committed)"),
-            failed,
-        ) {
-            failures.push(format!(
-                "fig_writes delta sim ms/write regressed {old_cost:.2} → {new_cost:.2}"
-            ));
-        }
+            new_cost <= old_cost * 1.25,
+        );
     }
-    failures
 }

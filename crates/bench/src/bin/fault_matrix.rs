@@ -23,7 +23,7 @@
 //! - every cell is reproducible: re-running it with the same seed yields
 //!   bit-identical goodput (the determinism contract).
 
-use bench::{run_fault_workload_rf, FaultWorkloadOutcome, FIG_FAULTS_OPS};
+use bench::{run_fault_workload, FaultWorkloadOutcome, FIG_FAULTS_OPS};
 use nosql_store::{FaultPlan, RetryPolicy};
 use simclock::SimDuration;
 
@@ -93,7 +93,7 @@ fn main() {
         for seed in SEEDS {
             let retry = Some(RetryPolicy::default());
             let run =
-                run_fault_workload_rf((scenario.plan)(seed), retry.clone(), FIG_FAULTS_OPS, scenario.rf);
+                run_fault_workload((scenario.plan)(seed), retry.clone(), FIG_FAULTS_OPS, scenario.rf);
             println!(
                 "{:<14} {:>#10x} {:>3} {:>6} {:>6} {:>14.1} {:>10.2} {:>9} {:>8} {:>8} {:>9}",
                 scenario.name,
@@ -110,7 +110,7 @@ fn main() {
             );
             check(scenario, seed, &run, &mut failures);
             let again =
-                run_fault_workload_rf((scenario.plan)(seed), retry, FIG_FAULTS_OPS, scenario.rf);
+                run_fault_workload((scenario.plan)(seed), retry, FIG_FAULTS_OPS, scenario.rf);
             if again.goodput_per_sim_sec().to_bits() != run.goodput_per_sim_sec().to_bits() {
                 failures.push(format!(
                     "{} seed {seed:#x}: goodput not reproducible ({} vs {})",

@@ -7,10 +7,12 @@
 //! cargo run --release -p bench --bin report -- all --json
 //! ```
 //!
-//! Available artifacts: `fig10`, `fig_par`, `fig11`, `fig12`, `fig13`,
-//! `fig14`, `fig_writes`, `fig_faults`, `fig_availability`, `fig_partial`,
-//! `table1`, `table2`,
-//! `table3`, `ablation`, `all`.
+//! The artifacts are the entries of the figure registry (`bench::FIGURES`:
+//! `fig10`, `fig_par`, `fig11`, `fig12`, `fig13`, `fig14`, `fig_writes`,
+//! `fig_faults`, `fig_availability`, `fig_partial`, `table1`, `table2`,
+//! `table3`, `ablation`, …) plus `all`; this binary knows none of them by
+//! name — it runs the selected entries, prints each record through the
+//! registry's text rendering and collects the records as the JSON report.
 //!
 //! `--threads N` runs the fig10 measurements with N region-parallel workers
 //! (`fig_par` always sweeps its own 1/2/4/8 axis); `--out PATH` redirects
@@ -24,29 +26,8 @@
 //! producing the figure (the reproduction's own perf trajectory).
 
 use bench::json::Json;
-use bench::{
-    ablation_lock_granularity, comparison_matrix, fig10_limit, fig10_micro_with_prepared,
-    fig11_lock_overhead, fig13_mechanisms, fig_availability, fig_faults, fig_par, fig_partial,
-    fig_writes,
-    fmt_mib, fmt_ms, table1_qualitative, table3_sizes, ComparisonMatrix, Fig10LimitRow,
-    Fig10PreparedRow, Fig10Row, Fig11Row, FigAvailabilityOutput, FigFaultsOutput, FigParRow,
-    FigPartialOutput, FigWritesOutput, LockAblationRow, DEFAULT_CUSTOMERS, DEFAULT_REPS,
-    FIG_AVAILABILITY_OPS, FIG_FAULTS_OPS,
-};
-use std::time::Instant;
+use bench::{fig10_scales, selected, Context, DEFAULT_CUSTOMERS, DEFAULT_REPS, FIGURES};
 use tpcw::micro::MicroBench;
-
-/// The `k` of the Figure 10 LIMIT companion query.
-const FIG10_LIMIT: usize = 50;
-
-/// Executions per timed loop of the fig10 prepared-statement companion.
-const FIG10_PREPARED_EXECS: u64 = 500;
-
-/// The thread counts the fig_par sweep measures.
-const FIG_PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Updates per maintenance mode in the fig_writes comparison.
-const FIG_WRITES_COUNT: u64 = 20;
 
 struct Options {
     artifact: String,
@@ -60,12 +41,6 @@ struct Options {
     explain: bool,
     out: String,
 }
-
-/// Every artifact name `report` accepts.
-const ARTIFACTS: [&str; 15] = [
-    "fig10", "fig_par", "fig11", "fig12", "fig13", "fig14", "fig_writes", "fig_faults",
-    "fig_availability", "fig_partial", "table1", "table2", "table3", "ablation", "all",
-];
 
 const USAGE: &str = "usage: report [ARTIFACT] [--customers N] [--reps N] [--threads N] \
                      [--json] [--out PATH] [--explain]";
@@ -97,23 +72,19 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--json" => options.json = true,
             "--explain" => options.explain = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}\n{USAGE}")),
-            name if ARTIFACTS.contains(&name) => options.artifact = name.to_string(),
+            name if name == "all" || FIGURES.iter().any(|f| f.name == name) => {
+                options.artifact = name.to_string()
+            }
             name => {
+                let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).chain(["all"]).collect();
                 return Err(format!(
                     "unknown artifact {name:?}; valid artifacts: {}",
-                    ARTIFACTS.join(", ")
-                ))
+                    valid.join(", ")
+                ));
             }
         }
     }
     Ok(options)
-}
-
-/// The customer scales of the Figure 10 sweep (the paper scales ×10 per
-/// step; the sweep here is ×4 anchored at a laptop-friendly base).
-fn fig10_scales(customers: u64) -> [u64; 3] {
-    let base = (customers / 4).clamp(25, 250);
-    [base, base * 4, base * 16]
 }
 
 fn main() {
@@ -122,7 +93,6 @@ fn main() {
         eprintln!("{message}");
         std::process::exit(2);
     });
-    let artifact = options.artifact.as_str();
     println!("== Synergy reproduction report ==");
     println!(
         "scale: {} customers ({} items, {} orders), {} repetitions per measurement, {} thread(s)",
@@ -134,147 +104,18 @@ fn main() {
     );
     println!("all response times are simulated milliseconds (see DESIGN.md §7)\n");
 
-    // `figures` collects the per-figure JSON fragments in run order.
+    // The per-figure records in run order.
     let mut figures: Vec<(String, Json)> = Vec::new();
-
-    let needs_matrix = matches!(artifact, "fig12" | "fig14" | "table2" | "table3" | "all");
-    let matrix = needs_matrix.then(|| {
-        println!("building the five evaluated systems and loading the dataset ...\n");
-        let start = Instant::now();
-        let matrix = comparison_matrix(options.customers, options.reps);
-        (matrix, wall_ms(start))
-    });
-
     if options.explain {
-        // Plan trees for the micro queries at the smallest fig10 scale:
-        // the plan shape is scale-independent, so the cheapest deployment
-        // suffices to show the view-rewrite rule firing.
-        let customers = fig10_scales(options.customers)[0];
-        let explain_bench = MicroBench::build_with_threads(customers, options.threads)
-            .expect("micro benchmark builds");
-        let explains: Vec<tpcw::micro::QueryExplain> = (0..2)
-            .map(|i| explain_bench.explain(i).expect("plans render"))
-            .collect();
-        print_explain(&explains);
-        figures.push(("explain".into(), explain_json(&explains)));
+        figures.push(("explain".into(), explain_plans(&options)));
     }
-    if matches!(artifact, "table1" | "all") {
-        print_table1();
-    }
-    if matches!(artifact, "fig10" | "all") {
-        let start = Instant::now();
-        let output = fig10_micro_with_prepared(
-            &fig10_scales(options.customers),
-            options.reps,
-            options.threads,
-            FIG10_PREPARED_EXECS,
-        );
-        let rows = output.rows;
-        let elapsed = wall_ms(start);
-        print_fig10(&rows);
-        print_fig10_prepared(&output.prepared);
-        // The LIMIT companion is timed separately so `fig10.wall_ms` stays
-        // comparable across report versions.
-        let limit_start = Instant::now();
-        let limit_rows = fig10_limit(
-            &fig10_scales(options.customers),
-            FIG10_LIMIT,
-            options.reps,
-            options.threads,
-        );
-        let limit_elapsed = wall_ms(limit_start);
-        print_fig10_limit(&limit_rows);
-        figures.push((
-            "fig10".into(),
-            fig10_json(&rows, elapsed, &limit_rows, limit_elapsed, &output.prepared),
-        ));
-    }
-    if matches!(artifact, "fig_par" | "all") {
-        // The sweep runs at the largest fig10 scale, where the view spans
-        // several regions and region-parallelism has shards to use.
-        let customers = fig10_scales(options.customers)[2];
-        let start = Instant::now();
-        let rows = fig_par(customers, &FIG_PAR_THREADS, options.reps);
-        let elapsed = wall_ms(start);
-        print_fig_par(&rows);
-        figures.push(("fig_par".into(), fig_par_json(&rows, elapsed)));
-    }
-    if matches!(artifact, "fig11" | "all") {
-        let start = Instant::now();
-        let rows = fig11_lock_overhead(&[10, 100, 1000], options.reps);
-        let elapsed = wall_ms(start);
-        print_fig11(&rows);
-        figures.push(("fig11".into(), fig11_json(&rows, elapsed)));
-    }
-    if matches!(artifact, "fig13" | "all") {
-        print_fig13();
-    }
-    if let Some((matrix, matrix_wall_ms)) = &matrix {
-        // The matrix is built once and shared by fig12/fig14/table2/table3;
-        // its wall time is reported once under its own key so per-figure
-        // numbers are not cross-contaminated.
-        figures.push((
-            "comparison_matrix".into(),
-            Json::obj([("wall_ms", Json::Num(*matrix_wall_ms))]),
-        ));
-        if matches!(artifact, "fig12" | "all") {
-            print_fig12(matrix);
-            figures.push(("fig12".into(), matrix_json(matrix, 'Q')));
+    let mut ctx = Context::new(options.customers, options.reps, options.threads);
+    for figure in selected(&options.artifact) {
+        let record = (figure.run)(&mut ctx);
+        println!("{}", figure.render_text(&record, &std::mem::take(&mut ctx.notes)));
+        if figure.measured() {
+            figures.push((figure.name.into(), record));
         }
-        if matches!(artifact, "fig14" | "all") {
-            print_fig14(matrix);
-            figures.push(("fig14".into(), matrix_json(matrix, 'W')));
-        }
-        if matches!(artifact, "table2" | "all") {
-            print_table2(matrix);
-            figures.push(("table2".into(), table2_json(matrix)));
-        }
-        if matches!(artifact, "table3" | "all") {
-            print_table3(matrix);
-            figures.push(("table3".into(), table3_json(matrix)));
-        }
-    }
-    if matches!(artifact, "fig_writes" | "all") {
-        let start = Instant::now();
-        let output = fig_writes(options.customers, FIG_WRITES_COUNT, options.threads);
-        let elapsed = wall_ms(start);
-        print_fig_writes(&output);
-        figures.push(("fig_writes".into(), fig_writes_json(&output, elapsed)));
-    }
-    if matches!(artifact, "fig_faults" | "all") {
-        // The recovery demonstration runs at the smallest fig10 scale —
-        // recovery semantics are scale-independent, so the cheapest
-        // deployment suffices; the goodput sweep has its own fixed size.
-        let customers = fig10_scales(options.customers)[0];
-        let start = Instant::now();
-        let output = fig_faults(customers, FIG_FAULTS_OPS);
-        let elapsed = wall_ms(start);
-        print_fig_faults(&output);
-        figures.push(("fig_faults".into(), fig_faults_json(&output, elapsed)));
-    }
-    if matches!(artifact, "fig_availability" | "all") {
-        let start = Instant::now();
-        let output = fig_availability(FIG_AVAILABILITY_OPS);
-        let elapsed = wall_ms(start);
-        print_fig_availability(&output);
-        figures.push((
-            "fig_availability".into(),
-            fig_availability_json(&output, elapsed),
-        ));
-    }
-    if matches!(artifact, "fig_partial" | "all") {
-        let start = Instant::now();
-        let output = fig_partial(options.customers);
-        let elapsed = wall_ms(start);
-        print_fig_partial(&output);
-        figures.push(("fig_partial".into(), fig_partial_json(&output, elapsed)));
-    }
-    if matches!(artifact, "ablation" | "all") {
-        let start = Instant::now();
-        let rows = ablation_lock_granularity(&[1, 10, 100, 1000]);
-        let elapsed = wall_ms(start);
-        print_ablation(&rows);
-        figures.push(("ablation".into(), ablation_json(&rows, elapsed)));
     }
 
     if options.json {
@@ -282,7 +123,7 @@ fn main() {
         // count) so `bench_diff` can insist on like-for-like comparisons.
         let doc = Json::obj([
             ("schema_version", Json::Int(2)),
-            ("artifact", Json::str(artifact)),
+            ("artifact", Json::str(options.artifact.as_str())),
             ("customers", Json::Int(options.customers as i64)),
             ("reps", Json::Int(options.reps as i64)),
             ("threads", Json::Int(options.threads as i64)),
@@ -295,525 +136,18 @@ fn main() {
     }
 }
 
-fn wall_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
-// ----------------------------------------------------------------------
-// JSON fragments
-// ----------------------------------------------------------------------
-
-fn fig10_json(
-    rows: &[Fig10Row],
-    elapsed_ms: f64,
-    limit_rows: &[Fig10LimitRow],
-    limit_elapsed_ms: f64,
-    prepared_rows: &[Fig10PreparedRow],
-) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("query", Json::str(r.query)),
-                            ("customers", Json::Int(r.customers as i64)),
-                            ("view_sim_ms", Json::Num(r.view_scan_ms.mean)),
-                            ("join_sim_ms", Json::Num(r.join_ms.mean)),
-                            ("view_wall_ms", Json::Num(r.view_scan_wall_ms.mean)),
-                            ("join_wall_ms", Json::Num(r.join_wall_ms.mean)),
-                            ("sim_speedup", Json::Num(r.speedup)),
-                            ("wall_speedup", Json::Num(r.wall_speedup)),
-                            ("view_peak_rows_resident", Json::Int(r.view_peak_rows as i64)),
-                            ("join_peak_rows_resident", Json::Int(r.join_peak_rows as i64)),
-                            ("plan_cache_hits", Json::Int(r.plan_cache_hits as i64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "prepared_rows",
-            Json::Arr(
-                prepared_rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("customers", Json::Int(r.customers as i64)),
-                            ("executions", Json::Int(r.executions as i64)),
-                            ("oneshot_us_per_exec", Json::Num(r.oneshot_us_per_exec)),
-                            ("prepared_us_per_exec", Json::Num(r.prepared_us_per_exec)),
-                            ("prepared_speedup", Json::Num(r.prepared_speedup)),
-                            (
-                                "session_plan_cache_hits",
-                                Json::Int(r.session_plan_cache_hits as i64),
-                            ),
-                            (
-                                "session_plan_cache_misses",
-                                Json::Int(r.session_plan_cache_misses as i64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("limit_wall_ms", Json::Num(limit_elapsed_ms)),
-        (
-            "limit_rows",
-            Json::Arr(
-                limit_rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("customers", Json::Int(r.customers as i64)),
-                            ("limit", Json::Int(r.limit as i64)),
-                            ("store_rows_scanned", Json::Int(r.store_rows_scanned as i64)),
-                            (
-                                "peak_rows_resident",
-                                Json::Int(r.peak_rows_resident as i64),
-                            ),
-                            ("view_sim_ms", Json::Num(r.view_scan_ms.mean)),
-                            ("view_wall_ms", Json::Num(r.view_scan_wall_ms.mean)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn fig_par_json(rows: &[FigParRow], elapsed_ms: f64) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("threads", Json::Int(r.threads as i64)),
-                            ("customers", Json::Int(r.customers as i64)),
-                            ("view_sim_ms", Json::Num(r.view_scan_ms.mean)),
-                            ("join_sim_ms", Json::Num(r.join_ms.mean)),
-                            ("view_wall_ms", Json::Num(r.view_scan_wall_ms.mean)),
-                            ("join_wall_ms", Json::Num(r.join_wall_ms.mean)),
-                            ("sim_speedup", Json::Num(r.speedup)),
-                            ("wall_speedup", Json::Num(r.wall_speedup)),
-                            ("view_sim_x_vs_serial", Json::Num(r.view_sim_x_vs_serial)),
-                            ("view_wall_x_vs_serial", Json::Num(r.view_wall_x_vs_serial)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn fig11_json(rows: &[Fig11Row], elapsed_ms: f64) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("locks", Json::Int(r.locks as i64)),
-                            ("sim_ms", Json::Num(r.overhead_ms.mean)),
-                            ("wall_ms", Json::Num(r.overhead_wall_ms.mean)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn matrix_json(matrix: &ComparisonMatrix, prefix: char) -> Json {
-    let rows = matrix
-        .statements
-        .iter()
-        .filter(|s| s.starts_with(prefix))
-        .map(|statement| {
-            let cells = matrix
-                .systems
-                .iter()
-                .map(|system| {
-                    let mean = matrix.mean_ms(statement, system);
-                    (system.clone(), mean.map(Json::Num).unwrap_or(Json::Null))
-                })
-                .collect::<Vec<_>>();
-            let mut pairs = vec![("statement".to_string(), Json::str(statement.clone()))];
-            pairs.extend(cells.into_iter().map(|(k, v)| (format!("{k}_sim_ms"), v)));
-            Json::Obj(pairs)
-        })
-        .collect();
-    Json::obj([("rows", Json::Arr(rows))])
-}
-
-fn table2_json(matrix: &ComparisonMatrix) -> Json {
-    let rows = ["Synergy", "MVCC-A", "MVCC-UA", "Baseline"]
-        .iter()
-        .map(|system| {
-            Json::obj([
-                ("system", Json::str(*system)),
-                (
-                    "total_sim_ms",
-                    matrix.total_ms(system).map(Json::Num).unwrap_or(Json::Null),
-                ),
-            ])
-        })
-        .collect();
-    Json::obj([("rows", Json::Arr(rows))])
-}
-
-fn table3_json(matrix: &ComparisonMatrix) -> Json {
-    let rows = table3_sizes(matrix)
-        .into_iter()
-        .map(|r| {
-            Json::obj([
-                ("system", Json::str(r.system)),
-                ("bytes", Json::Int(r.bytes as i64)),
-                ("relative_to_baseline", Json::Num(r.relative_to_baseline)),
-            ])
-        })
-        .collect();
-    Json::obj([("rows", Json::Arr(rows))])
-}
-
-fn fig_writes_json(output: &FigWritesOutput, elapsed_ms: f64) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        ("rows_ratio", Json::Num(output.rows_ratio)),
-        (
-            "rows",
-            Json::Arr(
-                output
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("mode", Json::str(r.mode)),
-                            ("customers", Json::Int(r.customers as i64)),
-                            ("writes", Json::Int(r.writes as i64)),
-                            ("sim_ms_per_write", Json::Num(r.sim_ms_per_write)),
-                            ("wall_writes_per_sec", Json::Num(r.wall_writes_per_sec)),
-                            (
-                                "store_rows_scanned_per_write",
-                                Json::Num(r.store_rows_scanned_per_write),
-                            ),
-                            (
-                                "view_rows_touched_per_write",
-                                Json::Num(r.view_rows_touched_per_write),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "bursts",
-            Json::Arr(
-                output
-                    .bursts
-                    .iter()
-                    .map(|b| {
-                        Json::obj([
-                            ("burst", Json::Int(b.burst as i64)),
-                            (
-                                "coalesced_flush_sim_ms",
-                                Json::Num(b.coalesced_flush_sim_ms),
-                            ),
-                            (
-                                "uncoalesced_flush_sim_ms",
-                                Json::Num(b.uncoalesced_flush_sim_ms),
-                            ),
-                            ("coalesced_merges", Json::Int(b.coalesced_merges as i64)),
-                            ("ratio_vs_single", Json::Num(b.ratio_vs_single)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn fig_faults_json(output: &FigFaultsOutput, elapsed_ms: f64) -> Json {
-    let recovery = &output.recovery;
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        (
-            "rows",
-            Json::Arr(
-                output
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("retry", Json::str(r.retry)),
-                            ("fault_rate", Json::Num(r.fault_rate)),
-                            ("ops", Json::Int(r.ops as i64)),
-                            ("ok_ops", Json::Int(r.ok_ops as i64)),
-                            (
-                                "goodput_ops_per_sim_sec",
-                                Json::Num(r.goodput_ops_per_sim_sec),
-                            ),
-                            ("p95_sim_ms", Json::Num(r.p95_sim_ms)),
-                            ("injected_op_faults", Json::Int(r.injected_op_faults as i64)),
-                            ("slowdowns", Json::Int(r.slowdowns as i64)),
-                            ("retries", Json::Int(r.retries as i64)),
-                            ("giveups", Json::Int(r.giveups as i64)),
-                            ("goodput_vs_no_fault", Json::Num(r.goodput_vs_no_fault)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "recovery",
-            Json::obj([
-                ("interrupted_step", Json::Int(recovery.interrupted_step as i64)),
-                ("dirty_fallbacks", Json::Int(recovery.dirty_fallbacks as i64)),
-                ("recovery_sim_ms", Json::Num(recovery.recovery_sim_ms)),
-                ("replayed_entries", Json::Int(recovery.replayed_entries as i64)),
-                ("locks_reclaimed", Json::Int(recovery.locks_reclaimed as i64)),
-                (
-                    "view_rows_rolled_forward",
-                    Json::Int(recovery.view_rows_rolled_forward as i64),
-                ),
-                (
-                    "lost_acked_synced_writes",
-                    Json::Int(recovery.lost_acked_synced_writes as i64),
-                ),
-                (
-                    "dirty_view_rows_after_recovery",
-                    Json::Int(recovery.dirty_view_rows_after_recovery as i64),
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn fig_availability_json(output: &FigAvailabilityOutput, elapsed_ms: f64) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        ("crashes", Json::Int(output.crashes as i64)),
-        ("mttr_ms", Json::Num(output.mttr_ms)),
-        ("servers", Json::Int(output.servers as i64)),
-        (
-            "rows",
-            Json::Arr(
-                output
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("replication_factor", Json::Int(r.replication_factor as i64)),
-                            ("ops", Json::Int(r.ops as i64)),
-                            ("ok_ops", Json::Int(r.ok_ops as i64)),
-                            ("window_ops", Json::Int(r.window_ops as i64)),
-                            ("window_ok_ops", Json::Int(r.window_ok_ops as i64)),
-                            (
-                                "steady_goodput_ops_per_sim_sec",
-                                Json::Num(r.steady_goodput_ops_per_sim_sec),
-                            ),
-                            (
-                                "window_goodput_ops_per_sim_sec",
-                                Json::Num(r.window_goodput_ops_per_sim_sec),
-                            ),
-                            ("window_over_steady", Json::Num(r.window_over_steady)),
-                            ("steady_p95_sim_ms", Json::Num(r.steady_p95_sim_ms)),
-                            ("window_p95_sim_ms", Json::Num(r.window_p95_sim_ms)),
-                            ("acked_writes_lost", Json::Int(r.acked_writes_lost as i64)),
-                            ("failovers", Json::Int(r.failovers as i64)),
-                            ("catchup_replays", Json::Int(r.catchup_replays as i64)),
-                            ("records_shipped", Json::Int(r.records_shipped as i64)),
-                            (
-                                "unavailable_rejections",
-                                Json::Int(r.unavailable_rejections as i64),
-                            ),
-                            ("giveups", Json::Int(r.giveups as i64)),
-                            ("sim_elapsed_ms", Json::Num(r.sim_elapsed_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn fig_partial_json(output: &FigPartialOutput, elapsed_ms: f64) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        ("customers", Json::Int(output.customers as i64)),
-        ("order_keys", Json::Int(output.order_keys as i64)),
-        ("warmup_ops", Json::Int(output.warmup_ops as i64)),
-        ("measured_ops", Json::Int(output.measured_ops as i64)),
-        ("hot_rank", Json::Int(output.hot_rank as i64)),
-        (
-            "baselines",
-            Json::Arr(
-                output
-                    .baselines
-                    .iter()
-                    .map(|b| {
-                        Json::obj([
-                            ("zipf_s", Json::Num(b.zipf_s)),
-                            ("materialized_rows", Json::Int(b.materialized_rows as i64)),
-                            ("materialized_bytes", Json::Int(b.materialized_bytes as i64)),
-                            ("view_store_rows", Json::Int(b.view_store_rows as i64)),
-                            ("view_store_bytes", Json::Int(b.view_store_bytes as i64)),
-                            ("q1k_p50_sim_ms", Json::Num(b.q1k_p50_sim_ms)),
-                            ("q1k_p95_sim_ms", Json::Num(b.q1k_p95_sim_ms)),
-                            ("q1k_hot_p95_sim_ms", Json::Num(b.q1k_hot_p95_sim_ms)),
-                            ("q2k_p50_sim_ms", Json::Num(b.q2k_p50_sim_ms)),
-                            ("q2k_p95_sim_ms", Json::Num(b.q2k_p95_sim_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "rows",
-            Json::Arr(
-                output
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("zipf_s", Json::Num(r.zipf_s)),
-                            ("budget_label", Json::str(r.budget_label.clone())),
-                            ("budget_bytes", Json::Int(r.budget_bytes as i64)),
-                            ("hits", Json::Int(r.hits as i64)),
-                            ("misses", Json::Int(r.misses as i64)),
-                            ("hit_rate", Json::Num(r.hit_rate)),
-                            ("upqueries", Json::Int(r.upqueries as i64)),
-                            ("evicted_keys", Json::Int(r.evicted_keys as i64)),
-                            ("annihilated", Json::Int(r.annihilated as i64)),
-                            ("deferred", Json::Int(r.deferred as i64)),
-                            ("bypasses", Json::Int(r.bypasses as i64)),
-                            ("resident_keys", Json::Int(r.resident_keys as i64)),
-                            ("resident_rows", Json::Int(r.resident_rows as i64)),
-                            ("resident_bytes", Json::Int(r.resident_bytes as i64)),
-                            ("view_store_rows", Json::Int(r.view_store_rows as i64)),
-                            ("view_store_bytes", Json::Int(r.view_store_bytes as i64)),
-                            ("rows_x_vs_full", Json::Num(r.rows_x_vs_full)),
-                            ("bytes_x_vs_full", Json::Num(r.bytes_x_vs_full)),
-                            ("q1k_p50_sim_ms", Json::Num(r.q1k_p50_sim_ms)),
-                            ("q1k_p95_sim_ms", Json::Num(r.q1k_p95_sim_ms)),
-                            ("q1k_hot_p95_sim_ms", Json::Num(r.q1k_hot_p95_sim_ms)),
-                            ("q2k_p50_sim_ms", Json::Num(r.q2k_p50_sim_ms)),
-                            ("q2k_p95_sim_ms", Json::Num(r.q2k_p95_sim_ms)),
-                            (
-                                "q1k_hot_p95_x_vs_full",
-                                Json::Num(r.q1k_hot_p95_x_vs_full),
-                            ),
-                            (
-                                "view_tables",
-                                Json::Arr(
-                                    r.view_tables
-                                        .iter()
-                                        .map(|(table, rows, bytes)| {
-                                            Json::obj([
-                                                ("table", Json::str(table.clone())),
-                                                ("resident_rows", Json::Int(*rows as i64)),
-                                                ("resident_bytes", Json::Int(*bytes as i64)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn ablation_json(rows: &[LockAblationRow], elapsed_ms: f64) -> Json {
-    Json::obj([
-        ("wall_ms", Json::Num(elapsed_ms)),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("rows_touched", Json::Int(r.rows_touched as i64)),
-                            ("single_lock_sim_ms", Json::Num(r.single_lock_ms)),
-                            ("per_row_locks_sim_ms", Json::Num(r.per_row_locks_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-// ----------------------------------------------------------------------
-// Human-readable printing
-// ----------------------------------------------------------------------
-
-fn print_table1() {
-    println!("--- Table I: qualitative comparison ---");
-    println!(
-        "{:<16} {:<18} {:<48} {:<36} Disk utilization",
-        "System", "Scalability", "Query expressiveness", "Transaction support"
-    );
-    for row in table1_qualitative() {
-        println!("{:<16} {:<18} {:<48} {:<36} {}", row[0], row[1], row[2], row[3], row[4]);
-    }
-    println!();
-}
-
-fn print_fig10(rows: &[Fig10Row]) {
-    println!("--- Figure 10: micro-benchmark, view scan vs join algorithm ---");
-    println!(
-        "{:<6} {:>10} {:>20} {:>20} {:>10} {:>16} {:>16}",
-        "query", "customers", "view scan (ms)", "join algo (ms)", "speedup", "view wall (ms)", "join wall (ms)"
-    );
-    for row in rows {
-        println!(
-            "{:<6} {:>10} {:>20} {:>20} {:>9.1}x {:>16} {:>16}",
-            row.query,
-            row.customers,
-            format!("{:.1} ±{:.1}", row.view_scan_ms.mean, row.view_scan_ms.std_error),
-            format!("{:.1} ±{:.1}", row.join_ms.mean, row.join_ms.std_error),
-            row.speedup,
-            format!("{:.2}", row.view_scan_wall_ms.mean),
-            format!("{:.2}", row.join_wall_ms.mean),
-        );
-    }
-    println!("(paper: view scan 6x / 11.7x faster than the join at 50k customers)\n");
-}
-
-fn print_fig10_prepared(rows: &[Fig10PreparedRow]) {
-    println!("--- Figure 10 companion: prepared statements vs one-shot (point lookup) ---");
-    println!(
-        "{:>10} {:>12} {:>18} {:>18} {:>9} {:>13} {:>15}",
-        "customers", "executions", "one-shot (us)", "prepared (us)", "speedup", "session hits", "session misses"
-    );
-    for row in rows {
-        println!(
-            "{:>10} {:>12} {:>18} {:>18} {:>8.2}x {:>13} {:>15}",
-            row.customers,
-            row.executions,
-            format!("{:.2}", row.oneshot_us_per_exec),
-            format!("{:.2}", row.prepared_us_per_exec),
-            row.prepared_speedup,
-            row.session_plan_cache_hits,
-            row.session_plan_cache_misses,
-        );
-    }
-    println!("(prepared = one compiled plan re-executed; one-shot re-runs parse/bind/plan per call)\n");
-}
-
-fn print_explain(explains: &[tpcw::micro::QueryExplain]) {
+/// `--explain`: prints and returns the plan trees of the micro queries,
+/// baseline vs view-rewritten, at the smallest fig10 scale — the plan shape
+/// is scale-independent, so the cheapest deployment suffices to show the
+/// view-rewrite rule firing.
+fn explain_plans(options: &Options) -> Json {
+    let customers = fig10_scales(options.customers)[0];
+    let bench = MicroBench::build_with_threads(customers, options.threads)
+        .expect("micro benchmark builds");
     println!("--- EXPLAIN: micro-benchmark plan trees (baseline vs view-rewritten) ---");
-    for e in explains {
+    let mut queries = Vec::new();
+    for index in 0..2 {
+        let e = bench.explain(index).expect("plans render");
         println!("{} — join algorithm (base tables):", e.query);
         for line in e.baseline.lines() {
             println!("    {line}");
@@ -822,361 +156,12 @@ fn print_explain(explains: &[tpcw::micro::QueryExplain]) {
         for line in e.synergy.lines() {
             println!("    {line}");
         }
+        queries.push(Json::obj([
+            ("query", Json::str(e.query)),
+            ("baseline", Json::str(e.baseline)),
+            ("synergy", Json::str(e.synergy)),
+        ]));
     }
     println!();
-}
-
-fn explain_json(explains: &[tpcw::micro::QueryExplain]) -> Json {
-    Json::obj([(
-        "queries",
-        Json::Arr(
-            explains
-                .iter()
-                .map(|e| {
-                    Json::obj([
-                        ("query", Json::str(e.query)),
-                        ("baseline", Json::str(e.baseline.clone())),
-                        ("synergy", Json::str(e.synergy.clone())),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-}
-
-fn print_fig10_limit(rows: &[Fig10LimitRow]) {
-    println!("--- Figure 10 companion: Q1 view scan with LIMIT (streaming pushdown) ---");
-    println!(
-        "{:>10} {:>7} {:>20} {:>18} {:>16} {:>12}",
-        "customers", "limit", "store rows scanned", "peak rows resident", "view scan (ms)", "wall (ms)"
-    );
-    for row in rows {
-        println!(
-            "{:>10} {:>7} {:>20} {:>18} {:>16} {:>12}",
-            row.customers,
-            row.limit,
-            row.store_rows_scanned,
-            row.peak_rows_resident,
-            format!("{:.2}", row.view_scan_ms.mean),
-            format!("{:.2}", row.view_scan_wall_ms.mean),
-        );
-    }
-    println!("(store rows scanned must stay at the limit while the database grows)\n");
-}
-
-fn print_fig_par(rows: &[FigParRow]) {
-    println!("--- fig_par: region-parallel execution sweep (Q2, deepest micro join) ---");
-    println!(
-        "{:>8} {:>10} {:>14} {:>14} {:>12} {:>15} {:>15} {:>13}",
-        "threads",
-        "customers",
-        "view sim (ms)",
-        "join sim (ms)",
-        "sim x vs 1t",
-        "view wall (ms)",
-        "join wall (ms)",
-        "wall x vs 1t"
-    );
-    for row in rows {
-        println!(
-            "{:>8} {:>10} {:>14} {:>14} {:>12} {:>15} {:>15} {:>13}",
-            row.threads,
-            row.customers,
-            format!("{:.1}", row.view_scan_ms.mean),
-            format!("{:.1}", row.join_ms.mean),
-            format!("{:.2}x", row.view_sim_x_vs_serial),
-            format!("{:.2}", row.view_scan_wall_ms.mean),
-            format!("{:.2}", row.join_wall_ms.mean),
-            format!("{:.2}x", row.view_wall_x_vs_serial),
-        );
-    }
-    println!("(per-worker sim deltas merge as max; threads=1 equals the serial pipeline)\n");
-}
-
-fn print_fig11(rows: &[Fig11Row]) {
-    println!("--- Figure 11: two-phase row locking overhead ---");
-    println!("{:>12} {:>20} {:>16}", "locks", "overhead (ms)", "wall (ms)");
-    for row in rows {
-        println!(
-            "{:>12} {:>20} {:>16}",
-            row.locks,
-            format!("{:.1} ±{:.1}", row.overhead_ms.mean, row.overhead_ms.std_error),
-            format!("{:.2}", row.overhead_wall_ms.mean),
-        );
-    }
-    println!("(paper: 342 / 571 / 2182 ms for 10 / 100 / 1000 locks)\n");
-}
-
-fn print_fig12(matrix: &ComparisonMatrix) {
-    println!("--- Figure 12: TPC-W join query response times ---");
-    print_matrix(matrix, |id| id.starts_with('Q'));
-    for other in ["MVCC-UA", "MVCC-A", "Baseline"] {
-        if let Some(ratio) = matrix.mean_ratio(other, "Synergy", |s| s.starts_with('Q')) {
-            println!("  joins: {other} / Synergy mean ratio = {ratio:.1}x (paper: 19.5x / 6.2x / 28.2x)");
-        }
-    }
-    if let Some(ratio) = matrix.mean_ratio("Synergy", "VoltDB", |s| s.starts_with('Q')) {
-        println!("  joins: Synergy / VoltDB mean ratio = {ratio:.1}x (paper: 11x, supported queries only)");
-    }
-    println!();
-}
-
-fn print_fig14(matrix: &ComparisonMatrix) {
-    println!("--- Figure 14: TPC-W write statement response times ---");
-    print_matrix(matrix, |id| id.starts_with('W'));
-    for other in ["MVCC-UA", "MVCC-A", "Baseline"] {
-        if let Some(ratio) = matrix.mean_ratio(other, "Synergy", |s| s.starts_with('W')) {
-            println!("  writes: {other} / Synergy mean ratio = {ratio:.1}x (paper: 9x / 8.6x / 8.6x)");
-        }
-    }
-    if let Some(ratio) = matrix.mean_ratio("Synergy", "VoltDB", |s| s.starts_with('W')) {
-        println!("  writes: Synergy / VoltDB mean ratio = {ratio:.1}x (paper: 9.4x)");
-    }
-    println!();
-}
-
-fn print_matrix(matrix: &ComparisonMatrix, filter: impl Fn(&str) -> bool) {
-    print!("{:<6}", "");
-    for system in &matrix.systems {
-        print!(" {:>18}", system);
-    }
-    println!();
-    for statement in matrix.statements.iter().filter(|s| filter(s)) {
-        print!("{:<6}", statement);
-        for system in &matrix.systems {
-            let cell = matrix
-                .cells
-                .get(statement)
-                .and_then(|row| row.get(system))
-                .cloned()
-                .unwrap_or(None);
-            print!(" {:>18}", fmt_ms(&cell));
-        }
-        println!();
-    }
-    println!("  (X = statement not supported by that system)");
-}
-
-fn print_table2(matrix: &ComparisonMatrix) {
-    println!("--- Table II: sum of response times of all TPC-W statements ---");
-    println!("{:<10} {:>18}", "system", "total (sim seconds)");
-    for system in ["Synergy", "MVCC-A", "MVCC-UA", "Baseline"] {
-        match matrix.total_ms(system) {
-            Some(total) => println!("{:<10} {:>18.2}", system, total / 1_000.0),
-            None => println!("{:<10} {:>18}", system, "n/a"),
-        }
-    }
-    println!("(paper: Synergy 33.7 s, MVCC-A 77.4 s, MVCC-UA 132.4 s, Baseline 173.4 s; VoltDB excluded)\n");
-}
-
-fn print_table3(matrix: &ComparisonMatrix) {
-    println!("--- Table III: database sizes ---");
-    println!("{:<10} {:>14} {:>22}", "system", "size", "relative to Baseline");
-    for row in table3_sizes(matrix) {
-        println!(
-            "{:<10} {:>14} {:>21.2}x",
-            row.system,
-            fmt_mib(row.bytes),
-            row.relative_to_baseline
-        );
-    }
-    println!("(paper @1M customers: VoltDB 31.8, Synergy 92, MVCC-A 91.8, MVCC-UA 45.7, Baseline 43.8 GB)\n");
-}
-
-fn print_fig13() {
-    println!("--- Figure 13: mechanisms per evaluated system ---");
-    println!("{:<10} {:<34} concurrency control", "system", "view selection");
-    for row in fig13_mechanisms() {
-        println!("{:<10} {:<34} {}", row[0], row[1], row[2]);
-    }
-    println!();
-}
-
-fn print_fig_writes(output: &FigWritesOutput) {
-    println!("--- fig_writes: delta-dataflow vs scan-based view maintenance ---");
-    println!(
-        "{:<6} {:>10} {:>8} {:>16} {:>14} {:>18} {:>18}",
-        "mode", "customers", "writes", "sim ms/write", "writes/sec", "rows scanned/wr", "view rows/wr"
-    );
-    for row in &output.rows {
-        println!(
-            "{:<6} {:>10} {:>8} {:>16} {:>14} {:>18} {:>18}",
-            row.mode,
-            row.customers,
-            row.writes,
-            format!("{:.2}", row.sim_ms_per_write),
-            format!("{:.0}", row.wall_writes_per_sec),
-            format!("{:.1}", row.store_rows_scanned_per_write),
-            format!("{:.1}", row.view_rows_touched_per_write),
-        );
-    }
-    println!(
-        "  store rows scanned, scan / delta = {:.1}x (delta probes maintenance indexes instead of scanning views)",
-        output.rows_ratio
-    );
-    println!(
-        "{:>8} {:>24} {:>26} {:>10} {:>16}",
-        "burst", "coalesced flush (ms)", "uncoalesced flush (ms)", "merges", "ratio vs 1-write"
-    );
-    for b in &output.bursts {
-        println!(
-            "{:>8} {:>24} {:>26} {:>10} {:>16}",
-            b.burst,
-            format!("{:.2}", b.coalesced_flush_sim_ms),
-            format!("{:.2}", b.uncoalesced_flush_sim_ms),
-            b.coalesced_merges,
-            format!("{:.2}x", b.ratio_vs_single),
-        );
-    }
-    println!("(single-key bursts coalesce in the write batch: one flush ≈ one write's maintenance)\n");
-}
-
-fn print_fig_faults(output: &FigFaultsOutput) {
-    println!("--- fig_faults: injected faults × retry policy, and crash recovery ---");
-    println!(
-        "{:<8} {:>8} {:>7} {:>8} {:>16} {:>12} {:>8} {:>8} {:>8} {:>12}",
-        "retry", "faults", "ops", "ok", "goodput/sim-s", "p95 sim ms", "injected", "retries", "giveups", "vs no-fault"
-    );
-    for row in &output.rows {
-        println!(
-            "{:<8} {:>7.1}% {:>7} {:>8} {:>16} {:>12} {:>8} {:>8} {:>8} {:>12}",
-            row.retry,
-            row.fault_rate * 100.0,
-            row.ops,
-            row.ok_ops,
-            format!("{:.1}", row.goodput_ops_per_sim_sec),
-            format!("{:.2}", row.p95_sim_ms),
-            row.injected_op_faults,
-            row.retries,
-            row.giveups,
-            format!("{:.3}x", row.goodput_vs_no_fault),
-        );
-    }
-    let r = &output.recovery;
-    println!(
-        "  recovery: txn interrupted after step {}, {} dirty-read fallback(s) served, \
-         crash + recover in {:.1} sim ms",
-        r.interrupted_step, r.dirty_fallbacks, r.recovery_sim_ms
-    );
-    println!(
-        "  replayed {} WAL records, reclaimed {} lock(s), rolled {} view rows forward; \
-         lost acked-synced writes: {}, dirty views left: {}",
-        r.replayed_entries,
-        r.locks_reclaimed,
-        r.view_rows_rolled_forward,
-        r.lost_acked_synced_writes,
-        r.dirty_view_rows_after_recovery
-    );
-    println!("(same seed + same fault plan => byte-identical figures; gates: zero losses, zero dirty views)\n");
-}
-
-fn print_fig_availability(output: &FigAvailabilityOutput) {
-    println!("--- fig_availability: replication factor × availability through crash windows ---");
-    println!(
-        "{} servers, {} scheduled crashes, MTTR {:.0} sim ms, wal_sync_interval 1 (every acked write synced)",
-        output.servers, output.crashes, output.mttr_ms
-    );
-    println!(
-        "{:>3} {:>7} {:>7} {:>12} {:>14} {:>14} {:>10} {:>11} {:>11} {:>9} {:>9} {:>8}",
-        "rf", "ok", "window", "window ok", "steady gp/s", "window gp/s", "win/steady",
-        "steady p95", "window p95", "failover", "shipped", "lost"
-    );
-    for row in &output.rows {
-        println!(
-            "{:>3} {:>7} {:>7} {:>12} {:>14} {:>14} {:>10} {:>11} {:>11} {:>9} {:>9} {:>8}",
-            row.replication_factor,
-            format!("{}/{}", row.ok_ops, row.ops),
-            row.window_ops,
-            row.window_ok_ops,
-            format!("{:.1}", row.steady_goodput_ops_per_sim_sec),
-            format!("{:.1}", row.window_goodput_ops_per_sim_sec),
-            format!("{:.3}x", row.window_over_steady),
-            format!("{:.2}", row.steady_p95_sim_ms),
-            format!("{:.2}", row.window_p95_sim_ms),
-            row.failovers,
-            row.records_shipped,
-            row.acked_writes_lost,
-        );
-    }
-    println!(
-        "(gates: RF>=2 rides through windows at >=0.7x steady goodput with zero acked-write loss; \
-         RF=1 figures are covered by the sim-identity gate)\n"
-    );
-}
-
-fn print_fig_partial(output: &FigPartialOutput) {
-    println!("--- fig_partial: partial view materialization under zipfian skew ---");
-    println!(
-        "key universe: {} orders; {} warm-up + {} measured ops per cell (90% Q1K / 2% Q2K / 8% writes); hot = rank <= {}",
-        output.order_keys, output.warmup_ops, output.measured_ops, output.hot_rank
-    );
-    println!(
-        "{:>6} {:>10} {:>12} {:>12} {:>14} {:>14} {:>14}",
-        "zipf s", "full rows", "full bytes", "Q1K p50", "Q1K p95", "Q1K hot p95", "Q2K p95"
-    );
-    for b in &output.baselines {
-        println!(
-            "{:>6} {:>10} {:>12} {:>12} {:>14} {:>14} {:>14}",
-            format!("{:.1}", b.zipf_s),
-            b.view_store_rows,
-            fmt_mib(b.view_store_bytes),
-            format!("{:.3}", b.q1k_p50_sim_ms),
-            format!("{:.3}", b.q1k_p95_sim_ms),
-            format!("{:.3}", b.q1k_hot_p95_sim_ms),
-            format!("{:.3}", b.q2k_p95_sim_ms),
-        );
-    }
-    println!(
-        "{:>6} {:>10} {:>9} {:>8} {:>8} {:>8} {:>10} {:>8} {:>8} {:>12} {:>12} {:>12}",
-        "zipf s", "budget", "hit rate", "upq", "evict", "annihil",
-        "rows", "rows x", "bytes x", "Q1K p95", "hot p95", "hot p95 x"
-    );
-    for r in &output.rows {
-        println!(
-            "{:>6} {:>10} {:>8.1}% {:>8} {:>8} {:>8} {:>10} {:>7.1}x {:>7.1}x {:>12} {:>12} {:>11.2}x",
-            format!("{:.1}", r.zipf_s),
-            r.budget_label,
-            r.hit_rate * 100.0,
-            r.upqueries,
-            r.evicted_keys,
-            r.annihilated,
-            r.view_store_rows,
-            r.rows_x_vs_full,
-            r.bytes_x_vs_full,
-            format!("{:.3}", r.q1k_p95_sim_ms),
-            format!("{:.3}", r.q1k_hot_p95_sim_ms),
-            r.q1k_hot_p95_x_vs_full,
-        );
-    }
-    // The per-view resident footprint of each view table (cluster storage
-    // metrics): the stored slice of a partial view is its resident slice.
-    for r in &output.rows {
-        let breakdown: Vec<String> = r
-            .view_tables
-            .iter()
-            .map(|(table, rows, bytes)| format!("{table}: {rows} rows / {}", fmt_mib(*bytes)))
-            .collect();
-        println!(
-            "  s={:.1} {:>9}: {}",
-            r.zipf_s,
-            r.budget_label,
-            breakdown.join(", ")
-        );
-    }
-    println!("(rows x / bytes x = full-materialization footprint over this cell's resident slice)\n");
-}
-
-fn print_ablation(rows: &[LockAblationRow]) {
-    println!("--- Ablation: single hierarchical lock vs per-row locks ---");
-    println!(
-        "{:>12} {:>22} {:>22}",
-        "rows touched", "single lock (ms)", "per-row locks (ms)"
-    );
-    for row in rows {
-        println!(
-            "{:>12} {:>22.1} {:>22.1}",
-            row.rows_touched, row.single_lock_ms, row.per_row_locks_ms
-        );
-    }
-    println!();
+    Json::obj([("queries", Json::Arr(queries))])
 }

@@ -59,6 +59,29 @@ impl Json {
         }
     }
 
+    /// The numeric field `key` of a record; NaN when the field is absent or
+    /// not a number, so a threshold check written as `value >= bound` fails
+    /// on a missing series instead of skipping it.
+    pub fn num(&self, key: &str) -> f64 {
+        self.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
+    }
+
+    /// The string field `key` of a record (`""` when absent).
+    pub fn text(&self, key: &str) -> &str {
+        match self.get(key) {
+            Some(Json::Str(s)) => s,
+            _ => "",
+        }
+    }
+
+    /// The records of the table field `key` (empty when absent).
+    pub fn rows(&self, key: &str) -> &[Json] {
+        match self.get(key) {
+            Some(Json::Arr(rows)) => rows,
+            _ => &[],
+        }
+    }
+
     /// Parses a JSON document (strict enough for reports this module wrote).
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut parser = Parser {
@@ -131,6 +154,48 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<Option<f64>> for Json {
+    fn from(n: Option<f64>) -> Json {
+        n.map_or(Json::Null, Json::Num)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Int(n as i64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Int(n as i64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Arr(items)
     }
 }
 

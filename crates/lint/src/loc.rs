@@ -10,15 +10,12 @@ use crate::model::{FileKind, FileModel};
 use crate::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The crate whose files are itemized one by one (ROADMAP item 2 tracks it).
-pub const ITEMIZED_CRATE: &str = "nosql-store";
-
-/// Non-test LOC per crate, and per file for [`ITEMIZED_CRATE`].
+/// Non-test LOC per crate and per file.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct LocReport {
     /// Crate directory name (`root` for the root package) → non-test LOC.
     pub crates: BTreeMap<String, usize>,
-    /// Root-relative path → non-test LOC, for the itemized crate's files.
+    /// Root-relative path → non-test LOC.
     pub files: BTreeMap<String, usize>,
 }
 
@@ -49,9 +46,7 @@ pub fn count(sources: &[SourceFile]) -> LocReport {
         }
         let lines = code_lines(&FileModel::parse(&s.text));
         *report.crates.entry(s.crate_name.clone()).or_insert(0) += lines;
-        if s.crate_name == ITEMIZED_CRATE {
-            report.files.insert(s.rel_path.clone(), lines);
-        }
+        report.files.insert(s.rel_path.clone(), lines);
     }
     report
 }
@@ -79,7 +74,8 @@ mod tests {
         assert_eq!(report.crates["nosql-store"], 4);
         assert_eq!(report.crates["bench"], 4);
         assert_eq!(report.total(), 8);
-        assert_eq!(report.files.len(), 1);
+        assert_eq!(report.files.len(), 2);
         assert_eq!(report.files["crates/nosql-store/src/a.rs"], 4);
+        assert_eq!(report.files["crates/bench/src/bin/b.rs"], 4);
     }
 }

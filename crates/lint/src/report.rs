@@ -3,7 +3,7 @@
 //! tooling) — the schema is flat enough that escaping strings suffices.
 
 use crate::baseline::BaselineEntry;
-use crate::loc::{LocReport, ITEMIZED_CRATE};
+use crate::loc::LocReport;
 use crate::Violation;
 use std::fmt::Write as _;
 
@@ -51,7 +51,7 @@ pub fn human(r: &RunReport) -> String {
         let _ = writeln!(s, "  {name:<14} {lines:>6}");
     }
     let _ = writeln!(s, "  {:<14} {:>6}", "total", r.loc.total());
-    let _ = writeln!(s, "non-test LOC by file, {ITEMIZED_CRATE}:");
+    let _ = writeln!(s, "non-test LOC by file:");
     for (file, lines) in &r.loc.files {
         let _ = writeln!(s, "  {file:<44} {lines:>6}");
     }

@@ -276,34 +276,17 @@ impl Executor {
 /// Decodes a whole cursor through `def`, fanning the decode out over
 /// `threads` pool workers in order-preserving batches (one store page per
 /// worker per batch, so at most one raw batch is resident alongside the
-/// decoded output).  `threads <= 1` stream-decodes row by row.  Shared by
-/// the batch consumers outside the executor pipeline — Synergy's view
-/// materialization and maintenance scans.
+/// decoded output).  `threads <= 1` stream-decodes row by row.  Used by the
+/// batch consumer outside the executor pipeline — Synergy's view
+/// materialization.
 pub fn par_decode_rows(
     def: &TableDef,
     cursor: impl Iterator<Item = nosql_store::ResultRow>,
     threads: usize,
 ) -> Vec<Row> {
-    par_decode_filtered(def, cursor, threads, |_| true)
-}
-
-/// [`par_decode_rows`] with a row predicate fused into the decode, so
-/// selective consumers (e.g. maintenance's full-view fallback keeping a
-/// handful of rows) hold only the matches plus one in-flight batch — never
-/// the whole decoded table — at every thread count.
-pub fn par_decode_filtered(
-    def: &TableDef,
-    cursor: impl Iterator<Item = nosql_store::ResultRow>,
-    threads: usize,
-    keep: impl Fn(&Row) -> bool + Sync,
-) -> Vec<Row> {
     if threads <= 1 {
-        return cursor
-            .map(|stored| def.decode_row(&stored))
-            .filter(|row| keep(row))
-            .collect();
+        return cursor.map(|stored| def.decode_row(&stored)).collect();
     }
-    let keep = &keep;
     let mut cursor = cursor;
     let mut out = Vec::new();
     loop {
@@ -314,13 +297,6 @@ pub fn par_decode_filtered(
         if batch.is_empty() {
             return out;
         }
-        out.extend(
-            pool::map(batch, threads, |stored| {
-                let row = def.decode_row(&stored);
-                keep(&row).then_some(row)
-            })
-            .into_iter()
-            .flatten(),
-        );
+        out.extend(pool::map(batch, threads, |stored| def.decode_row(&stored)));
     }
 }

@@ -71,7 +71,7 @@ mod writes;
 pub use catalog::{Catalog, ColumnType, TableDef, TableKind, FAMILY};
 pub use delta::{DeltaBuffer, DeltaPlan, DeltaSign, PendingWrite, RowDelta};
 pub use executor::{
-    par_decode_filtered, par_decode_rows, AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT,
+    par_decode_rows, AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT,
 };
 pub use optimize::select_probe_access;
 pub use physical::PhysicalPlan;

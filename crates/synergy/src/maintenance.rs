@@ -21,13 +21,8 @@
 //! Join probes go through the same access-path selection as read planning
 //! ([`query::select_probe_access`]), which additionally may use the
 //! *maintenance indexes* (`MI_*` tables) the system creates for FK columns
-//! that would otherwise force a full base-table scan — this is what replaces
-//! the old "scan the whole view to find affected rows" strategy.
-//!
-//! The legacy scan-based procedures (`construct_insert_tuple`,
-//! `find_affected_view_rows`, `apply_update_to_view_row`) are retained both
-//! as the comparison path (`SynergyConfig::with_scan_maintenance`) and for
-//! the paper-faithful applicability tests they document.
+//! that would otherwise force a full base-table scan, so no write ever
+//! scans a view to find the rows it affects.
 //!
 //! A coalescing [`DeltaBuffer`] (capacity > 1 via
 //! `SynergyConfig::with_write_batch`) defers propagation: consecutive
@@ -35,14 +30,13 @@
 //! insert+delete annihilation) and flush as one propagated write.
 
 use crate::partial::{MaintOutcome, ViewResidency, ViewWrite};
-use crate::selection::ViewIndexDefinition;
 use crate::viewgen::ViewDefinition;
-use nosql_store::ops::{Put, Scan};
+use nosql_store::ops::Put;
 use query::{
     DeltaBuffer, DeltaPlan, DeltaSign, Executor, PendingWrite, QueryError, RowDelta, TableDef,
     FAMILY,
 };
-use relational::{encode_key, Row, Schema, Value, KEY_DELIMITER};
+use relational::Row;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -50,9 +44,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Re-export of the dirty-marker column name used by the executor's
 /// read-committed scan-restart protocol.
 pub use query::DIRTY_MARKER;
-
-/// Compatibility alias for the pre-delta name of the engine.
-pub type ViewMaintainer = MaintenanceEngine;
 
 /// Counters the engine keeps while maintaining views (shared across clones).
 #[derive(Debug, Default)]
@@ -105,16 +96,13 @@ impl StagedViewUpdate {
 #[derive(Clone)]
 pub struct MaintenanceEngine {
     executor: Executor,
-    schema: Schema,
     views: Vec<ViewDefinition>,
-    view_indexes: Vec<ViewIndexDefinition>,
     /// Precomputed applicability index: relation → views whose *last*
     /// relation it is (insert/delete applicability, §VII-A/B).
     by_last: Vec<(String, Vec<usize>)>,
     /// Precomputed applicability index: relation → views containing it
     /// anywhere (update applicability, §VII-C).
     by_member: Vec<(String, Vec<usize>)>,
-    delta_enabled: bool,
     /// Compiled delta plans, keyed by view table name; entries whose
     /// catalog version is stale are recompiled lazily.
     plans: Arc<Mutex<BTreeMap<String, Arc<DeltaPlan>>>>,
@@ -130,14 +118,9 @@ pub struct MaintenanceEngine {
 
 impl MaintenanceEngine {
     /// Creates an engine; `executor`'s catalog must already contain the
-    /// view and view-index tables.  Delta propagation is enabled and the
-    /// write batch holds one write (no coalescing) by default.
-    pub fn new(
-        executor: Executor,
-        schema: Schema,
-        views: Vec<ViewDefinition>,
-        view_indexes: Vec<ViewIndexDefinition>,
-    ) -> Self {
+    /// view and view-index tables.  The write batch holds one write (no
+    /// coalescing) by default.
+    pub fn new(executor: Executor, views: Vec<ViewDefinition>) -> Self {
         let mut by_last: Vec<(String, Vec<usize>)> = Vec::new();
         let mut by_member: Vec<(String, Vec<usize>)> = Vec::new();
         for (i, view) in views.iter().enumerate() {
@@ -148,12 +131,9 @@ impl MaintenanceEngine {
         }
         MaintenanceEngine {
             executor,
-            schema,
             views,
-            view_indexes,
             by_last,
             by_member,
-            delta_enabled: true,
             plans: Arc::new(Mutex::new(BTreeMap::new())),
             buffer: Arc::new(Mutex::new(DeltaBuffer::new(1))),
             stats: Arc::new(MaintenanceStats::default()),
@@ -168,22 +148,10 @@ impl MaintenanceEngine {
         self
     }
 
-    /// Enables or disables delta propagation (disabled = the legacy
-    /// scan-based maintenance procedures).
-    pub fn with_delta(mut self, enabled: bool) -> Self {
-        self.delta_enabled = enabled;
-        self
-    }
-
     /// Sets the coalescing write-batch capacity (1 = flush per write).
     pub fn with_write_batch(self, capacity: usize) -> Self {
         *self.buffer.lock().unwrap_or_else(PoisonError::into_inner) = DeltaBuffer::new(capacity);
         self
-    }
-
-    /// True when delta propagation (rather than scanning) maintains views.
-    pub fn delta_enabled(&self) -> bool {
-        self.delta_enabled
     }
 
     /// True when writes are deferred into the coalescing batch.
@@ -356,19 +324,15 @@ impl MaintenanceEngine {
     pub fn apply_insert(&self, relation: &str, inserted: &Row) -> Result<usize, QueryError> {
         let mut written = 0;
         for view in self.views_for_insert(relation) {
-            if self.delta_enabled {
-                let plan = self.delta_plan(view)?;
-                let deltas = [RowDelta::plus(inserted.unqualified())];
-                let out = plan.propagate(&self.executor, relation, &deltas)?;
-                self.stats
-                    .deltas_propagated
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
-                for delta in out {
-                    debug_assert_eq!(delta.sign, DeltaSign::Plus);
-                    written += self.route_view_upsert(view, &delta.row, true)?;
-                }
-            } else if let Some(view_row) = self.construct_insert_tuple(view, inserted)? {
-                written += self.route_view_upsert(view, &view_row, true)?;
+            let plan = self.delta_plan(view)?;
+            let deltas = [RowDelta::plus(inserted.unqualified())];
+            let out = plan.propagate(&self.executor, relation, &deltas)?;
+            self.stats
+                .deltas_propagated
+                .fetch_add(out.len() as u64, Ordering::Relaxed);
+            for delta in out {
+                debug_assert_eq!(delta.sign, DeltaSign::Plus);
+                written += self.route_view_upsert(view, &delta.row, true)?;
             }
         }
         self.stats
@@ -377,14 +341,14 @@ impl MaintenanceEngine {
         Ok(written)
     }
 
-    /// Constructs the view tuple for a base-table insert into the view's
-    /// last relation, by walking the key/foreign-key chain upwards and
-    /// reading one related tuple per ancestor relation (k−1 reads for a view
-    /// of k relations).  Returns `None` when an ancestor row is missing
-    /// (foreign-key constraints are not enforced, §IV).  This is the legacy
-    /// scan-mode procedure; the delta path obtains the same tuple from the
-    /// join probes of the view's delta plan.
-    pub fn construct_insert_tuple(
+    /// Constructs the view tuple of a row of the view's last relation, by
+    /// walking the key/foreign-key chain upwards and reading one related
+    /// tuple per ancestor relation (k−1 reads for a view of k relations).
+    /// Returns `None` when an ancestor row is missing (foreign-key
+    /// constraints are not enforced, §IV).  Crash recovery's roll-forward
+    /// recomputes dirty view rows with it; inserts obtain the same tuple
+    /// from the join probes of the view's delta plan.
+    pub(crate) fn construct_insert_tuple(
         &self,
         view: &ViewDefinition,
         inserted: &Row,
@@ -715,102 +679,8 @@ impl MaintenanceEngine {
     }
 
     // ------------------------------------------------------------------
-    // Legacy scan-based update path (§VII-C as originally implemented)
+    // Dirty markers (§VIII-B)
     // ------------------------------------------------------------------
-
-    /// Locates the view rows affected by an update of `relation` (identified
-    /// by its primary-key values).  Uses the view key directly when
-    /// `relation` is the view's last relation, a maintenance view-index when
-    /// one exists, and a full view scan otherwise.  This is the scan-mode
-    /// strategy the delta path replaces with base-table join probes.
-    pub fn find_affected_view_rows(
-        &self,
-        view: &ViewDefinition,
-        relation: &str,
-        relation_key: &Row,
-    ) -> Result<Vec<Row>, QueryError> {
-        let view_table = view.table_name();
-        let relation_pk = self
-            .schema
-            .relation(relation)
-            .map(|r| r.primary_key.clone())
-            .unwrap_or_default();
-
-        if view.last_relation().eq_ignore_ascii_case(relation) {
-            return Ok(self
-                .executor
-                .get_row_by_key(&view_table, relation_key)?
-                .into_iter()
-                .collect());
-        }
-
-        // Prefer a maintenance index keyed on the relation's primary key.
-        // The scan rides the executor's snapshot bound (if any), so
-        // maintenance never observes index entries newer than the
-        // statement's snapshot.
-        let index = self.view_indexes.iter().find(|i| {
-            i.view == view_table && i.indexed_on == relation_pk
-        });
-        if let Some(index) = index {
-            let prefix_values: Vec<Value> = relation_pk
-                .iter()
-                .map(|a| relation_key.get(a).cloned().unwrap_or(Value::Null))
-                .collect();
-            let mut prefix = encode_key(prefix_values.iter());
-            let index_def = self
-                .executor
-                .catalog()
-                .table(&index.name)
-                .ok_or_else(|| QueryError::UnknownTable(index.name.clone()))?;
-            // When the index key *is* the relation's primary key, the prefix
-            // is a full key: at most one entry can match, so the stream can
-            // stop at the first hit.
-            let full_key_match = index_def.key.len() == relation_pk.len();
-            if !full_key_match {
-                // Close the last component so item "42" does not also match
-                // view rows of items 420, 421, ...
-                prefix.push(KEY_DELIMITER);
-            }
-            let cursor = self.executor.cluster().scan_stream(
-                &index.name,
-                self.executor.bounded_scan(Scan::prefix(prefix)),
-            )?;
-            let mut out = Vec::new();
-            for entry in cursor {
-                let index_row = index_def.decode_row(&entry);
-                if let Some(view_row) = self.executor.get_row_by_key(&view_table, &index_row)? {
-                    out.push(view_row);
-                }
-                if full_key_match {
-                    break;
-                }
-            }
-            return Ok(out);
-        }
-
-        // Fall back to streaming the whole view and filtering client-side,
-        // under the executor's snapshot bound: maintenance must not observe
-        // view rows newer than the query snapshot.  The walk is
-        // region-parallel at the executor's thread count (serial at 1), and
-        // the decode + filter fans out over the same workers.
-        let threads = self.executor.threads();
-        let view_def = self
-            .executor
-            .catalog()
-            .table(&view_table)
-            .ok_or_else(|| QueryError::UnknownTable(view_table.clone()))?;
-        let cursor = self.executor.cluster().par_scan_stream(
-            &view_table,
-            self.executor.bounded_scan(Scan::all()),
-            threads,
-        )?;
-        Ok(query::par_decode_filtered(view_def, cursor, threads, |row| {
-            relation_pk.iter().all(|a| match (row.get(a), relation_key.get(a)) {
-                (Some(x), Some(y)) => x == y,
-                _ => false,
-            })
-        }))
-    }
 
     /// Marks a view row dirty (step 3 of the update transaction, §VIII-B).
     pub fn mark_dirty(&self, view: &ViewDefinition, view_row: &Row) -> Result<(), QueryError> {
@@ -840,40 +710,6 @@ impl MaintenanceEngine {
             Put::new(key).with(FAMILY, DIRTY_MARKER, value),
         )?;
         Ok(())
-    }
-
-    /// Applies an update to a located view row: merges the updated base
-    /// attributes into the view row and rewrites it (the executor keeps the
-    /// view's indexes in sync).  Returns the updated view row.  Scan-mode
-    /// counterpart of [`MaintenanceEngine::apply_staged`]'s rewrites.
-    pub fn apply_update_to_view_row(
-        &self,
-        view: &ViewDefinition,
-        view_row: &Row,
-        updated_base: &Row,
-    ) -> Result<Row, QueryError> {
-        let mut merged = view_row.clone();
-        for (attribute, value) in updated_base.iter() {
-            // Only attributes that exist in the view are propagated.
-            if view.attributes(&self.schema).iter().any(|a| a == attribute) {
-                merged.set(attribute, value.clone());
-            }
-        }
-        // Drop view-index entries whose key changes (e.g. an index on an
-        // updated attribute), then re-insert through the executor so every
-        // view-index reflects the new values.
-        for index in self.executor.catalog().indexes_of(&view.table_name()) {
-            let old_key = index.encode_row_key(view_row);
-            let new_key = index.encode_row_key(&merged);
-            if old_key != new_key {
-                self.executor
-                    .cluster()
-                    .delete(&index.name, nosql_store::ops::Delete::row(old_key))?;
-            }
-        }
-        self.executor.insert_row(&view.table_name(), &merged)?;
-        self.stats.view_rows_touched.fetch_add(1, Ordering::Relaxed);
-        Ok(merged)
     }
 }
 

@@ -47,10 +47,6 @@ pub struct SynergyConfig<'a> {
     /// Degree of region-parallel execution for reads and batch view
     /// refreshes (1 = fully serial, the default).
     pub threads: usize,
-    /// When true (the default), views are maintained by propagating write
-    /// deltas through each view's compiled plan; when false, the legacy
-    /// scan-based procedures locate affected view rows.
-    pub delta_maintenance: bool,
     /// Capacity of the coalescing maintenance write batch (1 = propagate
     /// per write, the default; larger values defer and merge deltas until
     /// the batch fills or a read flushes it).
@@ -87,7 +83,6 @@ impl<'a> SynergyConfig<'a> {
             candidate_override: None,
             hierarchical_locking: true,
             threads: 1,
-            delta_maintenance: true,
             write_batch: 1,
             dirty_retry_limit: query::DIRTY_RETRY_LIMIT,
             lock_lease: None,
@@ -143,14 +138,6 @@ impl<'a> SynergyConfig<'a> {
     /// propagating their deltas (reads flush the batch first).
     pub fn with_write_batch(mut self, capacity: usize) -> Self {
         self.write_batch = capacity.max(1);
-        self
-    }
-
-    /// Uses the legacy scan-based view maintenance instead of delta
-    /// propagation (the paper's original §VII procedures; kept as the
-    /// comparison path for the write benchmarks).
-    pub fn with_scan_maintenance(mut self) -> Self {
-        self.delta_maintenance = false;
         self
     }
 }
@@ -236,7 +223,6 @@ impl SynergySystem {
             candidate_override,
             hierarchical_locking,
             threads,
-            delta_maintenance,
             write_batch,
             dirty_retry_limit,
             lock_lease,
@@ -265,37 +251,35 @@ impl SynergySystem {
         // catalog marks them maintenance-only, so the read optimizer never
         // selects them and read plans stay exactly as without them; every
         // write path maintains them like any other index.
-        if delta_maintenance {
-            for view in &selection.views {
-                for edge in &view.edges {
-                    let Some(child) = catalog.table_ci(&edge.to).cloned() else {
-                        continue;
-                    };
-                    if query::select_probe_access(&catalog, &child, &edge.fk)
-                        != query::AccessPath::FullScan
-                    {
-                        continue;
-                    }
-                    let name = format!("MI_{}__{}", child.name, edge.fk.join("_"));
-                    if catalog.table(&name).is_some() {
-                        continue;
-                    }
-                    let mut key = edge.fk.clone();
-                    for k in &child.key {
-                        if !key.contains(k) {
-                            key.push(k.clone());
-                        }
-                    }
-                    catalog.add_table(TableDef::new(
-                        name.clone(),
-                        child.columns.clone(),
-                        key,
-                        TableKind::Index {
-                            of: child.name.clone(),
-                        },
-                    ));
-                    catalog.mark_maintenance_index(&name);
+        for view in &selection.views {
+            for edge in &view.edges {
+                let Some(child) = catalog.table_ci(&edge.to).cloned() else {
+                    continue;
+                };
+                if query::select_probe_access(&catalog, &child, &edge.fk)
+                    != query::AccessPath::FullScan
+                {
+                    continue;
                 }
+                let name = format!("MI_{}__{}", child.name, edge.fk.join("_"));
+                if catalog.table(&name).is_some() {
+                    continue;
+                }
+                let mut key = edge.fk.clone();
+                for k in &child.key {
+                    if !key.contains(k) {
+                        key.push(k.clone());
+                    }
+                }
+                catalog.add_table(TableDef::new(
+                    name.clone(),
+                    child.columns.clone(),
+                    key,
+                    TableKind::Index {
+                        of: child.name.clone(),
+                    },
+                ));
+                catalog.mark_maintenance_index(&name);
             }
         }
 
@@ -317,14 +301,8 @@ impl SynergySystem {
             .with_dirty_retry_limit(dirty_retry_limit)
             .with_threads(threads);
         let residency = view_budget.map(|budget| Arc::new(ViewResidency::new(budget)));
-        let mut maintainer = MaintenanceEngine::new(
-            executor.clone(),
-            schema.clone(),
-            selection.views.clone(),
-            selection.view_indexes.clone(),
-        )
-        .with_delta(delta_maintenance)
-        .with_write_batch(write_batch);
+        let mut maintainer = MaintenanceEngine::new(executor.clone(), selection.views.clone())
+            .with_write_batch(write_batch);
         if let Some(residency) = &residency {
             maintainer = maintainer.with_residency(residency.clone());
         }

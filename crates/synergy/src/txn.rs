@@ -449,58 +449,22 @@ impl TransactionLayer {
                 self.maintainer.enqueue_update(&def.name, &existing, &updated)?;
                 return Ok(QueryResult::affected(1));
             }
-            if self.maintainer.delta_enabled() {
-                // Step 2 (delta): compute the view effects by propagating
-                // the update through each view's delta plan (read-only
-                // base-table probes, no view scanning).
-                let staged = self
-                    .maintainer
-                    .stage_update(&def.name, &existing, &updated)?;
-                // Step 3: mark the affected view rows dirty.
-                self.maintainer.mark_staged(&staged)?;
-                self.maybe_interrupt(3)?;
-                // Step 4: issue the updates (base row first, then views).
-                self.executor.update_row(&def.name, &updated)?;
-                self.maybe_interrupt(4)?;
-                self.maintainer.apply_staged(&staged)?;
-                self.maybe_interrupt(5)?;
-                // Step 5: un-mark the rewritten rows.
-                self.maintainer.unmark_staged(&staged)?;
-                return Ok(QueryResult::affected(1));
-            }
-            // Legacy scan path.
-            // Step 2: read all the view rows that need to be updated.
-            let views: Vec<_> = self
+            // Step 2: compute the view effects by propagating the update
+            // through each view's delta plan (read-only base-table probes,
+            // no view scanning).
+            let staged = self
                 .maintainer
-                .views_for_update(&def.name)
-                .cloned()
-                .collect();
-            let mut affected: Vec<(crate::viewgen::ViewDefinition, Vec<Row>)> = Vec::new();
-            for view in views {
-                let rows = self
-                    .maintainer
-                    .find_affected_view_rows(&view, &def.name, &key)?;
-                affected.push((view, rows));
-            }
-            // Step 3: mark all rows that need to be updated.
-            for (view, rows) in &affected {
-                for row in rows {
-                    self.maintainer.mark_dirty(view, row)?;
-                }
-            }
-            // Step 4: issue the updates (base row first, then view rows).
-            self.executor.execute(&Statement::Update(update.clone()), params)?;
-            for (view, rows) in &affected {
-                for row in rows {
-                    self.maintainer.apply_update_to_view_row(view, row, &updated)?;
-                }
-            }
-            // Step 5: un-mark all updated rows.
-            for (view, rows) in &affected {
-                for row in rows {
-                    self.maintainer.unmark_dirty(view, row)?;
-                }
-            }
+                .stage_update(&def.name, &existing, &updated)?;
+            // Step 3: mark the affected view rows dirty.
+            self.maintainer.mark_staged(&staged)?;
+            self.maybe_interrupt(3)?;
+            // Step 4: issue the updates (base row first, then views).
+            self.executor.update_row(&def.name, &updated)?;
+            self.maybe_interrupt(4)?;
+            self.maintainer.apply_staged(&staged)?;
+            self.maybe_interrupt(5)?;
+            // Step 5: un-mark the rewritten rows.
+            self.maintainer.unmark_staged(&staged)?;
             Ok(QueryResult::affected(1))
         })();
         if let Err(TxnError::Interrupted { .. }) = result {

@@ -228,62 +228,3 @@ proptest! {
             .all(|r| r.value("cf", "_dirty").map(|v| v != b"1").unwrap_or(true)));
     }
 }
-
-/// The full-view-scan fallback (and the index path) ride the executor's
-/// snapshot bound: a maintainer built over a snapshot-bounded executor must
-/// not observe view rows written after the snapshot.
-#[test]
-fn find_affected_view_rows_fallback_honors_the_snapshot_bound() {
-    let system = empty_system();
-    load_minimal(&system, 2);
-    system
-        .execute_sql(
-            "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
-            &[Value::Int(1), Value::Int(1), Value::Int(10)],
-        )
-        .unwrap();
-    // Everything written so far is visible at `snapshot`.
-    let snapshot = system.cluster().next_timestamp();
-    // A second view row for employee 1, written after the snapshot.
-    system
-        .execute_sql(
-            "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
-            &[Value::Int(1), Value::Int(2), Value::Int(20)],
-        )
-        .unwrap();
-
-    let view = system
-        .selection()
-        .views
-        .iter()
-        .find(|v| v.display_name() == "Employee-Works_On")
-        .expect("employee/works_on view selected")
-        .clone();
-    let key = Row::new().with("EID", 1);
-    // No view-indexes handed to the maintainer: forces the full-scan
-    // fallback ("Employee" is not the view's last relation).
-    let bounded = synergy::ViewMaintainer::new(
-        system.executor().clone().with_snapshot_bound(snapshot),
-        system.schema().clone(),
-        vec![view.clone()],
-        Vec::new(),
-    );
-    let unbounded = synergy::ViewMaintainer::new(
-        system.executor().clone(),
-        system.schema().clone(),
-        vec![view.clone()],
-        Vec::new(),
-    );
-    let seen_bounded = bounded
-        .find_affected_view_rows(&view, "Employee", &key)
-        .unwrap();
-    let seen_unbounded = unbounded
-        .find_affected_view_rows(&view, "Employee", &key)
-        .unwrap();
-    assert_eq!(seen_unbounded.len(), 2, "both view rows visible unbounded");
-    assert_eq!(
-        seen_bounded.len(),
-        1,
-        "the post-snapshot view row must be invisible under the bound"
-    );
-}

@@ -148,20 +148,18 @@ impl MicroBench {
     /// workers (the `--threads` axis of the benchmark reports; 1 = the
     /// serial pipeline, byte-identical sim figures to previous versions).
     pub fn build_with_threads(customers: u64, threads: usize) -> Result<MicroBench, TxnError> {
-        Self::build_with_maintenance(customers, threads, true, 1)
+        Self::build_with_maintenance(customers, threads, 1)
     }
 
-    /// [`MicroBench::build_with_threads`] with explicit view-maintenance
-    /// configuration: `delta = false` keeps the legacy scan-based
-    /// maintenance path (the `fig_writes` baseline), `write_batch > 1`
-    /// enables the coalescing write buffer at that capacity.
+    /// [`MicroBench::build_with_threads`] with the coalescing maintenance
+    /// write buffer at capacity `write_batch` (1 = propagate per write; the
+    /// `fig_writes` burst sweep uses 256).
     pub fn build_with_maintenance(
         customers: u64,
         threads: usize,
-        delta: bool,
         write_batch: usize,
     ) -> Result<MicroBench, TxnError> {
-        Self::build_inner(customers, threads, delta, write_batch, micro_queries(), None)
+        Self::build_inner(customers, threads, write_batch, micro_queries(), None)
     }
 
     /// Builds the deployment for the partial-materialization evaluation:
@@ -174,13 +172,12 @@ impl MicroBench {
         threads: usize,
         view_budget: Option<u64>,
     ) -> Result<MicroBench, TxnError> {
-        Self::build_inner(customers, threads, true, 1, partial_queries(), view_budget)
+        Self::build_inner(customers, threads, 1, partial_queries(), view_budget)
     }
 
     fn build_inner(
         customers: u64,
         threads: usize,
-        delta: bool,
         write_batch: usize,
         workload: Vec<Statement>,
         view_budget: Option<u64>,
@@ -195,9 +192,6 @@ impl MicroBench {
         )
         .with_threads(threads)
         .with_write_batch(write_batch);
-        if !delta {
-            config = config.with_scan_maintenance();
-        }
         if let Some(budget) = view_budget {
             config = config.with_view_budget(budget);
         }

@@ -7,37 +7,44 @@ use bench::{ablation_lock_granularity, comparison_matrix, fig10_micro, fig11_loc
 
 #[test]
 fn figure_10_view_scans_beat_joins_and_the_gap_grows_with_depth() {
-    let rows = fig10_micro(&[40, 160], 2, 1);
-    for row in &rows {
+    let output = fig10_micro(&[40, 160], 2, 1, 0, 0);
+    let rows = output.rows("rows");
+    for row in rows {
         assert!(
-            row.speedup > 1.5,
+            row.num("sim_speedup") > 1.5,
             "{} at {} customers: view scan must clearly beat the join (got {:.2}x)",
-            row.query,
-            row.customers,
-            row.speedup
+            row.text("query"),
+            row.num("customers"),
+            row.num("sim_speedup")
         );
     }
     // The three-way join (Q2) benefits more than the two-way join (Q1),
     // as in the paper's 6x vs 11.7x.
-    let q1 = rows.iter().find(|r| r.query == "Q1" && r.customers == 160).unwrap();
-    let q2 = rows.iter().find(|r| r.query == "Q2" && r.customers == 160).unwrap();
-    assert!(q2.speedup > q1.speedup);
+    let at_160 = |query: &str| {
+        rows.iter()
+            .find(|r| r.text("query") == query && r.num("customers") == 160.0)
+            .unwrap()
+            .num("sim_speedup")
+    };
+    assert!(at_160("Q2") > at_160("Q1"));
 }
 
 #[test]
 fn figure_11_locking_overhead_grows_with_lock_count() {
-    let rows = fig11_lock_overhead(&[10, 100, 1000], 2);
-    assert!(rows[1].overhead_ms.mean > rows[0].overhead_ms.mean * 5.0);
-    assert!(rows[2].overhead_ms.mean > rows[1].overhead_ms.mean * 5.0);
+    let output = fig11_lock_overhead(&[10, 100, 1000], 2);
+    let overhead: Vec<f64> = output.rows("rows").iter().map(|r| r.num("sim_ms")).collect();
+    assert!(overhead[1] > overhead[0] * 5.0);
+    assert!(overhead[2] > overhead[1] * 5.0);
     // 100 locks already cost hundreds of simulated milliseconds — more than
     // any single Synergy write transaction — motivating the single lock.
-    assert!(rows[1].overhead_ms.mean > 500.0);
+    assert!(overhead[1] > 500.0);
 }
 
 #[test]
 fn ablation_single_hierarchical_lock_vs_per_row_locks() {
-    let rows = ablation_lock_granularity(&[100]);
-    assert!(rows[0].per_row_locks_ms > rows[0].single_lock_ms * 50.0);
+    let output = ablation_lock_granularity(&[100]);
+    let row = &output.rows("rows")[0];
+    assert!(row.num("per_row_locks_sim_ms") > row.num("single_lock_sim_ms") * 50.0);
 }
 
 #[test]
