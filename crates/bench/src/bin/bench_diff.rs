@@ -32,6 +32,14 @@
 //!   injected faults ≥ 90% of no-fault under the backoff policy, and the
 //!   crash-recovery demonstration reporting zero lost acked-synced writes
 //!   and zero views left dirty.
+//! - **`fault_matrix`**, per cell (seed × scenario): goodput is positive;
+//!   with no faults every op succeeds and nothing is injected; the
+//!   crash-heavy cells fire server crashes and the timeout-heavy cells
+//!   inject timeouts (a silently disarmed fault plan is itself a failure);
+//!   crash-heavy cells fail regions over at RF ≥ 2 and never at RF = 1;
+//!   retries absorb the faults (≤ 2% of ops given up); the per-server fault
+//!   columns sum to the cluster-wide counters; and the cell's rerun from
+//!   the same seed gave bit-identical goodput.
 //! - **`fig_availability`**: every RF ≥ 2 row rides through the crash
 //!   windows at ≥ 0.7× steady-state goodput with at least one failover and
 //!   zero acked-write loss; the RF = 1 row shows replication fully
@@ -139,6 +147,7 @@ fn main() {
     gates.failures.extend(outcome.failures);
     fig_writes_gates(&old, &new, &mut gates);
     fig_faults_gates(&old, &new, &mut gates);
+    fault_matrix_gates(&new, &mut gates);
     fig_availability_gates(&new, &mut gates);
     fig_partial_gates(&new, &mut gates);
 
@@ -219,6 +228,36 @@ fn fig_faults_gates(old: &Json, new: &Json, gates: &mut Gates) {
     for key in ["lost_acked_synced_writes", "dirty_view_rows_after_recovery"] {
         let count = recovery.num(key);
         gates.check("fig_faults", format!("recovery {key} = {count:.0} (gate = 0)"), count == 0.0);
+    }
+}
+
+/// The `fault_matrix` gates (see the module doc), per cell of the fresh
+/// report.
+fn fault_matrix_gates(new: &Json, gates: &mut Gates) {
+    let Some(fresh) = figure_of(new, "fault_matrix") else { return };
+    // A cell missing from the fresh report fails sim identity's row count.
+    for row in fresh.rows("rows") {
+        let (scenario, rf) = (row.text("scenario"), row.num("replication_factor"));
+        let (ops, failovers) = (row.num("ops"), row.num("failovers"));
+        let crashing = scenario.starts_with("crash");
+        let unfaulted = row.num("ok_ops") == ops && row.num("injected_op_faults") == 0.0;
+        let invariants = [
+            ("goodput > 0", row.num("goodput_ops_per_sim_sec") > 0.0),
+            ("attributed", row.num("attributed") == 1.0),
+            ("reproducible", row.num("reproducible") == 1.0),
+            ("no faults without a plan", scenario != "no-faults" || unfaulted),
+            ("a server crash fired", !crashing || row.num("server_crashes") > 0.0),
+            ("failovers iff replicated", !crashing || (failovers > 0.0) == (rf >= 2.0)),
+            ("a timeout fired", scenario != "timeout-heavy" || row.num("timeouts") > 0.0),
+            ("giveups <= 2% of ops", row.num("giveups") * 50.0 <= ops),
+        ];
+        let broken: Vec<&str> =
+            invariants.iter().filter(|(_, holds)| !holds).map(|(name, _)| *name).collect();
+        gates.check(
+            "fault_matrix",
+            format!("{scenario} seed {}: broken [{}]", row.text("seed"), broken.join(", ")),
+            broken.is_empty(),
+        );
     }
 }
 

@@ -28,7 +28,9 @@ use figure::Fmt::{Dec, Mib, Percent, Times};
 use figure::{column, count, label, object, record, sim, table, wall, Column, Figure, Kind};
 use json::Json;
 use nosql_store::ops::{Get, Put, Scan};
-use nosql_store::{Cluster, ClusterConfig, FaultPlan, RetryPolicy, TableSchema};
+use nosql_store::{
+    Cluster, ClusterConfig, FaultPlan, RetryPolicy, ServerFaultStats, TableSchema,
+};
 use relational::Value;
 use simclock::{SimDuration, Summary};
 use sql::parse_statement;
@@ -518,8 +520,6 @@ pub const FIG_FAULTS_SEED: u64 = 0x5EED_FA17;
 /// What one run of the store-level fault workload did.
 #[derive(Debug, Clone)]
 pub struct FaultWorkloadOutcome {
-    /// Ops attempted.
-    pub ops: u64,
     /// Ops that succeeded (after retries, where enabled).
     pub ok_ops: u64,
     /// Simulated time the workload loop consumed.
@@ -597,7 +597,6 @@ pub fn run_fault_workload(
         }
     }
     FaultWorkloadOutcome {
-        ops,
         ok_ops,
         sim_elapsed: clock.now() - start,
         p95_sim_ms: percentile(&mut latencies, 95),
@@ -686,7 +685,7 @@ pub fn fig_faults(customers: u64, ops: u64) -> Json {
                 vec![
                     retry_name.into(),
                     rate.into(),
-                    outcome.ops.into(),
+                    ops.into(),
                     outcome.ok_ops.into(),
                     goodput.into(),
                     outcome.p95_sim_ms.into(),
@@ -796,6 +795,106 @@ fn fig_faults_recovery(customers: u64) -> Json {
             dirty_left.into(),
         ],
     )
+}
+
+// ---------------------------------------------------------------------
+// fault_matrix: seeds × fault scenarios through the default retry policy
+// ---------------------------------------------------------------------
+
+/// Seeds of the fault matrix; every cell must reproduce bit for bit.
+pub const FAULT_MATRIX_SEEDS: [u64; 3] = [0xA11CE, 0xB0B0, 0xC0FFEE];
+
+/// Region-server crashes every ~400 sim ms through the workload window,
+/// 50 ms MTTR, plus a trickle of transient errors.
+fn crash_heavy(seed: u64) -> Option<FaultPlan> {
+    let crashes = (1..=6).map(|i| SimDuration::from_millis(400 * i)).collect();
+    let plan = FaultPlan::new(seed).with_transients(0.005);
+    Some(plan.with_crashes(crashes, SimDuration::from_millis(50)))
+}
+
+/// RPC timeouts and slow-region spikes on one op in twenty each.
+fn timeout_heavy(seed: u64) -> Option<FaultPlan> {
+    let plan = FaultPlan::new(seed).with_timeouts(0.05);
+    Some(plan.with_slow_regions(0.05, SimDuration::from_millis(10)))
+}
+
+/// `(scenario, replication factor, the fault plan of a seed)`.
+type FaultScenario = (&'static str, usize, fn(u64) -> Option<FaultPlan>);
+
+const FAULT_MATRIX_SCENARIOS: [FaultScenario; 5] = [
+    ("no-faults", 1, |_| None),
+    ("crash-heavy", 1, crash_heavy),
+    ("crash-rf2", 2, crash_heavy),
+    ("crash-rf3", 3, crash_heavy),
+    ("timeout-heavy", 1, timeout_heavy),
+];
+
+/// One seed through one scenario.  `attributed` reads 1 when the per-server
+/// fault columns sum to the cluster-wide counters, `reproducible` when a
+/// second run of the cell gave bit-identical goodput.
+const FAULT_MATRIX_ROWS: &[Column] = &[
+    label("scenario", "scenario"),
+    label("seed", "seed"),
+    count("replication_factor", "rf"),
+    count("ops", "ops"),
+    count("ok_ops", "ok"),
+    sim("goodput_ops_per_sim_sec", "goodput/sim-s", Dec(1)),
+    sim("p95_sim_ms", "p95 sim ms", Dec(2)),
+    count("injected_op_faults", "injected"),
+    count("server_crashes", "crashes"),
+    count("timeouts", "timeouts"),
+    count("retries", "retries"),
+    count("giveups", "giveups"),
+    count("failovers", "failovers"),
+    count("attributed", "attributed"),
+    count("reproducible", "reproducible"),
+];
+
+const FAULT_MATRIX: &[Column] =
+    &[wall("wall_ms", "", Dec(1)), table("rows", "", FAULT_MATRIX_ROWS)];
+
+/// Runs the fault matrix: the fig_faults store workload for each of
+/// [`FAULT_MATRIX_SEEDS`] × five scenarios (no faults, crash-heavy at RF 1,
+/// 2 and 3, timeout-heavy) through the default backoff retry policy, every
+/// cell twice.  `bench_diff` gates each row (see its module doc).
+pub fn fault_matrix() -> Json {
+    let start = Instant::now();
+    let mut rows = Vec::new();
+    for (scenario, rf, plan) in FAULT_MATRIX_SCENARIOS {
+        for seed in FAULT_MATRIX_SEEDS {
+            let cell =
+                || run_fault_workload(plan(seed), Some(RetryPolicy::default()), FIG_FAULTS_OPS, rf);
+            let (run, again) = (cell(), cell());
+            let stats = &run.stats;
+            let servers = |of: fn(&ServerFaultStats) -> u64| stats.per_server.iter().map(of).sum();
+            let attributed = stats.timeouts == servers(|s| s.timeouts)
+                && stats.transient_errors == servers(|s| s.transient_errors)
+                && stats.slowdowns == servers(|s| s.slowdowns)
+                && stats.unavailable_rejections == servers(|s| s.unavailable_rejections);
+            let goodput = run.goodput_per_sim_sec();
+            rows.push(record(
+                FAULT_MATRIX_ROWS,
+                vec![
+                    scenario.into(),
+                    format!("{seed:#x}").into(),
+                    rf.into(),
+                    FIG_FAULTS_OPS.into(),
+                    run.ok_ops.into(),
+                    goodput.into(),
+                    run.p95_sim_ms.into(),
+                    stats.injected_op_faults().into(),
+                    stats.server_crashes.into(),
+                    stats.timeouts.into(),
+                    stats.retries.into(),
+                    stats.giveups.into(),
+                    run.replication.failovers.into(),
+                    u64::from(attributed).into(),
+                    u64::from(again.goodput_per_sim_sec().to_bits() == goodput.to_bits()).into(),
+                ],
+            ));
+        }
+    }
+    record(FAULT_MATRIX, vec![wall_ms(start).into(), rows.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -1823,6 +1922,14 @@ pub static FIGURES: &[Figure] = &[
         // recovery semantics are scale-independent, so the cheapest
         // deployment suffices; the goodput sweep has its own fixed size.
         run: |ctx| fig_faults(fig10_scales(ctx.customers)[0], FIG_FAULTS_OPS),
+    },
+    Figure {
+        name: "fault_matrix",
+        title: "fault_matrix: 3 seeds × 5 fault scenarios through the default retry policy",
+        note: "(bench_diff gates every cell: its faults fire and are absorbed, RF >= 2 fails over, \
+               per-server columns sum to the globals, the rerun is bit-identical)",
+        columns: FAULT_MATRIX,
+        run: |_| fault_matrix(),
     },
     Figure {
         name: "fig_availability",

@@ -181,7 +181,8 @@ fn cheap_figures_reproduce_the_committed_tiny_report_through_the_registry() {
         assert_conforms(figure.columns, committed_figures.get(figure.name).unwrap(), figure.name);
     }
 
-    let cheap = ["fig11", "fig_writes", "fig_faults", "fig_availability", "ablation"];
+    let cheap =
+        ["fig11", "fig_writes", "fig_faults", "fault_matrix", "fig_availability", "ablation"];
     let mut ctx = Context::new(customers, reps, 1);
     let mut fresh = Vec::new();
     let mut pinned = Vec::new();

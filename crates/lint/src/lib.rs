@@ -10,11 +10,9 @@
 //! | `cost-accounting` | public `Cluster` ops that touch region state charge the cost model |
 //! | `panic-freedom` | store/view/query library code returns errors instead of panicking |
 //!
-//! Suppression is per-line via `// lint-allow(<rule>): <reason>` pragmas
-//! (reason mandatory), or per-violation via the committed baseline file
-//! (`lint_baseline.txt`).  Stale baseline entries fail the gate.
+//! The only way to suppress a violation is a per-line
+//! `// lint-allow(<rule>): <reason>` pragma (reason mandatory).
 
-pub mod baseline;
 pub mod lexer;
 pub mod loc;
 pub mod locks;
@@ -47,8 +45,8 @@ pub struct Violation {
     /// Trimmed source line, for the report and the fingerprint.
     pub snippet: String,
     /// Content fingerprint (assigned by the driver): FNV-1a-64 of
-    /// `rule|file|snippet|occurrence-index`, so baseline entries survive
-    /// line-number drift but die with the code they describe.
+    /// `rule|file|snippet|occurrence-index`, stable under line-number
+    /// drift — what a report consumer keys a violation by.
     pub fingerprint: String,
 }
 
@@ -109,6 +107,15 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
         collect_crate(root, &dir, &name, &mut out)?;
     }
     collect_crate(root, root, "root", &mut out)?;
+    Ok(out)
+}
+
+/// The sources of the standalone `benchmark/` package (outside the
+/// workspace, read-only to most changes), as crate [`loc::BENCHMARK`].
+/// Collected for the LOC table only: the rules do not run over them.
+pub fn collect_benchmark(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    let mut out = Vec::new();
+    collect_crate(root, &root.join(loc::BENCHMARK), loc::BENCHMARK, &mut out)?;
     Ok(out)
 }
 

@@ -10,6 +10,10 @@ use crate::model::{FileKind, FileModel};
 use crate::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Crate row of the standalone `benchmark/` package: counted and printed
+/// beside the workspace's crates, but not part of [`LocReport::total`].
+pub const BENCHMARK: &str = "benchmark";
+
 /// Non-test LOC per crate and per file.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct LocReport {
@@ -20,9 +24,9 @@ pub struct LocReport {
 }
 
 impl LocReport {
-    /// Workspace-wide non-test LOC.
+    /// Workspace-wide non-test LOC (every crate row but [`BENCHMARK`]).
     pub fn total(&self) -> usize {
-        self.crates.values().sum()
+        self.crates.iter().filter(|(name, _)| *name != BENCHMARK).map(|(_, lines)| lines).sum()
     }
 }
 
@@ -68,13 +72,16 @@ mod tests {
             file("nosql-store", "crates/nosql-store/src/a.rs", FileKind::Lib),
             file("nosql-store", "crates/nosql-store/tests/a.rs", FileKind::Test),
             file("bench", "crates/bench/src/bin/b.rs", FileKind::Bin),
+            file(BENCHMARK, "benchmark/src/main.rs", FileKind::Bin),
         ]);
         // `use`, `pub fn`, `1`, `}` — docs, comments, blanks and the test
         // module carry nothing; the integration-test file is not counted.
         assert_eq!(report.crates["nosql-store"], 4);
         assert_eq!(report.crates["bench"], 4);
+        // The benchmark package has its row, outside the workspace total.
+        assert_eq!(report.crates[BENCHMARK], 4);
         assert_eq!(report.total(), 8);
-        assert_eq!(report.files.len(), 2);
+        assert_eq!(report.files.len(), 3);
         assert_eq!(report.files["crates/nosql-store/src/a.rs"], 4);
         assert_eq!(report.files["crates/bench/src/bin/b.rs"], 4);
     }

@@ -1,18 +1,15 @@
 //! `cargo run -p lint [-- OPTIONS]` — run the workspace invariant linter.
 //!
-//! Exit codes: 0 clean, 1 violations or stale baseline entries, 2 usage or
-//! I/O error.
+//! Exit codes: 0 clean, 1 violations, 2 usage or I/O error.
 
-use lint::{baseline, report};
+use lint::report;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Opts {
     root: PathBuf,
-    baseline: Option<PathBuf>,
     format: Format,
     out: Option<PathBuf>,
-    write_baseline: bool,
 }
 
 #[derive(PartialEq)]
@@ -21,23 +18,17 @@ enum Format {
     Json,
 }
 
-const USAGE: &str = "usage: lint [--root PATH] [--baseline PATH] [--format human|json] \
-[--out PATH] [--write-baseline]
+const USAGE: &str = "usage: lint [--root PATH] [--format human|json] [--out PATH]
 
   --root PATH        workspace root to scan (default: nearest dir with Cargo.toml)
-  --baseline PATH    baseline file (default: <root>/lint_baseline.txt if present)
   --format FMT       report format: human (default) or json
-  --out PATH         also write the report to PATH
-  --write-baseline   rewrite the baseline to cover all current violations
-                     (reasons are stubbed; edit them before committing)";
+  --out PATH         also write the report to PATH";
 
 fn parse_opts() -> Result<Opts, String> {
     let mut opts = Opts {
         root: find_root(),
-        baseline: None,
         format: Format::Human,
         out: None,
-        write_baseline: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -46,7 +37,6 @@ fn parse_opts() -> Result<Opts, String> {
         };
         match a.as_str() {
             "--root" => opts.root = PathBuf::from(val("--root")?),
-            "--baseline" => opts.baseline = Some(PathBuf::from(val("--baseline")?)),
             "--out" => opts.out = Some(PathBuf::from(val("--out")?)),
             "--format" => {
                 opts.format = match val("--format")?.as_str() {
@@ -55,7 +45,6 @@ fn parse_opts() -> Result<Opts, String> {
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--write-baseline" => opts.write_baseline = true,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -89,7 +78,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let sources = match lint::collect_sources(&opts.root) {
+    let scanned = lint::collect_sources(&opts.root)
+        .and_then(|sources| Ok((sources, lint::collect_benchmark(&opts.root)?)));
+    let (mut sources, benchmark) = match scanned {
         Ok(s) => s,
         Err(e) => {
             eprintln!("lint: cannot scan {}: {e}", opts.root.display());
@@ -98,49 +89,14 @@ fn main() -> ExitCode {
     };
     let files_scanned = sources.len();
     let violations = lint::lint_sources(&sources);
+    sources.extend(benchmark);
     let loc = lint::loc::count(&sources);
 
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint_baseline.txt"));
-    let entries = if baseline_path.is_file() {
-        match std::fs::read_to_string(&baseline_path).map_err(|e| e.to_string()).and_then(|t| baseline::parse(&t)) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Vec::new()
+    let run = report::RunReport {
+        violations: &violations,
+        files_scanned,
+        loc: &loc,
     };
-
-    if opts.write_baseline {
-        let entries: Vec<baseline::BaselineEntry> = violations
-            .iter()
-            .map(|v| baseline::BaselineEntry {
-                rule: v.rule.to_string(),
-                file: v.file.clone(),
-                fingerprint: v.fingerprint.clone(),
-                reason: format!("pre-existing (line {}); TODO justify or fix", v.line),
-            })
-            .collect();
-        if let Err(e) = std::fs::write(&baseline_path, baseline::render(&entries)) {
-            eprintln!("lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "lint: wrote {} entr{} to {}",
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (fresh, baselined, stale) = baseline::apply(violations, &entries);
-    let run = report::RunReport { fresh: &fresh, baselined, stale: &stale, files_scanned, loc: &loc };
     let rendered = match opts.format {
         Format::Human => report::human(&run),
         Format::Json => report::json(&run),

@@ -2,19 +2,14 @@
 //! workspace builds offline; the serde shim is for the product crates, not
 //! tooling) — the schema is flat enough that escaping strings suffices.
 
-use crate::baseline::BaselineEntry;
 use crate::loc::LocReport;
 use crate::Violation;
 use std::fmt::Write as _;
 
 /// Everything a run produced, ready to render.
 pub struct RunReport<'a> {
-    /// Violations not covered by the baseline.
-    pub fresh: &'a [Violation],
-    /// Count of baseline entries that matched a live violation.
-    pub baselined: usize,
-    /// Baseline entries whose violation no longer exists.
-    pub stale: &'a [BaselineEntry],
+    /// Violations no `lint-allow` pragma covers.
+    pub violations: &'a [Violation],
     /// Total files scanned.
     pub files_scanned: usize,
     /// Non-test lines of code (informational; never gates).
@@ -22,41 +17,33 @@ pub struct RunReport<'a> {
 }
 
 impl RunReport<'_> {
-    /// Gate verdict: clean means nothing fresh and nothing stale.
+    /// Gate verdict: clean means no violation.
     pub fn clean(&self) -> bool {
-        self.fresh.is_empty() && self.stale.is_empty()
+        self.violations.is_empty()
     }
 }
 
 /// Human-readable report (the default `cargo run -p lint` output).
 pub fn human(r: &RunReport) -> String {
     let mut s = String::new();
-    for v in r.fresh {
+    for v in r.violations {
         let _ = writeln!(s, "{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
         if !v.snippet.is_empty() {
             let _ = writeln!(s, "    | {}", v.snippet);
         }
         let _ = writeln!(s, "    = fingerprint {}", v.fingerprint);
     }
-    for e in r.stale {
-        let _ = writeln!(
-            s,
-            "{}: [baseline] stale entry {}|{} — the violation it suppressed is gone; \
-             remove the line (reason was: {})",
-            e.file, e.rule, e.fingerprint, e.reason
-        );
-    }
     let _ = writeln!(s, "non-test LOC by crate (code lines outside #[cfg(test)]):");
     for (name, lines) in &r.loc.crates {
         let _ = writeln!(s, "  {name:<14} {lines:>6}");
     }
-    let _ = writeln!(s, "  {:<14} {:>6}", "total", r.loc.total());
+    let _ = writeln!(s, "  {:<14} {:>6}  (workspace: without benchmark)", "total", r.loc.total());
     let _ = writeln!(s, "non-test LOC by file:");
     for (file, lines) in &r.loc.files {
         let _ = writeln!(s, "  {file:<44} {lines:>6}");
     }
     let mut by_rule: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for v in r.fresh {
+    for v in r.violations {
         *by_rule.entry(v.rule).or_insert(0) += 1;
     }
     let counts = if by_rule.is_empty() {
@@ -70,13 +57,9 @@ pub fn human(r: &RunReport) -> String {
     };
     let _ = writeln!(
         s,
-        "lint: {} file(s) scanned, {} violation(s) ({counts}), {} baselined, {} stale \
-         baseline entr{}",
+        "lint: {} file(s) scanned, {} violation(s) ({counts})",
         r.files_scanned,
-        r.fresh.len(),
-        r.baselined,
-        r.stale.len(),
-        if r.stale.len() == 1 { "y" } else { "ies" },
+        r.violations.len(),
     );
     let _ = writeln!(s, "lint: {}", if r.clean() { "PASS" } else { "FAIL" });
     s
@@ -86,10 +69,9 @@ pub fn human(r: &RunReport) -> String {
 pub fn json(r: &RunReport) -> String {
     let mut s = String::from("{\n  \"schema\": \"synergy-lint/v1\",\n");
     let _ = writeln!(s, "  \"files_scanned\": {},", r.files_scanned);
-    let _ = writeln!(s, "  \"baselined\": {},", r.baselined);
     let _ = writeln!(s, "  \"pass\": {},", r.clean());
     s.push_str("  \"violations\": [");
-    for (i, v) in r.fresh.iter().enumerate() {
+    for (i, v) in r.violations.iter().enumerate() {
         let _ = write!(
             s,
             "{}\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \
@@ -103,20 +85,7 @@ pub fn json(r: &RunReport) -> String {
             esc(&v.fingerprint),
         );
     }
-    s.push_str(if r.fresh.is_empty() { "],\n" } else { "\n  ],\n" });
-    s.push_str("  \"stale_baseline\": [");
-    for (i, e) in r.stale.iter().enumerate() {
-        let _ = write!(
-            s,
-            "{}\n    {{\"rule\": {}, \"file\": {}, \"fingerprint\": {}, \"reason\": {}}}",
-            if i == 0 { "" } else { "," },
-            esc(&e.rule),
-            esc(&e.file),
-            esc(&e.fingerprint),
-            esc(&e.reason),
-        );
-    }
-    s.push_str(if r.stale.is_empty() { "],\n" } else { "\n  ],\n" });
+    s.push_str(if r.violations.is_empty() { "],\n" } else { "\n  ],\n" });
     let _ = writeln!(s, "  \"non_test_loc\": {{");
     let _ = writeln!(s, "    \"total\": {},", r.loc.total());
     let _ = writeln!(s, "    \"crates\": {},", loc_object(&r.loc.crates));
@@ -170,7 +139,7 @@ mod tests {
         loc.crates.insert("nosql-store".into(), 40);
         loc.crates.insert("lint".into(), 2);
         loc.files.insert("crates/nosql-store/src/a.rs".into(), 40);
-        let r = RunReport { fresh: &fresh, baselined: 1, stale: &[], files_scanned: 2, loc: &loc };
+        let r = RunReport { violations: &fresh, files_scanned: 2, loc: &loc };
         let j = json(&r);
         assert!(j.contains("\\\"no\\\""));
         assert!(j.contains("\\t"));
@@ -178,7 +147,7 @@ mod tests {
         assert!(j.contains("\"total\": 42"));
         assert!(j.contains("\"crates\": {\"lint\": 2, \"nosql-store\": 40}"));
         assert!(j.contains("\"files\": {\"crates/nosql-store/src/a.rs\": 40}"));
-        let empty = RunReport { fresh: &[], baselined: 0, stale: &[], files_scanned: 2, loc: &loc };
+        let empty = RunReport { violations: &[], files_scanned: 2, loc: &loc };
         assert!(json(&empty).contains("\"pass\": true"));
         assert!(human(&empty).contains("PASS"));
         assert!(human(&empty).contains("nosql-store"), "the LOC table is printed");

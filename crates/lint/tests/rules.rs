@@ -1,9 +1,8 @@
 //! Fixture-driven tests: each rule proves it fires on the bad forms and
-//! stays quiet on the good ones, plus the baseline round-trip and the
-//! workspace-is-clean gate.
+//! stays quiet on the good ones, plus the workspace-is-clean gate.
 
 use lint::model::FileKind;
-use lint::{baseline, lint_sources, SourceFile};
+use lint::{lint_sources, SourceFile};
 
 fn src(crate_name: &str, rel_path: &str, text: &str) -> SourceFile {
     SourceFile {
@@ -151,50 +150,9 @@ fn pragma_hygiene_rejects_unknown_rules_and_missing_reasons() {
     assert!(v.iter().any(|x| x.rule == "panic-freedom" && x.line == 2));
 }
 
-#[test]
-fn baseline_round_trip() {
-    let bad = src(
-        "nosql-store",
-        "crates/nosql-store/src/fix.rs",
-        "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-    );
-    let violations = lint_sources(std::slice::from_ref(&bad));
-    assert_eq!(violations.len(), 1, "the unsuppressed unwrap fails the gate");
-
-    // Baselining it with a reason passes the gate...
-    let entries: Vec<baseline::BaselineEntry> = violations
-        .iter()
-        .map(|v| baseline::BaselineEntry {
-            rule: v.rule.to_string(),
-            file: v.file.clone(),
-            fingerprint: v.fingerprint.clone(),
-            reason: "known: poison cannot escape this helper".into(),
-        })
-        .collect();
-    let text = baseline::render(&entries);
-    let parsed = baseline::parse(&text).expect("rendered baseline parses");
-    assert_eq!(parsed, entries);
-    let (fresh, matched, stale) = baseline::apply(lint_sources(std::slice::from_ref(&bad)), &parsed);
-    assert!(fresh.is_empty());
-    assert_eq!(matched, 1);
-    assert!(stale.is_empty());
-
-    // ...and once the violation is fixed, the leftover entry is stale and
-    // fails the gate again.
-    let fixed = src(
-        "nosql-store",
-        "crates/nosql-store/src/fix.rs",
-        "pub fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n",
-    );
-    let (fresh, matched, stale) = baseline::apply(lint_sources(std::slice::from_ref(&fixed)), &parsed);
-    assert!(fresh.is_empty());
-    assert_eq!(matched, 0);
-    assert_eq!(stale, parsed);
-}
-
-/// The gate itself: the workspace must lint clean against the committed
-/// baseline.  A violation introduced anywhere in the tree fails this test
-/// (and the dedicated CI job) until fixed, pragma'd, or baselined.
+/// The gate itself: the workspace must lint clean.  A violation introduced
+/// anywhere in the tree fails this test (and the dedicated CI job) until it
+/// is fixed or justified inline with a `lint-allow` pragma.
 #[test]
 fn workspace_lints_clean() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -203,22 +161,13 @@ fn workspace_lints_clean() {
         .expect("lint crate lives two levels under the workspace root")
         .to_path_buf();
     let violations = lint::lint_workspace(&root).expect("workspace scan");
-    let baseline_path = root.join("lint_baseline.txt");
-    let entries = if baseline_path.is_file() {
-        baseline::parse(&std::fs::read_to_string(&baseline_path).expect("read baseline"))
-            .expect("committed baseline parses")
-    } else {
-        Vec::new()
-    };
-    let (fresh, _, stale) = baseline::apply(violations, &entries);
     assert!(
-        fresh.is_empty(),
-        "non-baselined lint violations:\n{}",
-        fresh
+        violations.is_empty(),
+        "lint violations:\n{}",
+        violations
             .iter()
             .map(|v| format!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message))
             .collect::<Vec<_>>()
             .join("\n")
     );
-    assert!(stale.is_empty(), "stale baseline entries: {stale:?}");
 }

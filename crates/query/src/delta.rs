@@ -14,10 +14,12 @@
 //!   when the join key is the probed table's primary key, a key-prefix or
 //!   (maintenance-)index scan otherwise — and emits the joined deltas;
 //! * `Filter` passes or drops deltas; `Project` rewrites them onto the
-//!   output columns;
-//! * `Aggregate` folds deltas into per-group net contributions and emits
-//!   `[-old group row, +new group row]` against the materialized state
-//!   (invertible aggregates only: `COUNT` and `SUM`).
+//!   output columns.
+//!
+//! Every maintained view is an FK-join path, so those four operators are the
+//! whole IR: a defining plan with an aggregate, an ordering or a limit does
+//! not compile (GROUP BY in the delta IR is parked until a measured layer
+//! asks for it).
 //!
 //! The work a write causes is therefore proportional to the delta and the
 //! rows it joins with — never to the size of the view — which is the
@@ -36,7 +38,7 @@ use crate::plan::{LogicalPlan, PlanOperand, PlanPredicate};
 use crate::result::QueryError;
 use nosql_store::ops::Scan;
 use relational::{Row, Value, KEY_DELIMITER};
-use sql::{AggregateFunction, Comparison, SelectItem};
+use sql::Comparison;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -90,15 +92,6 @@ impl std::fmt::Display for DeltaPredicate {
     }
 }
 
-/// One invertible aggregate of a delta-plan `Aggregate` node.
-#[derive(Debug, Clone)]
-struct AggItem {
-    function: AggregateFunction,
-    argument: Option<String>,
-    /// Output column name in the materialized state (alias or rendered form).
-    name: String,
-}
-
 /// One node of the incremental operator tree (mirrors [`LogicalPlan`]).
 #[derive(Debug, Clone)]
 enum DeltaNode {
@@ -126,11 +119,6 @@ enum DeltaNode {
         input: Box<DeltaNode>,
         columns: Vec<String>,
     },
-    Aggregate {
-        input: Box<DeltaNode>,
-        group_by: Vec<String>,
-        items: Vec<AggItem>,
-    },
 }
 
 /// The compiled incremental form of one view-defining [`LogicalPlan`].
@@ -142,32 +130,21 @@ enum DeltaNode {
 pub struct DeltaPlan {
     root: DeltaNode,
     catalog_version: u64,
-    /// Table holding the plan's materialized output; required by
-    /// incremental `Aggregate` nodes (they read the current group rows).
-    state_table: Option<String>,
 }
 
 impl DeltaPlan {
     /// Compiles a logical plan into its incremental form.
     ///
     /// Fails with [`QueryError::Unsupported`] on operators with no
-    /// incremental interpretation (ordering, limits, non-equi joins,
-    /// parameters, and the non-invertible aggregates `AVG`/`MIN`/`MAX`).
+    /// incremental interpretation (aggregates, ordering, limits, non-equi
+    /// joins, parameters).
     pub fn compile(catalog: &Catalog, plan: &LogicalPlan) -> Result<DeltaPlan, QueryError> {
         let mut aliases = BTreeSet::new();
         collect_aliases(plan, &mut aliases);
         Ok(DeltaPlan {
             root: compile_node(catalog, plan, &aliases)?,
             catalog_version: catalog.version(),
-            state_table: None,
         })
-    }
-
-    /// Sets the table incremental aggregates read their current group rows
-    /// from (the view's own materialization).
-    pub fn with_state_table(mut self, table: impl Into<String>) -> DeltaPlan {
-        self.state_table = Some(table.into());
-        self
     }
 
     /// The catalog version this plan was compiled against (caches treat a
@@ -190,8 +167,7 @@ impl DeltaPlan {
         relation: &str,
         deltas: &[RowDelta],
     ) -> Result<Vec<RowDelta>, QueryError> {
-        self.root
-            .delta(executor, self.state_table.as_deref(), relation, deltas)
+        self.root.delta(executor, relation, deltas)
     }
 
     /// Renders the stable, indented delta-operator tree (the EXPLAIN-style
@@ -321,48 +297,7 @@ fn compile_node(
             input: Box::new(compile_node(catalog, input, aliases)?),
             columns: columns.iter().map(|s| bare(s.name(), aliases)).collect(),
         }),
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            items,
-        } => {
-            let group_by: Vec<String> =
-                group_by.iter().map(|s| bare(s.name(), aliases)).collect();
-            let mut agg_items = Vec::new();
-            for item in items {
-                match item {
-                    SelectItem::Aggregate {
-                        function,
-                        argument,
-                        alias,
-                    } => {
-                        match function {
-                            AggregateFunction::Count | AggregateFunction::Sum => {}
-                            other => {
-                                return Err(unsupported(format_args!(
-                                    "the non-invertible aggregate {other:?}"
-                                )))
-                            }
-                        }
-                        agg_items.push(AggItem {
-                            function: *function,
-                            argument: argument.as_ref().map(|c| c.column.clone()),
-                            name: alias.clone().unwrap_or_else(|| item.to_string()),
-                        });
-                    }
-                    // Plain group-by columns are carried by the group key.
-                    SelectItem::Column { .. } => {}
-                    SelectItem::Wildcard => {
-                        return Err(unsupported("a wildcard over an aggregate"))
-                    }
-                }
-            }
-            Ok(DeltaNode::Aggregate {
-                input: Box::new(compile_node(catalog, input, aliases)?),
-                group_by,
-                items: agg_items,
-            })
-        }
+        LogicalPlan::Aggregate { .. } => Err(unsupported("an aggregate")),
         LogicalPlan::Sort { .. } | LogicalPlan::TopK { .. } | LogicalPlan::Limit { .. } => {
             Err(unsupported("ordering or a limit"))
         }
@@ -441,13 +376,6 @@ impl DeltaNode {
             }
             DeltaNode::Filter { input, .. } => input.column_set(),
             DeltaNode::Project { columns, .. } => columns.iter().cloned().collect(),
-            DeltaNode::Aggregate {
-                group_by, items, ..
-            } => group_by
-                .iter()
-                .cloned()
-                .chain(items.iter().map(|i| i.name.clone()))
-                .collect(),
         }
     }
 
@@ -457,9 +385,9 @@ impl DeltaNode {
             DeltaNode::Join { left, right, .. } => {
                 left.contains_table(relation) || right.contains_table(relation)
             }
-            DeltaNode::Filter { input, .. }
-            | DeltaNode::Project { input, .. }
-            | DeltaNode::Aggregate { input, .. } => input.contains_table(relation),
+            DeltaNode::Filter { input, .. } | DeltaNode::Project { input, .. } => {
+                input.contains_table(relation)
+            }
         }
     }
 
@@ -479,9 +407,9 @@ impl DeltaNode {
                     right.probe_spec(catalog, cols)
                 }
             }
-            DeltaNode::Filter { input, .. }
-            | DeltaNode::Project { input, .. }
-            | DeltaNode::Aggregate { input, .. } => input.probe_spec(catalog, cols),
+            DeltaNode::Filter { input, .. } | DeltaNode::Project { input, .. } => {
+                input.probe_spec(catalog, cols)
+            }
         }
     }
 
@@ -489,7 +417,6 @@ impl DeltaNode {
     fn delta(
         &self,
         executor: &Executor,
-        state: Option<&str>,
         relation: &str,
         deltas: &[RowDelta],
     ) -> Result<Vec<RowDelta>, QueryError> {
@@ -516,7 +443,7 @@ impl DeltaNode {
                 } else {
                     (right, left)
                 };
-                let inner = side.delta(executor, state, relation, deltas)?;
+                let inner = side.delta(executor, relation, deltas)?;
                 let mut out = Vec::new();
                 for d in inner {
                     let constraints = if left_side {
@@ -543,12 +470,12 @@ impl DeltaNode {
                 Ok(out)
             }
             DeltaNode::Filter { input, predicates } => {
-                let mut inner = input.delta(executor, state, relation, deltas)?;
+                let mut inner = input.delta(executor, relation, deltas)?;
                 inner.retain(|d| predicates_pass(predicates, &d.row));
                 Ok(inner)
             }
             DeltaNode::Project { input, columns } => {
-                let inner = input.delta(executor, state, relation, deltas)?;
+                let inner = input.delta(executor, relation, deltas)?;
                 Ok(inner
                     .into_iter()
                     .map(|d| RowDelta {
@@ -556,14 +483,6 @@ impl DeltaNode {
                         row: project_row(&d.row, columns),
                     })
                     .collect())
-            }
-            DeltaNode::Aggregate {
-                input,
-                group_by,
-                items,
-            } => {
-                let inner = input.delta(executor, state, relation, deltas)?;
-                aggregate_delta(executor, state, group_by, items, &inner)
             }
         }
     }
@@ -627,7 +546,6 @@ impl DeltaNode {
                 .into_iter()
                 .map(|r| project_row(&r, columns))
                 .collect()),
-            DeltaNode::Aggregate { .. } => Err(unsupported("a lookup through an aggregate")),
         }
     }
 
@@ -672,23 +590,6 @@ impl DeltaNode {
             }
             DeltaNode::Project { input, columns } => {
                 out.push_str(&format!("DeltaProject [{}]\n", columns.join(", ")));
-                input.render_into(out, depth + 1);
-            }
-            DeltaNode::Aggregate {
-                input,
-                group_by,
-                items,
-            } => {
-                out.push_str("DeltaAggregate");
-                if !group_by.is_empty() {
-                    out.push_str(&format!(" group_by=[{}]", group_by.join(", ")));
-                }
-                let items_text = items
-                    .iter()
-                    .map(|i| i.name.clone())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!(" items=[{items_text}]\n"));
                 input.render_into(out, depth + 1);
             }
         }
@@ -784,122 +685,6 @@ fn prefix_rows(
         .cluster()
         .scan_stream(&def.name, executor.bounded_scan(Scan::prefix(prefix)))?;
     Ok(cursor.map(|stored| def.decode_row(&stored)).collect())
-}
-
-/// Applies input deltas to the materialized aggregate state: per group,
-/// read the current group row, fold the net contributions in, and emit
-/// `[-old, +new]` (dropping the group when a `COUNT(*)` reaches zero).
-fn aggregate_delta(
-    executor: &Executor,
-    state: Option<&str>,
-    group_by: &[String],
-    items: &[AggItem],
-    deltas: &[RowDelta],
-) -> Result<Vec<RowDelta>, QueryError> {
-    let Some(state_table) = state else {
-        return Err(QueryError::Unsupported(
-            "an incremental aggregate needs a state table (DeltaPlan::with_state_table)".into(),
-        ));
-    };
-    // Net contribution per group: membership count plus per-item (count,
-    // sum, saw-float) folds, keyed by the encoded group values.
-    use std::collections::BTreeMap;
-    struct GroupFold {
-        key_row: Row,
-        members: i64,
-        item_counts: Vec<i64>,
-        item_sums: Vec<f64>,
-        item_floats: Vec<bool>,
-    }
-    let mut groups: BTreeMap<String, GroupFold> = BTreeMap::new();
-    for d in deltas {
-        let mut key_row = Row::with_capacity(group_by.len());
-        let mut key_text = String::new();
-        for g in group_by {
-            let v = d.row.get(g).cloned().unwrap_or(Value::Null);
-            key_text.push_str(&v.encode());
-            key_text.push(KEY_DELIMITER);
-            key_row.set(g.clone(), v);
-        }
-        let fold = groups.entry(key_text).or_insert_with(|| GroupFold {
-            key_row,
-            members: 0,
-            item_counts: vec![0; items.len()],
-            item_sums: vec![0.0; items.len()],
-            item_floats: vec![false; items.len()],
-        });
-        let unit = match d.sign {
-            DeltaSign::Plus => 1,
-            DeltaSign::Minus => -1,
-        };
-        fold.members += unit;
-        for (i, item) in items.iter().enumerate() {
-            let arg = match &item.argument {
-                Some(col) => {
-                    let Some(v) = d.row.get(col) else { continue };
-                    if v.is_null() {
-                        continue;
-                    }
-                    Some(v)
-                }
-                None => None,
-            };
-            fold.item_counts[i] += unit;
-            if let Some(v) = arg {
-                if let Some(f) = v.as_float() {
-                    fold.item_sums[i] += f64::from(unit as i32) * f;
-                }
-                if matches!(v, Value::Float(_)) {
-                    fold.item_floats[i] = true;
-                }
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    for fold in groups.into_values() {
-        let old = executor.get_row_by_key(state_table, &fold.key_row)?;
-        let mut new_row = fold.key_row.clone();
-        let mut members_after = fold.members;
-        for (i, item) in items.iter().enumerate() {
-            let old_value = old.as_ref().and_then(|r| r.get(&item.name)).cloned();
-            let value = match item.function {
-                AggregateFunction::Count => {
-                    let before = old_value.and_then(|v| v.as_int()).unwrap_or(0);
-                    let after = before + fold.item_counts[i];
-                    if item.argument.is_none() {
-                        members_after = after;
-                    }
-                    Value::Int(after)
-                }
-                AggregateFunction::Sum => {
-                    let before = old_value.clone().and_then(|v| v.as_float()).unwrap_or(0.0);
-                    let after = before + fold.item_sums[i];
-                    let float = fold.item_floats[i]
-                        || matches!(old_value, Some(Value::Float(_)));
-                    if float {
-                        Value::Float(after)
-                    } else {
-                        Value::Int(after as i64)
-                    }
-                }
-                // lint-allow(panic-freedom): compile() filters these aggregates out above
-                _ => unreachable!("compile rejects non-invertible aggregates"),
-            };
-            new_row.set(item.name.clone(), value);
-        }
-        let had_state = old.is_some();
-        if let Some(old_row) = old {
-            out.push(RowDelta::minus(old_row));
-        } else if fold.members <= 0 {
-            // Retractions against a group that was never materialized.
-            continue;
-        }
-        if members_after > 0 || (!had_state && fold.members > 0) {
-            out.push(RowDelta::plus(new_row));
-        }
-    }
-    Ok(out)
 }
 
 // ----------------------------------------------------------------------
@@ -1057,8 +842,9 @@ impl DeltaBuffer {
 }
 
 /// `base` with every attribute of `patch` overwritten onto it
-/// (last-write-wins per column).
-fn overlay(base: &Row, patch: &Row) -> Row {
+/// (last-write-wins per column) — how coalesced writes merge, and how an
+/// UPDATE's assignments become the row's after-image.
+pub fn overlay(base: &Row, patch: &Row) -> Row {
     let mut out = base.clone();
     for (attr, value) in patch.iter() {
         out.set(attr, value.clone());
@@ -1245,87 +1031,11 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_deltas_update_group_state_invertibly() {
-        let mut catalog = Catalog::new();
-        catalog.add_table(table(
-            "T",
-            &[
-                ("t_id", ColumnType::Int),
-                ("g", ColumnType::Int),
-                ("v", ColumnType::Int),
-            ],
-            &["t_id"],
-            TableKind::Base,
-        ));
-        catalog.add_table(table(
-            "V_agg",
-            &[
-                ("g", ColumnType::Int),
-                ("n", ColumnType::Int),
-                ("s", ColumnType::Int),
-            ],
-            &["g"],
-            TableKind::View,
-        ));
-        let cluster = Cluster::new(ClusterConfig::default());
-        for def in catalog.tables() {
-            cluster
-                .create_table(
-                    nosql_store::TableSchema::new(&def.name).with_family(crate::catalog::FAMILY),
-                )
-                .unwrap();
-        }
-        let executor = Executor::new(cluster, catalog);
-        let select = match sql::parse_statement(
-            "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM T GROUP BY g",
-        )
-        .unwrap()
-        {
-            sql::Statement::Select(s) => s,
-            _ => unreachable!(),
-        };
-        let physical = executor.plan_select(&select).unwrap();
-        let plan = DeltaPlan::compile(executor.catalog(), physical.logical())
-            .unwrap()
-            .with_state_table("V_agg");
-
-        // First insert creates the group.
-        let r1 = Row::new().set("t_id", 1).set("g", 7).set("v", 5).clone();
-        let out = plan.propagate(&executor, "T", &[RowDelta::plus(r1.clone())]).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sign, DeltaSign::Plus);
-        assert_eq!(out[0].row.get("n"), Some(&Value::Int(1)));
-        assert_eq!(out[0].row.get("s"), Some(&Value::Int(5)));
-        executor.insert_row("V_agg", &out[0].row).unwrap();
-
-        // Second insert emits -old, +new with folded values.
-        let r2 = Row::new().set("t_id", 2).set("g", 7).set("v", 3).clone();
-        let out = plan.propagate(&executor, "T", &[RowDelta::plus(r2)]).unwrap();
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].sign, DeltaSign::Minus);
-        assert_eq!(out[1].row.get("n"), Some(&Value::Int(2)));
-        assert_eq!(out[1].row.get("s"), Some(&Value::Int(8)));
-        executor.delete_row_by_key("V_agg", &out[0].row).unwrap();
-        executor.insert_row("V_agg", &out[1].row).unwrap();
-
-        // Retracting both members empties the group: -old only.
-        let r2 = Row::new().set("t_id", 2).set("g", 7).set("v", 3).clone();
-        let out = plan
-            .propagate(
-                &executor,
-                "T",
-                &[RowDelta::minus(r1), RowDelta::minus(r2)],
-            )
-            .unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sign, DeltaSign::Minus);
-    }
-
-    #[test]
     fn non_invertible_aggregates_and_limits_fail_to_compile() {
         let executor = join_fixture();
         for sql_text in [
             "SELECT b_a_id, MIN(b_v) AS m FROM B GROUP BY b_a_id",
+            "SELECT b_a_id, COUNT(*) AS n, SUM(b_v) AS s FROM B GROUP BY b_a_id",
             "SELECT * FROM B LIMIT 5",
         ] {
             let select = match sql::parse_statement(sql_text).unwrap() {

@@ -195,9 +195,7 @@ impl Executor {
                 let plan = self.plan_select(select)?;
                 self.execute_plan(&plan, params)
             }
-            Statement::Insert(insert) => self.execute_insert(insert, params),
-            Statement::Update(update) => self.execute_update(update, params),
-            Statement::Delete(delete) => self.execute_delete(delete, params),
+            write => self.execute_write(crate::writes::bind_write(self.catalog(), write, params)?),
         }
     }
 

@@ -69,7 +69,7 @@ mod stream;
 mod writes;
 
 pub use catalog::{Catalog, ColumnType, TableDef, TableKind, FAMILY};
-pub use delta::{DeltaBuffer, DeltaPlan, DeltaSign, PendingWrite, RowDelta};
+pub use delta::{overlay, DeltaBuffer, DeltaPlan, DeltaSign, PendingWrite, RowDelta};
 pub use executor::{
     par_decode_rows, AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT,
 };
@@ -78,3 +78,4 @@ pub use physical::PhysicalPlan;
 pub use plan::{LogicalPlan, PlanOperand, PlanPredicate, SortKey};
 pub use result::{QueryError, QueryResult};
 pub use session::{PlanCacheStats, PlanRewriter, PreparedStatement, Session};
+pub use writes::{bind_write, BoundWrite, WriteChange};

@@ -7,13 +7,14 @@
 //! operation.
 
 use crate::bind::bind_expr;
-use crate::catalog::{TableDef, TableKind};
+use crate::catalog::{Catalog, TableDef, TableKind};
+use crate::delta::overlay;
 use crate::executor::Executor;
 use crate::result::{QueryError, QueryResult};
 use nosql_store::ops::{Delete, Get, Put};
 use relational::{Row, Value};
-use sql::{Comparison, DeleteStatement, Expr, InsertStatement, UpdateStatement};
-use std::collections::BTreeMap;
+use sql::{Comparison, Condition, Expr, Statement};
+use std::sync::Arc;
 
 impl Executor {
     // ------------------------------------------------------------------
@@ -24,11 +25,7 @@ impl Executor {
     /// charging normal per-operation costs.  This is the path the write
     /// statements of every evaluated system ultimately use.
     pub fn insert_row(&self, table: &str, row: &Row) -> Result<(), QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(table)
-            .ok_or_else(|| QueryError::UnknownTable(table.to_string()))?
-            .clone();
+        let def = self.table_def(table)?;
         self.check_key_present(&def, row)?;
         self.cluster().put(&def.name, def.row_to_put(row))?;
         for index in self.catalog().indexes_of(&def.name) {
@@ -45,11 +42,7 @@ impl Executor {
         table: &str,
         rows: impl IntoIterator<Item = &'a Row>,
     ) -> Result<usize, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(table)
-            .ok_or_else(|| QueryError::UnknownTable(table.to_string()))?
-            .clone();
+        let def = self.table_def(table)?;
         let indexes: Vec<TableDef> = self
             .catalog()
             .indexes_of(&def.name)
@@ -75,10 +68,7 @@ impl Executor {
 
     /// Reads one row of a table by its full primary key values.
     pub fn get_row_by_key(&self, table: &str, key: &Row) -> Result<Option<Row>, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(table)
-            .ok_or_else(|| QueryError::UnknownTable(table.to_string()))?;
+        let def = self.table_def(table)?;
         let row_key = def.encode_row_key(key);
         Ok(self
             .cluster()
@@ -100,11 +90,7 @@ impl Executor {
     /// delete.  The before-image is what update/delete delta propagation
     /// needs to retract the old row from dependent views.
     pub fn delete_row_fetch(&self, table: &str, key: &Row) -> Result<Option<Row>, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(table)
-            .ok_or_else(|| QueryError::UnknownTable(table.to_string()))?
-            .clone();
+        let def = self.table_def(table)?;
         let row_key = def.encode_row_key(key);
         let before = self
             .cluster()
@@ -125,11 +111,7 @@ impl Executor {
     /// changed are rewritten against that authoritative prior image, so
     /// callers that already merged assignments do not pay a second read.
     pub fn update_row(&self, table: &str, updated: &Row) -> Result<Option<Row>, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(table)
-            .ok_or_else(|| QueryError::UnknownTable(table.to_string()))?
-            .clone();
+        let def = self.table_def(table)?;
         self.check_key_present(&def, updated)?;
         let before = self
             .cluster()
@@ -148,6 +130,13 @@ impl Executor {
         Ok(before)
     }
 
+    /// The definition of `table` (ASCII case ignored), as a shared handle.
+    fn table_def(&self, table: &str) -> Result<Arc<TableDef>, QueryError> {
+        self.catalog()
+            .table_shared_ci(table)
+            .ok_or_else(|| QueryError::UnknownTable(table.to_string()))
+    }
+
     fn check_key_present(&self, def: &TableDef, row: &Row) -> Result<(), QueryError> {
         for k in &def.key {
             if row.get(k).map(Value::is_null).unwrap_or(true) {
@@ -164,107 +153,155 @@ impl Executor {
     // Statement execution
     // ------------------------------------------------------------------
 
-    pub(crate) fn execute_insert(
-        &self,
-        insert: &InsertStatement,
-        params: &[Value],
-    ) -> Result<QueryResult, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(&insert.table)
-            .ok_or_else(|| QueryError::UnknownTable(insert.table.clone()))?
-            .clone();
-        let mut row = Row::new();
-        for (column, expr) in insert.columns.iter().zip(&insert.values) {
-            if def.column_type(column).is_none() {
-                return Err(QueryError::UnknownColumn(format!(
-                    "{}.{}",
-                    def.name, column
-                )));
+    /// Executes a bound write statement: the one-shot path of every system
+    /// without a transaction layer of its own.
+    pub(crate) fn execute_write(&self, write: BoundWrite) -> Result<QueryResult, QueryError> {
+        let table = &write.table.name;
+        match write.change {
+            WriteChange::Insert(row) => {
+                self.insert_row(table, &row)?;
+                Ok(QueryResult::affected(1))
             }
-            row.set(column.clone(), bind_expr(expr, params)?);
+            WriteChange::Update { key, assignments } => {
+                let Some(existing) = self.get_row_by_key(table, &key)? else {
+                    return Ok(QueryResult::affected(0));
+                };
+                self.update_row(table, &overlay(&existing, &assignments))?;
+                Ok(QueryResult::affected(1))
+            }
+            WriteChange::Delete { key } => {
+                let removed = self.delete_row_by_key(table, &key)?;
+                Ok(QueryResult::affected(usize::from(removed)))
+            }
         }
-        self.insert_row(&def.name, &row)?;
-        Ok(QueryResult::affected(1))
     }
+}
 
-    /// Extracts the primary-key values from the equality filters of a write
-    /// statement's WHERE clause; errors if any key attribute is missing
-    /// (paper §IV: unsupported write shapes are excluded from the workload).
-    pub(crate) fn key_from_conditions(
-        &self,
-        def: &TableDef,
-        conditions: &[sql::Condition],
-        params: &[Value],
-    ) -> Result<Row, QueryError> {
-        let mut filters: BTreeMap<String, Value> = BTreeMap::new();
-        for c in conditions {
-            if c.op == Comparison::Eq {
-                if let Expr::Column(_) = c.right {
-                    continue;
-                }
-                filters.insert(c.left.column.clone(), bind_expr(&c.right, params)?);
-            }
-        }
-        let mut key = Row::new();
-        for k in &def.key {
-            match filters.get(k) {
-                Some(v) => {
-                    key.set(k.clone(), v.clone());
-                }
-                None => {
-                    return Err(QueryError::IncompleteKey {
-                        table: def.name.clone(),
-                        missing: k.clone(),
-                    })
-                }
-            }
-        }
-        Ok(key)
-    }
+/// A write statement bound against the catalog: the written table and what
+/// the statement does to it, parameters substituted.
+#[derive(Debug, Clone)]
+pub struct BoundWrite {
+    /// Definition of the written table.
+    pub table: Arc<TableDef>,
+    /// The change to apply to it.
+    pub change: WriteChange,
+}
 
-    pub(crate) fn execute_update(
-        &self,
-        update: &UpdateStatement,
-        params: &[Value],
-    ) -> Result<QueryResult, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(&update.table)
-            .ok_or_else(|| QueryError::UnknownTable(update.table.clone()))?
-            .clone();
-        let key = self.key_from_conditions(&def, &update.conditions, params)?;
-        let Some(existing) = self.get_row_by_key(&def.name, &key)? else {
-            return Ok(QueryResult::affected(0));
-        };
-        let mut updated = existing.clone();
-        for (column, expr) in &update.assignments {
-            if def.column_type(column).is_none() {
-                return Err(QueryError::UnknownColumn(format!(
-                    "{}.{}",
-                    def.name, column
-                )));
-            }
-            updated.set(column.clone(), bind_expr(expr, params)?);
-        }
-        self.update_row(&def.name, &updated)?;
-        Ok(QueryResult::affected(1))
-    }
+/// What a [`BoundWrite`] does to its table.
+#[derive(Debug, Clone)]
+pub enum WriteChange {
+    /// Insert this row.
+    Insert(Row),
+    /// Overlay `assignments` on the row stored under the full primary `key`.
+    Update {
+        /// The full primary key, from the statement's equality filters.
+        key: Row,
+        /// The assigned columns and their new values.
+        assignments: Row,
+    },
+    /// Delete the row stored under the full primary `key`.
+    Delete {
+        /// The full primary key, from the statement's equality filters.
+        key: Row,
+    },
+}
 
-    pub(crate) fn execute_delete(
-        &self,
-        delete: &DeleteStatement,
-        params: &[Value],
-    ) -> Result<QueryResult, QueryError> {
-        let def = self
-            .catalog()
-            .table_ci(&delete.table)
-            .ok_or_else(|| QueryError::UnknownTable(delete.table.clone()))?
-            .clone();
-        let key = self.key_from_conditions(&def, &delete.conditions, params)?;
-        let removed = self.delete_row_by_key(&def.name, &key)?;
-        Ok(QueryResult::affected(usize::from(removed)))
+/// Binds a write statement: resolves its table, checks that every written
+/// column exists, substitutes the parameters and extracts the full primary
+/// key from the WHERE clause.  Touches the catalog only — no store operation,
+/// no simulated cost — so [`Executor::execute`] and Synergy's transaction
+/// layer share it and reject the same statements.
+///
+/// Errors: [`QueryError::UnknownTable`], [`QueryError::UnknownColumn`],
+/// [`QueryError::MissingParameter`], [`QueryError::IncompleteKey`] when an
+/// UPDATE or DELETE does not fix every key attribute by equality (paper §IV:
+/// such write shapes are excluded from the workload), and
+/// [`QueryError::Unsupported`] for a SELECT.
+pub fn bind_write(
+    catalog: &Catalog,
+    statement: &Statement,
+    params: &[Value],
+) -> Result<BoundWrite, QueryError> {
+    let table_of = |name: &String| {
+        catalog
+            .table_shared_ci(name)
+            .ok_or_else(|| QueryError::UnknownTable(name.clone()))
+    };
+    match statement {
+        Statement::Insert(insert) => {
+            let table = table_of(&insert.table)?;
+            let row = bind_columns(&table, insert.columns.iter().zip(&insert.values), params)?;
+            Ok(BoundWrite {
+                table,
+                change: WriteChange::Insert(row),
+            })
+        }
+        Statement::Update(update) => {
+            let table = table_of(&update.table)?;
+            let key = bind_key(&table, &update.conditions, params)?;
+            let assigned = update
+                .assignments
+                .iter()
+                .map(|(column, expr)| (column, expr));
+            let assignments = bind_columns(&table, assigned, params)?;
+            Ok(BoundWrite {
+                table,
+                change: WriteChange::Update { key, assignments },
+            })
+        }
+        Statement::Delete(delete) => {
+            let table = table_of(&delete.table)?;
+            let key = bind_key(&table, &delete.conditions, params)?;
+            Ok(BoundWrite {
+                table,
+                change: WriteChange::Delete { key },
+            })
+        }
+        Statement::Select(_) => Err(QueryError::Unsupported(
+            "a SELECT is not a write statement".into(),
+        )),
     }
+}
+
+/// The written columns of an INSERT or UPDATE with their bound values; a
+/// column the table does not have is an error.
+fn bind_columns<'a>(
+    table: &TableDef,
+    written: impl Iterator<Item = (&'a String, &'a Expr)>,
+    params: &[Value],
+) -> Result<Row, QueryError> {
+    let mut row = Row::new();
+    for (column, expr) in written {
+        if table.column_type(column).is_none() {
+            return Err(QueryError::UnknownColumn(format!(
+                "{}.{}",
+                table.name, column
+            )));
+        }
+        row.set(column, bind_expr(expr, params)?);
+    }
+    Ok(row)
+}
+
+/// The full primary key of `table` from the equality filters of a WHERE
+/// clause; a key attribute no filter fixes is an error.
+fn bind_key(
+    table: &TableDef,
+    conditions: &[Condition],
+    params: &[Value],
+) -> Result<Row, QueryError> {
+    let mut key = Row::with_capacity(table.key.len());
+    for attribute in &table.key {
+        let filter = conditions
+            .iter()
+            .find(|c| c.op == Comparison::Eq && c.is_filter() && c.left.column == *attribute)
+            .ok_or_else(|| QueryError::IncompleteKey {
+                table: table.name.clone(),
+                missing: attribute.clone(),
+            })?;
+        key.set(attribute, bind_expr(&filter.right, params)?);
+    }
+    Ok(key)
 }
 
 // Re-exported for the baseline module's table creation helper.

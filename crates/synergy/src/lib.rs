@@ -43,7 +43,7 @@ pub mod txn;
 pub mod viewgen;
 
 pub use lock::{LockGuard, LockManager};
-pub use maintenance::{MaintenanceEngine, MaintenanceStatsSnapshot, StagedViewUpdate};
+pub use maintenance::{MaintenanceEngine, MaintenanceStatsSnapshot};
 pub use partial::{MaintOutcome, ResidencySnapshot, ViewResidency};
 pub use rewrite::SynergyRewriter;
 pub use selection::{SelectionOutcome, ViewIndexDefinition};

@@ -28,6 +28,20 @@
 //! `SynergyConfig::with_write_batch`) defers propagation: consecutive
 //! writes to the same base key merge (last-write-wins per column,
 //! insert+delete annihilation) and flush as one propagated write.
+//!
+//! **One view-row write site.**  Whatever computed it — an insert's
+//! propagated tuple, a delete, a staged update's removals, rewrites and
+//! insertions, a flushed batch, crash recovery's roll-forward — a view row
+//! reaches the store through the private `write_view_row(view, ViewWrite)`
+//! and nowhere else.  It holds the partial-materialization fork once: with
+//! a residency map the write is annihilated (cold key), deferred (key
+//! mid-fill) or applied under the residency lock; without one it is the
+//! plain executor write of its kind (`insert_row` / `update_row` /
+//! `delete_row_by_key`, each maintaining the view's indexes).  Dirty
+//! markers are not row writes: `set_marker` puts the one marker cell,
+//! gated by `marker_applies`.  The engine's operations are driven by the
+//! transaction layer's write pipeline ([`crate::txn`]) and by
+//! [`crate::SynergySystem::recover`]; they are crate-private.
 
 use crate::partial::{MaintOutcome, ViewResidency, ViewWrite};
 use crate::viewgen::ViewDefinition;
@@ -70,7 +84,7 @@ pub struct MaintenanceStatsSnapshot {
 /// delta propagation *before* the base write, applied after it (steps 2–5
 /// of the update transaction, §VIII-B).
 #[derive(Debug, Clone)]
-pub struct StagedViewUpdate {
+pub(crate) struct StagedViewUpdate {
     view: ViewDefinition,
     /// New full view-row images whose keys already exist (in-place rewrite).
     rewrites: Vec<Row>,
@@ -81,13 +95,8 @@ pub struct StagedViewUpdate {
 }
 
 impl StagedViewUpdate {
-    /// The view this staged update maintains.
-    pub fn view(&self) -> &ViewDefinition {
-        &self.view
-    }
-
     /// Number of view rows this staged update will touch.
-    pub fn touched(&self) -> usize {
+    fn touched(&self) -> usize {
         self.rewrites.len() + self.removes.len() + self.inserts.len()
     }
 }
@@ -112,7 +121,8 @@ pub struct MaintenanceEngine {
     /// Partial-materialization residency (`None` = views fully
     /// materialized): view-row writes are routed through it so deltas
     /// targeting non-resident keys are **annihilated** and deltas racing a
-    /// fill are deferred (see [`ViewResidency::apply_view_write`]).
+    /// fill are deferred (see [`ViewResidency::apply_view_write`]).  Only
+    /// `write_view_row` and `marker_applies` look at it.
     residency: Option<Arc<ViewResidency>>,
 }
 
@@ -155,17 +165,12 @@ impl MaintenanceEngine {
     }
 
     /// True when writes are deferred into the coalescing batch.
-    pub fn buffering(&self) -> bool {
+    pub(crate) fn buffering(&self) -> bool {
         self.buffer.lock().unwrap_or_else(PoisonError::into_inner).capacity() > 1
     }
 
-    /// All maintained views.
-    pub fn views(&self) -> &[ViewDefinition] {
-        &self.views
-    }
-
     /// A snapshot of the maintenance counters.
-    pub fn stats(&self) -> MaintenanceStatsSnapshot {
+    pub(crate) fn stats(&self) -> MaintenanceStatsSnapshot {
         MaintenanceStatsSnapshot {
             view_rows_touched: self.stats.view_rows_touched.load(Ordering::Relaxed),
             deltas_propagated: self.stats.deltas_propagated.load(Ordering::Relaxed),
@@ -178,22 +183,21 @@ impl MaintenanceEngine {
     // Applicability tests (§VII-A/B/C, step 1) — precomputed
     // ------------------------------------------------------------------
 
-    /// Views to which an insert into `relation` applies: those whose *last*
-    /// relation is `relation`.  Served from the precomputed index — no
-    /// allocation per write.
-    pub fn views_for_insert(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
-        ids_for(&self.by_last, relation).iter().map(|&i| &self.views[i])
-    }
-
-    /// Views to which a delete from `relation` applies (same test as insert).
-    pub fn views_for_delete(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
-        self.views_for_insert(relation)
+    /// Views to which an insert into (or a delete from) `relation` applies:
+    /// those whose *last* relation is `relation`.  Served from the
+    /// precomputed index — no allocation per write.
+    pub(crate) fn views_for_insert(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
+        ids_for(&self.by_last, relation)
+            .iter()
+            .map(|&i| &self.views[i])
     }
 
     /// Views to which an update of `relation` applies: those containing
     /// `relation` anywhere in their sequence.
-    pub fn views_for_update(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
-        ids_for(&self.by_member, relation).iter().map(|&i| &self.views[i])
+    pub(crate) fn views_for_update(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
+        ids_for(&self.by_member, relation)
+            .iter()
+            .map(|&i| &self.views[i])
     }
 
     // ------------------------------------------------------------------
@@ -203,7 +207,7 @@ impl MaintenanceEngine {
     /// The compiled delta plan of a view, compiled from its defining SELECT
     /// through the regular planner on first use and cached until the
     /// catalog version changes (mirrors the read path's plan cache).
-    pub fn delta_plan(&self, view: &ViewDefinition) -> Result<Arc<DeltaPlan>, QueryError> {
+    fn delta_plan(&self, view: &ViewDefinition) -> Result<Arc<DeltaPlan>, QueryError> {
         let key = view.table_name();
         let version = self.executor.catalog().version();
         {
@@ -222,10 +226,10 @@ impl MaintenanceEngine {
             ));
         };
         let physical = self.executor.plan_select(&select)?;
-        let plan = Arc::new(
-            DeltaPlan::compile(self.executor.catalog(), physical.logical())?
-                .with_state_table(&key),
-        );
+        let plan = Arc::new(DeltaPlan::compile(
+            self.executor.catalog(),
+            physical.logical(),
+        )?);
         self.plans
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -234,84 +238,80 @@ impl MaintenanceEngine {
     }
 
     /// Renders the delta-operator tree maintaining `view` (EXPLAIN-style).
-    pub fn explain_delta_plan(&self, view: &ViewDefinition) -> Result<String, QueryError> {
+    pub(crate) fn explain_delta_plan(&self, view: &ViewDefinition) -> Result<String, QueryError> {
         Ok(self.delta_plan(view)?.render())
     }
 
+    /// Pushes base-table deltas of `relation` through `view`'s delta plan
+    /// and counts the view-row deltas that come out.
+    fn propagate(
+        &self,
+        view: &ViewDefinition,
+        relation: &str,
+        deltas: &[RowDelta],
+    ) -> Result<Vec<RowDelta>, QueryError> {
+        let out = self
+            .delta_plan(view)?
+            .propagate(&self.executor, relation, deltas)?;
+        self.stats
+            .deltas_propagated
+            .fetch_add(out.len() as u64, Ordering::Relaxed);
+        Ok(out)
+    }
+
     // ------------------------------------------------------------------
-    // Residency-aware view writes (partial materialization)
+    // The view-row write site
     // ------------------------------------------------------------------
 
-    fn catalog_view_def(&self, view: &ViewDefinition) -> Result<TableDef, QueryError> {
+    fn catalog_view_def(&self, view: &ViewDefinition) -> Result<Arc<TableDef>, QueryError> {
         let table = view.table_name();
         self.executor
             .catalog()
-            .table(&table)
-            .cloned()
+            .table_shared(&table)
             .ok_or(QueryError::UnknownTable(table))
     }
 
-    /// Writes one view row (insert or in-place rewrite).  In partial mode
-    /// the write routes through residency: annihilated for a cold key,
-    /// deferred mid-fill, applied as an upsert otherwise.
-    fn route_view_upsert(
-        &self,
-        view: &ViewDefinition,
-        row: &Row,
-        insert: bool,
-    ) -> Result<usize, QueryError> {
-        match &self.residency {
-            Some(residency) => {
-                let def = self.catalog_view_def(view)?;
-                match residency.apply_view_write(
-                    &self.executor,
-                    &def,
-                    ViewWrite::Upsert(row.clone()),
-                )? {
-                    MaintOutcome::Applied { touched } => Ok(touched as usize),
-                    MaintOutcome::Deferred | MaintOutcome::Annihilated => Ok(0),
+    /// Writes one view row — **the only place a maintained view row reaches
+    /// the store** (see the module docs).  Returns the view rows touched:
+    /// 0 when partial mode annihilated or deferred the write, or a removal
+    /// found no row.
+    fn write_view_row(&self, view: &ViewDefinition, write: ViewWrite) -> Result<usize, QueryError> {
+        let Some(residency) = &self.residency else {
+            let table = view.table_name();
+            return Ok(match &write {
+                ViewWrite::Insert(row) => {
+                    self.executor.insert_row(&table, row)?;
+                    1
                 }
-            }
-            None => {
-                if insert {
-                    self.executor.insert_row(&view.table_name(), row)?;
-                } else {
-                    self.executor.update_row(&view.table_name(), row)?;
+                // The executor rewrites view-index entries from the stored
+                // before-image.
+                ViewWrite::Rewrite(row) => {
+                    self.executor.update_row(&table, row)?;
+                    1
                 }
-                Ok(1)
-            }
-        }
-    }
-
-    /// Removes one view row by key, routed through residency in partial
-    /// mode (same annihilate/defer/apply rules as the upsert path).
-    fn route_view_remove(&self, view: &ViewDefinition, key: &Row) -> Result<usize, QueryError> {
-        match &self.residency {
-            Some(residency) => {
-                let def = self.catalog_view_def(view)?;
-                match residency.apply_view_write(
-                    &self.executor,
-                    &def,
-                    ViewWrite::Remove(key.clone()),
-                )? {
-                    MaintOutcome::Applied { touched } => Ok(touched as usize),
-                    MaintOutcome::Deferred | MaintOutcome::Annihilated => Ok(0),
+                ViewWrite::Remove(key) => {
+                    usize::from(self.executor.delete_row_by_key(&table, key)?)
                 }
-            }
-            None => Ok(self.executor.delete_row_by_key(&view.table_name(), key)? as usize),
-        }
+            });
+        };
+        let def = self.catalog_view_def(view)?;
+        Ok(
+            match residency.apply_view_write(&self.executor, &def, write)? {
+                MaintOutcome::Applied { touched } => touched as usize,
+                MaintOutcome::Deferred | MaintOutcome::Annihilated => 0,
+            },
+        )
     }
 
     /// True when `view_row` should carry dirty markers: always in full
     /// materialization; only while its key is resident in partial mode
     /// (marking a cold key would create a marker-only remnant row outside
     /// residency accounting).
-    fn marker_applies(&self, view: &ViewDefinition, view_row: &Row) -> Result<bool, QueryError> {
-        let Some(residency) = &self.residency else {
-            return Ok(true);
-        };
-        let def = self.catalog_view_def(view)?;
-        Ok(residency.is_resident_for_row(&def, view_row))
+    fn marker_applies(&self, view_def: &TableDef, view_row: &Row) -> bool {
+        match &self.residency {
+            Some(residency) => residency.is_resident_for_row(view_def, view_row),
+            None => true,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -321,19 +321,10 @@ impl MaintenanceEngine {
     /// Applies a base-table insert to every applicable view (and the views'
     /// indexes, which the executor maintains automatically).  Returns the
     /// number of view rows written.
-    pub fn apply_insert(&self, relation: &str, inserted: &Row) -> Result<usize, QueryError> {
+    pub(crate) fn apply_insert(&self, relation: &str, inserted: &Row) -> Result<usize, QueryError> {
         let mut written = 0;
         for view in self.views_for_insert(relation) {
-            let plan = self.delta_plan(view)?;
-            let deltas = [RowDelta::plus(inserted.unqualified())];
-            let out = plan.propagate(&self.executor, relation, &deltas)?;
-            self.stats
-                .deltas_propagated
-                .fetch_add(out.len() as u64, Ordering::Relaxed);
-            for delta in out {
-                debug_assert_eq!(delta.sign, DeltaSign::Plus);
-                written += self.route_view_upsert(view, &delta.row, true)?;
-            }
+            written += self.insert_into_view(view, inserted)?;
         }
         self.stats
             .view_rows_touched
@@ -341,44 +332,37 @@ impl MaintenanceEngine {
         Ok(written)
     }
 
-    /// Constructs the view tuple of a row of the view's last relation, by
-    /// walking the key/foreign-key chain upwards and reading one related
-    /// tuple per ancestor relation (k−1 reads for a view of k relations).
-    /// Returns `None` when an ancestor row is missing (foreign-key
-    /// constraints are not enforced, §IV).  Crash recovery's roll-forward
-    /// recomputes dirty view rows with it; inserts obtain the same tuple
-    /// from the join probes of the view's delta plan.
-    pub(crate) fn construct_insert_tuple(
+    /// Propagates `+row` — a row of `view`'s last relation — through the
+    /// view's delta plan and writes the view tuple(s) that come out.  The
+    /// join probes walk the key/foreign-key chain upwards, one point read
+    /// per ancestor relation (k−1 reads for a view of k relations); a
+    /// missing ancestor yields no tuple (foreign keys are not enforced,
+    /// §IV).
+    fn insert_into_view(&self, view: &ViewDefinition, row: &Row) -> Result<usize, QueryError> {
+        let deltas = [RowDelta::plus(row.unqualified())];
+        let mut written = 0;
+        for delta in self.propagate(view, view.last_relation(), &deltas)? {
+            debug_assert_eq!(delta.sign, DeltaSign::Plus);
+            written += self.write_view_row(view, ViewWrite::Insert(delta.row))?;
+        }
+        Ok(written)
+    }
+
+    /// Crash recovery's roll-forward of one dirty view row whose base row
+    /// survived: recomputes the view tuple from the base tables exactly as
+    /// an insert of `base_row` would, rewrites it and clears its marker.
+    /// Returns false when the join no longer produces the row (an ancestor
+    /// is missing) — the caller removes it.
+    pub(crate) fn roll_forward(
         &self,
         view: &ViewDefinition,
-        inserted: &Row,
-    ) -> Result<Option<Row>, QueryError> {
-        let mut combined = inserted.unqualified();
-        let mut current = inserted.unqualified();
-        // Walk edges from the last relation up to the first.
-        for edge in view.edges.iter().rev() {
-            // The child row (`current`) holds FK attributes referencing the
-            // parent's PK; read the parent row by primary key.
-            let mut parent_key = Row::new();
-            for (pk_attr, fk_attr) in edge.pk.iter().zip(edge.fk.iter()) {
-                match current.get(fk_attr) {
-                    Some(value) if !value.is_null() => {
-                        parent_key.set(pk_attr.clone(), value.clone());
-                    }
-                    _ => return Ok(None),
-                }
-            }
-            let Some(parent) = self.executor.get_row_by_key(&edge.from, &parent_key)? else {
-                return Ok(None);
-            };
-            for (attribute, value) in parent.iter() {
-                if combined.get(attribute).is_none() {
-                    combined.set(attribute, value.clone());
-                }
-            }
-            current = parent;
+        base_row: &Row,
+    ) -> Result<bool, QueryError> {
+        if self.insert_into_view(view, base_row)? == 0 {
+            return Ok(false);
         }
-        Ok(Some(combined))
+        self.set_marker(view, base_row, "0")?;
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -389,10 +373,10 @@ impl MaintenanceEngine {
     /// equals the base key (the last relation's primary key), so no
     /// propagation is needed in either mode.  Returns the number of view
     /// rows removed.
-    pub fn apply_delete(&self, relation: &str, base_key: &Row) -> Result<usize, QueryError> {
+    pub(crate) fn apply_delete(&self, relation: &str, base_key: &Row) -> Result<usize, QueryError> {
         let mut removed = 0;
-        for view in self.views_for_delete(relation) {
-            removed += self.route_view_remove(view, base_key)?;
+        for view in self.views_for_insert(relation) {
+            removed += self.write_view_row(view, ViewWrite::Remove(base_key.clone()))?;
         }
         self.stats
             .view_rows_touched
@@ -408,7 +392,7 @@ impl MaintenanceEngine {
     /// `before` to `after`) on every applicable view, by delta propagation.
     /// Runs *before* the base write: the join probes read the other
     /// relations' current rows.
-    pub fn stage_update(
+    pub(crate) fn stage_update(
         &self,
         relation: &str,
         before: &Row,
@@ -416,7 +400,6 @@ impl MaintenanceEngine {
     ) -> Result<Vec<StagedViewUpdate>, QueryError> {
         let mut staged = Vec::new();
         for view in self.views_for_update(relation) {
-            let plan = self.delta_plan(view)?;
             let mut update = StagedViewUpdate {
                 view: view.clone(),
                 rewrites: Vec::new(),
@@ -430,19 +413,10 @@ impl MaintenanceEngine {
                     RowDelta::minus(before.unqualified()),
                     RowDelta::plus(after.unqualified()),
                 ];
-                let out = plan.propagate(&self.executor, relation, &deltas)?;
-                self.stats
-                    .deltas_propagated
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
-                let view_def = self
-                    .executor
-                    .catalog()
-                    .table(&view.table_name())
-                    .ok_or_else(|| QueryError::UnknownTable(view.table_name()))?;
+                let view_def = self.catalog_view_def(view)?;
                 // BTreeMap: deterministic apply order (deterministic sim).
-                let mut paired: std::collections::BTreeMap<String, (Option<Row>, Option<Row>)> =
-                    std::collections::BTreeMap::new();
-                for delta in out {
+                let mut paired: BTreeMap<String, (Option<Row>, Option<Row>)> = BTreeMap::new();
+                for delta in self.propagate(view, relation, &deltas)? {
                     let key = view_def.encode_row_key(&delta.row);
                     let entry = paired.entry(key).or_default();
                     match delta.sign {
@@ -464,10 +438,7 @@ impl MaintenanceEngine {
                 // exactly the keys of the propagated new image — every
                 // output is an in-place rewrite.
                 let deltas = [RowDelta::plus(after.unqualified())];
-                let out = plan.propagate(&self.executor, relation, &deltas)?;
-                self.stats
-                    .deltas_propagated
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
+                let out = self.propagate(view, relation, &deltas)?;
                 update.rewrites.extend(out.into_iter().map(|d| d.row));
             }
             if update.touched() > 0 {
@@ -481,48 +452,26 @@ impl MaintenanceEngine {
     /// as dirty (step 3 of the update transaction).  Rows the update
     /// *inserts* do not exist yet and are not marked (matching the insert
     /// procedure, which never marks).
-    pub fn mark_staged(&self, staged: &[StagedViewUpdate]) -> Result<(), QueryError> {
+    pub(crate) fn mark_staged(&self, staged: &[StagedViewUpdate]) -> Result<(), QueryError> {
         for update in staged {
             for row in update.rewrites.iter().chain(&update.removes) {
-                if self.marker_applies(&update.view, row)? {
-                    self.mark_dirty(&update.view, row)?;
-                }
+                self.set_marker(&update.view, row, "1")?;
             }
         }
         Ok(())
     }
 
     /// Applies a staged update to the view tables (step 4: runs after the
-    /// base write).  Removals go first, then in-place rewrites (the
-    /// executor rewrites view-index entries from the stored before-image),
-    /// then insertions.  Returns the number of view rows touched.
-    pub fn apply_staged(&self, staged: &[StagedViewUpdate]) -> Result<usize, QueryError> {
+    /// base write).  Removals go first, then in-place rewrites, then
+    /// insertions.  Returns the number of view rows touched.
+    pub(crate) fn apply_staged(&self, staged: &[StagedViewUpdate]) -> Result<usize, QueryError> {
         let mut touched = 0;
         for update in staged {
-            if self.residency.is_some() {
-                // Partial mode: every write routes through residency
-                // (annihilate / defer / apply); rewrites and inserts are
-                // both upserts there.
-                for old in &update.removes {
-                    touched += self.route_view_remove(&update.view, old)?;
-                }
-                for new in update.rewrites.iter().chain(&update.inserts) {
-                    touched += self.route_view_upsert(&update.view, new, false)?;
-                }
-                continue;
-            }
-            let table = update.view.table_name();
-            for old in &update.removes {
-                self.executor.delete_row_by_key(&table, old)?;
-                touched += 1;
-            }
-            for new in &update.rewrites {
-                self.executor.update_row(&table, new)?;
-                touched += 1;
-            }
-            for new in &update.inserts {
-                self.executor.insert_row(&table, new)?;
-                touched += 1;
+            let removes = update.removes.iter().cloned().map(ViewWrite::Remove);
+            let rewrites = update.rewrites.iter().cloned().map(ViewWrite::Rewrite);
+            let inserts = update.inserts.iter().cloned().map(ViewWrite::Insert);
+            for write in removes.chain(rewrites).chain(inserts) {
+                touched += self.write_view_row(&update.view, write)?;
             }
         }
         self.stats
@@ -534,12 +483,10 @@ impl MaintenanceEngine {
     /// Clears the dirty markers a staged update set (step 5).  Removed rows
     /// are gone — unmarking them would resurrect a marker-only row — so
     /// only rewritten rows are unmarked.
-    pub fn unmark_staged(&self, staged: &[StagedViewUpdate]) -> Result<(), QueryError> {
+    pub(crate) fn unmark_staged(&self, staged: &[StagedViewUpdate]) -> Result<(), QueryError> {
         for update in staged {
             for row in &update.rewrites {
-                if self.marker_applies(&update.view, row)? {
-                    self.unmark_dirty(&update.view, row)?;
-                }
+                self.set_marker(&update.view, row, "0")?;
             }
         }
         Ok(())
@@ -576,60 +523,27 @@ impl MaintenanceEngine {
     // Write batching
     // ------------------------------------------------------------------
 
-    /// Buffers an insert for deferred propagation; flushes the batch when
+    /// Buffers one base-table write of `relation` for deferred propagation
+    /// (a write no view depends on is dropped here); flushes the batch when
     /// it reaches capacity.  Returns the number of view rows touched by a
     /// triggered flush (0 when the write was merely buffered).
-    pub fn enqueue_insert(&self, relation: &str, row: &Row) -> Result<usize, QueryError> {
-        if ids_for(&self.by_last, relation).is_empty() {
+    pub(crate) fn enqueue(&self, relation: &str, write: PendingWrite) -> Result<usize, QueryError> {
+        let (applicable, keyed_by) = match &write {
+            PendingWrite::Insert(row) | PendingWrite::Delete(row) => (&self.by_last, row),
+            PendingWrite::Update { after, .. } => (&self.by_member, after),
+        };
+        if ids_for(applicable, relation).is_empty() {
             return Ok(0);
         }
-        self.enqueue(relation, row, PendingWrite::Insert(row.unqualified()))
-    }
-
-    /// Buffers a delete (`before` is the deleted row's image).
-    pub fn enqueue_delete(&self, relation: &str, before: &Row) -> Result<usize, QueryError> {
-        if ids_for(&self.by_last, relation).is_empty() {
-            return Ok(0);
-        }
-        self.enqueue(relation, before, PendingWrite::Delete(before.unqualified()))
-    }
-
-    /// Buffers an update (both images).
-    pub fn enqueue_update(
-        &self,
-        relation: &str,
-        before: &Row,
-        after: &Row,
-    ) -> Result<usize, QueryError> {
-        if ids_for(&self.by_member, relation).is_empty() {
-            return Ok(0);
-        }
-        self.enqueue(
-            relation,
-            after,
-            PendingWrite::Update {
-                before: before.unqualified(),
-                after: after.unqualified(),
-            },
-        )
-    }
-
-    fn enqueue(
-        &self,
-        relation: &str,
-        keyed_by: &Row,
-        write: PendingWrite,
-    ) -> Result<usize, QueryError> {
         let def = self
             .executor
             .catalog()
             .table_ci(relation)
             .ok_or_else(|| QueryError::UnknownTable(relation.to_string()))?;
         let key = def.encode_row_key(keyed_by);
-        let relation = def.name.clone();
         let full = {
             let mut buffer = self.buffer.lock().unwrap_or_else(PoisonError::into_inner);
-            buffer.record(&relation, key, write);
+            buffer.record(&def.name, key, write);
             buffer.is_full()
         };
         if full {
@@ -645,14 +559,14 @@ impl MaintenanceEngine {
     /// them would corrupt the recovered views — the views are instead
     /// consistent with the replayed base tables already.  Returns the
     /// number of pending writes dropped.
-    pub fn discard_pending(&self) -> usize {
+    pub(crate) fn discard_pending(&self) -> usize {
         self.buffer.lock().unwrap_or_else(PoisonError::into_inner).drain().len()
     }
 
     /// Propagates every buffered (coalesced) write, in arrival order, with
     /// the same mark → apply → unmark discipline per update.  Returns the
     /// number of view rows touched.
-    pub fn flush(&self) -> Result<usize, QueryError> {
+    pub(crate) fn flush(&self) -> Result<usize, QueryError> {
         let drained = self.buffer.lock().unwrap_or_else(PoisonError::into_inner).drain();
         if drained.is_empty() {
             return Ok(0);
@@ -682,33 +596,20 @@ impl MaintenanceEngine {
     // Dirty markers (§VIII-B)
     // ------------------------------------------------------------------
 
-    /// Marks a view row dirty (step 3 of the update transaction, §VIII-B).
-    pub fn mark_dirty(&self, view: &ViewDefinition, view_row: &Row) -> Result<(), QueryError> {
-        self.set_marker(view, view_row, "1")
-    }
-
-    /// Clears the dirty marker (step 5 of the update transaction).
-    pub fn unmark_dirty(&self, view: &ViewDefinition, view_row: &Row) -> Result<(), QueryError> {
-        self.set_marker(view, view_row, "0")
-    }
-
+    /// Puts the dirty-marker cell of one view row: `"1"` marks it (step 3
+    /// of the update transaction, §VIII-B), `"0"` clears it (step 5).  A
+    /// no-op where [`Self::marker_applies`] says the row carries no marker.
     fn set_marker(
         &self,
         view: &ViewDefinition,
         view_row: &Row,
         value: &str,
     ) -> Result<(), QueryError> {
-        let view_table = view.table_name();
-        let def = self
-            .executor
-            .catalog()
-            .table(&view_table)
-            .ok_or_else(|| QueryError::UnknownTable(view_table.clone()))?;
-        let key = def.encode_row_key(view_row);
-        self.executor.cluster().put(
-            &view_table,
-            Put::new(key).with(FAMILY, DIRTY_MARKER, value),
-        )?;
+        let def = self.catalog_view_def(view)?;
+        if self.marker_applies(&def, view_row) {
+            let put = Put::new(def.encode_row_key(view_row)).with(FAMILY, DIRTY_MARKER, value);
+            self.executor.cluster().put(&def.name, put)?;
+        }
         Ok(())
     }
 }

@@ -52,14 +52,18 @@ pub enum Lookup {
     Wait,
 }
 
-/// A maintenance-delta write against one view row, routed through
-/// [`ViewResidency::apply_view_write`] in partial mode.
+/// One maintenance write against one view row — the unit the maintenance
+/// engine's single view-row write site takes.  Under full materialization
+/// each kind is its own executor write; in partial mode it routes through
+/// [`ViewResidency::apply_view_write`], where `Insert` and `Rewrite` are
+/// both an upsert ([`Executor::update_row`] keeps index entries correct in
+/// either case).
 #[derive(Debug, Clone)]
 pub enum ViewWrite {
-    /// Insert-or-overwrite one view row (covers delta inserts and staged
-    /// rewrites; [`Executor::update_row`] keeps index entries correct in
-    /// both cases).
-    Upsert(Row),
+    /// A view row at a key that did not exist before.
+    Insert(Row),
+    /// The new full image of a view row whose key already exists.
+    Rewrite(Row),
     /// Delete one view row by its key attributes.
     Remove(Row),
 }
@@ -297,6 +301,13 @@ impl ViewResidency {
         }
     }
 
+    /// Reader pins currently held, summed over every entry.
+    #[cfg(test)]
+    pub(crate) fn pins_held(&self) -> u32 {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.views.values().flat_map(|v| v.values()).map(|e| e.pins).sum()
+    }
+
     /// Routes one maintenance delta: applied when its key is resident,
     /// queued when the key is mid-fill, dropped (annihilated) otherwise.
     pub fn apply_view_write(
@@ -307,7 +318,9 @@ impl ViewResidency {
     ) -> Result<MaintOutcome, QueryError> {
         let view_table = view_def.name.as_str();
         let prefix = match &write {
-            ViewWrite::Upsert(row) | ViewWrite::Remove(row) => Self::prefix_of(view_def, row),
+            ViewWrite::Insert(row) | ViewWrite::Rewrite(row) | ViewWrite::Remove(row) => {
+                Self::prefix_of(view_def, row)
+            }
         };
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(entry) = state.views.get_mut(view_table).and_then(|v| v.get_mut(&prefix))
@@ -455,7 +468,7 @@ fn apply_write_to_entry(
     write: ViewWrite,
 ) -> Result<u64, QueryError> {
     match write {
-        ViewWrite::Upsert(row) => {
+        ViewWrite::Insert(row) | ViewWrite::Rewrite(row) => {
             executor.update_row(&view_def.name, &row)?;
             let key = view_def.encode_row_key(&row);
             let bytes = view_def.estimate_row_bytes(&row) as u64;

@@ -181,14 +181,21 @@ pub struct Materialization {
     pub bytes: u64,
 }
 
-/// How one read is admitted under partial materialization (see
-/// [`SynergySystem::execute`]).
-enum PartialRoute {
-    /// Every routed view key is resident with a reader pin held (empty when
-    /// partial mode is off or the read touches no view).
-    Pinned(Vec<(String, String)>),
-    /// A routed view has no leading-key binding: answer over base tables.
-    Bypass,
+/// The reader pins one statement holds on the view keys it was routed to
+/// (see [`ViewResidency::lookup`]).  Dropping the guard releases them — on
+/// every way out of the read, including a later view's failed upquery.
+struct ReaderPins<'a> {
+    residency: &'a ViewResidency,
+    /// `(view table, leading-key prefix)` of each pinned entry.
+    held: Vec<(String, String)>,
+}
+
+impl Drop for ReaderPins<'_> {
+    fn drop(&mut self) {
+        for (table, prefix) in &self.held {
+            self.residency.unpin(table, prefix);
+        }
+    }
 }
 
 /// What [`SynergySystem::recover`] did to bring the deployment back to a
@@ -432,28 +439,23 @@ impl SynergySystem {
     /// cache on repetition); writes run as single-lock transactions in the
     /// transaction layer.
     pub fn execute(&self, statement: &Statement, params: &[Value]) -> Result<QueryResult, TxnError> {
-        if statement.is_read() {
-            // Reads observe maintained views: drain any writes still
-            // coalescing in the maintenance batch first.
-            self.txn.flush_maintenance()?;
-            match self.route_partial(statement, params)? {
-                // Partial mode, but the statement binds no leading-key
-                // value: the demand-filled view holds only the hot slice,
-                // so the rewritten plan would answer incompletely.  Run
-                // the baseline (view-free) plan instead.
-                PartialRoute::Bypass => Ok(self.executor.execute(statement, params)?),
-                PartialRoute::Pinned(pins) => {
-                    let result = self.read_through_session(statement, params);
-                    if let Some(residency) = &self.residency {
-                        for (table, prefix) in &pins {
-                            residency.unpin(table, prefix);
-                        }
-                    }
-                    result
-                }
-            }
-        } else {
-            self.txn.execute_write(statement, params)
+        if !statement.is_read() {
+            return self.txn.execute_write(statement, params);
+        }
+        // Reads observe maintained views: drain any writes still
+        // coalescing in the maintenance batch first.
+        self.txn.flush_maintenance()?;
+        let Some(residency) = &self.residency else {
+            return self.read_through_session(statement, params);
+        };
+        match self.route_partial(residency, statement, params)? {
+            // The pins are held until the read has run.
+            Some(_pins) => self.read_through_session(statement, params),
+            // Partial mode, but the statement binds no leading-key value:
+            // the demand-filled view holds only the hot slice, so the
+            // rewritten plan would answer incompletely.  Run the baseline
+            // (view-free) plan instead.
+            None => Ok(self.executor.execute(statement, params)?),
         }
     }
 
@@ -483,21 +485,22 @@ impl SynergySystem {
     /// Partial-materialization admission for one read: resolves the views
     /// the rewriter routes the statement to, extracts the bound leading-key
     /// value per view, and makes every such key resident (issuing upqueries
-    /// for misses) with a reader pin held.  Returns the pins to release
-    /// after the read, or [`PartialRoute::Bypass`] when a routed view has no
-    /// key binding.  A no-op (empty pin set) without a view budget.
-    fn route_partial(
+    /// for misses) with a reader pin held.  Returns the pins, held until the
+    /// guard drops, or `None` — bypass, answer over the base tables — when
+    /// a routed view has no key binding.
+    fn route_partial<'a>(
         &self,
+        residency: &'a Arc<ViewResidency>,
         statement: &Statement,
         params: &[Value],
-    ) -> Result<PartialRoute, TxnError> {
-        let Some(residency) = &self.residency else {
-            return Ok(PartialRoute::Pinned(Vec::new()));
+    ) -> Result<Option<ReaderPins<'a>>, TxnError> {
+        let mut pins = ReaderPins {
+            residency,
+            held: Vec::new(),
         };
         let Statement::Select(select) = statement else {
-            return Ok(PartialRoute::Pinned(Vec::new()));
+            return Ok(Some(pins));
         };
-        let mut pins: Vec<(String, String)> = Vec::new();
         for view in self.rewriter.views_for(select) {
             let table = view.table_name();
             let def = self
@@ -508,16 +511,13 @@ impl SynergySystem {
                 .clone();
             let Some(key) = leading_key_binding(select, &def.key[0], params) else {
                 residency.count_bypass();
-                for (table, prefix) in &pins {
-                    residency.unpin(table, prefix);
-                }
-                return Ok(PartialRoute::Bypass);
+                return Ok(None);
             };
             let prefix = ViewResidency::prefix_of_value(&key);
             self.ensure_resident(residency, &view, &def, &prefix, &key)?;
-            pins.push((table, prefix));
+            pins.held.push((table, prefix));
         }
-        Ok(PartialRoute::Pinned(pins))
+        Ok(Some(pins))
     }
 
     /// Spins until `prefix` is resident in `view`'s table, filling it with
@@ -686,20 +686,11 @@ impl SynergySystem {
                     .executor
                     .get_row_by_key(view.last_relation(), &base_key)?
                 {
-                    // Base row survived: recompute the view row from the
-                    // base tables (k−1 ancestor reads) and unmark it.
-                    Some(base_row) => {
-                        match self.txn.maintainer().construct_insert_tuple(view, &base_row)? {
-                            Some(full) => {
-                                self.executor.insert_row(&table, &full)?;
-                                self.txn.maintainer().unmark_dirty(view, &full)?;
-                                true
-                            }
-                            // An ancestor row is missing: the join no
-                            // longer produces this view row.
-                            None => false,
-                        }
-                    }
+                    // Base row survived: recompute the view row through the
+                    // view's delta plan (k−1 ancestor reads) and unmark it —
+                    // unless an ancestor row is missing and the join no
+                    // longer produces it.
+                    Some(base_row) => self.txn.maintainer().roll_forward(view, &base_row)?,
                     // Base row gone: the interrupted transaction rolls back.
                     None => false,
                 };
@@ -982,4 +973,125 @@ fn column_type_from_base(view: &ViewDefinition, attribute: &str, catalog: &Catal
         }
     }
     ColumnType::Str
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nosql_store::{ClusterConfig, FaultPlan};
+    use relational::Relation;
+    use sql::parse_statement;
+
+    /// The TPC-W customer subschema with two two-relation branches under
+    /// `Customer` — orders with their lines, carts with theirs — so one
+    /// statement can be routed to two views.
+    fn two_branch_schema() -> Schema {
+        let relation = |name: &str, attributes: &[&str], key: &[&str]| {
+            Relation::new(name)
+                .attributes(attributes.iter().copied())
+                .primary_key(key.iter().copied())
+        };
+        Schema::new()
+            .with_relation(relation("Customer", &["c_id", "c_uname"], &["c_id"]).build())
+            .with_relation(
+                relation("Orders", &["o_id", "o_c_id"], &["o_id"])
+                    .foreign_key("o_c_id", "Customer", "c_id")
+                    .build(),
+            )
+            .with_relation(
+                relation(
+                    "Order_line",
+                    &["ol_o_id", "ol_id", "ol_qty"],
+                    &["ol_o_id", "ol_id"],
+                )
+                .foreign_key("ol_o_id", "Orders", "o_id")
+                .build(),
+            )
+            .with_relation(
+                relation("Shopping_cart", &["sc_id", "sc_c_id"], &["sc_id"])
+                    .foreign_key("sc_c_id", "Customer", "c_id")
+                    .build(),
+            )
+            .with_relation(
+                relation(
+                    "Shopping_cart_line",
+                    &["scl_sc_id", "scl_id", "scl_qty"],
+                    &["scl_sc_id", "scl_id"],
+                )
+                .foreign_key("scl_sc_id", "Shopping_cart", "sc_id")
+                .build(),
+            )
+    }
+
+    /// A later view's failed upquery must not strand the reader pins the
+    /// statement already took on its earlier views: a pinned key is exempt
+    /// from eviction, so a leaked pin keeps residency over budget for good.
+    #[test]
+    fn a_failed_upquery_releases_the_pins_of_the_statements_earlier_views() {
+        const KEYS: i64 = 24;
+        let two_views = parse_statement(
+            "SELECT * FROM Customer AS c, Orders AS o, Order_line AS ol, \
+             Shopping_cart AS sc, Shopping_cart_line AS scl \
+             WHERE c.c_id = o.o_c_id AND o.o_id = ol.ol_o_id \
+             AND c.c_id = sc.sc_c_id AND sc.sc_id = scl.scl_sc_id \
+             AND ol.ol_o_id = ? AND scl.scl_sc_id = ?",
+        )
+        .unwrap();
+        // Injected timeouts on every tenth charged op, and no retry policy:
+        // the first fault an upquery meets fails the read.
+        let cluster = Cluster::new(ClusterConfig {
+            fault_plan: Some(FaultPlan::new(0x91A5).with_timeouts(0.1)),
+            retry: None,
+            ..ClusterConfig::default()
+        });
+        let int = |_: &str, _: &str| Some(ColumnType::Int);
+        let config = SynergyConfig::new(
+            two_branch_schema(),
+            vec![two_views.clone()],
+            vec!["Customer".to_string()],
+            &int,
+        )
+        .with_view_budget(u64::MAX);
+        let system = SynergySystem::build(cluster, config).unwrap();
+        // One customer owning KEYS orders and KEYS carts of one line each.
+        let load = |table: &str, row: fn(i64) -> Row| {
+            system.bulk_load(table, &(1..=KEYS).map(row).collect::<Vec<_>>()).unwrap()
+        };
+        system.bulk_load("Customer", &[Row::new().with("c_id", 1).with("c_uname", 1)]).unwrap();
+        load("Orders", |k| Row::new().with("o_id", k).with("o_c_id", 1));
+        load("Shopping_cart", |k| Row::new().with("sc_id", k).with("sc_c_id", 1));
+        load("Order_line", |k| Row::new().with("ol_o_id", k).with("ol_id", 1).with("ol_qty", 2));
+        load("Shopping_cart_line", |k| {
+            Row::new().with("scl_sc_id", k).with("scl_id", 1).with("scl_qty", 2)
+        });
+        let Statement::Select(select) = &two_views else {
+            unreachable!()
+        };
+        assert_eq!(
+            system.rewriter.views_for(select).len(),
+            2,
+            "the statement reads two views"
+        );
+
+        let residency = system.residency().unwrap().clone();
+        let mut failed_after_a_pin = 0;
+        for key in 1..=KEYS {
+            let keys_before = residency.snapshot().resident_keys;
+            let outcome = system.execute(&two_views, &[Value::Int(key), Value::Int(key)]);
+            assert_eq!(
+                residency.pins_held(),
+                0,
+                "key {key}: pins outlive the read ({outcome:?})"
+            );
+            // The first view's key became resident (and was pinned), then
+            // the second view's upquery failed.
+            if outcome.is_err() && residency.snapshot().resident_keys > keys_before {
+                failed_after_a_pin += 1;
+            }
+        }
+        assert!(
+            failed_after_a_pin > 0,
+            "the fault plan never failed a second view's upquery"
+        );
+    }
 }

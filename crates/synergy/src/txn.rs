@@ -1,12 +1,63 @@
 //! The Synergy transaction layer (paper §VIII): write-ahead logging, the
-//! plan generator, and the write transaction procedures that atomically
-//! update base tables, views and indexes under a single hierarchical lock.
+//! plan generator, and **the** write transaction procedure that atomically
+//! updates base tables, views and indexes under a single hierarchical lock.
+//!
+//! # The write pipeline — a contract
+//!
+//! Every write — INSERT, UPDATE or DELETE, with or without a write batch,
+//! with or without hierarchical locking — is one pass through
+//! [`TransactionLayer::execute_write`], whose steps run in this order:
+//!
+//! 1. **Log.**  The statement is appended to the slave's statement WAL and
+//!    synced; one RPC + one WAL sync are charged.  No store operation.
+//! 2. **Bind.**  [`query::bind_write`] — the binder [`query::Executor`]
+//!    runs too — resolves the table, rejects unknown columns, substitutes
+//!    parameters and extracts the full primary key.  Catalog only: reads
+//!    nothing, charges nothing.  An incomplete key surfaces as
+//!    [`TxnError::Unsupported`] (§IV excludes such writes).
+//! 3. **Before-image.**  An UPDATE or DELETE reads the row it names (one
+//!    charged `get`); an INSERT reads nothing.  An absent row ends the
+//!    transaction with `affected(0)`: no lock taken, no view touched.
+//!    **Known gap:** this read happens *before* the lock, so two writers of
+//!    one row can both read the same before-image and the second base write
+//!    loses the first's update.  Moving the read under the lock moves a
+//!    charged `get` past the acquire and with it the sim figures, so it is
+//!    left to the composed-correctness work (ROADMAP item 1).
+//! 4. **Acquire.**  The root row above the written row is resolved (at
+//!    most one charged `get` per tree level between the relation and its
+//!    root) and its lock acquired — once, in `acquire`, the only function
+//!    that takes the hierarchical lock.  Skipped when locking is disabled
+//!    or the row hangs under no root.
+//! 5. **Apply**, one `match` on the row's (before, after) images holding
+//!    the three bodies, each in its own order of charged store operations:
+//!    * **insert** — base row → lock-table entry (root relations) → views;
+//!    * **delete** — views → base row, so no view row ever outlives its
+//!      base row; with a write batch the view side is deferred instead:
+//!      base row → enqueue (the retraction coalesces in the batch, where a
+//!      still-buffered insert of the same key annihilates with it);
+//!    * **update** — the §VIII-B procedure: stage the view effects by delta
+//!      propagation (reads only) → mark the affected view rows dirty → base
+//!      row → apply the staged view writes → unmark; with a write batch,
+//!      base row → enqueue.  The injected interrupt
+//!      ([`TransactionLayer::inject_interrupt_after_step`]) fires after the
+//!      mark (3), the base write (4) or the apply (5).
+//! 6. **Release** — at one site.  Whether step 5 completed or failed, the
+//!    lock is released; only [`TxnError::Interrupted`] — a simulated client
+//!    crash — leaks the guard, leaving the lock row held and the markers
+//!    set for [`crate::SynergySystem::recover`].
+//!
+//! Steps 1–2 never touch the store; step 3 only reads; steps 4–6 are the
+//! only ones that write.  View rows are written by the maintenance engine's
+//! single write site (see [`crate::maintenance`]).
 
-use crate::lock::LockManager;
+use crate::lock::{LockGuard, LockManager};
 use crate::maintenance::MaintenanceEngine;
 use crate::viewgen::CandidateViews;
 use nosql_store::{WalOp, WriteAheadLog};
-use query::{Executor, QueryError, QueryResult};
+use query::{
+    bind_write, overlay, BoundWrite, Executor, PendingWrite, QueryError, QueryResult, TableDef,
+    WriteChange,
+};
 use relational::{encode_key, Row, Schema, Value};
 use sql::Statement;
 use std::fmt;
@@ -224,17 +275,17 @@ impl TransactionLayer {
         })
     }
 
-    /// Executes a write statement as a Synergy transaction: assign an id,
-    /// log it, acquire the single hierarchical lock, update base table +
-    /// views + indexes, release the lock.
+    /// Executes a write statement as a Synergy transaction — the one write
+    /// pipeline; the module docs state its numbered steps as a contract.
     pub fn execute_write(
         &self,
         statement: &Statement,
         params: &[Value],
     ) -> Result<QueryResult, TxnError> {
+        // Step 1 — log: the slave's transaction manager appends the
+        // statement to its WAL (one durable append per transaction) before
+        // executing it.
         let txn_id = self.next_txn.fetch_add(1, Ordering::SeqCst);
-        // The slave's transaction manager appends the statement to its WAL
-        // (one durable append per transaction) before executing it.
         self.wal.append(
             format!("txn-{txn_id}"),
             WalOp::Logical {
@@ -248,19 +299,138 @@ impl TransactionLayer {
             .clock()
             .charge(model.rpc_latency + model.effective_wal_sync());
 
-        match statement {
-            Statement::Insert(insert) => self.run_insert(insert, params),
-            Statement::Delete(delete) => self.run_delete(delete, params),
-            Statement::Update(update) => self.run_update(update, params),
-            Statement::Select(_) => Err(TxnError::Unsupported(
-                "SELECT statements are executed outside the transaction layer".into(),
+        // Step 2 — bind (catalog only, nothing charged).
+        let BoundWrite { table, change } = bind_write(self.executor.catalog(), statement, params)
+            .map_err(|e| match e {
+            QueryError::IncompleteKey { missing, .. } => TxnError::Unsupported(format!(
+                "write statement must specify key attribute {missing}"
             )),
+            other => other.into(),
+        })?;
+
+        // Step 3 — the row's images: an UPDATE or DELETE reads its
+        // before-image (pre-lock, see the module docs); an absent row ends
+        // the transaction here, lock never taken.
+        let read = |key: &Row| self.executor.get_row_by_key(&table.name, key);
+        let (before, after) = match change {
+            WriteChange::Insert(row) => (None, Some(row)),
+            WriteChange::Delete { key } => (read(&key)?, None),
+            WriteChange::Update { key, assignments } => {
+                let before = read(&key)?;
+                let after = before.as_ref().map(|row| overlay(row, &assignments));
+                (before, after)
+            }
+        };
+        let Some(locked_by) = before.as_ref().or(after.as_ref()) else {
+            return Ok(QueryResult::affected(0));
+        };
+
+        // Step 4 — the single hierarchical lock.
+        let guard = self.acquire(&table.name, locked_by)?;
+
+        // Step 5 — the kind's body.
+        let result = self.apply(&table, before, after);
+
+        // Step 6 — release.  A simulated client crash cannot release its
+        // lock: leak the guard so the lock row stays held (recovery
+        // reclaims it once the lease expires).
+        match (guard, &result) {
+            (Some(guard), Err(TxnError::Interrupted { .. })) => std::mem::forget(guard),
+            (Some(guard), _) => self.locks.release(guard)?,
+            (None, _) => {}
+        }
+        result
+    }
+
+    /// Step 5 of the write pipeline: base table, views and indexes of one
+    /// row change, each kind in its own order of charged store operations
+    /// (see the module docs).  Runs under the root's lock.
+    fn apply(
+        &self,
+        table: &TableDef,
+        before: Option<Row>,
+        after: Option<Row>,
+    ) -> Result<QueryResult, TxnError> {
+        let relation = table.name.as_str();
+        // With a write batch, maintenance is deferred: the base row is
+        // written now and the delta coalesces in the batch (an insert and a
+        // delete of one key annihilate there); propagation happens at flush.
+        let deferred = self.maintainer.buffering();
+        match (before, after) {
+            (None, Some(row)) => {
+                self.executor.insert_row(relation, &row)?;
+                // Inserting into a root relation creates its lock-table entry.
+                if self.locking_enabled && self.candidates.tree_for_root(relation).is_some() {
+                    self.locks.create_lock_table(relation)?;
+                    self.locks
+                        .ensure_entry(relation, &table.encode_row_key(&row))?;
+                }
+                if deferred {
+                    self.maintainer
+                        .enqueue(relation, PendingWrite::Insert(row))?;
+                } else {
+                    self.maintainer.apply_insert(relation, &row)?;
+                }
+                Ok(QueryResult::affected(1))
+            }
+            (Some(old), None) if deferred => {
+                let removed = self.executor.delete_row_by_key(relation, &old)?;
+                self.maintainer
+                    .enqueue(relation, PendingWrite::Delete(old))?;
+                Ok(QueryResult::affected(usize::from(removed)))
+            }
+            (Some(old), None) => {
+                // Views first, so no view row outlives its base row.
+                self.maintainer.apply_delete(relation, &old)?;
+                let removed = self.executor.delete_row_by_key(relation, &old)?;
+                Ok(QueryResult::affected(usize::from(removed)))
+            }
+            (Some(old), Some(new)) if deferred => {
+                self.executor.update_row(relation, &new)?;
+                let write = PendingWrite::Update {
+                    before: old,
+                    after: new,
+                };
+                self.maintainer.enqueue(relation, write)?;
+                Ok(QueryResult::affected(1))
+            }
+            (Some(old), Some(new)) => {
+                // §VIII-B step 2: compute the view effects by propagating
+                // the update through each view's delta plan (read-only
+                // base-table probes, no view scanning).
+                let staged = self.maintainer.stage_update(relation, &old, &new)?;
+                // Step 3: mark the affected view rows dirty.
+                self.maintainer.mark_staged(&staged)?;
+                self.maybe_interrupt(3)?;
+                // Step 4: issue the updates (base row first, then views).
+                self.executor.update_row(relation, &new)?;
+                self.maybe_interrupt(4)?;
+                self.maintainer.apply_staged(&staged)?;
+                self.maybe_interrupt(5)?;
+                // Step 5: un-mark the rewritten rows.
+                self.maintainer.unmark_staged(&staged)?;
+                Ok(QueryResult::affected(1))
+            }
+            // No row before and none after (ruled out before the lock).
+            (None, None) => Ok(QueryResult::affected(0)),
         }
     }
 
-    // ------------------------------------------------------------------
-    // Root-key resolution
-    // ------------------------------------------------------------------
+    /// Step 4 of the write pipeline — the only place the hierarchical lock
+    /// is taken: resolves the root row above `row` and acquires its lock.
+    /// `None` when locking is disabled or nothing is lockable above the row.
+    fn acquire(&self, relation: &str, row: &Row) -> Result<Option<LockGuard>, TxnError> {
+        if !self.locking_enabled {
+            return Ok(None);
+        }
+        let Some((root, key)) = self.resolve_root_key(relation, row)? else {
+            return Ok(None);
+        };
+        match self.locks.acquire(&root, &key)? {
+            Some(guard) => Ok(Some(guard)),
+            None => Err(TxnError::LockTimeout { root, key }),
+        }
+    }
 
     /// Resolves the root-row key associated with a row of `relation` by
     /// walking the rooted-tree path upwards through foreign keys, reading at
@@ -306,221 +476,4 @@ impl TransactionLayer {
         }
         Ok(None)
     }
-
-    fn acquire(&self, root_key: &Option<(String, String)>) -> Result<Option<crate::lock::LockGuard>, TxnError> {
-        if !self.locking_enabled {
-            return Ok(None);
-        }
-        match root_key {
-            None => Ok(None),
-            Some((root, key)) => match self.locks.acquire(root, key)? {
-                Some(guard) => Ok(Some(guard)),
-                None => Err(TxnError::LockTimeout {
-                    root: root.clone(),
-                    key: key.clone(),
-                }),
-            },
-        }
-    }
-
-    fn release(&self, guard: Option<crate::lock::LockGuard>) -> Result<(), TxnError> {
-        if let Some(guard) = guard {
-            self.locks.release(guard)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Transaction procedures (§VIII-B)
-    // ------------------------------------------------------------------
-
-    fn run_insert(
-        &self,
-        insert: &sql::InsertStatement,
-        params: &[Value],
-    ) -> Result<QueryResult, TxnError> {
-        let def = self
-            .executor
-            .catalog()
-            .table_ci(&insert.table)
-            .ok_or_else(|| QueryError::UnknownTable(insert.table.clone()))?
-            .clone();
-        let mut row = Row::new();
-        for (column, expr) in insert.columns.iter().zip(&insert.values) {
-            row.set(column.clone(), bind(expr, params)?);
-        }
-        let root_key = if self.locking_enabled {
-            self.resolve_root_key(&def.name, &row)?
-        } else {
-            None
-        };
-        let guard = self.acquire(&root_key)?;
-
-        let result = (|| -> Result<QueryResult, TxnError> {
-            self.executor.insert_row(&def.name, &row)?;
-            // Inserting into a root relation creates its lock-table entry.
-            if self.locking_enabled && self.candidates.tree_for_root(&def.name).is_some() {
-                self.locks.create_lock_table(&def.name)?;
-                self.locks.ensure_entry(&def.name, &def.encode_row_key(&row))?;
-            }
-            if self.maintainer.buffering() {
-                self.maintainer.enqueue_insert(&def.name, &row)?;
-            } else {
-                self.maintainer.apply_insert(&def.name, &row)?;
-            }
-            Ok(QueryResult::affected(1))
-        })();
-        self.release(guard)?;
-        result
-    }
-
-    fn run_delete(
-        &self,
-        delete: &sql::DeleteStatement,
-        params: &[Value],
-    ) -> Result<QueryResult, TxnError> {
-        let def = self
-            .executor
-            .catalog()
-            .table_ci(&delete.table)
-            .ok_or_else(|| QueryError::UnknownTable(delete.table.clone()))?
-            .clone();
-        let key = key_from_eq_filters(&def.key, &delete.conditions, params)?;
-        let Some(existing) = self.executor.get_row_by_key(&def.name, &key)? else {
-            return Ok(QueryResult::affected(0));
-        };
-        let root_key = if self.locking_enabled {
-            self.resolve_root_key(&def.name, &existing)?
-        } else {
-            None
-        };
-        let guard = self.acquire(&root_key)?;
-        let result = (|| -> Result<QueryResult, TxnError> {
-            if self.maintainer.buffering() {
-                // Deferred maintenance: delete the base row now, coalesce
-                // the retraction into the batch (an earlier buffered insert
-                // of the same key annihilates with it).
-                let removed = self.executor.delete_row_by_key(&def.name, &key)?;
-                self.maintainer.enqueue_delete(&def.name, &existing)?;
-                return Ok(QueryResult::affected(usize::from(removed)));
-            }
-            self.maintainer.apply_delete(&def.name, &key)?;
-            let removed = self.executor.delete_row_by_key(&def.name, &key)?;
-            Ok(QueryResult::affected(usize::from(removed)))
-        })();
-        self.release(guard)?;
-        result
-    }
-
-    fn run_update(
-        &self,
-        update: &sql::UpdateStatement,
-        params: &[Value],
-    ) -> Result<QueryResult, TxnError> {
-        let def = self
-            .executor
-            .catalog()
-            .table_ci(&update.table)
-            .ok_or_else(|| QueryError::UnknownTable(update.table.clone()))?
-            .clone();
-        let key = key_from_eq_filters(&def.key, &update.conditions, params)?;
-        let Some(existing) = self.executor.get_row_by_key(&def.name, &key)? else {
-            return Ok(QueryResult::affected(0));
-        };
-        let mut updated = existing.clone();
-        for (column, expr) in &update.assignments {
-            updated.set(column.clone(), bind(expr, params)?);
-        }
-
-        // Step 1: acquire the single hierarchical lock.
-        let root_key = if self.locking_enabled {
-            self.resolve_root_key(&def.name, &existing)?
-        } else {
-            None
-        };
-        let guard = self.acquire(&root_key)?;
-
-        let result = (|| -> Result<QueryResult, TxnError> {
-            if self.maintainer.buffering() {
-                // Deferred maintenance: write the base row now (the
-                // before-image rides the write), coalesce the delta into
-                // the batch; propagation happens at flush.
-                self.executor.update_row(&def.name, &updated)?;
-                self.maintainer.enqueue_update(&def.name, &existing, &updated)?;
-                return Ok(QueryResult::affected(1));
-            }
-            // Step 2: compute the view effects by propagating the update
-            // through each view's delta plan (read-only base-table probes,
-            // no view scanning).
-            let staged = self
-                .maintainer
-                .stage_update(&def.name, &existing, &updated)?;
-            // Step 3: mark the affected view rows dirty.
-            self.maintainer.mark_staged(&staged)?;
-            self.maybe_interrupt(3)?;
-            // Step 4: issue the updates (base row first, then views).
-            self.executor.update_row(&def.name, &updated)?;
-            self.maybe_interrupt(4)?;
-            self.maintainer.apply_staged(&staged)?;
-            self.maybe_interrupt(5)?;
-            // Step 5: un-mark the rewritten rows.
-            self.maintainer.unmark_staged(&staged)?;
-            Ok(QueryResult::affected(1))
-        })();
-        if let Err(TxnError::Interrupted { .. }) = result {
-            // Simulated client crash: the dead client cannot release its
-            // lock — leak the guard so the lock row stays held (recovery
-            // reclaims it once the lease expires).
-            if let Some(guard) = guard {
-                std::mem::forget(guard);
-            }
-            return result;
-        }
-        // Step 6: release the lock.
-        self.release(guard)?;
-        result
-    }
-}
-
-fn bind(expr: &sql::Expr, params: &[Value]) -> Result<Value, QueryError> {
-    match expr {
-        sql::Expr::Literal(v) => Ok(v.clone()),
-        sql::Expr::Parameter(i) => params
-            .get(*i)
-            .cloned()
-            .ok_or(QueryError::MissingParameter(*i)),
-        sql::Expr::Column(c) => Err(QueryError::Unsupported(format!(
-            "column {c} cannot be used as a scalar value"
-        ))),
-    }
-}
-
-/// Extracts the primary-key row from the equality filters of a write
-/// statement (Synergy requires writes to specify every key attribute, §IV).
-fn key_from_eq_filters(
-    key_attributes: &[String],
-    conditions: &[sql::Condition],
-    params: &[Value],
-) -> Result<Row, TxnError> {
-    let mut key = Row::new();
-    for attribute in key_attributes {
-        let value = conditions
-            .iter()
-            .find(|c| {
-                c.op == sql::Comparison::Eq && c.is_filter() && c.left.column == *attribute
-            })
-            .map(|c| bind(&c.right, params))
-            .transpose()?;
-        match value {
-            Some(v) => {
-                key.set(attribute.clone(), v);
-            }
-            None => {
-                return Err(TxnError::Unsupported(format!(
-                    "write statement must specify key attribute {attribute}"
-                )))
-            }
-        }
-    }
-    Ok(key)
 }
