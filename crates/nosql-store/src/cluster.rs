@@ -83,23 +83,30 @@ use std::sync::Arc;
 /// Configuration of the simulated cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of region servers (the paper uses five slave nodes).
+    /// Number of region servers (the paper uses five slave nodes).  Changed
+    /// by `fig_availability`.
     pub region_servers: usize,
-    /// A region is split once it exceeds this many bytes.
+    /// A region is split once it exceeds this many bytes.  No figure or
+    /// benchmark workload changes it; the split, scan-stream, parallel-scan
+    /// and crash-replay suites shrink it to force multi-region tables.
     pub region_split_bytes: usize,
-    /// Cost model charged for every operation.
+    /// Cost model charged for every operation.  Nothing passes a
+    /// non-default model.
     pub cost_model: CostModel,
     /// Group-commit interval: a write syncs its server's WAL once the
     /// unsynced batch reaches this many records.  `1` (the default) syncs
     /// every write — full durability, and cost accounting identical to a
     /// store without group commit.  Larger intervals defer the sync cost to
     /// the batch-closing write but leave acked writes vulnerable to a crash.
+    /// Raised by the benchmark's `tpcw_order` workload.
     pub wal_sync_interval: usize,
     /// Deterministic fault schedule; `None` (the default) injects nothing
-    /// and adds no RNG draws or charges to any op.
+    /// and adds no RNG draws or charges to any op.  Set by `fig_faults`,
+    /// `fault_matrix` and `fig_availability`.
     pub fault_plan: Option<FaultPlan>,
     /// Client-side retry policy wrapped around every public op; `None` (the
-    /// default) fails ops on the first fault.
+    /// default) fails ops on the first fault.  Set by `fig_faults`,
+    /// `fault_matrix` and `fig_availability`.
     pub retry: Option<RetryPolicy>,
     /// Copies of each region: a primary plus `replication_factor - 1`
     /// followers on deterministically chosen servers.  With a factor > 1,
@@ -109,7 +116,8 @@ pub struct ClusterConfig {
     /// regions to their most-caught-up live follower instead of stalling
     /// them for the MTTR window.  The default of `1` disables replication
     /// entirely: no registry, no extra charges, figures byte-identical to a
-    /// build without this feature.
+    /// build without this feature.  Raised by `fig_availability`,
+    /// `fault_matrix` (RF 2 and 3) and the benchmark's `tpcw_order`.
     pub replication_factor: usize,
 }
 

@@ -652,9 +652,7 @@ fn scan_lookup(
         // Probe access is chosen from equality constraints only, so a
         // range path never fires here; it falls through to the full walk.
         AccessPath::FullScan | AccessPath::KeyRangeScan => {
-            let cursor = executor
-                .cluster()
-                .scan_stream(&def.name, executor.bounded_scan(Scan::all()))?;
+            let cursor = executor.cluster().scan_stream(&def.name, Scan::all())?;
             cursor.map(|stored| def.decode_row(&stored)).collect()
         }
     };
@@ -681,9 +679,7 @@ fn prefix_rows(
         // Close the last bound component so "42" does not match "420".
         prefix.push(KEY_DELIMITER);
     }
-    let cursor = executor
-        .cluster()
-        .scan_stream(&def.name, executor.bounded_scan(Scan::prefix(prefix)))?;
+    let cursor = executor.cluster().scan_stream(&def.name, Scan::prefix(prefix))?;
     Ok(cursor.map(|stored| def.decode_row(&stored)).collect())
 }
 

@@ -32,7 +32,6 @@ use crate::optimize;
 use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
 use nosql_store::intern::intern_name;
-use nosql_store::ops::{Get, Scan};
 use nosql_store::{Cluster, Name};
 use relational::{Row, Value};
 use sql::{SelectStatement, Statement};
@@ -41,13 +40,12 @@ use std::sync::{Arc, OnceLock};
 /// Reserved column marking a row as dirty during a Synergy view update.
 pub const DIRTY_MARKER: &str = "_dirty";
 
-/// Default maximum number of times a scan is restarted after observing dirty
-/// rows.  Restarts are cheap (the marked window is a handful of store
-/// operations), so the limit is generous; it exists only to turn a livelock
-/// into an error.  Override per executor with
-/// [`Executor::with_dirty_retry_limit`] — fault-injection harnesses use a
-/// small limit so a permanently dirty view (a crashed transaction that never
-/// unmarked) degrades to the baseline plan quickly instead of spinning.
+/// Maximum number of times a statement is restarted after observing dirty
+/// rows before it fails with [`QueryError::DirtyReadRetriesExhausted`]
+/// (Synergy's read path catches that and degrades to the view-free plan).
+/// Restarts are cheap (the marked window is a handful of store operations),
+/// so the limit is generous; it exists only to turn a livelock — a
+/// permanently dirty view left by a crashed transaction — into an error.
 pub const DIRTY_RETRY_LIMIT: usize = 4_096;
 
 /// How a single table reference will be accessed.
@@ -90,11 +88,9 @@ pub struct Executor {
     cluster: Cluster,
     catalog: Arc<Catalog>,
     dirty_protection: bool,
-    dirty_retry_limit: usize,
-    snapshot: Option<nosql_store::Timestamp>,
-    /// Degree of parallelism for full scans, hash joins and top-k (1 =
-    /// fully serial; the serial paths are kept verbatim so single-threaded
-    /// execution is byte-identical to the pre-parallel pipeline).
+    /// Degree of parallelism for full scans, hash joins and top-k.  Read at
+    /// plan time only: a compiled plan freezes the width, and a plan
+    /// compiled at `threads = 1` never reaches `pool`.
     threads: usize,
 }
 
@@ -105,8 +101,6 @@ impl Executor {
             cluster,
             catalog: Arc::new(catalog),
             dirty_protection: false,
-            dirty_retry_limit: DIRTY_RETRY_LIMIT,
-            snapshot: None,
             threads: 1,
         }
     }
@@ -116,7 +110,9 @@ impl Executor {
     /// parallel decode, equi-joins hash-partition their build side and probe
     /// per-partition, and ORDER BY + LIMIT runs per-worker bounded heaps
     /// merged at the barrier.  `threads <= 1` keeps the serial pipeline
-    /// byte-for-byte.
+    /// byte-for-byte.  Set by `SynergyConfig::threads` (`fig_par`,
+    /// `fig10 --threads`) and by the benchmark's `micro_scan`, which clones
+    /// an executor at 2 for `q2_join_par2`.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -129,30 +125,11 @@ impl Executor {
 
     /// Enables dirty-row detection: scans that observe a row whose
     /// [`DIRTY_MARKER`] column equals `"1"` are restarted, implementing the
-    /// read-committed protocol of paper §VIII-C.
+    /// read-committed protocol of paper §VIII-C.  Set by every
+    /// `SynergySystem` (all five evaluated systems are built through one);
+    /// only the query crate's own tests and doc examples run without it.
     pub fn with_dirty_read_protection(mut self) -> Self {
         self.dirty_protection = true;
-        self
-    }
-
-    /// Overrides the dirty-scan restart budget (default
-    /// [`DIRTY_RETRY_LIMIT`]).  When a statement exhausts it, execution
-    /// fails with [`QueryError::DirtyReadRetriesExhausted`]; higher layers
-    /// (Synergy's read path) catch that and fall back to the baseline plan.
-    pub fn with_dirty_retry_limit(mut self, limit: usize) -> Self {
-        self.dirty_retry_limit = limit.max(1);
-        self
-    }
-
-    /// The configured dirty-scan restart budget.
-    pub fn dirty_retry_limit(&self) -> usize {
-        self.dirty_retry_limit
-    }
-
-    /// Restricts reads to cell versions written at or before `snapshot`.
-    /// Used by the MVCC layer to give statements a consistent snapshot.
-    pub fn with_snapshot_bound(mut self, snapshot: nosql_store::Timestamp) -> Self {
-        self.snapshot = Some(snapshot);
         self
     }
 
@@ -217,13 +194,6 @@ impl Executor {
         }
     }
 
-    /// Parses a SQL string and renders its plan tree.
-    pub fn explain_sql(&self, sql_text: &str) -> Result<String, QueryError> {
-        let stmt = sql::parse_statement(sql_text)
-            .map_err(|e| QueryError::Unsupported(e.to_string()))?;
-        self.explain_statement(&stmt)
-    }
-
     /// Pushes the statement's column projection into the store scan: only
     /// the masked-in columns, the key columns (never null, so a projected
     /// row is never empty at the store) and — under dirty protection — the
@@ -247,36 +217,32 @@ impl Executor {
         }
         columns
     }
+}
 
-    /// Builds a Get honouring the executor's snapshot bound, if any.
-    pub(crate) fn bounded_get(&self, key: String) -> Get {
-        match self.snapshot {
-            Some(ts) => Get::new(key).up_to(ts),
-            None => Get::new(key),
-        }
-    }
-
-    /// Applies the executor's snapshot bound to a scan, if any.  Public so
-    /// higher layers (e.g. Synergy view maintenance) can issue store scans
-    /// that cannot observe rows newer than the statement's snapshot.
-    pub fn bounded_scan(&self, scan: Scan) -> Scan {
-        match self.snapshot {
-            Some(ts) => scan.up_to(ts),
-            None => scan,
-        }
-    }
-
-    pub(crate) fn is_dirty(&self, stored: &nosql_store::ResultRow) -> bool {
-        self.dirty_protection && stored_row_is_dirty(stored)
-    }
+/// Maps `f` over a cursor on `threads` pool workers in order-preserving
+/// batches, pulled lazily: one store page per worker per batch, so scan
+/// fan-out and decode parallelism stay aligned and at most one raw batch is
+/// resident.  The one batch-decode loop — the plan's parallel full-scan
+/// source and [`par_decode_rows`] both run it.
+pub(crate) fn par_batches<'a, T: Send + 'a>(
+    mut cursor: impl Iterator<Item = nosql_store::ResultRow> + 'a,
+    threads: usize,
+    f: impl Fn(nosql_store::ResultRow) -> T + Sync + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    std::iter::from_fn(move || {
+        let batch: Vec<nosql_store::ResultRow> = cursor
+            .by_ref()
+            .take(threads * nosql_store::SCAN_PAGE_ROWS)
+            .collect();
+        (!batch.is_empty()).then(|| pool::map(batch, threads, &f))
+    })
+    .flatten()
 }
 
 /// Decodes a whole cursor through `def`, fanning the decode out over
-/// `threads` pool workers in order-preserving batches (one store page per
-/// worker per batch, so at most one raw batch is resident alongside the
-/// decoded output).  `threads <= 1` stream-decodes row by row.  Used by the
-/// batch consumer outside the executor pipeline — Synergy's view
-/// materialization.
+/// `threads` pool workers (`par_batches`); `threads <= 1` stream-decodes
+/// row by row.  Used by the batch consumer outside the executor pipeline —
+/// Synergy's view materialization.
 pub fn par_decode_rows(
     def: &TableDef,
     cursor: impl Iterator<Item = nosql_store::ResultRow>,
@@ -285,16 +251,5 @@ pub fn par_decode_rows(
     if threads <= 1 {
         return cursor.map(|stored| def.decode_row(&stored)).collect();
     }
-    let mut cursor = cursor;
-    let mut out = Vec::new();
-    loop {
-        let batch: Vec<nosql_store::ResultRow> = cursor
-            .by_ref()
-            .take(threads * nosql_store::SCAN_PAGE_ROWS)
-            .collect();
-        if batch.is_empty() {
-            return out;
-        }
-        out.extend(pool::map(batch, threads, |stored| def.decode_row(&stored)));
-    }
+    par_batches(cursor, threads, |stored| def.decode_row(&stored)).collect()
 }

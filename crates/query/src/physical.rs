@@ -17,14 +17,16 @@
 
 use crate::bind::{
     eq_filter_row, eq_filter_values, range_filter_bounds, BoundCondition, BoundOperand,
-    PlannedCondition,
+    PlannedCondition, PlannedOperand,
 };
 use crate::catalog::TableDef;
-use crate::executor::{stored_row_is_dirty, AccessPath, Executor};
+use crate::executor::{
+    par_batches, stored_row_is_dirty, AccessPath, Executor, DIRTY_RETRY_LIMIT,
+};
 use crate::plan::LogicalPlan;
 use crate::result::{QueryError, QueryResult};
 use crate::stream::{collect_stream, par_top_k, top_k, Residency, RowStream};
-use nosql_store::ops::Scan;
+use nosql_store::ops::{Get, Scan};
 use relational::{encode_key, Row, Symbol, Value, KEY_DELIMITER};
 use sql::AggregateFunction;
 use std::cmp::Ordering;
@@ -172,6 +174,26 @@ impl PhysicalPlan {
     pub fn threads(&self) -> usize {
         self.threads
     }
+
+    /// The table each FROM entry reads, in statement order (after any
+    /// rewrite: a view-routed plan lists the view, not its relations).
+    pub fn tables(&self) -> impl Iterator<Item = &std::sync::Arc<TableDef>> {
+        self.aliases.iter().map(|(_, def)| def)
+    }
+
+    /// The value the `alias`-th FROM entry's equality filter on `column`
+    /// compares against under `params` — the value that keys its Get or
+    /// prefix scan (the last such filter wins, as in the access path).
+    /// `None`: no such filter, or its parameter is not supplied.
+    pub fn eq_binding(&self, alias: usize, column: &str, params: &[Value]) -> Option<Value> {
+        let mut filters = self.single_alias[alias].iter().rev().map(|&i| &self.conditions[i]);
+        let filter = filters.find(|c| c.op == sql::Comparison::Eq && c.left.column == column)?;
+        match &filter.right {
+            PlannedOperand::Literal(value) => Some(value.clone()),
+            PlannedOperand::Param(i) => params.get(*i).cloned(),
+            PlannedOperand::Column(..) => None,
+        }
+    }
 }
 
 /// Whether an alias stream feeds the pipeline (probe side) or a hash-join
@@ -207,74 +229,41 @@ impl JoinKey {
 }
 
 /// A borrowed decode context: the plan's decode spec applied to one table
-/// definition (the executable form of [`DecodeSpec`]).
+/// definition (the executable form of [`DecodeSpec`]), plus whether stored
+/// rows are checked for the dirty marker first.
 #[derive(Clone, Copy)]
 struct DecodeCtx<'a> {
     def: &'a TableDef,
     qual_syms: Option<&'a [Symbol]>,
     mask: Option<&'a [bool]>,
+    dirty_protection: bool,
 }
 
 impl<'a> DecodeCtx<'a> {
-    fn new(def: &'a TableDef, spec: &'a DecodeSpec) -> Self {
+    fn new(def: &'a TableDef, spec: &'a DecodeSpec, dirty_protection: bool) -> Self {
         DecodeCtx {
             def,
             qual_syms: spec.qual_syms.as_deref(),
             mask: spec.mask.as_deref(),
+            dirty_protection,
         }
     }
 
-    fn decode(&self, stored: &nosql_store::ResultRow) -> Row {
-        match self.qual_syms {
+    /// The one adaptor from stored row to relational row, for every scan
+    /// stream and point Get of a plan: under dirty protection a row carrying
+    /// the dirty marker surfaces as [`QueryError::DirtyRestart`], which
+    /// restarts the whole statement (paper §VIII-C); any other row decodes.
+    fn read(&self, stored: &nosql_store::ResultRow) -> Result<Row, QueryError> {
+        if self.dirty_protection && stored_row_is_dirty(stored) {
+            return Err(QueryError::DirtyRestart);
+        }
+        Ok(match self.qual_syms {
             Some(syms) => self.def.decode_row_qualified(stored, syms, self.mask),
             None => match self.mask {
                 Some(mask) => self.def.decode_row_projected(stored, mask),
                 None => self.def.decode_row(stored),
             },
-        }
-    }
-}
-
-/// A full-scan source running at `threads`-way parallelism: pulls batches
-/// of stored rows from a region-parallel cursor and decodes each batch on
-/// the pool, preserving row order.  Dirty markers surface as
-/// [`QueryError::DirtyRestart`] exactly as in the serial stream (the whole
-/// statement restarts, so decoding a batch past the marker is only wasted
-/// work, never wrong results).
-struct ParDecodeStream<'a> {
-    cursor: nosql_store::ParScanCursor,
-    ctx: DecodeCtx<'a>,
-    dirty_protection: bool,
-    threads: usize,
-    batch: std::vec::IntoIter<Result<Row, QueryError>>,
-}
-
-impl Iterator for ParDecodeStream<'_> {
-    type Item = Result<Row, QueryError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(row) = self.batch.next() {
-                return Some(row);
-            }
-            // One store page per worker per batch keeps decode parallelism
-            // aligned with the scan fan-out without unbounded buffering.
-            let batch_rows = self.threads * nosql_store::SCAN_PAGE_ROWS;
-            let stored: Vec<nosql_store::ResultRow> =
-                self.cursor.by_ref().take(batch_rows).collect();
-            if stored.is_empty() {
-                return None;
-            }
-            let ctx = self.ctx;
-            let dirty_protection = self.dirty_protection;
-            self.batch = pool::map(stored, self.threads, |row| {
-                if dirty_protection && stored_row_is_dirty(&row) {
-                    return Err(QueryError::DirtyRestart);
-                }
-                Ok(ctx.decode(&row))
-            })
-            .into_iter();
-        }
+        })
     }
 }
 
@@ -293,7 +282,7 @@ impl Executor {
             match self.run_plan(plan, params) {
                 Err(QueryError::DirtyRestart) => {
                     attempts += 1;
-                    if attempts > self.dirty_retry_limit() {
+                    if attempts > DIRTY_RETRY_LIMIT {
                         return Err(QueryError::DirtyReadRetriesExhausted);
                     }
                     // Give the in-flight update a chance to finish.
@@ -419,20 +408,15 @@ impl Executor {
             SourceRole::Start => (plan.store_limit, plan.limit_stops_early),
             SourceRole::Build => (0, false),
         };
-        let ctx = DecodeCtx::new(def, &access.decode);
+        let ctx = DecodeCtx::new(def, &access.decode, self.dirty_protection());
 
         let base: RowStream<'a> = match &access.path {
             AccessPath::KeyGet => {
                 let key = def.encode_row_key(&eq_filter_row(&eq_filters));
-                let row = match self.cluster().get(&def.name, self.bounded_get(key))? {
-                    Some(stored) => {
-                        if self.is_dirty(&stored) {
-                            return Err(QueryError::DirtyRestart);
-                        }
-                        Some(ctx.decode(&stored))
-                    }
-                    None => None,
-                };
+                // Eager: a dirty row restarts the statement before any other
+                // alias is opened (and charged).
+                let stored = self.cluster().get(&def.name, Get::new(key))?;
+                let row = stored.map(|stored| ctx.read(&stored)).transpose()?;
                 Box::new(row.into_iter().map(Ok))
             }
             AccessPath::KeyPrefixScan => {
@@ -451,13 +435,8 @@ impl Executor {
                 }
                 let scan = Scan::prefix(prefix)
                     .with_columns(self.scan_projection(def, ctx.mask));
-                let cursor = self.cluster().scan_stream(&def.name, self.bounded_scan(scan))?;
-                Box::new(cursor.map(move |stored| {
-                    if self.is_dirty(&stored) {
-                        return Err(QueryError::DirtyRestart);
-                    }
-                    Ok(ctx.decode(&stored))
-                }))
+                let cursor = self.cluster().scan_stream(&def.name, scan)?;
+                Box::new(cursor.map(move |stored| ctx.read(&stored)))
             }
             AccessPath::IndexScan { .. } => {
                 let index = access
@@ -476,44 +455,29 @@ impl Executor {
                     prefix.push(KEY_DELIMITER);
                 }
                 if index.covered {
-                    let index_ctx = DecodeCtx::new(index_def, &index.decode);
+                    let index_ctx = DecodeCtx::new(index_def, &index.decode, ctx.dirty_protection);
                     let scan = Scan::prefix(prefix)
                         .with_columns(self.scan_projection(index_def, index_ctx.mask));
-                    let cursor =
-                        self.cluster().scan_stream(&index_def.name, self.bounded_scan(scan))?;
-                    Box::new(cursor.map(move |stored| {
-                        if self.is_dirty(&stored) {
-                            return Err(QueryError::DirtyRestart);
-                        }
-                        Ok(index_ctx.decode(&stored))
-                    }))
+                    let cursor = self.cluster().scan_stream(&index_def.name, scan)?;
+                    Box::new(cursor.map(move |stored| index_ctx.read(&stored)))
                 } else {
                     // Stream the index entries and look up each base row by
                     // primary key as it is pulled; the index row is decoded
                     // bare (it only feeds key encoding).
-                    let cursor = self
-                        .cluster()
-                        .scan_stream(&index_def.name, self.bounded_scan(Scan::prefix(prefix)))?;
+                    let index_ctx = DecodeCtx {
+                        def: index_def,
+                        qual_syms: None,
+                        mask: None,
+                        dirty_protection: ctx.dirty_protection,
+                    };
+                    let cursor =
+                        self.cluster().scan_stream(&index_def.name, Scan::prefix(prefix))?;
                     Box::new(
                         cursor
                             .map(move |stored| -> Result<Option<Row>, QueryError> {
-                                if self.is_dirty(&stored) {
-                                    return Err(QueryError::DirtyRestart);
-                                }
-                                let index_row = index_def.decode_row(&stored);
-                                let base_key = ctx.def.encode_row_key(&index_row);
-                                match self
-                                    .cluster()
-                                    .get(&ctx.def.name, self.bounded_get(base_key))?
-                                {
-                                    Some(base) => {
-                                        if self.is_dirty(&base) {
-                                            return Err(QueryError::DirtyRestart);
-                                        }
-                                        Ok(Some(ctx.decode(&base)))
-                                    }
-                                    None => Ok(None),
-                                }
+                                let base_key = ctx.def.encode_row_key(&index_ctx.read(&stored)?);
+                                let base = self.cluster().get(&ctx.def.name, Get::new(base_key))?;
+                                base.map(|base| ctx.read(&base)).transpose()
                             })
                             .filter_map(Result::transpose),
                     )
@@ -538,13 +502,8 @@ impl Executor {
                     None => Scan::all(),
                 }
                 .with_columns(self.scan_projection(def, ctx.mask));
-                let cursor = self.cluster().scan_stream(&def.name, self.bounded_scan(scan))?;
-                Box::new(cursor.map(move |stored| {
-                    if self.is_dirty(&stored) {
-                        return Err(QueryError::DirtyRestart);
-                    }
-                    Ok(ctx.decode(&stored))
-                }))
+                let cursor = self.cluster().scan_stream(&def.name, scan)?;
+                Box::new(cursor.map(move |stored| ctx.read(&stored)))
             }
             AccessPath::FullScan => {
                 let scan = Scan::all()
@@ -557,26 +516,14 @@ impl Executor {
                 // width is the plan's frozen decision (`plan.threads`), not
                 // the executing executor's configuration.
                 if plan.threads > 1 && store_limit == 0 && !prefer_serial {
-                    let cursor = self.cluster().par_scan_stream(
-                        &def.name,
-                        self.bounded_scan(scan),
-                        plan.threads,
-                    )?;
-                    Box::new(ParDecodeStream {
-                        cursor,
-                        ctx,
-                        dirty_protection: self.dirty_protection(),
-                        threads: plan.threads,
-                        batch: Vec::new().into_iter(),
-                    })
+                    let cursor =
+                        self.cluster().par_scan_stream(&def.name, scan, plan.threads)?;
+                    // Decoding a batch past a dirty marker is only wasted
+                    // work: the whole statement restarts.
+                    Box::new(par_batches(cursor, plan.threads, move |stored| ctx.read(&stored)))
                 } else {
-                    let cursor = self.cluster().scan_stream(&def.name, self.bounded_scan(scan))?;
-                    Box::new(cursor.map(move |stored| {
-                        if self.is_dirty(&stored) {
-                            return Err(QueryError::DirtyRestart);
-                        }
-                        Ok(ctx.decode(&stored))
-                    }))
+                    let cursor = self.cluster().scan_stream(&def.name, scan)?;
+                    Box::new(cursor.map(move |stored| ctx.read(&stored)))
                 }
             }
         };
@@ -756,9 +703,6 @@ impl Executor {
 // Helpers (free functions so they are easy to unit test)
 // ----------------------------------------------------------------------
 
-/// The hash partition a join key belongs to.  `DefaultHasher::new()` is
-/// deterministic (fixed keys), so build and probe agree — and repeated runs
-/// partition identically, keeping parallel sim figures reproducible.
 /// Store-scan bounds `[start, stop)` covering every key whose leading
 /// component lies in the inclusive value interval `[lo, hi]`, or `None`
 /// when encoded keys do not sort like the values over that interval
@@ -793,6 +737,9 @@ fn decimal_width(v: i64) -> usize {
     v.to_string().len()
 }
 
+/// The hash partition a join key belongs to.  `DefaultHasher::new()` is
+/// deterministic (fixed keys), so build and probe agree — and repeated runs
+/// partition identically, keeping parallel sim figures reproducible.
 fn partition_of(key: &JoinKey, parts: usize) -> usize {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();

@@ -20,7 +20,11 @@
 //! Statement-level rewrites plug in through [`PlanRewriter`]: Synergy
 //! installs its materialized-view substitution here, which makes the
 //! rewrite a visible planner rule (a `Rewrite` node in the plan tree)
-//! instead of an opaque pre-pass.
+//! instead of an opaque pre-pass.  The rule is a **per-lookup switch**
+//! ([`Session::select_plan`]): the same session caches a statement's
+//! rewritten plan and its rule-skipped ("view-free") plan side by side, in
+//! key spaces kept apart by whether the rule was applied.  A session with
+//! a rule installed is a read path and refuses write statements.
 //!
 //! ```
 //! use nosql_store::{Cluster, ClusterConfig};
@@ -51,6 +55,7 @@ use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
 use relational::{intern, Row, Value};
 use sql::{SelectStatement, Statement};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -100,7 +105,9 @@ enum Prepared {
 /// Shared mutable state of a session (clones share the cache and counters).
 #[derive(Default)]
 struct SessionState {
-    cache: Mutex<BTreeMap<String, Prepared>>,
+    /// Cached plans by statement text, one key space per rewrite switch
+    /// position: `[0]` compiled with the rule skipped, `[1]` with it applied.
+    cache: Mutex<[BTreeMap<String, Prepared>; 2]>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -162,26 +169,38 @@ impl Session {
     /// Compiles (or fetches from the plan cache) a prepared statement for
     /// the given SQL text.
     pub fn prepare(&self, sql_text: &str) -> Result<PreparedStatement, QueryError> {
-        self.prepare_keyed(sql_text, None)
+        Ok(self.statement(sql_text, self.cached(sql_text, None, true)?))
     }
 
     /// [`Session::prepare`] for an already parsed statement (cache key is
     /// the statement's canonical text).
     pub fn prepare_statement(&self, stmt: &Statement) -> Result<PreparedStatement, QueryError> {
-        self.prepare_keyed(&stmt.to_string(), Some(stmt))
+        let sql_text = stmt.to_string();
+        Ok(self.statement(&sql_text, self.cached(&sql_text, Some(stmt), true)?))
     }
 
     /// Compiles a statement *without* consulting or populating the plan
     /// cache — the baseline against which prepared execution is measured
     /// (every phase runs, nothing is amortized).
     pub fn prepare_uncached(&self, sql_text: &str) -> Result<PreparedStatement, QueryError> {
-        let stmt = parse(sql_text)?;
-        let prepared = self.compile(&stmt)?;
-        Ok(PreparedStatement {
-            executor: self.executor.clone(),
-            sql: sql_text.to_string(),
-            prepared,
-        })
+        Ok(self.statement(sql_text, self.compile(&parse(sql_text)?, true)?))
+    }
+
+    /// The compiled plan of one SELECT through the plan cache, with the
+    /// session's rewrite rule applied (`rewrite`) or skipped for this lookup
+    /// — the statement planned over exactly the tables it names.  The two
+    /// positions cache under disjoint key spaces, so neither can be served
+    /// the other's plan.  `parsed` avoids re-parsing `sql_text` on a miss.
+    pub fn select_plan(
+        &self,
+        sql_text: &str,
+        parsed: Option<&Statement>,
+        rewrite: bool,
+    ) -> Result<Arc<PhysicalPlan>, QueryError> {
+        match self.cached(sql_text, parsed, rewrite)? {
+            Prepared::Select(plan) => Ok(plan),
+            Prepared::Write(_) => Err(QueryError::Unsupported(format!("not a SELECT: {sql_text}"))),
+        }
     }
 
     /// Parses and executes a SQL string through the plan cache.  A leading
@@ -219,115 +238,118 @@ impl Session {
         self.explain_statement(&parse(sql_text)?)
     }
 
-    /// [`Session::explain`] for an already parsed statement.
+    /// [`Session::explain`] for an already parsed statement (a write renders
+    /// its one-line summary on any session: nothing is executed).
     pub fn explain_statement(&self, stmt: &Statement) -> Result<String, QueryError> {
-        match self.compile(stmt)? {
-            Prepared::Select(plan) => Ok(plan.explain()),
-            Prepared::Write(stmt) => self.executor.explain_statement(&stmt),
+        match stmt {
+            Statement::Select(select) => Ok(self.compile_select(select, true)?.explain()),
+            write => self.executor.explain_statement(write),
         }
     }
 
-    /// A snapshot of the plan-cache counters.
+    /// A snapshot of the plan-cache counters (both key spaces together).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
+        let cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
         PlanCacheStats {
             hits: self.state.hits.load(Ordering::Relaxed),
             misses: self.state.misses.load(Ordering::Relaxed),
             invalidations: self.state.invalidations.load(Ordering::Relaxed),
-            entries: self.state.cache.lock().unwrap_or_else(PoisonError::into_inner).len(),
+            entries: cache.iter().map(BTreeMap::len).sum(),
         }
     }
 
-    /// Drops every cached plan (counters are kept).
-    pub fn clear_plan_cache(&self) {
-        self.state.cache.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    fn statement(&self, sql_text: &str, prepared: Prepared) -> PreparedStatement {
+        PreparedStatement {
+            executor: self.executor.clone(),
+            sql: sql_text.to_string(),
+            prepared,
+        }
     }
 
-    /// Cache lookup + compile on miss.  `parsed` avoids re-parsing when the
-    /// caller already holds the statement.
-    fn prepare_keyed(
+    /// Cache lookup + compile on miss, in the key space of `rewrite`.
+    /// `parsed` avoids re-parsing when the caller already holds the
+    /// statement.
+    fn cached(
         &self,
         key: &str,
         parsed: Option<&Statement>,
-    ) -> Result<PreparedStatement, QueryError> {
+        rewrite: bool,
+    ) -> Result<Prepared, QueryError> {
         let catalog_version = self.executor.catalog().version();
+        let space = usize::from(rewrite);
         {
             let mut cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            match cache.get(key) {
+            match cache[space].get(key) {
                 Some(Prepared::Select(plan)) if plan.catalog_version() != catalog_version => {
                     // Stale: compiled against a previous catalog.  Drop the
                     // entry now (re-planning below may legitimately fail —
                     // e.g. the table was removed — and a failed compile must
                     // not leave the dead plan counting as cached), then fall
                     // through to re-plan.
-                    cache.remove(key);
+                    cache[space].remove(key);
                     self.state.invalidations.fetch_add(1, Ordering::Relaxed);
                 }
                 Some(prepared) => {
                     self.state.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(PreparedStatement {
-                        executor: self.executor.clone(),
-                        sql: key.to_string(),
-                        prepared: prepared.clone(),
-                    });
+                    return Ok(prepared.clone());
                 }
                 None => {}
             }
         }
         self.state.misses.fetch_add(1, Ordering::Relaxed);
-        let owned;
         let stmt = match parsed {
-            Some(stmt) => stmt,
-            None => {
-                owned = parse(key)?;
-                &owned
-            }
+            Some(stmt) => Cow::Borrowed(stmt),
+            None => Cow::Owned(parse(key)?),
         };
-        let prepared = self.compile(stmt)?;
-        {
-            let mut cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            // Bound the cache: statements with inlined literals produce a
-            // distinct text (and entry) per value, so a long-lived session
-            // fed ad-hoc SQL would otherwise grow without limit.  When the
-            // cap is reached the cache is flushed wholesale — crude but
-            // O(1) amortized, and repeated statements simply re-warm.
-            if cache.len() >= PLAN_CACHE_MAX_ENTRIES {
-                cache.clear();
-            }
-            cache.insert(key.to_string(), prepared.clone());
+        let prepared = self.compile(&stmt, rewrite)?;
+        let mut cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        // Bound the cache: statements with inlined literals produce a
+        // distinct text (and entry) per value, so a long-lived session
+        // fed ad-hoc SQL would otherwise grow without limit.  When the
+        // cap is reached the cache is flushed wholesale — crude but
+        // O(1) amortized, and repeated statements simply re-warm.
+        if cache.iter().map(BTreeMap::len).sum::<usize>() >= PLAN_CACHE_MAX_ENTRIES {
+            *cache = Default::default();
         }
-        Ok(PreparedStatement {
-            executor: self.executor.clone(),
-            sql: key.to_string(),
-            prepared,
-        })
+        cache[space].insert(key.to_string(), prepared.clone());
+        Ok(prepared)
     }
 
-    /// Runs rewrite + bind + optimize for one statement.
-    fn compile(&self, stmt: &Statement) -> Result<Prepared, QueryError> {
-        let Statement::Select(select) = stmt else {
-            return Ok(Prepared::Write(Arc::new(stmt.clone())));
-        };
-        let rewritten = self
-            .rewriter
-            .as_ref()
-            .and_then(|rewriter| {
-                rewriter.rewrite_select(select).map(|(rewritten, note)| {
-                    (
-                        rewritten,
-                        RewriteNote {
-                            rule: rewriter.rule_name().to_string(),
-                            note,
-                        },
-                    )
-                })
-            });
-        let plan = match &rewritten {
-            Some((select, note)) => {
-                optimize::bind_and_plan(&self.executor, select, Some(note.clone()))?
+    /// Compiles one statement.  A session with a rewrite rule installed is
+    /// a read path — its owner routes writes elsewhere (Synergy: through the
+    /// transaction layer, which logs, locks and maintains the views) — so it
+    /// refuses to prepare a write rather than run it around that owner.
+    fn compile(&self, stmt: &Statement, rewrite: bool) -> Result<Prepared, QueryError> {
+        match (stmt, &self.rewriter) {
+            (Statement::Select(select), _) => {
+                Ok(Prepared::Select(Arc::new(self.compile_select(select, rewrite)?)))
             }
-            None => optimize::bind_and_plan(&self.executor, select, None)?,
-        };
-        Ok(Prepared::Select(Arc::new(plan)))
+            (write, None) => Ok(Prepared::Write(Arc::new(write.clone()))),
+            (_, Some(rewriter)) => Err(QueryError::Unsupported(format!(
+                "a session planning through `{}` is a read path: execute writes through its \
+                 owner (`SynergySystem::execute`)",
+                rewriter.rule_name()
+            ))),
+        }
+    }
+
+    /// Runs rewrite (when `rewrite` and the rule applies) + bind + optimize
+    /// for one SELECT.
+    fn compile_select(
+        &self,
+        select: &SelectStatement,
+        rewrite: bool,
+    ) -> Result<PhysicalPlan, QueryError> {
+        let rewriter = self.rewriter.as_ref().filter(|_| rewrite);
+        let rewritten = rewriter.and_then(|rewriter| {
+            let (rewritten, note) = rewriter.rewrite_select(select)?;
+            let rule = rewriter.rule_name().to_string();
+            Some((rewritten, RewriteNote { rule, note }))
+        });
+        match rewritten {
+            Some((select, note)) => optimize::bind_and_plan(&self.executor, &select, Some(note)),
+            None => optimize::bind_and_plan(&self.executor, select, None),
+        }
     }
 }
 

@@ -5,8 +5,9 @@
 //! views start empty and fill on demand: a read routed to a view first
 //! consults the [`ViewResidency`] map; on a miss the system issues an
 //! **upquery** — the view's defining join, parameterized on the missing key
-//! range and executed through the ordinary session/plan-cache pipeline —
-//! and installs the result here as resident rows.  Eviction keeps total
+//! range and run as a view-free plan of the system's one session (same plan
+//! cache as every read, the rewrite rule skipped for that lookup) — and
+//! installs the result here as resident rows.  Eviction keeps total
 //! resident view bytes under the budget with a CLOCK/second-chance sweep
 //! over view keys; evicting a key deletes its view rows through the charged
 //! write path and clears residency.  The maintenance engine consults the
@@ -301,9 +302,9 @@ impl ViewResidency {
         }
     }
 
-    /// Reader pins currently held, summed over every entry.
-    #[cfg(test)]
-    pub(crate) fn pins_held(&self) -> u32 {
+    /// Reader pins currently held, summed over every entry (0 between
+    /// reads: step 3's guard drops them on every way out).
+    pub fn pins_held(&self) -> u32 {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.views.values().flat_map(|v| v.values()).map(|e| e.pins).sum()
     }

@@ -136,27 +136,6 @@ pub fn rewrite_query(select: &SelectStatement, views: &[ViewDefinition]) -> Sele
     }
 }
 
-/// Rewrites an entire workload using a [`SelectionOutcome`]: statement `i` is
-/// rewritten over `outcome.per_query[i]` when present, otherwise kept as is.
-pub fn rewrite_workload(workload: &[Statement], outcome: &SelectionOutcome) -> Vec<Statement> {
-    workload
-        .iter()
-        .enumerate()
-        .map(|(idx, statement)| rewrite_statement(statement, outcome.per_query.get(&idx)))
-        .collect()
-}
-
-/// Rewrites a single statement given the views selected for it (write
-/// statements are returned unchanged — view maintenance handles them).
-pub fn rewrite_statement(statement: &Statement, views: Option<&Vec<ViewDefinition>>) -> Statement {
-    match (statement, views) {
-        (Statement::Select(select), Some(views)) if !views.is_empty() => {
-            Statement::Select(rewrite_query(select, views))
-        }
-        _ => statement.clone(),
-    }
-}
-
 /// The Synergy view substitution as a planner rule
 /// ([`query::PlanRewriter`]): workload statements use the views the §VI-A
 /// selection already chose for them (looked up by statement text), ad-hoc
@@ -192,15 +171,6 @@ impl SynergyRewriter {
             views_by_sql,
         }
     }
-
-    /// The views this rule would substitute into one SELECT (empty = the
-    /// statement passes through unchanged).
-    pub fn views_for(&self, select: &SelectStatement) -> Vec<ViewDefinition> {
-        match self.views_by_sql.get(&select.to_string()) {
-            Some(views) => views.clone(),
-            None => select_views_for_query(&self.candidates, select, &self.workload),
-        }
-    }
 }
 
 impl PlanRewriter for SynergyRewriter {
@@ -209,7 +179,14 @@ impl PlanRewriter for SynergyRewriter {
     }
 
     fn rewrite_select(&self, select: &SelectStatement) -> Option<(SelectStatement, String)> {
-        let views = self.views_for(select);
+        let adhoc;
+        let views = match self.views_by_sql.get(&select.to_string()) {
+            Some(views) => views,
+            None => {
+                adhoc = select_views_for_query(&self.candidates, select, &self.workload);
+                &adhoc
+            }
+        };
         if views.is_empty() {
             return None;
         }
@@ -218,7 +195,7 @@ impl PlanRewriter for SynergyRewriter {
             .map(|v| format!("{} replaces {}", v.table_name(), v.relations.join(", ")))
             .collect::<Vec<_>>()
             .join("; ");
-        Some((rewrite_query(select, &views), note))
+        Some((rewrite_query(select, views), note))
     }
 }
 
@@ -242,8 +219,7 @@ mod tests {
     #[test]
     fn w1_is_rewritten_to_a_single_view_scan() {
         let (workload, outcome) = company_outcome();
-        let rewritten = rewrite_workload(&workload, &outcome);
-        let select = rewritten[0].as_select().unwrap();
+        let select = rewrite_query(workload[0].as_select().unwrap(), &outcome.per_query[&0]);
         assert_eq!(select.from.len(), 1);
         assert_eq!(select.from[0].table, "V_Address__Employee");
         // The a.AID = e.EHome_AID join disappears; the EID filter survives,
@@ -256,8 +232,7 @@ mod tests {
     #[test]
     fn w2_keeps_the_cross_tree_join_against_department() {
         let (workload, outcome) = company_outcome();
-        let rewritten = rewrite_workload(&workload, &outcome);
-        let select = rewritten[1].as_select().unwrap();
+        let select = rewrite_query(workload[1].as_select().unwrap(), &outcome.per_query[&1]);
         // Employee⋈Works_On is folded into the view; Department remains a
         // base table joined against the view.
         assert_eq!(select.from.len(), 2);
@@ -307,12 +282,23 @@ mod tests {
 
     #[test]
     fn statements_without_views_pass_through_unchanged() {
-        let (mut workload, outcome) = company_outcome();
-        workload.push(parse_statement("UPDATE Employee SET EName = ? WHERE EID = ?").unwrap());
-        workload.push(parse_statement("SELECT * FROM Department WHERE DNo = ?").unwrap());
-        let rewritten = rewrite_workload(&workload, &outcome);
-        assert_eq!(rewritten[3], workload[3]);
-        assert_eq!(rewritten[4], workload[4]);
+        let schema = company::company_schema();
+        let mut sql_texts = company::company_workload_sql();
+        sql_texts.push("UPDATE Employee SET EName = ? WHERE EID = ?".to_string());
+        sql_texts.push("SELECT * FROM Department WHERE DNo = ?".to_string());
+        let workload = parse_workload(sql_texts.iter().map(String::as_str)).unwrap();
+        let candidates = generate_candidate_views(&schema, &workload, &company::company_roots());
+        let outcome = select_views(&schema, &candidates, &workload);
+        // A write is never rewritten: the selection picks no views for it
+        // and the rule's input type is a SELECT.
+        assert!(outcome.per_query.get(&3).is_none_or(Vec::is_empty));
+        // A SELECT no view covers comes back unchanged from `rewrite_query`
+        // and makes the planner rule decline.
+        let department = workload[4].as_select().unwrap();
+        let views = outcome.per_query.get(&4).cloned().unwrap_or_default();
+        assert_eq!(&rewrite_query(department, &views), department);
+        let rule = SynergyRewriter::new(candidates, workload.clone(), &outcome);
+        assert!(rule.rewrite_select(department).is_none());
     }
 
     #[test]

@@ -3,9 +3,49 @@
 //! [`SynergySystem::build`] runs the whole offline pipeline — baseline
 //! transformation, candidate view generation, view selection, query
 //! rewriting, view-index addition, table and lock-table creation — and the
-//! resulting object executes the online workload: reads go straight to the
-//! store through the rewritten queries (with dirty-read protection), writes
-//! go through the transaction layer's single-lock procedures.
+//! resulting object executes the online workload: writes go through the
+//! transaction layer's single-lock procedure (`crate::txn`), reads through
+//! the one read pipeline below.
+//!
+//! # The read pipeline: a step contract
+//!
+//! [`SynergySystem::execute`] is the only read procedure — the twin of
+//! `TransactionLayer::execute_write` and the store's `Cluster::mutate`.
+//! Every SELECT takes these steps, in this order:
+//!
+//! 1. **flush** — drain the writes still coalescing in the maintenance
+//!    batch, so the read observes maintained views.  Touches the store and
+//!    charges only when a write batch is configured and non-empty.
+//! 2. **plan** — one lookup in the one [`Session`]'s plan cache, keyed by
+//!    the statement's text (rendered once, here).  A miss runs rewrite
+//!    (§VI-B, as a planner rule) → bind → optimize once and caches the
+//!    result.  Catalog only: no store operation, nothing charged.
+//! 3. **admit** — only under a view budget.  For each view table the
+//!    *compiled plan* reads, in FROM order: take the leading-key equality
+//!    from the plan's own bound filters ([`query::PhysicalPlan::eq_binding`]),
+//!    make that key resident — hit, wait for another reader's fill, or fill
+//!    it by an upquery (charged: the upquery's reads, the install's writes,
+//!    any eviction's deletes) — and pin it.  The pins live in one
+//!    `ReaderPins` guard from here to the end of step 4 and drop on every
+//!    way out, errors included.  A view with no key binding cannot be
+//!    admitted (the demand-filled view holds only the hot slice): the
+//!    statement is a **bypass** — counted once, pins taken so far dropped —
+//!    and takes the view-free plan instead of steps 4–5.
+//! 4. **run** — [`Executor::execute_plan`] under the §VIII-C dirty-restart
+//!    loop: a scanned row carrying a dirty marker restarts the statement,
+//!    up to [`query::DIRTY_RETRY_LIMIT`] times.  Charged like any plan.
+//! 5. **degrade** — only when step 4 exhausts its restarts (a view left
+//!    permanently dirty by a crashed transaction): run the view-free plan —
+//!    base tables never carry markers — and report `dirty_fallbacks = 1`.
+//!
+//! **The view-free plan** is the statement planned over exactly the tables
+//! it names: the same session, the same plan cache, the rewrite rule
+//! skipped for that lookup ([`Session::select_plan`] with `rewrite = false`;
+//! the two key spaces are disjoint, so a rewritten statement can never be
+//! served a view-free plan or vice versa).  It has three callers and no
+//! others: the upquery of step 3 (the view's defining join must not be
+//! routed back onto the view being filled), the bypass of step 3, and the
+//! degrade of step 5.  Each compiles once per statement text.
 
 use crate::lock::LockManager;
 use crate::maintenance::{MaintenanceEngine, MaintenanceStatsSnapshot};
@@ -17,8 +57,8 @@ use crate::viewgen::{generate_candidate_views, CandidateViews, ViewDefinition};
 use nosql_store::Cluster;
 use query::baseline::{baseline_catalog_with_types, create_tables, TypeHint};
 use query::{
-    Catalog, ColumnType, Executor, PlanCacheStats, PlanRewriter, QueryError, QueryResult, Session,
-    TableDef, TableKind,
+    Catalog, ColumnType, Executor, PhysicalPlan, PlanCacheStats, PlanRewriter, QueryError,
+    QueryResult, Session, TableDef, TableKind,
 };
 use relational::{Row, Schema, Value};
 use sql::Statement;
@@ -36,33 +76,29 @@ pub struct SynergyConfig<'a> {
     /// Column-type hints for the baseline transformation.
     pub types: TypeHint<'a>,
     /// Overrides the candidate views (skipping §V's generation mechanism).
-    /// Used to build the comparison systems: the Baseline system passes an
-    /// empty candidate set (no views) and MVCC-UA passes the advisor's
+    /// Set by `tpcw::systems` to build the comparison systems: Baseline
+    /// passes an empty candidate set (no views) and MVCC-UA the advisor's
     /// schema-oblivious views.
     pub candidate_override: Option<CandidateViews>,
-    /// When false, write transactions skip the hierarchical lock.  The
-    /// MVCC-based comparison systems disable it because their concurrency
-    /// control is the MVCC transaction server, not Synergy's locks.
+    /// When false, write transactions skip the hierarchical lock.  Cleared
+    /// by `tpcw::systems` for MVCC-A / MVCC-UA, whose concurrency control is
+    /// the MVCC transaction server, not Synergy's locks.
     pub hierarchical_locking: bool,
     /// Degree of region-parallel execution for reads and batch view
-    /// refreshes (1 = fully serial, the default).
+    /// refreshes (1 = fully serial, the default).  Raised by `fig_par`,
+    /// `fig10 --threads` and the benchmark's `micro_scan` (`q2_join_par2`).
     pub threads: usize,
     /// Capacity of the coalescing maintenance write batch (1 = propagate
     /// per write, the default; larger values defer and merge deltas until
-    /// the batch fills or a read flushes it).
+    /// the batch fills or a read flushes it).  Raised by `fig_writes`' burst
+    /// sweep.
     pub write_batch: usize,
-    /// Restart budget for scans that keep observing dirty markers (default
-    /// [`query::DIRTY_RETRY_LIMIT`]).  Fault harnesses use a small limit so
-    /// a permanently dirty view degrades to the baseline plan quickly.
-    pub dirty_retry_limit: usize,
-    /// Lock-lease length override (default
-    /// [`crate::lock::DEFAULT_LOCK_LEASE`]).
-    pub lock_lease: Option<simclock::SimDuration>,
     /// Resident-byte budget for **partial view materialization** (`None`,
     /// the default, keeps the classic fully-materialized behavior).  With a
     /// budget set, views start empty and fill on demand through upqueries;
     /// a CLOCK sweep evicts cold keys to keep total resident view bytes
-    /// under the budget (see [`crate::partial::ViewResidency`]).
+    /// under the budget (see [`crate::partial::ViewResidency`]).  Set by
+    /// `fig_partial` and the benchmark's `micro_partial`.
     pub view_budget: Option<u64>,
 }
 
@@ -84,8 +120,6 @@ impl<'a> SynergyConfig<'a> {
             hierarchical_locking: true,
             threads: 1,
             write_batch: 1,
-            dirty_retry_limit: query::DIRTY_RETRY_LIMIT,
-            lock_lease: None,
             view_budget: None,
         }
     }
@@ -97,20 +131,6 @@ impl<'a> SynergyConfig<'a> {
     /// to stay under the budget.
     pub fn with_view_budget(mut self, bytes: u64) -> Self {
         self.view_budget = Some(bytes);
-        self
-    }
-
-    /// Overrides the dirty-scan restart budget (see
-    /// [`query::Executor::with_dirty_retry_limit`]).
-    pub fn with_dirty_retry_limit(mut self, limit: usize) -> Self {
-        self.dirty_retry_limit = limit.max(1);
-        self
-    }
-
-    /// Overrides the lock-lease length (see
-    /// [`crate::lock::LockManager::with_lease`]).
-    pub fn with_lock_lease(mut self, lease: simclock::SimDuration) -> Self {
-        self.lock_lease = Some(lease);
         self
     }
 
@@ -150,8 +170,10 @@ pub struct SynergySystem {
     candidates: CandidateViews,
     selection: SelectionOutcome,
     executor: Executor,
-    /// The read path: a planner session whose rewriter rule substitutes the
-    /// selected views, with a plan cache keyed by statement text.
+    /// The read path's one planner session: its rewrite rule substitutes
+    /// the selected views, and its plan cache holds each statement's
+    /// rewritten plan and — once an upquery, bypass or degraded read asked
+    /// for it — its view-free plan (see the module doc).
     session: Session,
     /// The view-substitution rule the session plans through (also answers
     /// [`SynergySystem::rewrite`] directly).
@@ -165,10 +187,6 @@ pub struct SynergySystem {
     /// Partial-materialization residency map (`None` without a view budget:
     /// views are fully materialized and every read is a hit by construction).
     residency: Option<Arc<ViewResidency>>,
-    /// A second, rewriter-free session for upqueries: the missing-key join
-    /// must plan against the **base** tables — the main session's rewrite
-    /// rule would route it back onto the very view being filled.
-    upquery_session: Session,
 }
 
 /// What the offline view-population step wrote (see
@@ -187,13 +205,13 @@ pub struct Materialization {
 struct ReaderPins<'a> {
     residency: &'a ViewResidency,
     /// `(view table, leading-key prefix)` of each pinned entry.
-    held: Vec<(String, String)>,
+    held: Vec<(Arc<TableDef>, String)>,
 }
 
 impl Drop for ReaderPins<'_> {
     fn drop(&mut self) {
-        for (table, prefix) in &self.held {
-            self.residency.unpin(table, prefix);
+        for (view, prefix) in &self.held {
+            self.residency.unpin(&view.name, prefix);
         }
     }
 }
@@ -231,8 +249,6 @@ impl SynergySystem {
             hierarchical_locking,
             threads,
             write_batch,
-            dirty_retry_limit,
-            lock_lease,
             view_budget,
         } = config;
 
@@ -292,10 +308,7 @@ impl SynergySystem {
 
         // 5. Create all physical tables, plus one lock table per rooted tree.
         create_tables(&cluster, &catalog)?;
-        let mut locks = LockManager::new(cluster.clone());
-        if let Some(lease) = lock_lease {
-            locks = locks.with_lease(lease);
-        }
+        let locks = LockManager::new(cluster.clone());
         if hierarchical_locking {
             for tree in &candidates.trees {
                 locks.create_lock_table(&tree.root)?;
@@ -305,7 +318,6 @@ impl SynergySystem {
         // Reads restart when they observe a dirty marker (§VIII-C).
         let executor = Executor::new(cluster, catalog)
             .with_dirty_read_protection()
-            .with_dirty_retry_limit(dirty_retry_limit)
             .with_threads(threads);
         let residency = view_budget.map(|budget| Arc::new(ViewResidency::new(budget)));
         let mut maintainer = MaintenanceEngine::new(executor.clone(), selection.views.clone())
@@ -322,7 +334,7 @@ impl SynergySystem {
         )
         .with_hierarchical_locking(hierarchical_locking);
 
-        // 6. The read path: a planner session whose rewrite rule
+        // 6. The read path: the one planner session, whose rewrite rule
         // substitutes the selected views per workload statement (ad-hoc
         // statements run the marking procedure on the fly).  The rewrite
         // fires at plan-compile time — once per plan-cache miss — and is
@@ -334,7 +346,6 @@ impl SynergySystem {
         ));
         let session =
             Session::new(executor.clone()).with_rewriter(rewriter.clone() as Arc<dyn PlanRewriter>);
-        let upquery_session = Session::new(executor.clone());
 
         Ok(SynergySystem {
             schema,
@@ -349,7 +360,6 @@ impl SynergySystem {
             hierarchical_locking,
             dirty_fallbacks: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             residency,
-            upquery_session,
         })
     }
 
@@ -400,12 +410,16 @@ impl SynergySystem {
 
     /// The planner session serving reads: view-rewrite rule installed,
     /// plan cache keyed by statement text.  Exposed so callers can prepare
-    /// statements against the Synergy read path or inspect cache counters.
+    /// SELECTs against the Synergy read path or inspect cache counters; it
+    /// refuses write statements, which must run through
+    /// [`SynergySystem::execute`] (log, lock, view maintenance).
     pub fn session(&self) -> &Session {
         &self.session
     }
 
-    /// A snapshot of the read path's plan-cache counters.
+    /// A snapshot of the read path's plan-cache counters: every step-2
+    /// lookup, plus the view-free lookups of upqueries, bypasses and
+    /// degraded reads (one session, one set of counters).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.session.plan_cache_stats()
     }
@@ -434,45 +448,31 @@ impl SynergySystem {
         self.txn.plan(statement)
     }
 
-    /// Executes one workload statement: reads go through the planner
-    /// session (view rewrite as a compile-time rule, plan served from the
-    /// cache on repetition); writes run as single-lock transactions in the
-    /// transaction layer.
+    /// Executes one workload statement: writes run as single-lock
+    /// transactions in the transaction layer, reads take the five steps of
+    /// the module doc's contract (flush → plan → admit → run → degrade).
     pub fn execute(&self, statement: &Statement, params: &[Value]) -> Result<QueryResult, TxnError> {
         if !statement.is_read() {
             return self.txn.execute_write(statement, params);
         }
-        // Reads observe maintained views: drain any writes still
-        // coalescing in the maintenance batch first.
+        // 1 flush
         self.txn.flush_maintenance()?;
-        let Some(residency) = &self.residency else {
-            return self.read_through_session(statement, params);
+        // 2 plan
+        let text = statement.to_string();
+        let plan = self.session.select_plan(&text, Some(statement), true)?;
+        // 3 admit: the pins are held until the read has run.
+        let _pins = match &self.residency {
+            None => None,
+            Some(residency) => match self.admit(residency, &plan, params)? {
+                Some(pins) => Some(pins),
+                None => return self.run_view_free(&text, Some(statement), params),
+            },
         };
-        match self.route_partial(residency, statement, params)? {
-            // The pins are held until the read has run.
-            Some(_pins) => self.read_through_session(statement, params),
-            // Partial mode, but the statement binds no leading-key value:
-            // the demand-filled view holds only the hot slice, so the
-            // rewritten plan would answer incompletely.  Run the baseline
-            // (view-free) plan instead.
-            None => Ok(self.executor.execute(statement, params)?),
-        }
-    }
-
-    fn read_through_session(
-        &self,
-        statement: &Statement,
-        params: &[Value],
-    ) -> Result<QueryResult, TxnError> {
-        match self.session.execute_statement(statement, params) {
-            // Graceful degradation: a view left permanently dirty (a
-            // transaction that crashed before unmarking) starves the
-            // rewritten plan's scan restarts.  Rather than failing the
-            // read, answer it through the baseline (view-free) plan —
-            // base tables never carry dirty markers — and count the
-            // fallback on the result.
+        // 4 run
+        match self.executor.execute_plan(&plan, params) {
+            // 5 degrade
             Err(QueryError::DirtyReadRetriesExhausted) => {
-                let mut result = self.executor.execute(statement, params)?;
+                let mut result = self.run_view_free(&text, Some(statement), params)?;
                 result.dirty_fallbacks = 1;
                 self.dirty_fallbacks
                     .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -482,51 +482,53 @@ impl SynergySystem {
         }
     }
 
-    /// Partial-materialization admission for one read: resolves the views
-    /// the rewriter routes the statement to, extracts the bound leading-key
-    /// value per view, and makes every such key resident (issuing upqueries
-    /// for misses) with a reader pin held.  Returns the pins, held until the
-    /// guard drops, or `None` — bypass, answer over the base tables — when
-    /// a routed view has no key binding.
-    fn route_partial<'a>(
+    /// Runs a SELECT's view-free plan (see the module doc): the session's
+    /// rewrite rule skipped, so it reads exactly the tables it names.
+    fn run_view_free(
         &self,
-        residency: &'a Arc<ViewResidency>,
-        statement: &Statement,
+        text: &str,
+        parsed: Option<&Statement>,
+        params: &[Value],
+    ) -> Result<QueryResult, TxnError> {
+        let plan = self.session.select_plan(text, parsed, false)?;
+        Ok(self.executor.execute_plan(&plan, params)?)
+    }
+
+    /// Step 3, partial-materialization admission: makes the key each view
+    /// table of `plan` is read at resident (issuing upqueries for misses)
+    /// with a reader pin held.  Returns the pins, held until the guard
+    /// drops, or `None` — bypass — when a view has no key binding.
+    fn admit<'a>(
+        &self,
+        residency: &'a ViewResidency,
+        plan: &PhysicalPlan,
         params: &[Value],
     ) -> Result<Option<ReaderPins<'a>>, TxnError> {
         let mut pins = ReaderPins {
             residency,
             held: Vec::new(),
         };
-        let Statement::Select(select) = statement else {
-            return Ok(Some(pins));
-        };
-        for view in self.rewriter.views_for(select) {
-            let table = view.table_name();
-            let def = self
-                .executor
-                .catalog()
-                .table(&table)
-                .ok_or_else(|| QueryError::UnknownTable(table.clone()))?
-                .clone();
-            let Some(key) = leading_key_binding(select, &def.key[0], params) else {
+        for (alias, def) in plan.tables().enumerate() {
+            if def.kind != TableKind::View {
+                continue;
+            }
+            let Some(key) = plan.eq_binding(alias, &def.key[0], params) else {
                 residency.count_bypass();
                 return Ok(None);
             };
             let prefix = ViewResidency::prefix_of_value(&key);
-            self.ensure_resident(residency, &view, &def, &prefix, &key)?;
-            pins.held.push((table, prefix));
+            self.ensure_resident(residency, def, &prefix, &key)?;
+            pins.held.push((def.clone(), prefix));
         }
         Ok(Some(pins))
     }
 
-    /// Spins until `prefix` is resident in `view`'s table, filling it with
-    /// an upquery if this caller wins the fill race.  On return a reader pin
-    /// is held on the entry.
+    /// Spins until `prefix` is resident in the view table `def`, filling it
+    /// with an upquery if this caller wins the fill race.  On return a
+    /// reader pin is held on the entry.
     fn ensure_resident(
         &self,
-        residency: &Arc<ViewResidency>,
-        view: &ViewDefinition,
+        residency: &ViewResidency,
         def: &TableDef,
         prefix: &str,
         key: &Value,
@@ -538,25 +540,35 @@ impl SynergySystem {
                 // short critical section, so spin rather than queueing.
                 Lookup::Wait => std::thread::yield_now(),
                 Lookup::Fill => {
-                    let sql_text = upquery_sql(view, &def.key[0]);
-                    match self
-                        .upquery_session
-                        .execute_sql(&sql_text, &[key.clone(), key.clone()])
-                    {
-                        Ok(result) => {
-                            let rows: Vec<Row> =
-                                result.rows.iter().map(Row::unqualified).collect();
-                            residency.complete_fill(&self.executor, def, prefix, &rows)?;
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            residency.abort_fill(&def.name, prefix);
-                            return Err(e.into());
-                        }
-                    }
+                    let rows = self
+                        .upquery(def, key)
+                        .inspect_err(|_| residency.abort_fill(&def.name, prefix))?;
+                    residency.complete_fill(&self.executor, def, prefix, &rows)?;
+                    return Ok(());
                 }
             }
         }
+    }
+
+    /// The upquery recomputing one missing key of the view table `def`: the
+    /// view's defining join, constrained to the missing leading-key range
+    /// (both parameters bind the same value for a single-key fill), through
+    /// its view-free plan.  The planner serves the range with a `key-range`
+    /// access path on the view's last relation; the plan is cached like any
+    /// other, so repeated misses replan nothing.
+    fn upquery(&self, def: &TableDef, key: &Value) -> Result<Vec<Row>, TxnError> {
+        let view = self
+            .selection
+            .view_by_table_name(&def.name)
+            .ok_or_else(|| QueryError::UnknownTable(def.name.clone()))?;
+        let sql_text = format!(
+            "{} AND {rel}.{col} >= ? AND {rel}.{col} <= ?",
+            view.defining_select(),
+            rel = view.last_relation(),
+            col = def.key[0],
+        );
+        let result = self.run_view_free(&sql_text, None, &[key.clone(), key.clone()])?;
+        Ok(result.rows.iter().map(Row::unqualified).collect())
     }
 
     /// Total reads answered through the baseline-plan fallback since this
@@ -875,45 +887,6 @@ impl SynergySystem {
     }
 }
 
-/// The bound value of an equality filter on the view's leading key
-/// attribute, if the statement has one.  Attribute names are globally
-/// unique across the schema (the baseline transformation relies on this),
-/// so matching on the bare column name is unambiguous regardless of
-/// qualifier.
-fn leading_key_binding(
-    select: &sql::SelectStatement,
-    lead_key: &str,
-    params: &[Value],
-) -> Option<Value> {
-    for condition in &select.conditions {
-        if condition.op != sql::Comparison::Eq
-            || !condition.left.column.eq_ignore_ascii_case(lead_key)
-        {
-            continue;
-        }
-        match &condition.right {
-            sql::Expr::Literal(value) => return Some(value.clone()),
-            sql::Expr::Parameter(i) => return params.get(*i).cloned(),
-            sql::Expr::Column(_) => {}
-        }
-    }
-    None
-}
-
-/// The upquery recomputing one missing view key: the view's defining join,
-/// constrained to the missing leading-key range (both parameters bind the
-/// same value for a single-key fill).  The planner serves the range with a
-/// `key-range` access path on the view's last relation; the plan is cached
-/// like any prepared statement, so repeated misses replan nothing.
-fn upquery_sql(view: &ViewDefinition, lead_key: &str) -> String {
-    format!(
-        "{} AND {rel}.{col} >= ? AND {rel}.{col} <= ?",
-        view.defining_select(),
-        rel = view.last_relation(),
-        col = lead_key,
-    )
-}
-
 /// Builds the physical table definition of a view: columns are the union of
 /// the participating relations' attributes (typed from the base catalog),
 /// the key is the key of the last relation.
@@ -1064,13 +1037,11 @@ mod tests {
         load("Shopping_cart_line", |k| {
             Row::new().with("scl_sc_id", k).with("scl_id", 1).with("scl_qty", 2)
         });
-        let Statement::Select(select) = &two_views else {
-            unreachable!()
-        };
-        assert_eq!(
-            system.rewriter.views_for(select).len(),
-            2,
-            "the statement reads two views"
+        let rewritten = system.rewrite(&two_views);
+        let from = &rewritten.as_select().unwrap().from;
+        assert!(
+            from.len() == 2 && from.iter().all(|t| t.table.starts_with("V_")),
+            "the statement reads two views: {rewritten}"
         );
 
         let residency = system.residency().unwrap().clone();

@@ -19,17 +19,12 @@ fn company_types(_relation: &str, column: &str) -> Option<ColumnType> {
 }
 
 fn fresh_system() -> SynergySystem {
-    system_with_dirty_retry_limit(query::DIRTY_RETRY_LIMIT)
-}
-
-fn system_with_dirty_retry_limit(limit: usize) -> SynergySystem {
     let schema = company::company_schema();
     let workload =
         parse_workload(company::company_workload_sql().iter().map(String::as_str)).unwrap();
     let system = SynergySystem::build(
         Cluster::new(ClusterConfig::default()),
-        SynergyConfig::new(schema, workload, company::company_roots(), &company_types)
-            .with_dirty_retry_limit(limit),
+        SynergyConfig::new(schema, workload, company::company_roots(), &company_types),
     )
     .unwrap();
     system
@@ -291,7 +286,7 @@ fn crash_between_steps_3_and_5_recovers_consistent_views() {
 /// then repairs the view and reads return to the rewritten path.
 #[test]
 fn permanently_dirty_views_degrade_to_the_baseline_plan() {
-    let system = system_with_dirty_retry_limit(4);
+    let system = fresh_system();
     system
         .execute_sql(
             "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
@@ -306,8 +301,9 @@ fn permanently_dirty_views_degrade_to_the_baseline_plan() {
         )
         .unwrap_err();
 
-    // The view row is dirty: the rewritten plan exhausts its 4 restarts and
-    // the read is answered through the baseline plan instead.
+    // The view row is dirty: the rewritten plan exhausts its
+    // `query::DIRTY_RETRY_LIMIT` restarts and the read is answered through
+    // the baseline plan instead.
     let degraded = system.execute_sql(JOIN_PROBE, &[]).unwrap();
     assert_eq!(degraded.dirty_fallbacks, 1);
     assert_eq!(system.dirty_fallbacks(), 1);

@@ -3,7 +3,7 @@
 //! write transactions and view maintenance.
 
 use nosql_store::{Cluster, ClusterConfig};
-use query::ColumnType;
+use query::{ColumnType, QueryError};
 use relational::{company, Row, Value};
 use sql::parse_workload;
 use synergy::{SynergyConfig, SynergySystem};
@@ -433,4 +433,62 @@ fn reads_hit_the_plan_cache_and_explain_shows_the_rewrite() {
         .unwrap();
     let first_line = via_sql.rows[0].get("plan").unwrap();
     assert_eq!(first_line.as_str().unwrap(), explain.lines().next().unwrap());
+}
+
+/// The session behind [`SynergySystem::session`] plans through the view
+/// rewrite rule, so it is a read path: a write sent through it would reach
+/// the store with no statement log, no hierarchical lock and no view
+/// maintenance.  It refuses to prepare one.
+#[test]
+fn a_write_through_the_read_session_is_refused_and_touches_nothing() {
+    const UPDATE: &str = "UPDATE Employee SET EName = 'x' WHERE EID = 1";
+    let system = build_system();
+    let session = system.session();
+    let before = system.cluster().metrics().ops;
+    let refusals = [
+        session.execute_sql(UPDATE, &[]).map(drop),
+        session.prepare(UPDATE).map(drop),
+        session.prepare_uncached(UPDATE).map(drop),
+        session.execute_statement(&sql::parse_statement(UPDATE).unwrap(), &[]).map(drop),
+    ];
+    for refusal in refusals {
+        let err = refusal.unwrap_err();
+        assert!(
+            matches!(&err, QueryError::Unsupported(m) if m.contains("SynergySystem::execute")),
+            "{err}"
+        );
+    }
+    assert_eq!(
+        system.cluster().metrics().ops.delta_since(&before).total_ops(),
+        0,
+        "a refused write reaches the store"
+    );
+    for view in &system.selection().views {
+        let mut stored: Vec<String> = system
+            .executor()
+            .execute_sql(&format!("SELECT * FROM {}", view.table_name()), &[])
+            .unwrap()
+            .rows
+            .iter()
+            .map(|row| format!("{row:?}"))
+            .collect();
+        let mut joined: Vec<String> = system
+            .recompute_view_rows(view)
+            .unwrap()
+            .iter()
+            .map(|row| format!("{row:?}"))
+            .collect();
+        stored.sort();
+        joined.sort();
+        assert_eq!(stored, joined, "{} no longer equals its join", view.table_name());
+    }
+
+    // Reads still prepare, and EXPLAIN of a write still renders its summary
+    // line (nothing is executed).
+    session.prepare("SELECT * FROM Department WHERE DNo = ?").unwrap();
+    let explained = system.execute_sql(&format!("EXPLAIN {UPDATE}"), &[]).unwrap();
+    assert_eq!(
+        explained.rows[0].get("plan").unwrap(),
+        &Value::str("Update Employee")
+    );
 }

@@ -124,6 +124,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {row}");
     }
 
+    println!("\nEXPLAIN W1 (the plan that read ran: the §VI-B rewrite is a planner rule):");
+    for row in &system.execute_sql(&format!("EXPLAIN {}", workload[0]), &[])?.rows {
+        println!("  {}", row.get("plan").and_then(Value::as_str).unwrap_or_default());
+    }
+
     println!("\ninserting a Works_On row through the single-lock transaction layer ...");
     let insert =
         sql::parse_statement("INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)")?;
