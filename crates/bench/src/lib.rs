@@ -29,7 +29,7 @@ use figure::{column, count, label, object, record, sim, table, wall, Column, Fig
 use json::Json;
 use nosql_store::ops::{Get, Put, Scan};
 use nosql_store::{
-    Cluster, ClusterConfig, FaultPlan, RetryPolicy, ServerFaultStats, TableSchema,
+    Cluster, ClusterConfig, FaultPlan, RetryPolicy, ServerFaultStats, StoreResult, TableSchema,
 };
 use relational::Value;
 use simclock::{SimDuration, Summary};
@@ -558,6 +558,26 @@ fn workload_cluster(config: ClusterConfig) -> Cluster {
     cluster
 }
 
+/// Issues op `i` of the store-level workloads' fixed mix against table `t`:
+/// key `k{(i·17) % 128}`, `i % 4` → put / get / put / 8-key range scan,
+/// written value `v{i}`.  Returns what an acked put wrote.
+fn workload_op(cluster: &Cluster, i: u64) -> StoreResult<Option<(String, Vec<u8>)>> {
+    let slot = (i * 17) % 128;
+    let key = format!("k{slot:04}");
+    match i % 4 {
+        0 | 2 => {
+            let value = format!("v{i}").into_bytes();
+            cluster.put("t", Put::new(key.clone()).with("cf", "v", value.clone()))?;
+            Ok(Some((key, value)))
+        }
+        1 => cluster.get("t", Get::new(key)).map(|_| None),
+        _ => {
+            let stop = format!("k{:04}", slot + 8);
+            cluster.scan("t", Scan::range(key, stop)).map(|_| None)
+        }
+    }
+}
+
 /// Runs the deterministic store-level workload — a fixed mix of puts, gets
 /// and short scans over a preloaded table — under the given fault plan and
 /// retry policy at replication factor `rf` (1 = the unreplicated
@@ -580,18 +600,8 @@ pub fn run_fault_workload(
     let mut ok_ops = 0u64;
     let mut latencies: Vec<f64> = Vec::with_capacity(ops as usize);
     for i in 0..ops {
-        let key = format!("k{:04}", (i * 17) % 128);
         let op_start = clock.now();
-        let outcome = match i % 4 {
-            0 | 2 => cluster
-                .put("t", Put::new(key).with("cf", "v", format!("v{i}").into_bytes()))
-                .map(|_| ()),
-            1 => cluster.get("t", Get::new(key)).map(|_| ()),
-            _ => cluster
-                .scan("t", Scan::range(key, format!("k{:04}", (i * 17) % 128 + 8)))
-                .map(|_| ()),
-        };
-        if outcome.is_ok() {
+        if workload_op(&cluster, i).is_ok() {
             ok_ops += 1;
             latencies.push((clock.now() - op_start).as_millis_f64());
         }
@@ -1010,26 +1020,14 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> Json {
     let mut window_time = SimDuration::ZERO;
     let mut last_acked: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     for i in 0..ops {
-        let key = format!("k{:04}", (i * 17) % 128);
         let op_start = clock.now();
         let started_in_window = in_window(op_start.as_nanos());
-        let value = format!("v{i}").into_bytes();
-        let outcome = match i % 4 {
-            0 | 2 => cluster
-                .put("t", Put::new(key.clone()).with("cf", "v", value.clone()))
-                .map(|_| ()),
-            1 => cluster.get("t", Get::new(key.clone())).map(|_| ()),
-            _ => cluster
-                .scan("t", Scan::range(key.clone(), format!("k{:04}", (i * 17) % 128 + 8)))
-                .map(|_| ()),
-        };
+        let outcome = workload_op(&cluster, i);
         let elapsed = clock.now() - op_start;
         let ok = outcome.is_ok();
-        if ok {
+        if let Ok(written) = outcome {
             ok_ops += 1;
-            if matches!(i % 4, 0 | 2) {
-                last_acked.insert(key, value);
-            }
+            last_acked.extend(written);
         }
         if started_in_window {
             window_ops += 1;

@@ -37,6 +37,9 @@
 //! figures' sim identity depends on the exact sequence of clock reads, RNG
 //! draws, timestamp draws and charges.  Reads (`get`, scan pages) share
 //! steps 1–2 and 4–5 under the region *read* lock, then charge and read.
+//! Opening a scan runs step 1 and the crashed-flag half of step 2 — so a
+//! missing table, then a crashed cluster, refuse the open before anything is
+//! charged — and leaves the crash schedule to its first page's `precheck`.
 //!
 //! # Failure model
 //!
@@ -90,9 +93,6 @@ pub struct ClusterConfig {
     /// benchmark workload changes it; the split, scan-stream, parallel-scan
     /// and crash-replay suites shrink it to force multi-region tables.
     pub region_split_bytes: usize,
-    /// Cost model charged for every operation.  Nothing passes a
-    /// non-default model.
-    pub cost_model: CostModel,
     /// Group-commit interval: a write syncs its server's WAL once the
     /// unsynced batch reaches this many records.  `1` (the default) syncs
     /// every write — full durability, and cost accounting identical to a
@@ -126,7 +126,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             region_servers: 5,
             region_split_bytes: 8 * 1024 * 1024,
-            cost_model: CostModel::default(),
             wal_sync_interval: 1,
             fault_plan: None,
             retry: None,
@@ -172,6 +171,8 @@ pub struct Cluster {
 
 pub(crate) struct ClusterInner {
     config: ClusterConfig,
+    /// The cost model charged for every operation.
+    cost_model: CostModel,
     pub(crate) tables: RwLock<BTreeMap<String, Arc<TableState>>>,
     counters: AtomicOpCounters,
     pub(crate) wals: Vec<WriteAheadLog>,
@@ -211,6 +212,7 @@ impl Cluster {
                 retry: config.retry.clone().map(RetryRuntime::new),
                 replication: Replication::new(config.replication_factor, config.region_servers),
                 config,
+                cost_model: CostModel::default(),
                 tables: RwLock::new(BTreeMap::new()),
                 counters: AtomicOpCounters::default(),
                 next_timestamp: AtomicU64::new(1),
@@ -242,7 +244,7 @@ impl Cluster {
 
     /// The cost model in effect.
     pub fn cost_model(&self) -> &CostModel {
-        &self.inner.config.cost_model
+        &self.inner.cost_model
     }
 
     /// True if a fault plan is configured (used to route parallel scans to
@@ -734,18 +736,14 @@ impl Cluster {
     /// Charges scanner-open per region plus per-batch/per-row/per-byte
     /// streaming costs.
     ///
-    /// This is a thin collect wrapper over [`Cluster::scan_stream`]; callers
-    /// that do not need the whole result materialized should pull the cursor
-    /// directly.  Like an HBase scanner, the stream is row-atomic but pages
-    /// through the table without holding a table-wide lock.  Mid-scan faults
-    /// that exhaust the retry policy surface here as the cursor's error.
+    /// This is a collect over [`Cluster::scan_stream`]'s fallible pull;
+    /// callers that do not need the whole result materialized should pull
+    /// the cursor directly.  Like an HBase scanner, the stream is row-atomic
+    /// but pages through the table without holding a table-wide lock.  A
+    /// page that fails after exhausting the retry policy fails the scan.
     pub fn scan(&self, table: &str, scan: Scan) -> StoreResult<Vec<ResultRow>> {
         let mut cursor = self.scan_stream(table, scan)?;
-        let rows: Vec<ResultRow> = cursor.by_ref().collect();
-        match cursor.take_error() {
-            Some(err) => Err(err),
-            None => Ok(rows),
-        }
+        std::iter::from_fn(|| cursor.try_next().transpose()).collect()
     }
 
     /// Number of rows currently stored in a table.
@@ -1013,6 +1011,20 @@ mod tests {
         c.crash();
         assert_eq!(c.get("nope", Get::new("r")), Err(StoreError::TableNotFound("nope".into())));
         assert_eq!(c.get("orders", Get::new("r")), Err(StoreError::ClusterDown));
+        // So does opening a scan, which refuses before charging the open.
+        type Open = fn(&Cluster, &str) -> StoreResult<()>;
+        let opens: [(&str, Open); 3] = [
+            ("scan_stream", |c, t| c.scan_stream(t, Scan::all()).map(drop)),
+            ("par_scan_stream", |c, t| c.par_scan_stream(t, Scan::all(), 4).map(drop)),
+            ("scan", |c, t| c.scan(t, Scan::all()).map(drop)),
+        ];
+        for (name, open) in opens {
+            let (clock, scans) = (c.clock().now(), c.metrics().ops.scans);
+            assert_eq!(open(&c, "nope"), Err(StoreError::TableNotFound("nope".into())), "{name}");
+            assert_eq!(open(&c, "orders"), Err(StoreError::ClusterDown), "{name}");
+            assert_eq!(c.clock().now(), clock, "{name}: a refused open charged");
+            assert_eq!(c.metrics().ops.scans, scans, "{name}: a refused open counted");
+        }
     }
 
     #[test]

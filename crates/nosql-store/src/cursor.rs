@@ -18,6 +18,16 @@
 //! scanner-open per region touched, one RPC per `scan_batch_rows` batch and
 //! per-row / per-byte streaming costs.  A cursor dropped early simply stops
 //! charging, which is the simulated counterpart of the memory/latency win.
+//!
+//! # Failure contract
+//!
+//! A scan's failure travels **in-band**: [`ScanCursor::try_next`] yields the
+//! rows of every page fetched before the failed one, then the error exactly
+//! once, then the end.  A page fetch is retried under the cluster's retry
+//! policy before it counts as failed, and a retry resumes the *page* — faults
+//! are drawn before any cursor state moves — so no row is ever yielded twice.
+//! Opening a scan fails without charging anything when the table is missing
+//! or the cluster is crashed.
 
 use crate::cell::Bytes;
 use crate::cluster::{Cluster, TableState};
@@ -45,10 +55,9 @@ pub struct ScanCursor {
     /// The scan's column projection, resolved to interned keys once.
     projection: Option<Vec<ColKey>>,
     page: std::vec::IntoIter<ResultRow>,
+    /// Set at the end of the range, at the row limit, and by a page fetch
+    /// that failed after exhausting the retry policy.
     exhausted: bool,
-    /// Set when a page fetch failed after exhausting the retry policy; the
-    /// cursor stops yielding and [`ScanCursor::take_error`] reports it.
-    failed: Option<StoreError>,
     /// Regions already charged a scanner-open (the first is covered by the
     /// open charge at cursor creation).
     opened: Vec<RegionId>,
@@ -78,6 +87,11 @@ impl Cluster {
             return Err(StoreError::InvalidRange);
         }
         let state = self.table(table)?;
+        // Only the crashed flag: the fault schedule advances at the first
+        // page's `precheck`, whose instant the availability figures pin.
+        if self.is_crashed() {
+            return Err(StoreError::ClusterDown);
+        }
         let model = self.cost_model();
         self.charge(model.scan_open + model.rpc_round_trip());
         if record_open {
@@ -95,7 +109,6 @@ impl Cluster {
             projection,
             page: Vec::new().into_iter(),
             exhausted: false,
-            failed: None,
             opened: Vec::new(),
             rows_streamed: 0,
             batch_rows,
@@ -109,17 +122,20 @@ impl ScanCursor {
         self.rows_streamed
     }
 
-    /// The error that stopped this cursor, if a page fetch failed after
-    /// exhausting the retry policy.  A cursor that ends with `None` here
-    /// completed its range normally.
-    pub fn error(&self) -> Option<&StoreError> {
-        self.failed.as_ref()
-    }
-
-    /// Takes ownership of the terminating error, if any (see
-    /// [`ScanCursor::error`]).
-    pub fn take_error(&mut self) -> Option<StoreError> {
-        self.failed.take()
+    /// The fallible pull: the next row in key order, `Ok(None)` at the end of
+    /// the range, or the error of a page fetch that failed after exhausting
+    /// the retry policy — reported once, after which the cursor is at its
+    /// end (see the module docs' failure contract).
+    pub fn try_next(&mut self) -> StoreResult<Option<ResultRow>> {
+        loop {
+            if let Some(row) = self.page.next() {
+                return Ok(Some(row));
+            }
+            if self.exhausted {
+                return Ok(None);
+            }
+            self.fetch_page()?;
+        }
     }
 
     /// Returns the remainder of the current page plus, if needed, the next
@@ -127,33 +143,29 @@ impl ScanCursor {
     /// page-granular pull the region-parallel cursor advances workers by —
     /// between two calls the table may split and the next page re-locates
     /// its region via the resume key.
-    pub(crate) fn next_page(&mut self) -> Option<Vec<ResultRow>> {
-        let leftover: Vec<ResultRow> = self.page.by_ref().collect();
-        if !leftover.is_empty() {
-            return Some(leftover);
-        }
-        while !self.exhausted {
-            self.fetch_page();
-            let page: Vec<ResultRow> =
-                std::mem::replace(&mut self.page, Vec::new().into_iter()).collect();
+    pub(crate) fn next_page(&mut self) -> StoreResult<Option<Vec<ResultRow>>> {
+        loop {
+            let page: Vec<ResultRow> = self.page.by_ref().collect();
             if !page.is_empty() {
-                return Some(page);
+                return Ok(Some(page));
             }
+            if self.exhausted {
+                return Ok(None);
+            }
+            self.fetch_page()?;
         }
-        None
     }
 
     /// Fetches the next page, retrying injected faults under the cluster's
-    /// retry policy.  A fetch that still fails marks the cursor failed (and
-    /// exhausted); [`ScanCursor::take_error`] surfaces the error.
-    fn fetch_page(&mut self) {
+    /// retry policy.  A fetch that still fails ends the cursor and returns
+    /// the error.
+    fn fetch_page(&mut self) -> StoreResult<()> {
         // Clone the handle so the retry runtime isn't borrowed from the same
         // `self` the closure mutates.
         let cluster = self.cluster.clone();
-        if let Err(err) = cluster.with_retry(|| self.try_fetch_page()) {
-            self.failed = Some(err);
-            self.exhausted = true;
-        }
+        let fetched = cluster.with_retry(|| self.try_fetch_page());
+        self.exhausted |= fetched.is_err();
+        fetched
     }
 
     /// One page-fetch attempt under the table's region read lock.  Sets
@@ -249,19 +261,15 @@ impl ScanCursor {
     }
 }
 
+/// The infallible view of the cursor: **ends early on a failed page**,
+/// dropping the error.  Kept for the `benchmark/` package and the store's own
+/// tests, which scan fault-free clusters; everything that must not mistake a
+/// failure for the end of the range pulls [`ScanCursor::try_next`].
 impl Iterator for ScanCursor {
     type Item = ResultRow;
 
     fn next(&mut self) -> Option<ResultRow> {
-        loop {
-            if let Some(row) = self.page.next() {
-                return Some(row);
-            }
-            if self.exhausted {
-                return None;
-            }
-            self.fetch_page();
-        }
+        self.try_next().ok().flatten()
     }
 }
 
@@ -365,6 +373,25 @@ mod tests {
             assert_eq!(row.cells.len(), 1);
             assert_eq!(&*row.cells[0].qualifier, "b");
         }
+    }
+
+    #[test]
+    fn a_failed_page_is_an_error_once_never_an_early_end() {
+        let c = loaded_cluster(600);
+        let mut cursor = c.scan_stream("t", Scan::all()).unwrap();
+        let mut rows = vec![cursor.try_next().unwrap().unwrap()];
+        c.crash();
+        // The page already fetched drains, then the failure, then the end.
+        let error = loop {
+            match cursor.try_next() {
+                Ok(Some(row)) => rows.push(row),
+                Ok(None) => panic!("a crashed scan ended after {} of 600 rows", rows.len()),
+                Err(error) => break error,
+            }
+        };
+        assert_eq!(rows.len(), SCAN_PAGE_ROWS);
+        assert_eq!(error, StoreError::ClusterDown);
+        assert_eq!(cursor.try_next(), Ok(None), "the error is reported once");
     }
 
     #[test]

@@ -25,6 +25,16 @@
 //! the serial [`Cluster::scan_stream`] unchanged, so single-threaded
 //! figures are byte-identical to the serial pipeline.
 //!
+//! # Failure contract
+//!
+//! The same in-band contract as the serial cursor's
+//! ([`ParScanCursor::try_next`] is the only pull): a worker whose page fetch
+//! fails stops, and the merged cursor yields every row before that worker's
+//! failed page **in key order** — the earlier sub-ranges whole, then the
+//! failed worker's fetched pages — then the error once, then the end.  Rows
+//! later sub-ranges prefetched are dropped, never yielded out of order; a
+//! worker's retries resume its page, so no row is yielded twice.
+//!
 //! # Memory: ordered merge buffers later sub-ranges
 //!
 //! Emitting global key order while all workers scan concurrently means
@@ -61,6 +71,9 @@ struct ScanWorker {
     clock: WorkerClock,
     pages: VecDeque<Vec<ResultRow>>,
     done: bool,
+    /// The page-fetch error that stopped this worker, until the merge
+    /// reaches its position and reports it.
+    failed: Option<StoreError>,
 }
 
 /// A region-parallel scan cursor; yields rows in global key order, exactly
@@ -105,40 +118,32 @@ impl Cluster {
         scan: Scan,
         threads: usize,
     ) -> StoreResult<ParScanCursor> {
-        let threads = threads.max(1);
         // Fault injection is defined on the shared timeline (outage windows
         // compare against the clock an op charges into), which parallel
         // workers' private clocks do not advance.  Rather than inject
         // incoherently, a faulty cluster scans serially — the determinism
         // contract for fault experiments is single-threaded anyway.
-        if threads == 1 || self.faults_enabled() {
-            return Ok(ParScanCursor {
-                inner: ParInner::Serial(Box::new(self.scan_stream(table, scan)?)),
-            });
-        }
-        if !scan.start.is_empty() && !scan.stop.is_empty() && scan.start > scan.stop {
-            return Err(StoreError::InvalidRange);
-        }
-        let state = self.table(table)?;
-
+        let partitionable = threads > 1 && !self.faults_enabled();
         // Candidate split keys: the region start boundaries strictly inside
         // the scan range, snapshotted now.  (A later split only refines a
-        // sub-range; each worker's cursor re-locates regions per page.)
-        let splits: Vec<Bytes> = {
-            let regions = state.regions.read();
-            let mut starts: Vec<Bytes> = regions
-                .iter()
-                .skip(1)
-                .map(|r| r.start.clone())
-                .collect();
-            starts.retain(|s| {
-                (scan.start.is_empty() || s.as_slice() > scan.start.as_slice())
-                    && (scan.stop.is_empty() || s.as_slice() < scan.stop.as_slice())
-            });
-            starts
+        // sub-range; each worker's cursor re-locates regions per page.)  A
+        // missing table and an inverted range have none, so both reach the
+        // serial open below, which reports them.
+        let splits: Vec<Bytes> = match partitionable.then(|| self.table(table)) {
+            Some(Ok(state)) => {
+                let regions = state.regions.read();
+                let starts = regions.iter().skip(1).map(|r| r.start.clone());
+                starts
+                    .filter(|s| {
+                        (scan.start.is_empty() || s.as_slice() > scan.start.as_slice())
+                            && (scan.stop.is_empty() || s.as_slice() < scan.stop.as_slice())
+                    })
+                    .collect()
+            }
+            _ => Vec::new(),
         };
         let parts = threads.min(splits.len() + 1);
-        if parts == 1 {
+        if parts <= 1 {
             return Ok(ParScanCursor {
                 inner: ParInner::Serial(Box::new(self.scan_stream(table, scan)?)),
             });
@@ -153,8 +158,6 @@ impl Cluster {
         }
         bounds.push(scan.stop.clone());
 
-        // One logical scan in the counters, no matter how many workers.
-        self.record_scan_open();
         let mut workers = Vec::with_capacity(parts);
         for window in bounds.windows(2) {
             let mut sub = scan.clone();
@@ -168,8 +171,12 @@ impl Cluster {
                 clock,
                 pages: VecDeque::new(),
                 done: false,
+                failed: None,
             });
         }
+        // One logical scan in the counters, no matter how many workers —
+        // and none when an open was refused.
+        self.record_scan_open();
 
         let remaining = if scan.limit == 0 { usize::MAX } else { scan.limit };
         Ok(ParScanCursor {
@@ -203,13 +210,24 @@ impl ParScanCursor {
             ParInner::Parallel(state) => state.workers.len(),
         }
     }
+
+    /// The fallible pull — the cursor's only one: the next row in global key
+    /// order, `Ok(None)` at the end, or the first failed worker's error at
+    /// that worker's position in key order (see the module docs' failure
+    /// contract).
+    pub fn try_next(&mut self) -> StoreResult<Option<ResultRow>> {
+        match &mut self.inner {
+            ParInner::Serial(cursor) => cursor.try_next(),
+            ParInner::Parallel(state) => state.next_row(),
+        }
+    }
 }
 
 impl ParState {
-    fn next_row(&mut self) -> Option<ResultRow> {
+    fn next_row(&mut self) -> StoreResult<Option<ResultRow>> {
         if self.remaining == 0 {
             self.merge_clocks();
-            return None;
+            return Ok(None);
         }
         loop {
             if let Some(row) = self.buffered.next() {
@@ -218,15 +236,20 @@ impl ParState {
                 if self.remaining == 0 {
                     self.merge_clocks();
                 }
-                return Some(row);
+                return Ok(Some(row));
             }
-            if self.current >= self.workers.len() {
+            let Some(worker) = self.workers.get_mut(self.current) else {
                 self.merge_clocks();
-                return None;
-            }
-            if let Some(page) = self.workers[self.current].pages.pop_front() {
+                return Ok(None);
+            };
+            if let Some(page) = worker.pages.pop_front() {
                 self.buffered = page.into_iter();
-            } else if self.workers[self.current].done {
+            } else if let Some(error) = worker.failed.take() {
+                // The scan ends here: later sub-ranges' rows would skip the
+                // failed worker's missing ones.
+                self.current = self.workers.len();
+                return Err(error);
+            } else if worker.done {
                 self.current += 1;
             } else {
                 self.fetch_round();
@@ -246,9 +269,10 @@ impl ParState {
         pool::map(active, self.threads, |worker| {
             for _ in 0..ROUND_PAGES {
                 match worker.cursor.next_page() {
-                    Some(page) => worker.pages.push_back(page),
-                    None => {
+                    Ok(Some(page)) => worker.pages.push_back(page),
+                    end => {
                         worker.done = true;
+                        worker.failed = end.err();
                         break;
                     }
                 }
@@ -276,17 +300,6 @@ impl Drop for ParState {
     }
 }
 
-impl Iterator for ParScanCursor {
-    type Item = ResultRow;
-
-    fn next(&mut self) -> Option<ResultRow> {
-        match &mut self.inner {
-            ParInner::Serial(cursor) => cursor.next(),
-            ParInner::Parallel(state) => state.next_row(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,6 +322,11 @@ mod tests {
         c
     }
 
+    /// Drains a cursor through its fallible pull; no fault-free scan fails.
+    fn drain(mut cursor: ParScanCursor) -> Vec<ResultRow> {
+        std::iter::from_fn(|| cursor.try_next().unwrap()).collect()
+    }
+
     #[test]
     fn parallel_scan_equals_serial_scan() {
         let c = loaded_cluster(2_000);
@@ -316,8 +334,7 @@ mod tests {
         for threads in [2, 3, 4, 8] {
             let cursor = c.par_scan_stream("t", Scan::all(), threads).unwrap();
             assert!(cursor.workers() > 1, "table has regions to partition");
-            let parallel: Vec<ResultRow> = cursor.collect();
-            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(drain(cursor), serial, "threads={threads}");
         }
     }
 
@@ -329,7 +346,7 @@ mod tests {
             .measure(|| c.scan_stream("t", Scan::all()).unwrap().count());
         let (_, par_one) = c
             .clock()
-            .measure(|| c.par_scan_stream("t", Scan::all(), 1).unwrap().count());
+            .measure(|| drain(c.par_scan_stream("t", Scan::all(), 1).unwrap()).len());
         assert_eq!(serial, par_one, "threads=1 must charge byte-identically");
     }
 
@@ -341,7 +358,7 @@ mod tests {
             .measure(|| c.scan_stream("t", Scan::all()).unwrap().count());
         let (_, parallel) = c
             .clock()
-            .measure(|| c.par_scan_stream("t", Scan::all(), 4).unwrap().count());
+            .measure(|| drain(c.par_scan_stream("t", Scan::all(), 4).unwrap()).len());
         assert!(parallel > SimDuration::ZERO);
         assert!(
             parallel < serial,
@@ -357,7 +374,7 @@ mod tests {
                 let c = loaded_cluster(1_500);
                 let (_, elapsed) = c
                     .clock()
-                    .measure(|| c.par_scan_stream("t", Scan::all(), 4).unwrap().count());
+                    .measure(|| drain(c.par_scan_stream("t", Scan::all(), 4).unwrap()).len());
                 elapsed
             })
             .collect();
@@ -368,10 +385,7 @@ mod tests {
     #[test]
     fn limit_is_honoured_globally() {
         let c = loaded_cluster(2_000);
-        let rows: Vec<ResultRow> = c
-            .par_scan_stream("t", Scan::all().with_limit(37), 4)
-            .unwrap()
-            .collect();
+        let rows = drain(c.par_scan_stream("t", Scan::all().with_limit(37), 4).unwrap());
         let serial: Vec<ResultRow> = c
             .scan_stream("t", Scan::all().with_limit(37))
             .unwrap()
@@ -384,7 +398,7 @@ mod tests {
     fn one_logical_scan_in_the_counters() {
         let c = loaded_cluster(2_000);
         let before = c.metrics().ops;
-        let n = c.par_scan_stream("t", Scan::all(), 4).unwrap().count();
+        let n = drain(c.par_scan_stream("t", Scan::all(), 4).unwrap()).len();
         let delta = c.metrics().ops.delta_since(&before);
         assert_eq!(delta.scans, 1, "a parallel scan is one logical scan");
         assert_eq!(delta.scanned_rows, n as u64, "row tally sums across workers");
@@ -396,8 +410,40 @@ mod tests {
         let before = c.clock().now();
         {
             let mut cursor = c.par_scan_stream("t", Scan::all(), 4).unwrap();
-            cursor.next();
+            cursor.try_next().unwrap();
         }
         assert!(c.clock().now() > before, "drop merges the partial worker clocks");
+    }
+
+    /// A failure is never an early end: a crash between two rounds of a
+    /// 4-worker scan surfaces `ClusterDown` in-band, once, after the rows
+    /// already fetched in key order; and a crashed cluster refuses the open.
+    #[test]
+    fn crash_between_rounds_surfaces_cluster_down_not_a_short_stream() {
+        let c = loaded_cluster(3_000);
+        let serial = c.scan("t", Scan::all()).unwrap();
+        let mut cursor = c.par_scan_stream("t", Scan::all(), 4).unwrap();
+        assert_eq!(cursor.workers(), 4);
+        let mut rows = vec![cursor.try_next().unwrap().unwrap()];
+        c.crash();
+        let error = loop {
+            match cursor.try_next() {
+                Ok(Some(row)) => rows.push(row),
+                Ok(None) => panic!("a crashed scan ended after {} of 3000 rows", rows.len()),
+                Err(error) => break error,
+            }
+        };
+        assert_eq!(error, StoreError::ClusterDown);
+        assert!(rows.len() < serial.len(), "rounds are pulled on demand");
+        assert_eq!(rows, serial[..rows.len()], "the rows before the failure, in key order");
+        assert_eq!(cursor.try_next(), Ok(None), "the error is reported once");
+
+        let (clock, scans) = (c.clock().now(), c.metrics().ops.scans);
+        assert_eq!(
+            c.par_scan_stream("t", Scan::all(), 4).map(drop),
+            Err(StoreError::ClusterDown)
+        );
+        assert_eq!(c.clock().now(), clock, "a refused parallel open charged");
+        assert_eq!(c.metrics().ops.scans, scans, "a refused parallel open counted");
     }
 }

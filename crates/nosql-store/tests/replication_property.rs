@@ -84,7 +84,6 @@ fn populated(servers: usize, interval: usize, rf: usize, plan: Option<FaultPlan>
         replication_factor: rf,
         fault_plan: plan,
         retry: Some(RetryPolicy::default()),
-        ..ClusterConfig::default()
     });
     cluster
         .create_table(TableSchema::new("t").with_family("cf"))

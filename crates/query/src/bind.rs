@@ -192,19 +192,20 @@ pub(crate) fn eq_filter_columns(
     out.into_keys().collect()
 }
 
-/// The single-alias equality filters of one alias as column → bound value
-/// (what keys a Get / prefix scan).  Later conditions on the same column
-/// overwrite earlier ones, exactly as the pre-planner executor behaved.
-pub(crate) fn eq_filter_values(
+/// The single-alias equality filters of one alias as a row of column →
+/// bound value (what keys a Get / prefix scan).  Later conditions on the
+/// same column overwrite earlier ones, exactly as the pre-planner executor
+/// behaved.
+pub(crate) fn eq_filter_row(
     conditions: &[PlannedCondition],
     bound: &[BoundCondition],
     cond_idxs: &[usize],
-) -> BTreeMap<String, Value> {
-    let mut out = BTreeMap::new();
+) -> Row {
+    let mut out = Row::new();
     for &i in cond_idxs {
         if conditions[i].op == Comparison::Eq {
             if let BoundOperand::Value(v) = &bound[i].right {
-                out.insert(conditions[i].left.column.clone(), v.clone());
+                out.set(&conditions[i].left.column, v.clone());
             }
         }
     }
@@ -408,9 +409,4 @@ pub(crate) fn bind_expr(expr: &Expr, params: &[Value]) -> Result<Value, QueryErr
             "column reference {c} cannot be used as a scalar value here"
         ))),
     }
-}
-
-/// Builds a row carrying the equality-filter values (for key encoding).
-pub(crate) fn eq_filter_row(eq_filters: &BTreeMap<String, Value>) -> Row {
-    Row::from_pairs(eq_filters.iter().map(|(k, v)| (k.as_str(), v.clone())))
 }

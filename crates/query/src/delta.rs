@@ -9,10 +9,14 @@
 //! * `Scan` admits deltas of its own relation (after its pushed-down
 //!   filters) and nothing else;
 //! * `HashJoin` looks up the **other** side's current rows for each delta,
-//!   using the same access-path machinery as read planning
-//!   ([`select_probe_access`](crate::select_probe_access)) — a point Get
+//!   using the same access-path machinery as read planning, for selection
+//!   and for execution: the probe's path is chosen once, at compile time
+//!   ([`select_probe_access`](crate::select_probe_access) — a point Get
 //!   when the join key is the probed table's primary key, a key-prefix or
-//!   (maintenance-)index scan otherwise — and emits the joined deltas;
+//!   (maintenance-)index scan otherwise), rendered into the plan tree, and
+//!   run as compiled through the one stored-row reader every plan source
+//!   uses (`Executor::open_rows`), so a failed probe fails the propagation
+//!   instead of shortening it — and emits the joined deltas;
 //! * `Filter` passes or drops deltas; `Project` rewrites them onto the
 //!   output columns.
 //!
@@ -32,12 +36,11 @@
 //! bounded maintenance work when flushed.
 
 use crate::catalog::{Catalog, TableDef};
-use crate::executor::{AccessPath, Executor};
+use crate::executor::{AccessPath, Executor, ScanShape};
 use crate::optimize::select_probe_access;
-use crate::plan::{LogicalPlan, PlanOperand, PlanPredicate};
+use crate::plan::{join_display, LogicalPlan, PlanOperand, PlanPredicate};
 use crate::result::QueryError;
-use nosql_store::ops::Scan;
-use relational::{Row, Value, KEY_DELIMITER};
+use relational::{Row, Value};
 use sql::Comparison;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -92,6 +95,18 @@ impl std::fmt::Display for DeltaPredicate {
     }
 }
 
+/// How one side of a join is probed given equality bindings for its join
+/// columns: chosen at compile time, rendered as `probe(table)=path`, and
+/// executed as compiled.
+#[derive(Debug, Clone)]
+struct Probe {
+    /// The leaf table that owns the join columns.
+    table: String,
+    path: AccessPath,
+    /// The index table's definition when `path` is an index scan.
+    index: Option<Arc<TableDef>>,
+}
+
 /// One node of the incremental operator tree (mirrors [`LogicalPlan`]).
 #[derive(Debug, Clone)]
 enum DeltaNode {
@@ -106,10 +121,10 @@ enum DeltaNode {
         on: Vec<(String, String)>,
         /// Bare columns produced by the left subtree (routes lookups).
         left_cols: BTreeSet<String>,
-        /// How the left side is probed given its join columns (rendered).
-        left_probe: (String, AccessPath),
-        /// How the right side is probed given its join columns (rendered).
-        right_probe: (String, AccessPath),
+        /// How the left side is probed given its join columns.
+        left_probe: Probe,
+        /// How the right side is probed given its join columns.
+        right_probe: Probe,
     },
     Filter {
         input: Box<DeltaNode>,
@@ -308,9 +323,6 @@ fn compile_node(
 // Incremental evaluation
 // ----------------------------------------------------------------------
 
-/// Equality constraints binding a lookup: `(bare column, value)` pairs.
-type Constraints = [(String, Value)];
-
 fn predicates_pass(predicates: &[DeltaPredicate], row: &Row) -> bool {
     predicates.iter().all(|p| match row.get(&p.column) {
         Some(v) => p.op.evaluate(v, &p.value),
@@ -318,27 +330,16 @@ fn predicates_pass(predicates: &[DeltaPredicate], row: &Row) -> bool {
     })
 }
 
-fn row_matches(row: &Row, constraints: &Constraints) -> bool {
-    constraints
-        .iter()
-        .all(|(c, v)| row.get(c).is_some_and(|rv| rv == v))
-}
-
-/// Builds the other side's lookup constraints from one row's join-column
-/// values; `None` when any value is absent or null (SQL join semantics:
-/// null never matches).
-fn bind_constraints(
-    row: &Row,
-    my_cols: impl Iterator<Item = impl AsRef<str>>,
-    other_cols: impl Iterator<Item = impl AsRef<str>>,
-) -> Option<Vec<(String, Value)>> {
-    let mut out = Vec::new();
-    for (mine, other) in my_cols.zip(other_cols) {
-        let value = row.get(mine.as_ref())?;
-        if value.is_null() {
-            return None;
-        }
-        out.push((other.as_ref().to_string(), value.clone()));
+/// Builds the other side's lookup constraints — a row of `bare column =
+/// value` equalities — from one row's join-column values (`from_left`: the
+/// row is of the join's left side); `None` when any value is absent or null
+/// (SQL join semantics: null never matches).
+fn bind_constraints(row: &Row, on: &[(String, String)], from_left: bool) -> Option<Row> {
+    let mut out = Row::with_capacity(on.len());
+    for (left, right) in on {
+        let (mine, other) = if from_left { (left, right) } else { (right, left) };
+        let value = row.get(mine).filter(|v| !v.is_null())?;
+        out.set(other, value.clone());
     }
     Some(out)
 }
@@ -353,14 +354,6 @@ fn merge_rows(base: &Row, other: &Row) -> Row {
         }
     }
     out
-}
-
-fn constraint_row(constraints: &Constraints) -> Row {
-    let mut row = Row::with_capacity(constraints.len());
-    for (c, v) in constraints {
-        row.set(c.clone(), v.clone());
-    }
-    row
 }
 
 impl DeltaNode {
@@ -393,11 +386,21 @@ impl DeltaNode {
 
     /// How this subtree is looked up given equality bindings for `cols`:
     /// the leaf table that owns the columns and the access path its probe
-    /// will use.  Decided at compile time so the rendered plan documents it.
-    fn probe_spec(&self, catalog: &Catalog, cols: &[String]) -> (String, AccessPath) {
+    /// uses.  Decided at compile time, so the rendered plan documents what
+    /// [`DeltaNode::lookup`] runs.
+    fn probe_spec(&self, catalog: &Catalog, cols: &[String]) -> Probe {
         match self {
             DeltaNode::Scan { def, .. } => {
-                (def.name.clone(), select_probe_access(catalog, def, cols))
+                let path = select_probe_access(catalog, def, cols);
+                let index = match &path {
+                    AccessPath::IndexScan { index } => catalog.table_shared_ci(index),
+                    _ => None,
+                };
+                Probe {
+                    table: def.name.clone(),
+                    path,
+                    index,
+                }
             }
             DeltaNode::Join { left, right, .. } => {
                 let left_cols = left.column_set();
@@ -432,35 +435,29 @@ impl DeltaNode {
                     .collect())
             }
             DeltaNode::Join {
-                left, right, on, ..
+                left,
+                right,
+                on,
+                left_probe,
+                right_probe,
+                ..
             } => {
                 let left_side = left.contains_table(relation);
                 if !left_side && !right.contains_table(relation) {
                     return Ok(Vec::new());
                 }
-                let (side, other) = if left_side {
-                    (left, right)
+                let (side, other, probe) = if left_side {
+                    (left, right, right_probe)
                 } else {
-                    (right, left)
+                    (right, left, left_probe)
                 };
                 let inner = side.delta(executor, relation, deltas)?;
                 let mut out = Vec::new();
                 for d in inner {
-                    let constraints = if left_side {
-                        bind_constraints(
-                            &d.row,
-                            on.iter().map(|(l, _)| l),
-                            on.iter().map(|(_, r)| r),
-                        )
-                    } else {
-                        bind_constraints(
-                            &d.row,
-                            on.iter().map(|(_, r)| r),
-                            on.iter().map(|(l, _)| l),
-                        )
+                    let Some(constraints) = bind_constraints(&d.row, on, left_side) else {
+                        continue;
                     };
-                    let Some(constraints) = constraints else { continue };
-                    for matched in other.lookup(executor, &constraints)? {
+                    for matched in other.lookup(executor, &constraints, probe)? {
                         out.push(RowDelta {
                             sign: d.sign,
                             row: merge_rows(&d.row, &matched),
@@ -488,61 +485,66 @@ impl DeltaNode {
     }
 
     /// Evaluates this subtree under equality bindings — the read half of a
-    /// join probe.  Leaf scans pick their access path from the bound
-    /// columns; joins look up the side owning the columns first and probe
-    /// the other side per resulting row.
+    /// join probe — through `probe`, the access the probing join compiled
+    /// for exactly these columns.  A leaf scan opens it; a join hands it to
+    /// the side owning the columns and probes the other side, through its
+    /// own compiled access, per resulting row.
     fn lookup(
         &self,
         executor: &Executor,
-        constraints: &Constraints,
+        constraints: &Row,
+        probe: &Probe,
     ) -> Result<Vec<Row>, QueryError> {
         match self {
             DeltaNode::Scan { def, predicates } => {
-                scan_lookup(executor, def, predicates, constraints)
+                // Index tables are covered (they store every base column),
+                // so the decoded index rows are the base rows.
+                let index = probe.index.as_deref();
+                let shape = ScanShape::default();
+                let mut out = Vec::new();
+                for stored in executor.open_rows(def, &probe.path, index, constraints, shape)? {
+                    let row = index.unwrap_or(def).decode_row(&stored?);
+                    if constraints.iter().all(|(c, v)| row.get(c) == Some(v))
+                        && predicates_pass(predicates, &row)
+                    {
+                        out.push(row);
+                    }
+                }
+                Ok(out)
             }
             DeltaNode::Join {
                 left,
                 right,
                 on,
                 left_cols,
-                ..
+                left_probe,
+                right_probe,
             } => {
-                let left_side = constraints.iter().all(|(c, _)| left_cols.contains(c));
-                let (side, other) = if left_side {
-                    (left, right)
+                let left_side = constraints.attributes().all(|c| left_cols.contains(c));
+                let (side, other, other_probe) = if left_side {
+                    (left, right, right_probe)
                 } else {
-                    (right, left)
+                    (right, left, left_probe)
                 };
-                let rows = side.lookup(executor, constraints)?;
+                let rows = side.lookup(executor, constraints, probe)?;
                 let mut out = Vec::new();
                 for row in rows {
-                    let next = if left_side {
-                        bind_constraints(
-                            &row,
-                            on.iter().map(|(l, _)| l),
-                            on.iter().map(|(_, r)| r),
-                        )
-                    } else {
-                        bind_constraints(
-                            &row,
-                            on.iter().map(|(_, r)| r),
-                            on.iter().map(|(l, _)| l),
-                        )
+                    let Some(next) = bind_constraints(&row, on, left_side) else {
+                        continue;
                     };
-                    let Some(next) = next else { continue };
-                    for matched in other.lookup(executor, &next)? {
+                    for matched in other.lookup(executor, &next, other_probe)? {
                         out.push(merge_rows(&row, &matched));
                     }
                 }
                 Ok(out)
             }
             DeltaNode::Filter { input, predicates } => {
-                let mut rows = input.lookup(executor, constraints)?;
+                let mut rows = input.lookup(executor, constraints, probe)?;
                 rows.retain(|r| predicates_pass(predicates, r));
                 Ok(rows)
             }
             DeltaNode::Project { input, columns } => Ok(input
-                .lookup(executor, constraints)?
+                .lookup(executor, constraints, probe)?
                 .into_iter()
                 .map(|r| project_row(&r, columns))
                 .collect()),
@@ -576,10 +578,7 @@ impl DeltaNode {
                     .join(", ");
                 out.push_str(&format!(
                     "DeltaJoin on [{on_text}] probe({})={} probe({})={}\n",
-                    left_probe.0,
-                    access_label(&left_probe.1),
-                    right_probe.0,
-                    access_label(&right_probe.1),
+                    left_probe.table, left_probe.path, right_probe.table, right_probe.path,
                 ));
                 left.render_into(out, depth + 1);
                 right.render_into(out, depth + 1);
@@ -596,24 +595,6 @@ impl DeltaNode {
     }
 }
 
-fn access_label(access: &AccessPath) -> String {
-    match access {
-        AccessPath::KeyGet => "get".to_string(),
-        AccessPath::KeyPrefixScan => "key-prefix".to_string(),
-        AccessPath::KeyRangeScan => "key-range".to_string(),
-        AccessPath::IndexScan { index } => format!("index:{index}"),
-        AccessPath::FullScan => "full".to_string(),
-    }
-}
-
-fn join_display<T: std::fmt::Display>(items: &[T]) -> String {
-    items
-        .iter()
-        .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 fn project_row(row: &Row, columns: &[String]) -> Row {
     let mut out = Row::with_capacity(columns.len());
     for c in columns {
@@ -622,65 +603,6 @@ fn project_row(row: &Row, columns: &[String]) -> Row {
         }
     }
     out
-}
-
-/// Fetches the current rows of one base table matching equality constraints,
-/// choosing the cheapest access path the constraints admit (maintenance
-/// indexes included).  Every fetch is a normally charged store operation.
-fn scan_lookup(
-    executor: &Executor,
-    def: &TableDef,
-    predicates: &[DeltaPredicate],
-    constraints: &Constraints,
-) -> Result<Vec<Row>, QueryError> {
-    let cols: Vec<String> = constraints.iter().map(|(c, _)| c.clone()).collect();
-    let rows = match select_probe_access(executor.catalog(), def, &cols) {
-        AccessPath::KeyGet => executor
-            .get_row_by_key(&def.name, &constraint_row(constraints))?
-            .into_iter()
-            .collect(),
-        AccessPath::KeyPrefixScan => prefix_rows(executor, def, constraints)?,
-        AccessPath::IndexScan { index } => {
-            let index_def = executor
-                .catalog()
-                .table_shared_ci(&index)
-                .ok_or_else(|| QueryError::UnknownTable(index.clone()))?;
-            // Index tables are covered (they store every base column), so
-            // the decoded index rows are the base rows.
-            prefix_rows(executor, &index_def, constraints)?
-        }
-        // Probe access is chosen from equality constraints only, so a
-        // range path never fires here; it falls through to the full walk.
-        AccessPath::FullScan | AccessPath::KeyRangeScan => {
-            let cursor = executor.cluster().scan_stream(&def.name, Scan::all())?;
-            cursor.map(|stored| def.decode_row(&stored)).collect()
-        }
-    };
-    Ok(rows
-        .into_iter()
-        .filter(|r| row_matches(r, constraints) && predicates_pass(predicates, r))
-        .collect())
-}
-
-/// Prefix-scans `def` over the leading key columns bound by `constraints`.
-fn prefix_rows(
-    executor: &Executor,
-    def: &TableDef,
-    constraints: &Constraints,
-) -> Result<Vec<Row>, QueryError> {
-    let key_row = constraint_row(constraints);
-    let n_bound = def
-        .key
-        .iter()
-        .take_while(|k| key_row.contains(k))
-        .count();
-    let mut prefix = def.encode_key_prefix(&key_row, n_bound);
-    if n_bound < def.key.len() {
-        // Close the last bound component so "42" does not match "420".
-        prefix.push(KEY_DELIMITER);
-    }
-    let cursor = executor.cluster().scan_stream(&def.name, Scan::prefix(prefix))?;
-    Ok(cursor.map(|stored| def.decode_row(&stored)).collect())
 }
 
 // ----------------------------------------------------------------------

@@ -32,8 +32,9 @@ use crate::optimize;
 use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
 use nosql_store::intern::intern_name;
-use nosql_store::{Cluster, Name};
-use relational::{Row, Value};
+use nosql_store::ops::{Get, Scan};
+use nosql_store::{Cluster, Name, ParScanCursor, ResultRow, SCAN_PAGE_ROWS};
+use relational::{Row, Value, KEY_DELIMITER};
 use sql::{SelectStatement, Statement};
 use std::sync::{Arc, OnceLock};
 
@@ -71,6 +72,57 @@ pub enum AccessPath {
     KeyRangeScan,
     /// Full table scan.
     FullScan,
+}
+
+/// The label a plan tree renders for the path (`access=…`, `probe(T)=…`).
+impl std::fmt::Display for AccessPath {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AccessPath::KeyGet => f.write_str("get"),
+            AccessPath::KeyPrefixScan => f.write_str("key-prefix"),
+            AccessPath::KeyRangeScan => f.write_str("key-range"),
+            AccessPath::IndexScan { index } => write!(f, "index:{index}"),
+            AccessPath::FullScan => f.write_str("full"),
+        }
+    }
+}
+
+/// What a caller of [`Executor::open_rows`] decides per open beyond the
+/// access path.  The default is the path's whole range, every column, on
+/// the serial cursor.
+#[derive(Debug, Default)]
+pub(crate) struct ScanShape {
+    /// `(family, qualifier)` projection pushed into the store scan (empty =
+    /// all columns; see [`Executor::scan_projection`]).
+    pub columns: Vec<(String, String)>,
+    /// Row limit pushed into the store scan (0 = none).
+    pub limit: usize,
+    /// `[start, stop)` key bounds of an [`AccessPath::KeyRangeScan`]; `None`
+    /// degrades it to the full walk.
+    pub range: Option<(String, String)>,
+    /// Region-parallel scan workers (0 or 1 = the serial cursor).
+    pub width: usize,
+}
+
+/// The stored rows one access path yields, in key order.  A failed store
+/// operation travels in-band: the rows before it, then the error once, then
+/// the end — a consumer cannot mistake a failure for the end of the range.
+pub(crate) enum StoredRows {
+    /// The at most one row of a point Get, already fetched.
+    Point(Option<ResultRow>),
+    /// A (possibly region-parallel) scan cursor, pulled page by page.
+    Scan(ParScanCursor),
+}
+
+impl Iterator for StoredRows {
+    type Item = Result<ResultRow, QueryError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            StoredRows::Point(row) => row.take().map(Ok),
+            StoredRows::Scan(cursor) => cursor.try_next().map_err(QueryError::from).transpose(),
+        }
+    }
 }
 
 /// True if a stored row carries the dirty marker (see [`DIRTY_MARKER`]).
@@ -194,6 +246,66 @@ impl Executor {
         }
     }
 
+    /// The one stored-row reader above the store: every plan source, delta
+    /// probe and whole-table read opens its rows here, and nothing else in
+    /// the layers above the store opens a scan.  Follows `path` on `def`
+    /// under the equality values `eq`; `index` is the index table's
+    /// definition when the path is an index scan.  A point Get is fetched
+    /// (and charged) now, a scan as its stream is pulled.
+    ///
+    /// The key-prefix rule lives here: a prefix or index scan binds as many
+    /// leading key components as `eq` covers and closes the last bound one
+    /// with [`KEY_DELIMITER`], so that `42` does not also match keys
+    /// starting with `420`.
+    pub(crate) fn open_rows(
+        &self,
+        def: &TableDef,
+        path: &AccessPath,
+        index: Option<&TableDef>,
+        eq: &Row,
+        shape: ScanShape,
+    ) -> Result<StoredRows, QueryError> {
+        let prefix_scan = |keyed: &TableDef| {
+            let n_bound = keyed.key.iter().take_while(|k| eq.contains(k)).count();
+            let mut prefix = keyed.encode_key_prefix(eq, n_bound);
+            if n_bound < keyed.key.len() {
+                prefix.push(KEY_DELIMITER);
+            }
+            Scan::prefix(prefix)
+        };
+        let (table, scan) = match path {
+            AccessPath::KeyGet => {
+                let key = def.encode_row_key(eq);
+                return Ok(StoredRows::Point(self.cluster.get(&def.name, Get::new(key))?));
+            }
+            AccessPath::KeyPrefixScan => (def, prefix_scan(def)),
+            AccessPath::IndexScan { index: name } => {
+                let index = index.ok_or_else(|| QueryError::UnknownTable(name.clone()))?;
+                (index, prefix_scan(index))
+            }
+            AccessPath::KeyRangeScan | AccessPath::FullScan => match shape.range {
+                Some((start, stop)) => (def, Scan::range(start, stop)),
+                None => (def, Scan::all()),
+            },
+        };
+        let scan = scan.with_limit(shape.limit).with_columns(shape.columns);
+        let cursor = self.cluster.par_scan_stream(&table.name, scan, shape.width)?;
+        Ok(StoredRows::Scan(cursor))
+    }
+
+    /// Reads and decodes every row of the table `def`, region-parallel scan
+    /// and batch decode at this executor's width.  Fails if any page does —
+    /// the whole-table read behind Synergy's view recomputation, which must
+    /// never materialize a prefix of a relation as if it were the relation.
+    pub fn read_table(&self, def: &TableDef) -> Result<Vec<Row>, QueryError> {
+        let shape = ScanShape {
+            width: self.threads,
+            ..ScanShape::default()
+        };
+        let rows = self.open_rows(def, &AccessPath::FullScan, None, &Row::new(), shape)?;
+        par_batches(rows, self.threads, |stored| Ok(def.decode_row(&stored))).collect()
+    }
+
     /// Pushes the statement's column projection into the store scan: only
     /// the masked-in columns, the key columns (never null, so a projected
     /// row is never empty at the store) and — under dirty protection — the
@@ -219,37 +331,25 @@ impl Executor {
     }
 }
 
-/// Maps `f` over a cursor on `threads` pool workers in order-preserving
+/// Maps `f` over stored rows on `threads` pool workers in order-preserving
 /// batches, pulled lazily: one store page per worker per batch, so scan
 /// fan-out and decode parallelism stay aligned and at most one raw batch is
 /// resident.  The one batch-decode loop — the plan's parallel full-scan
-/// source and [`par_decode_rows`] both run it.
-pub(crate) fn par_batches<'a, T: Send + 'a>(
-    mut cursor: impl Iterator<Item = nosql_store::ResultRow> + 'a,
+/// source and [`Executor::read_table`] both run it.  A failed page fails the
+/// consumer, so the batch it cut short is not decoded.
+pub(crate) fn par_batches<'a>(
+    mut rows: StoredRows,
     threads: usize,
-    f: impl Fn(nosql_store::ResultRow) -> T + Sync + 'a,
-) -> impl Iterator<Item = T> + 'a {
+    f: impl Fn(ResultRow) -> Result<Row, QueryError> + Sync + 'a,
+) -> impl Iterator<Item = Result<Row, QueryError>> + 'a {
     std::iter::from_fn(move || {
-        let batch: Vec<nosql_store::ResultRow> = cursor
-            .by_ref()
-            .take(threads * nosql_store::SCAN_PAGE_ROWS)
-            .collect();
-        (!batch.is_empty()).then(|| pool::map(batch, threads, &f))
+        let batch: Result<Vec<ResultRow>, QueryError> =
+            rows.by_ref().take(threads * SCAN_PAGE_ROWS).collect();
+        match batch {
+            Ok(batch) if batch.is_empty() => None,
+            Ok(batch) => Some(pool::map(batch, threads, &f)),
+            Err(error) => Some(vec![Err(error)]),
+        }
     })
     .flatten()
-}
-
-/// Decodes a whole cursor through `def`, fanning the decode out over
-/// `threads` pool workers (`par_batches`); `threads <= 1` stream-decodes
-/// row by row.  Used by the batch consumer outside the executor pipeline —
-/// Synergy's view materialization.
-pub fn par_decode_rows(
-    def: &TableDef,
-    cursor: impl Iterator<Item = nosql_store::ResultRow>,
-    threads: usize,
-) -> Vec<Row> {
-    if threads <= 1 {
-        return cursor.map(|stored| def.decode_row(&stored)).collect();
-    }
-    par_batches(cursor, threads, |stored| def.decode_row(&stored)).collect()
 }

@@ -70,9 +70,7 @@ mod writes;
 
 pub use catalog::{Catalog, ColumnType, TableDef, TableKind, FAMILY};
 pub use delta::{overlay, DeltaBuffer, DeltaPlan, DeltaSign, PendingWrite, RowDelta};
-pub use executor::{
-    par_decode_rows, AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT,
-};
+pub use executor::{AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT};
 pub use optimize::select_probe_access;
 pub use physical::PhysicalPlan;
 pub use plan::{LogicalPlan, PlanOperand, PlanPredicate, SortKey};

@@ -16,18 +16,19 @@
 //! committed `BENCH_report.json` sim figures.
 
 use crate::bind::{
-    eq_filter_row, eq_filter_values, range_filter_bounds, BoundCondition, BoundOperand,
-    PlannedCondition, PlannedOperand,
+    eq_filter_row, range_filter_bounds, BoundCondition, BoundOperand, PlannedCondition,
+    PlannedOperand,
 };
 use crate::catalog::TableDef;
 use crate::executor::{
-    par_batches, stored_row_is_dirty, AccessPath, Executor, DIRTY_RETRY_LIMIT,
+    par_batches, stored_row_is_dirty, AccessPath, Executor, ScanShape, StoredRows,
+    DIRTY_RETRY_LIMIT,
 };
 use crate::plan::LogicalPlan;
 use crate::result::{QueryError, QueryResult};
 use crate::stream::{collect_stream, par_top_k, top_k, Residency, RowStream};
-use nosql_store::ops::{Get, Scan};
-use relational::{encode_key, Row, Symbol, Value, KEY_DELIMITER};
+use nosql_store::ops::Get;
+use relational::{encode_key, Row, Symbol, Value};
 use sql::AggregateFunction;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap}; // lint-allow(determinism): join build tables below are probe-only
@@ -265,6 +266,12 @@ impl<'a> DecodeCtx<'a> {
             },
         })
     }
+
+    /// The serial scan source: each stored row through [`DecodeCtx::read`]
+    /// as it is pulled, a failed page passed on in its place.
+    fn stream(self, rows: StoredRows) -> RowStream<'a> {
+        Box::new(rows.map(move |stored| self.read(&stored?)))
+    }
 }
 
 impl Executor {
@@ -384,16 +391,17 @@ impl Executor {
     }
 
     /// Opens the stream of one alias's rows following the plan's access
-    /// decision: the scan cursor (or point Get), mapped through dirty
-    /// detection and projected decode, filtered by the alias's single-alias
-    /// conditions.
+    /// decision: the stored rows [`Executor::open_rows`] yields for the path,
+    /// mapped through dirty detection and projected decode, filtered by the
+    /// alias's single-alias conditions.
     ///
     /// A dirty marker observed anywhere in the stream surfaces as
-    /// [`QueryError::DirtyRestart`], which restarts the whole statement.
-    /// The plan's store-level limit applies only to the start alias; a bare
-    /// LIMIT downstream keeps the start source on the serial cursor (the
-    /// batch-eager parallel source would forfeit early termination), while
-    /// build sides are always fully drained and may parallelize freely.
+    /// [`QueryError::DirtyRestart`], which restarts the whole statement; a
+    /// failed store operation surfaces as [`QueryError::Store`], which fails
+    /// it.  The plan's store-level limit applies only to the start alias; a
+    /// bare LIMIT downstream keeps the start source on the serial cursor
+    /// (the batch-eager parallel source would forfeit early termination),
+    /// while build sides are always fully drained and may parallelize freely.
     fn alias_stream<'a>(
         &'a self,
         plan: &'a PhysicalPlan,
@@ -403,87 +411,53 @@ impl Executor {
     ) -> Result<RowStream<'a>, QueryError> {
         let (_, def) = &plan.aliases[ai];
         let access = &plan.access[ai];
-        let eq_filters = eq_filter_values(&plan.conditions, bound, &plan.single_alias[ai]);
+        let eq = eq_filter_row(&plan.conditions, bound, &plan.single_alias[ai]);
         let (store_limit, prefer_serial) = match role {
             SourceRole::Start => (plan.store_limit, plan.limit_stops_early),
             SourceRole::Build => (0, false),
         };
         let ctx = DecodeCtx::new(def, &access.decode, self.dirty_protection());
+        let index = access.index.as_ref();
+        let open = |shape| self.open_rows(def, &access.path, index.map(|i| &*i.def), &eq, shape);
+        // The rows of `ctx`'s table, projected onto what `ctx` decodes.
+        let projected = |ctx: &DecodeCtx| ScanShape {
+            columns: self.scan_projection(ctx.def, ctx.mask),
+            ..ScanShape::default()
+        };
 
-        let base: RowStream<'a> = match &access.path {
-            AccessPath::KeyGet => {
-                let key = def.encode_row_key(&eq_filter_row(&eq_filters));
+        let base: RowStream<'a> = match (&access.path, index) {
+            (AccessPath::KeyGet, _) => {
                 // Eager: a dirty row restarts the statement before any other
                 // alias is opened (and charged).
-                let stored = self.cluster().get(&def.name, Get::new(key))?;
+                let stored = open(ScanShape::default())?.next().transpose()?;
                 let row = stored.map(|stored| ctx.read(&stored)).transpose()?;
                 Box::new(row.into_iter().map(Ok))
             }
-            AccessPath::KeyPrefixScan => {
-                let key_row = eq_filter_row(&eq_filters);
-                // Use as many leading key components as are bound.
-                let n_bound = def
-                    .key
-                    .iter()
-                    .take_while(|k| eq_filters.contains_key(*k))
-                    .count();
-                let mut prefix = def.encode_key_prefix(&key_row, n_bound);
-                if n_bound < def.key.len() {
-                    // Close the last bound component so that e.g. "42"
-                    // does not also match keys starting with "420".
-                    prefix.push(KEY_DELIMITER);
-                }
-                let scan = Scan::prefix(prefix)
-                    .with_columns(self.scan_projection(def, ctx.mask));
-                let cursor = self.cluster().scan_stream(&def.name, scan)?;
-                Box::new(cursor.map(move |stored| ctx.read(&stored)))
+            (AccessPath::IndexScan { .. }, Some(index)) if index.covered => {
+                let index_ctx = DecodeCtx::new(&index.def, &index.decode, ctx.dirty_protection);
+                index_ctx.stream(open(projected(&index_ctx))?)
             }
-            AccessPath::IndexScan { .. } => {
-                let index = access
-                    .index
-                    .as_ref()
-                    // lint-allow(panic-freedom): planner sets `index` for every IndexScan it emits
-                    .expect("index access carries its index table definition");
-                let index_def = &index.def;
-                let filter_value = eq_filters
-                    .get(&index_def.key[0])
-                    .cloned()
-                    .unwrap_or(Value::Null);
-                let mut prefix = encode_key([&filter_value]);
-                if index_def.key.len() > 1 {
-                    // Match only complete values of the indexed column.
-                    prefix.push(KEY_DELIMITER);
-                }
-                if index.covered {
-                    let index_ctx = DecodeCtx::new(index_def, &index.decode, ctx.dirty_protection);
-                    let scan = Scan::prefix(prefix)
-                        .with_columns(self.scan_projection(index_def, index_ctx.mask));
-                    let cursor = self.cluster().scan_stream(&index_def.name, scan)?;
-                    Box::new(cursor.map(move |stored| index_ctx.read(&stored)))
-                } else {
-                    // Stream the index entries and look up each base row by
-                    // primary key as it is pulled; the index row is decoded
-                    // bare (it only feeds key encoding).
-                    let index_ctx = DecodeCtx {
-                        def: index_def,
-                        qual_syms: None,
-                        mask: None,
-                        dirty_protection: ctx.dirty_protection,
-                    };
-                    let cursor =
-                        self.cluster().scan_stream(&index_def.name, Scan::prefix(prefix))?;
-                    Box::new(
-                        cursor
-                            .map(move |stored| -> Result<Option<Row>, QueryError> {
-                                let base_key = ctx.def.encode_row_key(&index_ctx.read(&stored)?);
-                                let base = self.cluster().get(&ctx.def.name, Get::new(base_key))?;
-                                base.map(|base| ctx.read(&base)).transpose()
-                            })
-                            .filter_map(Result::transpose),
-                    )
-                }
+            (AccessPath::IndexScan { .. }, Some(index)) => {
+                // Stream the index entries and look up each base row by
+                // primary key as it is pulled; the index row is decoded
+                // bare (it only feeds key encoding).
+                let index_ctx = DecodeCtx {
+                    def: &index.def,
+                    qual_syms: None,
+                    mask: None,
+                    dirty_protection: ctx.dirty_protection,
+                };
+                Box::new(
+                    open(ScanShape::default())?
+                        .map(move |stored| -> Result<Option<Row>, QueryError> {
+                            let base_key = ctx.def.encode_row_key(&index_ctx.read(&stored?)?);
+                            let base = self.cluster().get(&ctx.def.name, Get::new(base_key))?;
+                            base.map(|base| ctx.read(&base)).transpose()
+                        })
+                        .filter_map(Result::transpose),
+                )
             }
-            AccessPath::KeyRangeScan => {
+            (AccessPath::KeyRangeScan, _) => {
                 // The planner froze the *shape* (both-sided range filters
                 // on `key[0]`); the concrete `[lo, hi]` envelope comes from
                 // the bound parameter values per execution.  When the
@@ -497,35 +471,28 @@ impl Executor {
                     &plan.single_alias[ai],
                     &def.key[0],
                 );
-                let scan = match bounds.as_ref().and_then(|(lo, hi)| range_scan_bounds(lo, hi)) {
-                    Some((start, stop)) => Scan::range(start, stop),
-                    None => Scan::all(),
-                }
-                .with_columns(self.scan_projection(def, ctx.mask));
-                let cursor = self.cluster().scan_stream(&def.name, scan)?;
-                Box::new(cursor.map(move |stored| ctx.read(&stored)))
+                let range = bounds.as_ref().and_then(|(lo, hi)| range_scan_bounds(lo, hi));
+                ctx.stream(open(ScanShape { range, ..projected(&ctx) })?)
             }
-            AccessPath::FullScan => {
-                let scan = Scan::all()
-                    .with_limit(store_limit)
-                    .with_columns(self.scan_projection(def, ctx.mask));
-                // Parallel source: region-partitioned scan workers feeding
-                // batch-parallel decode.  Limit-pushed scans stay serial —
-                // they touch O(k) rows, below any fan-out's break-even —
-                // as do sources a bare LIMIT will stop pulling early.  The
-                // width is the plan's frozen decision (`plan.threads`), not
-                // the executing executor's configuration.
-                if plan.threads > 1 && store_limit == 0 && !prefer_serial {
-                    let cursor =
-                        self.cluster().par_scan_stream(&def.name, scan, plan.threads)?;
-                    // Decoding a batch past a dirty marker is only wasted
-                    // work: the whole statement restarts.
-                    Box::new(par_batches(cursor, plan.threads, move |stored| ctx.read(&stored)))
-                } else {
-                    let cursor = self.cluster().scan_stream(&def.name, scan)?;
-                    Box::new(cursor.map(move |stored| ctx.read(&stored)))
-                }
+            // Parallel source: region-partitioned scan workers feeding
+            // batch-parallel decode.  Limit-pushed scans stay serial —
+            // they touch O(k) rows, below any fan-out's break-even —
+            // as do sources a bare LIMIT will stop pulling early.  The
+            // width is the plan's frozen decision (`plan.threads`), not
+            // the executing executor's configuration.
+            (AccessPath::FullScan, _) if plan.threads > 1 && store_limit == 0 && !prefer_serial => {
+                let width = plan.threads;
+                let rows = open(ScanShape { width, ..projected(&ctx) })?;
+                // Decoding a batch past a dirty marker is only wasted
+                // work: the whole statement restarts.
+                Box::new(par_batches(rows, width, move |stored| ctx.read(&stored)))
             }
+            (AccessPath::FullScan, _) => {
+                ctx.stream(open(ScanShape { limit: store_limit, ..projected(&ctx) })?)
+            }
+            // A key-prefix scan (an index scan without its index table's
+            // definition is refused by the opener).
+            _ => ctx.stream(open(projected(&ctx))?),
         };
 
         // Apply every single-alias filter (equality and range) on the

@@ -205,7 +205,7 @@ impl LogicalPlan {
                 if alias != table {
                     out.push_str(&format!(" AS {alias}"));
                 }
-                out.push_str(&format!(" access={}", access_label(access)));
+                out.push_str(&format!(" access={access}"));
                 if *store_limit > 0 {
                     out.push_str(&format!(" limit={store_limit}"));
                 }
@@ -298,17 +298,9 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
-fn access_label(access: &AccessPath) -> String {
-    match access {
-        AccessPath::KeyGet => "get".to_string(),
-        AccessPath::KeyPrefixScan => "key-prefix".to_string(),
-        AccessPath::KeyRangeScan => "key-range".to_string(),
-        AccessPath::IndexScan { index } => format!("index:{index}"),
-        AccessPath::FullScan => "full".to_string(),
-    }
-}
-
-fn join_display<T: fmt::Display>(items: &[T]) -> String {
+/// `items` rendered and comma-separated, as every plan tree lists its
+/// predicates, sort keys and select items.
+pub(crate) fn join_display<T: fmt::Display>(items: &[T]) -> String {
     items
         .iter()
         .map(|i| i.to_string())

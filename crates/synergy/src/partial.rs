@@ -9,8 +9,9 @@
 //! cache as every read, the rewrite rule skipped for that lookup) — and
 //! installs the result here as resident rows.  Eviction keeps total
 //! resident view bytes under the budget with a CLOCK/second-chance sweep
-//! over view keys; evicting a key deletes its view rows through the charged
-//! write path and clears residency.  The maintenance engine consults the
+//! over view keys; evicting a key clears its residency and then deletes its
+//! view rows through the charged write path — a key is absent or complete,
+//! also when a delete fails.  The maintenance engine consults the
 //! same map so deltas targeting non-resident keys are **annihilated**
 //! (dropped) instead of maintained — write traffic on cold keys does zero
 //! view work.
@@ -272,14 +273,25 @@ impl ViewResidency {
                 .and_then(|v| v.get_mut(prefix))
                 // lint-allow(panic-freedom): entry made resident earlier in this locked section
                 .expect("resident entry present");
-            apply_write_to_entry(executor, view_def, entry, write)?;
+            if let Err(e) = apply_write_to_entry(executor, view_def, entry, write) {
+                // Short of a delta newer than its fill, the key is not
+                // complete: absent again (and not yet accounted).
+                drop_entry(&mut state, view_table, prefix);
+                return Err(e);
+            }
             touched_totals = (entry.rows.len() as u64, entry.bytes());
         }
         state.total_rows += touched_totals.0;
         state.total_bytes += touched_totals.1;
         state.ring.push((view_table.to_string(), prefix.to_string()));
-        self.evict_to_budget(&mut state, executor)?;
-        Ok(())
+        let swept = self.evict_to_budget(&mut state, executor);
+        if swept.is_err() {
+            // The caller is handed the error, not the pin.
+            if let Some(entry) = state.views.get_mut(view_table).and_then(|v| v.get_mut(prefix)) {
+                entry.pins -= 1;
+            }
+        }
+        swept
     }
 
     /// Abandons a fill this caller started (upquery failed): the
@@ -427,23 +439,22 @@ impl ViewResidency {
                 state.hand += 1;
                 continue;
             }
-            // Evict: delete the key's view rows (charged, index-correct)
-            // and clear its residency.
-            let victims: Vec<Row> =
-                entry.rows.values().map(|(key_attrs, _)| key_attrs.clone()).collect();
+            // Evict: clear the key's residency, then delete its view rows
+            // (charged, index-correct).  In that order, so a delete that
+            // fails leaves an absent key — its leftover rows rewritten by
+            // the next fill — never a resident key short of the rows
+            // already deleted.
             let rows = entry.rows.len() as u64;
-            let bytes = entry.bytes();
-            for key_attrs in &victims {
-                executor.delete_row_by_key(&view_table, key_attrs)?;
-            }
-            // lint-allow(panic-freedom): victim keys come from iterating this same map
-            state.views.get_mut(&view_table).expect("view map").remove(&prefix);
             state.total_rows -= rows;
-            state.total_bytes -= bytes;
+            state.total_bytes -= entry.bytes();
             state.ring.remove(state.hand);
             self.evicted_keys.fetch_add(1, Ordering::Relaxed);
             self.evicted_rows.fetch_add(rows, Ordering::Relaxed);
             fruitless = 0;
+            let evicted = state.views.get_mut(&view_table).and_then(|v| v.remove(&prefix));
+            for (key_attrs, _) in evicted.iter().flat_map(|entry| entry.rows.values()) {
+                executor.delete_row_by_key(&view_table, key_attrs)?;
+            }
         }
         Ok(())
     }

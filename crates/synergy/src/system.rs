@@ -828,10 +828,9 @@ impl SynergySystem {
     /// ground truth).  Used by the offline population step and by the
     /// delta-vs-recompute equivalence tests.
     pub fn recompute_view_rows(&self, view: &ViewDefinition) -> Result<Vec<Row>, TxnError> {
-        // Load each participating relation into memory once, through the
-        // region-parallel scan (serial when the executor runs 1 thread) with
-        // the decode fanned out over the same worker count.
-        let threads = self.executor.threads();
+        // Load each participating relation into memory once: a whole-table
+        // read that fails if any page does, so a view is never recomputed
+        // from a prefix of a relation.
         let mut relation_rows: BTreeMap<String, Vec<Row>> = BTreeMap::new();
         for relation in &view.relations {
             let def = self
@@ -839,11 +838,7 @@ impl SynergySystem {
                 .catalog()
                 .table_ci(relation)
                 .ok_or_else(|| QueryError::UnknownTable(relation.clone()))?;
-            let cursor = self
-                .cluster()
-                .par_scan_stream(&def.name, nosql_store::ops::Scan::all(), threads)
-                .map_err(QueryError::from)?;
-            relation_rows.insert(relation.clone(), query::par_decode_rows(def, cursor, threads));
+            relation_rows.insert(relation.clone(), self.executor.read_table(def)?);
         }
 
         // Join along the path: parent → child on (pk = fk).
