@@ -373,22 +373,27 @@ impl NewSqlEngine {
             }
             Statement::Update(update) => {
                 let (name, meta) = self.meta_for(&update.table)?;
-                let key = self.key_from_conditions(&meta, &update.conditions, params)?;
+                let assignments = update.assignments.iter()
+                    .map(|(column, expr)| Ok((column, bind(expr, params)?)))
+                    .collect::<Result<Vec<_>, NewSqlError>>()?;
+                let key = self.key_from_conditions(&name, &meta, &update.conditions, params)?;
                 self.charge_write(&meta, 1);
-                self.mutate_row(&name, &meta, &key, |row| {
-                    for (column, expr) in &update.assignments {
-                        if let Ok(v) = bind(expr, params) {
-                            row.set(column.clone(), v);
+                self.apply_to_row(&name, &meta, |table| match table.get_mut(&key) {
+                    Some(row) => {
+                        for (column, v) in &assignments {
+                            row.set(column, v.clone());
                         }
+                        true
                     }
-                })?;
+                    None => false,
+                });
                 Ok(Vec::new())
             }
             Statement::Delete(delete) => {
                 let (name, meta) = self.meta_for(&delete.table)?;
-                let key = self.key_from_conditions(&meta, &delete.conditions, params)?;
+                let key = self.key_from_conditions(&name, &meta, &delete.conditions, params)?;
                 self.charge_write(&meta, 1);
-                self.remove_row(&name, &meta, &key)?;
+                self.apply_to_row(&name, &meta, |table| table.remove(&key).is_some());
                 Ok(Vec::new())
             }
         }
@@ -432,47 +437,22 @@ impl NewSqlEngine {
         Ok(())
     }
 
-    fn mutate_row(
-        &self,
-        name: &str,
-        meta: &TableMeta,
-        key: &str,
-        mutate: impl Fn(&mut Row),
-    ) -> Result<bool, NewSqlError> {
-        let mut any = false;
+    /// Applies `op` to table `name` partition by partition until `op`
+    /// reports the row found in a partitioned table; every replica of a
+    /// replicated table sees it.
+    fn apply_to_row(&self, name: &str, meta: &TableMeta, op: impl Fn(&mut BTreeMap<String, Row>) -> bool) {
+        let partitioned = matches!(meta.distribution, TableDistribution::Partitioned { .. });
         for partition in self.partitions.iter() {
-            let mut p = partition.lock();
-            if let Some(table) = p.tables.get_mut(name) {
-                if let Some(row) = table.get_mut(key) {
-                    mutate(row);
-                    any = true;
-                    if matches!(meta.distribution, TableDistribution::Partitioned { .. }) {
-                        break;
-                    }
-                }
+            let found = partition.lock().tables.get_mut(name).is_some_and(&op);
+            if found && partitioned {
+                break;
             }
         }
-        Ok(any)
-    }
-
-    fn remove_row(&self, name: &str, meta: &TableMeta, key: &str) -> Result<bool, NewSqlError> {
-        let mut any = false;
-        for partition in self.partitions.iter() {
-            let mut p = partition.lock();
-            if let Some(table) = p.tables.get_mut(name) {
-                if table.remove(key).is_some() {
-                    any = true;
-                    if matches!(meta.distribution, TableDistribution::Partitioned { .. }) {
-                        break;
-                    }
-                }
-            }
-        }
-        Ok(any)
     }
 
     fn key_from_conditions(
         &self,
+        name: &str,
         meta: &TableMeta,
         conditions: &[Condition],
         params: &[Value],
@@ -490,7 +470,7 @@ impl NewSqlEngine {
                 }
                 None => {
                     return Err(NewSqlError::IncompleteKey {
-                        table: "write".to_string(),
+                        table: name.to_string(),
                     })
                 }
             }
@@ -976,7 +956,23 @@ mod tests {
         let stmt = parse_statement("UPDATE Customer SET c_uname = ? WHERE c_uname = ?").unwrap();
         assert!(matches!(
             e.execute(&stmt, &[Value::str("a"), Value::str("b")]),
-            Err(NewSqlError::IncompleteKey { .. })
+            Err(NewSqlError::IncompleteKey { table }) if table == "Customer"
         ));
+    }
+
+    #[test]
+    fn an_update_whose_assignment_cannot_bind_is_refused_uncharged() {
+        let e = engine();
+        let stmt = parse_statement("UPDATE Orders SET o_total = ? WHERE o_id = 101").unwrap();
+        let start = e.clock.now();
+        assert!(matches!(e.execute(&stmt, &[]), Err(NewSqlError::MissingParameter(0))));
+        assert_eq!(e.clock.now(), start, "a refused update was charged");
+        let read = parse_statement("SELECT o_total FROM Orders WHERE o_id = 101").unwrap();
+        let rows = e.execute(&read, &[]).unwrap();
+        assert_eq!(rows[0].get("o_total"), Some(&Value::Float(11.0)));
+
+        e.execute(&stmt, &[Value::Float(1.5)]).unwrap();
+        let rows = e.execute(&read, &[]).unwrap();
+        assert_eq!(rows[0].get("o_total"), Some(&Value::Float(1.5)));
     }
 }

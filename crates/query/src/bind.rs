@@ -2,11 +2,12 @@
 //!
 //! Binding resolves every name in a parsed [`SelectStatement`] against the
 //! [`Catalog`] — FROM aliases to [`TableDef`]s, column references to interned
-//! [`Symbol`]s — *without* touching positional parameters.  The result is a
-//! [`BoundSelect`] whose conditions carry [`PlannedOperand::Param`] slots, so
-//! a plan built from it can be cached and re-executed with fresh parameter
-//! values: only [`PlannedCondition::bind`] runs per execution, producing the
-//! fully-bound [`BoundCondition`]s the physical operators evaluate.
+//! [`Symbol`]s — *without* touching positional parameters.  A column no FROM
+//! entry declares is refused here, before planning ([`QueryError::UnknownColumn`]).
+//! The result is a [`BoundSelect`] whose conditions carry
+//! [`PlannedOperand::Param`] slots, so a plan built from it can be cached and
+//! re-executed with fresh parameter values: the operators read a parameter
+//! through [`PlannedCondition::constant`] per execution.
 //!
 //! The helpers in this module answer the *shape* questions the optimizer
 //! asks (which conditions are single-alias filters, which are equi-joins,
@@ -18,6 +19,7 @@ use crate::result::QueryError;
 use relational::{intern, Row, Symbol, Value};
 use sql::{ColumnRef, Comparison, Condition, Expr, SelectItem, SelectStatement};
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// The right-hand side of a condition after binding: a literal, an unbound
 /// positional parameter slot, or a column (an equi-join edge).
@@ -32,7 +34,9 @@ pub(crate) enum PlannedOperand {
 }
 
 /// A WHERE conjunct with its column references resolved to interned symbols
-/// but its parameters still unbound — the cacheable form of a condition.
+/// but its parameters still unbound — the cacheable form of a condition, and
+/// the one predicate type: operators evaluate it, plan trees render it and
+/// delta plans compile it.
 #[derive(Debug, Clone)]
 pub(crate) struct PlannedCondition {
     pub left: ColumnRef,
@@ -66,39 +70,53 @@ impl PlannedCondition {
         !matches!(self.right, PlannedOperand::Column(..))
     }
 
-    /// Substitutes parameter values, producing the executable form.
-    pub(crate) fn bind(&self, params: &[Value]) -> Result<BoundCondition, QueryError> {
-        let right = match &self.right {
-            PlannedOperand::Literal(v) => BoundOperand::Value(v.clone()),
-            PlannedOperand::Param(i) => BoundOperand::Value(
-                params
-                    .get(*i)
-                    .cloned()
-                    .ok_or(QueryError::MissingParameter(*i))?,
-            ),
-            PlannedOperand::Column(_, sym) => BoundOperand::Column(*sym),
-        };
-        Ok(BoundCondition {
-            left_sym: self.left_sym,
-            op: self.op,
-            right,
-        })
+    /// The constant the condition compares against under `params`: the
+    /// literal or the supplied parameter, `None` for a column operand (or a
+    /// parameter `params` lacks — [`check_params`] refuses those up front).
+    pub(crate) fn constant<'a>(&'a self, params: &'a [Value]) -> Option<&'a Value> {
+        match &self.right {
+            PlannedOperand::Literal(v) => Some(v),
+            PlannedOperand::Param(i) => params.get(*i),
+            PlannedOperand::Column(..) => None,
+        }
+    }
+
+    /// True when `row` carries the left column and it compares true against
+    /// the constant — a single-alias filter on its scan's stream.
+    pub(crate) fn holds(&self, row: &Row, params: &[Value]) -> bool {
+        match (row.get_interned(&self.left_sym), self.constant(params)) {
+            (Some(left), Some(right)) => self.op.evaluate(left, right),
+            _ => false,
+        }
     }
 }
 
-/// A condition with parameters bound to concrete values — what the physical
-/// operators evaluate per row.
-#[derive(Debug, Clone)]
-pub(crate) struct BoundCondition {
-    pub left_sym: Symbol,
-    pub op: Comparison,
-    pub right: BoundOperand,
+/// Renders `left op right` with the left column as resolved, a parameter as
+/// `?N`.
+impl fmt::Display for PlannedCondition {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} ", self.left_sym.name(), self.op)?;
+        match &self.right {
+            PlannedOperand::Literal(v) => write!(f, "{v}"),
+            PlannedOperand::Param(i) => write!(f, "?{i}"),
+            PlannedOperand::Column(_, sym) => f.write_str(sym.name()),
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum BoundOperand {
-    Value(Value),
-    Column(Symbol),
+/// Refuses an execution whose `params` lack a slot some condition reads,
+/// naming the first such slot in condition order.
+pub(crate) fn check_params(
+    conditions: &[PlannedCondition],
+    params: &[Value],
+) -> Result<(), QueryError> {
+    match conditions.iter().find_map(|c| match c.right {
+        PlannedOperand::Param(i) if i >= params.len() => Some(i),
+        _ => None,
+    }) {
+        Some(i) => Err(QueryError::MissingParameter(i)),
+        None => Ok(()),
+    }
 }
 
 /// The output of the binding phase: aliases resolved to table definitions
@@ -128,12 +146,55 @@ pub(crate) fn bind_select<'a>(
             .ok_or_else(|| QueryError::UnknownTable(table_ref.table.clone()))?;
         aliases.push((table_ref.alias.clone(), def));
     }
+    check_columns(select, &aliases)?;
     let conditions = select.conditions.iter().map(PlannedCondition::resolve).collect();
     Ok(BoundSelect {
         select,
         aliases,
         conditions,
     })
+}
+
+/// Refuses a column reference no FROM entry declares: a qualified one needs
+/// its alias in FROM and the column in that table, an unqualified one the
+/// column in some FROM table.  ORDER BY may also name a select-list output
+/// alias (`ORDER BY sold`).
+fn check_columns(
+    select: &SelectStatement,
+    aliases: &[(String, std::sync::Arc<TableDef>)],
+) -> Result<(), QueryError> {
+    let declared = |col: &ColumnRef| {
+        aliases.iter().any(|(alias, def)| {
+            col.qualifier.as_ref().is_none_or(|q| q == alias)
+                && def.column_type(&col.column).is_some()
+        })
+    };
+    let output_alias = |col: &ColumnRef| {
+        col.qualifier.is_none()
+            && select.items.iter().any(|item| match item {
+                SelectItem::Column { alias, .. } | SelectItem::Aggregate { alias, .. } => {
+                    alias.as_ref() == Some(&col.column)
+                }
+                SelectItem::Wildcard => false,
+            })
+    };
+    let items = select.items.iter().filter_map(|item| match item {
+        SelectItem::Column { column, .. } => Some(column),
+        SelectItem::Aggregate { argument, .. } => argument.as_ref(),
+        SelectItem::Wildcard => None,
+    });
+    let operands = select.conditions.iter().flat_map(|c| {
+        let right = match &c.right {
+            Expr::Column(right) => Some(right),
+            _ => None,
+        };
+        std::iter::once(&c.left).chain(right)
+    });
+    let order = select.order_by.iter().map(|k| &k.column).filter(|c| !output_alias(c));
+    match items.chain(operands).chain(&select.group_by).chain(order).find(|c| !declared(c)) {
+        Some(unknown) => Err(QueryError::UnknownColumn(unknown.qualified_name())),
+        None => Ok(()),
+    }
 }
 
 /// Resolves a column reference for per-row lookup: the qualified name is
@@ -198,15 +259,14 @@ pub(crate) fn eq_filter_columns(
 /// behaved.
 pub(crate) fn eq_filter_row(
     conditions: &[PlannedCondition],
-    bound: &[BoundCondition],
+    params: &[Value],
     cond_idxs: &[usize],
 ) -> Row {
     let mut out = Row::new();
     for &i in cond_idxs {
-        if conditions[i].op == Comparison::Eq {
-            if let BoundOperand::Value(v) = &bound[i].right {
-                out.set(&conditions[i].left.column, v.clone());
-            }
+        let c = &conditions[i];
+        if let (Comparison::Eq, Some(v)) = (c.op, c.constant(params)) {
+            out.set(&c.left.column, v.clone());
         }
     }
     out
@@ -247,7 +307,7 @@ pub(crate) fn range_bounded_column(
 /// reason.  Returns `None` unless both sides are present.
 pub(crate) fn range_filter_bounds(
     conditions: &[PlannedCondition],
-    bound: &[BoundCondition],
+    params: &[Value],
     cond_idxs: &[usize],
     column: &str,
 ) -> Option<(Value, Value)> {
@@ -258,7 +318,7 @@ pub(crate) fn range_filter_bounds(
         if c.left.column != column {
             continue;
         }
-        let BoundOperand::Value(v) = &bound[i].right else {
+        let Some(v) = c.constant(params) else {
             continue;
         };
         match c.op {

@@ -1,10 +1,11 @@
-//! Incremental (**delta**) evaluation of [`LogicalPlan`]s, the engine behind
+//! Incremental (**delta**) evaluation of compiled plans, the engine behind
 //! Synergy's view maintenance, plus the coalescing write buffer.
 //!
 //! A base-table write is represented as signed row-deltas — an insert is
 //! `+row`, a delete is `-row` (the before-image), an update is the pair
 //! `[-old, +new]` — and a [`DeltaPlan`] pushes those deltas through the
-//! view's defining [`LogicalPlan`] *incrementally*:
+//! plan tree of the view's defining SELECT ([`PhysicalPlan`], the tree its
+//! reads run and `EXPLAIN` renders) *incrementally*:
 //!
 //! * `Scan` admits deltas of its own relation (after its pushed-down
 //!   filters) and nothing else;
@@ -35,12 +36,14 @@
 //! column, insert+delete annihilation) so a burst against one hot key does
 //! bounded maintenance work when flushed.
 
+use crate::bind::{PlannedCondition, PlannedOperand};
 use crate::catalog::{Catalog, TableDef};
 use crate::executor::{AccessPath, Executor, ScanShape};
 use crate::optimize::select_probe_access;
-use crate::plan::{join_display, LogicalPlan, PlanOperand, PlanPredicate};
+use crate::physical::PhysicalPlan;
+use crate::plan::{join_display, PlanNode, ScanNode};
 use crate::result::QueryError;
-use relational::{Row, Value};
+use relational::Row;
 use sql::Comparison;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -81,20 +84,6 @@ impl RowDelta {
     }
 }
 
-/// A compiled pushed-down predicate: bare column, operator, literal.
-#[derive(Debug, Clone)]
-struct DeltaPredicate {
-    column: String,
-    op: Comparison,
-    value: Value,
-}
-
-impl std::fmt::Display for DeltaPredicate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} {} {}", self.column, self.op, self.value)
-    }
-}
-
 /// How one side of a join is probed given equality bindings for its join
 /// columns: chosen at compile time, rendered as `probe(table)=path`, and
 /// executed as compiled.
@@ -107,12 +96,13 @@ struct Probe {
     index: Option<Arc<TableDef>>,
 }
 
-/// One node of the incremental operator tree (mirrors [`LogicalPlan`]).
+/// One node of the incremental operator tree (mirrors the plan tree).
+/// Predicates compare a bare column against a literal.
 #[derive(Debug, Clone)]
 enum DeltaNode {
     Scan {
         def: Arc<TableDef>,
-        predicates: Vec<DeltaPredicate>,
+        predicates: Vec<PlannedCondition>,
     },
     Join {
         left: Box<DeltaNode>,
@@ -128,7 +118,7 @@ enum DeltaNode {
     },
     Filter {
         input: Box<DeltaNode>,
-        predicates: Vec<DeltaPredicate>,
+        predicates: Vec<PlannedCondition>,
     },
     Project {
         input: Box<DeltaNode>,
@@ -136,7 +126,7 @@ enum DeltaNode {
     },
 }
 
-/// The compiled incremental form of one view-defining [`LogicalPlan`].
+/// The compiled incremental form of one view-defining plan.
 ///
 /// Compiled once per view (see the maintenance engine's cache) and stamped
 /// with the catalog version, so — exactly like the plan cache — a catalog
@@ -148,16 +138,15 @@ pub struct DeltaPlan {
 }
 
 impl DeltaPlan {
-    /// Compiles a logical plan into its incremental form.
+    /// Compiles a plan into its incremental form; `catalog` supplies the
+    /// indexes a join probe may use.
     ///
     /// Fails with [`QueryError::Unsupported`] on operators with no
     /// incremental interpretation (aggregates, ordering, limits, non-equi
     /// joins, parameters).
-    pub fn compile(catalog: &Catalog, plan: &LogicalPlan) -> Result<DeltaPlan, QueryError> {
-        let mut aliases = BTreeSet::new();
-        collect_aliases(plan, &mut aliases);
+    pub fn compile(catalog: &Catalog, plan: &PhysicalPlan) -> Result<DeltaPlan, QueryError> {
         Ok(DeltaPlan {
-            root: compile_node(catalog, plan, &aliases)?,
+            root: Compiler { catalog, plan }.node(&plan.root)?,
             catalog_version: catalog.version(),
         })
     }
@@ -199,122 +188,93 @@ impl DeltaPlan {
 // Compilation
 // ----------------------------------------------------------------------
 
-fn collect_aliases(plan: &LogicalPlan, out: &mut BTreeSet<String>) {
-    match plan {
-        LogicalPlan::Scan { alias, .. } => {
-            out.insert(alias.clone());
-        }
-        LogicalPlan::HashJoin { probe, build, .. } => {
-            collect_aliases(probe, out);
-            collect_aliases(build, out);
-        }
-        LogicalPlan::Rewrite { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::TopK { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Project { input, .. } => collect_aliases(input, out),
-    }
-}
-
-/// Strips a leading `alias.` qualifier (schema attribute names are globally
-/// unique, and stored view rows use bare names).
-fn bare(name: &str, aliases: &BTreeSet<String>) -> String {
-    if let Some((prefix, rest)) = name.split_once('.') {
-        if aliases.contains(prefix) {
-            return rest.to_string();
-        }
-    }
-    name.to_string()
+/// Compiles the nodes of one plan, whose condition templates the nodes
+/// index.
+struct Compiler<'a> {
+    catalog: &'a Catalog,
+    plan: &'a PhysicalPlan,
 }
 
 fn unsupported(what: impl std::fmt::Display) -> QueryError {
     QueryError::Unsupported(format!("{what} has no incremental (delta) interpretation"))
 }
 
-fn compile_predicate(
-    p: &PlanPredicate,
-    aliases: &BTreeSet<String>,
-) -> Result<DeltaPredicate, QueryError> {
-    let value = match &p.right {
-        PlanOperand::Literal(v) => v.clone(),
-        PlanOperand::Param(_) => return Err(unsupported("a parameterized predicate")),
-        PlanOperand::Column(_) => return Err(unsupported("a column-column filter")),
-    };
-    Ok(DeltaPredicate {
-        column: bare(p.left.name(), aliases),
-        op: p.op,
-        value,
-    })
-}
+impl Compiler<'_> {
+    /// Strips a leading `alias.` qualifier (schema attribute names are
+    /// globally unique, and stored view rows use bare names).
+    fn bare(&self, name: &str) -> String {
+        match name.split_once('.') {
+            Some((alias, rest)) if self.plan.aliases.iter().any(|(a, _)| a == alias) => rest.into(),
+            _ => name.to_string(),
+        }
+    }
 
-fn compile_node(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    aliases: &BTreeSet<String>,
-) -> Result<DeltaNode, QueryError> {
-    match plan {
-        // A rewrite note is planning provenance; deltas flow through it.
-        LogicalPlan::Rewrite { input, .. } => compile_node(catalog, input, aliases),
-        LogicalPlan::Scan {
-            table, predicates, ..
-        } => {
-            let def = catalog
-                .table_shared_ci(table)
-                .ok_or_else(|| QueryError::UnknownTable(table.clone()))?;
-            let predicates = predicates
-                .iter()
-                .map(|p| compile_predicate(p, aliases))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(DeltaNode::Scan { def, predicates })
-        }
-        LogicalPlan::HashJoin {
-            probe, build, on, ..
-        } => {
-            let left = compile_node(catalog, probe, aliases)?;
-            let right = compile_node(catalog, build, aliases)?;
-            let left_cols = left.column_set();
-            let mut pairs = Vec::new();
-            for p in on {
-                if p.op != Comparison::Eq {
-                    return Err(unsupported("a non-equi join"));
-                }
-                let PlanOperand::Column(rsym) = &p.right else {
-                    return Err(unsupported("a join on a non-column operand"));
-                };
-                let a = bare(p.left.name(), aliases);
-                let b = bare(rsym.name(), aliases);
-                let (lc, rc) = if left_cols.contains(&a) { (a, b) } else { (b, a) };
-                pairs.push((lc, rc));
-            }
-            let left_on: Vec<String> = pairs.iter().map(|(l, _)| l.clone()).collect();
-            let right_on: Vec<String> = pairs.iter().map(|(_, r)| r.clone()).collect();
-            let left_probe = left.probe_spec(catalog, &left_on);
-            let right_probe = right.probe_spec(catalog, &right_on);
-            Ok(DeltaNode::Join {
-                left: Box::new(left),
-                right: Box::new(right),
-                on: pairs,
-                left_cols,
-                left_probe,
-                right_probe,
+    /// The conditions `idxs`, each a bare column compared to a literal.
+    fn predicates(&self, idxs: &[usize]) -> Result<Vec<PlannedCondition>, QueryError> {
+        idxs.iter()
+            .map(|&i| match &self.plan.conditions[i].right {
+                PlannedOperand::Literal(_) => Ok(self.plan.conditions[i].clone()),
+                PlannedOperand::Param(_) => Err(unsupported("a parameterized predicate")),
+                PlannedOperand::Column(..) => Err(unsupported("a column-column filter")),
             })
-        }
-        LogicalPlan::Filter { input, predicates } => Ok(DeltaNode::Filter {
-            input: Box::new(compile_node(catalog, input, aliases)?),
-            predicates: predicates
-                .iter()
-                .map(|p| compile_predicate(p, aliases))
-                .collect::<Result<Vec<_>, _>>()?,
-        }),
-        LogicalPlan::Project { input, columns } => Ok(DeltaNode::Project {
-            input: Box::new(compile_node(catalog, input, aliases)?),
-            columns: columns.iter().map(|s| bare(s.name(), aliases)).collect(),
-        }),
-        LogicalPlan::Aggregate { .. } => Err(unsupported("an aggregate")),
-        LogicalPlan::Sort { .. } | LogicalPlan::TopK { .. } | LogicalPlan::Limit { .. } => {
-            Err(unsupported("ordering or a limit"))
+            .collect()
+    }
+
+    fn scan(&self, scan: &ScanNode) -> Result<DeltaNode, QueryError> {
+        Ok(DeltaNode::Scan {
+            def: scan.def.clone(),
+            predicates: self.predicates(&scan.filter)?,
+        })
+    }
+
+    fn node(&self, node: &PlanNode) -> Result<DeltaNode, QueryError> {
+        match node {
+            // A rewrite note is planning provenance; deltas flow through it.
+            PlanNode::Rewrite { input, .. } => self.node(input),
+            PlanNode::Scan(scan) => self.scan(scan),
+            PlanNode::HashJoin {
+                probe, build, on, ..
+            } => {
+                let left = self.node(probe)?;
+                let right = self.scan(build)?;
+                let left_cols = left.column_set();
+                let mut pairs = Vec::new();
+                for &i in on {
+                    let p = &self.plan.conditions[i];
+                    if p.op != Comparison::Eq {
+                        return Err(unsupported("a non-equi join"));
+                    }
+                    let PlannedOperand::Column(right, _) = &p.right else {
+                        return Err(unsupported("a join on a non-column operand"));
+                    };
+                    let (a, b) = (p.left.column.clone(), right.column.clone());
+                    pairs.push(if left_cols.contains(&a) { (a, b) } else { (b, a) });
+                }
+                let left_on: Vec<String> = pairs.iter().map(|(l, _)| l.clone()).collect();
+                let right_on: Vec<String> = pairs.iter().map(|(_, r)| r.clone()).collect();
+                let left_probe = left.probe_spec(self.catalog, &left_on);
+                let right_probe = right.probe_spec(self.catalog, &right_on);
+                Ok(DeltaNode::Join {
+                    left: Box::new(left),
+                    right: Box::new(right),
+                    on: pairs,
+                    left_cols,
+                    left_probe,
+                    right_probe,
+                })
+            }
+            PlanNode::Filter { input, conditions } => Ok(DeltaNode::Filter {
+                input: Box::new(self.node(input)?),
+                predicates: self.predicates(conditions)?,
+            }),
+            PlanNode::Project { input, columns } => Ok(DeltaNode::Project {
+                input: Box::new(self.node(input)?),
+                columns: columns.iter().map(|(_, out)| self.bare(out.name())).collect(),
+            }),
+            PlanNode::Aggregate { .. } => Err(unsupported("an aggregate")),
+            PlanNode::Sort { .. } | PlanNode::TopK { .. } | PlanNode::Limit { .. } => {
+                Err(unsupported("ordering or a limit"))
+            }
         }
     }
 }
@@ -323,11 +283,16 @@ fn compile_node(
 // Incremental evaluation
 // ----------------------------------------------------------------------
 
-fn predicates_pass(predicates: &[DeltaPredicate], row: &Row) -> bool {
-    predicates.iter().all(|p| match row.get(&p.column) {
-        Some(v) => p.op.evaluate(v, &p.value),
-        None => false,
-    })
+/// True when `row` (bare column names) passes every literal predicate.
+fn predicates_pass(predicates: &[PlannedCondition], row: &Row) -> bool {
+    predicates.iter().all(|p| p.holds(row, &[]))
+}
+
+/// A delta predicate as the delta IR renders it: bare column, operator,
+/// literal.
+fn bare_predicate(p: &PlannedCondition) -> String {
+    let literal = p.constant(&[]).map(ToString::to_string).unwrap_or_default();
+    format!("{} {} {literal}", p.left.column, p.op)
 }
 
 /// Builds the other side's lookup constraints — a row of `bare column =
@@ -559,7 +524,8 @@ impl DeltaNode {
             DeltaNode::Scan { def, predicates } => {
                 out.push_str(&format!("DeltaScan {}", def.name));
                 if !predicates.is_empty() {
-                    out.push_str(&format!(" filter=[{}]", join_display(predicates)));
+                    let filter = join_display(predicates.iter().map(bare_predicate));
+                    out.push_str(&format!(" filter=[{filter}]"));
                 }
                 out.push('\n');
             }
@@ -584,7 +550,8 @@ impl DeltaNode {
                 right.render_into(out, depth + 1);
             }
             DeltaNode::Filter { input, predicates } => {
-                out.push_str(&format!("DeltaFilter [{}]\n", join_display(predicates)));
+                let filter = join_display(predicates.iter().map(bare_predicate));
+                out.push_str(&format!("DeltaFilter [{filter}]\n"));
                 input.render_into(out, depth + 1);
             }
             DeltaNode::Project { input, columns } => {
@@ -853,7 +820,7 @@ mod tests {
             _ => unreachable!(),
         };
         let physical = executor.plan_select(&select).unwrap();
-        DeltaPlan::compile(executor.catalog(), physical.logical()).unwrap()
+        DeltaPlan::compile(executor.catalog(), &physical).unwrap()
     }
 
     #[test]
@@ -961,7 +928,7 @@ mod tests {
                 _ => unreachable!(),
             };
             let physical = executor.plan_select(&select).unwrap();
-            let err = DeltaPlan::compile(executor.catalog(), physical.logical());
+            let err = DeltaPlan::compile(executor.catalog(), &physical);
             assert!(err.is_err(), "{sql_text} must not compile incrementally");
         }
     }

@@ -5,14 +5,15 @@
 //!
 //! 1. **parse** — SQL text → [`sql::Statement`] ([`sql::parse_statement`]);
 //! 2. **bind** — names resolved against the [`Catalog`] to interned
-//!    [`Symbol`](relational::Symbol)s, parameters left as slots
-//!    (`crate::bind`);
-//! 3. **logical plan / optimize** — rule passes decide predicate placement,
-//!    access paths, join order, pushdowns and operator parallelism,
-//!    producing a [`LogicalPlan`](crate::LogicalPlan) (`crate::optimize`);
-//! 4. **physical plan** — the compiled, cacheable [`PhysicalPlan`] executes
-//!    over the pull-based [`RowStream`](crate::stream) operators
-//!    (`crate::physical`).
+//!    [`Symbol`](relational::Symbol)s, parameters left as slots, a column
+//!    no FROM entry declares refused (`crate::bind`);
+//! 3. **plan** — rule passes decide predicate placement, access paths,
+//!    join order, pushdowns and operator parallelism, each written once onto
+//!    the node of the plan tree it concerns (`crate::optimize`,
+//!    `crate::plan`), giving the compiled, cacheable [`PhysicalPlan`];
+//! 4. **execute** — the executor walks that tree, opening each node as a
+//!    pull-based `RowStream` operator that reads its decisions off the node
+//!    (`crate::physical`); `EXPLAIN` renders the same tree.
 //!
 //! [`Executor::execute_sql`] is the thin one-shot wrapper that runs all four
 //! phases per call.  [`crate::Session`] amortizes phases 1–3 across

@@ -7,10 +7,12 @@
 //! joins client-side with hash joins over table scans — which is precisely
 //! why joins are slow on the NoSQL store and why Synergy materializes them.
 //!
-//! Statement evaluation is an explicit four-phase pipeline — **parse →
-//! bind → logical plan → physical plan** — with every planning decision
-//! (predicate placement, access paths, join order, pushdowns, operator
-//! parallelism) visible in the [`LogicalPlan`] that `EXPLAIN` renders.
+//! Statement evaluation is an explicit pipeline — **parse → bind → plan →
+//! execute** — around one plan tree: the optimizer writes every planning
+//! decision (predicate placement, access paths, join order, pushdowns,
+//! operator parallelism) onto the tree's nodes, the executor walks the same
+//! nodes, and `EXPLAIN` renders them, so the tree `EXPLAIN` prints is the
+//! tree that runs.  Binding refuses a column no FROM entry declares.
 //!
 //! The main types are:
 //!
@@ -24,8 +26,10 @@
 //!   cache keyed by statement text (invalidated on catalog change), plus
 //!   `EXPLAIN`; [`PlanRewriter`] lets higher layers (Synergy) plug
 //!   statement rewrites into the planner as visible rules;
-//! * [`PhysicalPlan`] — a compiled SELECT: bound, optimized, parameter
-//!   slots open, re-executable via [`Executor::execute_plan`];
+//! * [`PhysicalPlan`] — a compiled SELECT: the plan tree plus its
+//!   condition templates with parameter slots open, re-executable via
+//!   [`Executor::execute_plan`] and compiled for view maintenance by
+//!   [`DeltaPlan::compile`];
 //! * [`baseline`] — the paper's §II-D baseline schema and workload
 //!   transformation.
 //!
@@ -73,7 +77,6 @@ pub use delta::{overlay, DeltaBuffer, DeltaPlan, DeltaSign, PendingWrite, RowDel
 pub use executor::{AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT};
 pub use optimize::select_probe_access;
 pub use physical::PhysicalPlan;
-pub use plan::{LogicalPlan, PlanOperand, PlanPredicate, SortKey};
 pub use result::{QueryError, QueryResult};
 pub use session::{PlanCacheStats, PlanRewriter, PreparedStatement, Session};
 pub use writes::{bind_write, BoundWrite, WriteChange};

@@ -1,9 +1,9 @@
 //! The **optimizer**: rule passes that turn a [`BoundSelect`] into a
-//! [`PhysicalPlan`].
-//!
-//! Each pass subsumes a planning decision the pre-IR executor made inline,
-//! so planning a statement and executing the plan is behavior- and
-//! cost-identical to the old single-shot path:
+//! [`PhysicalPlan`] — the plan tree (`crate::plan`) with every decision
+//! below written once, here, onto the node it concerns.  The executor reads
+//! each decision off its node and `EXPLAIN` renders the same nodes, so
+//! nothing is decided during execution and nothing rendered can differ from
+//! what runs:
 //!
 //! 1. **Predicate pushdown** — every single-alias constant predicate is
 //!    assigned to its alias's scan stream; equi-join predicates are
@@ -27,27 +27,24 @@
 //! 6. **Operator parallelism** — at `threads > 1`, full scans fan out
 //!    region-parallel, equi-joins hash-partition, and ORDER BY + LIMIT
 //!    runs per-worker bounded heaps, unless a bare LIMIT's early
-//!    termination forbids it.
+//!    termination forbids it; the width is frozen on each node.
 //!
 //! Statement-level rewrites (Synergy's materialized-view substitution)
 //! happen *before* binding through [`crate::PlanRewriter`] and are recorded
-//! on the plan as a [`LogicalPlan::Rewrite`] node, so `EXPLAIN` shows the
-//! substitution instead of hiding it in a pre-pass.
+//! on the plan as a `Rewrite` node, so `EXPLAIN` shows the substitution
+//! instead of hiding it in a pre-pass.
 
 use crate::bind::{
     self, column_mask, condition_is_single_alias, eq_filter_columns, join_column_for_alias,
     join_column_other_side, join_conditions_between, needed_columns, resolve_col, BoundSelect,
-    PlannedCondition, PlannedOperand,
 };
 use crate::catalog::{Catalog, TableDef};
 use crate::executor::{AccessPath, Executor};
-use crate::physical::{
-    AliasAccess, DecodeSpec, GroupPlan, IndexAccess, ItemPlan, JoinStep, PhysicalPlan,
-};
-use crate::plan::{LogicalPlan, PlanOperand, PlanPredicate, SortKey};
+use crate::physical::PhysicalPlan;
+use crate::plan::{DecodeSpec, GroupPlan, IndexAccess, ItemPlan, PlanNode, ScanNode, SortKey};
 use crate::result::QueryError;
 use relational::{intern, Symbol};
-use sql::{SelectItem, SelectStatement};
+use sql::{ColumnRef, SelectItem, SelectStatement};
 
 /// A note describing a statement-level rewrite that fired before planning.
 #[derive(Debug, Clone)]
@@ -140,6 +137,13 @@ pub(crate) fn plan_select(
     let catalog = executor.catalog();
     let threads = executor.threads();
     let n_aliases = aliases.len();
+    let single_table = n_aliases == 1;
+    let has_group = select.has_aggregates() || !select.group_by.is_empty();
+    // A bare LIMIT (no ORDER BY, no aggregation) stops pulling the pipeline
+    // lazily after k output rows; parallel sources and the partitioned join
+    // work in eager batches and would forfeit that early termination, so
+    // such statements stay on the serial streaming operators.
+    let limit_stops_early = select.limit.is_some() && select.order_by.is_empty() && !has_group;
 
     // --- Rule 1: predicate pushdown (classification) -------------------
     // Track which conditions are fully enforced inside the pipeline:
@@ -199,10 +203,67 @@ pub(crate) fn plan_select(
         }
     }
 
+    // --- Rules 4-6 (sources): one scan node per alias --------------------
+    let scan_node = |ai: usize, is_start: bool| -> Result<ScanNode, QueryError> {
+        let (alias, def) = &aliases[ai];
+        // Rule 4: the decode spec (qualified symbols + projection mask) of
+        // a table read under this alias; an index table shares column names
+        // with its base table, so the same scheme applies to it.
+        let needed = needed_columns(select, alias, def);
+        let decode = |table: &TableDef| DecodeSpec {
+            qual_syms: (!single_table).then(|| {
+                let qualify = |(name, _): &(String, _)| intern::intern(&format!("{alias}.{name}"));
+                table.columns.iter().map(qualify).collect()
+            }),
+            mask: column_mask(table, &needed),
+        };
+        let index = match &paths[ai] {
+            AccessPath::IndexScan { index } => {
+                let index_def = catalog
+                    .table_shared(index)
+                    .ok_or_else(|| QueryError::UnknownTable(index.clone()))?;
+                let covered = match &needed {
+                    Some(needed) => needed.iter().all(|c| index_def.column_type(c).is_some()),
+                    None => def.columns.iter().all(|(c, _)| index_def.column_type(c).is_some()),
+                };
+                Some(IndexAccess {
+                    decode: decode(&index_def),
+                    def: index_def,
+                    covered,
+                })
+            }
+            _ => None,
+        };
+        // Rule 5: store-level LIMIT pushdown is safe only when no downstream
+        // operator can drop or reorder rows, i.e. a bare single-table
+        // `LIMIT k`.  Every other shape still benefits from stream laziness
+        // (the source stops being pulled after `k` output rows).
+        let store_limit = match select.limit {
+            Some(k) if single_table && conditions.is_empty() && limit_stops_early => k,
+            _ => 0,
+        };
+        // Rule 6 (sources): full scans fan out on the pool unless a bare
+        // LIMIT will stop pulling this source early (which a pushed store
+        // limit implies).  Build sides are always fully drained.
+        let parallel = matches!(paths[ai], AccessPath::FullScan)
+            && threads > 1
+            && !(is_start && limit_stops_early);
+        Ok(ScanNode {
+            alias: alias.clone(),
+            def: def.clone(),
+            access: paths[ai].clone(),
+            decode: decode(def),
+            index,
+            filter: single_alias[ai].clone(),
+            store_limit,
+            width: if parallel { threads } else { 1 },
+        })
+    };
+
+    let mut node = PlanNode::Scan(Box::new(scan_node(start, true)?));
     let mut remaining: Vec<usize> = (0..n_aliases).collect();
     remaining.retain(|&i| i != start);
     let mut joined_aliases = vec![aliases[start].0.clone()];
-    let mut join_steps: Vec<JoinStep> = Vec::new();
     while !remaining.is_empty() {
         // Find a remaining alias connected to what we have joined so far.
         let next_pos = remaining
@@ -215,174 +276,125 @@ pub(crate) fn plan_select(
             .unwrap_or(0);
         let idx = remaining.remove(next_pos);
         let alias_name = aliases[idx].0.clone();
-        let cond_idxs: Vec<usize> =
-            join_conditions_between(&conditions, &alias_name, &joined_aliases)
-                .map(|(i, _)| i)
-                .collect();
-        for &i in &cond_idxs {
+        let on: Vec<usize> = join_conditions_between(&conditions, &alias_name, &joined_aliases)
+            .map(|(i, _)| i)
+            .collect();
+        for &i in &on {
             consumed[i] = true;
         }
         // Join-key symbols, resolved once per join instead of one
         // `format!("{alias}.{column}")` per row per condition.
-        let right_syms: Vec<Symbol> = cond_idxs
+        let build_keys: Vec<Symbol> = on
             .iter()
             .map(|&i| {
                 let col = join_column_for_alias(&conditions[i], &alias_name);
                 intern::intern(&format!("{alias_name}.{}", col.column))
             })
             .collect();
-        let left_syms: Vec<Symbol> = cond_idxs
+        let probe_keys: Vec<Symbol> = on
             .iter()
             .map(|&i| resolve_col(join_column_other_side(&conditions[i], &alias_name)))
             .collect();
         joined_aliases.push(alias_name);
         // --- Rule 6 (joins): serial vs hash-partitioned ---------------
-        let partitioned = threads > 1 && !limit_stops_early(select) && !cond_idxs.is_empty();
-        join_steps.push(JoinStep {
-            alias: idx,
-            cond_idxs,
-            left_syms,
-            right_syms,
-            partitioned,
-        });
+        let partitioned = threads > 1 && !limit_stops_early && !on.is_empty();
+        node = PlanNode::HashJoin {
+            probe: Box::new(node),
+            build: Box::new(scan_node(idx, false)?),
+            on,
+            probe_keys,
+            build_keys,
+            partitions: if partitioned { threads } else { 1 },
+        };
     }
 
     // Residual conditions: anything not consumed above.
     let residual: Vec<usize> = (0..conditions.len()).filter(|&i| !consumed[i]).collect();
+    if !residual.is_empty() {
+        node = PlanNode::Filter {
+            input: Box::new(node),
+            conditions: residual,
+        };
+    }
 
-    // --- Rule 5: limit pushdown ----------------------------------------
-    let single_table = n_aliases == 1;
-    let has_group = select.has_aggregates() || !select.group_by.is_empty();
-    let lse = limit_stops_early(select);
-    // Store-level LIMIT pushdown: safe only when no downstream operator
-    // can drop or reorder rows, i.e. a bare single-table `LIMIT k`.
-    // Every other shape still benefits from stream laziness (the source
-    // stops being pulled after `k` output rows).
-    let store_limit = if single_table
-        && conditions.is_empty()
-        && residual.is_empty()
-        && select.order_by.is_empty()
-        && !has_group
-    {
-        select.limit.unwrap_or(0)
-    } else {
-        0
-    };
-
-    // --- Rule 4: projection pushdown (per-alias decode specs) ----------
-    let access: Vec<AliasAccess> = aliases
-        .iter()
-        .enumerate()
-        .map(|(ai, (alias, def))| {
-            let needed = needed_columns(select, alias, def);
-            let qual_syms: Option<Vec<Symbol>> = (!single_table).then(|| {
-                def.columns
-                    .iter()
-                    .map(|(name, _)| intern::intern(&format!("{alias}.{name}")))
-                    .collect()
-            });
-            let decode = DecodeSpec {
-                qual_syms,
-                mask: column_mask(def, &needed),
-            };
-            let index = match &paths[ai] {
-                AccessPath::IndexScan { index } => {
-                    let index_def = catalog
-                        .table_shared(index)
-                        .ok_or_else(|| QueryError::UnknownTable(index.clone()))?;
-                    let covered = needed
-                        .as_ref()
-                        .map(|needed| needed.iter().all(|c| index_def.column_type(c).is_some()))
-                        .unwrap_or_else(|| {
-                            def.columns
-                                .iter()
-                                .all(|(c, _)| index_def.column_type(c).is_some())
-                        });
-                    // The index table shares column names with the base
-                    // table, so the same qualified-name scheme applies; its
-                    // symbols are indexed by the *index* def's column order.
-                    let index_qual_syms: Option<Vec<Symbol>> = (!single_table).then(|| {
-                        index_def
-                            .columns
-                            .iter()
-                            .map(|(name, _)| intern::intern(&format!("{alias}.{name}")))
-                            .collect()
-                    });
-                    let index_decode = DecodeSpec {
-                        qual_syms: index_qual_syms,
-                        mask: column_mask(&index_def, &needed),
-                    };
-                    Some(IndexAccess {
-                        def: index_def,
-                        covered,
-                        decode: index_decode,
-                    })
-                }
-                _ => None,
-            };
-            Ok(AliasAccess {
-                path: paths[ai].clone(),
-                decode,
-                index,
-            })
-        })
-        .collect::<Result<_, QueryError>>()?;
-
-    // Aggregate / projection / ordering sub-plans.
-    let group = has_group.then(|| build_group_plan(select));
-    let order_keys: Vec<(Symbol, bool)> = select
+    // Aggregation needs the whole input; ORDER BY + LIMIT then act on the
+    // (small) per-group output as a sort and a plain limit.  Over streamed
+    // rows ORDER BY + LIMIT is a bounded top-k heap (Rule 6: per-worker
+    // heaps at `threads`), ORDER BY alone a full sort, and a bare LIMIT
+    // stops pulling its input after k rows.
+    if has_group {
+        node = PlanNode::Aggregate {
+            input: Box::new(node),
+            group: build_group_plan(select),
+        };
+    }
+    let keys: Vec<SortKey> = select
         .order_by
         .iter()
-        .map(|key| (resolve_col(&key.column), key.descending))
+        .map(|key| SortKey {
+            column: resolve_col(order_column(select, &key.column)),
+            descending: key.descending,
+        })
         .collect();
-    let project = build_project(select);
+    match select.limit {
+        Some(k) if !has_group && !keys.is_empty() => {
+            node = PlanNode::TopK {
+                input: Box::new(node),
+                k,
+                keys,
+                width: threads,
+            };
+        }
+        limit => {
+            if !keys.is_empty() {
+                node = PlanNode::Sort {
+                    input: Box::new(node),
+                    keys,
+                };
+            }
+            if let Some(k) = limit {
+                node = PlanNode::Limit {
+                    input: Box::new(node),
+                    k,
+                };
+            }
+        }
+    }
 
-    // The logical plan mirrors every decision above for EXPLAIN.
-    let logical = build_logical(
-        select,
-        &aliases,
-        &conditions,
-        &single_alias,
-        &paths,
-        start,
-        &join_steps,
-        &residual,
-        store_limit,
-        lse,
-        threads,
-        &group,
-        &order_keys,
-        &project,
-        rewrite,
-    );
+    if let Some(columns) = build_project(select) {
+        node = PlanNode::Project {
+            input: Box::new(node),
+            columns,
+        };
+    }
+    if let Some(RewriteNote { rule, note }) = rewrite {
+        node = PlanNode::Rewrite {
+            rule,
+            note,
+            input: Box::new(node),
+        };
+    }
 
     Ok(PhysicalPlan {
         aliases,
         conditions,
-        single_alias,
-        start,
-        join_steps,
-        residual,
-        access,
-        store_limit,
-        limit_stops_early: lse,
-        limit: select.limit,
-        group,
-        order_keys,
-        project,
-        threads,
-        logical,
+        root: node,
         catalog_version: catalog.version(),
     })
 }
 
-/// True when a bare LIMIT (no ORDER BY, no aggregation) stops pulling the
-/// pipeline lazily after k output rows; parallel sources and the
-/// partitioned join work in eager batches and would forfeit that early
-/// termination, so such statements stay on the serial streaming operators.
-fn limit_stops_early(select: &SelectStatement) -> bool {
-    let has_group = select.has_aggregates() || !select.group_by.is_empty();
-    select.limit.is_some() && select.order_by.is_empty() && !has_group
+/// The column an ORDER BY key sorts on: the select-list column itself when
+/// the key names that column's output alias (the sort runs below the
+/// projection that introduces the alias), else the key as written.
+fn order_column<'a>(select: &'a SelectStatement, key: &'a ColumnRef) -> &'a ColumnRef {
+    let aliased = select.items.iter().find_map(|item| match item {
+        SelectItem::Column {
+            column,
+            alias: Some(alias),
+        } if key.qualifier.is_none() && *alias == key.column => Some(column),
+        _ => None,
+    });
+    aliased.unwrap_or(key)
 }
 
 /// Resolves the aggregate/GROUP BY sub-plan (symbols interned once).
@@ -445,152 +457,6 @@ fn build_project(select: &SelectStatement) -> Option<Vec<(Symbol, Symbol)>> {
             })
             .collect(),
     )
-}
-
-/// Renders one planned condition as a plan predicate.
-fn plan_predicate(c: &PlannedCondition) -> PlanPredicate {
-    PlanPredicate {
-        left: c.left_sym,
-        op: c.op,
-        right: match &c.right {
-            PlannedOperand::Literal(v) => PlanOperand::Literal(v.clone()),
-            PlannedOperand::Param(i) => PlanOperand::Param(*i),
-            PlannedOperand::Column(_, sym) => PlanOperand::Column(*sym),
-        },
-    }
-}
-
-/// Assembles the logical operator tree from the optimizer's decisions.
-#[allow(clippy::too_many_arguments)]
-fn build_logical(
-    select: &SelectStatement,
-    aliases: &[(String, std::sync::Arc<TableDef>)],
-    conditions: &[PlannedCondition],
-    single_alias: &[Vec<usize>],
-    paths: &[AccessPath],
-    start: usize,
-    join_steps: &[JoinStep],
-    residual: &[usize],
-    store_limit: usize,
-    limit_stops_early: bool,
-    threads: usize,
-    group: &Option<GroupPlan>,
-    order_keys: &[(Symbol, bool)],
-    project: &Option<Vec<(Symbol, Symbol)>>,
-    rewrite: Option<RewriteNote>,
-) -> LogicalPlan {
-    let scan_node = |ai: usize, is_start: bool| -> LogicalPlan {
-        let (alias, def) = &aliases[ai];
-        // Mirrors the physical source choice: full scans fan out on the
-        // pool unless a pushed store limit or a bare LIMIT downstream pins
-        // the source to the serial cursor.
-        let this_store_limit = if is_start { store_limit } else { 0 };
-        let parallel = if matches!(paths[ai], AccessPath::FullScan)
-            && threads > 1
-            && this_store_limit == 0
-            && !(is_start && limit_stops_early)
-        {
-            threads
-        } else {
-            1
-        };
-        LogicalPlan::Scan {
-            table: def.name.clone(),
-            alias: alias.clone(),
-            access: paths[ai].clone(),
-            predicates: single_alias[ai]
-                .iter()
-                .map(|&i| plan_predicate(&conditions[i]))
-                .collect(),
-            parallel,
-            store_limit: this_store_limit,
-        }
-    };
-
-    let mut node = scan_node(start, true);
-    for step in join_steps {
-        node = LogicalPlan::HashJoin {
-            probe: Box::new(node),
-            build: Box::new(scan_node(step.alias, false)),
-            build_alias: aliases[step.alias].0.clone(),
-            on: step
-                .cond_idxs
-                .iter()
-                .map(|&i| plan_predicate(&conditions[i]))
-                .collect(),
-            partitioned: if step.partitioned { threads } else { 1 },
-        };
-    }
-    if !residual.is_empty() {
-        node = LogicalPlan::Filter {
-            input: Box::new(node),
-            predicates: residual.iter().map(|&i| plan_predicate(&conditions[i])).collect(),
-        };
-    }
-
-    let sort_keys: Vec<SortKey> = order_keys
-        .iter()
-        .map(|(sym, desc)| SortKey {
-            column: *sym,
-            descending: *desc,
-        })
-        .collect();
-
-    if let Some(group) = group {
-        node = LogicalPlan::Aggregate {
-            input: Box::new(node),
-            group_by: group.group_syms.iter().map(|(q, _)| *q).collect(),
-            items: select.items.clone(),
-        };
-        if !sort_keys.is_empty() {
-            node = LogicalPlan::Sort {
-                input: Box::new(node),
-                keys: sort_keys,
-            };
-        }
-        if let Some(k) = select.limit {
-            node = LogicalPlan::Limit {
-                input: Box::new(node),
-                k,
-                pushed_to_store: false,
-            };
-        }
-    } else if !sort_keys.is_empty() {
-        node = match select.limit {
-            Some(k) => LogicalPlan::TopK {
-                input: Box::new(node),
-                k,
-                keys: sort_keys,
-                partitioned: if threads > 1 { threads } else { 1 },
-            },
-            None => LogicalPlan::Sort {
-                input: Box::new(node),
-                keys: sort_keys,
-            },
-        };
-    } else if let Some(k) = select.limit {
-        node = LogicalPlan::Limit {
-            input: Box::new(node),
-            k,
-            pushed_to_store: store_limit > 0,
-        };
-    }
-
-    if let Some(cols) = project {
-        node = LogicalPlan::Project {
-            input: Box::new(node),
-            columns: cols.iter().map(|(_, out)| *out).collect(),
-        };
-    }
-
-    match rewrite {
-        Some(RewriteNote { rule, note }) => LogicalPlan::Rewrite {
-            rule,
-            note,
-            input: Box::new(node),
-        },
-        None => node,
-    }
 }
 
 /// Convenience used by `Executor::plan_select` and the session: bind then

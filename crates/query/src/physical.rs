@@ -1,30 +1,27 @@
 //! Phase 4 of the query pipeline: the **physical plan** and its execution.
 //!
-//! A [`PhysicalPlan`] is the compiled, cacheable form of one SELECT: every
-//! name resolved to interned [`Symbol`]s, every planning decision (access
-//! paths, join order, pushdowns, serial-vs-partitioned operators) frozen,
-//! and parameters left as slots.  Executing it
-//! ([`Executor::execute_plan`]) substitutes fresh parameter values into the
-//! condition templates and drives the same pull-based [`RowStream`]
-//! operator pipeline the executor has always used: scan → projected decode
-//! → filter → hash joins (build side materialized, probe side streamed) →
-//! residual filter → aggregate / top-k / take → project.
+//! A [`PhysicalPlan`] is the compiled, cacheable form of one SELECT: the
+//! plan tree (`crate::plan`) with every name resolved to interned
+//! [`Symbol`]s and every planning decision frozen on its node, plus the
+//! condition templates with parameters left as slots.  Executing it
+//! ([`Executor::execute_plan`]) walks that tree: each node opens as a
+//! pull-based [`RowStream`] operator reading its decisions off the node —
+//! scan → projected decode → filter, hash joins (build side materialized,
+//! probe side streamed), residual filter, aggregate / sort / top-k / limit,
+//! project.  Nothing is decided during execution, so the tree `EXPLAIN`
+//! renders is the tree that runs.
 //!
-//! Because the plan only freezes decisions the pre-planner executor made
-//! deterministically per statement, executing a plan charges **exactly**
-//! the simulated costs of the old single-shot path — pinned by the
-//! committed `BENCH_report.json` sim figures.
+//! Executing a plan charges exactly the simulated costs the executor always
+//! has — pinned by the committed `BENCH_report.json` sim figures and the
+//! golden-plan suite.
 
-use crate::bind::{
-    eq_filter_row, range_filter_bounds, BoundCondition, BoundOperand, PlannedCondition,
-    PlannedOperand,
-};
+use crate::bind::{check_params, eq_filter_row, range_filter_bounds, PlannedCondition, PlannedOperand};
 use crate::catalog::TableDef;
 use crate::executor::{
     par_batches, stored_row_is_dirty, AccessPath, Executor, ScanShape, StoredRows,
     DIRTY_RETRY_LIMIT,
 };
-use crate::plan::LogicalPlan;
+use crate::plan::{DecodeSpec, GroupPlan, ItemPlan, PlanNode, ScanNode, SortKey};
 use crate::result::{QueryError, QueryResult};
 use crate::stream::{collect_stream, par_top_k, top_k, Residency, RowStream};
 use nosql_store::ops::Get;
@@ -32,83 +29,6 @@ use relational::{encode_key, Row, Symbol, Value};
 use sql::AggregateFunction;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap}; // lint-allow(determinism): join build tables below are probe-only
-
-/// How the rows of one alias are decoded into relational rows: the output
-/// symbols (qualified under the alias for multi-table statements) and the
-/// projection mask, resolved once at plan time.
-#[derive(Debug, Clone)]
-pub(crate) struct DecodeSpec {
-    /// Alias-qualified output symbols, indexed by the table's column order
-    /// (`None` for single-table statements, which decode bare names).
-    pub qual_syms: Option<Vec<Symbol>>,
-    /// Projection mask over the table's columns (`None` = decode all).
-    pub mask: Option<Vec<bool>>,
-}
-
-/// Access details for an [`AccessPath::IndexScan`] alias.
-#[derive(Debug, Clone)]
-pub(crate) struct IndexAccess {
-    /// The index table's definition (shared with the catalog).
-    pub def: std::sync::Arc<TableDef>,
-    /// True when the index covers every needed column (no base-table
-    /// lookups required).
-    pub covered: bool,
-    /// Decode spec against the index table (used when covered).
-    pub decode: DecodeSpec,
-}
-
-/// Everything the physical phase needs to open one alias's row stream.
-#[derive(Debug, Clone)]
-pub(crate) struct AliasAccess {
-    /// The chosen access path.
-    pub path: AccessPath,
-    /// Decode spec against the base table.
-    pub decode: DecodeSpec,
-    /// Present when `path` is an index scan.
-    pub index: Option<IndexAccess>,
-}
-
-/// One hash-join step: which alias joins in, on which conditions, with the
-/// join-key symbols pre-resolved for both sides.
-#[derive(Debug, Clone)]
-pub(crate) struct JoinStep {
-    /// Index of the newly joined alias (the build side).
-    pub alias: usize,
-    /// Indices of the equi-join conditions this step enforces.
-    pub cond_idxs: Vec<usize>,
-    /// Join-key symbols on the probe (already-joined) side.
-    pub left_syms: Vec<Symbol>,
-    /// Join-key symbols on the build side (alias-qualified).
-    pub right_syms: Vec<Symbol>,
-    /// True when this join runs hash-partitioned across the pool.
-    pub partitioned: bool,
-}
-
-/// One resolved select item of an aggregate/GROUP BY output row.
-#[derive(Debug, Clone)]
-pub(crate) enum ItemPlan {
-    Aggregate {
-        function: AggregateFunction,
-        argument: Option<Symbol>,
-        name: Symbol,
-    },
-    Column {
-        lookup: Symbol,
-        out: Symbol,
-        alias: Option<Symbol>,
-    },
-    Wildcard,
-}
-
-/// The aggregate/GROUP BY sub-plan: grouping symbols (qualified + bare
-/// output forms) and the resolved select items.
-#[derive(Debug, Clone)]
-pub(crate) struct GroupPlan {
-    /// `(qualified, bare)` output symbols per GROUP BY column.
-    pub group_syms: Vec<(Symbol, Symbol)>,
-    /// Resolved select items.
-    pub items: Vec<ItemPlan>,
-}
 
 /// The compiled form of one SELECT: bound, optimized, parameter slots open.
 ///
@@ -121,36 +41,11 @@ pub struct PhysicalPlan {
     /// `(alias, table definition)` per FROM entry, statement order
     /// (definitions shared with the catalog the plan was compiled from).
     pub(crate) aliases: Vec<(String, std::sync::Arc<TableDef>)>,
-    /// Resolved WHERE conjuncts with open parameter slots.
+    /// Resolved WHERE conjuncts with open parameter slots; the tree's nodes
+    /// refer to them by index.
     pub(crate) conditions: Vec<PlannedCondition>,
-    /// Per alias: indices of its single-alias filter conditions.
-    pub(crate) single_alias: Vec<Vec<usize>>,
-    /// Index of the starting (probe-side) alias.
-    pub(crate) start: usize,
-    /// Hash-join steps in execution order.
-    pub(crate) join_steps: Vec<JoinStep>,
-    /// Indices of residual conditions evaluated after all joins.
-    pub(crate) residual: Vec<usize>,
-    /// Per-alias access decisions (same order as `aliases`).
-    pub(crate) access: Vec<AliasAccess>,
-    /// Row limit pushed into the store scan (0 = none).
-    pub(crate) store_limit: usize,
-    /// True when a bare LIMIT stops pulling the pipeline early (which keeps
-    /// the source and joins on the lazily-pulled serial operators).
-    pub(crate) limit_stops_early: bool,
-    /// The statement's `LIMIT k`, if any.
-    pub(crate) limit: Option<usize>,
-    /// The aggregate/GROUP BY sub-plan, when the statement aggregates.
-    pub(crate) group: Option<GroupPlan>,
-    /// Resolved ORDER BY keys (`(symbol, descending)`).
-    pub(crate) order_keys: Vec<(Symbol, bool)>,
-    /// Final projection as `(lookup, output)` symbol pairs (`None` =
-    /// identity: wildcard or aggregate output).
-    pub(crate) project: Option<Vec<(Symbol, Symbol)>>,
-    /// Worker count the plan was compiled for (1 = serial pipeline).
-    pub(crate) threads: usize,
-    /// The logical plan this physical plan was compiled from (EXPLAIN).
-    pub(crate) logical: LogicalPlan,
+    /// The plan tree: what runs, and what `EXPLAIN` renders.
+    pub(crate) root: PlanNode,
     /// Catalog version at plan time; plan caches treat a mismatch as stale.
     pub(crate) catalog_version: u64,
 }
@@ -158,22 +53,12 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Renders the stable, indented plan tree — the `EXPLAIN` text.
     pub fn explain(&self) -> String {
-        self.logical.render()
-    }
-
-    /// The logical plan this physical plan was compiled from.
-    pub fn logical(&self) -> &LogicalPlan {
-        &self.logical
+        self.root.render(&self.conditions)
     }
 
     /// The catalog version this plan was compiled against.
     pub fn catalog_version(&self) -> u64 {
         self.catalog_version
-    }
-
-    /// The worker count the plan was compiled for (1 = serial pipeline).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The table each FROM entry reads, in statement order (after any
@@ -187,22 +72,11 @@ impl PhysicalPlan {
     /// prefix scan (the last such filter wins, as in the access path).
     /// `None`: no such filter, or its parameter is not supplied.
     pub fn eq_binding(&self, alias: usize, column: &str, params: &[Value]) -> Option<Value> {
-        let mut filters = self.single_alias[alias].iter().rev().map(|&i| &self.conditions[i]);
+        let scan = self.root.scan(&self.aliases.get(alias)?.0)?;
+        let mut filters = scan.filter.iter().rev().map(|&i| &self.conditions[i]);
         let filter = filters.find(|c| c.op == sql::Comparison::Eq && c.left.column == column)?;
-        match &filter.right {
-            PlannedOperand::Literal(value) => Some(value.clone()),
-            PlannedOperand::Param(i) => params.get(*i).cloned(),
-            PlannedOperand::Column(..) => None,
-        }
+        filter.constant(params).cloned()
     }
-}
-
-/// Whether an alias stream feeds the pipeline (probe side) or a hash-join
-/// build side — the two differ in limit pushdown and parallelism choices.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SourceRole {
-    Start,
-    Build,
 }
 
 /// A hash-join key; the single-condition case (all of TPC-W's joins)
@@ -274,6 +148,40 @@ impl<'a> DecodeCtx<'a> {
     }
 }
 
+/// One execution's inputs, which every node reads: the plan's condition
+/// templates, the parameter values and the statement's residency meter.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    conditions: &'a [PlannedCondition],
+    params: &'a [Value],
+    meter: &'a Residency,
+}
+
+/// What an opened node yields: rows still streaming, or rows a
+/// materializing node (aggregate, sort, top-k) already holds — and has
+/// already metered, so its consumer does not meter them again.
+enum Rows<'a> {
+    Streamed(RowStream<'a>),
+    Resident(Vec<Row>),
+}
+
+impl<'a> Rows<'a> {
+    fn stream(self) -> RowStream<'a> {
+        match self {
+            Rows::Streamed(stream) => stream,
+            Rows::Resident(rows) => Box::new(rows.into_iter().map(Ok)),
+        }
+    }
+
+    /// The rows, materialized: a stream is drained and metered.
+    fn collect(self, meter: &Residency) -> Result<Vec<Row>, QueryError> {
+        match self {
+            Rows::Streamed(stream) => collect_stream(stream, meter),
+            Rows::Resident(rows) => Ok(rows),
+        }
+    }
+}
+
 impl Executor {
     /// Executes a compiled plan with positional parameters.  A statement
     /// whose streamed scans observe a dirty marker restarts (the
@@ -300,144 +208,143 @@ impl Executor {
         }
     }
 
-    /// One execution attempt: bind parameters into the condition templates,
-    /// then drive the operator pipeline the plan describes.
+    /// One execution attempt: check the parameters against the condition
+    /// templates, then open the plan tree and drain it.
     fn run_plan(&self, plan: &PhysicalPlan, params: &[Value]) -> Result<QueryResult, QueryError> {
-        let bound: Vec<BoundCondition> = plan
-            .conditions
-            .iter()
-            .map(|c| c.bind(params))
-            .collect::<Result<_, _>>()?;
-
+        check_params(&plan.conditions, params)?;
         let meter = Residency::default();
-
-        // Source: the start alias's scan/get stream.
-        let mut stream = self.alias_stream(plan, plan.start, &bound, SourceRole::Start)?;
-
-        // Hash joins: each step materializes its build side (the newly
-        // joined alias) and streams the probe side through it.
-        for step in &plan.join_steps {
-            let right_stream = self.alias_stream(plan, step.alias, &bound, SourceRole::Build)?;
-            let right_rows = collect_stream(right_stream, &meter)?;
-            stream = if step.partitioned {
-                self.par_hash_join(stream, right_rows, step, &meter, plan.threads)?
-            } else {
-                self.hash_join_stream(stream, right_rows, step)
-            };
-        }
-
-        if !plan.residual.is_empty() {
-            let residual: Vec<&BoundCondition> =
-                plan.residual.iter().map(|&i| &bound[i]).collect();
-            stream = Box::new(stream.filter(move |row| match row {
-                Ok(row) => residual.iter().all(|c| evaluate_condition(row, c)),
-                Err(_) => true,
-            }));
-        }
-
-        let rows: Vec<Row> = if let Some(group) = &plan.group {
-            // Aggregation needs the whole input; ORDER BY + LIMIT then act
-            // on the (small) per-group output.
-            let input = collect_stream(stream, &meter)?;
-            let mut rows = apply_group_and_aggregates(group, input);
-            if !plan.order_keys.is_empty() {
-                let cmp = order_comparator(&plan.order_keys);
-                rows.sort_by(|a, b| cmp(a, b));
-            }
-            if let Some(limit) = plan.limit {
-                rows.truncate(limit);
-            }
-            rows
-        } else if !plan.order_keys.is_empty() {
-            let cmp = order_comparator(&plan.order_keys);
-            match plan.limit {
-                // Per-worker bounded heaps merged at the barrier: each
-                // worker selects its chunk's k best, the merge re-selects
-                // over the ≤ threads·k survivors.  The width is the plan's
-                // frozen decision, so execution always matches what the
-                // rendered plan tree documents.
-                Some(limit) if plan.threads > 1 => {
-                    par_top_k(stream, limit, cmp, &meter, plan.threads)?
-                }
-                // Bounded top-k heap: k rows resident instead of the full
-                // input.
-                Some(limit) => top_k(stream, limit, cmp, &meter)?,
-                None => {
-                    let mut rows = collect_stream(stream, &meter)?;
-                    rows.sort_by(|a, b| cmp(a, b));
-                    rows
-                }
-            }
-        } else if let Some(limit) = plan.limit {
-            // Plain LIMIT: stop pulling the pipeline after `limit` rows.
-            // The bound is checked *before* each pull — pulling one row past
-            // the limit could fetch (and charge) a whole extra store page.
-            let mut rows = Vec::with_capacity(limit.min(1_024));
-            while rows.len() < limit {
-                let Some(row) = stream.next() else { break };
-                rows.push(row?);
-                meter.add(1);
-            }
-            rows
-        } else {
-            collect_stream(stream, &meter)?
+        let run = Run {
+            conditions: &plan.conditions,
+            params,
+            meter: &meter,
         };
-
-        let rows = project_rows(&plan.project, rows);
+        let rows = self.open(&plan.root, run)?.collect(&meter)?;
         self.cluster()
             .clock()
             .charge(self.cluster().cost_model().client_result_cost(rows.len() as u64));
         Ok(QueryResult::with_rows(rows).with_peak_rows_resident(meter.peak()))
     }
 
-    /// Opens the stream of one alias's rows following the plan's access
-    /// decision: the stored rows [`Executor::open_rows`] yields for the path,
-    /// mapped through dirty detection and projected decode, filtered by the
-    /// alias's single-alias conditions.
+    /// Opens one node of the plan tree.  Children open before their parent
+    /// starts pulling; a join opens its probe subtree first, then opens and
+    /// collects its build side.
+    fn open<'a>(&'a self, node: &'a PlanNode, run: Run<'a>) -> Result<Rows<'a>, QueryError> {
+        Ok(match node {
+            PlanNode::Rewrite { input, .. } => self.open(input, run)?,
+            PlanNode::Scan(scan) => Rows::Streamed(self.open_scan(scan, run)?),
+            PlanNode::HashJoin {
+                probe,
+                build,
+                probe_keys,
+                build_keys,
+                partitions,
+                ..
+            } => {
+                let probe = self.open(probe, run)?.stream();
+                let build = collect_stream(self.open_scan(build, run)?, run.meter)?;
+                Rows::Streamed(if *partitions > 1 {
+                    self.par_hash_join(probe, build, probe_keys, build_keys, run.meter, *partitions)?
+                } else {
+                    self.hash_join_stream(probe, build, probe_keys, build_keys)
+                })
+            }
+            PlanNode::Filter { input, conditions } => {
+                let stream = self.open(input, run)?.stream();
+                Rows::Streamed(Box::new(stream.filter(move |row| match row {
+                    Ok(row) => conditions
+                        .iter()
+                        .all(|&i| evaluate_condition(row, &run.conditions[i], run.params)),
+                    Err(_) => true,
+                })))
+            }
+            PlanNode::Aggregate { input, group } => {
+                let input = self.open(input, run)?.collect(run.meter)?;
+                Rows::Resident(apply_group_and_aggregates(group, input))
+            }
+            PlanNode::Sort { input, keys } => {
+                let mut rows = self.open(input, run)?.collect(run.meter)?;
+                let cmp = order_comparator(keys);
+                rows.sort_by(|a, b| cmp(a, b));
+                Rows::Resident(rows)
+            }
+            PlanNode::TopK {
+                input,
+                k,
+                keys,
+                width,
+            } => {
+                let stream = self.open(input, run)?.stream();
+                let cmp = order_comparator(keys);
+                // Per-worker bounded heaps merged at the barrier: each worker
+                // selects its chunk's k best, the merge re-selects over the
+                // ≤ width·k survivors.  Serially, one heap: k rows resident
+                // instead of the full input.
+                Rows::Resident(if *width > 1 {
+                    par_top_k(stream, *k, cmp, run.meter, *width)?
+                } else {
+                    top_k(stream, *k, cmp, run.meter)?
+                })
+            }
+            // `take` checks its bound *before* each pull — pulling one row
+            // past the limit could fetch (and charge) a whole extra page.
+            PlanNode::Limit { input, k } => match self.open(input, run)? {
+                Rows::Streamed(stream) => Rows::Streamed(Box::new(stream.take(*k))),
+                Rows::Resident(mut rows) => {
+                    rows.truncate(*k);
+                    Rows::Resident(rows)
+                }
+            },
+            PlanNode::Project { input, columns } => match self.open(input, run)? {
+                Rows::Streamed(stream) => {
+                    Rows::Streamed(Box::new(stream.map(|row| Ok(project_row(columns, &row?)))))
+                }
+                Rows::Resident(rows) => {
+                    Rows::Resident(rows.iter().map(|row| project_row(columns, row)).collect())
+                }
+            },
+        })
+    }
+
+    /// Opens one scan's row stream as its node prescribes: the stored rows
+    /// [`Executor::open_rows`] yields for the access path, mapped through
+    /// dirty detection and projected decode, filtered by the node's
+    /// single-alias conditions.
     ///
     /// A dirty marker observed anywhere in the stream surfaces as
     /// [`QueryError::DirtyRestart`], which restarts the whole statement; a
     /// failed store operation surfaces as [`QueryError::Store`], which fails
-    /// it.  The plan's store-level limit applies only to the start alias; a
-    /// bare LIMIT downstream keeps the start source on the serial cursor
-    /// (the batch-eager parallel source would forfeit early termination),
-    /// while build sides are always fully drained and may parallelize freely.
-    fn alias_stream<'a>(
-        &'a self,
-        plan: &'a PhysicalPlan,
-        ai: usize,
-        bound: &[BoundCondition],
-        role: SourceRole,
-    ) -> Result<RowStream<'a>, QueryError> {
-        let (_, def) = &plan.aliases[ai];
-        let access = &plan.access[ai];
-        let eq = eq_filter_row(&plan.conditions, bound, &plan.single_alias[ai]);
-        let (store_limit, prefer_serial) = match role {
-            SourceRole::Start => (plan.store_limit, plan.limit_stops_early),
-            SourceRole::Build => (0, false),
-        };
-        let ctx = DecodeCtx::new(def, &access.decode, self.dirty_protection());
-        let index = access.index.as_ref();
-        let open = |shape| self.open_rows(def, &access.path, index.map(|i| &*i.def), &eq, shape);
+    /// it.
+    fn open_scan<'a>(&'a self, scan: &'a ScanNode, run: Run<'a>) -> Result<RowStream<'a>, QueryError> {
+        let ScanNode {
+            def,
+            access,
+            decode,
+            index,
+            filter,
+            ..
+        } = scan;
+        let eq = eq_filter_row(run.conditions, run.params, filter);
+        let ctx = DecodeCtx::new(def, decode, self.dirty_protection());
+        let open = |shape| self.open_rows(def, access, index.as_ref().map(|i| &*i.def), &eq, shape);
         // The rows of `ctx`'s table, projected onto what `ctx` decodes.
         let projected = |ctx: &DecodeCtx| ScanShape {
             columns: self.scan_projection(ctx.def, ctx.mask),
             ..ScanShape::default()
         };
 
-        let base: RowStream<'a> = match (&access.path, index) {
+        let base: RowStream<'a> = match (access, index) {
             (AccessPath::KeyGet, _) => {
                 // Eager: a dirty row restarts the statement before any other
-                // alias is opened (and charged).
+                // scan is opened (and charged).
                 let stored = open(ScanShape::default())?.next().transpose()?;
                 let row = stored.map(|stored| ctx.read(&stored)).transpose()?;
                 Box::new(row.into_iter().map(Ok))
             }
-            (AccessPath::IndexScan { .. }, Some(index)) if index.covered => {
+            (_, Some(index)) if index.covered => {
                 let index_ctx = DecodeCtx::new(&index.def, &index.decode, ctx.dirty_protection);
                 index_ctx.stream(open(projected(&index_ctx))?)
             }
-            (AccessPath::IndexScan { .. }, Some(index)) => {
+            (_, Some(index)) => {
                 // Stream the index entries and look up each base row by
                 // primary key as it is pulled; the index row is decoded
                 // bare (it only feeds key encoding).
@@ -457,61 +364,46 @@ impl Executor {
                         .filter_map(Result::transpose),
                 )
             }
-            (AccessPath::KeyRangeScan, _) => {
-                // The planner froze the *shape* (both-sided range filters
-                // on `key[0]`); the concrete `[lo, hi]` envelope comes from
-                // the bound parameter values per execution.  When the
-                // encoded bounds are order-safe the store walk is clamped
-                // to them; otherwise the walk degrades to a full scan —
-                // either way the single-alias stream filters below re-check
-                // every row, so the clamp is purely a cost optimization.
-                let bounds = range_filter_bounds(
-                    &plan.conditions,
-                    bound,
-                    &plan.single_alias[ai],
-                    &def.key[0],
-                );
-                let range = bounds.as_ref().and_then(|(lo, hi)| range_scan_bounds(lo, hi));
-                ctx.stream(open(ScanShape { range, ..projected(&ctx) })?)
+            _ => {
+                // A key-range scan froze the *shape* (both-sided range
+                // filters on `key[0]`); the concrete `[lo, hi]` envelope
+                // comes from the parameter values per execution.  When the
+                // encoded bounds are order-safe the store walk is clamped to
+                // them; otherwise the walk degrades to a full scan — either
+                // way the node's filters below re-check every row, so the
+                // clamp is purely a cost optimization.
+                let range = match access {
+                    AccessPath::KeyRangeScan => {
+                        range_filter_bounds(run.conditions, run.params, filter, &def.key[0])
+                            .and_then(|(lo, hi)| range_scan_bounds(&lo, &hi))
+                    }
+                    _ => None,
+                };
+                let shape = ScanShape {
+                    range,
+                    limit: scan.store_limit,
+                    width: scan.width,
+                    ..projected(&ctx)
+                };
+                let rows = open(shape)?;
+                if scan.width > 1 {
+                    // Region-partitioned scan workers feeding batch-parallel
+                    // decode.  Decoding a batch past a dirty marker is only
+                    // wasted work: the whole statement restarts.
+                    Box::new(par_batches(rows, scan.width, move |stored| ctx.read(&stored)))
+                } else {
+                    ctx.stream(rows)
+                }
             }
-            // Parallel source: region-partitioned scan workers feeding
-            // batch-parallel decode.  Limit-pushed scans stay serial —
-            // they touch O(k) rows, below any fan-out's break-even —
-            // as do sources a bare LIMIT will stop pulling early.  The
-            // width is the plan's frozen decision (`plan.threads`), not
-            // the executing executor's configuration.
-            (AccessPath::FullScan, _) if plan.threads > 1 && store_limit == 0 && !prefer_serial => {
-                let width = plan.threads;
-                let rows = open(ScanShape { width, ..projected(&ctx) })?;
-                // Decoding a batch past a dirty marker is only wasted
-                // work: the whole statement restarts.
-                Box::new(par_batches(rows, width, move |stored| ctx.read(&stored)))
-            }
-            (AccessPath::FullScan, _) => {
-                ctx.stream(open(ScanShape { limit: store_limit, ..projected(&ctx) })?)
-            }
-            // A key-prefix scan (an index scan without its index table's
-            // definition is refused by the opener).
-            _ => ctx.stream(open(projected(&ctx))?),
         };
 
         // Apply every single-alias filter (equality and range) on the
         // stream; residual multi-alias conditions are applied after joins.
-        if plan.single_alias[ai].is_empty() {
+        if filter.is_empty() {
             return Ok(base);
         }
-        let conds: Vec<BoundCondition> = plan.single_alias[ai]
-            .iter()
-            .map(|&i| bound[i].clone())
-            .collect();
         Ok(Box::new(base.filter(move |row| match row {
-            Ok(row) => conds.iter().all(|c| {
-                let left = row.get_interned(&c.left_sym);
-                match (&c.right, left) {
-                    (BoundOperand::Value(v), Some(l)) => c.op.evaluate(l, v),
-                    _ => false,
-                }
-            }),
+            Ok(row) => filter.iter().all(|&i| run.conditions[i].holds(row, run.params)),
             Err(_) => true,
         })))
     }
@@ -530,7 +422,8 @@ impl Executor {
         &'a self,
         left: RowStream<'a>,
         mut right: Vec<Row>,
-        step: &JoinStep,
+        left_syms: &'a [Symbol],
+        right_syms: &[Symbol],
     ) -> RowStream<'a> {
         let model = self.cluster().cost_model();
         self.cluster()
@@ -540,7 +433,7 @@ impl Executor {
             row.freeze();
         }
 
-        if step.cond_idxs.is_empty() {
+        if left_syms.is_empty() {
             // Cross join (rare; only used when the workload really asks for it).
             return Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
                 match l {
@@ -553,9 +446,6 @@ impl Executor {
                 }
             }));
         }
-
-        let left_syms = step.left_syms.clone();
-        let right_syms = &step.right_syms;
 
         // Build side: hash the right rows on the join attribute values.
         // lint-allow(determinism): probe-only hash table; output order follows `left`, never this map
@@ -574,7 +464,7 @@ impl Executor {
                         .clock()
                         .charge(model.shuffle_cost(1) + model.probe_cost(1));
                     l.freeze();
-                    let Some(key) = JoinKey::of(&l, &left_syms) else {
+                    let Some(key) = JoinKey::of(&l, left_syms) else {
                         return Vec::new();
                     };
                     match build.get(&key) {
@@ -606,7 +496,8 @@ impl Executor {
         &'a self,
         left: RowStream<'a>,
         mut right: Vec<Row>,
-        step: &JoinStep,
+        left_syms: &[Symbol],
+        right_syms: &[Symbol],
         meter: &Residency,
         threads: usize,
     ) -> Result<RowStream<'a>, QueryError> {
@@ -624,7 +515,7 @@ impl Executor {
         // build-row order.
         let mut partitions: Vec<Vec<(JoinKey, usize)>> = vec![Vec::new(); threads];
         for (i, row) in right.iter().enumerate() {
-            if let Some(key) = JoinKey::of(row, &step.right_syms) {
+            if let Some(key) = JoinKey::of(row, right_syms) {
                 partitions[partition_of(&key, threads)].push((key, i));
             }
         }
@@ -647,13 +538,12 @@ impl Executor {
             .clock()
             .charge(model.shuffle_cost(largest_chunk) + model.probe_cost(largest_chunk));
         let tables_ref = &tables;
-        let left_syms_ref = &step.left_syms;
         let right_ref = &right;
         let outputs: Vec<Vec<Row>> = pool::map_chunked(probe, threads, |chunk| {
             let mut out = Vec::new();
             for mut l in chunk {
                 l.freeze();
-                let Some(key) = JoinKey::of(&l, left_syms_ref) else {
+                let Some(key) = JoinKey::of(&l, left_syms) else {
                     continue;
                 };
                 if let Some(matches) = tables_ref[partition_of(&key, threads)].get(&key) {
@@ -714,21 +604,19 @@ fn partition_of(key: &JoinKey, parts: usize) -> usize {
     (hasher.finish() % parts.max(1) as u64) as usize
 }
 
-/// Evaluates any bound condition against a joined row (used for residual
-/// predicates).  Conditions whose columns are absent evaluate to true so that
-/// filters already applied during the per-alias fetch are not re-applied
-/// against rows that legitimately dropped reserved columns.
-fn evaluate_condition(row: &Row, c: &BoundCondition) -> bool {
+/// Evaluates a residual condition against a joined row.  Conditions whose
+/// columns are absent evaluate to true so that filters already applied
+/// during the per-alias fetch are not re-applied against rows that
+/// legitimately dropped reserved columns.
+fn evaluate_condition(row: &Row, c: &PlannedCondition, params: &[Value]) -> bool {
     let Some(left) = row.get_interned(&c.left_sym) else {
         return true;
     };
-    match &c.right {
-        BoundOperand::Value(v) => c.op.evaluate(left, v),
-        BoundOperand::Column(sym) => match row.get_interned(sym) {
-            Some(r) => c.op.evaluate(left, r),
-            None => true,
-        },
-    }
+    let right = match &c.right {
+        PlannedOperand::Column(_, sym) => row.get_interned(sym),
+        _ => c.constant(params),
+    };
+    right.is_none_or(|right| c.op.evaluate(left, right))
 }
 
 /// Evaluates the aggregate/GROUP BY sub-plan over the joined input rows.
@@ -825,14 +713,13 @@ fn compute_aggregate(
     }
 }
 
-/// The ORDER BY comparator over the plan's resolved sort keys; shared by
+/// The ORDER BY comparator over the node's resolved sort keys; shared by
 /// the full sort and the bounded top-k operators.
-fn order_comparator(keys: &[(Symbol, bool)]) -> impl Fn(&Row, &Row) -> Ordering + Sync {
-    let keys = keys.to_vec();
+fn order_comparator(keys: &[SortKey]) -> impl Fn(&Row, &Row) -> Ordering + Sync + '_ {
     move |a: &Row, b: &Row| {
-        for (sym, descending) in &keys {
-            let av = a.get_interned(sym);
-            let bv = b.get_interned(sym);
+        for SortKey { column, descending } in keys {
+            let av = a.get_interned(column);
+            let bv = b.get_interned(column);
             let ord = match (av, bv) {
                 (Some(a), Some(b)) => a.cmp(b),
                 (Some(a), None) => a.cmp(&Value::Null),
@@ -848,19 +735,12 @@ fn order_comparator(keys: &[(Symbol, bool)]) -> impl Fn(&Row, &Row) -> Ordering 
     }
 }
 
-/// Applies the plan's final projection (`None` = identity).
-fn project_rows(project: &Option<Vec<(Symbol, Symbol)>>, rows: Vec<Row>) -> Vec<Row> {
-    let Some(cols) = project else {
-        return rows;
-    };
-    rows.into_iter()
-        .map(|row| {
-            let mut out = Row::with_capacity(cols.len());
-            for (lookup, name) in cols {
-                let value = row.get_interned(lookup).cloned().unwrap_or(Value::Null);
-                out.set_interned(*name, value);
-            }
-            out
-        })
-        .collect()
+/// Projects one row onto `(lookup, output)` symbol pairs.
+fn project_row(columns: &[(Symbol, Symbol)], row: &Row) -> Row {
+    let mut out = Row::with_capacity(columns.len());
+    for (lookup, name) in columns {
+        let value = row.get_interned(lookup).cloned().unwrap_or(Value::Null);
+        out.set_interned(*name, value);
+    }
+    out
 }

@@ -1,64 +1,130 @@
-//! Phase 3 of the query pipeline: the **logical plan** IR.
+//! Phase 3 of the query pipeline: the **plan tree**.
 //!
-//! A [`LogicalPlan`] is an operator tree over bound [`Symbol`]s describing
-//! *what* a statement computes and which planning decisions the optimizer
-//! made: access paths, predicate placement, join order and build sides,
-//! pushed-down limits and projections, and serial-vs-partitioned operator
-//! choices.  It is the artifact `EXPLAIN` renders — a stable, indented tree
-//! whose text is pinned by golden snapshot tests — and the shape the
-//! physical plan ([`crate::PhysicalPlan`]) is compiled from.
+//! A [`PlanNode`] tree is the one form of a compiled SELECT.  The optimizer
+//! (`crate::optimize`) builds it with every planning decision frozen on the
+//! node it concerns — a scan's access path, decode spec, filters, pushed
+//! store limit and region fan-out; a join's key symbols and partition
+//! count; an aggregate's group plan; a sort's or top-k's keys and width; a
+//! projection's symbol pairs.  The executor (`crate::physical`) walks the
+//! tree and reads each decision off its node, `EXPLAIN` renders it, and
+//! [`crate::DeltaPlan::compile`] compiles it for view maintenance: the tree
+//! `EXPLAIN` prints is the tree that runs.
 //!
 //! The rendering is intentionally line-oriented and deterministic: one
 //! operator per line, children indented two spaces, no volatile data
 //! (row counts, timings) — so the same statement planned against the same
 //! catalog at the same thread count always explains identically.
 
+use crate::bind::PlannedCondition;
+use crate::catalog::TableDef;
 use crate::executor::AccessPath;
-use relational::{Symbol, Value};
-use sql::{Comparison, SelectItem};
+use relational::Symbol;
+use sql::AggregateFunction;
 use std::fmt;
+use std::sync::Arc;
 
-/// A bound operand as it appears in a plan predicate.
+/// How the rows of one table are decoded into relational rows: the output
+/// symbols (qualified under the alias for multi-table statements) and the
+/// projection mask, resolved once at plan time.
 #[derive(Debug, Clone)]
-pub enum PlanOperand {
-    /// A literal from the statement text.
-    Literal(Value),
-    /// A positional parameter, rendered as `?N`.
-    Param(usize),
-    /// A column, rendered as its interned symbol.
-    Column(Symbol),
+pub(crate) struct DecodeSpec {
+    /// Alias-qualified output symbols, indexed by the table's column order
+    /// (`None` for single-table statements, which decode bare names).
+    pub qual_syms: Option<Vec<Symbol>>,
+    /// Projection mask over the table's columns (`None` = decode all).
+    pub mask: Option<Vec<bool>>,
 }
 
-impl fmt::Display for PlanOperand {
+/// Access details of an [`AccessPath::IndexScan`].
+#[derive(Debug, Clone)]
+pub(crate) struct IndexAccess {
+    /// The index table's definition (shared with the catalog).
+    pub def: Arc<TableDef>,
+    /// True when the index covers every needed column (no base-table
+    /// lookups required).
+    pub covered: bool,
+    /// Decode spec against the index table (used when covered).
+    pub decode: DecodeSpec,
+}
+
+/// One table access: everything the executor needs to open the alias's
+/// row stream.
+#[derive(Debug, Clone)]
+pub(crate) struct ScanNode {
+    /// Statement alias (equal to the table name when none was written).
+    pub alias: String,
+    /// The table read (shared with the catalog the plan was compiled from).
+    pub def: Arc<TableDef>,
+    /// The access path the optimizer chose.
+    pub access: AccessPath,
+    /// Decode spec against `def`.
+    pub decode: DecodeSpec,
+    /// Present when `access` is an index scan.
+    pub index: Option<IndexAccess>,
+    /// Indices of the single-alias conditions applied on this stream.
+    pub filter: Vec<usize>,
+    /// Row limit pushed into the store scan (0 = none).
+    pub store_limit: usize,
+    /// Region-parallel fan-out (1 = the serial cursor).
+    pub width: usize,
+}
+
+/// One resolved select item of an aggregate/GROUP BY output row.
+#[derive(Debug, Clone)]
+pub(crate) enum ItemPlan {
+    Aggregate {
+        function: AggregateFunction,
+        argument: Option<Symbol>,
+        name: Symbol,
+    },
+    Column {
+        lookup: Symbol,
+        out: Symbol,
+        alias: Option<Symbol>,
+    },
+    Wildcard,
+}
+
+/// Renders the item as the statement wrote it.
+impl fmt::Display for ItemPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanOperand::Literal(v) => write!(f, "{v}"),
-            PlanOperand::Param(i) => write!(f, "?{i}"),
-            PlanOperand::Column(sym) => write!(f, "{}", sym.name()),
+            ItemPlan::Aggregate {
+                function,
+                argument,
+                name,
+            } => {
+                let call = match argument {
+                    Some(a) => format!("{function}({})", a.name()),
+                    None => format!("{function}(*)"),
+                };
+                match name.name() {
+                    unaliased if unaliased == call => f.write_str(&call),
+                    alias => write!(f, "{call} AS {alias}"),
+                }
+            }
+            ItemPlan::Column { out, alias, .. } => match alias {
+                Some(a) => write!(f, "{} AS {}", out.name(), a.name()),
+                None => f.write_str(out.name()),
+            },
+            ItemPlan::Wildcard => f.write_str("*"),
         }
     }
 }
 
-/// A bound predicate `left op right` attached to a plan node.
+/// The aggregate/GROUP BY sub-plan: grouping symbols (qualified + bare
+/// output forms) and the resolved select items.
 #[derive(Debug, Clone)]
-pub struct PlanPredicate {
-    /// Resolved left-hand column.
-    pub left: Symbol,
-    /// Comparison operator.
-    pub op: Comparison,
-    /// Right-hand operand.
-    pub right: PlanOperand,
-}
-
-impl fmt::Display for PlanPredicate {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} {}", self.left.name(), self.op, self.right)
-    }
+pub(crate) struct GroupPlan {
+    /// `(qualified, bare)` output symbols per GROUP BY column.
+    pub group_syms: Vec<(Symbol, Symbol)>,
+    /// Resolved select items.
+    pub items: Vec<ItemPlan>,
 }
 
 /// One ORDER BY / top-k sort key: symbol plus direction.
 #[derive(Debug, Clone)]
-pub struct SortKey {
+pub(crate) struct SortKey {
     /// Resolved sort column.
     pub column: Symbol,
     /// True for `DESC`.
@@ -67,19 +133,16 @@ pub struct SortKey {
 
 impl fmt::Display for SortKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {}",
-            self.column.name(),
-            if self.descending { "DESC" } else { "ASC" }
-        )
+        let direction = if self.descending { "DESC" } else { "ASC" };
+        write!(f, "{} {direction}", self.column.name())
     }
 }
 
-/// The logical operator tree.  Leaf nodes are [`LogicalPlan::Scan`]s; every
-/// other node wraps its input(s).
+/// The operator tree.  Leaves are [`PlanNode::Scan`]s; joins are left-deep,
+/// so a join's build side is always one scan.  Conditions are indices into
+/// the plan's condition templates ([`crate::PhysicalPlan`]).
 #[derive(Debug, Clone)]
-pub enum LogicalPlan {
+pub(crate) enum PlanNode {
     /// A statement-level rewrite applied before planning (e.g. Synergy's
     /// materialized-view substitution), recorded so the substitution is
     /// visible in the plan rather than hidden in a pre-pass.
@@ -89,229 +152,198 @@ pub enum LogicalPlan {
         /// Human-readable description of the substitution.
         note: String,
         /// The plan of the rewritten statement.
-        input: Box<LogicalPlan>,
+        input: Box<PlanNode>,
     },
-    /// One table access: the chosen access path plus the single-alias
-    /// predicates evaluated on this scan's stream.
-    Scan {
-        /// Physical table name.
-        table: String,
-        /// Statement alias (equal to `table` when none was written).
-        alias: String,
-        /// The access path the optimizer chose.
-        access: AccessPath,
-        /// Single-alias predicates applied on this stream.
-        predicates: Vec<PlanPredicate>,
-        /// Region-parallel fan-out (1 = serial cursor).
-        parallel: usize,
-        /// Store-level row limit pushed into the scan (0 = none).
-        store_limit: usize,
-    },
+    /// One table access.
+    Scan(Box<ScanNode>),
     /// A client-side hash join: `probe` streams through the hashed `build`
     /// side (the newly joined alias, fully materialized).
     HashJoin {
         /// The streamed probe side (everything joined so far).
-        probe: Box<LogicalPlan>,
+        probe: Box<PlanNode>,
         /// The materialized build side.
-        build: Box<LogicalPlan>,
-        /// Alias of the build side (labels the join in renderings).
-        build_alias: String,
-        /// Equi-join predicates this join enforces (empty = cross join).
-        on: Vec<PlanPredicate>,
-        /// Hash-partitioned parallel probe at this worker count (1 = serial).
-        partitioned: usize,
+        build: Box<ScanNode>,
+        /// The equi-join conditions this join enforces (empty = cross join).
+        on: Vec<usize>,
+        /// Join-key symbols on the probe side, one per `on` condition.
+        probe_keys: Vec<Symbol>,
+        /// Join-key symbols on the build side (alias-qualified).
+        build_keys: Vec<Symbol>,
+        /// Hash partitions probed on the pool (1 = the serial streaming
+        /// join).
+        partitions: usize,
     },
-    /// Residual predicates evaluated against joined rows.
+    /// Residual conditions evaluated against joined rows.
     Filter {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Predicates that no scan or join could consume.
-        predicates: Vec<PlanPredicate>,
+        input: Box<PlanNode>,
+        /// Conditions that no scan or join could consume.
+        conditions: Vec<usize>,
     },
     /// GROUP BY / aggregate evaluation (materializes its input).
     Aggregate {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Resolved GROUP BY columns.
-        group_by: Vec<Symbol>,
-        /// The select items, rendered as written (aggregates + columns).
-        items: Vec<SelectItem>,
+        input: Box<PlanNode>,
+        group: GroupPlan,
     },
-    /// Full sort (ORDER BY without LIMIT).
+    /// Full sort (ORDER BY without a top-k).
     Sort {
-        /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<PlanNode>,
         /// Sort keys in priority order.
         keys: Vec<SortKey>,
     },
     /// Bounded top-k (ORDER BY + LIMIT): k rows resident instead of the
     /// full input.
     TopK {
-        /// Input plan.
-        input: Box<LogicalPlan>,
+        input: Box<PlanNode>,
         /// The `k` of `LIMIT k`.
         k: usize,
         /// Sort keys in priority order.
         keys: Vec<SortKey>,
         /// Per-worker bounded heaps merged at a barrier (1 = serial heap).
-        partitioned: usize,
+        width: usize,
     },
     /// Plain LIMIT: stop pulling the input after `k` rows.
-    Limit {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// The `k` of `LIMIT k`.
-        k: usize,
-        /// True when the limit was pushed into the store scan itself (the
-        /// store touches exactly `k` rows).
-        pushed_to_store: bool,
-    },
-    /// Final projection onto the selected columns.
+    Limit { input: Box<PlanNode>, k: usize },
+    /// Final projection as `(lookup, output)` symbol pairs in select-list
+    /// order.
     Project {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Output columns in select-list order.
-        columns: Vec<Symbol>,
+        input: Box<PlanNode>,
+        columns: Vec<(Symbol, Symbol)>,
     },
 }
 
-impl LogicalPlan {
+impl PlanNode {
+    /// The scan of `alias`, if this tree reads it.
+    pub(crate) fn scan(&self, alias: &str) -> Option<&ScanNode> {
+        match self {
+            PlanNode::Scan(scan) => (scan.alias == alias).then_some(&**scan),
+            PlanNode::HashJoin { build, .. } if build.alias == alias => Some(build),
+            PlanNode::HashJoin { probe: input, .. }
+            | PlanNode::Rewrite { input, .. }
+            | PlanNode::Filter { input, .. }
+            | PlanNode::Aggregate { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::TopK { input, .. }
+            | PlanNode::Limit { input, .. }
+            | PlanNode::Project { input, .. } => input.scan(alias),
+        }
+    }
+
     /// Renders the stable, indented plan tree (the `EXPLAIN` text): one
     /// operator per line, children indented two spaces, trailing newline.
-    pub fn render(&self) -> String {
+    /// `conditions` are the templates the nodes' condition indices refer to.
+    pub(crate) fn render(&self, conditions: &[PlannedCondition]) -> String {
         let mut out = String::new();
-        self.render_into(&mut out, 0);
+        self.render_into(conditions, &mut out, 0);
         out
     }
 
-    fn render_into(&self, out: &mut String, depth: usize) {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-        match self {
-            LogicalPlan::Rewrite { rule, note, input } => {
-                out.push_str(&format!("Rewrite [{rule}] {note}\n"));
-                input.render_into(out, depth + 1);
+    fn render_into(&self, conditions: &[PlannedCondition], out: &mut String, depth: usize) {
+        let listed = |idxs: &[usize]| join_display(idxs.iter().map(|&i| &conditions[i]));
+        out.push_str(&"  ".repeat(depth));
+        let input = match self {
+            PlanNode::Rewrite { rule, note, input } => {
+                out.push_str(&format!("Rewrite [{rule}] {note}"));
+                input
             }
-            LogicalPlan::Scan {
-                table,
-                alias,
-                access,
-                predicates,
-                parallel,
-                store_limit,
-            } => {
-                out.push_str(&format!("Scan {table}"));
-                if alias != table {
-                    out.push_str(&format!(" AS {alias}"));
-                }
-                out.push_str(&format!(" access={access}"));
-                if *store_limit > 0 {
-                    out.push_str(&format!(" limit={store_limit}"));
-                }
-                if *parallel > 1 {
-                    out.push_str(&format!(" parallel=x{parallel}"));
-                }
-                if !predicates.is_empty() {
-                    out.push_str(&format!(" filter=[{}]", join_display(predicates)));
-                }
-                out.push('\n');
-            }
-            LogicalPlan::HashJoin {
+            PlanNode::Scan(scan) => return scan.render_into(conditions, out),
+            PlanNode::HashJoin {
                 probe,
                 build,
-                build_alias,
                 on,
-                partitioned,
+                partitions,
+                ..
             } => {
                 if on.is_empty() {
-                    out.push_str(&format!("CrossJoin build={build_alias}"));
+                    out.push_str(&format!("CrossJoin build={}", build.alias));
                 } else {
-                    out.push_str(&format!(
-                        "HashJoin on [{}] build={build_alias}",
-                        join_display(on)
-                    ));
+                    out.push_str(&format!("HashJoin on [{}] build={}", listed(on), build.alias));
                 }
-                if *partitioned > 1 {
-                    out.push_str(&format!(" partitioned=x{partitioned}"));
+                if *partitions > 1 {
+                    out.push_str(&format!(" partitioned=x{partitions}"));
                 }
                 out.push('\n');
-                probe.render_into(out, depth + 1);
-                build.render_into(out, depth + 1);
+                probe.render_into(conditions, out, depth + 1);
+                out.push_str(&"  ".repeat(depth + 1));
+                return build.render_into(conditions, out);
             }
-            LogicalPlan::Filter { input, predicates } => {
-                out.push_str(&format!("Filter [{}]\n", join_display(predicates)));
-                input.render_into(out, depth + 1);
-            }
-            LogicalPlan::Aggregate {
+            PlanNode::Filter {
                 input,
-                group_by,
-                items,
+                conditions: residual,
             } => {
+                out.push_str(&format!("Filter [{}]", listed(residual)));
+                input
+            }
+            PlanNode::Aggregate { input, group } => {
                 out.push_str("Aggregate");
-                if !group_by.is_empty() {
-                    out.push_str(&format!(" group_by=[{}]", join_names(group_by)));
+                if !group.group_syms.is_empty() {
+                    let names = group.group_syms.iter().map(|(q, _)| q.name());
+                    out.push_str(&format!(" group_by=[{}]", join_display(names)));
                 }
-                out.push_str(&format!(" items=[{}]\n", join_display(items)));
-                input.render_into(out, depth + 1);
+                out.push_str(&format!(" items=[{}]", join_display(&group.items)));
+                input
             }
-            LogicalPlan::Sort { input, keys } => {
-                out.push_str(&format!("Sort by=[{}]\n", join_display(keys)));
-                input.render_into(out, depth + 1);
+            PlanNode::Sort { input, keys } => {
+                out.push_str(&format!("Sort by=[{}]", join_display(keys)));
+                input
             }
-            LogicalPlan::TopK {
+            PlanNode::TopK {
                 input,
                 k,
                 keys,
-                partitioned,
+                width,
             } => {
                 out.push_str(&format!("TopK k={k} by=[{}]", join_display(keys)));
-                if *partitioned > 1 {
-                    out.push_str(&format!(" partitioned=x{partitioned}"));
+                if *width > 1 {
+                    out.push_str(&format!(" partitioned=x{width}"));
                 }
-                out.push('\n');
-                input.render_into(out, depth + 1);
+                input
             }
-            LogicalPlan::Limit {
-                input,
-                k,
-                pushed_to_store,
-            } => {
+            PlanNode::Limit { input, k } => {
                 out.push_str(&format!("Limit {k}"));
-                if *pushed_to_store {
+                if matches!(&**input, PlanNode::Scan(scan) if scan.store_limit > 0) {
                     out.push_str(" store-pushdown");
                 }
-                out.push('\n');
-                input.render_into(out, depth + 1);
+                input
             }
-            LogicalPlan::Project { input, columns } => {
-                out.push_str(&format!("Project [{}]\n", join_names(columns)));
-                input.render_into(out, depth + 1);
+            PlanNode::Project { input, columns } => {
+                let names = columns.iter().map(|(_, out)| out.name());
+                out.push_str(&format!("Project [{}]", join_display(names)));
+                input
             }
-        }
+        };
+        out.push('\n');
+        input.render_into(conditions, out, depth + 1);
     }
 }
 
-impl fmt::Display for LogicalPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.render())
+impl ScanNode {
+    /// The scan's one line of the plan tree.
+    fn render_into(&self, conditions: &[PlannedCondition], out: &mut String) {
+        out.push_str(&format!("Scan {}", self.def.name));
+        if self.alias != self.def.name {
+            out.push_str(&format!(" AS {}", self.alias));
+        }
+        out.push_str(&format!(" access={}", self.access));
+        if self.store_limit > 0 {
+            out.push_str(&format!(" limit={}", self.store_limit));
+        }
+        if self.width > 1 {
+            out.push_str(&format!(" parallel=x{}", self.width));
+        }
+        if !self.filter.is_empty() {
+            let filter = join_display(self.filter.iter().map(|&i| &conditions[i]));
+            out.push_str(&format!(" filter=[{filter}]"));
+        }
+        out.push('\n');
     }
 }
 
 /// `items` rendered and comma-separated, as every plan tree lists its
-/// predicates, sort keys and select items.
-pub(crate) fn join_display<T: fmt::Display>(items: &[T]) -> String {
+/// predicates, sort keys, columns and select items.
+pub(crate) fn join_display<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
     items
-        .iter()
+        .into_iter()
         .map(|i| i.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn join_names(symbols: &[Symbol]) -> String {
-    symbols
-        .iter()
-        .map(|s| s.name().to_string())
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -319,43 +351,55 @@ fn join_names(symbols: &[Symbol]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{ColumnType, TableKind};
     use relational::intern::intern;
+
+    fn scan(table: &str, alias: &str, access: AccessPath, filter: Vec<usize>) -> ScanNode {
+        let columns = vec![("id".into(), ColumnType::Int)];
+        let def = TableDef::new(table, columns, vec!["id".into()], TableKind::Base);
+        ScanNode {
+            alias: alias.into(),
+            def: Arc::new(def),
+            access,
+            decode: DecodeSpec {
+                qual_syms: None,
+                mask: None,
+            },
+            index: None,
+            filter,
+            store_limit: 0,
+            width: 1,
+        }
+    }
+
+    fn condition(sql_text: &str) -> PlannedCondition {
+        let stmt = sql::parse_statement(&format!("SELECT * FROM T WHERE {sql_text}")).unwrap();
+        PlannedCondition::resolve(&stmt.as_select().unwrap().conditions[0])
+    }
 
     #[test]
     fn renders_a_join_tree_with_stable_indentation() {
-        let plan = LogicalPlan::Project {
-            columns: vec![intern("c.c_uname")],
-            input: Box::new(LogicalPlan::HashJoin {
-                probe: Box::new(LogicalPlan::Scan {
-                    table: "Customer".into(),
-                    alias: "c".into(),
-                    access: AccessPath::FullScan,
-                    predicates: vec![PlanPredicate {
-                        left: intern("c.c_uname"),
-                        op: Comparison::Eq,
-                        right: PlanOperand::Param(0),
-                    }],
-                    parallel: 1,
-                    store_limit: 0,
+        let conditions = [condition("c.c_uname = ?"), condition("c.c_id = o.o_c_id")];
+        let plan = PlanNode::Project {
+            columns: vec![(intern("c.c_uname"), intern("c.c_uname"))],
+            input: Box::new(PlanNode::HashJoin {
+                probe: Box::new(PlanNode::Scan(Box::new(scan(
+                    "Customer",
+                    "c",
+                    AccessPath::FullScan,
+                    vec![0],
+                )))),
+                build: Box::new(ScanNode {
+                    width: 4,
+                    ..scan("Orders", "o", AccessPath::FullScan, vec![])
                 }),
-                build: Box::new(LogicalPlan::Scan {
-                    table: "Orders".into(),
-                    alias: "o".into(),
-                    access: AccessPath::FullScan,
-                    predicates: vec![],
-                    parallel: 4,
-                    store_limit: 0,
-                }),
-                build_alias: "o".into(),
-                on: vec![PlanPredicate {
-                    left: intern("c.c_id"),
-                    op: Comparison::Eq,
-                    right: PlanOperand::Column(intern("o.o_c_id")),
-                }],
-                partitioned: 4,
+                on: vec![1],
+                probe_keys: vec![intern("c.c_id")],
+                build_keys: vec![intern("o.o_c_id")],
+                partitions: 4,
             }),
         };
-        let text = plan.render();
+        let text = plan.render(&conditions);
         assert_eq!(
             text,
             "Project [c.c_uname]\n\
@@ -367,36 +411,25 @@ mod tests {
 
     #[test]
     fn scan_omits_alias_when_it_matches_the_table() {
-        let plan = LogicalPlan::Scan {
-            table: "Customer".into(),
-            alias: "Customer".into(),
-            access: AccessPath::KeyGet,
-            predicates: vec![],
-            parallel: 1,
-            store_limit: 0,
-        };
-        assert_eq!(plan.render(), "Scan Customer access=get\n");
+        let customer = scan("Customer", "Customer", AccessPath::KeyGet, vec![]);
+        let plan = PlanNode::Scan(Box::new(customer));
+        assert_eq!(plan.render(&[]), "Scan Customer access=get\n");
     }
 
     #[test]
     fn limit_and_rewrite_annotations_render() {
-        let plan = LogicalPlan::Rewrite {
+        let plan = PlanNode::Rewrite {
             rule: "synergy-view-rewrite".into(),
             note: "V_A__B replaces A, B".into(),
-            input: Box::new(LogicalPlan::Limit {
+            input: Box::new(PlanNode::Limit {
                 k: 50,
-                pushed_to_store: true,
-                input: Box::new(LogicalPlan::Scan {
-                    table: "V_A__B".into(),
-                    alias: "V_A__B".into(),
-                    access: AccessPath::FullScan,
-                    predicates: vec![],
-                    parallel: 1,
+                input: Box::new(PlanNode::Scan(Box::new(ScanNode {
                     store_limit: 50,
-                }),
+                    ..scan("V_A__B", "V_A__B", AccessPath::FullScan, vec![])
+                }))),
             }),
         };
-        let text = plan.render();
+        let text = plan.render(&[]);
         assert!(text.starts_with("Rewrite [synergy-view-rewrite] V_A__B replaces A, B\n"));
         assert!(text.contains("  Limit 50 store-pushdown\n"));
         assert!(text.contains("    Scan V_A__B access=full limit=50\n"));

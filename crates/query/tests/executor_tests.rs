@@ -296,6 +296,62 @@ fn missing_parameter_and_unknown_table_errors() {
     ));
 }
 
+/// SELECTs naming a column no FROM entry declares — in WHERE (either
+/// operand), the select list, an aggregate argument, GROUP BY or ORDER BY,
+/// qualified under a missing alias or a wrong table — with the column each
+/// refusal names.
+const UNKNOWN_COLUMN_SELECTS: [(&str, &str); 10] = [
+    ("SELECT * FROM Employee WHERE EIDD = 3", "EIDD"),
+    ("SELECT * FROM Employee AS e WHERE e.EIDD = 3", "e.EIDD"),
+    ("SELECT * FROM Employee AS e WHERE x.EID = 3", "x.EID"),
+    ("SELECT * FROM Employee AS e, Address AS a WHERE a.EID = 3", "a.EID"),
+    ("SELECT Bogus FROM Employee WHERE EID = 3", "Bogus"),
+    (
+        "SELECT * FROM Employee AS e, Works_On AS wo WHERE e.EID = wo.WO_EID AND wo.Hourz = 10",
+        "wo.Hourz",
+    ),
+    ("SELECT * FROM Employee AS e, Works_On AS wo WHERE e.EID = wo.Bogus", "wo.Bogus"),
+    ("SELECT SUM(Bogus) FROM Employee", "Bogus"),
+    ("SELECT COUNT(*) FROM Employee GROUP BY Bogus", "Bogus"),
+    ("SELECT * FROM Employee ORDER BY Bogus LIMIT 3", "Bogus"),
+];
+
+#[test]
+fn a_select_naming_an_unknown_column_is_refused_before_any_store_op() {
+    let session = query::Session::new(company_executor());
+    let cluster = session.executor().cluster().clone();
+    for (text, column) in UNKNOWN_COLUMN_SELECTS {
+        let (ops, now) = (cluster.metrics().ops, cluster.clock().now());
+        let one_shot = session.executor().execute_sql(text, &[]).map(drop);
+        let prepared = session.prepare(text).map(drop);
+        let cached = session.execute_sql(text, &[]).map(drop);
+        for refusal in [one_shot, prepared, cached] {
+            assert!(
+                matches!(&refusal, Err(query::QueryError::UnknownColumn(c)) if c == column),
+                "{text}: {refusal:?}"
+            );
+        }
+        assert_eq!(cluster.metrics().ops, ops, "{text} reached the store");
+        assert_eq!(cluster.clock().now(), now, "{text} was charged");
+    }
+}
+
+#[test]
+fn order_by_may_name_a_select_list_alias() {
+    let exec = company_executor();
+    let result = exec
+        .execute_sql(
+            "SELECT E_DNo, COUNT(*) AS staff FROM Employee GROUP BY E_DNo ORDER BY staff DESC",
+            &[],
+        )
+        .unwrap();
+    assert_eq!(result.len(), 2);
+    let renamed = exec
+        .execute_sql("SELECT EName AS who FROM Employee ORDER BY who DESC LIMIT 1", &[])
+        .unwrap();
+    assert_eq!(renamed.rows[0].get("who"), Some(&Value::str("Employee4")));
+}
+
 #[test]
 fn joins_charge_more_simulated_time_than_point_reads() {
     let exec = company_executor();

@@ -3,7 +3,7 @@
 //!
 //! Every selected view carries a defining SELECT (its FK-join path,
 //! [`ViewDefinition::defining_select`]).  The [`MaintenanceEngine`] compiles
-//! that statement's [`query::LogicalPlan`] once into a [`query::DeltaPlan`]
+//! that statement's plan ([`query::PhysicalPlan`]) once into a [`query::DeltaPlan`]
 //! — cached per view and invalidated by catalog version, exactly like the
 //! read path's plan cache — and maintains the view by pushing the write's
 //! signed row-deltas through it:
@@ -226,10 +226,7 @@ impl MaintenanceEngine {
             ));
         };
         let physical = self.executor.plan_select(&select)?;
-        let plan = Arc::new(DeltaPlan::compile(
-            self.executor.catalog(),
-            physical.logical(),
-        )?);
+        let plan = Arc::new(DeltaPlan::compile(self.executor.catalog(), &physical)?);
         self.plans
             .lock()
             .unwrap_or_else(PoisonError::into_inner)

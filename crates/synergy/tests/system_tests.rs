@@ -6,7 +6,7 @@ use nosql_store::{Cluster, ClusterConfig};
 use query::{ColumnType, QueryError};
 use relational::{company, Row, Value};
 use sql::parse_workload;
-use synergy::{SynergyConfig, SynergySystem};
+use synergy::{SynergyConfig, SynergySystem, TxnError};
 
 fn company_types(_relation: &str, column: &str) -> Option<ColumnType> {
     matches!(
@@ -19,15 +19,21 @@ fn company_types(_relation: &str, column: &str) -> Option<ColumnType> {
 
 /// Builds and populates a Synergy deployment of the Company database.
 fn build_system() -> SynergySystem {
+    build_system_with_budget(None)
+}
+
+/// [`build_system`], partially materialized under `budget` bytes of view
+/// rows when one is given.
+fn build_system_with_budget(budget: Option<u64>) -> SynergySystem {
     let schema = company::company_schema();
     let workload_sql = company::company_workload_sql();
     let workload = parse_workload(workload_sql.iter().map(String::as_str)).unwrap();
     let cluster = Cluster::new(ClusterConfig::default());
-    let system = SynergySystem::build(
-        cluster,
-        SynergyConfig::new(schema, workload, company::company_roots(), &company_types),
-    )
-    .unwrap();
+    let mut config = SynergyConfig::new(schema, workload, company::company_roots(), &company_types);
+    if let Some(budget) = budget {
+        config = config.with_view_budget(budget);
+    }
+    let system = SynergySystem::build(cluster, config).unwrap();
 
     // Base data: 4 addresses, 2 departments, 3 employees, 2 projects,
     // works_on rows and a dependent.
@@ -491,4 +497,39 @@ fn a_write_through_the_read_session_is_refused_and_touches_nothing() {
         explained.rows[0].get("plan").unwrap(),
         &Value::str("Update Employee")
     );
+}
+
+/// A view-routed read naming a column its relations lack is refused by the
+/// binder — fully materialized and under a view budget, where the read
+/// would otherwise upquery — with no store op and no charge.  The refusal
+/// names the column as the rewritten statement spells it (`View.column`
+/// once the view replaced the join).
+#[test]
+fn a_view_routed_read_naming_an_unknown_column_is_refused_untouched() {
+    const W1: &str = "FROM Employee AS e, Address AS a WHERE a.AID = e.EHome_AID AND e.EID = ?";
+    let refused = [
+        (format!("SELECT e.Bogus {W1}"), "Bogus"),
+        (format!("SELECT * {W1} AND a.Zipp = 1"), "Zipp"),
+        (format!("SELECT * {W1} ORDER BY a.Bogus"), "Bogus"),
+    ];
+    for budget in [None, Some(u64::MAX)] {
+        let system = build_system_with_budget(budget);
+        let routed = sql::parse_statement(&format!("SELECT e.EName {W1}")).unwrap();
+        let explain = system.explain(&routed).unwrap();
+        assert!(explain.starts_with("Rewrite [synergy-view-rewrite]"), "{explain}");
+        for (text, column) in &refused {
+            let statement = sql::parse_statement(text).unwrap();
+            let cluster = system.cluster();
+            let (ops, now) = (cluster.metrics().ops, cluster.clock().now());
+            let err = system.execute(&statement, &[Value::Int(1)]).unwrap_err();
+            assert!(
+                matches!(&err, TxnError::Query(QueryError::UnknownColumn(c)) if c.ends_with(column)),
+                "budget {budget:?}, {text}: {err}"
+            );
+            assert_eq!(cluster.metrics().ops, ops, "budget {budget:?}, {text} reached the store");
+            assert_eq!(cluster.clock().now(), now, "budget {budget:?}, {text} was charged");
+        }
+        let answered = system.execute(&routed, &[Value::Int(1)]).unwrap();
+        assert_eq!(answered.rows[0].get("EName"), Some(&Value::str("Employee1")));
+    }
 }
