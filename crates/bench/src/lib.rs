@@ -358,22 +358,18 @@ pub fn fig_par(customers: u64, threads_axis: &[usize], reps: u64) -> Json {
 }
 
 // ---------------------------------------------------------------------
-// fig_writes: delta-dataflow view maintenance and write-batch coalescing
+// fig_writes: delta-dataflow view maintenance
 // ---------------------------------------------------------------------
 
 /// Updates of the fig_writes maintenance row.
 const FIG_WRITES_COUNT: u64 = 20;
 
-/// The burst sizes of the coalescing sweep.
-pub const FIG_WRITES_BURSTS: [u64; 3] = [1, 16, 256];
-
 /// `writes` updates of Customer rows (the W13 shape) through delta
-/// maintenance (`mode` = "delta": incremental propagation through the
-/// view's plan IR).  `store_rows_scanned_per_write` is the
-/// `OpCounters::scanned_rows` delta — constant in the database size, where
-/// the scan-based maintenance it replaced read every view row.
+/// maintenance (incremental propagation through the view's plan IR).
+/// `store_rows_scanned_per_write` is the `OpCounters::scanned_rows` delta —
+/// constant in the database size, where the scan-based maintenance it
+/// replaced read every view row.
 const FIG_WRITES_ROWS: &[Column] = &[
-    label("mode", "mode"),
     count("customers", "customers"),
     count("writes", "writes"),
     sim("sim_ms_per_write", "sim ms/write", Dec(2)),
@@ -382,29 +378,11 @@ const FIG_WRITES_ROWS: &[Column] = &[
     sim("view_rows_touched_per_write", "view rows/wr", Dec(1)),
 ];
 
-/// `burst` consecutive updates of the *same* Customer row through a
-/// capacity-256 write batch, flushed once (coalesced) vs flushed after
-/// every write (uncoalesced).  `ratio_vs_single` is the coalesced flush
-/// relative to the burst-1 flush — the batching guarantee is that it stays
-/// ≤ 2 regardless of burst size.
-const FIG_WRITES_BURST_ROWS: &[Column] = &[
-    count("burst", "burst"),
-    sim("coalesced_flush_sim_ms", "coalesced flush (ms)", Dec(2)),
-    sim("uncoalesced_flush_sim_ms", "uncoalesced flush (ms)", Dec(2)),
-    count("coalesced_merges", "merges"),
-    sim("ratio_vs_single", "ratio vs 1-write", Times(2)),
-];
-
-const FIG_WRITES: &[Column] = &[
-    wall("wall_ms", "", Dec(1)),
-    table("rows", "", FIG_WRITES_ROWS),
-    table("bursts", "single-key bursts through a 256-write batch", FIG_WRITES_BURST_ROWS),
-];
+const FIG_WRITES: &[Column] = &[wall("wall_ms", "", Dec(1)), table("rows", "", FIG_WRITES_ROWS)];
 
 /// Runs the write-heavy maintenance figure on the micro-benchmark schema:
 /// `writes` W13-shaped Customer updates through delta-dataflow
-/// maintenance, then the single-key coalescing burst sweep.  All sim
-/// figures are deterministic at `threads = 1`.
+/// maintenance.  All sim figures are deterministic at `threads = 1`.
 pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Json {
     let start = Instant::now();
     let update = parse_statement(
@@ -441,7 +419,6 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Json {
     let rows = vec![record(
         FIG_WRITES_ROWS,
         vec![
-            "delta".into(),
             customers.into(),
             writes.into(),
             (sim_ms / per_write).into(),
@@ -450,54 +427,7 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Json {
             (touched as f64 / per_write).into(),
         ],
     )];
-
-    // Coalescing sweep: every burst hammers one key through a large write
-    // batch.  The buffer merges consecutive updates of the same base key,
-    // so the deferred flush does one write's worth of view maintenance no
-    // matter how long the burst was.
-    let bench = MicroBench::build_with_maintenance(customers, threads, 256)
-        .expect("buffered micro benchmark builds");
-    let system = bench.system();
-    let clock = system.cluster().clock().clone();
-    let mut single_flush_sim = f64::NAN;
-    let mut bursts = Vec::new();
-    for burst in FIG_WRITES_BURSTS {
-        let merges_before = system.maintenance_stats().coalesced_merges;
-        for i in 0..burst {
-            system
-                .execute(&update, &params(i, 1))
-                .expect("buffered write succeeds");
-        }
-        let (flushed, flush_sim) = clock.measure(|| system.flush_maintenance());
-        flushed.expect("flush succeeds");
-        let coalesced_flush_sim_ms = flush_sim.as_millis_f64();
-        let coalesced_merges = system.maintenance_stats().coalesced_merges - merges_before;
-
-        let mut uncoalesced_flush_sim_ms = 0.0;
-        for i in 0..burst {
-            system
-                .execute(&update, &params(i, 1))
-                .expect("buffered write succeeds");
-            let (flushed, flush_sim) = clock.measure(|| system.flush_maintenance());
-            flushed.expect("flush succeeds");
-            uncoalesced_flush_sim_ms += flush_sim.as_millis_f64();
-        }
-
-        if burst == FIG_WRITES_BURSTS[0] {
-            single_flush_sim = coalesced_flush_sim_ms;
-        }
-        bursts.push(record(
-            FIG_WRITES_BURST_ROWS,
-            vec![
-                burst.into(),
-                coalesced_flush_sim_ms.into(),
-                uncoalesced_flush_sim_ms.into(),
-                coalesced_merges.into(),
-                (coalesced_flush_sim_ms / single_flush_sim.max(f64::EPSILON)).into(),
-            ],
-        ));
-    }
-    record(FIG_WRITES, vec![wall_ms(start).into(), rows.into(), bursts.into()])
+    record(FIG_WRITES, vec![wall_ms(start).into(), rows.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -1903,10 +1833,9 @@ pub static FIGURES: &[Figure] = &[
     },
     Figure {
         name: "fig_writes",
-        title: "fig_writes: delta-dataflow view maintenance and write-batch coalescing",
+        title: "fig_writes: delta-dataflow view maintenance",
         note: "(delta probes maintenance indexes: rows scanned per write do not grow with the \
-               database; single-key bursts coalesce in the write batch: one flush ≈ one \
-               write's maintenance)",
+               database)",
         columns: FIG_WRITES,
         run: |ctx| fig_writes(ctx.customers, FIG_WRITES_COUNT, ctx.threads),
     },
@@ -2066,23 +1995,16 @@ mod tests {
     }
 
     #[test]
-    fn fig_writes_delta_cost_is_flat_and_coalescing_bounds_bursts() {
+    fn fig_writes_delta_cost_is_flat_in_database_size() {
         let out = fig_writes(40, 8, 1);
-        assert_eq!(out.rows("rows").len(), 1);
-        let delta = find(out.rows("rows"), "mode", "delta");
+        let [delta] = out.rows("rows") else { panic!("one maintenance row") };
         assert!(delta.num("view_rows_touched_per_write") > 0.0);
-        // Coalescing must bound the single-key burst: the flush after 256
-        // buffered writes costs no more than twice the flush after one.
-        let b256 = out.rows("bursts").iter().find(|b| b.num("burst") == 256.0).unwrap();
-        assert!(b256.num("ratio_vs_single") <= 2.0, "ratio = {}", b256.num("ratio_vs_single"));
-        assert_eq!(b256.num("coalesced_merges"), 255.0, "every repeat write merges");
-        assert!(b256.num("coalesced_flush_sim_ms") * 10.0 < b256.num("uncoalesced_flush_sim_ms"));
         // Sim figures are deterministic, and the delta path's cost per
         // write is database-size independent (it probes maintenance
         // indexes instead of scanning views), so at 4x the customers the
         // store rows it reads and its cost are unchanged.
         let larger = fig_writes(160, 4, 1);
-        let delta_l = find(larger.rows("rows"), "mode", "delta");
+        let delta_l = &larger.rows("rows")[0];
         assert_eq!(
             delta_l.num("store_rows_scanned_per_write"),
             delta.num("store_rows_scanned_per_write")

@@ -1,5 +1,5 @@
 //! Incremental (**delta**) evaluation of compiled plans, the engine behind
-//! Synergy's view maintenance, plus the coalescing write buffer.
+//! Synergy's view maintenance.
 //!
 //! A base-table write is represented as signed row-deltas — an insert is
 //! `+row`, a delete is `-row` (the before-image), an update is the pair
@@ -30,11 +30,6 @@
 //! rows it joins with — never to the size of the view — which is the
 //! Noria-style dataflow argument for incremental view maintenance, reusing
 //! the planner IR as the dataflow graph instead of a second engine.
-//!
-//! [`DeltaBuffer`] is the companion write batch: a bounded buffer that
-//! coalesces consecutive writes to the same base key (last-write-wins per
-//! column, insert+delete annihilation) so a burst against one hot key does
-//! bounded maintenance work when flushed.
 
 use crate::bind::{PlannedCondition, PlannedOperand};
 use crate::catalog::{Catalog, TableDef};
@@ -572,162 +567,7 @@ fn project_row(row: &Row, columns: &[String]) -> Row {
     out
 }
 
-// ----------------------------------------------------------------------
-// The coalescing write batch
-// ----------------------------------------------------------------------
-
-/// One buffered base-table write awaiting delta propagation.
-#[derive(Debug, Clone)]
-pub enum PendingWrite {
-    /// A new row.
-    Insert(Row),
-    /// A deleted row (the before-image).
-    Delete(Row),
-    /// An updated row: before- and after-images.
-    Update {
-        /// The row as it was before the (first coalesced) update.
-        before: Row,
-        /// The row as it is after the (last coalesced) update.
-        after: Row,
-    },
-}
-
-impl PendingWrite {
-    /// The signed deltas this write propagates as.
-    pub fn deltas(&self) -> Vec<RowDelta> {
-        match self {
-            PendingWrite::Insert(row) => vec![RowDelta::plus(row.clone())],
-            PendingWrite::Delete(row) => vec![RowDelta::minus(row.clone())],
-            PendingWrite::Update { before, after } => vec![
-                RowDelta::minus(before.clone()),
-                RowDelta::plus(after.clone()),
-            ],
-        }
-    }
-}
-
-/// A bounded buffer of pending writes that **coalesces** consecutive writes
-/// to the same `(relation, base key)` before delta propagation:
-///
-/// * insert then delete **annihilate** (the views never see the row);
-/// * delete then insert become one update (`before` = deleted image);
-/// * repeated updates keep the first `before` and overlay the `after`s
-///   **last-write-wins per column**;
-/// * an update (or insert) following an insert folds into the insert.
-///
-/// A burst of writes against one hot key therefore flushes as at most one
-/// propagated write.  Capacity 1 degenerates to flush-per-write (no
-/// batching); the buffer never applies anything itself — the maintenance
-/// engine drains it.
-#[derive(Debug)]
-pub struct DeltaBuffer {
-    capacity: usize,
-    entries: Vec<((String, String), PendingWrite)>,
-    merges: u64,
-}
-
-impl DeltaBuffer {
-    /// Creates a buffer holding up to `capacity` distinct keys (min 1).
-    pub fn new(capacity: usize) -> DeltaBuffer {
-        DeltaBuffer {
-            capacity: capacity.max(1),
-            entries: Vec::new(),
-            merges: 0,
-        }
-    }
-
-    /// The configured capacity (distinct buffered keys before a flush is
-    /// due).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of buffered (coalesced) writes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True when the buffer has reached capacity and must be flushed.
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// How many writes were merged away by coalescing so far.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// Records one write, coalescing it into an existing entry for the same
-    /// `(relation, key)` when present.
-    pub fn record(&mut self, relation: &str, key: String, write: PendingWrite) {
-        let entry_key = (relation.to_ascii_lowercase(), key);
-        let Some(idx) = self.entries.iter().position(|(k, _)| *k == entry_key) else {
-            self.entries.push((entry_key, write));
-            return;
-        };
-        self.merges += 1;
-        let merged = match (&self.entries[idx].1, write) {
-            (PendingWrite::Insert(a), PendingWrite::Insert(b)) => {
-                Some(PendingWrite::Insert(overlay(a, &b)))
-            }
-            (PendingWrite::Insert(a), PendingWrite::Update { after, .. }) => {
-                Some(PendingWrite::Insert(overlay(a, &after)))
-            }
-            (PendingWrite::Insert(_), PendingWrite::Delete(_)) => None,
-            (PendingWrite::Update { before, after }, PendingWrite::Update { after: b, .. }) => {
-                Some(PendingWrite::Update {
-                    before: before.clone(),
-                    after: overlay(after, &b),
-                })
-            }
-            (PendingWrite::Update { before, after }, PendingWrite::Insert(b)) => {
-                Some(PendingWrite::Update {
-                    before: before.clone(),
-                    after: overlay(after, &b),
-                })
-            }
-            (PendingWrite::Update { before, .. }, PendingWrite::Delete(_)) => {
-                Some(PendingWrite::Delete(before.clone()))
-            }
-            (PendingWrite::Delete(d), PendingWrite::Insert(b)) => Some(PendingWrite::Update {
-                before: d.clone(),
-                after: b,
-            }),
-            (PendingWrite::Delete(d), PendingWrite::Update { after, .. }) => {
-                Some(PendingWrite::Update {
-                    before: d.clone(),
-                    after,
-                })
-            }
-            (PendingWrite::Delete(d), PendingWrite::Delete(_)) => {
-                Some(PendingWrite::Delete(d.clone()))
-            }
-        };
-        match merged {
-            Some(write) => self.entries[idx].1 = write,
-            None => {
-                self.entries.remove(idx);
-            }
-        }
-    }
-
-    /// Takes every buffered write, in first-recorded order, as
-    /// `(relation, write)` pairs.
-    pub fn drain(&mut self) -> Vec<(String, PendingWrite)> {
-        std::mem::take(&mut self.entries)
-            .into_iter()
-            .map(|((relation, _), write)| (relation, write))
-            .collect()
-    }
-}
-
-/// `base` with every attribute of `patch` overwritten onto it
-/// (last-write-wins per column) — how coalesced writes merge, and how an
+/// `base` with every attribute of `patch` overwritten onto it — how an
 /// UPDATE's assignments become the row's after-image.
 pub fn overlay(base: &Row, patch: &Row) -> Row {
     let mut out = base.clone();
@@ -931,79 +771,5 @@ mod tests {
             let err = DeltaPlan::compile(executor.catalog(), &physical);
             assert!(err.is_err(), "{sql_text} must not compile incrementally");
         }
-    }
-
-    fn row(pairs: &[(&str, i64)]) -> Row {
-        let mut r = Row::new();
-        for (k, v) in pairs {
-            r.set(*k, *v);
-        }
-        r
-    }
-
-    #[test]
-    fn buffer_coalesces_insert_delete_to_nothing() {
-        let mut buf = DeltaBuffer::new(16);
-        buf.record("B", "k1".into(), PendingWrite::Insert(row(&[("b_id", 1)])));
-        buf.record("B", "k1".into(), PendingWrite::Delete(row(&[("b_id", 1)])));
-        assert!(buf.is_empty());
-        assert_eq!(buf.merges(), 1);
-    }
-
-    #[test]
-    fn buffer_coalesces_updates_last_write_wins_per_column() {
-        let mut buf = DeltaBuffer::new(16);
-        buf.record(
-            "B",
-            "k1".into(),
-            PendingWrite::Update {
-                before: row(&[("b_id", 1), ("x", 1), ("y", 1)]),
-                after: row(&[("b_id", 1), ("x", 2), ("y", 1)]),
-            },
-        );
-        buf.record(
-            "B",
-            "k1".into(),
-            PendingWrite::Update {
-                before: row(&[("b_id", 1), ("x", 2), ("y", 1)]),
-                after: row(&[("b_id", 1), ("x", 2), ("y", 9)]),
-            },
-        );
-        assert_eq!(buf.len(), 1);
-        let drained = buf.drain();
-        let PendingWrite::Update { before, after } = &drained[0].1 else {
-            panic!("expected coalesced update");
-        };
-        // First before-image, last after-image, per column.
-        assert_eq!(before.get("x"), Some(&Value::Int(1)));
-        assert_eq!(after.get("x"), Some(&Value::Int(2)));
-        assert_eq!(after.get("y"), Some(&Value::Int(9)));
-    }
-
-    #[test]
-    fn buffer_turns_delete_then_insert_into_an_update() {
-        let mut buf = DeltaBuffer::new(16);
-        buf.record("B", "k1".into(), PendingWrite::Delete(row(&[("b_id", 1), ("x", 1)])));
-        buf.record("B", "k1".into(), PendingWrite::Insert(row(&[("b_id", 1), ("x", 5)])));
-        let drained = buf.drain();
-        let PendingWrite::Update { before, after } = &drained[0].1 else {
-            panic!("expected update");
-        };
-        assert_eq!(before.get("x"), Some(&Value::Int(1)));
-        assert_eq!(after.get("x"), Some(&Value::Int(5)));
-    }
-
-    #[test]
-    fn buffer_keeps_distinct_keys_in_arrival_order() {
-        let mut buf = DeltaBuffer::new(2);
-        assert!(!buf.is_full());
-        buf.record("B", "k1".into(), PendingWrite::Insert(row(&[("b_id", 1)])));
-        buf.record("A", "k1".into(), PendingWrite::Insert(row(&[("a_id", 1)])));
-        assert!(buf.is_full());
-        let drained = buf.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].0, "b");
-        assert_eq!(drained[1].0, "a");
-        assert!(buf.is_empty());
     }
 }

@@ -140,7 +140,6 @@ pub(crate) fn stored_row_is_dirty(stored: &nosql_store::ResultRow) -> bool {
 pub struct Executor {
     cluster: Cluster,
     catalog: Arc<Catalog>,
-    dirty_protection: bool,
     /// Degree of parallelism for full scans, hash joins and top-k.  Read at
     /// plan time only: a compiled plan freezes the width, and a plan
     /// compiled at `threads = 1` never reaches `pool`.
@@ -153,7 +152,6 @@ impl Executor {
         Executor {
             cluster,
             catalog: Arc::new(catalog),
-            dirty_protection: false,
             threads: 1,
         }
     }
@@ -176,27 +174,12 @@ impl Executor {
         self.threads
     }
 
-    /// Enables dirty-row detection: scans that observe a row whose
-    /// [`DIRTY_MARKER`] column equals `"1"` are restarted, implementing the
-    /// read-committed protocol of paper §VIII-C.  Set by every
-    /// `SynergySystem` (all five evaluated systems are built through one);
-    /// only the query crate's own tests and doc examples run without it.
-    pub fn with_dirty_read_protection(mut self) -> Self {
-        self.dirty_protection = true;
-        self
-    }
-
     /// Replaces the catalog (e.g. after DDL).  Plans compiled against the
     /// previous catalog keep executing against the definitions they
     /// captured; [`crate::Session`] plan caches detect the version change
     /// and re-plan on the next lookup.
     pub fn set_catalog(&mut self, catalog: Catalog) {
         self.catalog = Arc::new(catalog);
-    }
-
-    /// Whether dirty-read protection is enabled.
-    pub(crate) fn dirty_protection(&self) -> bool {
-        self.dirty_protection
     }
 
     /// The underlying cluster.
@@ -309,8 +292,8 @@ impl Executor {
 
     /// Pushes the statement's column projection into the store scan: only
     /// the masked-in columns, the key columns (never null, so a projected
-    /// row is never empty at the store) and — under dirty protection — the
-    /// dirty marker are streamed back.  Empty = no projection (all columns).
+    /// row is never empty at the store) and the dirty marker are streamed
+    /// back.  Empty = no projection (all columns).
     pub(crate) fn scan_projection(
         &self,
         def: &TableDef,
@@ -325,9 +308,7 @@ impl Executor {
                 columns.push((FAMILY.to_string(), name.clone()));
             }
         }
-        if self.dirty_protection {
-            columns.push((FAMILY.to_string(), DIRTY_MARKER.to_string()));
-        }
+        columns.push((FAMILY.to_string(), DIRTY_MARKER.to_string()));
         columns
     }
 }

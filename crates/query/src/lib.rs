@@ -73,7 +73,7 @@ mod stream;
 mod writes;
 
 pub use catalog::{Catalog, ColumnType, TableDef, TableKind, FAMILY};
-pub use delta::{overlay, DeltaBuffer, DeltaPlan, DeltaSign, PendingWrite, RowDelta};
+pub use delta::{overlay, DeltaPlan, DeltaSign, RowDelta};
 pub use executor::{AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT};
 pub use optimize::select_probe_access;
 pub use physical::PhysicalPlan;

@@ -104,32 +104,30 @@ impl JoinKey {
 }
 
 /// A borrowed decode context: the plan's decode spec applied to one table
-/// definition (the executable form of [`DecodeSpec`]), plus whether stored
-/// rows are checked for the dirty marker first.
+/// definition (the executable form of [`DecodeSpec`]).
 #[derive(Clone, Copy)]
 struct DecodeCtx<'a> {
     def: &'a TableDef,
     qual_syms: Option<&'a [Symbol]>,
     mask: Option<&'a [bool]>,
-    dirty_protection: bool,
 }
 
 impl<'a> DecodeCtx<'a> {
-    fn new(def: &'a TableDef, spec: &'a DecodeSpec, dirty_protection: bool) -> Self {
+    fn new(def: &'a TableDef, spec: &'a DecodeSpec) -> Self {
         DecodeCtx {
             def,
             qual_syms: spec.qual_syms.as_deref(),
             mask: spec.mask.as_deref(),
-            dirty_protection,
         }
     }
 
     /// The one adaptor from stored row to relational row, for every scan
-    /// stream and point Get of a plan: under dirty protection a row carrying
-    /// the dirty marker surfaces as [`QueryError::DirtyRestart`], which
-    /// restarts the whole statement (paper §VIII-C); any other row decodes.
+    /// stream and point Get of a plan: a row carrying the dirty marker
+    /// surfaces as [`QueryError::DirtyRestart`], which restarts the whole
+    /// statement (paper §VIII-C); any other row decodes.  Base tables never
+    /// carry the marker, so only maintained view rows can restart a read.
     fn read(&self, stored: &nosql_store::ResultRow) -> Result<Row, QueryError> {
-        if self.dirty_protection && stored_row_is_dirty(stored) {
+        if stored_row_is_dirty(stored) {
             return Err(QueryError::DirtyRestart);
         }
         Ok(match self.qual_syms {
@@ -324,7 +322,7 @@ impl Executor {
             ..
         } = scan;
         let eq = eq_filter_row(run.conditions, run.params, filter);
-        let ctx = DecodeCtx::new(def, decode, self.dirty_protection());
+        let ctx = DecodeCtx::new(def, decode);
         let open = |shape| self.open_rows(def, access, index.as_ref().map(|i| &*i.def), &eq, shape);
         // The rows of `ctx`'s table, projected onto what `ctx` decodes.
         let projected = |ctx: &DecodeCtx| ScanShape {
@@ -341,7 +339,7 @@ impl Executor {
                 Box::new(row.into_iter().map(Ok))
             }
             (_, Some(index)) if index.covered => {
-                let index_ctx = DecodeCtx::new(&index.def, &index.decode, ctx.dirty_protection);
+                let index_ctx = DecodeCtx::new(&index.def, &index.decode);
                 index_ctx.stream(open(projected(&index_ctx))?)
             }
             (_, Some(index)) => {
@@ -352,7 +350,6 @@ impl Executor {
                     def: &index.def,
                     qual_syms: None,
                     mask: None,
-                    dirty_protection: ctx.dirty_protection,
                 };
                 Box::new(
                     open(ScanShape::default())?

@@ -18,9 +18,9 @@
 //!    queries are rewritten over the selected views and supplemented with
 //!    covered view-indexes for their filter columns (§VI-B, §VI-C).
 //! 5. **View maintenance** ([`maintenance`]): each view's defining join is
-//!    compiled into an incremental delta plan; writes propagate as signed
-//!    row-deltas through it (with an optional coalescing write batch),
-//!    keeping views consistent under inserts, deletes and updates (§VII).
+//!    compiled into an incremental delta plan; every write propagates its
+//!    signed row-deltas through it inside its own transaction, keeping views
+//!    consistent under inserts, deletes and updates (§VII).
 //! 6. **Concurrency control** ([`lock`], [`txn`]): one lock table per root
 //!    relation, a single hierarchical lock per write transaction, dirty-row
 //!    marking with scan restart for read-committed isolation (§VIII).

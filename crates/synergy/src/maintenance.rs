@@ -24,16 +24,16 @@
 //! that would otherwise force a full base-table scan, so no write ever
 //! scans a view to find the rows it affects.
 //!
-//! A coalescing [`DeltaBuffer`] (capacity > 1 via
-//! `SynergyConfig::with_write_batch`) defers propagation: consecutive
-//! writes to the same base key merge (last-write-wins per column,
-//! insert+delete annihilation) and flush as one propagated write.
+//! A write's views are maintained inside the write's own transaction:
+//! step 5 of the write pipeline ([`crate::txn`]) runs the engine under the
+//! root's single lock, so the views are current before the write is
+//! acknowledged.
 //!
 //! **One view-row write site.**  Whatever computed it — an insert's
 //! propagated tuple, a delete, a staged update's removals, rewrites and
-//! insertions, a flushed batch, crash recovery's roll-forward — a view row
-//! reaches the store through the private `write_view_row(view, ViewWrite)`
-//! and nowhere else.  It holds the partial-materialization fork once: with
+//! insertions, crash recovery's roll-forward — a view row reaches the
+//! store through the private `write_view_row(view, ViewWrite)` and nowhere
+//! else.  It holds the partial-materialization fork once: with
 //! a residency map the write is annihilated (cold key), deferred (key
 //! mid-fill) or applied under the residency lock; without one it is the
 //! plain executor write of its kind (`insert_row` / `update_row` /
@@ -46,10 +46,7 @@
 use crate::partial::{MaintOutcome, ViewResidency, ViewWrite};
 use crate::viewgen::ViewDefinition;
 use nosql_store::ops::Put;
-use query::{
-    DeltaBuffer, DeltaPlan, DeltaSign, Executor, PendingWrite, QueryError, RowDelta, TableDef,
-    FAMILY,
-};
+use query::{DeltaPlan, DeltaSign, Executor, QueryError, RowDelta, TableDef, FAMILY};
 use relational::Row;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,7 +61,6 @@ pub use query::DIRTY_MARKER;
 pub struct MaintenanceStats {
     view_rows_touched: AtomicU64,
     deltas_propagated: AtomicU64,
-    flushes: AtomicU64,
 }
 
 /// A point-in-time copy of the engine's counters.
@@ -74,10 +70,6 @@ pub struct MaintenanceStatsSnapshot {
     pub view_rows_touched: u64,
     /// View-row deltas produced by delta propagation.
     pub deltas_propagated: u64,
-    /// Write-batch flushes performed.
-    pub flushes: u64,
-    /// Writes merged away by the coalescing buffer.
-    pub coalesced_merges: u64,
 }
 
 /// The staged effect of one base-table update on one view: computed by
@@ -115,8 +107,6 @@ pub struct MaintenanceEngine {
     /// Compiled delta plans, keyed by view table name; entries whose
     /// catalog version is stale are recompiled lazily.
     plans: Arc<Mutex<BTreeMap<String, Arc<DeltaPlan>>>>,
-    /// The coalescing write batch (capacity 1 = propagate per write).
-    buffer: Arc<Mutex<DeltaBuffer>>,
     stats: Arc<MaintenanceStats>,
     /// Partial-materialization residency (`None` = views fully
     /// materialized): view-row writes are routed through it so deltas
@@ -128,8 +118,7 @@ pub struct MaintenanceEngine {
 
 impl MaintenanceEngine {
     /// Creates an engine; `executor`'s catalog must already contain the
-    /// view and view-index tables.  The write batch holds one write (no
-    /// coalescing) by default.
+    /// view and view-index tables.
     pub fn new(executor: Executor, views: Vec<ViewDefinition>) -> Self {
         let mut by_last: Vec<(String, Vec<usize>)> = Vec::new();
         let mut by_member: Vec<(String, Vec<usize>)> = Vec::new();
@@ -145,7 +134,6 @@ impl MaintenanceEngine {
             by_last,
             by_member,
             plans: Arc::new(Mutex::new(BTreeMap::new())),
-            buffer: Arc::new(Mutex::new(DeltaBuffer::new(1))),
             stats: Arc::new(MaintenanceStats::default()),
             residency: None,
         }
@@ -158,24 +146,11 @@ impl MaintenanceEngine {
         self
     }
 
-    /// Sets the coalescing write-batch capacity (1 = flush per write).
-    pub fn with_write_batch(self, capacity: usize) -> Self {
-        *self.buffer.lock().unwrap_or_else(PoisonError::into_inner) = DeltaBuffer::new(capacity);
-        self
-    }
-
-    /// True when writes are deferred into the coalescing batch.
-    pub(crate) fn buffering(&self) -> bool {
-        self.buffer.lock().unwrap_or_else(PoisonError::into_inner).capacity() > 1
-    }
-
     /// A snapshot of the maintenance counters.
     pub(crate) fn stats(&self) -> MaintenanceStatsSnapshot {
         MaintenanceStatsSnapshot {
             view_rows_touched: self.stats.view_rows_touched.load(Ordering::Relaxed),
             deltas_propagated: self.stats.deltas_propagated.load(Ordering::Relaxed),
-            flushes: self.stats.flushes.load(Ordering::Relaxed),
-            coalesced_merges: self.buffer.lock().unwrap_or_else(PoisonError::into_inner).merges(),
         }
     }
 
@@ -514,79 +489,6 @@ impl MaintenanceEngine {
             }
         }
         false
-    }
-
-    // ------------------------------------------------------------------
-    // Write batching
-    // ------------------------------------------------------------------
-
-    /// Buffers one base-table write of `relation` for deferred propagation
-    /// (a write no view depends on is dropped here); flushes the batch when
-    /// it reaches capacity.  Returns the number of view rows touched by a
-    /// triggered flush (0 when the write was merely buffered).
-    pub(crate) fn enqueue(&self, relation: &str, write: PendingWrite) -> Result<usize, QueryError> {
-        let (applicable, keyed_by) = match &write {
-            PendingWrite::Insert(row) | PendingWrite::Delete(row) => (&self.by_last, row),
-            PendingWrite::Update { after, .. } => (&self.by_member, after),
-        };
-        if ids_for(applicable, relation).is_empty() {
-            return Ok(0);
-        }
-        let def = self
-            .executor
-            .catalog()
-            .table_ci(relation)
-            .ok_or_else(|| QueryError::UnknownTable(relation.to_string()))?;
-        let key = def.encode_row_key(keyed_by);
-        let full = {
-            let mut buffer = self.buffer.lock().unwrap_or_else(PoisonError::into_inner);
-            buffer.record(&def.name, key, write);
-            buffer.is_full()
-        };
-        if full {
-            self.flush()
-        } else {
-            Ok(0)
-        }
-    }
-
-    /// Discards every write still coalescing in the batch without
-    /// propagating it.  Run by crash recovery: buffered deltas describe
-    /// base writes that may not have survived the crash, so propagating
-    /// them would corrupt the recovered views — the views are instead
-    /// consistent with the replayed base tables already.  Returns the
-    /// number of pending writes dropped.
-    pub(crate) fn discard_pending(&self) -> usize {
-        self.buffer.lock().unwrap_or_else(PoisonError::into_inner).drain().len()
-    }
-
-    /// Propagates every buffered (coalesced) write, in arrival order, with
-    /// the same mark → apply → unmark discipline per update.  Returns the
-    /// number of view rows touched.
-    pub(crate) fn flush(&self) -> Result<usize, QueryError> {
-        let drained = self.buffer.lock().unwrap_or_else(PoisonError::into_inner).drain();
-        if drained.is_empty() {
-            return Ok(0);
-        }
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        let mut touched = 0;
-        for (relation, write) in drained {
-            match write {
-                PendingWrite::Insert(row) => {
-                    touched += self.apply_insert(&relation, &row)?;
-                }
-                PendingWrite::Delete(before) => {
-                    touched += self.apply_delete(&relation, &before)?;
-                }
-                PendingWrite::Update { before, after } => {
-                    let staged = self.stage_update(&relation, &before, &after)?;
-                    self.mark_staged(&staged)?;
-                    touched += self.apply_staged(&staged)?;
-                    self.unmark_staged(&staged)?;
-                }
-            }
-        }
-        Ok(touched)
     }
 
     // ------------------------------------------------------------------

@@ -315,7 +315,7 @@ impl ViewResidency {
     }
 
     /// Reader pins currently held, summed over every entry (0 between
-    /// reads: step 3's guard drops them on every way out).
+    /// reads: step 2's guard drops them on every way out).
     pub fn pins_held(&self) -> u32 {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.views.values().flat_map(|v| v.values()).map(|e| e.pins).sum()

@@ -13,28 +13,25 @@
 //! `TransactionLayer::execute_write` and the store's `Cluster::mutate`.
 //! Every SELECT takes these steps, in this order:
 //!
-//! 1. **flush** — drain the writes still coalescing in the maintenance
-//!    batch, so the read observes maintained views.  Touches the store and
-//!    charges only when a write batch is configured and non-empty.
-//! 2. **plan** — one lookup in the one [`Session`]'s plan cache, keyed by
+//! 1. **plan** — one lookup in the one [`Session`]'s plan cache, keyed by
 //!    the statement's text (rendered once, here).  A miss runs rewrite
 //!    (§VI-B, as a planner rule) → bind → optimize once and caches the
 //!    result.  Catalog only: no store operation, nothing charged.
-//! 3. **admit** — only under a view budget.  For each view table the
+//! 2. **admit** — only under a view budget.  For each view table the
 //!    *compiled plan* reads, in FROM order: take the leading-key equality
 //!    from the plan's own bound filters ([`query::PhysicalPlan::eq_binding`]),
 //!    make that key resident — hit, wait for another reader's fill, or fill
 //!    it by an upquery (charged: the upquery's reads, the install's writes,
 //!    any eviction's deletes) — and pin it.  The pins live in one
-//!    `ReaderPins` guard from here to the end of step 4 and drop on every
+//!    `ReaderPins` guard from here to the end of step 3 and drop on every
 //!    way out, errors included.  A view with no key binding cannot be
 //!    admitted (the demand-filled view holds only the hot slice): the
 //!    statement is a **bypass** — counted once, pins taken so far dropped —
-//!    and takes the view-free plan instead of steps 4–5.
-//! 4. **run** — [`Executor::execute_plan`] under the §VIII-C dirty-restart
+//!    and takes the view-free plan instead of steps 3–4.
+//! 3. **run** — [`Executor::execute_plan`] under the §VIII-C dirty-restart
 //!    loop: a scanned row carrying a dirty marker restarts the statement,
 //!    up to [`query::DIRTY_RETRY_LIMIT`] times.  Charged like any plan.
-//! 5. **degrade** — only when step 4 exhausts its restarts (a view left
+//! 4. **degrade** — only when step 3 exhausts its restarts (a view left
 //!    permanently dirty by a crashed transaction): run the view-free plan —
 //!    base tables never carry markers — and report `dirty_fallbacks = 1`.
 //!
@@ -43,9 +40,9 @@
 //! skipped for that lookup ([`Session::select_plan`] with `rewrite = false`;
 //! the two key spaces are disjoint, so a rewritten statement can never be
 //! served a view-free plan or vice versa).  It has three callers and no
-//! others: the upquery of step 3 (the view's defining join must not be
-//! routed back onto the view being filled), the bypass of step 3, and the
-//! degrade of step 5.  Each compiles once per statement text.
+//! others: the upquery of step 2 (the view's defining join must not be
+//! routed back onto the view being filled), the bypass of step 2, and the
+//! degrade of step 4.  Each compiles once per statement text.
 
 use crate::lock::LockManager;
 use crate::maintenance::{MaintenanceEngine, MaintenanceStatsSnapshot};
@@ -88,11 +85,6 @@ pub struct SynergyConfig<'a> {
     /// refreshes (1 = fully serial, the default).  Raised by `fig_par`,
     /// `fig10 --threads` and the benchmark's `micro_scan` (`q2_join_par2`).
     pub threads: usize,
-    /// Capacity of the coalescing maintenance write batch (1 = propagate
-    /// per write, the default; larger values defer and merge deltas until
-    /// the batch fills or a read flushes it).  Raised by `fig_writes`' burst
-    /// sweep.
-    pub write_batch: usize,
     /// Resident-byte budget for **partial view materialization** (`None`,
     /// the default, keeps the classic fully-materialized behavior).  With a
     /// budget set, views start empty and fill on demand through upqueries;
@@ -119,7 +111,6 @@ impl<'a> SynergyConfig<'a> {
             candidate_override: None,
             hierarchical_locking: true,
             threads: 1,
-            write_batch: 1,
             view_budget: None,
         }
     }
@@ -151,13 +142,6 @@ impl<'a> SynergyConfig<'a> {
     /// systems rely on their transaction server instead).
     pub fn without_hierarchical_locking(mut self) -> Self {
         self.hierarchical_locking = false;
-        self
-    }
-
-    /// Coalesces up to `capacity` writes in the maintenance batch before
-    /// propagating their deltas (reads flush the batch first).
-    pub fn with_write_batch(mut self, capacity: usize) -> Self {
-        self.write_batch = capacity.max(1);
         self
     }
 }
@@ -231,9 +215,6 @@ pub struct SynergyRecovery {
     /// Dirty view rows whose base row did not survive, deleted (the
     /// interrupted transaction is rolled back).
     pub view_rows_removed: usize,
-    /// Writes still coalescing in the maintenance batch at the crash,
-    /// discarded (their base writes may not have survived).
-    pub pending_writes_discarded: usize,
 }
 
 impl SynergySystem {
@@ -248,7 +229,6 @@ impl SynergySystem {
             candidate_override,
             hierarchical_locking,
             threads,
-            write_batch,
             view_budget,
         } = config;
 
@@ -315,13 +295,9 @@ impl SynergySystem {
             }
         }
 
-        // Reads restart when they observe a dirty marker (§VIII-C).
-        let executor = Executor::new(cluster, catalog)
-            .with_dirty_read_protection()
-            .with_threads(threads);
+        let executor = Executor::new(cluster, catalog).with_threads(threads);
         let residency = view_budget.map(|budget| Arc::new(ViewResidency::new(budget)));
-        let mut maintainer = MaintenanceEngine::new(executor.clone(), selection.views.clone())
-            .with_write_batch(write_batch);
+        let mut maintainer = MaintenanceEngine::new(executor.clone(), selection.views.clone());
         if let Some(residency) = &residency {
             maintainer = maintainer.with_residency(residency.clone());
         }
@@ -383,7 +359,8 @@ impl SynergySystem {
         self.executor.catalog()
     }
 
-    /// The executor used for reads (dirty-read protection enabled).
+    /// The executor used for reads (a read that meets a dirty view row
+    /// restarts, §VIII-C).
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
@@ -417,7 +394,7 @@ impl SynergySystem {
         &self.session
     }
 
-    /// A snapshot of the read path's plan-cache counters: every step-2
+    /// A snapshot of the read path's plan-cache counters: every step-1
     /// lookup, plus the view-free lookups of upqueries, bypasses and
     /// degraded reads (one session, one set of counters).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
@@ -449,18 +426,16 @@ impl SynergySystem {
     }
 
     /// Executes one workload statement: writes run as single-lock
-    /// transactions in the transaction layer, reads take the five steps of
-    /// the module doc's contract (flush → plan → admit → run → degrade).
+    /// transactions in the transaction layer, reads take the four steps of
+    /// the module doc's contract (plan → admit → run → degrade).
     pub fn execute(&self, statement: &Statement, params: &[Value]) -> Result<QueryResult, TxnError> {
         if !statement.is_read() {
             return self.txn.execute_write(statement, params);
         }
-        // 1 flush
-        self.txn.flush_maintenance()?;
-        // 2 plan
+        // 1 plan
         let text = statement.to_string();
         let plan = self.session.select_plan(&text, Some(statement), true)?;
-        // 3 admit: the pins are held until the read has run.
+        // 2 admit: the pins are held until the read has run.
         let _pins = match &self.residency {
             None => None,
             Some(residency) => match self.admit(residency, &plan, params)? {
@@ -468,9 +443,9 @@ impl SynergySystem {
                 None => return self.run_view_free(&text, Some(statement), params),
             },
         };
-        // 4 run
+        // 3 run
         match self.executor.execute_plan(&plan, params) {
-            // 5 degrade
+            // 4 degrade
             Err(QueryError::DirtyReadRetriesExhausted) => {
                 let mut result = self.run_view_free(&text, Some(statement), params)?;
                 result.dirty_fallbacks = 1;
@@ -494,7 +469,7 @@ impl SynergySystem {
         Ok(self.executor.execute_plan(&plan, params)?)
     }
 
-    /// Step 3, partial-materialization admission: makes the key each view
+    /// Step 2, partial-materialization admission: makes the key each view
     /// table of `plan` is read at resident (issuing upqueries for misses)
     /// with a reader pin held.  Returns the pins, held until the guard
     /// drops, or `None` — bypass — when a view has no key binding.
@@ -589,14 +564,15 @@ impl SynergySystem {
         self.residency.as_ref().map(|r| r.snapshot())
     }
 
-    /// Flushes writes coalescing in the maintenance batch (no-op without
-    /// `with_write_batch`).  Returns the number of view rows touched.
+    /// Always `Ok(0)`: every write maintains its views inside its own
+    /// transaction, so nothing is ever pending.  Kept because the benchmark
+    /// package's view check calls it before comparing views.
     pub fn flush_maintenance(&self) -> Result<usize, TxnError> {
-        self.txn.flush_maintenance()
+        Ok(0)
     }
 
     /// A snapshot of the maintenance counters (view rows touched, deltas
-    /// propagated, batch flushes, coalesced merges).
+    /// propagated).
     pub fn maintenance_stats(&self) -> MaintenanceStatsSnapshot {
         self.txn.maintainer().stats()
     }
@@ -606,19 +582,16 @@ impl SynergySystem {
     ///
     /// 1. replays the store's WAL back to the acked-synced state
     ///    ([`nosql_store::Cluster::recover`]);
-    /// 2. discards writes still coalescing in the maintenance batch (their
-    ///    base writes may not have survived);
-    /// 3. force-releases hierarchical locks whose leases expired — every
+    /// 2. force-releases hierarchical locks whose leases expired — every
     ///    lock held by a transaction the crash killed, since recovery
     ///    charges more simulated time than a live holder's remaining lease;
-    /// 4. repairs the `_dirty` markers of interrupted update transactions:
+    /// 3. repairs the `_dirty` markers of interrupted update transactions:
     ///    a dirty view row whose base row survived is **rolled forward**
     ///    (recomputed from the base tables and unmarked); one whose base
     ///    row is gone is **rolled back** (deleted).  Either way no view row
     ///    outlives its base row and no view stays permanently dirty.
     pub fn recover(&self) -> Result<SynergyRecovery, TxnError> {
         let cluster_report = self.cluster().recover();
-        let pending_writes_discarded = self.txn.maintainer().discard_pending();
 
         let mut locks_reclaimed = 0;
         if self.hierarchical_locking {
@@ -651,7 +624,6 @@ impl SynergySystem {
                 locks_reclaimed,
                 view_rows_rolled_forward,
                 view_rows_removed,
-                pending_writes_discarded,
             });
         }
 
@@ -720,7 +692,6 @@ impl SynergySystem {
             locks_reclaimed,
             view_rows_rolled_forward,
             view_rows_removed,
-            pending_writes_discarded,
         })
     }
 

@@ -4,9 +4,9 @@
 //!
 //! # The write pipeline — a contract
 //!
-//! Every write — INSERT, UPDATE or DELETE, with or without a write batch,
-//! with or without hierarchical locking — is one pass through
-//! [`TransactionLayer::execute_write`], whose steps run in this order:
+//! Every write — INSERT, UPDATE or DELETE, with or without hierarchical
+//! locking — is one pass through [`TransactionLayer::execute_write`], whose
+//! steps run in this order:
 //!
 //! 1. **Log.**  The statement is appended to the slave's statement WAL and
 //!    synced; one RPC + one WAL sync are charged.  No store operation.
@@ -29,16 +29,15 @@
 //!    that takes the hierarchical lock.  Skipped when locking is disabled
 //!    or the row hangs under no root.
 //! 5. **Apply**, one `match` on the row's (before, after) images holding
-//!    the three bodies, each in its own order of charged store operations:
+//!    the three bodies, each in its own order of charged store operations.
+//!    Every body maintains the views itself, under the lock, before the
+//!    write is acknowledged:
 //!    * **insert** — base row → lock-table entry (root relations) → views;
 //!    * **delete** — views → base row, so no view row ever outlives its
-//!      base row; with a write batch the view side is deferred instead:
-//!      base row → enqueue (the retraction coalesces in the batch, where a
-//!      still-buffered insert of the same key annihilates with it);
+//!      base row;
 //!    * **update** — the §VIII-B procedure: stage the view effects by delta
 //!      propagation (reads only) → mark the affected view rows dirty → base
-//!      row → apply the staged view writes → unmark; with a write batch,
-//!      base row → enqueue.  The injected interrupt
+//!      row → apply the staged view writes → unmark.  The injected interrupt
 //!      ([`TransactionLayer::inject_interrupt_after_step`]) fires after the
 //!      mark (3), the base write (4) or the apply (5).
 //! 6. **Release** — at one site.  Whether step 5 completed or failed, the
@@ -55,8 +54,7 @@ use crate::maintenance::MaintenanceEngine;
 use crate::viewgen::CandidateViews;
 use nosql_store::{WalOp, WriteAheadLog};
 use query::{
-    bind_write, overlay, BoundWrite, Executor, PendingWrite, QueryError, QueryResult, TableDef,
-    WriteChange,
+    bind_write, overlay, BoundWrite, Executor, QueryError, QueryResult, TableDef, WriteChange,
 };
 use relational::{encode_key, Row, Schema, Value};
 use sql::Statement;
@@ -229,15 +227,9 @@ impl TransactionLayer {
         &self.schema
     }
 
-    /// The view-maintenance engine (delta plans, write batch, counters).
+    /// The view-maintenance engine (delta plans, counters).
     pub fn maintainer(&self) -> &MaintenanceEngine {
         &self.maintainer
-    }
-
-    /// Flushes any writes coalescing in the maintenance batch.  Returns the
-    /// number of view rows touched.
-    pub fn flush_maintenance(&self) -> Result<usize, TxnError> {
-        Ok(self.maintainer.flush()?)
     }
 
     /// Generates the execution plan for a write statement.
@@ -352,10 +344,6 @@ impl TransactionLayer {
         after: Option<Row>,
     ) -> Result<QueryResult, TxnError> {
         let relation = table.name.as_str();
-        // With a write batch, maintenance is deferred: the base row is
-        // written now and the delta coalesces in the batch (an insert and a
-        // delete of one key annihilate there); propagation happens at flush.
-        let deferred = self.maintainer.buffering();
         match (before, after) {
             (None, Some(row)) => {
                 self.executor.insert_row(relation, &row)?;
@@ -365,34 +353,14 @@ impl TransactionLayer {
                     self.locks
                         .ensure_entry(relation, &table.encode_row_key(&row))?;
                 }
-                if deferred {
-                    self.maintainer
-                        .enqueue(relation, PendingWrite::Insert(row))?;
-                } else {
-                    self.maintainer.apply_insert(relation, &row)?;
-                }
+                self.maintainer.apply_insert(relation, &row)?;
                 Ok(QueryResult::affected(1))
-            }
-            (Some(old), None) if deferred => {
-                let removed = self.executor.delete_row_by_key(relation, &old)?;
-                self.maintainer
-                    .enqueue(relation, PendingWrite::Delete(old))?;
-                Ok(QueryResult::affected(usize::from(removed)))
             }
             (Some(old), None) => {
                 // Views first, so no view row outlives its base row.
                 self.maintainer.apply_delete(relation, &old)?;
                 let removed = self.executor.delete_row_by_key(relation, &old)?;
                 Ok(QueryResult::affected(usize::from(removed)))
-            }
-            (Some(old), Some(new)) if deferred => {
-                self.executor.update_row(relation, &new)?;
-                let write = PendingWrite::Update {
-                    before: old,
-                    after: new,
-                };
-                self.maintainer.enqueue(relation, write)?;
-                Ok(QueryResult::affected(1))
             }
             (Some(old), Some(new)) => {
                 // §VIII-B step 2: compute the view effects by propagating

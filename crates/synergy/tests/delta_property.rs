@@ -1,8 +1,7 @@
 //! Property tests for delta-dataflow view maintenance: after an arbitrary
 //! sequence of inserts, updates and deletes, every selected view's table
 //! must equal a full recomputation of its defining join, row for row —
-//! at 1 and 4 region-parallel workers, and through the coalescing write
-//! batch with a single deferred flush.
+//! at 1 and 4 region-parallel workers.
 
 use nosql_store::{Cluster, ClusterConfig};
 use proptest::prelude::*;
@@ -20,15 +19,14 @@ fn company_types(_relation: &str, column: &str) -> Option<ColumnType> {
     .then_some(ColumnType::Int)
 }
 
-fn build_system(threads: usize, write_batch: usize) -> SynergySystem {
+fn build_system(threads: usize) -> SynergySystem {
     let schema = company::company_schema();
     let workload =
         parse_workload(company::company_workload_sql().iter().map(String::as_str)).unwrap();
     SynergySystem::build(
         Cluster::new(ClusterConfig::default()),
         SynergyConfig::new(schema, workload, company::company_roots(), &company_types)
-            .with_threads(threads)
-            .with_write_batch(write_batch),
+            .with_threads(threads),
     )
     .unwrap()
 }
@@ -160,24 +158,10 @@ proptest! {
         ops in proptest::collection::vec((0u8..5, 1i64..4, 1i64..4, 1i64..60), 1..20)
     ) {
         for threads in [1usize, 4] {
-            let system = build_system(threads, 1);
+            let system = build_system(threads);
             load_minimal(&system, 3);
             apply_ops(&system, &ops);
             assert_views_match_recompute(&system);
         }
-    }
-
-    /// The coalescing write batch defers maintenance without changing it:
-    /// after a buffered run and one final flush, views are again exactly
-    /// the recomputed join.
-    #[test]
-    fn buffered_maintenance_equals_recompute_after_flush(
-        ops in proptest::collection::vec((0u8..5, 1i64..4, 1i64..4, 1i64..60), 1..20)
-    ) {
-        let system = build_system(1, 8);
-        load_minimal(&system, 3);
-        apply_ops(&system, &ops);
-        system.flush_maintenance().unwrap();
-        assert_views_match_recompute(&system);
     }
 }

@@ -1,6 +1,6 @@
 //! The step contract of the read pipeline ([`SynergySystem::execute`] on a
-//! SELECT, stated in the module docs of `synergy::system`): flush → plan →
-//! admit → run → degrade, held for workload and ad-hoc statements, fully
+//! SELECT, stated in the module docs of `synergy::system`): plan → admit →
+//! run → degrade, held for workload and ad-hoc statements, fully
 //! materialized and under a view budget, through every outcome — the twin
 //! of `write_pipeline_contract.rs`.
 //!
@@ -87,13 +87,13 @@ fn crash_an_update_of_employee_2(system: &SynergySystem) {
 /// Which way out of the pipeline a read took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
-    /// Steps 1–4 only: answered from the view tables.
+    /// Steps 1–3 only: answered from the view tables.
     Served,
-    /// Step 3 filled a missing key by an upquery, then step 4 ran.
+    /// Step 2 filled a missing key by an upquery, then step 3 ran.
     Upquery,
-    /// Step 3 found a view with no key binding: the view-free plan ran.
+    /// Step 2 found a view with no key binding: the view-free plan ran.
     Bypass,
-    /// Step 4 exhausted its dirty restarts: step 5 ran the view-free plan.
+    /// Step 3 exhausted its dirty restarts: step 4 ran the view-free plan.
     Degrade,
 }
 use Outcome::{Bypass, Degrade, Served, Upquery};
@@ -355,7 +355,7 @@ fn every_read_obeys_the_pipeline_contract() {
     );
 }
 
-/// `EXPLAIN` through `execute_sql` renders the plan step 4 runs — the
+/// `EXPLAIN` through `execute_sql` renders the plan step 3 runs — the
 /// `Rewrite` node on top for a routed statement, under a budget too — and
 /// the view-free plan of the same statement carries none.
 #[test]
@@ -412,7 +412,7 @@ fn two_branch_schema() -> Schema {
 }
 
 /// A statement over two views that keys only one of them is a bypass — and
-/// when the keyed view comes first, step 3 has already made its key
+/// when the keyed view comes first, step 2 has already made its key
 /// resident and pinned it: the bypass must drop that pin and count once.
 #[test]
 fn a_bypass_at_the_second_view_releases_the_first_views_pin() {
@@ -460,6 +460,6 @@ fn a_bypass_at_the_second_view_releases_the_first_views_pin() {
         assert_eq!(residency.pins_held(), 0, "workload {workload}: the bypass leaks a pin");
         keys_made_resident += after.resident_keys - before.resident_keys;
     }
-    // Exactly one of the two statements keys the view step 3 meets first.
+    // Exactly one of the two statements keys the view step 2 meets first.
     assert_eq!(keys_made_resident, 1, "no statement was admitted to its first view");
 }

@@ -5,7 +5,7 @@ use nosql_store::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 use query::ColumnType;
 use relational::{company, Row, Value};
-use sql::parse_workload;
+use sql::{parse_statement, parse_workload};
 use synergy::viewgen::generate_candidate_views;
 use synergy::{SynergyConfig, SynergySystem};
 
@@ -185,6 +185,50 @@ fn lock_held_by_a_stalled_writer_blocks_only_that_root_key() {
 /// `V_Employee__Works_On` on the rewritten path.
 const JOIN_PROBE: &str = "SELECT * FROM Employee AS e, Works_On AS wo WHERE e.EID = wo.WO_EID";
 
+/// Canonical multiset form of a row set: per-row sorted (column, value)
+/// pairs, rows sorted — order- and representation-independent equality.
+fn canonical(rows: &[Row]) -> Vec<Vec<(String, String)>> {
+    let mut out: Vec<Vec<(String, String)>> = rows
+        .iter()
+        .map(|r| {
+            let mut cols: Vec<(String, String)> =
+                r.iter().map(|(k, v)| (k.to_string(), format!("{v:?}"))).collect();
+            cols.sort();
+            cols
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Asserts that no view row carries a set dirty marker and that every
+/// selected view's table equals a fresh recomputation of its defining join
+/// by value — a stale row with the right row count fails.
+fn assert_views_match_recompute(system: &SynergySystem, at: &str) {
+    for view in system.selection().views.clone() {
+        let table = view.table_name();
+        for row in system
+            .cluster()
+            .scan(&table, nosql_store::ops::Scan::all())
+            .unwrap()
+        {
+            assert_ne!(
+                row.value(query::FAMILY, query::DIRTY_MARKER),
+                Some(b"1".as_slice()),
+                "{at}: dirty marker left in {table}"
+            );
+        }
+        let expected = system.recompute_view_rows(&view).unwrap();
+        let select = parse_statement(&format!("SELECT * FROM {table}")).unwrap();
+        let actual = system.executor().execute(&select, &[]).unwrap().rows;
+        assert_eq!(
+            canonical(&actual),
+            canonical(&expected),
+            "{at}: {table} diverges from recompute"
+        );
+    }
+}
+
 /// A crash at *any* point of the marked window (after step 3, mid-step 4,
 /// or before step 5's unmark) must recover to consistent views: no view
 /// row without its base row, no dirty marker left behind, the lock
@@ -230,26 +274,7 @@ fn crash_between_steps_3_and_5_recovers_consistent_views() {
 
         // No dirty marker survives anywhere, and every view equals a full
         // recompute from the recovered base tables.
-        for view in system.selection().views.clone() {
-            let table = view.table_name();
-            for row in system
-                .cluster()
-                .scan(&table, nosql_store::ops::Scan::all())
-                .unwrap()
-            {
-                assert_ne!(
-                    row.value(query::FAMILY, query::DIRTY_MARKER),
-                    Some(b"1".as_slice()),
-                    "step {step}: dirty marker left in {table}"
-                );
-            }
-            let expected = system.recompute_view_rows(&view).unwrap();
-            assert_eq!(
-                system.cluster().row_count(&table).unwrap() as usize,
-                expected.len(),
-                "step {step}: {table} diverges from recompute"
-            );
-        }
+        assert_views_match_recompute(&system, &format!("step {step}"));
 
         // The rewritten read path works again, fallback-free, and agrees
         // with the baseline plan (rows carry differently-qualified symbols
@@ -279,6 +304,58 @@ fn crash_between_steps_3_and_5_recovers_consistent_views() {
             )
             .unwrap();
     }
+}
+
+/// Writes that completed before a crash leave nothing to repair: each one
+/// maintained its views inside its own transaction, so after an acked
+/// INSERT, UPDATE and DELETE, `crash()` and `recover()`, every view equals
+/// its defining join by value, with no row rolled forward or removed.
+#[test]
+fn acked_writes_survive_a_crash_with_views_equal_to_recompute() {
+    let system = fresh_system();
+    let writes = [
+        (
+            "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
+            vec![Value::Int(2), Value::Int(1), Value::Int(12)],
+        ),
+        (
+            "INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (?, ?, ?)",
+            vec![Value::Int(3), Value::Int(1), Value::Int(30)],
+        ),
+        (
+            "UPDATE Employee SET EName = ? WHERE EID = ?",
+            vec![Value::str("Renamed"), Value::Int(2)],
+        ),
+        (
+            "DELETE FROM Works_On WHERE WO_EID = ? AND WO_PNo = ?",
+            vec![Value::Int(3), Value::Int(1)],
+        ),
+    ];
+    for (sql_text, params) in &writes {
+        let result = system.execute_sql(sql_text, params).unwrap();
+        assert_eq!(result.rows_affected, 1, "{sql_text}");
+    }
+    assert_views_match_recompute(&system, "before the crash");
+
+    system.cluster().crash();
+    let report = system.recover().unwrap();
+    assert_eq!(report.locks_reclaimed, 0);
+    assert_eq!(report.view_rows_rolled_forward, 0);
+    assert_eq!(report.view_rows_removed, 0);
+    assert_views_match_recompute(&system, "after recovery");
+
+    // The update's new name reached both views containing Employee.
+    let renamed = system.execute_sql(JOIN_PROBE, &[]).unwrap();
+    assert_eq!(renamed.dirty_fallbacks, 0);
+    assert_eq!(renamed.len(), 1);
+    assert_eq!(renamed.rows[0].get("EName").unwrap(), &Value::str("Renamed"));
+    let home = system
+        .execute_sql(
+            "SELECT * FROM Employee AS e, Address AS a WHERE a.AID = e.EHome_AID AND e.EID = ?",
+            &[Value::Int(2)],
+        )
+        .unwrap();
+    assert_eq!(home.rows[0].get("EName").unwrap(), &Value::str("Renamed"));
 }
 
 /// A view left permanently dirty (crash after step 4, before the unmark)

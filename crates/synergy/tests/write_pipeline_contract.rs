@@ -35,12 +35,12 @@ fn company_types(_relation: &str, column: &str) -> Option<ColumnType> {
 /// The Company deployment: four employees, each living at the address of
 /// the same number (so employee `n`'s root lock row is `Address/n`), one
 /// department, one project, and employee 2 working on it.
-fn deployment(write_batch: usize, locking: bool) -> SynergySystem {
+fn deployment(locking: bool) -> SynergySystem {
     let schema = company::company_schema();
     let workload =
         parse_workload(company::company_workload_sql().iter().map(String::as_str)).unwrap();
-    let mut config = SynergyConfig::new(schema, workload, company::company_roots(), &company_types)
-        .with_write_batch(write_batch);
+    let mut config =
+        SynergyConfig::new(schema, workload, company::company_roots(), &company_types);
     if !locking {
         config = config.without_hierarchical_locking();
     }
@@ -141,11 +141,11 @@ struct Case {
     root_key: &'static str,
     /// `[gets, puts, deletes, check_and_puts, scans]` of the one statement,
     /// as recorded at this pipeline's parent commit, per [`CONFIGURATIONS`].
-    pinned: [[u64; 5]; 4],
+    pinned: [[u64; 5]; 2],
 }
 
-/// `(write_batch, hierarchical locking)`.
-const CONFIGURATIONS: [(usize, bool); 4] = [(1, true), (1, false), (8, true), (8, false)];
+/// Hierarchical locking on, then off.
+const CONFIGURATIONS: [bool; 2] = [true, false];
 
 #[test]
 fn every_write_kind_obeys_the_pipeline_contract() {
@@ -156,12 +156,7 @@ fn every_write_kind_obeys_the_pipeline_contract() {
             hit: vec![Value::Int(3), Value::Int(1), Value::Int(7)],
             miss: None,
             root_key: "3",
-            pinned: [
-                [2, 4, 0, 2, 0],
-                [1, 4, 0, 0, 0],
-                [1, 2, 0, 2, 0],
-                [0, 2, 0, 0, 0],
-            ],
+            pinned: [[2, 4, 0, 2, 0], [1, 4, 0, 0, 0]],
         },
         Case {
             kind: "update",
@@ -169,12 +164,7 @@ fn every_write_kind_obeys_the_pipeline_contract() {
             hit: vec![Value::str("Renamed"), Value::Int(2)],
             miss: Some(vec![Value::str("Nobody"), Value::Int(99)]),
             root_key: "2",
-            pinned: [
-                [2, 10, 0, 2, 1],
-                [2, 10, 0, 0, 1],
-                [1, 3, 0, 2, 0],
-                [1, 3, 0, 0, 0],
-            ],
+            pinned: [[2, 10, 0, 2, 1], [2, 10, 0, 0, 1]],
         },
         Case {
             kind: "delete",
@@ -182,12 +172,7 @@ fn every_write_kind_obeys_the_pipeline_contract() {
             hit: vec![Value::Int(2), Value::Int(1)],
             miss: Some(vec![Value::Int(99), Value::Int(1)]),
             root_key: "2",
-            pinned: [
-                [2, 0, 4, 2, 0],
-                [1, 0, 4, 0, 0],
-                [2, 0, 2, 2, 0],
-                [1, 0, 2, 0, 0],
-            ],
+            pinned: [[2, 0, 4, 2, 0], [1, 0, 4, 0, 0]],
         },
     ];
 
@@ -200,9 +185,9 @@ fn every_write_kind_obeys_the_pipeline_contract() {
         pinned,
     } in &cases
     {
-        for ((write_batch, locking), expected) in CONFIGURATIONS.into_iter().zip(pinned) {
-            let at = format!("{kind}, write_batch {write_batch}, locking {locking}");
-            let system = deployment(write_batch, locking);
+        for (locking, expected) in CONFIGURATIONS.into_iter().zip(pinned) {
+            let at = format!("{kind}, locking {locking}");
+            let system = deployment(locking);
 
             // An absent key: affected(0) after the one before-image read —
             // no lock, no base write, no view touched.
@@ -234,7 +219,6 @@ fn every_write_kind_obeys_the_pipeline_contract() {
                 !held(&system, root_key),
                 "{at}: lock released after the write"
             );
-            system.flush_maintenance().unwrap();
             assert_eq!(
                 dirty_view_rows(&system),
                 0,
@@ -246,9 +230,9 @@ fn every_write_kind_obeys_the_pipeline_contract() {
 
 #[test]
 fn failed_and_rejected_writes_leave_the_lock_free() {
-    for (write_batch, locking) in CONFIGURATIONS {
-        let at = format!("write_batch {write_batch}, locking {locking}");
-        let system = deployment(write_batch, locking);
+    for locking in CONFIGURATIONS {
+        let at = format!("locking {locking}");
+        let system = deployment(locking);
 
         // Rejected at bind, exactly as on the executor path: an unknown
         // column (INSERT and UPDATE) — nothing read, nothing locked.
@@ -318,7 +302,7 @@ fn an_interrupt_leaks_the_guard_and_leaves_the_markers() {
     for step in [3u8, 4, 5] {
         for locking in [true, false] {
             let at = format!("step {step}, locking {locking}");
-            let system = deployment(1, locking);
+            let system = deployment(locking);
             system.transaction_layer().inject_interrupt_after_step(step);
             let err = system
                 .execute_sql(UPDATE, &[Value::str("Crashed"), Value::Int(2)])

@@ -148,18 +148,7 @@ impl MicroBench {
     /// workers (the `--threads` axis of the benchmark reports; 1 = the
     /// serial pipeline, byte-identical sim figures to previous versions).
     pub fn build_with_threads(customers: u64, threads: usize) -> Result<MicroBench, TxnError> {
-        Self::build_with_maintenance(customers, threads, 1)
-    }
-
-    /// [`MicroBench::build_with_threads`] with the coalescing maintenance
-    /// write buffer at capacity `write_batch` (1 = propagate per write; the
-    /// `fig_writes` burst sweep uses 256).
-    pub fn build_with_maintenance(
-        customers: u64,
-        threads: usize,
-        write_batch: usize,
-    ) -> Result<MicroBench, TxnError> {
-        Self::build_inner(customers, threads, write_batch, micro_queries(), None)
+        Self::build_inner(customers, threads, micro_queries(), None)
     }
 
     /// Builds the deployment for the partial-materialization evaluation:
@@ -172,13 +161,12 @@ impl MicroBench {
         threads: usize,
         view_budget: Option<u64>,
     ) -> Result<MicroBench, TxnError> {
-        Self::build_inner(customers, threads, 1, partial_queries(), view_budget)
+        Self::build_inner(customers, threads, partial_queries(), view_budget)
     }
 
     fn build_inner(
         customers: u64,
         threads: usize,
-        write_batch: usize,
         workload: Vec<Statement>,
         view_budget: Option<u64>,
     ) -> Result<MicroBench, TxnError> {
@@ -190,8 +178,7 @@ impl MicroBench {
             vec!["Customer".to_string()],
             &micro_types,
         )
-        .with_threads(threads)
-        .with_write_batch(write_batch);
+        .with_threads(threads);
         if let Some(budget) = view_budget {
             config = config.with_view_budget(budget);
         }
