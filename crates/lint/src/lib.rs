@@ -6,7 +6,7 @@
 //! | rule            | invariant |
 //! |-----------------|-----------|
 //! | `determinism`   | sim-figure crates take time from `SimClock` and iterate ordered containers |
-//! | `lock-discipline` | lock acquisition order is acyclic; no guard is held across a pool fan-out |
+//! | `lock-discipline` | lock acquisition order is acyclic; no guard is held across a thread fan-out |
 //! | `cost-accounting` | public `Cluster` ops that touch region state charge the cost model |
 //! | `panic-freedom` | store/view/query library code returns errors instead of panicking |
 //!

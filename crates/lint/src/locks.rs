@@ -7,9 +7,9 @@
 //!   acquires `regions` then `tables`: a classic ABBA deadlock;
 //! * **same-resource re-entry** — a second acquisition of a resource whose
 //!   guard is still live in the same function;
-//! * **guards bound across a pool fan-out** — holding any guard across
-//!   `pool::map` / `pool::map_chunked` / `std::thread::scope` serializes the
-//!   fan-out at best and deadlocks it at worst.
+//! * **guards bound across a thread fan-out** — holding any guard across a
+//!   `scope` or `spawn` of `std::thread` serializes the fan-out at best and
+//!   deadlocks it at worst.
 //!
 //! A *resource* is the final field segment of the receiver chain
 //! (`self.inner.replication.lock()` → `replication`); guards bound by `let`
@@ -50,7 +50,7 @@ pub struct LockFacts {
     pub fn_calls: BTreeMap<String, BTreeSet<String>>,
     /// Times each function name is defined (ambiguity filter).
     pub fn_defs: BTreeMap<String, usize>,
-    /// Functions that fan out onto the pool directly.
+    /// Functions that fan out onto threads directly.
     pub fn_fanout: BTreeSet<String>,
     /// Calls made while holding guards: (caller, callee, held, file, line).
     pub guarded_calls: Vec<(String, String, Vec<String>, String, usize)>,
@@ -191,11 +191,9 @@ fn scan_body(
                     }
                 }
                 _ => {
-                    // Fan-out sites: pool::map / pool::map_chunked /
-                    // thread::scope.
-                    let fanout = (t.is_ident("map") || t.is_ident("map_chunked"))
-                        && path_prefix_is(tokens, i, "pool")
-                        || t.is_ident("scope") && path_prefix_is(tokens, i, "thread");
+                    // Fan-out sites: `std::thread`'s `scope` and `spawn`.
+                    let fanout = (t.is_ident("scope") || t.is_ident("spawn"))
+                        && path_prefix_is(tokens, i, "thread");
                     if fanout {
                         facts.fn_fanout.insert(fn_name.to_string());
                         let held: Vec<String> = frames
@@ -209,7 +207,7 @@ fn scan_body(
                                 path.to_string(),
                                 t.line,
                                 format!(
-                                    "guard(s) [{}] held across a pool fan-out (`{}`)",
+                                    "guard(s) [{}] held across a thread fan-out (`{}`)",
                                     held.join(", "),
                                     t.text
                                 ),
@@ -321,7 +319,7 @@ fn let_binding(tokens: &[Token], start: usize) -> Option<String> {
 }
 
 /// True when the ident at `i` is qualified as `<seg>::ident`.
-fn path_prefix_is(tokens: &[Token], i: usize, seg: &str) -> bool {
+pub(crate) fn path_prefix_is(tokens: &[Token], i: usize, seg: &str) -> bool {
     i >= 3
         && tokens[i - 1].is_punct(':')
         && tokens[i - 2].is_punct(':')
@@ -393,7 +391,7 @@ pub fn analyze_crate(all: Vec<LockFacts>) -> Vec<(String, String, usize)> {
             out.push((
                 format!(
                     "guard(s) [{}] held across call to `{callee}`, which fans out \
-                     onto the thread pool",
+                     onto threads",
                     held.join(", ")
                 ),
                 file.clone(),

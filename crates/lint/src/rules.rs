@@ -18,8 +18,11 @@ const PANIC_MACROS: &[&str] = &[
     "panic", "unreachable", "todo", "unimplemented", "assert", "assert_eq", "assert_ne",
 ];
 
-/// R1 — determinism: forbid wall-clock reads, ambient RNG and
-/// hash-ordered containers in sim-figure-affecting library code.
+/// R1 — determinism: forbid wall-clock reads, ambient RNG, hash-ordered
+/// containers and thread spawns in sim-figure-affecting library code.  A
+/// statement runs on one OS thread; parallel workers are a sim-clock model
+/// (`std::thread::yield_now`, which only lets a contending holder progress,
+/// stays legal).
 pub fn determinism(crate_name: &str, kind: FileKind, path: &str, m: &FileModel, out: &mut Vec<Violation>) {
     if kind != FileKind::Lib || !SIM_CRATES.contains(&crate_name) {
         return;
@@ -39,6 +42,13 @@ pub fn determinism(crate_name: &str, kind: FileKind, path: &str, m: &FileModel, 
         } else if t.is_ident("thread_rng") || t.is_ident("from_entropy") {
             Some(format!(
                 "`{}` draws ambient randomness in a sim-figure-affecting crate; seed RNGs deterministically",
+                t.text
+            ))
+        } else if (t.is_ident("spawn") || t.is_ident("scope"))
+            && crate::locks::path_prefix_is(&m.tokens, i, "thread")
+        {
+            Some(format!(
+                "`thread::{}` in a sim-figure-affecting crate: a statement runs on one OS thread; model parallel workers on the sim clock (`simclock::WorkerClock`)",
                 t.text
             ))
         } else if t.is_ident("HashMap") || t.is_ident("HashSet") {

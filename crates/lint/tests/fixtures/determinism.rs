@@ -19,8 +19,18 @@ pub fn suppressed_map() -> HashMap<u8, u8> {
     HashMap::new() // lint-allow(determinism): trailing pragma covers this line
 }
 
+pub fn spawns_a_thread() -> u64 {
+    std::thread::spawn(|| 1).join().unwrap_or(0)
+}
+
+pub fn fans_out_on_scoped_threads() {
+    std::thread::scope(|s| {
+        s.spawn(|| std::thread::yield_now());
+    });
+}
+
 pub fn strings_do_not_count() -> &'static str {
-    "HashMap Instant::now SystemTime thread_rng"
+    "HashMap Instant::now SystemTime thread_rng thread::spawn"
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@ impl S {
 
     pub fn guard_across_fanout(&self) {
         let w = self.wal.lock();
-        let _sums = pool::map(vec![1, 2, 3], 2, |x| x);
+        std::thread::scope(|s| {
+            s.spawn(|| 1);
+        });
         drop(w);
     }
 
@@ -35,6 +37,6 @@ impl S {
     }
 
     fn helper_that_fans_out(&self) {
-        let _sums = pool::map_chunked(vec![1, 2, 3], 2, |v| v.len());
+        let _ = std::thread::spawn(|| 1).join();
     }
 }

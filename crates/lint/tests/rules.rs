@@ -25,6 +25,9 @@ fn determinism_rule_fires_on_each_trigger() {
     assert!(det.iter().any(|x| x.message.contains("SystemTime")));
     assert!(det.iter().any(|x| x.message.contains("thread_rng")));
     assert!(det.iter().any(|x| x.message.contains("`HashMap`")));
+    // `thread::spawn` and `thread::scope` fire once each; `s.spawn` on a
+    // scope handle and `thread::yield_now` stay legal.
+    assert_eq!(det.iter().filter(|x| x.message.contains("`thread::")).count(), 2, "{det:?}");
     // Suppressed HashMap/HashSet lines and the #[cfg(test)] module stay
     // quiet; strings never count.
     assert!(!det.iter().any(|x| x.message.contains("`HashSet`")));
@@ -121,7 +124,7 @@ fn lock_discipline_rule_finds_direct_violations() {
         msgs.iter().filter(|m| m.contains("re-acquired")).count() >= 2,
         "direct re-entry and the for-header re-entry: {msgs:?}"
     );
-    assert!(msgs.iter().any(|m| m.contains("held across a pool fan-out")));
+    assert!(msgs.iter().any(|m| m.contains("held across a thread fan-out")));
     assert!(
         msgs.iter().any(|m| m.contains("held across call to `helper_that_fans_out`")),
         "interprocedural fan-out: {msgs:?}"

@@ -160,9 +160,10 @@ impl TableState {
 /// multiple clients holding connections to the same cluster.
 ///
 /// Each handle carries its own **charge sink** clock: ordinarily the shared
-/// cluster clock, but region-parallel scans rebind worker handles to private
-/// clocks (see [`Cluster::par_scan_stream`]) so per-worker sim deltas can be
-/// merged deterministically (max for elapsed, sum for counters).
+/// cluster clock, but region-parallel scans rebind their modelled workers'
+/// handles to private clocks (see [`Cluster::par_scan_stream`]) so
+/// per-worker sim deltas can be merged deterministically (max for elapsed,
+/// sum for counters).
 #[derive(Clone)]
 pub struct Cluster {
     pub(crate) inner: Arc<ClusterInner>,
@@ -233,7 +234,7 @@ impl Cluster {
 
     /// A handle over the same cluster state whose charges land on `clock`
     /// instead of the shared timeline.  Parallel scan workers use this so
-    /// their sim-cost deltas can be merged (`max` of workers) at the barrier
+    /// their sim-cost deltas can be merged (`max` of workers) once drained
     /// rather than summing serially on the shared clock.
     pub(crate) fn with_charge_sink(&self, clock: SimClock) -> Cluster {
         Cluster {
@@ -248,8 +249,8 @@ impl Cluster {
     }
 
     /// True if a fault plan is configured (used to route parallel scans to
-    /// the serial path: fault scheduling is defined on the shared timeline,
-    /// not on parallel workers' private clocks).
+    /// the serial path: outage windows are instants on the shared timeline,
+    /// while parallel workers' private clocks start at the epoch).
     pub fn faults_enabled(&self) -> bool {
         self.inner.faults.is_some()
     }
@@ -443,11 +444,6 @@ impl Cluster {
     /// Names of all tables, sorted.
     pub fn list_tables(&self) -> Vec<String> {
         self.inner.tables.read().keys().cloned().collect()
-    }
-
-    /// The schema of a table.
-    pub fn table_schema(&self, name: &str) -> StoreResult<TableSchema> {
-        Ok(self.table(name)?.schema.clone())
     }
 
     pub(crate) fn table(&self, name: &str) -> StoreResult<Arc<TableState>> {

@@ -74,9 +74,9 @@ impl Cluster {
     }
 
     /// [`Cluster::scan_stream`] with control over the `scans` counter bump:
-    /// parallel scan workers pass `record_open = false` so the fan-out
-    /// counts as **one** logical scan (recorded by the parallel cursor),
-    /// while still charging each worker's scanner-open sim cost.
+    /// parallel scan workers pass `record_open = false` so the modelled
+    /// fan-out counts as **one** logical scan (recorded by the parallel
+    /// cursor), while still charging each worker's scanner-open sim cost.
     pub(crate) fn scan_stream_inner(
         &self,
         table: &str,
@@ -117,11 +117,6 @@ impl Cluster {
 }
 
 impl ScanCursor {
-    /// Total rows this cursor has yielded into pages so far.
-    pub fn rows_streamed(&self) -> u64 {
-        self.rows_streamed
-    }
-
     /// The fallible pull: the next row in key order, `Ok(None)` at the end of
     /// the range, or the error of a page fetch that failed after exhausting
     /// the retry policy — reported once, after which the cursor is at its
@@ -130,24 +125,6 @@ impl ScanCursor {
         loop {
             if let Some(row) = self.page.next() {
                 return Ok(Some(row));
-            }
-            if self.exhausted {
-                return Ok(None);
-            }
-            self.fetch_page()?;
-        }
-    }
-
-    /// Returns the remainder of the current page plus, if needed, the next
-    /// fetched page; `None` once the cursor is exhausted.  This is the
-    /// page-granular pull the region-parallel cursor advances workers by —
-    /// between two calls the table may split and the next page re-locates
-    /// its region via the resume key.
-    pub(crate) fn next_page(&mut self) -> StoreResult<Option<Vec<ResultRow>>> {
-        loop {
-            let page: Vec<ResultRow> = self.page.by_ref().collect();
-            if !page.is_empty() {
-                return Ok(Some(page));
             }
             if self.exhausted {
                 return Ok(None);

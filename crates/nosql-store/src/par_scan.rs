@@ -1,79 +1,51 @@
 //! Region-parallel scans: the resume-key region walk of [`ScanCursor`],
-//! partitioned across worker threads.
+//! partitioned into modelled workers.
 //!
 //! [`Cluster::par_scan_stream`] snapshots the table's region boundaries and
 //! carves the scan range into up to `threads` **contiguous sub-ranges**, one
-//! serial [`ScanCursor`] each.  Workers page independently (each page
-//! re-locates its region by resume key, so workers survive splits that land
-//! between their pages) and the merged cursor yields the sub-ranges' pages
-//! in key-range order — because the sub-ranges are disjoint and sorted,
+//! serial [`ScanCursor`] each — one modelled region-server worker.  The
+//! merged cursor drains the workers one after the other, in key-range order,
+//! on the caller's thread: because the sub-ranges are disjoint and sorted,
 //! concatenation *is* the global key order, and the parallel cursor returns
-//! exactly what the serial cursor would.
+//! exactly what the serial cursor would.  Each page re-locates its region by
+//! resume key, so a worker survives a split that lands between its pages.
 //!
-//! # Determinism
+//! # Sim accounting
 //!
-//! Workers charge sim costs into **private** clocks and advance in
-//! synchronous *rounds*: a round pulls up to [`ROUND_PAGES`] pages from
-//! every unfinished worker (fanned out on [`pool`] scoped threads) and only
-//! runs when the consumer needs a page.  How many rounds run is a pure
-//! function of the data and the consumption pattern — never of OS
-//! scheduling — so each worker's clock delta is deterministic.  At
-//! exhaustion (or drop) the deltas merge per the workspace rule:
-//! **elapsed = max of workers** charged once into the shared clock
-//! ([`simclock::merge_elapsed`]), **cost counters = sum** (workers bump the
-//! shared atomic [`crate::OpCounters`] directly).  `threads <= 1` routes to
-//! the serial [`Cluster::scan_stream`] unchanged, so single-threaded
-//! figures are byte-identical to the serial pipeline.
+//! The parallelism is a cost model, not OS threads.  Each worker charges its
+//! sim costs into a **private** clock, and at exhaustion (or drop) the deltas
+//! merge per the workspace rule: **elapsed = max of workers** charged once
+//! into the shared clock ([`simclock::merge_elapsed`]), **cost counters =
+//! sum** (workers bump the shared atomic [`crate::OpCounters`] directly).  A
+//! worker's clock delta is a function of the pages it fetched alone, so the
+//! merge is deterministic; a limited or abandoned scan charges its workers'
+//! opens plus the pages it actually read.  `threads <= 1` routes to the
+//! serial [`Cluster::scan_stream`] unchanged, so single-threaded figures are
+//! byte-identical to the serial pipeline.
 //!
 //! # Failure contract
 //!
 //! The same in-band contract as the serial cursor's
-//! ([`ParScanCursor::try_next`] is the only pull): a worker whose page fetch
-//! fails stops, and the merged cursor yields every row before that worker's
-//! failed page **in key order** — the earlier sub-ranges whole, then the
-//! failed worker's fetched pages — then the error once, then the end.  Rows
-//! later sub-ranges prefetched are dropped, never yielded out of order; a
-//! worker's retries resume its page, so no row is yielded twice.
-//!
-//! # Memory: ordered merge buffers later sub-ranges
-//!
-//! Emitting global key order while all workers scan concurrently means
-//! later sub-ranges' pages are **buffered** until the merge reaches them —
-//! a consumer that drains the whole scan transiently holds up to
-//! `(parts-1)/parts` of the result as fetched pages (page *structure*: row
-//! keys plus `Arc`-shared cell handles, not value copies).  That is the
-//! deliberate price of scan-side parallelism: capping the per-worker queue
-//! would idle every worker but the one being drained and serialize the
-//! scan.  Rounds only run on demand, so early-stopping consumers (row
-//! limits, abandoned cursors) buffer in proportion to what they consumed.
-//! Callers that need PR 3's O(page) streaming memory keep the serial
-//! [`Cluster::scan_stream`] — which is also what every `threads = 1` and
-//! limit-pushdown path uses.
+//! ([`ParScanCursor::try_next`] is the only pull): a failed page fetch ends
+//! the scan, so the merged cursor yields every row before the failed page
+//! **in key order** — the earlier sub-ranges whole, then the failing
+//! worker's rows — then the error once, then the end.  Later sub-ranges are
+//! never read; a worker's retries resume its page, so no row is yielded
+//! twice.
 
 use crate::cell::Bytes;
 use crate::cluster::Cluster;
 use crate::cursor::ScanCursor;
-use crate::error::{StoreError, StoreResult};
+use crate::error::StoreResult;
 use crate::ops::Scan;
 use crate::table::ResultRow;
 use simclock::{merge_elapsed, WorkerClock};
-use std::collections::VecDeque;
 
-/// Pages each worker pulls per synchronous round.  Large enough to amortize
-/// the round's thread fan-out over ~512 rows per worker, small enough that
-/// an early-stopping consumer does not drag the whole table in.
-const ROUND_PAGES: usize = 2;
-
-/// One worker of a parallel scan: a serial cursor over a contiguous
-/// sub-range, charging into a private clock, plus its fetched-ahead pages.
+/// One modelled worker of a parallel scan: a serial cursor over a contiguous
+/// sub-range, charging into a private clock.
 struct ScanWorker {
     cursor: ScanCursor,
     clock: WorkerClock,
-    pages: VecDeque<Vec<ResultRow>>,
-    done: bool,
-    /// The page-fetch error that stopped this worker, until the merge
-    /// reaches its position and reports it.
-    failed: Option<StoreError>,
 }
 
 /// A region-parallel scan cursor; yields rows in global key order, exactly
@@ -93,14 +65,10 @@ struct ParState {
     cluster: Cluster,
     /// Workers in key-range order.
     workers: Vec<ScanWorker>,
-    threads: usize,
     /// Index of the worker currently being drained.
     current: usize,
-    /// Rows ready to emit from `workers[current]`.
-    buffered: std::vec::IntoIter<ResultRow>,
     /// Global row limit still unemitted (`usize::MAX` when unlimited).
     remaining: usize,
-    rows_streamed: u64,
     /// Worker clocks already merged into the shared clock.
     merged: bool,
 }
@@ -118,11 +86,10 @@ impl Cluster {
         scan: Scan,
         threads: usize,
     ) -> StoreResult<ParScanCursor> {
-        // Fault injection is defined on the shared timeline (outage windows
-        // compare against the clock an op charges into), which parallel
-        // workers' private clocks do not advance.  Rather than inject
-        // incoherently, a faulty cluster scans serially — the determinism
-        // contract for fault experiments is single-threaded anyway.
+        // Fault injection is defined on the shared timeline: outage windows
+        // are instants compared against the clock an op charges into, while
+        // a worker's private clock starts at the epoch.  Rather than inject
+        // against the wrong instants, a faulty cluster scans serially.
         let partitionable = threads > 1 && !self.faults_enabled();
         // Candidate split keys: the region start boundaries strictly inside
         // the scan range, snapshotted now.  (A later split only refines a
@@ -166,13 +133,7 @@ impl Cluster {
             let clock = WorkerClock::new();
             let handle = self.with_charge_sink(clock.clock().clone());
             let cursor = handle.scan_stream_inner(table, sub, false)?;
-            workers.push(ScanWorker {
-                cursor,
-                clock,
-                pages: VecDeque::new(),
-                done: false,
-                failed: None,
-            });
+            workers.push(ScanWorker { cursor, clock });
         }
         // One logical scan in the counters, no matter how many workers —
         // and none when an open was refused.
@@ -183,11 +144,8 @@ impl Cluster {
             inner: ParInner::Parallel(ParState {
                 cluster: self.clone(),
                 workers,
-                threads,
                 current: 0,
-                buffered: Vec::new().into_iter(),
                 remaining,
-                rows_streamed: 0,
                 merged: false,
             }),
         })
@@ -195,14 +153,6 @@ impl Cluster {
 }
 
 impl ParScanCursor {
-    /// Total rows this cursor has yielded so far.
-    pub fn rows_streamed(&self) -> u64 {
-        match &self.inner {
-            ParInner::Serial(cursor) => cursor.rows_streamed(),
-            ParInner::Parallel(state) => state.rows_streamed,
-        }
-    }
-
     /// Number of scan workers backing this cursor (1 when serial).
     pub fn workers(&self) -> usize {
         match &self.inner {
@@ -212,9 +162,8 @@ impl ParScanCursor {
     }
 
     /// The fallible pull — the cursor's only one: the next row in global key
-    /// order, `Ok(None)` at the end, or the first failed worker's error at
-    /// that worker's position in key order (see the module docs' failure
-    /// contract).
+    /// order, `Ok(None)` at the end, or a failed page's error at that page's
+    /// position in key order (see the module docs' failure contract).
     pub fn try_next(&mut self) -> StoreResult<Option<ResultRow>> {
         match &mut self.inner {
             ParInner::Serial(cursor) => cursor.try_next(),
@@ -224,63 +173,35 @@ impl ParScanCursor {
 }
 
 impl ParState {
+    /// The next row of the worker being drained, moving on to the next
+    /// sub-range when it is exhausted.
     fn next_row(&mut self) -> StoreResult<Option<ResultRow>> {
-        if self.remaining == 0 {
-            self.merge_clocks();
-            return Ok(None);
-        }
-        loop {
-            if let Some(row) = self.buffered.next() {
-                self.rows_streamed += 1;
-                self.remaining -= 1;
-                if self.remaining == 0 {
-                    self.merge_clocks();
-                }
-                return Ok(Some(row));
-            }
+        while self.remaining > 0 {
             let Some(worker) = self.workers.get_mut(self.current) else {
-                self.merge_clocks();
-                return Ok(None);
+                break;
             };
-            if let Some(page) = worker.pages.pop_front() {
-                self.buffered = page.into_iter();
-            } else if let Some(error) = worker.failed.take() {
-                // The scan ends here: later sub-ranges' rows would skip the
-                // failed worker's missing ones.
-                self.current = self.workers.len();
-                return Err(error);
-            } else if worker.done {
-                self.current += 1;
-            } else {
-                self.fetch_round();
-            }
-        }
-    }
-
-    /// One synchronous round: every unfinished worker pulls up to
-    /// [`ROUND_PAGES`] pages, fanned out across the pool.  All workers
-    /// advance together, so later sub-ranges prefetch while the earliest is
-    /// drained and the per-worker page counts stay schedule-independent.
-    /// Later workers' queues are intentionally unbounded — see the module
-    /// docs ("Memory") for why capping them would serialize the scan.
-    fn fetch_round(&mut self) {
-        let active: Vec<&mut ScanWorker> =
-            self.workers.iter_mut().filter(|w| !w.done).collect();
-        pool::map(active, self.threads, |worker| {
-            for _ in 0..ROUND_PAGES {
-                match worker.cursor.next_page() {
-                    Ok(Some(page)) => worker.pages.push_back(page),
-                    end => {
-                        worker.done = true;
-                        worker.failed = end.err();
-                        break;
+            match worker.cursor.try_next() {
+                Ok(Some(row)) => {
+                    self.remaining -= 1;
+                    if self.remaining == 0 {
+                        self.merge_clocks();
                     }
+                    return Ok(Some(row));
+                }
+                Ok(None) => self.current += 1,
+                Err(error) => {
+                    // The scan ends here: later sub-ranges' rows would skip
+                    // the failed worker's missing ones.
+                    self.current = self.workers.len();
+                    return Err(error);
                 }
             }
-        });
+        }
+        self.merge_clocks();
+        Ok(None)
     }
 
-    /// Charges the fan-out's merged elapsed time — the max of the private
+    /// Charges the modelled fan-out's elapsed time — the max of the private
     /// worker clocks — into the shared cluster clock, exactly once.
     fn merge_clocks(&mut self) {
         if self.merged {
@@ -294,8 +215,8 @@ impl ParState {
 
 impl Drop for ParState {
     fn drop(&mut self) {
-        // An abandoned cursor still owes the timeline the work its workers
-        // actually did (a deterministic number of rounds).
+        // An abandoned cursor still owes the timeline the pages its workers
+        // actually read.
         self.merge_clocks();
     }
 }
@@ -304,6 +225,7 @@ impl Drop for ParState {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
+    use crate::error::StoreError;
     use crate::ops::Put;
     use crate::table::TableSchema;
     use simclock::SimDuration;
@@ -382,16 +304,21 @@ mod tests {
         assert_eq!(deltas[1], deltas[2]);
     }
 
+    /// A limited parallel scan reads only its limit: the first worker's
+    /// sub-range holds the 37 rows, and no later worker fetches a page.
     #[test]
     fn limit_is_honoured_globally() {
         let c = loaded_cluster(2_000);
+        let before = c.metrics().ops;
         let rows = drain(c.par_scan_stream("t", Scan::all().with_limit(37), 4).unwrap());
+        let scanned = c.metrics().ops.delta_since(&before).scanned_rows;
         let serial: Vec<ResultRow> = c
             .scan_stream("t", Scan::all().with_limit(37))
             .unwrap()
             .collect();
         assert_eq!(rows, serial);
         assert_eq!(rows.len(), 37);
+        assert_eq!(scanned, 37, "store rows read by a 4-worker scan limited to 37");
     }
 
     #[test]
@@ -405,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_parallel_cursor_still_charges_its_rounds() {
+    fn abandoned_parallel_cursor_still_charges_its_pages() {
         let c = loaded_cluster(3_000);
         let before = c.clock().now();
         {
@@ -415,7 +342,7 @@ mod tests {
         assert!(c.clock().now() > before, "drop merges the partial worker clocks");
     }
 
-    /// A failure is never an early end: a crash between two rounds of a
+    /// A failure is never an early end: a crash between two pages of a
     /// 4-worker scan surfaces `ClusterDown` in-band, once, after the rows
     /// already fetched in key order; and a crashed cluster refuses the open.
     #[test]
@@ -434,7 +361,7 @@ mod tests {
             }
         };
         assert_eq!(error, StoreError::ClusterDown);
-        assert!(rows.len() < serial.len(), "rounds are pulled on demand");
+        assert!(rows.len() < serial.len(), "pages are pulled on demand");
         assert_eq!(rows, serial[..rows.len()], "the rows before the failure, in key order");
         assert_eq!(cursor.try_next(), Ok(None), "the error is reported once");
 

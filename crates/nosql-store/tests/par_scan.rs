@@ -120,11 +120,11 @@ proptest! {
     }
 }
 
-/// Forces a region split **between worker pages**: the cursor is pulled far
-/// enough that every worker has fetched its first page round, then a bulk
-/// load splits a region inside the first worker's still-unscanned tail.
-/// The workers' resume keys must re-locate the new regions and the rows
-/// inserted past the resume point must appear, in global key order.
+/// Forces a region split **between worker pages**: the cursor is pulled
+/// once, so the first worker has fetched its first page, then a bulk load
+/// splits a region in the scan's still-unscanned tail.  The workers' resume
+/// keys must re-locate the new regions and the rows inserted past the resume
+/// point must appear, in global key order.
 #[test]
 fn region_split_between_worker_pages_is_survived() {
     let cluster = Cluster::new(ClusterConfig {
@@ -135,7 +135,7 @@ fn region_split_between_worker_pages_is_survived() {
         .create_table(TableSchema::new("t").with_family("cf"))
         .unwrap();
     // Even keys 0..6000: enough rows that each of the two workers needs
-    // several page rounds (a round fetches up to 2 pages = 512 rows).
+    // several pages (a page holds up to 256 rows).
     cluster
         .bulk_load(
             "t",
@@ -147,13 +147,13 @@ fn region_split_between_worker_pages_is_survived() {
 
     let mut cursor = cluster.par_scan_stream("t", Scan::all(), 2).unwrap();
     assert_eq!(cursor.workers(), 2);
-    // Pull one row: every worker has now fetched its first round of pages.
+    // Pull one row: the first worker has now fetched its first page.
     let first = cursor.try_next().unwrap().unwrap();
     assert_eq!(first.key_str(), key_str(0));
 
     // Insert odd keys well past every worker's resume point (the last key
-    // region, beyond the ≤ 1024 rows any worker has paged so far), sized to
-    // split their region mid-scan.
+    // region, beyond the ≤ 256 rows paged so far), sized to split their
+    // region mid-scan.
     cluster
         .bulk_load(
             "t",

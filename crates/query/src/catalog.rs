@@ -131,11 +131,6 @@ impl TableDef {
         }
     }
 
-    /// The interned symbols of the columns, in declaration order.
-    pub fn column_symbols(&self) -> &[Symbol] {
-        &self.col_syms
-    }
-
     /// Index of a column within [`TableDef::columns`], if it exists.
     pub fn column_position(&self, column: &str) -> Option<usize> {
         let at = self.by_name.binary_search_by(|(name, _)| name.as_str().cmp(column)).ok()?;
@@ -145,11 +140,6 @@ impl TableDef {
     /// The declared type of a column, if it exists.
     pub fn column_type(&self, column: &str) -> Option<ColumnType> {
         self.column_position(column).map(|i| self.columns[i].1)
-    }
-
-    /// Column names in declaration order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|(n, _)| n.as_str()).collect()
     }
 
     /// True if every key attribute appears in `available` (e.g. the equality
@@ -421,15 +411,6 @@ impl Catalog {
     /// All table definitions, sorted by name.
     pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
         self.tables.values().map(Arc::as_ref)
-    }
-
-    /// All table definitions of a given kind.
-    pub fn tables_of_kind(&self, kind: &TableKind) -> Vec<&TableDef> {
-        self.tables
-            .values()
-            .filter(|t| &t.kind == kind)
-            .map(Arc::as_ref)
-            .collect()
     }
 
     /// Number of tables.

@@ -34,7 +34,7 @@ use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
 use nosql_store::intern::intern_name;
 use nosql_store::ops::{Get, Scan};
-use nosql_store::{Cluster, Name, ParScanCursor, ResultRow, SCAN_PAGE_ROWS};
+use nosql_store::{Cluster, Name, ParScanCursor, ResultRow};
 use relational::{Row, Value, KEY_DELIMITER};
 use sql::{SelectStatement, Statement};
 use std::sync::{Arc, OnceLock};
@@ -101,7 +101,7 @@ pub(crate) struct ScanShape {
     /// `[start, stop)` key bounds of an [`AccessPath::KeyRangeScan`]; `None`
     /// degrades it to the full walk.
     pub range: Option<(String, String)>,
-    /// Region-parallel scan workers (0 or 1 = the serial cursor).
+    /// Modelled region-parallel scan workers (0 or 1 = the serial cursor).
     pub width: usize,
 }
 
@@ -140,9 +140,8 @@ pub(crate) fn stored_row_is_dirty(stored: &nosql_store::ResultRow) -> bool {
 pub struct Executor {
     cluster: Cluster,
     catalog: Arc<Catalog>,
-    /// Degree of parallelism for full scans, hash joins and top-k.  Read at
-    /// plan time only: a compiled plan freezes the width, and a plan
-    /// compiled at `threads = 1` never reaches `pool`.
+    /// Modelled worker count for full scans, hash joins and top-k.  Read at
+    /// plan time only: a compiled plan freezes the width.
     threads: usize,
 }
 
@@ -156,12 +155,13 @@ impl Executor {
         }
     }
 
-    /// Enables region-parallel execution with up to `threads` workers: full
-    /// table scans run as [`Cluster::par_scan_stream`] fan-outs with
-    /// parallel decode, equi-joins hash-partition their build side and probe
-    /// per-partition, and ORDER BY + LIMIT runs per-worker bounded heaps
-    /// merged at the barrier.  `threads <= 1` keeps the serial pipeline
-    /// byte-for-byte.  Set by `SynergyConfig::threads` (`fig_par`,
+    /// Models region-parallel execution with up to `threads` workers: full
+    /// table scans run as [`Cluster::par_scan_stream`] sub-ranges charged
+    /// as the slowest worker, equi-joins materialize their probe side and
+    /// charge its largest chunk, and ORDER BY + LIMIT keeps one bounded heap
+    /// per chunk.  The workers are a cost model: the statement still runs
+    /// in order on the caller's thread, and spawns none.  `threads <= 1`
+    /// keeps the serial pipeline byte-for-byte.  Set by `SynergyConfig::threads` (`fig_par`,
     /// `fig10 --threads`) and by the benchmark's `micro_scan`, which clones
     /// an executor at 2 for `q2_join_par2`.
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -278,7 +278,7 @@ impl Executor {
     }
 
     /// Reads and decodes every row of the table `def`, region-parallel scan
-    /// and batch decode at this executor's width.  Fails if any page does —
+    /// at this executor's width.  Fails if any page does —
     /// the whole-table read behind Synergy's view recomputation, which must
     /// never materialize a prefix of a relation as if it were the relation.
     pub fn read_table(&self, def: &TableDef) -> Result<Vec<Row>, QueryError> {
@@ -287,7 +287,7 @@ impl Executor {
             ..ScanShape::default()
         };
         let rows = self.open_rows(def, &AccessPath::FullScan, None, &Row::new(), shape)?;
-        par_batches(rows, self.threads, |stored| Ok(def.decode_row(&stored))).collect()
+        rows.map(|stored| Ok(def.decode_row(&stored?))).collect()
     }
 
     /// Pushes the statement's column projection into the store scan: only
@@ -311,27 +311,4 @@ impl Executor {
         columns.push((FAMILY.to_string(), DIRTY_MARKER.to_string()));
         columns
     }
-}
-
-/// Maps `f` over stored rows on `threads` pool workers in order-preserving
-/// batches, pulled lazily: one store page per worker per batch, so scan
-/// fan-out and decode parallelism stay aligned and at most one raw batch is
-/// resident.  The one batch-decode loop — the plan's parallel full-scan
-/// source and [`Executor::read_table`] both run it.  A failed page fails the
-/// consumer, so the batch it cut short is not decoded.
-pub(crate) fn par_batches<'a>(
-    mut rows: StoredRows,
-    threads: usize,
-    f: impl Fn(ResultRow) -> Result<Row, QueryError> + Sync + 'a,
-) -> impl Iterator<Item = Result<Row, QueryError>> + 'a {
-    std::iter::from_fn(move || {
-        let batch: Result<Vec<ResultRow>, QueryError> =
-            rows.by_ref().take(threads * SCAN_PAGE_ROWS).collect();
-        match batch {
-            Ok(batch) if batch.is_empty() => None,
-            Ok(batch) => Some(pool::map(batch, threads, &f)),
-            Err(error) => Some(vec![Err(error)]),
-        }
-    })
-    .flatten()
 }

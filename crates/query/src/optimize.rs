@@ -24,10 +24,12 @@
 //! 5. **Limit pushdown** — a bare single-table `LIMIT k` is pushed into the
 //!    store scan; any other bare LIMIT stops pulling the pipeline early
 //!    (and pins its sources to the serial streaming operators).
-//! 6. **Operator parallelism** — at `threads > 1`, full scans fan out
-//!    region-parallel, equi-joins hash-partition, and ORDER BY + LIMIT
-//!    runs per-worker bounded heaps, unless a bare LIMIT's early
-//!    termination forbids it; the width is frozen on each node.
+//! 6. **Operator parallelism** — at `threads > 1` modelled workers, full
+//!    scans split region-parallel, equi-joins charge their probe side per
+//!    partition, and ORDER BY + LIMIT keeps per-worker bounded heaps, unless
+//!    a bare LIMIT's early termination forbids it; the width is frozen on
+//!    each node.  The workers are a sim-clock cost model: every statement
+//!    runs on its caller's thread.
 //!
 //! Statement-level rewrites (Synergy's materialized-view substitution)
 //! happen *before* binding through [`crate::PlanRewriter`] and are recorded
@@ -242,7 +244,7 @@ pub(crate) fn plan_select(
             Some(k) if single_table && conditions.is_empty() && limit_stops_early => k,
             _ => 0,
         };
-        // Rule 6 (sources): full scans fan out on the pool unless a bare
+        // Rule 6 (sources): full scans split into modelled workers unless a bare
         // LIMIT will stop pulling this source early (which a pushed store
         // limit implies).  Build sides are always fully drained.
         let parallel = matches!(paths[ai], AccessPath::FullScan)

@@ -18,8 +18,7 @@
 use crate::bind::{check_params, eq_filter_row, range_filter_bounds, PlannedCondition, PlannedOperand};
 use crate::catalog::TableDef;
 use crate::executor::{
-    par_batches, stored_row_is_dirty, AccessPath, Executor, ScanShape, StoredRows,
-    DIRTY_RETRY_LIMIT,
+    stored_row_is_dirty, AccessPath, Executor, ScanShape, StoredRows, DIRTY_RETRY_LIMIT,
 };
 use crate::plan::{DecodeSpec, GroupPlan, ItemPlan, PlanNode, ScanNode, SortKey};
 use crate::result::{QueryError, QueryResult};
@@ -139,8 +138,9 @@ impl<'a> DecodeCtx<'a> {
         })
     }
 
-    /// The serial scan source: each stored row through [`DecodeCtx::read`]
-    /// as it is pulled, a failed page passed on in its place.
+    /// The scan source, serial or region-parallel alike: each stored row
+    /// through [`DecodeCtx::read`] as it is pulled, a failed page passed on
+    /// in its place.
     fn stream(self, rows: StoredRows) -> RowStream<'a> {
         Box::new(rows.map(move |stored| self.read(&stored?)))
     }
@@ -240,11 +240,14 @@ impl Executor {
             } => {
                 let probe = self.open(probe, run)?.stream();
                 let build = collect_stream(self.open_scan(build, run)?, run.meter)?;
-                Rows::Streamed(if *partitions > 1 {
-                    self.par_hash_join(probe, build, probe_keys, build_keys, run.meter, *partitions)?
-                } else {
-                    self.hash_join_stream(probe, build, probe_keys, build_keys)
-                })
+                Rows::Streamed(self.hash_join(
+                    probe,
+                    build,
+                    probe_keys,
+                    build_keys,
+                    run.meter,
+                    *partitions,
+                )?)
             }
             PlanNode::Filter { input, conditions } => {
                 let stream = self.open(input, run)?.stream();
@@ -273,10 +276,10 @@ impl Executor {
             } => {
                 let stream = self.open(input, run)?.stream();
                 let cmp = order_comparator(keys);
-                // Per-worker bounded heaps merged at the barrier: each worker
-                // selects its chunk's k best, the merge re-selects over the
-                // ≤ width·k survivors.  Serially, one heap: k rows resident
-                // instead of the full input.
+                // One bounded heap per modelled worker's chunk, merged at
+                // the end: each selects its chunk's k best, the merge
+                // re-selects over the ≤ width·k survivors.  Serially, one
+                // heap: k rows resident instead of the full input.
                 Rows::Resident(if *width > 1 {
                     par_top_k(stream, *k, cmp, run.meter, *width)?
                 } else {
@@ -382,15 +385,7 @@ impl Executor {
                     width: scan.width,
                     ..projected(&ctx)
                 };
-                let rows = open(shape)?;
-                if scan.width > 1 {
-                    // Region-partitioned scan workers feeding batch-parallel
-                    // decode.  Decoding a batch past a dirty marker is only
-                    // wasted work: the whole statement restarts.
-                    Box::new(par_batches(rows, scan.width, move |stored| ctx.read(&stored)))
-                } else {
-                    ctx.stream(rows)
-                }
+                ctx.stream(open(shape)?)
             }
         };
 
@@ -406,22 +401,33 @@ impl Executor {
     }
 
     /// Client-side hash join: the build side (`right`, the newly joined
-    /// alias) is materialized and hashed; the probe side streams through it
-    /// row by row, so the intermediate result is never buffered.  Charges
-    /// shuffle cost per row on both sides and probe cost per probe —
-    /// identical totals to the former materialized join when the stream is
-    /// fully consumed, and strictly less when a LIMIT stops it early.
+    /// alias) is materialized and hashed once; each probe row is looked up
+    /// in it, and a key's matches are emitted in build-row order.  Charges
+    /// shuffle cost per build row up front.  `partitions` only picks how the
+    /// probe side is charged:
     ///
-    /// Both sides are frozen, so every emitted row shares its left and
-    /// right halves as `Arc` slices ([`Row::join_concat`]) with the input
-    /// rows instead of deep-cloning the entries.
-    fn hash_join_stream<'a>(
+    /// * `1` — the probe side streams through row by row, each row paying
+    ///   its shuffle + probe cost as it is pulled, so the intermediate result
+    ///   is never buffered and a LIMIT that stops early pays strictly less;
+    /// * `> 1` — the modelled partitioned join: the probe side is
+    ///   materialized (metered through `meter`, since the rows really
+    ///   are resident) and carved into `partitions` contiguous chunks, and
+    ///   the per-row shuffle + probe cost is charged once for the largest
+    ///   chunk (max — the modelled workers probe concurrently).
+    ///
+    /// Either way the output rows and their order are the same.  Both sides
+    /// are frozen, so every emitted row shares its left and right halves as
+    /// `Arc` slices ([`Row::join_concat`]) with the input rows instead of
+    /// deep-cloning the entries.
+    fn hash_join<'a>(
         &'a self,
         left: RowStream<'a>,
         mut right: Vec<Row>,
         left_syms: &'a [Symbol],
         right_syms: &[Symbol],
-    ) -> RowStream<'a> {
+        meter: &Residency,
+        partitions: usize,
+    ) -> Result<RowStream<'a>, QueryError> {
         let model = self.cluster().cost_model();
         self.cluster()
             .clock()
@@ -431,8 +437,9 @@ impl Executor {
         }
 
         if left_syms.is_empty() {
-            // Cross join (rare; only used when the workload really asks for it).
-            return Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
+            // Cross join (rare; only used when the workload really asks for
+            // it, and never partitioned).
+            return Ok(Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
                 match l {
                     Err(e) => vec![Err(e)],
                     Ok(mut l) => {
@@ -441,7 +448,7 @@ impl Executor {
                         right.iter().map(|r| Ok(l.join_concat(r))).collect()
                     }
                 }
-            }));
+            })));
         }
 
         // Build side: hash the right rows on the join attribute values.
@@ -453,13 +460,25 @@ impl Executor {
             }
         }
 
-        Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
+        let (left, per_row) = if partitions > 1 {
+            let probe = collect_stream(left, meter)?;
+            let ranges = pool::chunk_ranges(probe.len(), partitions);
+            let largest_chunk = ranges.iter().map(std::ops::Range::len).max().unwrap_or(0) as u64;
+            self.cluster()
+                .clock()
+                .charge(model.shuffle_cost(largest_chunk) + model.probe_cost(largest_chunk));
+            let resident: RowStream<'a> = Box::new(probe.into_iter().map(Ok));
+            (resident, None)
+        } else {
+            (left, Some(model.shuffle_cost(1) + model.probe_cost(1)))
+        };
+        Ok(Box::new(left.flat_map(move |l| -> Vec<Result<Row, QueryError>> {
             match l {
                 Err(e) => vec![Err(e)],
                 Ok(mut l) => {
-                    self.cluster()
-                        .clock()
-                        .charge(model.shuffle_cost(1) + model.probe_cost(1));
+                    if let Some(cost) = per_row {
+                        self.cluster().clock().charge(cost);
+                    }
                     l.freeze();
                     let Some(key) = JoinKey::of(&l, left_syms) else {
                         return Vec::new();
@@ -473,83 +492,7 @@ impl Executor {
                     }
                 }
             }
-        }))
-    }
-
-    /// Partitioned parallel hash join.  The build side is hash-partitioned
-    /// into `threads` independent hash tables built concurrently; the probe
-    /// side is materialized (metered through `meter`, since the rows really
-    /// are resident), chunked contiguously, and each chunk probes the shared
-    /// read-only partition tables on its own worker.  Chunk outputs
-    /// concatenate in probe order and partition tables preserve build-row
-    /// order per key, so the emitted rows are **identical, order included**,
-    /// to [`Executor::hash_join_stream`].
-    ///
-    /// Sim accounting follows the parallel merge rule: the build-side
-    /// shuffle charges in full (sum — every row is shipped by some worker),
-    /// while the per-probe-row shuffle + probe cost charges for the largest
-    /// chunk only (max — workers probe concurrently).
-    fn par_hash_join<'a>(
-        &'a self,
-        left: RowStream<'a>,
-        mut right: Vec<Row>,
-        left_syms: &[Symbol],
-        right_syms: &[Symbol],
-        meter: &Residency,
-        threads: usize,
-    ) -> Result<RowStream<'a>, QueryError> {
-        let model = self.cluster().cost_model();
-        self.cluster()
-            .clock()
-            .charge(model.shuffle_cost(right.len() as u64));
-        for row in &mut right {
-            row.freeze();
-        }
-
-        // Partition pass (serial, O(build), one key extraction per row),
-        // then per-partition table builds on the pool.  Indices stay
-        // ascending within a partition, so each key's match list keeps
-        // build-row order.
-        let mut partitions: Vec<Vec<(JoinKey, usize)>> = vec![Vec::new(); threads];
-        for (i, row) in right.iter().enumerate() {
-            if let Some(key) = JoinKey::of(row, right_syms) {
-                partitions[partition_of(&key, threads)].push((key, i));
-            }
-        }
-        // lint-allow(determinism): probe-only hash tables; output order follows `left`, never these maps
-        let tables: Vec<HashMap<JoinKey, Vec<usize>>> =
-            pool::map(partitions, threads, |entries| {
-                let mut table: HashMap<JoinKey, Vec<usize>> = // lint-allow(determinism): probe-only
-                    HashMap::with_capacity(entries.len()); // lint-allow(determinism): probe-only
-                for (key, i) in entries {
-                    table.entry(key).or_default().push(i);
-                }
-                table
-            });
-
-        // Probe side: materialize and meter, then probe chunk-parallel.
-        let probe = collect_stream(left, meter)?;
-        let ranges = pool::chunk_ranges(probe.len(), threads);
-        let largest_chunk = ranges.iter().map(std::ops::Range::len).max().unwrap_or(0) as u64;
-        self.cluster()
-            .clock()
-            .charge(model.shuffle_cost(largest_chunk) + model.probe_cost(largest_chunk));
-        let tables_ref = &tables;
-        let right_ref = &right;
-        let outputs: Vec<Vec<Row>> = pool::map_chunked(probe, threads, |chunk| {
-            let mut out = Vec::new();
-            for mut l in chunk {
-                l.freeze();
-                let Some(key) = JoinKey::of(&l, left_syms) else {
-                    continue;
-                };
-                if let Some(matches) = tables_ref[partition_of(&key, threads)].get(&key) {
-                    out.extend(matches.iter().map(|&i| l.join_concat(&right_ref[i])));
-                }
-            }
-            out
-        });
-        Ok(Box::new(outputs.into_iter().flatten().map(Ok)))
+        })))
     }
 }
 
@@ -589,16 +532,6 @@ const RANGE_STOP_SENTINEL: char = '\u{2}';
 
 fn decimal_width(v: i64) -> usize {
     v.to_string().len()
-}
-
-/// The hash partition a join key belongs to.  `DefaultHasher::new()` is
-/// deterministic (fixed keys), so build and probe agree — and repeated runs
-/// partition identically, keeping parallel sim figures reproducible.
-fn partition_of(key: &JoinKey, parts: usize) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    (hasher.finish() % parts.max(1) as u64) as usize
 }
 
 /// Evaluates a residual condition against a joined row.  Conditions whose
@@ -712,7 +645,7 @@ fn compute_aggregate(
 
 /// The ORDER BY comparator over the node's resolved sort keys; shared by
 /// the full sort and the bounded top-k operators.
-fn order_comparator(keys: &[SortKey]) -> impl Fn(&Row, &Row) -> Ordering + Sync + '_ {
+fn order_comparator(keys: &[SortKey]) -> impl Fn(&Row, &Row) -> Ordering + '_ {
     move |a: &Row, b: &Row| {
         for SortKey { column, descending } in keys {
             let av = a.get_interned(column);

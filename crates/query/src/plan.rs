@@ -65,7 +65,7 @@ pub(crate) struct ScanNode {
     pub filter: Vec<usize>,
     /// Row limit pushed into the store scan (0 = none).
     pub store_limit: usize,
-    /// Region-parallel fan-out (1 = the serial cursor).
+    /// Modelled region-parallel workers (1 = the serial cursor).
     pub width: usize,
 }
 
@@ -169,8 +169,8 @@ pub(crate) enum PlanNode {
         probe_keys: Vec<Symbol>,
         /// Join-key symbols on the build side (alias-qualified).
         build_keys: Vec<Symbol>,
-        /// Hash partitions probed on the pool (1 = the serial streaming
-        /// join).
+        /// Modelled probe partitions: above 1 the probe side is materialized
+        /// and charged for its largest chunk (1 = the streaming join).
         partitions: usize,
     },
     /// Residual conditions evaluated against joined rows.
@@ -198,7 +198,8 @@ pub(crate) enum PlanNode {
         k: usize,
         /// Sort keys in priority order.
         keys: Vec<SortKey>,
-        /// Per-worker bounded heaps merged at a barrier (1 = serial heap).
+        /// Modelled workers' bounded heaps, merged at the end (1 = serial
+        /// heap).
         width: usize,
     },
     /// Plain LIMIT: stop pulling the input after `k` rows.

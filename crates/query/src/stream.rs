@@ -91,25 +91,26 @@ pub(crate) fn top_k(
     Ok(heap)
 }
 
-/// Parallel ORDER BY + LIMIT: per-worker bounded heaps merged at the
-/// barrier.  The input streams through in order-preserving **batches** —
+/// Modelled-parallel ORDER BY + LIMIT: one bounded heap per worker, merged
+/// at the end.  The input streams through in order-preserving **batches** —
 /// each batch is split into contiguous chunks, chunk *i* feeding worker
 /// *i*'s persistent bounded heap — so residency stays at one batch plus
-/// `threads · k` heap rows instead of the whole input.  Rows a worker
+/// `threads · k` heap rows instead of the whole input.  Rows a worker's heap
 /// drops were beaten by `k` retained rows, hence are globally droppable;
 /// the final merge re-selects over the ≤ `threads · k` survivors (ties
-/// resolved arbitrarily, like any top-k heap).
+/// resolved arbitrarily, like any top-k heap).  The heaps are updated in
+/// order on the caller's thread; they fix the metered peak and the tie
+/// choice, not the wall time.
 pub(crate) fn par_top_k(
     mut stream: RowStream<'_>,
     k: usize,
-    cmp: impl Fn(&Row, &Row) -> Ordering + Sync,
+    cmp: impl Fn(&Row, &Row) -> Ordering,
     meter: &Residency,
     threads: usize,
 ) -> Result<Vec<Row>, QueryError> {
     if k == 0 {
         return Ok(Vec::new());
     }
-    let cmp = &cmp;
     let batch_rows = (threads * 1_024).max(k);
     let mut heaps: Vec<Vec<Row>> = Vec::new();
     loop {
@@ -129,23 +130,12 @@ pub(crate) fn par_top_k(
         while heaps.len() < ranges.len() {
             heaps.push(Vec::with_capacity(k));
         }
-        let carried: Vec<Vec<Row>> = heaps.split_off(ranges.len());
-        let mut chunks: Vec<Vec<Row>> = Vec::with_capacity(ranges.len());
-        for range in ranges.iter().rev() {
-            chunks.push(batch.split_off(range.start));
+        let mut rows = batch.into_iter();
+        for (heap, range) in heaps.iter_mut().zip(&ranges) {
+            for row in rows.by_ref().take(range.len()) {
+                push_bounded(heap, row, k, &cmp);
+            }
         }
-        chunks.reverse();
-        heaps = pool::map(
-            std::mem::take(&mut heaps).into_iter().zip(chunks).collect(),
-            threads,
-            |(mut heap, chunk)| {
-                for row in chunk {
-                    push_bounded(&mut heap, row, k, cmp);
-                }
-                heap
-            },
-        );
-        heaps.extend(carried);
         let retained_after: usize = heaps.iter().map(Vec::len).sum();
         // Rows the heaps dropped leave the working set; retained growth stays.
         meter.remove(collected - (retained_after - retained_before));
@@ -154,7 +144,7 @@ pub(crate) fn par_top_k(
     for row in heaps.into_iter().flatten() {
         // Survivors were already metered as retained rows; the merge
         // re-selects among them without materializing anything new.
-        push_bounded(&mut heap, row, k, cmp);
+        push_bounded(&mut heap, row, k, &cmp);
     }
     heap.sort_by(|a, b| cmp(a, b));
     Ok(heap)

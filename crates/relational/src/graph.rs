@@ -93,11 +93,6 @@ impl SchemaGraph {
             .collect()
     }
 
-    /// True if the graph contains the named node.
-    pub fn has_node(&self, node: &str) -> bool {
-        self.nodes.iter().any(|n| n == node)
-    }
-
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()

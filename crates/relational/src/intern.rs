@@ -149,11 +149,6 @@ pub fn lookup(name: &str) -> Option<Symbol> {
     inner.ids.get(name).map(|&id| symbol_at(&inner, id))
 }
 
-/// Number of names interned so far (diagnostics / allocation tests).
-pub fn interned_count() -> usize {
-    table().read().expect("interner lock").entries.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -223,11 +223,6 @@ impl SimClock {
         (value, elapsed)
     }
 
-    /// Resets the clock to the epoch.  Only used between benchmark runs.
-    pub fn reset(&self) {
-        self.nanos.store(0, Ordering::SeqCst);
-    }
-
     /// Returns `true` if both handles refer to the same underlying counter.
     pub fn same_clock(&self, other: &SimClock) -> bool {
         Arc::ptr_eq(&self.nanos, &other.nanos)

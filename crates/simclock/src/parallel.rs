@@ -1,27 +1,27 @@
-//! Merge rules for parallel workers charging private clocks.
+//! Merge rules for modelled parallel workers charging private clocks.
 //!
-//! Region-parallel execution runs each worker against a **fresh, private**
-//! [`SimClock`] so that concurrent charges never interleave on the shared
-//! timeline.  When the workers rendezvous at a barrier, their deltas are
-//! merged under two rules, applied by every parallel layer in the workspace:
+//! Region parallelism is a cost model: a statement runs on one OS thread,
+//! and each of its modelled workers (a region-parallel scan's sub-range, a
+//! partitioned join's probe chunk) charges a **fresh, private** [`SimClock`]
+//! in turn.  When the workers are done, their deltas are merged under two
+//! rules, applied by every parallel layer in the workspace:
 //!
-//! * **elapsed time is the max** of the per-worker deltas — workers run
-//!   concurrently, so the simulated wall time of the fan-out is the slowest
-//!   worker's time ([`merge_elapsed`]);
+//! * **elapsed time is the max** of the per-worker deltas — on the modelled
+//!   cluster the workers run concurrently, so the simulated wall time of the
+//!   fan-out is the slowest worker's time ([`merge_elapsed`]);
 //! * **cost counters are the sum** — every RPC, scanned row and shipped byte
 //!   still happened, on some node; resource accounting (the
 //!   `nosql_store::OpCounters` fields) is therefore additive across workers.
 //!
-//! Because each worker's delta is a pure function of its assigned partition
-//! (never of OS scheduling), merged figures are deterministic at every
-//! thread count, and a single worker (`threads = 1`) degenerates to the
-//! serial charge sequence exactly.
+//! Because each worker's delta is a pure function of its assigned partition,
+//! merged figures are deterministic at every worker count, and a single
+//! worker (`threads = 1`) degenerates to the serial charge sequence exactly.
 
 use crate::clock::{SimClock, SimDuration, SimInstant};
 
 /// A private per-worker clock plus the helpers to read its delta.
 ///
-/// Workers charge into [`WorkerClock::clock`]; after the barrier the caller
+/// Workers charge into [`WorkerClock::clock`]; once they are done the caller
 /// merges the deltas with [`merge_elapsed`] and charges the result into the
 /// shared timeline once.
 #[derive(Debug, Clone, Default)]
@@ -47,7 +47,7 @@ impl WorkerClock {
 }
 
 /// The elapsed simulated time of a parallel fan-out: the **max** of the
-/// per-worker deltas (workers run concurrently).  Zero for no workers.
+/// per-worker deltas (on the modelled cluster, workers run concurrently).  Zero for no workers.
 pub fn merge_elapsed(deltas: impl IntoIterator<Item = SimDuration>) -> SimDuration {
     deltas.into_iter().max().unwrap_or(SimDuration::ZERO)
 }

@@ -446,22 +446,6 @@ impl Statement {
             Statement::Select(_) => None,
         }
     }
-
-    /// The key-attribute equality filters of a write statement's WHERE
-    /// clause (`column = literal/parameter`), used by the paper's baseline
-    /// workload transformation which only admits writes that specify every
-    /// key attribute.
-    pub fn write_key_filters(&self) -> Vec<&Condition> {
-        let conditions = match self {
-            Statement::Update(u) => &u.conditions,
-            Statement::Delete(d) => &d.conditions,
-            _ => return Vec::new(),
-        };
-        conditions
-            .iter()
-            .filter(|c| c.op == Comparison::Eq && c.is_filter())
-            .collect()
-    }
 }
 
 impl fmt::Display for Statement {

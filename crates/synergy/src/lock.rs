@@ -93,21 +93,28 @@ impl LockGuard {
 impl Drop for LockGuard {
     fn drop(&mut self) {
         if !self.released {
-            let release = Put::new(self.key.clone())
-                .with(LOCK_FAMILY, LOCK_COLUMN, "0")
-                .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, "0");
-            let _ = self.cluster.check_and_put(
-                &self.table,
-                CheckAndPut::new(
-                    self.key.clone(),
-                    LOCK_FAMILY,
-                    LOCK_COLUMN,
-                    Expectation::Equals(b"1".to_vec()),
-                    release,
-                ),
-            );
+            let _ = release_row(&self.cluster, &self.table, &self.key);
         }
     }
+}
+
+/// Releases lock row `key` of `table` if it is held: the `checkAndPut` that
+/// flips `held` from 1 to 0 and clears the lease expiry.  `Ok(false)` when
+/// the lock was not held.
+fn release_row(cluster: &Cluster, table: &str, key: &str) -> StoreResult<bool> {
+    let release = Put::new(key.to_string())
+        .with(LOCK_FAMILY, LOCK_COLUMN, "0")
+        .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, "0");
+    cluster.check_and_put(
+        table,
+        CheckAndPut::new(
+            key.to_string(),
+            LOCK_FAMILY,
+            LOCK_COLUMN,
+            Expectation::Equals(b"1".to_vec()),
+            release,
+        ),
+    )
 }
 
 impl LockManager {
@@ -229,19 +236,7 @@ impl LockManager {
     /// succeeds — `checkAndPut` routes to the new primary — and the survival
     /// is counted in [`LockManager::failover_survivals`].
     pub fn release(&self, mut guard: LockGuard) -> StoreResult<()> {
-        let release = Put::new(guard.key.clone())
-            .with(LOCK_FAMILY, LOCK_COLUMN, "0")
-            .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, "0");
-        self.cluster.check_and_put(
-            &guard.table,
-            CheckAndPut::new(
-                guard.key.clone(),
-                LOCK_FAMILY,
-                LOCK_COLUMN,
-                Expectation::Equals(b"1".to_vec()),
-                release,
-            ),
-        )?;
+        release_row(&self.cluster, &guard.table, &guard.key)?;
         if self.region_epoch(&guard.table, &guard.key) != guard.region_epoch {
             self.survivals.fetch_add(1, Ordering::Relaxed);
         }
@@ -288,19 +283,7 @@ impl LockManager {
         }
         let mut reclaimed = 0;
         for key in held {
-            let release = Put::new(key.clone())
-                .with(LOCK_FAMILY, LOCK_COLUMN, "0")
-                .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, "0");
-            if self.cluster.check_and_put(
-                &table,
-                CheckAndPut::new(
-                    key,
-                    LOCK_FAMILY,
-                    LOCK_COLUMN,
-                    Expectation::Equals(b"1".to_vec()),
-                    release,
-                ),
-            )? {
+            if release_row(&self.cluster, &table, &key)? {
                 reclaimed += 1;
             }
         }

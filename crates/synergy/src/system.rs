@@ -81,8 +81,10 @@ pub struct SynergyConfig<'a> {
     /// by `tpcw::systems` for MVCC-A / MVCC-UA, whose concurrency control is
     /// the MVCC transaction server, not Synergy's locks.
     pub hierarchical_locking: bool,
-    /// Degree of region-parallel execution for reads and batch view
-    /// refreshes (1 = fully serial, the default).  Raised by `fig_par`,
+    /// Modelled region-parallel worker count for reads and whole-view
+    /// recomputation (1 = fully serial, the default).  The workers are a
+    /// cost model — charged on the sim clock as the slowest one, run in
+    /// order on the statement's own thread.  Raised by `fig_par`,
     /// `fig10 --threads` and the benchmark's `micro_scan` (`q2_join_par2`).
     pub threads: usize,
     /// Resident-byte budget for **partial view materialization** (`None`,
@@ -125,8 +127,8 @@ impl<'a> SynergyConfig<'a> {
         self
     }
 
-    /// Runs reads and batch view refreshes with up to `threads` parallel
-    /// workers (see [`query::Executor::with_threads`]).
+    /// Models reads and whole-view recomputation with up to `threads`
+    /// region-parallel workers (see [`query::Executor::with_threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -537,9 +537,9 @@ mod tests {
             let s = serial.measure(query_index).unwrap();
             let p = parallel.measure(query_index).unwrap();
             assert_eq!(s.result_rows, p.result_rows, "same answers at any width");
-            // Region-parallel workers merge as max(worker deltas), and the
-            // partitioned join probes concurrently, so parallel simulated
-            // time can only improve.  At this scale the tables fit in one
+            // Modelled region-parallel workers merge as max(worker deltas),
+            // and the partitioned join charges its largest probe chunk, so
+            // parallel simulated time can only improve.  At this scale the tables fit in one
             // region (the scan falls back to its serial walk), so the join
             // probe is where the strict win must appear; per-region scan
             // speedups are asserted in nosql-store's par_scan tests, which
