@@ -10,28 +10,40 @@
 //! # The mutation pipeline
 //!
 //! Every client write — put, fenced put, put-fetch, delete, delete-fetch,
-//! increment, check-and-put — is one call of `Cluster::mutate`, which runs
-//! these steps in this order:
+//! increment, check-and-put, and the multi-row [`Cluster::batch`] — is one
+//! call of `Cluster::mutate` over a list of rows (a single-row op is a
+//! batch of one), which runs these steps in this order:
 //!
 //! 1. table lookup (so `TableNotFound` beats `ClusterDown`);
-//! 2. `precheck`: the crashed flag, then any due crash / rejoin events;
+//! 2. `precheck`: the crashed flag, then any due crash / rejoin events; then
+//!    every put row's cells are checked against the schema, so a malformed
+//!    row refuses the batch before anything is drawn or charged;
 //! 3. take the table's region **write** lock;
-//! 4. route the row key to its region;
-//! 5. `inject_faults` against that region's server — a faulted attempt
-//!    charges its penalty, draws no timestamp and appends no WAL record;
+//! 4. route every row key to its region; the rows of one region form one
+//!    group (one RPC), groups in region key order, rows in batch order;
+//! 5. `inject_faults` once per group against its region's server, every
+//!    group before any applies — a faulted attempt charges its penalty,
+//!    draws no timestamp, applies and logs nothing and counts nothing;
 //! 6. for a fenced put, the epoch check — a stale writer is charged one RPC
 //!    round trip, refused, and bumps nothing;
-//! 7. draw the mutation timestamp — under the region lock, so versions
-//!    written to one row order like lock acquisitions; deletes draw one too,
-//!    so replay can sequence them against puts from other server logs;
-//! 8. apply — the op builds its [`WalOp`] and applies it through
-//!    [`Region::apply_op`], or declines (a failed check-and-put: full cost,
-//!    nothing logged, no split check);
-//! 9. append the record to the server's WAL — under group commit the
-//!    batch-closing write pays the sync and, with replication on, the ship
-//!    cost of the whole batch;
-//! 10. split check on the mutated region;
-//! 11. unlock, charge, bump the op's counter.
+//!
+//! then per group, in order:
+//!
+//! 7. draw one mutation timestamp per row — under the region lock, so
+//!    versions written to one row order like lock acquisitions; deletes
+//!    draw one too, so replay can sequence them against puts from other
+//!    server logs;
+//! 8. apply — each row builds its [`WalOp`] and applies it through
+//!    [`Region::apply_op`], or declines (a failed check-and-put);
+//! 9. append the group's records to the server's WAL and take one
+//!    group-commit decision — under group commit the batch-closing write
+//!    pays the sync and, with replication on, the ship cost of the whole
+//!    batch; a group that logged nothing pays full cost, skips step 10;
+//! 10. split check on the mutated region, once after its rows;
+//!
+//! 11. unlock; charge each group `CostModel::batch_cost` of its rows'
+//!     server work (one round trip, one WAL sync); bump one counter per
+//!     group — its first row's.
 //!
 //! The order is a contract, not an implementation detail: the fault
 //! figures' sim identity depends on the exact sequence of clock reads, RNG
@@ -71,8 +83,8 @@ use crate::cell::Timestamp;
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultDraw, FaultPlan, FaultState, FaultStats};
 use crate::metrics::{AtomicOpCounters, ClusterMetrics, ReplicationStats, TableMetrics};
-use crate::ops::{CheckAndPut, Delete, Get, Increment, Put, Scan};
-use crate::region::{Region, RegionId, RegionServerId};
+use crate::ops::{CheckAndPut, Delete, Get, Increment, Mutation, Put, Scan};
+use crate::region::{check_cells, Region, RegionId, RegionServerId};
 use crate::replication::Replication;
 use crate::retry::{RetryPolicy, RetryRuntime};
 use crate::table::{ResultRow, TableSchema};
@@ -467,35 +479,42 @@ impl Cluster {
             .unwrap_or(regions.len().saturating_sub(1))
     }
 
-    fn maybe_split(&self, regions: &mut Vec<Region>, idx: usize) {
+    /// Splits `regions[idx]` when it outgrew the split threshold; true when
+    /// a new region was inserted at `idx + 1`.
+    fn maybe_split(&self, regions: &mut Vec<Region>, idx: usize) -> bool {
         if regions[idx].byte_size() <= self.inner.config.region_split_bytes {
-            return;
+            return false;
         }
         let new_id = self.next_region_id();
         let new_server = self.pick_server();
-        if let Some(upper) = regions[idx].split(new_id, new_server) {
-            regions.insert(idx + 1, upper);
-            self.register_region(new_id, new_server);
-        }
+        let Some(upper) = regions[idx].split(new_id, new_server) else {
+            return false;
+        };
+        regions.insert(idx + 1, upper);
+        self.register_region(new_id, new_server);
+        true
     }
 
-    /// Step 9: appends `op` to `server`'s WAL under the group-commit rule and
-    /// returns the cost to charge.  A write that leaves the unsynced batch
-    /// below `wal_sync_interval` defers the sync and charges
-    /// `effective_wal_sync` less; the batch-closing write syncs, pays in full
-    /// and — with replication on — ships the newly synced records to their
-    /// regions' followers and pays for that too.  Charges therefore sum to
-    /// exactly `interval - 1` syncs per batch fewer than at interval 1.
+    /// Step 9: appends one region's records to `server`'s WAL and takes
+    /// one group-commit decision for them, returning the cost to charge.  A
+    /// write that leaves the unsynced batch below `wal_sync_interval` defers
+    /// the sync and charges `effective_wal_sync` less; the batch-closing
+    /// write syncs, pays in full and — with replication on — ships the newly
+    /// synced records to their regions' followers and pays for that too.
+    /// Charges therefore sum to exactly `interval - 1` syncs per batch fewer
+    /// than at interval 1.
     fn log_write(
         &self,
         server: RegionServerId,
         table: &str,
         region: RegionId,
-        op: WalOp,
+        records: Vec<WalOp>,
         cost: SimDuration,
     ) -> SimDuration {
         let wal = self.wal(server.0);
-        wal.append_region(table, region.0, op);
+        for op in records {
+            wal.append_region(table, region.0, op);
+        }
         if wal.unsynced_len() < self.inner.config.wal_sync_interval.max(1) {
             return cost.saturating_sub(self.cost_model().effective_wal_sync());
         }
@@ -528,24 +547,29 @@ impl Cluster {
     }
 
     /// One attempt of a client mutation — the single write pipeline (see
-    /// the module docs for the step order, which is a contract).  The op
-    /// supplies only what differs: the routing `row`, its full `cost`, the
-    /// `counter` it bumps, an optional fencing epoch, and `apply`, which
-    /// mutates the routed region at the drawn timestamp and returns its
-    /// result plus the record to log (`None` = nothing was applied).
-    fn mutate<T>(
+    /// the module docs for the step order, which is a contract).  `rows`
+    /// supply what differs per row (key, server work, counter, record); an
+    /// optional fencing epoch applies to every region; `fetch` reads each
+    /// row's before-image under the same lock.  Returns one [`Applied`] per
+    /// row, in `rows` order.
+    fn mutate(
         &self,
         table: &str,
-        row: &[u8],
-        cost: SimDuration,
-        counter: &AtomicU64,
+        rows: &[RowOp<'_>],
         fence: Option<u64>,
-        apply: impl FnOnce(&mut Region, &TableSchema, Timestamp) -> StoreResult<(T, Option<WalOp>)>,
-    ) -> StoreResult<T> {
+        fetch: bool,
+    ) -> StoreResult<Vec<Applied>> {
         let state = self.open(table)?;
+        rows.iter().try_for_each(|row| row.check(&state.schema))?;
         let mut regions = state.regions.write();
-        let idx = self.route(&regions, row)?;
-        if let Some(presented) = fence {
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, row) in rows.iter().enumerate() {
+            let idx = Self::region_index_for(&regions, row.key());
+            groups.entry(idx).or_default().push(i);
+        }
+        for &idx in groups.keys() {
+            self.inject_faults(regions[idx].server)?;
+            let Some(presented) = fence else { continue };
             // Zombie fencing: the epoch check happens server-side after
             // routing, so a stale writer burns a round trip and is refused.
             let region = regions[idx].id.0;
@@ -560,30 +584,88 @@ impl Cluster {
                 });
             }
         }
-        let ts = self.next_timestamp();
-        let (result, logged) = apply(&mut regions[idx], &state.schema, ts)?;
-        let charge = match logged {
-            Some(op) => {
-                let region = &regions[idx];
-                let charge = self.log_write(region.server, table, region.id, op, cost);
-                self.maybe_split(&mut regions, idx);
-                charge
+        let model = self.cost_model();
+        let mut applied: Vec<Option<Applied>> = rows.iter().map(|_| None).collect();
+        let (mut charge, mut splits) = (SimDuration::ZERO, 0);
+        let mut counters = Vec::with_capacity(groups.len());
+        for (idx, members) in groups {
+            let idx = idx + splits;
+            let (mut work, mut records) = (SimDuration::ZERO, Vec::with_capacity(members.len()));
+            for &i in &members {
+                let ts = self.next_timestamp();
+                let (row, record) = rows[i].apply_to(&mut regions[idx], &state.schema, ts, fetch)?;
+                work += rows[i].work(model);
+                applied[i] = Some(row);
+                records.extend(record);
             }
-            // Nothing applied (a failed check-and-put) still pays the full
-            // RPC: the server did the read-compare and synced nothing new.
-            None => cost,
-        };
+            let cost = model.batch_cost(work);
+            // A group that applied nothing (a failed check-and-put) still
+            // pays the full RPC: the server did the read-compare and synced
+            // nothing new.
+            charge += if records.is_empty() {
+                cost
+            } else {
+                let region = &regions[idx];
+                let cost = self.log_write(region.server, table, region.id, records, cost);
+                splits += usize::from(self.maybe_split(&mut regions, idx));
+                cost
+            };
+            counters.push(rows[members[0]].counter(&self.inner.counters));
+        }
         drop(regions);
         self.charge(charge);
-        AtomicOpCounters::bump(counter, 1);
-        Ok(result)
+        for counter in counters {
+            AtomicOpCounters::bump(counter, 1);
+        }
+        Ok(applied.into_iter().flatten().collect())
+    }
+
+    /// A batch of one under the retry policy: every single-row entry point.
+    fn mutate_one(
+        &self,
+        table: &str,
+        row: RowOp<'_>,
+        fence: Option<u64>,
+        fetch: bool,
+    ) -> StoreResult<Applied> {
+        let mut applied = self.with_retry(|| self.mutate(table, &[row], fence, fetch))?;
+        Ok(applied.pop().unwrap_or_default())
+    }
+
+    /// Writes many rows of one table: one RPC per region the rows route to,
+    /// each charged one round trip, one WAL sync (deferred under group
+    /// commit) and every row's server work, and counted as one op.  Rows
+    /// of one region apply in batch order.  Retries injected faults per the
+    /// configured policy; a faulted attempt applies no row.  An empty batch
+    /// does nothing.  Returns how many rows changed stored data: every put,
+    /// and every delete that removed something.
+    pub fn batch(&self, table: &str, rows: &[Mutation]) -> StoreResult<usize> {
+        let applied = self.batch_rows(table, rows, false)?;
+        Ok(applied.iter().filter(|row| row.outcome.is_some_and(|n| n != 0)).count())
+    }
+
+    /// Like [`Cluster::batch`], and returns each row's **before-image**,
+    /// read under the same lock, in batch order.  Charges exactly like
+    /// [`Cluster::batch`].
+    pub fn batch_fetch(&self, table: &str, rows: &[Mutation]) -> StoreResult<Vec<Option<ResultRow>>> {
+        let applied = self.batch_rows(table, rows, true)?;
+        Ok(applied.into_iter().map(|row| row.before).collect())
+    }
+
+    /// The batch family's pipeline call.
+    fn batch_rows(&self, table: &str, rows: &[Mutation], fetch: bool) -> StoreResult<Vec<Applied>> {
+        if rows.is_empty() {
+            return Ok(Vec::new());
+        }
+        let rows: Vec<RowOp<'_>> = rows.iter().map(RowOp::from).collect();
+        self.with_retry(|| self.mutate(table, &rows, None, fetch))
     }
 
     /// Writes one row.  Charges one RPC + server work + WAL sync (deferred
     /// under group commit).  Retries injected faults per the configured
     /// policy.
     pub fn put(&self, table: &str, put: Put) -> StoreResult<()> {
-        self.with_retry(|| self.put_row(table, &put, None, false).map(drop))
+        self.mutate_one(table, RowOp::Put(&put), None, false).map(drop)
     }
 
     /// Fenced write: like [`Cluster::put`], but the caller presents the
@@ -594,7 +676,7 @@ impl Cluster {
     /// this is how a zombie ex-primary's writes are fenced off.  The error
     /// is **not** retryable; the caller must re-read the epoch first.
     pub fn put_fenced(&self, table: &str, put: Put, epoch: u64) -> StoreResult<()> {
-        self.with_retry(|| self.put_row(table, &put, Some(epoch), false).map(drop))
+        self.mutate_one(table, RowOp::Put(&put), Some(epoch), false).map(drop)
     }
 
     /// Writes one row and returns its **before-image**: the row's prior
@@ -603,26 +685,7 @@ impl Cluster {
     /// the write's RPC and row positioning (a server-side read-modify-write),
     /// so no extra round trip is modeled and only the `puts` counter moves.
     pub fn put_fetch(&self, table: &str, put: Put) -> StoreResult<Option<ResultRow>> {
-        self.with_retry(|| self.put_row(table, &put, None, true))
-    }
-
-    /// The put family's pipeline step: logs and applies `put`, returning the
-    /// row's before-image when `fetch` asks for it.
-    fn put_row(
-        &self,
-        table: &str,
-        put: &Put,
-        fence: Option<u64>,
-        fetch: bool,
-    ) -> StoreResult<Option<ResultRow>> {
-        let cost = self.cost_model().put_cost(put.cell_count());
-        let puts = &self.inner.counters.puts;
-        self.mutate(table, &put.row, cost, puts, fence, |region, schema, ts| {
-            let before = fetch.then(|| region.get(&Get::new(put.row.clone()))).flatten();
-            let op = put_record(put, ts);
-            region.apply_op(schema, &op)?;
-            Ok((before, Some(op)))
-        })
+        Ok(self.mutate_one(table, RowOp::Put(&put), None, true)?.before)
     }
 
     /// Bulk-loads rows without charging simulated cost or writing the WAL.
@@ -667,65 +730,27 @@ impl Cluster {
 
     /// Deletes a row or columns of a row.  Charges one RPC + WAL sync.
     pub fn delete(&self, table: &str, delete: Delete) -> StoreResult<bool> {
-        self.with_retry(|| self.delete_row(table, &delete).map(|(removed, _)| removed))
+        let applied = self.mutate_one(table, RowOp::Delete(&delete), None, false)?;
+        Ok(applied.outcome.is_some_and(|removed| removed != 0))
     }
 
     /// Deletes a row and returns its **before-image**, read under the same
     /// region write-lock.  Charges exactly like [`Cluster::delete`]; only
     /// the `deletes` counter moves.  Returns `None` when the row was absent.
     pub fn delete_fetch(&self, table: &str, delete: Delete) -> StoreResult<Option<ResultRow>> {
-        self.with_retry(|| self.delete_row(table, &delete).map(|(_, before)| before))
-    }
-
-    /// The delete family's pipeline step: `(anything removed, before-image)`.
-    /// A delete is logged even when it removed nothing.
-    fn delete_row(&self, table: &str, delete: &Delete) -> StoreResult<(bool, Option<ResultRow>)> {
-        let cost = self.cost_model().delete_cost();
-        let deletes = &self.inner.counters.deletes;
-        self.mutate(table, &delete.row, cost, deletes, None, |region, schema, ts| {
-            let before = region.get(&Get::new(delete.row.clone()));
-            let op = WalOp::Delete {
-                row: delete.row.clone(),
-                scope: delete.scope.clone(),
-                timestamp: ts,
-            };
-            let removed = region.apply_op(schema, &op)? != 0;
-            Ok(((removed, before), Some(op)))
-        })
+        Ok(self.mutate_one(table, RowOp::Delete(&delete), None, true)?.before)
     }
 
     /// Atomically adds to a counter cell.  Charges like a put.
     pub fn increment(&self, table: &str, inc: Increment) -> StoreResult<i64> {
-        let cost = self.cost_model().put_cost(1);
-        let increments = &self.inner.counters.increments;
-        self.with_retry(|| {
-            self.mutate(table, &inc.row, cost, increments, None, |region, schema, ts| {
-                let op = WalOp::Increment {
-                    row: inc.row.clone(),
-                    family: inc.family.clone(),
-                    qualifier: inc.qualifier.clone(),
-                    amount: inc.amount,
-                    timestamp: ts,
-                };
-                Ok((region.apply_op(schema, &op)?, Some(op)))
-            })
-        })
+        let applied = self.mutate_one(table, RowOp::Increment(&inc), None, false)?;
+        Ok(applied.outcome.unwrap_or_default())
     }
 
     /// Atomic compare-and-set.  Charges one RPC + server work + WAL sync.
     pub fn check_and_put(&self, table: &str, cap: CheckAndPut) -> StoreResult<bool> {
-        let cost = self.cost_model().check_and_put_cost();
-        let cas = &self.inner.counters.check_and_puts;
-        self.with_retry(|| {
-            self.mutate(table, &cap.row, cost, cas, None, |region, schema, ts| {
-                if !region.matches(&cap.put.row, &cap.family, &cap.qualifier, &cap.expect) {
-                    return Ok((false, None));
-                }
-                let op = put_record(&cap.put, ts);
-                region.apply_op(schema, &op)?;
-                Ok((true, Some(op)))
-            })
-        })
+        let applied = self.mutate_one(table, RowOp::CheckAndPut(&cap), None, false)?;
+        Ok(applied.outcome.is_some())
     }
 
     /// Scans rows in key order across all regions intersecting the range.
@@ -795,6 +820,110 @@ fn put_record(put: &Put, ts: Timestamp) -> WalOp {
     }
 }
 
+/// What one row of a mutation did: its before-image (when fetched) and the
+/// [`Region::apply_op`] outcome, `None` when nothing applied (a failed
+/// check-and-put).
+#[derive(Default)]
+struct Applied {
+    before: Option<ResultRow>,
+    outcome: Option<i64>,
+}
+
+/// One row of a mutation as the pipeline sees it: what differs per entry
+/// point is its routing key, server work, counter and record.
+#[derive(Clone, Copy)]
+enum RowOp<'a> {
+    Put(&'a Put),
+    Delete(&'a Delete),
+    Increment(&'a Increment),
+    CheckAndPut(&'a CheckAndPut),
+}
+
+impl<'a> From<&'a Mutation> for RowOp<'a> {
+    fn from(mutation: &'a Mutation) -> Self {
+        match mutation {
+            Mutation::Put(put) => RowOp::Put(put),
+            Mutation::Delete(delete) => RowOp::Delete(delete),
+        }
+    }
+}
+
+impl RowOp<'_> {
+    fn key(&self) -> &[u8] {
+        match self {
+            RowOp::Put(put) => &put.row,
+            RowOp::Delete(delete) => &delete.row,
+            RowOp::Increment(inc) => &inc.row,
+            RowOp::CheckAndPut(cap) => &cap.row,
+        }
+    }
+
+    /// Step 2's schema check of a row's cells.
+    fn check(&self, schema: &TableSchema) -> StoreResult<()> {
+        match *self {
+            RowOp::Put(put) | RowOp::CheckAndPut(CheckAndPut { put, .. }) => {
+                check_cells(schema, &put.cells)
+            }
+            RowOp::Delete(_) | RowOp::Increment(_) => Ok(()),
+        }
+    }
+
+    /// The row's share of its RPC's server work.
+    fn work(&self, model: &CostModel) -> SimDuration {
+        match self {
+            RowOp::Put(put) => model.put_work(put.cell_count()),
+            RowOp::Delete(_) => model.delete_server_work,
+            RowOp::Increment(_) => model.put_work(1),
+            RowOp::CheckAndPut(_) => model.check_and_put_work,
+        }
+    }
+
+    fn counter<'c>(&self, counters: &'c AtomicOpCounters) -> &'c AtomicU64 {
+        match self {
+            RowOp::Put(_) => &counters.puts,
+            RowOp::Delete(_) => &counters.deletes,
+            RowOp::Increment(_) => &counters.increments,
+            RowOp::CheckAndPut(_) => &counters.check_and_puts,
+        }
+    }
+
+    /// Step 8: builds the row's record at `ts` and applies it to `region`,
+    /// or declines (a failed check-and-put).  A delete is logged even when
+    /// it removed nothing.
+    fn apply_to(
+        &self,
+        region: &mut Region,
+        schema: &TableSchema,
+        ts: Timestamp,
+        fetch: bool,
+    ) -> StoreResult<(Applied, Option<WalOp>)> {
+        let before = fetch.then(|| region.get(&Get::new(self.key()))).flatten();
+        let op = match *self {
+            RowOp::Put(put) => put_record(put, ts),
+            RowOp::Delete(delete) => WalOp::Delete {
+                row: delete.row.clone(),
+                scope: delete.scope.clone(),
+                timestamp: ts,
+            },
+            RowOp::Increment(inc) => WalOp::Increment {
+                row: inc.row.clone(),
+                family: inc.family.clone(),
+                qualifier: inc.qualifier.clone(),
+                amount: inc.amount,
+                timestamp: ts,
+            },
+            RowOp::CheckAndPut(cap) => {
+                if !region.matches(&cap.put.row, &cap.family, &cap.qualifier, &cap.expect) {
+                    return Ok((Applied { before, outcome: None }, None));
+                }
+                put_record(&cap.put, ts)
+            }
+        };
+        let outcome = Some(region.apply_op(schema, &op)?);
+        Ok((Applied { before, outcome }, Some(op)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,6 +974,11 @@ mod tests {
         /// Recognizes the WAL record an applied run logs; `None` for the
         /// entry that applies nothing (the failed check-and-put).
         logs: Option<fn(&WalOp) -> bool>,
+        /// Regions one run writes to: its RPCs, fault draws, group-commit
+        /// decisions and counted ops.
+        regions: usize,
+        /// Rows (records) per region.
+        rows: usize,
     }
 
     fn row(i: usize) -> Put {
@@ -870,6 +1004,8 @@ mod tests {
             cost: |m| m.put_cost(1),
             counter: |ops| ops.puts,
             logs: Some(is_put),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             name: "put_fenced",
@@ -877,6 +1013,8 @@ mod tests {
             cost: |m| m.put_cost(1),
             counter: |ops| ops.puts,
             logs: Some(is_put),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             name: "put_fetch",
@@ -884,6 +1022,8 @@ mod tests {
             cost: |m| m.put_cost(1),
             counter: |ops| ops.puts,
             logs: Some(is_put),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             // Deleting an absent row is still an applied, logged mutation.
@@ -892,6 +1032,8 @@ mod tests {
             cost: |m| m.delete_cost(),
             counter: |ops| ops.deletes,
             logs: Some(is_delete),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             name: "delete_fetch",
@@ -899,6 +1041,8 @@ mod tests {
             cost: |m| m.delete_cost(),
             counter: |ops| ops.deletes,
             logs: Some(is_delete),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             name: "increment",
@@ -906,6 +1050,8 @@ mod tests {
             cost: |m| m.put_cost(1),
             counter: |ops| ops.increments,
             logs: Some(|op| matches!(op, WalOp::Increment { amount: 1, .. })),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             name: "check_and_put (applied)",
@@ -913,6 +1059,8 @@ mod tests {
             cost: |m| m.check_and_put_cost(),
             counter: |ops| ops.check_and_puts,
             logs: Some(is_put),
+            regions: 1,
+            rows: 1,
         },
         EntryPoint {
             // A failed condition pays the full cost and logs nothing.
@@ -924,75 +1072,140 @@ mod tests {
             cost: |m| m.check_and_put_cost(),
             counter: |ops| ops.check_and_puts,
             logs: None,
+            regions: 1,
+            rows: 1,
+        },
+        EntryPoint {
+            // Two rows in each of three regions: three RPCs.
+            name: "batch",
+            run: |c, t, i| c.batch(t, &spread_batch(i)).map(|changed| assert_eq!(changed, 6)),
+            cost: |m| m.batch_cost(m.put_work(1) * 2),
+            counter: |ops| ops.puts,
+            logs: Some(is_put),
+            regions: 3,
+            rows: 2,
+        },
+        EntryPoint {
+            name: "batch_fetch",
+            run: |c, t, i| c.batch_fetch(t, &spread_batch(i)).map(|before| assert_eq!(before.len(), 6)),
+            cost: |m| m.batch_cost(m.put_work(1) * 2),
+            counter: |ops| ops.puts,
+            logs: Some(is_put),
+            regions: 3,
+            rows: 2,
         },
     ];
 
-    /// The pipeline contract, op for op: every entry point charges its
-    /// closed-form cost (group commit moving exactly the sync share onto the
-    /// batch-closing write), logs exactly one WAL record iff it applied,
-    /// bumps exactly its own counter, leaves timestamps and the WAL alone on
-    /// a faulted attempt, and reports a missing table before a crashed
-    /// cluster.
+    /// Rows of [`contract_cluster`]'s bulk load: wide enough that the table
+    /// spans many regions.
+    const LOADED: usize = 200;
+
+    /// The `orders` table, split into many regions (every single-row entry
+    /// point writes to the last).
+    fn contract_cluster(config: ClusterConfig) -> Cluster {
+        let c = Cluster::new(ClusterConfig {
+            region_split_bytes: 2_000,
+            ..config
+        });
+        c.create_table(orders_schema()).unwrap();
+        let wide = |j| Put::new(format!("k{j:03}")).with("cf", "v", vec![b'x'; 64]);
+        c.bulk_load("orders", (0..LOADED).map(wide)).unwrap();
+        c
+    }
+
+    /// Two fresh rows beside each of `k000`, `k100` and `k199`: three
+    /// regions of [`contract_cluster`]'s table.
+    fn spread_batch(i: usize) -> Vec<Mutation> {
+        let rows = ["k000", "k100", "k199"].into_iter().flat_map(|k| (0..2).map(move |r| (k, r)));
+        rows.map(|(k, r)| Mutation::Put(Put::new(format!("{k}-{i}-{r}")).with("cf", "v", "1")))
+            .collect()
+    }
+
+    /// The pipeline contract, op for op: every entry point draws one fault
+    /// outcome, takes one group-commit decision and counts one op per region
+    /// it writes; charges each region its closed-form cost (group commit
+    /// moving exactly the sync share onto the batch-closing write); logs one
+    /// WAL record per row iff it applied, stamped in strictly increasing
+    /// order; bumps only its own counter; applies, logs and counts nothing
+    /// and draws no timestamp on a faulted attempt, whichever region faults;
+    /// and reports a missing table before a crashed cluster.
     #[test]
     fn every_entry_point_obeys_the_pipeline_contract() {
+        let slow = SimDuration::from_micros(50);
         for entry in ENTRY_POINTS {
             let name = entry.name;
             for interval in [1usize, 8] {
-                let c = Cluster::new(ClusterConfig {
+                let c = contract_cluster(ClusterConfig {
                     region_servers: 1,
                     wal_sync_interval: interval,
+                    // Every draw proceeds slowly: one spike per fault draw.
+                    fault_plan: Some(FaultPlan::new(7).with_slow_regions(1.0, slow)),
                     ..ClusterConfig::default()
                 });
-                c.create_table(orders_schema()).unwrap();
                 let full = (entry.cost)(c.cost_model());
-                let deferred = full - c.cost_model().effective_wal_sync();
-                let mut last_stamp = 0;
+                let sync = c.cost_model().effective_wal_sync();
+                let (mut last_stamp, mut pending) = (0, 0);
                 for i in 0..8 {
                     let ops_before = c.metrics().ops;
-                    let wal_before = c.wal(0).len();
+                    let (wal_before, draws) = (c.wal(0).len(), c.fault_stats().slowdowns);
                     let (result, charged) = c.clock().measure(|| (entry.run)(&c, "orders", i));
                     result.unwrap();
-                    let closes_batch = (i + 1) % interval == 0;
-                    let expected = if entry.logs.is_none() || closes_batch { full } else { deferred };
+                    assert_eq!(c.fault_stats().slowdowns - draws, entry.regions as u64, "{name}: draws");
+                    let mut expected = slow * entry.regions as u64;
+                    for _ in 0..entry.regions {
+                        pending += entry.rows * usize::from(entry.logs.is_some());
+                        let closes_batch = pending >= interval || entry.logs.is_none();
+                        expected += if closes_batch { full } else { full - sync };
+                        pending = if closes_batch { 0 } else { pending };
+                    }
                     assert_eq!(charged, expected, "{name}: charge of op {i} at interval {interval}");
                     let delta = c.metrics().ops.delta_since(&ops_before);
-                    assert_eq!((entry.counter)(&delta), 1, "{name}: own counter");
-                    assert_eq!(delta.total_ops(), 1, "{name}: no other counter moves");
+                    let ops = entry.regions as u64;
+                    assert_eq!((entry.counter)(&delta), ops, "{name}: own counter, once per region");
+                    assert_eq!(delta.total_ops(), ops, "{name}: no other counter moves");
                     let logged = &c.wal(0).entries()[wal_before..];
-                    match entry.logs {
-                        None => assert!(logged.is_empty(), "{name}: nothing applied, nothing logged"),
-                        Some(kind) => {
-                            assert_eq!(logged.len(), 1, "{name}: one record per applied op");
-                            assert!(kind(&logged[0].op), "{name}: logged {:?}", logged[0].op);
-                            let stamp = logged[0].op.timestamp().unwrap();
-                            assert!(stamp > last_stamp, "{name}: globally ordered stamps");
-                            last_stamp = stamp;
-                            assert_eq!(c.wal(0).unsynced_len(), (i + 1) % interval, "{name}");
-                        }
+                    let Some(kind) = entry.logs else {
+                        assert!(logged.is_empty(), "{name}: nothing applied, nothing logged");
+                        continue;
+                    };
+                    assert_eq!(logged.len(), entry.regions * entry.rows, "{name}: one record per row");
+                    for record in logged {
+                        assert!(kind(&record.op), "{name}: logged {:?}", record.op);
+                        let stamp = record.op.timestamp().unwrap();
+                        assert!(stamp > last_stamp, "{name}: strictly increasing stamps");
+                        last_stamp = stamp;
                     }
+                    assert_eq!(c.wal(0).unsynced_len(), pending, "{name}");
                 }
             }
 
-            // A faulted attempt consumes no timestamp, logs nothing, bumps nothing.
-            let c = Cluster::new(ClusterConfig {
-                region_servers: 1,
-                fault_plan: Some(FaultPlan::new(7).with_timeouts(1.0)),
-                ..ClusterConfig::default()
-            });
-            c.create_table(orders_schema()).unwrap();
-            let stamp = c.next_timestamp();
-            assert_eq!(
-                (entry.run)(&c, "orders", 0),
-                Err(StoreError::RpcTimeout { server: 0 }),
-                "{name}"
-            );
-            assert_eq!(c.next_timestamp(), stamp + 1, "{name}: faulted attempt drew a timestamp");
-            assert!(c.wal(0).is_empty(), "{name}: faulted attempt logged");
-            assert_eq!(c.metrics().ops.total_ops(), 0, "{name}: faulted attempt counted");
+            // A faulted attempt consumes no timestamp, applies, logs and
+            // bumps nothing — also when an earlier region's draw proceeded.
+            let mut late_faults = 0;
+            for seed in 0..32 {
+                let c = contract_cluster(ClusterConfig {
+                    region_servers: 1,
+                    fault_plan: Some(
+                        FaultPlan::new(seed).with_timeouts(0.5).with_slow_regions(0.5, slow),
+                    ),
+                    ..ClusterConfig::default()
+                });
+                let stamp = c.next_timestamp();
+                let Err(err) = (entry.run)(&c, "orders", 0) else {
+                    assert_eq!(c.fault_stats().slowdowns, entry.regions as u64, "{name}");
+                    continue;
+                };
+                assert_eq!(err, StoreError::RpcTimeout { server: 0 }, "{name}");
+                late_faults += c.fault_stats().slowdowns.min(1);
+                assert_eq!(c.next_timestamp(), stamp + 1, "{name}: faulted attempt drew a timestamp");
+                assert!(c.wal(0).is_empty(), "{name}: faulted attempt logged");
+                assert_eq!(c.metrics().ops.total_ops(), 0, "{name}: faulted attempt counted");
+                assert_eq!(c.row_count("orders").unwrap(), LOADED as u64, "{name}: applied");
+            }
+            assert_eq!(late_faults > 0, entry.regions > 1, "{name}: a later region faulted");
 
             // `TableNotFound` beats `ClusterDown`.
-            let c = cluster();
-            c.create_table(orders_schema()).unwrap();
+            let c = contract_cluster(ClusterConfig::default());
             c.crash();
             assert_eq!(
                 (entry.run)(&c, "nope", 0),

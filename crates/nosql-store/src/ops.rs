@@ -151,6 +151,15 @@ impl Delete {
     }
 }
 
+/// One row of a multi-row [`crate::Cluster::batch`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mutation {
+    /// Write cells of one row.
+    Put(Put),
+    /// Remove a row or columns of a row.
+    Delete(Delete),
+}
+
 /// Atomic add to an 8-byte big-endian counter cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Increment {

@@ -137,17 +137,7 @@ impl Region {
         cells: &[(String, String, Bytes)],
         ts: Timestamp,
     ) -> StoreResult<usize> {
-        if cells.is_empty() {
-            return Err(StoreError::EmptyMutation);
-        }
-        for (family, _, _) in cells {
-            if !schema.has_family(family) {
-                return Err(StoreError::UnknownColumnFamily {
-                    table: schema.name.clone(),
-                    family: family.clone(),
-                });
-            }
-        }
+        check_cells(schema, cells)?;
         let key_len = row.len();
         let delta = self.with_row(row, cells.len(), |stored| {
             let mut delta = 0isize;
@@ -534,6 +524,20 @@ impl Region {
             .map(|(k, r)| r.heap_size(k.len()))
             .sum();
         Some(upper)
+    }
+}
+
+/// Refuses a put that carries no cells or names a family `schema` lacks.
+pub(crate) fn check_cells(schema: &TableSchema, cells: &[(String, String, Bytes)]) -> StoreResult<()> {
+    if cells.is_empty() {
+        return Err(StoreError::EmptyMutation);
+    }
+    match cells.iter().find(|(family, _, _)| !schema.has_family(family)) {
+        Some((family, _, _)) => Err(StoreError::UnknownColumnFamily {
+            table: schema.name.clone(),
+            family: family.clone(),
+        }),
+        None => Ok(()),
     }
 }
 

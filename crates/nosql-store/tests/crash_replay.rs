@@ -8,15 +8,20 @@
 //! against an independent `BTreeMap` shadow model of the acked-synced
 //! writes.
 //!
-//! The model never looks at WAL entry payloads.  It only observes the two
-//! counters that define the ack/sync contract (`next_sequence`, which server
-//! log an op was appended to, and `unsynced_len`, the tail a crash drops)
-//! and recomputes the expected state from the op semantics alone.  Region
+//! The model never looks at WAL entry payloads.  It only observes what
+//! defines the ack/sync contract (which server log each record of an op was
+//! appended to, and `unsynced_len`, the tail a crash drops) and recomputes
+//! the expected state from the op semantics alone.  A multi-row
+//! `Cluster::batch` appends one record per row, one group per region it
+//! spans, possibly to several logs, so group commit can sync some of a
+//! batch and a crash drop the rest: the model attributes a batch's records
+//! to its rows by their stamps (a batch's rows are in key order, so its
+//! regions — written in key order — stamp them in row order).  Region
 //! splits can migrate a key range to another server mid-run, so the synced
-//! ops are replayed in global (timestamp) order, exactly the order
+//! rows are replayed in global (timestamp) order, exactly the order
 //! `Cluster::recover` reconstructs across server logs.
 
-use nosql_store::ops::{Delete, Get, Put, Scan};
+use nosql_store::ops::{Delete, Get, Mutation, Put, Scan};
 use nosql_store::{Cluster, ClusterConfig, TableSchema};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -29,9 +34,42 @@ enum Op {
     Put { key: u8, column: u8, value: u8 },
     DeleteRow { key: u8 },
     DeleteColumn { key: u8, column: u8 },
+    /// One `Cluster::batch` of single-row ops, in key order.
+    Batch(Vec<Op>),
+}
+
+impl Op {
+    fn key(&self) -> u8 {
+        match self {
+            Op::Put { key, .. } | Op::DeleteRow { key } | Op::DeleteColumn { key, .. } => *key,
+            Op::Batch(rows) => rows[0].key(),
+        }
+    }
+
+    /// The single-row ops this op applies, in the order it stamps them.
+    fn rows(&self) -> &[Op] {
+        match self {
+            Op::Batch(rows) => rows,
+            single => std::slice::from_ref(single),
+        }
+    }
+}
+
+/// A batch of `rows` sorted by key, so its stamps follow its rows.
+fn batch_of(mut rows: Vec<Op>) -> Op {
+    rows.sort_by_key(Op::key);
+    Op::Batch(rows)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        single_op_strategy(),
+        single_op_strategy(),
+        proptest::collection::vec(single_op_strategy(), 2..8).prop_map(batch_of),
+    ]
+}
+
+fn single_op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (any::<u8>(), 0u8..4, any::<u8>()).prop_map(|(key, column, value)| Op::Put {
             key,
@@ -56,27 +94,36 @@ fn col_str(column: u8) -> String {
     format!("c{column}")
 }
 
+/// The store mutation of one single-row op.
+fn mutation(op: &Op) -> Mutation {
+    match op {
+        Op::Put { key, column, value } => {
+            Mutation::Put(Put::new(key_str(*key)).with("cf", col_str(*column), vec![*value]))
+        }
+        Op::DeleteRow { key } => Mutation::Delete(Delete::row(key_str(*key))),
+        Op::DeleteColumn { key, column } => {
+            Mutation::Delete(Delete::column(key_str(*key), "cf", col_str(*column)))
+        }
+        Op::Batch(_) => unreachable!("a batch is not one row"),
+    }
+}
+
 fn apply_to_cluster(cluster: &Cluster, op: &Op) {
     match op {
-        Op::Put { key, column, value } => cluster
-            .put(
-                "t",
-                Put::new(key_str(*key)).with("cf", col_str(*column), vec![*value]),
-            )
-            .unwrap(),
-        Op::DeleteRow { key } => {
-            cluster.delete("t", Delete::row(key_str(*key))).unwrap();
+        Op::Batch(rows) => {
+            let rows: Vec<Mutation> = rows.iter().map(mutation).collect();
+            cluster.batch("t", &rows).unwrap();
         }
-        Op::DeleteColumn { key, column } => {
-            cluster
-                .delete("t", Delete::column(key_str(*key), "cf", col_str(*column)))
-                .unwrap();
-        }
+        single => match mutation(single) {
+            Mutation::Put(put) => cluster.put("t", put).unwrap(),
+            Mutation::Delete(delete) => drop(cluster.delete("t", delete).unwrap()),
+        },
     }
 }
 
 fn apply_to_model(model: &mut Model, op: &Op) {
     match op {
+        Op::Batch(rows) => rows.iter().for_each(|row| apply_to_model(model, row)),
         Op::Put { key, column, value } => {
             model
                 .entry(key_str(*key))
@@ -152,38 +199,41 @@ fn assert_state_matches(cluster: &Cluster, model: &Model, context: &str) {
 
 /// Runs `ops[..crash_at]` on a fresh cluster, crashes, recovers, and checks
 /// the recovered state against the shadow model of acked-synced writes.
-fn crash_at_position(ops: &[Op], crash_at: usize, servers: usize, interval: usize) {
+/// Returns how many batches the crash cut: some rows kept, some lost.
+fn crash_at_position(ops: &[Op], crash_at: usize, servers: usize, interval: usize) -> usize {
     let (cluster, baseline) = populated_cluster(servers, interval);
     let context = format!("servers={servers} interval={interval} crash_at={crash_at}");
 
-    // Which op index landed in which server's log, in append order.
-    let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); servers];
-    let mut sequences: Vec<u64> = (0..servers).map(|s| cluster.wal(s).next_sequence()).collect();
+    // Which (op index, row) landed in which server's log, in append order.
+    let mut assigned: Vec<Vec<(usize, usize)>> = vec![Vec::new(); servers];
+    let mut lens: Vec<usize> = (0..servers).map(|s| cluster.wal(s).len()).collect();
     for (index, op) in ops[..crash_at].iter().enumerate() {
         apply_to_cluster(&cluster, op);
-        let mut appended = 0;
-        for (server, last) in sequences.iter_mut().enumerate() {
-            let now = cluster.wal(server).next_sequence();
-            if now != *last {
-                assert_eq!(now, *last + 1, "{context}: op {index} appended one record");
-                assigned[server].push(index);
-                *last = now;
-                appended += 1;
-            }
+        // The op's records across every log, in stamp order: its rows.
+        let mut records = Vec::new();
+        for (server, len) in lens.iter_mut().enumerate() {
+            let entries = cluster.wal(server).entries();
+            records.extend(entries[*len..].iter().map(|e| (e.op.timestamp().unwrap(), server)));
+            *len = entries.len();
         }
-        assert_eq!(appended, 1, "{context}: op {index} landed in exactly one log");
+        assert_eq!(records.len(), op.rows().len(), "{context}: op {index} logged one record per row");
+        records.sort();
+        for (row, (_, server)) in records.into_iter().enumerate() {
+            assigned[server].push((index, row));
+        }
     }
 
     // The crash drops each server's unsynced tail: the *last*
-    // `unsynced_len` ops appended to that log.
-    let mut lost = vec![false; crash_at];
+    // `unsynced_len` rows appended to that log — for a batch, possibly
+    // some of its rows and not others.
+    let mut lost: Vec<Vec<bool>> = ops[..crash_at].iter().map(|op| vec![false; op.rows().len()]).collect();
     let mut expect_dropped = 0;
     for server in 0..servers {
         let unsynced = cluster.wal(server).unsynced_len();
         assert!(unsynced <= assigned[server].len(), "{context}: unsynced tail bound");
         expect_dropped += unsynced;
-        for &index in &assigned[server][assigned[server].len() - unsynced..] {
-            lost[index] = true;
+        for &(index, row) in &assigned[server][assigned[server].len() - unsynced..] {
+            lost[index][row] = true;
         }
     }
 
@@ -197,29 +247,35 @@ fn crash_at_position(ops: &[Op], crash_at: usize, servers: usize, interval: usiz
         "{context}: per-server loss attribution"
     );
     let report = cluster.recover();
+    let records: usize = ops[..crash_at].iter().map(|op| op.rows().len()).sum();
     assert_eq!(
         report.replayed_entries as usize,
-        crash_at - expect_dropped,
+        records - expect_dropped,
         "{context}: replayed exactly the synced post-checkpoint records"
     );
 
-    // Synced ops replay over the baseline in global (timestamp) order —
+    // Synced rows replay over the baseline in global (timestamp) order —
     // which, in this single-threaded sweep, is submission order.
     let mut model = baseline;
     for (index, op) in ops[..crash_at].iter().enumerate() {
-        if !lost[index] {
-            apply_to_model(&mut model, op);
+        for (row, single) in op.rows().iter().enumerate() {
+            if !lost[index][row] {
+                apply_to_model(&mut model, single);
+            }
         }
     }
     assert_state_matches(&cluster, &model, &context);
+    lost.iter().filter(|rows| rows.contains(&true) && rows.contains(&false)).count()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The headline sweep: for a generated workload and group-commit
-    /// interval, crash at **every** WAL position, at 1 and at 4 region
-    /// servers, and check replay against the shadow model each time.
+    /// The headline sweep: for a generated workload of single-row ops and
+    /// multi-region batches and a group-commit interval, crash after
+    /// **every** op — so at every WAL position a group-commit sync can cut
+    /// a batch — at 1 and at 4 region servers, and check replay against the
+    /// shadow model each time.
     #[test]
     fn recovery_matches_model_at_every_crash_position(
         ops in proptest::collection::vec(op_strategy(), 1..20),
@@ -233,16 +289,33 @@ proptest! {
     }
 }
 
+/// Group commit decides once per region, so a crash can keep some rows of
+/// one batch and drop the rest; the sweep meets such cuts and replays them.
+#[test]
+fn a_crash_can_cut_a_batch_between_its_regions() {
+    let ops: Vec<Op> = (0u8..6)
+        .map(|i| batch_of((0u8..6).map(|r| Op::Put { key: r * 40 + i, column: 0, value: i }).collect()))
+        .collect();
+    let cuts: usize = (0..=ops.len()).map(|crash_at| crash_at_position(&ops, crash_at, 4, 3)).sum();
+    assert!(cuts > 0, "no crash position cut a batch");
+}
+
 /// With `wal_sync_interval = 1` every write syncs before acking, so **no
 /// acked write is ever lost**: the recovered state equals the full applied
 /// state at every crash position, and the cluster stays writable afterwards.
 #[test]
 fn interval_one_loses_nothing_at_any_crash_position() {
     let ops: Vec<Op> = (0u8..24)
-        .map(|i| match i % 4 {
+        .map(|i| match i % 5 {
             0 | 1 => Op::Put { key: i % 8, column: i % 4, value: i },
             2 => Op::DeleteRow { key: (i + 2) % 8 },
-            _ => Op::DeleteColumn { key: i % 8, column: 0 },
+            3 => Op::DeleteColumn { key: i % 8, column: 0 },
+            // A batch spanning the table's regions.
+            _ => batch_of(vec![
+                Op::Put { key: i.wrapping_mul(37), column: 1, value: i },
+                Op::DeleteRow { key: i % 8 },
+                Op::Put { key: 240 - i, column: 2, value: i },
+            ]),
         })
         .collect();
     for servers in [1usize, 4] {

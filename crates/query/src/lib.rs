@@ -79,4 +79,4 @@ pub use optimize::select_probe_access;
 pub use physical::PhysicalPlan;
 pub use result::{QueryError, QueryResult};
 pub use session::{PlanCacheStats, PlanRewriter, PreparedStatement, Session};
-pub use writes::{bind_write, BoundWrite, WriteChange};
+pub use writes::{bind_write, BoundWrite, RowWrite, WriteChange};

@@ -3,15 +3,15 @@
 //!
 //! As in Phoenix, secondary indexes are maintained synchronously with the
 //! base-table write: every index table of the written relation receives the
-//! corresponding put/delete, and each of those is a separately charged store
-//! operation.
+//! corresponding puts/deletes in store operations of its own, each charged
+//! separately (one RPC per region a batch of rows touches).
 
 use crate::bind::bind_expr;
 use crate::catalog::{Catalog, TableDef, TableKind};
 use crate::delta::overlay;
 use crate::executor::Executor;
 use crate::result::{QueryError, QueryResult};
-use nosql_store::ops::{Delete, Get, Put};
+use nosql_store::ops::{Delete, Get, Mutation, Put};
 use relational::{Row, Value};
 use sql::{Comparison, Condition, Expr, Statement};
 use std::sync::Arc;
@@ -22,16 +22,11 @@ impl Executor {
     // ------------------------------------------------------------------
 
     /// Inserts one relational row into a table (and all of its index tables),
-    /// charging normal per-operation costs.  This is the path the write
-    /// statements of every evaluated system ultimately use.
+    /// charging normal per-operation costs: a [`Executor::write_rows`] of
+    /// one upsert.  This is the path the write statements of every
+    /// evaluated system ultimately use.
     pub fn insert_row(&self, table: &str, row: &Row) -> Result<(), QueryError> {
-        let def = self.table_def(table)?;
-        self.check_key_present(&def, row)?;
-        self.cluster().put(&def.name, def.row_to_put(row))?;
-        for index in self.catalog().indexes_of(&def.name) {
-            self.cluster().put(&index.name, index.row_to_put(row))?;
-        }
-        Ok(())
+        self.write_rows(table, &[RowWrite::Upsert(row.clone())]).map(drop)
     }
 
     /// Bulk-loads rows into a table and its indexes without charging
@@ -78,56 +73,86 @@ impl Executor {
 
     /// Deletes one row of a table (and its index entries) by primary key.
     pub fn delete_row_by_key(&self, table: &str, key: &Row) -> Result<bool, QueryError> {
-        Ok(self.delete_row_fetch(table, key)?.is_some())
+        Ok(self.write_rows(table, &[RowWrite::Remove(key.clone())])? == 1)
     }
 
-    /// Deletes one row by primary key and returns its **before-image**.
-    ///
-    /// The prior row contents ride the delete's own store round trip
-    /// ([`nosql_store::Cluster::delete_fetch`]) — no separately charged
-    /// read — and also drive index-entry cleanup, so a keyed delete now
-    /// costs one store delete per table touched instead of a get plus a
-    /// delete.  The before-image is what update/delete delta propagation
-    /// needs to retract the old row from dependent views.
+    /// Deletes one row by primary key and returns its **before-image**: a
+    /// [`Executor::write_rows`] of one removal, read atomically with it.
     pub fn delete_row_fetch(&self, table: &str, key: &Row) -> Result<Option<Row>, QueryError> {
-        let def = self.table_def(table)?;
-        let row_key = def.encode_row_key(key);
-        let before = self
-            .cluster()
-            .delete_fetch(&def.name, Delete::row(row_key))?
-            .map(|stored| def.decode_row(&stored));
-        if let Some(existing) = &before {
-            for index in self.catalog().indexes_of(&def.name) {
-                let index_key = index.encode_row_key(existing);
-                self.cluster().delete(&index.name, Delete::row(index_key))?;
-            }
-        }
-        Ok(before)
+        let (mut before, _) = self.write(table, &[RowWrite::Remove(key.clone())], true)?;
+        Ok(before.pop().flatten())
     }
 
     /// Writes one full row (an update's merged image) and returns the
-    /// row's **before-image**, read atomically with the write
-    /// ([`nosql_store::Cluster::put_fetch`]).  Index entries whose keys
-    /// changed are rewritten against that authoritative prior image, so
-    /// callers that already merged assignments do not pay a second read.
+    /// row's **before-image**: a [`Executor::write_rows`] of one upsert,
+    /// read atomically with it.
     pub fn update_row(&self, table: &str, updated: &Row) -> Result<Option<Row>, QueryError> {
+        let (mut before, _) = self.write(table, &[RowWrite::Upsert(updated.clone())], true)?;
+        Ok(before.pop().flatten())
+    }
+
+    /// Writes many rows of one table and returns how many rows it touched:
+    /// every upsert, and every removal that found its row.
+    ///
+    /// The table's rows go to the store as one [`nosql_store::Cluster::batch`]
+    /// (one RPC per region).  A table with indexes fetches the rows'
+    /// before-images in the same round trips — no separately charged read —
+    /// and maintains each index table from them in at most two more
+    /// batches: the entries whose keys the writes changed or removed are
+    /// deleted, then every upserted row's entry is put.
+    pub fn write_rows(&self, table: &str, writes: &[RowWrite]) -> Result<usize, QueryError> {
+        Ok(self.write(table, writes, false)?.1)
+    }
+
+    /// [`Executor::write_rows`], returning each row's before-image too (in
+    /// `writes` order; empty unless `fetch` or the table has indexes).
+    fn write(
+        &self,
+        table: &str,
+        writes: &[RowWrite],
+        fetch: bool,
+    ) -> Result<(Vec<Option<Row>>, usize), QueryError> {
         let def = self.table_def(table)?;
-        self.check_key_present(&def, updated)?;
-        let before = self
-            .cluster()
-            .put_fetch(&def.name, def.row_to_put(updated))?
-            .map(|stored| def.decode_row(&stored));
-        for index in self.catalog().indexes_of(&def.name) {
-            if let Some(existing) = &before {
-                let old_key = index.encode_row_key(existing);
-                let new_key = index.encode_row_key(updated);
-                if old_key != new_key {
-                    self.cluster().delete(&index.name, Delete::row(old_key))?;
+        let mut rows = Vec::with_capacity(writes.len());
+        for write in writes {
+            rows.push(match write {
+                RowWrite::Upsert(row) => {
+                    self.check_key_present(&def, row)?;
+                    Mutation::Put(def.row_to_put(row))
+                }
+                RowWrite::Remove(key) => Mutation::Delete(Delete::row(def.encode_row_key(key))),
+            });
+        }
+        let indexes = self.catalog().indexes_of(&def.name);
+        if !fetch && indexes.is_empty() {
+            return Ok((Vec::new(), self.cluster().batch(&def.name, &rows)?));
+        }
+        let stored = self.cluster().batch_fetch(&def.name, &rows)?;
+        let before: Vec<Option<Row>> =
+            stored.iter().map(|row| row.as_ref().map(|row| def.decode_row(row))).collect();
+        let found = |(write, before): (&RowWrite, &Option<Row>)| {
+            matches!(write, RowWrite::Upsert(_)) || before.is_some()
+        };
+        let touched = writes.iter().zip(&before).filter(|&pair| found(pair)).count();
+        for index in indexes {
+            let (mut stale, mut fresh) = (Vec::new(), Vec::new());
+            for (write, before) in writes.iter().zip(&before) {
+                let new_key = match write {
+                    RowWrite::Upsert(row) => {
+                        fresh.push(Mutation::Put(index.row_to_put(row)));
+                        Some(index.encode_row_key(row))
+                    }
+                    RowWrite::Remove(_) => None,
+                };
+                let old_key = before.as_ref().map(|row| index.encode_row_key(row));
+                if let Some(old_key) = old_key.filter(|old| Some(old) != new_key.as_ref()) {
+                    stale.push(Mutation::Delete(Delete::row(old_key)));
                 }
             }
-            self.cluster().put(&index.name, index.row_to_put(updated))?;
+            self.cluster().batch(&index.name, &stale)?;
+            self.cluster().batch(&index.name, &fresh)?;
         }
-        Ok(before)
+        Ok((before, touched))
     }
 
     /// The definition of `table` (ASCII case ignored), as a shared handle.
@@ -175,6 +200,15 @@ impl Executor {
             }
         }
     }
+}
+
+/// One row of an [`Executor::write_rows`].
+#[derive(Debug, Clone)]
+pub enum RowWrite {
+    /// Write this full row image, whether or not its key exists.
+    Upsert(Row),
+    /// Delete the row stored under these key attributes.
+    Remove(Row),
 }
 
 /// A write statement bound against the catalog: the written table and what

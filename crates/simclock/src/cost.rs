@@ -157,22 +157,31 @@ impl CostModel {
         self.rpc_latency + self.get_server_work
     }
 
+    /// Server-side work of one put row carrying `cells` cell values.
+    pub fn put_work(&self, cells: usize) -> SimDuration {
+        self.put_server_work + SimDuration::from_nanos(200 * cells as u64)
+    }
+
+    /// Total cost of one mutation RPC to one region whose rows need `work`
+    /// server work in total: one round trip and one WAL sync however many
+    /// rows it carries.
+    pub fn batch_cost(&self, work: SimDuration) -> SimDuration {
+        self.rpc_latency + work + self.effective_wal_sync()
+    }
+
     /// Total cost of a Put carrying `cells` cell values.
     pub fn put_cost(&self, cells: usize) -> SimDuration {
-        self.rpc_latency
-            + self.put_server_work
-            + SimDuration::from_nanos(200 * cells as u64)
-            + self.effective_wal_sync()
+        self.batch_cost(self.put_work(cells))
     }
 
     /// Total cost of a Delete.
     pub fn delete_cost(&self) -> SimDuration {
-        self.rpc_latency + self.delete_server_work + self.effective_wal_sync()
+        self.batch_cost(self.delete_server_work)
     }
 
     /// Total cost of an atomic CheckAndPut (lock acquire / release).
     pub fn check_and_put_cost(&self) -> SimDuration {
-        self.rpc_latency + self.check_and_put_work + self.effective_wal_sync()
+        self.batch_cost(self.check_and_put_work)
     }
 
     /// Total cost of scanning `rows` rows totalling `bytes` bytes.
@@ -264,6 +273,38 @@ mod tests {
         assert!(m.scan_next_row < m.join_shuffle_row + m.join_probe);
         // NewSQL partition-local execution beats any RPC-per-op system.
         assert!(m.newsql_statement_cost(10, false) < m.get_cost());
+    }
+
+    #[test]
+    fn a_batch_of_one_costs_its_single_row_op_and_n_rows_share_one_rpc_and_sync() {
+        let m = CostModel::default();
+        let closed_put = |cells: u64| {
+            m.rpc_latency
+                + m.put_server_work
+                + SimDuration::from_nanos(200 * cells)
+                + m.effective_wal_sync()
+        };
+        for cells in [1usize, 4, 37] {
+            assert_eq!(m.batch_cost(m.put_work(cells)), closed_put(cells as u64));
+            assert_eq!(m.batch_cost(m.put_work(cells)), m.put_cost(cells));
+        }
+        let closed_delete = m.rpc_latency + m.delete_server_work + m.effective_wal_sync();
+        assert_eq!(m.batch_cost(m.delete_server_work), closed_delete);
+        assert_eq!(m.batch_cost(m.delete_server_work), m.delete_cost());
+        // n rows: one round trip, one sync, n rows of server work.
+        let n = 110u64;
+        let rows = m.put_work(2) * n;
+        assert_eq!(
+            m.batch_cost(rows),
+            m.rpc_latency + m.effective_wal_sync() + m.put_work(2) * n
+        );
+        assert_eq!(
+            m.put_cost(2) * n - m.batch_cost(rows),
+            (m.rpc_latency + m.effective_wal_sync()) * (n - 1),
+            "a batch saves n - 1 round trips and syncs"
+        );
+        let mem = CostModel::in_memory();
+        assert_eq!(mem.batch_cost(rows), mem.rpc_latency + rows);
     }
 
     #[test]

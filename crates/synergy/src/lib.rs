@@ -44,7 +44,7 @@ pub mod viewgen;
 
 pub use lock::{LockGuard, LockManager};
 pub use maintenance::{MaintenanceEngine, MaintenanceStatsSnapshot};
-pub use partial::{MaintOutcome, ResidencySnapshot, ViewResidency};
+pub use partial::{ResidencySnapshot, ViewResidency};
 pub use rewrite::SynergyRewriter;
 pub use selection::{SelectionOutcome, ViewIndexDefinition};
 pub use system::{Materialization, SynergyConfig, SynergyRecovery, SynergySystem};

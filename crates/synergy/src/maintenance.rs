@@ -29,24 +29,25 @@
 //! root's single lock, so the views are current before the write is
 //! acknowledged.
 //!
-//! **One view-row write site.**  Whatever computed it — an insert's
-//! propagated tuple, a delete, a staged update's removals, rewrites and
-//! insertions, crash recovery's roll-forward — a view row reaches the
-//! store through the private `write_view_row(view, ViewWrite)` and nowhere
-//! else.  It holds the partial-materialization fork once: with
-//! a residency map the write is annihilated (cold key), deferred (key
-//! mid-fill) or applied under the residency lock; without one it is the
-//! plain executor write of its kind (`insert_row` / `update_row` /
-//! `delete_row_by_key`, each maintaining the view's indexes).  Dirty
-//! markers are not row writes: `set_marker` puts the one marker cell,
-//! gated by `marker_applies`.  The engine's operations are driven by the
+//! **One view write-batch site.**  Whatever computed them — an insert's
+//! propagated tuples, a delete, a staged update's removals, rewrites and
+//! insertions, crash recovery's roll-forward — view rows reach the store
+//! through the private `write_view_rows(view, writes)` and nowhere else,
+//! one batch per view per phase.  It holds the partial-materialization fork
+//! once: with a residency map each write is annihilated (cold key),
+//! deferred (key mid-fill) or applied, all under one residency lock;
+//! without one the batch is one [`Executor::write_rows`], which maintains
+//! the view's indexes.  Either way the store sees one RPC per region the
+//! batch touches.  Dirty markers are not row writes: `set_markers` puts
+//! the marker cells of a batch of rows as one store batch, in partial mode
+//! only those of resident keys.  The engine's operations are driven by the
 //! transaction layer's write pipeline ([`crate::txn`]) and by
 //! [`crate::SynergySystem::recover`]; they are crate-private.
 
-use crate::partial::{MaintOutcome, ViewResidency, ViewWrite};
+use crate::partial::ViewResidency;
 use crate::viewgen::ViewDefinition;
-use nosql_store::ops::Put;
-use query::{DeltaPlan, DeltaSign, Executor, QueryError, RowDelta, TableDef, FAMILY};
+use nosql_store::ops::{Mutation, Put};
+use query::{DeltaPlan, DeltaSign, Executor, QueryError, RowDelta, RowWrite, TableDef, FAMILY};
 use relational::Row;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,8 +112,8 @@ pub struct MaintenanceEngine {
     /// Partial-materialization residency (`None` = views fully
     /// materialized): view-row writes are routed through it so deltas
     /// targeting non-resident keys are **annihilated** and deltas racing a
-    /// fill are deferred (see [`ViewResidency::apply_view_write`]).  Only
-    /// `write_view_row` and `marker_applies` look at it.
+    /// fill are deferred (see [`ViewResidency::apply_view_writes`]).  Only
+    /// `write_view_rows` and `set_markers` look at it.
     residency: Option<Arc<ViewResidency>>,
 }
 
@@ -243,47 +244,22 @@ impl MaintenanceEngine {
             .ok_or(QueryError::UnknownTable(table))
     }
 
-    /// Writes one view row — **the only place a maintained view row reaches
-    /// the store** (see the module docs).  Returns the view rows touched:
-    /// 0 when partial mode annihilated or deferred the write, or a removal
-    /// found no row.
-    fn write_view_row(&self, view: &ViewDefinition, write: ViewWrite) -> Result<usize, QueryError> {
-        let Some(residency) = &self.residency else {
-            let table = view.table_name();
-            return Ok(match &write {
-                ViewWrite::Insert(row) => {
-                    self.executor.insert_row(&table, row)?;
-                    1
-                }
-                // The executor rewrites view-index entries from the stored
-                // before-image.
-                ViewWrite::Rewrite(row) => {
-                    self.executor.update_row(&table, row)?;
-                    1
-                }
-                ViewWrite::Remove(key) => {
-                    usize::from(self.executor.delete_row_by_key(&table, key)?)
-                }
-            });
-        };
+    /// Writes a batch of view rows — **the only place maintained view rows
+    /// reach the store** (see the module docs).  Returns the view rows
+    /// touched: partial mode's annihilated and deferred writes and removals
+    /// that found no row do not count.
+    fn write_view_rows(
+        &self,
+        view: &ViewDefinition,
+        writes: Vec<RowWrite>,
+    ) -> Result<usize, QueryError> {
         let def = self.catalog_view_def(view)?;
-        Ok(
-            match residency.apply_view_write(&self.executor, &def, write)? {
-                MaintOutcome::Applied { touched } => touched as usize,
-                MaintOutcome::Deferred | MaintOutcome::Annihilated => 0,
-            },
-        )
-    }
-
-    /// True when `view_row` should carry dirty markers: always in full
-    /// materialization; only while its key is resident in partial mode
-    /// (marking a cold key would create a marker-only remnant row outside
-    /// residency accounting).
-    fn marker_applies(&self, view_def: &TableDef, view_row: &Row) -> bool {
-        match &self.residency {
-            Some(residency) => residency.is_resident_for_row(view_def, view_row),
-            None => true,
+        if let Some(residency) = &self.residency {
+            return residency.apply_view_writes(&self.executor, &def, writes);
         }
+        // The executor rewrites view-index entries from the stored
+        // before-images.
+        self.executor.write_rows(&def.name, &writes)
     }
 
     // ------------------------------------------------------------------
@@ -312,12 +288,13 @@ impl MaintenanceEngine {
     /// §IV).
     fn insert_into_view(&self, view: &ViewDefinition, row: &Row) -> Result<usize, QueryError> {
         let deltas = [RowDelta::plus(row.unqualified())];
-        let mut written = 0;
-        for delta in self.propagate(view, view.last_relation(), &deltas)? {
-            debug_assert_eq!(delta.sign, DeltaSign::Plus);
-            written += self.write_view_row(view, ViewWrite::Insert(delta.row))?;
-        }
-        Ok(written)
+        let tuples = self.propagate(view, view.last_relation(), &deltas)?;
+        debug_assert!(tuples.iter().all(|delta| delta.sign == DeltaSign::Plus));
+        let writes = tuples
+            .into_iter()
+            .map(|delta| RowWrite::Upsert(delta.row))
+            .collect();
+        self.write_view_rows(view, writes)
     }
 
     /// Crash recovery's roll-forward of one dirty view row whose base row
@@ -333,7 +310,7 @@ impl MaintenanceEngine {
         if self.insert_into_view(view, base_row)? == 0 {
             return Ok(false);
         }
-        self.set_marker(view, base_row, "0")?;
+        self.set_markers(view, [base_row], "0")?;
         Ok(true)
     }
 
@@ -348,7 +325,7 @@ impl MaintenanceEngine {
     pub(crate) fn apply_delete(&self, relation: &str, base_key: &Row) -> Result<usize, QueryError> {
         let mut removed = 0;
         for view in self.views_for_insert(relation) {
-            removed += self.write_view_row(view, ViewWrite::Remove(base_key.clone()))?;
+            removed += self.write_view_rows(view, vec![RowWrite::Remove(base_key.clone())])?;
         }
         self.stats
             .view_rows_touched
@@ -421,30 +398,30 @@ impl MaintenanceEngine {
     }
 
     /// Marks every currently existing view row a staged update will touch
-    /// as dirty (step 3 of the update transaction).  Rows the update
-    /// *inserts* do not exist yet and are not marked (matching the insert
-    /// procedure, which never marks).
+    /// as dirty (step 3 of the update transaction), one batch per view.
+    /// Rows the update *inserts* do not exist yet and are not marked
+    /// (matching the insert procedure, which never marks).
     pub(crate) fn mark_staged(&self, staged: &[StagedViewUpdate]) -> Result<(), QueryError> {
         for update in staged {
-            for row in update.rewrites.iter().chain(&update.removes) {
-                self.set_marker(&update.view, row, "1")?;
-            }
+            self.set_markers(
+                &update.view,
+                update.rewrites.iter().chain(&update.removes),
+                "1",
+            )?;
         }
         Ok(())
     }
 
     /// Applies a staged update to the view tables (step 4: runs after the
-    /// base write).  Removals go first, then in-place rewrites, then
-    /// insertions.  Returns the number of view rows touched.
+    /// base write), one batch per view: removals first, then in-place
+    /// rewrites, then insertions.  Returns the number of view rows touched.
     pub(crate) fn apply_staged(&self, staged: &[StagedViewUpdate]) -> Result<usize, QueryError> {
         let mut touched = 0;
         for update in staged {
-            let removes = update.removes.iter().cloned().map(ViewWrite::Remove);
-            let rewrites = update.rewrites.iter().cloned().map(ViewWrite::Rewrite);
-            let inserts = update.inserts.iter().cloned().map(ViewWrite::Insert);
-            for write in removes.chain(rewrites).chain(inserts) {
-                touched += self.write_view_row(&update.view, write)?;
-            }
+            let removes = update.removes.iter().cloned().map(RowWrite::Remove);
+            let upserts = update.rewrites.iter().chain(&update.inserts).cloned();
+            let writes = removes.chain(upserts.map(RowWrite::Upsert)).collect();
+            touched += self.write_view_rows(&update.view, writes)?;
         }
         self.stats
             .view_rows_touched
@@ -452,14 +429,12 @@ impl MaintenanceEngine {
         Ok(touched)
     }
 
-    /// Clears the dirty markers a staged update set (step 5).  Removed rows
-    /// are gone — unmarking them would resurrect a marker-only row — so
-    /// only rewritten rows are unmarked.
+    /// Clears the dirty markers a staged update set (step 5), one batch per
+    /// view.  Removed rows are gone — unmarking them would resurrect a
+    /// marker-only row — so only rewritten rows are unmarked.
     pub(crate) fn unmark_staged(&self, staged: &[StagedViewUpdate]) -> Result<(), QueryError> {
         for update in staged {
-            for row in &update.rewrites {
-                self.set_marker(&update.view, row, "0")?;
-            }
+            self.set_markers(&update.view, &update.rewrites, "0")?;
         }
         Ok(())
     }
@@ -495,21 +470,32 @@ impl MaintenanceEngine {
     // Dirty markers (§VIII-B)
     // ------------------------------------------------------------------
 
-    /// Puts the dirty-marker cell of one view row: `"1"` marks it (step 3
-    /// of the update transaction, §VIII-B), `"0"` clears it (step 5).  A
-    /// no-op where [`Self::marker_applies`] says the row carries no marker.
-    fn set_marker(
+    /// Puts the dirty-marker cells of a batch of view rows as one store
+    /// batch: `"1"` marks them (step 3 of the update transaction, §VIII-B),
+    /// `"0"` clears them (step 5).  In partial mode only rows whose keys
+    /// are resident carry markers, checked and written under the residency
+    /// lock ([`ViewResidency::write_resident`]).
+    fn set_markers<'r>(
         &self,
         view: &ViewDefinition,
-        view_row: &Row,
+        view_rows: impl IntoIterator<Item = &'r Row>,
         value: &str,
     ) -> Result<(), QueryError> {
         let def = self.catalog_view_def(view)?;
-        if self.marker_applies(&def, view_row) {
-            let put = Put::new(def.encode_row_key(view_row)).with(FAMILY, DIRTY_MARKER, value);
-            self.executor.cluster().put(&def.name, put)?;
+        let put = |rows: Vec<&Row>| {
+            let marker =
+                |row: &Row| Put::new(def.encode_row_key(row)).with(FAMILY, DIRTY_MARKER, value);
+            let markers: Vec<Mutation> = rows
+                .into_iter()
+                .map(|row| Mutation::Put(marker(row)))
+                .collect();
+            self.executor.cluster().batch(&def.name, &markers)?;
+            Ok(())
+        };
+        match &self.residency {
+            Some(residency) => residency.write_resident(&def, view_rows, put),
+            None => put(view_rows.into_iter().collect()),
         }
-        Ok(())
     }
 }
 

@@ -24,8 +24,9 @@
 //! caching), so repeated reads of an absent key stay hits.
 //!
 //! Concurrency model: one global mutex guards the residency map, and every
-//! view-side store write in partial mode (install, evict, delta apply)
-//! happens under it, so the store contents and the map never disagree.
+//! view-side store write in partial mode (install, evict, delta apply,
+//! dirty marker) happens under it, so the store contents and the map never
+//! disagree.
 //! Readers take a **pin** on each entry they depend on for the duration of
 //! the rewritten query; pinned entries are exempt from eviction, so a scan
 //! can never observe a half-deleted key.  A key being filled is in the
@@ -34,7 +35,7 @@
 //! on top of the installed upquery result, which is safe because every
 //! delta write is a state overwrite (upsert / delete by key).
 
-use query::{Executor, QueryError, TableDef};
+use query::{Executor, QueryError, RowWrite, TableDef};
 use relational::{Row, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,38 +55,6 @@ pub enum Lookup {
     Wait,
 }
 
-/// One maintenance write against one view row — the unit the maintenance
-/// engine's single view-row write site takes.  Under full materialization
-/// each kind is its own executor write; in partial mode it routes through
-/// [`ViewResidency::apply_view_write`], where `Insert` and `Rewrite` are
-/// both an upsert ([`Executor::update_row`] keeps index entries correct in
-/// either case).
-#[derive(Debug, Clone)]
-pub enum ViewWrite {
-    /// A view row at a key that did not exist before.
-    Insert(Row),
-    /// The new full image of a view row whose key already exists.
-    Rewrite(Row),
-    /// Delete one view row by its key attributes.
-    Remove(Row),
-}
-
-/// What [`ViewResidency::apply_view_write`] did with a delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintOutcome {
-    /// The key was resident: the write went to the store; `touched` view
-    /// rows changed.
-    Applied {
-        /// View rows written or removed (0 when a remove missed).
-        touched: u64,
-    },
-    /// The key was mid-fill: the write was queued and will be replayed
-    /// after the upquery result is installed.
-    Deferred,
-    /// The key was not resident: the delta was dropped.
-    Annihilated,
-}
-
 /// Per-key residency entry.
 #[derive(Debug)]
 struct Entry {
@@ -100,7 +69,7 @@ struct Entry {
     pins: u32,
     /// Deltas that arrived while the key was being filled, replayed after
     /// install; `None` once resident.
-    filling: Option<Vec<ViewWrite>>,
+    filling: Option<Vec<RowWrite>>,
 }
 
 impl Entry {
@@ -321,53 +290,74 @@ impl ViewResidency {
         state.views.values().flat_map(|v| v.values()).map(|e| e.pins).sum()
     }
 
-    /// Routes one maintenance delta: applied when its key is resident,
-    /// queued when the key is mid-fill, dropped (annihilated) otherwise.
-    pub fn apply_view_write(
+    /// Routes a batch of maintenance writes to one view under one lock: a
+    /// write whose key is resident is applied, one whose key is mid-fill is
+    /// queued, and one whose key is absent is dropped (annihilated).  The
+    /// applied writes go to the store as one [`Executor::write_rows`], and
+    /// eviction sweeps once afterwards if they grew residency.  Returns the
+    /// view rows touched.
+    pub fn apply_view_writes(
         &self,
         executor: &Executor,
         view_def: &TableDef,
-        write: ViewWrite,
-    ) -> Result<MaintOutcome, QueryError> {
+        writes: Vec<RowWrite>,
+    ) -> Result<usize, QueryError> {
         let view_table = view_def.name.as_str();
-        let prefix = match &write {
-            ViewWrite::Insert(row) | ViewWrite::Rewrite(row) | ViewWrite::Remove(row) => {
-                Self::prefix_of(view_def, row)
-            }
+        let prefix = |write: &RowWrite| match write {
+            RowWrite::Upsert(row) | RowWrite::Remove(row) => Self::prefix_of(view_def, row),
         };
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(entry) = state.views.get_mut(view_table).and_then(|v| v.get_mut(&prefix))
-        else {
-            self.annihilated.fetch_add(1, Ordering::Relaxed);
-            return Ok(MaintOutcome::Annihilated);
-        };
-        if let Some(pending) = &mut entry.filling {
-            pending.push(write);
-            self.deferred.fetch_add(1, Ordering::Relaxed);
-            return Ok(MaintOutcome::Deferred);
+        let mut applied = Vec::with_capacity(writes.len());
+        for write in writes {
+            match state.views.get_mut(view_table).and_then(|v| v.get_mut(&prefix(&write))) {
+                None => _ = self.annihilated.fetch_add(1, Ordering::Relaxed),
+                Some(Entry { filling: Some(pending), .. }) => {
+                    pending.push(write);
+                    self.deferred.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(_) => applied.push(write),
+            }
         }
-        let (rows_before, bytes_before) = (entry.rows.len() as u64, entry.bytes());
-        let touched = apply_write_to_entry(executor, view_def, entry, write)?;
-        let (rows_after, bytes_after) = (entry.rows.len() as u64, entry.bytes());
-        state.total_rows = state.total_rows + rows_after - rows_before;
-        state.total_bytes = state.total_bytes + bytes_after - bytes_before;
-        if bytes_after > bytes_before {
+        if applied.is_empty() {
+            return Ok(0);
+        }
+        let touched = executor.write_rows(view_table, &applied)?;
+        let bytes_before = state.total_bytes;
+        for write in &applied {
+            let Some(entry) = state.views.get_mut(view_table).and_then(|v| v.get_mut(&prefix(write)))
+            else {
+                continue;
+            };
+            let (rows, bytes) = (entry.rows.len() as u64, entry.bytes());
+            account_write(view_def, entry, write);
+            let (rows_after, bytes_after) = (entry.rows.len() as u64, entry.bytes());
+            state.total_rows = state.total_rows + rows_after - rows;
+            state.total_bytes = state.total_bytes + bytes_after - bytes;
+        }
+        if state.total_bytes > bytes_before {
             self.evict_to_budget(&mut state, executor)?;
         }
-        Ok(MaintOutcome::Applied { touched })
+        Ok(touched)
     }
 
-    /// True when `row`'s key is resident (not filling) — gates dirty
-    /// marking: marking a non-resident key would create a marker-only
-    /// remnant row outside residency accounting.
-    pub fn is_resident_for_row(&self, view_def: &TableDef, row: &Row) -> bool {
-        let prefix = Self::prefix_of(view_def, row);
+    /// Runs `write` on those of `rows` whose keys are resident (not
+    /// filling), under the residency lock — gates dirty marking: marking a
+    /// non-resident key would create a marker-only remnant row outside
+    /// residency accounting, so no eviction may land between the check and
+    /// the write.
+    pub fn write_resident<'r, T>(
+        &self,
+        view_def: &TableDef,
+        rows: impl IntoIterator<Item = &'r Row>,
+        write: impl FnOnce(Vec<&'r Row>) -> Result<T, QueryError>,
+    ) -> Result<T, QueryError> {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state
-            .views
-            .get(view_def.name.as_str())
-            .and_then(|v| v.get(&prefix))
-            .is_some_and(|e| e.filling.is_none())
+        let view = state.views.get(view_def.name.as_str());
+        let resident = |row: &&Row| {
+            let prefix = Self::prefix_of(view_def, row);
+            view.and_then(|v| v.get(&prefix)).is_some_and(|e| e.filling.is_none())
+        };
+        write(rows.into_iter().filter(resident).collect())
     }
 
     /// Counts one view-routed read that bypassed the partial path (the
@@ -471,26 +461,28 @@ fn key_row(view_def: &TableDef, row: &Row) -> Row {
     )
 }
 
-/// Applies one delta write to a resident entry's store rows and byte map;
-/// returns the rows touched.
+/// Applies one delta write to a resident entry's store rows and byte map.
 fn apply_write_to_entry(
     executor: &Executor,
     view_def: &TableDef,
     entry: &mut Entry,
-    write: ViewWrite,
-) -> Result<u64, QueryError> {
+    write: RowWrite,
+) -> Result<(), QueryError> {
+    executor.write_rows(&view_def.name, std::slice::from_ref(&write))?;
+    account_write(view_def, entry, &write);
+    Ok(())
+}
+
+/// Records one stored write in a resident entry's byte map.
+fn account_write(view_def: &TableDef, entry: &mut Entry, write: &RowWrite) {
     match write {
-        ViewWrite::Insert(row) | ViewWrite::Rewrite(row) => {
-            executor.update_row(&view_def.name, &row)?;
-            let key = view_def.encode_row_key(&row);
-            let bytes = view_def.estimate_row_bytes(&row) as u64;
-            entry.rows.insert(key, (key_row(view_def, &row), bytes));
-            Ok(1)
+        RowWrite::Upsert(row) => {
+            let key = view_def.encode_row_key(row);
+            let bytes = view_def.estimate_row_bytes(row) as u64;
+            entry.rows.insert(key, (key_row(view_def, row), bytes));
         }
-        ViewWrite::Remove(row) => {
-            let removed = executor.delete_row_by_key(&view_def.name, &row)?;
-            entry.rows.remove(&view_def.encode_row_key(&row));
-            Ok(removed as u64)
+        RowWrite::Remove(row) => {
+            entry.rows.remove(&view_def.encode_row_key(row));
         }
     }
 }

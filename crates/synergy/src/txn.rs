@@ -37,9 +37,14 @@
 //!      base row;
 //!    * **update** — the §VIII-B procedure: stage the view effects by delta
 //!      propagation (reads only) → mark the affected view rows dirty → base
-//!      row → apply the staged view writes → unmark.  The injected interrupt
-//!      ([`TransactionLayer::inject_interrupt_after_step`]) fires after the
-//!      mark (3), the base write (4) or the apply (5).
+//!      row → apply the staged view writes → unmark.  Each of mark, apply
+//!      and unmark writes a view's rows as one store batch — one RPC per
+//!      region they span, however many rows — so a fat update pays per
+//!      (view, region) per phase, not per row; the phase order, and with
+//!      it what readers see of the dirty markers, is unchanged.  The
+//!      injected interrupt ([`TransactionLayer::inject_interrupt_after_step`])
+//!      fires between whole phases: after the mark (3), the base write (4)
+//!      or the apply (5).
 //! 6. **Release** — at one site.  Whether step 5 completed or failed, the
 //!    lock is released; only [`TxnError::Interrupted`] — a simulated client
 //!    crash — leaks the guard, leaving the lock row held and the markers

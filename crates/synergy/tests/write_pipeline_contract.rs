@@ -228,6 +228,59 @@ fn every_write_kind_obeys_the_pipeline_contract() {
     }
 }
 
+/// WAL records appended so far, over every region server's log.
+fn wal_records(system: &SynergySystem) -> usize {
+    (0..ClusterConfig::default().region_servers)
+        .map(|server| system.cluster().wal(server).len())
+        .sum()
+}
+
+/// The micro schema's fat update — one customer's name, 110 view rows (10
+/// in `V_Customer__Orders`, 100 in `V_Customer__Orders__Order_line`) —
+/// pays per region, not per row: each of the mark, apply and unmark phases
+/// is one store put per (view, region) the customer's view rows span, on
+/// top of the base put; every row is still logged.  Checked for the
+/// customer whose rows span the most regions, one that straddles a region
+/// boundary.
+#[test]
+fn a_fat_update_writes_each_phase_once_per_view_region() {
+    let bench = tpcw::micro::MicroBench::build(300).unwrap();
+    let system = bench.system();
+    let cluster = system.cluster();
+    // (view, region) pairs per customer.
+    let mut pairs: std::collections::BTreeMap<i64, std::collections::BTreeSet<(String, u64)>> =
+        Default::default();
+    for view in &system.selection().views {
+        let table = view.table_name();
+        let def = system.executor().catalog().table_shared(&table).unwrap();
+        for stored in cluster.scan(&table, nosql_store::ops::Scan::all()).unwrap() {
+            let Some(&Value::Int(c_id)) = def.decode_row(&stored).get("c_id") else {
+                panic!("{table}: view row without c_id");
+            };
+            let (region, _) = cluster.region_epoch_for(&table, &stored.key).unwrap();
+            pairs.entry(c_id).or_default().insert((table.clone(), region));
+        }
+    }
+    let (&c_id, spanned) = pairs.iter().max_by_key(|(_, spanned)| spanned.len()).unwrap();
+    assert!(spanned.len() > 2, "customer {c_id} straddles a region boundary: {spanned:?}");
+
+    let (ops, records) = (cluster.metrics().ops, wal_records(system));
+    let touched = system.maintenance_stats().view_rows_touched;
+    let update = "UPDATE Customer SET c_fname = ?, c_lname = ? WHERE c_id = ?";
+    let params = [Value::str("Fat"), Value::str("Update"), Value::Int(c_id)];
+    assert_eq!(system.execute_sql(update, &params).unwrap().rows_affected, 1);
+    let ops = cluster.metrics().ops.delta_since(&ops);
+    let pairs = spanned.len() as u64;
+    assert_eq!(
+        footprint(&ops),
+        [1, 3 * pairs + 1, 0, 2, 12],
+        "[gets, puts, deletes, cas, scans] over {pairs} (view, region) pairs"
+    );
+    assert_eq!(system.maintenance_stats().view_rows_touched - touched, 110);
+    assert_eq!(wal_records(system) - records, 3 * 110 + 1 + 2, "every row logged");
+    assert_eq!(dirty_view_rows(system), 0, "no marker outlives the write");
+}
+
 #[test]
 fn failed_and_rejected_writes_leave_the_lock_free() {
     for locking in CONFIGURATIONS {
