@@ -2016,12 +2016,18 @@ mod tests {
         // The cost is not bit-identical: scanned key bytes grow a little
         // with id widths, and a customer's view rows straddle a region
         // boundary more often in a larger table, each straddle one more
-        // store RPC.  Net of those RPCs it must stay flat to well under a
+        // store RPC per phase.  Those RPCs stay few — under one more
+        // (view, region) pair per write, i.e. three puts, at 4x the
+        // customers — and net of them the cost stays flat to well under a
         // percent.
         let m = simclock::CostModel::default();
         let rpc_ms = (m.rpc_latency + m.effective_wal_sync()).as_millis_f64();
         let (cost, cost_l) = (delta.num("sim_ms_per_write"), delta_l.num("sim_ms_per_write"));
         let (puts, puts_l) = (delta.num("store_puts_per_write"), delta_l.num("store_puts_per_write"));
+        assert!(
+            puts_l - puts < 3.0,
+            "store RPCs per write must not grow with database size: {puts} vs {puts_l}"
+        );
         assert!(
             ((cost_l - puts_l * rpc_ms) - (cost - puts * rpc_ms)).abs() < cost * 1e-3,
             "delta maintenance cost must not grow with database size: \

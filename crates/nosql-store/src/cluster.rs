@@ -33,17 +33,18 @@
 //!    versions written to one row order like lock acquisitions; deletes
 //!    draw one too, so replay can sequence them against puts from other
 //!    server logs;
-//! 8. apply — each row builds its [`WalOp`] and applies it through
-//!    [`Region::apply_op`], or declines (a failed check-and-put);
-//! 9. append the group's records to the server's WAL and take one
-//!    group-commit decision — under group commit the batch-closing write
-//!    pays the sync and, with replication on, the ship cost of the whole
-//!    batch; a group that logged nothing pays full cost, skips step 10;
-//! 10. split check on the mutated region, once after its rows;
+//! 8. apply — each row builds its [`WalOp`], applies it through
+//!    [`Region::apply_op`] and appends it to the server's WAL, or declines
+//!    (a failed check-and-put);
+//! 9. one group-commit decision for the group's records — under group
+//!    commit the batch-closing write pays the sync and, with replication
+//!    on, the ship cost of the whole batch; a group that logged nothing
+//!    pays full cost, skips step 10;
+//! 10. split check on the mutated region, once after its rows; count the
+//!     group as one op, on its first row's counter;
 //!
 //! 11. unlock; charge each group `CostModel::batch_cost` of its rows'
-//!     server work (one round trip, one WAL sync); bump one counter per
-//!     group — its first row's.
+//!     server work (one round trip, one WAL sync).
 //!
 //! The order is a contract, not an implementation detail: the fault
 //! figures' sim identity depends on the exact sequence of clock reads, RNG
@@ -495,26 +496,15 @@ impl Cluster {
         true
     }
 
-    /// Step 9: appends one region's records to `server`'s WAL and takes
-    /// one group-commit decision for them, returning the cost to charge.  A
-    /// write that leaves the unsynced batch below `wal_sync_interval` defers
-    /// the sync and charges `effective_wal_sync` less; the batch-closing
-    /// write syncs, pays in full and — with replication on — ships the newly
-    /// synced records to their regions' followers and pays for that too.
-    /// Charges therefore sum to exactly `interval - 1` syncs per batch fewer
-    /// than at interval 1.
-    fn log_write(
-        &self,
-        server: RegionServerId,
-        table: &str,
-        region: RegionId,
-        records: Vec<WalOp>,
-        cost: SimDuration,
-    ) -> SimDuration {
-        let wal = self.wal(server.0);
-        for op in records {
-            wal.append_region(table, region.0, op);
-        }
+    /// Step 9's group-commit decision, once a region's records are
+    /// appended to `wal`: returns the cost to charge.  A write that leaves
+    /// the unsynced batch below `wal_sync_interval` defers the sync and
+    /// charges `effective_wal_sync` less; the batch-closing write syncs,
+    /// pays in full and — with replication on — ships the newly synced
+    /// records to their regions' followers and pays for that too.  Charges
+    /// therefore sum to exactly `interval - 1` syncs per batch fewer than at
+    /// interval 1.
+    fn commit(&self, wal: &WriteAheadLog, cost: SimDuration) -> SimDuration {
         if wal.unsynced_len() < self.inner.config.wal_sync_interval.max(1) {
             return cost.saturating_sub(self.cost_model().effective_wal_sync());
         }
@@ -555,19 +545,24 @@ impl Cluster {
     fn mutate(
         &self,
         table: &str,
-        rows: &[RowOp<'_>],
+        rows: &[Mutation],
         fence: Option<u64>,
         fetch: bool,
     ) -> StoreResult<Vec<Applied>> {
         let state = self.open(table)?;
         rows.iter().try_for_each(|row| row.check(&state.schema))?;
         let mut regions = state.regions.write();
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            let idx = Self::region_index_for(&regions, row.key());
-            groups.entry(idx).or_default().push(i);
-        }
-        for &idx in groups.keys() {
+        // Each row with its region, in region key order, rows in batch
+        // order: a run of one region is one group.
+        let mut routes: Vec<(usize, usize)> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| (Self::region_index_for(&regions, row.key()), i))
+            .collect();
+        routes.sort_unstable();
+        let groups = || routes.chunk_by(|a, b| a.0 == b.0);
+        for group in groups() {
+            let idx = group[0].0;
             self.inject_faults(regions[idx].server)?;
             let Some(presented) = fence else { continue };
             // Zombie fencing: the epoch check happens server-side after
@@ -585,63 +580,64 @@ impl Cluster {
             }
         }
         let model = self.cost_model();
-        let mut applied: Vec<Option<Applied>> = rows.iter().map(|_| None).collect();
+        let mut applied: Vec<Applied> = rows.iter().map(|_| Applied::default()).collect();
         let (mut charge, mut splits) = (SimDuration::ZERO, 0);
-        let mut counters = Vec::with_capacity(groups.len());
-        for (idx, members) in groups {
-            let idx = idx + splits;
-            let (mut work, mut records) = (SimDuration::ZERO, Vec::with_capacity(members.len()));
-            for &i in &members {
+        for group in groups() {
+            let idx = group[0].0 + splits;
+            let (wal, region) = (self.wal(regions[idx].server.0), regions[idx].id.0);
+            let (mut work, mut logged) = (SimDuration::ZERO, false);
+            for &(_, i) in group {
                 let ts = self.next_timestamp();
                 let (row, record) = rows[i].apply_to(&mut regions[idx], &state.schema, ts, fetch)?;
                 work += rows[i].work(model);
-                applied[i] = Some(row);
-                records.extend(record);
+                applied[i] = row;
+                if let Some(op) = record {
+                    wal.append_region(table, region, op);
+                    logged = true;
+                }
             }
             let cost = model.batch_cost(work);
             // A group that applied nothing (a failed check-and-put) still
             // pays the full RPC: the server did the read-compare and synced
             // nothing new.
-            charge += if records.is_empty() {
-                cost
-            } else {
-                let region = &regions[idx];
-                let cost = self.log_write(region.server, table, region.id, records, cost);
+            charge += if logged {
+                let cost = self.commit(wal, cost);
                 splits += usize::from(self.maybe_split(&mut regions, idx));
                 cost
+            } else {
+                cost
             };
-            counters.push(rows[members[0]].counter(&self.inner.counters));
+            AtomicOpCounters::bump(rows[group[0].1].counter(&self.inner.counters), 1);
         }
         drop(regions);
         self.charge(charge);
-        for counter in counters {
-            AtomicOpCounters::bump(counter, 1);
-        }
-        Ok(applied.into_iter().flatten().collect())
+        Ok(applied)
     }
 
     /// A batch of one under the retry policy: every single-row entry point.
-    fn mutate_one(
+    fn write_one(
         &self,
         table: &str,
-        row: RowOp<'_>,
+        row: Mutation,
         fence: Option<u64>,
         fetch: bool,
     ) -> StoreResult<Applied> {
-        let mut applied = self.with_retry(|| self.mutate(table, &[row], fence, fetch))?;
+        let rows = std::slice::from_ref(&row);
+        let mut applied = self.with_retry(|| self.mutate(table, rows, fence, fetch))?;
         Ok(applied.pop().unwrap_or_default())
     }
 
     /// Writes many rows of one table: one RPC per region the rows route to,
     /// each charged one round trip, one WAL sync (deferred under group
-    /// commit) and every row's server work, and counted as one op.  Rows
-    /// of one region apply in batch order.  Retries injected faults per the
-    /// configured policy; a faulted attempt applies no row.  An empty batch
-    /// does nothing.  Returns how many rows changed stored data: every put,
-    /// and every delete that removed something.
+    /// commit) and every row's server work, and counted as one op on its
+    /// first row's counter.  Rows of one region apply in batch order.
+    /// Retries injected faults per the configured policy; a faulted attempt
+    /// applies no row.  An empty batch does nothing.  Returns how many rows
+    /// changed stored data: every delete that removed something and every
+    /// other row that applied.
     pub fn batch(&self, table: &str, rows: &[Mutation]) -> StoreResult<usize> {
         let applied = self.batch_rows(table, rows, false)?;
-        Ok(applied.iter().filter(|row| row.outcome.is_some_and(|n| n != 0)).count())
+        Ok(rows.iter().zip(&applied).filter(|(row, a)| row.changed(a.outcome)).count())
     }
 
     /// Like [`Cluster::batch`], and returns each row's **before-image**,
@@ -657,15 +653,14 @@ impl Cluster {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        let rows: Vec<RowOp<'_>> = rows.iter().map(RowOp::from).collect();
-        self.with_retry(|| self.mutate(table, &rows, None, fetch))
+        self.with_retry(|| self.mutate(table, rows, None, fetch))
     }
 
     /// Writes one row.  Charges one RPC + server work + WAL sync (deferred
     /// under group commit).  Retries injected faults per the configured
     /// policy.
     pub fn put(&self, table: &str, put: Put) -> StoreResult<()> {
-        self.mutate_one(table, RowOp::Put(&put), None, false).map(drop)
+        self.write_one(table, Mutation::Put(put), None, false).map(drop)
     }
 
     /// Fenced write: like [`Cluster::put`], but the caller presents the
@@ -676,7 +671,7 @@ impl Cluster {
     /// this is how a zombie ex-primary's writes are fenced off.  The error
     /// is **not** retryable; the caller must re-read the epoch first.
     pub fn put_fenced(&self, table: &str, put: Put, epoch: u64) -> StoreResult<()> {
-        self.mutate_one(table, RowOp::Put(&put), Some(epoch), false).map(drop)
+        self.write_one(table, Mutation::Put(put), Some(epoch), false).map(drop)
     }
 
     /// Writes one row and returns its **before-image**: the row's prior
@@ -685,7 +680,7 @@ impl Cluster {
     /// the write's RPC and row positioning (a server-side read-modify-write),
     /// so no extra round trip is modeled and only the `puts` counter moves.
     pub fn put_fetch(&self, table: &str, put: Put) -> StoreResult<Option<ResultRow>> {
-        Ok(self.mutate_one(table, RowOp::Put(&put), None, true)?.before)
+        Ok(self.write_one(table, Mutation::Put(put), None, true)?.before)
     }
 
     /// Bulk-loads rows without charging simulated cost or writing the WAL.
@@ -730,7 +725,7 @@ impl Cluster {
 
     /// Deletes a row or columns of a row.  Charges one RPC + WAL sync.
     pub fn delete(&self, table: &str, delete: Delete) -> StoreResult<bool> {
-        let applied = self.mutate_one(table, RowOp::Delete(&delete), None, false)?;
+        let applied = self.write_one(table, Mutation::Delete(delete), None, false)?;
         Ok(applied.outcome.is_some_and(|removed| removed != 0))
     }
 
@@ -738,18 +733,18 @@ impl Cluster {
     /// region write-lock.  Charges exactly like [`Cluster::delete`]; only
     /// the `deletes` counter moves.  Returns `None` when the row was absent.
     pub fn delete_fetch(&self, table: &str, delete: Delete) -> StoreResult<Option<ResultRow>> {
-        Ok(self.mutate_one(table, RowOp::Delete(&delete), None, true)?.before)
+        Ok(self.write_one(table, Mutation::Delete(delete), None, true)?.before)
     }
 
     /// Atomically adds to a counter cell.  Charges like a put.
     pub fn increment(&self, table: &str, inc: Increment) -> StoreResult<i64> {
-        let applied = self.mutate_one(table, RowOp::Increment(&inc), None, false)?;
+        let applied = self.write_one(table, Mutation::Increment(inc), None, false)?;
         Ok(applied.outcome.unwrap_or_default())
     }
 
     /// Atomic compare-and-set.  Charges one RPC + server work + WAL sync.
     pub fn check_and_put(&self, table: &str, cap: CheckAndPut) -> StoreResult<bool> {
-        let applied = self.mutate_one(table, RowOp::CheckAndPut(&cap), None, false)?;
+        let applied = self.write_one(table, Mutation::CheckAndPut(cap), None, false)?;
         Ok(applied.outcome.is_some())
     }
 
@@ -829,61 +824,53 @@ struct Applied {
     outcome: Option<i64>,
 }
 
-/// One row of a mutation as the pipeline sees it: what differs per entry
-/// point is its routing key, server work, counter and record.
-#[derive(Clone, Copy)]
-enum RowOp<'a> {
-    Put(&'a Put),
-    Delete(&'a Delete),
-    Increment(&'a Increment),
-    CheckAndPut(&'a CheckAndPut),
-}
-
-impl<'a> From<&'a Mutation> for RowOp<'a> {
-    fn from(mutation: &'a Mutation) -> Self {
-        match mutation {
-            Mutation::Put(put) => RowOp::Put(put),
-            Mutation::Delete(delete) => RowOp::Delete(delete),
-        }
-    }
-}
-
-impl RowOp<'_> {
+/// What the pipeline needs of one row: what differs per entry point is its
+/// routing key, server work, counter and record.
+impl Mutation {
     fn key(&self) -> &[u8] {
         match self {
-            RowOp::Put(put) => &put.row,
-            RowOp::Delete(delete) => &delete.row,
-            RowOp::Increment(inc) => &inc.row,
-            RowOp::CheckAndPut(cap) => &cap.row,
+            Mutation::Put(put) => &put.row,
+            Mutation::Delete(delete) => &delete.row,
+            Mutation::Increment(inc) => &inc.row,
+            Mutation::CheckAndPut(cap) => &cap.row,
         }
     }
 
     /// Step 2's schema check of a row's cells.
     fn check(&self, schema: &TableSchema) -> StoreResult<()> {
-        match *self {
-            RowOp::Put(put) | RowOp::CheckAndPut(CheckAndPut { put, .. }) => {
+        match self {
+            Mutation::Put(put) | Mutation::CheckAndPut(CheckAndPut { put, .. }) => {
                 check_cells(schema, &put.cells)
             }
-            RowOp::Delete(_) | RowOp::Increment(_) => Ok(()),
+            Mutation::Delete(_) | Mutation::Increment(_) => Ok(()),
         }
     }
 
     /// The row's share of its RPC's server work.
     fn work(&self, model: &CostModel) -> SimDuration {
         match self {
-            RowOp::Put(put) => model.put_work(put.cell_count()),
-            RowOp::Delete(_) => model.delete_server_work,
-            RowOp::Increment(_) => model.put_work(1),
-            RowOp::CheckAndPut(_) => model.check_and_put_work,
+            Mutation::Put(put) => model.put_work(put.cell_count()),
+            Mutation::Delete(_) => model.delete_server_work,
+            Mutation::Increment(_) => model.put_work(1),
+            Mutation::CheckAndPut(_) => model.check_and_put_work,
         }
     }
 
     fn counter<'c>(&self, counters: &'c AtomicOpCounters) -> &'c AtomicU64 {
         match self {
-            RowOp::Put(_) => &counters.puts,
-            RowOp::Delete(_) => &counters.deletes,
-            RowOp::Increment(_) => &counters.increments,
-            RowOp::CheckAndPut(_) => &counters.check_and_puts,
+            Mutation::Put(_) => &counters.puts,
+            Mutation::Delete(_) => &counters.deletes,
+            Mutation::Increment(_) => &counters.increments,
+            Mutation::CheckAndPut(_) => &counters.check_and_puts,
+        }
+    }
+
+    /// True when the row, with this [`Applied::outcome`], changed stored
+    /// data: a delete that removed something, any other row that applied.
+    fn changed(&self, outcome: Option<i64>) -> bool {
+        match self {
+            Mutation::Delete(_) => outcome.is_some_and(|removed| removed != 0),
+            _ => outcome.is_some(),
         }
     }
 
@@ -898,21 +885,21 @@ impl RowOp<'_> {
         fetch: bool,
     ) -> StoreResult<(Applied, Option<WalOp>)> {
         let before = fetch.then(|| region.get(&Get::new(self.key()))).flatten();
-        let op = match *self {
-            RowOp::Put(put) => put_record(put, ts),
-            RowOp::Delete(delete) => WalOp::Delete {
+        let op = match self {
+            Mutation::Put(put) => put_record(put, ts),
+            Mutation::Delete(delete) => WalOp::Delete {
                 row: delete.row.clone(),
                 scope: delete.scope.clone(),
                 timestamp: ts,
             },
-            RowOp::Increment(inc) => WalOp::Increment {
+            Mutation::Increment(inc) => WalOp::Increment {
                 row: inc.row.clone(),
                 family: inc.family.clone(),
                 qualifier: inc.qualifier.clone(),
                 amount: inc.amount,
                 timestamp: ts,
             },
-            RowOp::CheckAndPut(cap) => {
+            Mutation::CheckAndPut(cap) => {
                 if !region.matches(&cap.put.row, &cap.family, &cap.qualifier, &cap.expect) {
                     return Ok((Applied { before, outcome: None }, None));
                 }
@@ -1181,7 +1168,7 @@ mod tests {
 
             // A faulted attempt consumes no timestamp, applies, logs and
             // bumps nothing — also when an earlier region's draw proceeded.
-            let mut late_faults = 0;
+            let (mut faulted, mut late_faults) = (0, 0);
             for seed in 0..32 {
                 let c = contract_cluster(ClusterConfig {
                     region_servers: 1,
@@ -1196,12 +1183,14 @@ mod tests {
                     continue;
                 };
                 assert_eq!(err, StoreError::RpcTimeout { server: 0 }, "{name}");
+                faulted += 1;
                 late_faults += c.fault_stats().slowdowns.min(1);
                 assert_eq!(c.next_timestamp(), stamp + 1, "{name}: faulted attempt drew a timestamp");
                 assert!(c.wal(0).is_empty(), "{name}: faulted attempt logged");
                 assert_eq!(c.metrics().ops.total_ops(), 0, "{name}: faulted attempt counted");
                 assert_eq!(c.row_count("orders").unwrap(), LOADED as u64, "{name}: applied");
             }
+            assert!(faulted > 0, "{name}: no seed faulted");
             assert_eq!(late_faults > 0, entry.regions > 1, "{name}: a later region faulted");
 
             // `TableNotFound` beats `ClusterDown`.

@@ -151,13 +151,18 @@ impl Delete {
     }
 }
 
-/// One row of a multi-row [`crate::Cluster::batch`].
+/// One row of a multi-row [`crate::Cluster::batch`]; every single-row
+/// write of the cluster is a batch of one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Mutation {
     /// Write cells of one row.
     Put(Put),
     /// Remove a row or columns of a row.
     Delete(Delete),
+    /// Add to a counter cell.
+    Increment(Increment),
+    /// Write one row if one of its cells matches an expectation.
+    CheckAndPut(CheckAndPut),
 }
 
 /// Atomic add to an 8-byte big-endian counter cell.

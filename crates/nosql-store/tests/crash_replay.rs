@@ -117,6 +117,7 @@ fn apply_to_cluster(cluster: &Cluster, op: &Op) {
         single => match mutation(single) {
             Mutation::Put(put) => cluster.put("t", put).unwrap(),
             Mutation::Delete(delete) => drop(cluster.delete("t", delete).unwrap()),
+            other => unreachable!("no op maps to {other:?}"),
         },
     }
 }

@@ -14,6 +14,7 @@ use crate::result::{QueryError, QueryResult};
 use nosql_store::ops::{Delete, Get, Mutation, Put};
 use relational::{Row, Value};
 use sql::{Comparison, Condition, Expr, Statement};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 impl Executor {
@@ -26,7 +27,7 @@ impl Executor {
     /// one upsert.  This is the path the write statements of every
     /// evaluated system ultimately use.
     pub fn insert_row(&self, table: &str, row: &Row) -> Result<(), QueryError> {
-        self.write_rows(table, &[RowWrite::Upsert(row.clone())]).map(drop)
+        self.write(table, &[RowWrite::Upsert(row)], false).map(drop)
     }
 
     /// Bulk-loads rows into a table and its indexes without charging
@@ -73,13 +74,13 @@ impl Executor {
 
     /// Deletes one row of a table (and its index entries) by primary key.
     pub fn delete_row_by_key(&self, table: &str, key: &Row) -> Result<bool, QueryError> {
-        Ok(self.write_rows(table, &[RowWrite::Remove(key.clone())])? == 1)
+        Ok(self.write(table, &[RowWrite::Remove(key)], false)?.1 == 1)
     }
 
     /// Deletes one row by primary key and returns its **before-image**: a
     /// [`Executor::write_rows`] of one removal, read atomically with it.
     pub fn delete_row_fetch(&self, table: &str, key: &Row) -> Result<Option<Row>, QueryError> {
-        let (mut before, _) = self.write(table, &[RowWrite::Remove(key.clone())], true)?;
+        let (mut before, _) = self.write(table, &[RowWrite::Remove(key)], true)?;
         Ok(before.pop().flatten())
     }
 
@@ -87,7 +88,7 @@ impl Executor {
     /// row's **before-image**: a [`Executor::write_rows`] of one upsert,
     /// read atomically with it.
     pub fn update_row(&self, table: &str, updated: &Row) -> Result<Option<Row>, QueryError> {
-        let (mut before, _) = self.write(table, &[RowWrite::Upsert(updated.clone())], true)?;
+        let (mut before, _) = self.write(table, &[RowWrite::Upsert(updated)], true)?;
         Ok(before.pop().flatten())
     }
 
@@ -106,10 +107,10 @@ impl Executor {
 
     /// [`Executor::write_rows`], returning each row's before-image too (in
     /// `writes` order; empty unless `fetch` or the table has indexes).
-    fn write(
+    fn write<R: Borrow<Row>>(
         &self,
         table: &str,
-        writes: &[RowWrite],
+        writes: &[RowWrite<R>],
         fetch: bool,
     ) -> Result<(Vec<Option<Row>>, usize), QueryError> {
         let def = self.table_def(table)?;
@@ -117,10 +118,12 @@ impl Executor {
         for write in writes {
             rows.push(match write {
                 RowWrite::Upsert(row) => {
-                    self.check_key_present(&def, row)?;
-                    Mutation::Put(def.row_to_put(row))
+                    self.check_key_present(&def, row.borrow())?;
+                    Mutation::Put(def.row_to_put(row.borrow()))
                 }
-                RowWrite::Remove(key) => Mutation::Delete(Delete::row(def.encode_row_key(key))),
+                RowWrite::Remove(key) => {
+                    Mutation::Delete(Delete::row(def.encode_row_key(key.borrow())))
+                }
             });
         }
         let indexes = self.catalog().indexes_of(&def.name);
@@ -130,7 +133,7 @@ impl Executor {
         let stored = self.cluster().batch_fetch(&def.name, &rows)?;
         let before: Vec<Option<Row>> =
             stored.iter().map(|row| row.as_ref().map(|row| def.decode_row(row))).collect();
-        let found = |(write, before): (&RowWrite, &Option<Row>)| {
+        let found = |(write, before): (&RowWrite<R>, &Option<Row>)| {
             matches!(write, RowWrite::Upsert(_)) || before.is_some()
         };
         let touched = writes.iter().zip(&before).filter(|&pair| found(pair)).count();
@@ -139,8 +142,8 @@ impl Executor {
             for (write, before) in writes.iter().zip(&before) {
                 let new_key = match write {
                     RowWrite::Upsert(row) => {
-                        fresh.push(Mutation::Put(index.row_to_put(row)));
-                        Some(index.encode_row_key(row))
+                        fresh.push(Mutation::Put(index.row_to_put(row.borrow())));
+                        Some(index.encode_row_key(row.borrow()))
                     }
                     RowWrite::Remove(_) => None,
                 };
@@ -202,13 +205,14 @@ impl Executor {
     }
 }
 
-/// One row of an [`Executor::write_rows`].
+/// One row of an [`Executor::write_rows`], owning its row (`R` = [`Row`])
+/// or borrowing it.
 #[derive(Debug, Clone)]
-pub enum RowWrite {
+pub enum RowWrite<R = Row> {
     /// Write this full row image, whether or not its key exists.
-    Upsert(Row),
+    Upsert(R),
     /// Delete the row stored under these key attributes.
-    Remove(Row),
+    Remove(R),
 }
 
 /// A write statement bound against the catalog: the written table and what

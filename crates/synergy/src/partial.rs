@@ -295,7 +295,8 @@ impl ViewResidency {
     /// queued, and one whose key is absent is dropped (annihilated).  The
     /// applied writes go to the store as one [`Executor::write_rows`], and
     /// eviction sweeps once afterwards if they grew residency.  Returns the
-    /// view rows touched.
+    /// view rows touched.  When the store write fails, every key it wrote
+    /// to is made absent.
     pub fn apply_view_writes(
         &self,
         executor: &Executor,
@@ -321,7 +322,22 @@ impl ViewResidency {
         if applied.is_empty() {
             return Ok(0);
         }
-        let touched = executor.write_rows(view_table, &applied)?;
+        let touched = match executor.write_rows(view_table, &applied) {
+            Ok(touched) => touched,
+            Err(e) => {
+                // The store may hold part of the batch (a later index batch
+                // failed): its keys become absent, rewritten by their next
+                // fill, never resident short of a stored row.
+                for write in &applied {
+                    let views = state.views.get_mut(view_table);
+                    if let Some(entry) = views.and_then(|v| v.remove(&prefix(write))) {
+                        state.total_rows -= entry.rows.len() as u64;
+                        state.total_bytes -= entry.bytes();
+                    }
+                }
+                return Err(e);
+            }
+        };
         let bytes_before = state.total_bytes;
         for write in &applied {
             let Some(entry) = state.views.get_mut(view_table).and_then(|v| v.get_mut(&prefix(write)))

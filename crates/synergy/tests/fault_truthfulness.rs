@@ -12,17 +12,18 @@
 //! * under a view budget, every `Ok` answer to Q1K / Q2K is the twin's, on
 //!   the read that fills the key and on three later reads — a key is absent
 //!   or complete, never resident with a subset of its rows — and no reader
-//!   pin outlives its read.
+//!   pin outlives its read; a resident key stays so when a maintenance write
+//!   to it fails halfway, its view row stored and its index row not.
 //!
 //! Each of these used to come back short when a scan lost a page, because a
 //! cursor's failure was an early end-of-stream.
 
 use nosql_store::ops::Scan;
 use nosql_store::{Cluster, ClusterConfig, FaultPlan, StoreError};
-use query::{ColumnType, QueryError};
-use relational::{Relation, Row, Schema, Value};
+use query::{baseline, ColumnType, Executor, QueryError, RowWrite};
+use relational::{Index, Relation, Row, Schema, Value};
 use sql::{parse_statement, Statement};
-use synergy::{SynergyConfig, SynergySystem, TxnError};
+use synergy::{SynergyConfig, SynergySystem, TxnError, ViewResidency};
 
 const CUSTOMERS: i64 = 6;
 const ORDERS: i64 = 120;
@@ -272,6 +273,55 @@ fn a_key_under_a_view_budget_is_absent_or_complete() {
     }
     assert!(failed > 100, "only {failed} reads met a fault");
     assert!(answered > 1_000, "only {answered} reads were answered");
+}
+
+/// A maintenance batch whose view rows are stored but whose index batch
+/// times out fails — and leaves its key absent, not resident short of the
+/// stored row that eviction would then never delete.
+#[test]
+fn a_view_write_that_fails_after_its_rows_are_stored_leaves_its_key_absent_or_complete() {
+    let schema = Schema::new()
+        .with_relation(
+            Relation::new("V").attributes(["v_k", "v_n", "v_tag"]).primary_key(["v_k", "v_n"]).build(),
+        )
+        .with_index(Index::new("V_by_tag", "V", ["v_tag"], ["v_tag"]));
+    let catalog = baseline::baseline_catalog_with_types(&schema, &|_, column| match column {
+        "v_k" | "v_n" => Some(ColumnType::Int),
+        _ => Some(ColumnType::Str),
+    });
+    // Every row shares the one residency key `v_k = 1`.
+    let row = |n: i64| Row::new().with("v_k", 1i64).with("v_n", n).with("v_tag", format!("t{n}"));
+    let mut torn = 0;
+    for seed in 0..SEEDS {
+        let cluster = Cluster::new(ClusterConfig {
+            fault_plan: Some(FaultPlan::new(seed).with_timeouts(0.3)),
+            ..ClusterConfig::default()
+        });
+        baseline::create_tables(&cluster, &catalog).unwrap();
+        let exec = Executor::new(cluster, catalog.clone());
+        let def = exec.catalog().table("V").unwrap().clone();
+        let residency = ViewResidency::new(u64::MAX);
+        let prefix = ViewResidency::prefix_of(&def, &row(0));
+        let filled: Vec<Row> = (0..3).map(row).collect();
+        until_ok(|| {
+            residency.lookup("V", &prefix);
+            residency.complete_fill(&exec, &def, &prefix, &filled)
+        });
+        residency.unpin("V", &prefix);
+        let stored = || until_ok(|| exec.cluster().scan("V", Scan::all())).len();
+        for n in 10..18 {
+            let before = stored();
+            let write = vec![RowWrite::Upsert(row(n))];
+            let failed = residency.apply_view_writes(&exec, &def, write).is_err();
+            let after = stored();
+            torn += usize::from(failed && after > before);
+            if residency.snapshot().resident_keys == 0 {
+                break;
+            }
+            assert_eq!(residency.snapshot().resident_rows as usize, after, "seed {seed} write {n}");
+        }
+    }
+    assert!(torn > 20, "only {torn} writes failed after storing their view row");
 }
 
 /// The write pipeline's step 6 under a failed probe: the transaction fails
