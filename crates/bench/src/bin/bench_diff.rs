@@ -9,12 +9,12 @@
 //! The summary is printed and, when `$GITHUB_STEP_SUMMARY` is set, appended
 //! to it as Markdown.  The process exits non-zero when any gate fails:
 //!
-//! - **Wall clock** (`bench::figure::diff`): every figure-level `wall`
-//!   column both reports carry (`wall_ms`, fig10's `limit_wall_ms`) is
-//!   compared; a series fails when it regresses by more than
-//!   [`MAX_RATIO`] **and** more than [`MIN_DELTA_MS`] — the absolute floor
-//!   keeps noisy sub-millisecond figures from tripping the gate on slow
-//!   runners.  Reports that ran at different thread counts are refused.
+//! - **Wall clock** (`bench::figure::diff`): every figure's `wall_ms` both
+//!   reports carry (the one wall-clock value of a figure, written by
+//!   `Figure::run_timed`) is compared; a series fails when it regresses by
+//!   more than [`MAX_RATIO`] **and** more than [`MIN_DELTA_MS`] — the
+//!   absolute floor keeps noisy sub-millisecond figures from tripping the
+//!   gate on slow runners.  Reports that ran at different thread counts are refused.
 //! - **Nothing vanishes**: a figure, wall-clock series or deterministic
 //!   value the committed report carries and the fresh one lacks fails.
 //! - **Sim identity**: when both reports ran at the same scale and

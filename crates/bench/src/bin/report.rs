@@ -14,16 +14,21 @@
 //! name — it runs the selected entries, prints each record through the
 //! registry's text rendering and collects the records as the JSON report.
 //!
-//! `--threads N` runs the fig10 measurements with N region-parallel workers
-//! (`fig_par` always sweeps its own 1/2/4/8 axis); `--out PATH` redirects
-//! the `--json` report; `--explain` additionally dumps the Q1/Q2 plan
-//! trees, baseline vs view-rewritten, showing the Synergy rewrite rule
-//! firing inside the planner.
+//! `--reps N` (at least 1) repeats each statement of the comparison matrix
+//! behind `fig12`, `fig14`, `table2` and `table3`, the one figure whose
+//! samples differ from repetition to repetition; every other figure
+//! measures each point once.  `--threads N` runs the fig10 measurements with
+//! N region-parallel workers (`fig_par` always sweeps its own 1/2/4/8 axis);
+//! `--out PATH` redirects the `--json` report; `--explain` additionally
+//! dumps the Q1/Q2 plan trees, baseline vs view-rewritten, showing the
+//! Synergy rewrite rule firing inside the planner.
 //!
 //! With `--json`, the run additionally writes `BENCH_report.json` containing,
-//! per figure, both the **simulated** milliseconds of the cost model (the
-//! paper's metric) and the **wall-clock** milliseconds this process spent
-//! producing the figure (the reproduction's own perf trajectory).
+//! per figure, the model's values — **simulated** milliseconds of the cost
+//! model (the paper's metric), counts and seeded ratios — plus one
+//! **wall-clock** `wall_ms`, the time this process spent producing the
+//! figure (the reproduction's own runtime trajectory; `benchmark/` is the
+//! stopwatch for everything else).
 
 use bench::json::Json;
 use bench::{fig10_scales, selected, Context, DEFAULT_CUSTOMERS, DEFAULT_REPS, FIGURES};
@@ -43,7 +48,9 @@ struct Options {
 }
 
 const USAGE: &str = "usage: report [ARTIFACT] [--customers N] [--reps N] [--threads N] \
-                     [--json] [--out PATH] [--explain]";
+                     [--json] [--out PATH] [--explain]\n\
+                     --reps N (>= 1) repeats the comparison-matrix statements only \
+                     (fig12, fig14, table2, table3)";
 
 /// Parses the command line; the error is the message to print before
 /// exiting with status 2.
@@ -84,6 +91,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
         }
     }
+    if options.reps == 0 {
+        return Err(format!("--reps takes at least 1 repetition\n{USAGE}"));
+    }
     Ok(options)
 }
 
@@ -95,14 +105,15 @@ fn main() {
     });
     println!("== Synergy reproduction report ==");
     println!(
-        "scale: {} customers ({} items, {} orders), {} repetitions per measurement, {} thread(s)",
+        "scale: {} customers ({} items, {} orders), {} repetitions per comparison-matrix \
+         statement, {} thread(s)",
         options.customers,
         options.customers * 10,
         options.customers * 10,
         options.reps,
         options.threads
     );
-    println!("all response times are simulated milliseconds (see DESIGN.md §7)\n");
+    println!("all response times are simulated milliseconds (see the simclock::cost module doc)\n");
 
     // The per-figure records in run order.
     let mut figures: Vec<(String, Json)> = Vec::new();
@@ -111,7 +122,7 @@ fn main() {
     }
     let mut ctx = Context::new(options.customers, options.reps, options.threads);
     for figure in selected(&options.artifact) {
-        let record = (figure.run)(&mut ctx);
+        let record = figure.run_timed(&mut ctx);
         println!("{}", figure.render_text(&record, &std::mem::take(&mut ctx.notes)));
         if figure.measured() {
             figures.push((figure.name.into(), record));
@@ -164,4 +175,27 @@ fn explain_plans(options: &Options) -> Json {
     }
     println!();
     Json::obj([("queries", Json::Arr(queries))])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_reads_flags_and_refuses_zero_repetitions() {
+        let options = parse(&["fig12", "--customers", "25", "--reps", "3", "--json"]).unwrap();
+        assert_eq!((options.artifact.as_str(), options.customers, options.reps), ("fig12", 25, 3));
+        assert!(options.json);
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.artifact.as_str(), defaults.reps), ("all", DEFAULT_REPS));
+        // Zero repetitions would print every matrix cell as 0.0 (and an
+        // unsupported statement as 0.0 instead of `X`).
+        let message = parse(&["fig12", "--customers", "25", "--reps", "0"]).err().unwrap();
+        assert!(message.contains("--reps takes at least 1"), "{message}");
+        assert!(message.contains("usage: report"), "{message}");
+    }
 }

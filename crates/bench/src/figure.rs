@@ -6,11 +6,16 @@
 //! record, each against a column list of its own.  Runners build records
 //! positionally with [`record`]; nothing else knows a figure's keys:
 //!
-//! - `report` renders the record as JSON as it is, and as text through
-//!   [`Figure::render_text`] (columns with a header, in their [`Fmt`]);
+//! - `report` runs a figure through [`Figure::run_timed`], which adds the
+//!   run's wall-clock milliseconds as the record's [`WALL_MS`], renders the
+//!   record as JSON as it is, and as text through [`Figure::render_text`]
+//!   (columns with a header, in their [`Fmt`]);
 //! - `bench_diff` walks two reports along the same lists with [`diff`]:
-//!   top-level [`Kind::Wall`] leaves are the wall-clock series, every
+//!   each figure's [`WALL_MS`] is its wall-clock series, every
 //!   [`Kind::Sim`] / [`Kind::Count`] leaf is held bit-identical.
+//!
+//! Every other value a figure records comes from the model: its simulated
+//! clock, its counters and its seeds.
 
 use crate::json::Json;
 use crate::{Context, FIGURES};
@@ -25,8 +30,6 @@ pub enum Kind {
     Count,
     /// A deterministic float derived from the simulated clock or a seed.
     Sim,
-    /// Derived from this process's wall clock; differs run to run.
-    Wall,
     /// A nested table: an array of records against the given columns.
     Table(&'static [Column]),
     /// One nested record against the given columns.
@@ -80,11 +83,6 @@ pub const fn count(key: &'static str, header: &'static str) -> Column {
 /// A [`Kind::Sim`] column.
 pub const fn sim(key: &'static str, header: &'static str, fmt: Fmt) -> Column {
     column(key, header, fmt, Kind::Sim)
-}
-
-/// A [`Kind::Wall`] column.
-pub const fn wall(key: &'static str, header: &'static str, fmt: Fmt) -> Column {
-    column(key, header, fmt, Kind::Wall)
 }
 
 /// A [`Kind::Table`] column titled `header`.
@@ -193,18 +191,35 @@ pub struct Figure {
     pub run: fn(&mut Context) -> Json,
 }
 
+/// The key of the wall-clock milliseconds [`Figure::run_timed`] adds to a
+/// figure's record.
+pub const WALL_MS: &str = "wall_ms";
+
 impl Figure {
-    /// Whether anything in the figure is measured — a figure of labels
-    /// only (the qualitative tables) is printed, not recorded as JSON.
+    /// Whether the figure is recorded as JSON: everything but a figure of
+    /// labels only (the qualitative tables, printed and not recorded).  A
+    /// figure without columns (`comparison_matrix`) records its `wall_ms`.
     pub fn measured(&self) -> bool {
-        fn any(columns: &[Column]) -> bool {
-            columns.iter().any(|c| match c.kind {
-                Kind::Label => false,
-                Kind::Table(inner) | Kind::Object(inner) => any(inner),
-                _ => true,
+        fn labels_only(columns: &[Column]) -> bool {
+            columns.iter().all(|c| match c.kind {
+                Kind::Label => true,
+                Kind::Table(inner) | Kind::Object(inner) => labels_only(inner),
+                _ => false,
             })
         }
-        any(self.columns)
+        self.columns.is_empty() || !labels_only(self.columns)
+    }
+
+    /// Runs the figure and adds the wall-clock milliseconds the run took as
+    /// the record's first key, [`WALL_MS`] — the report's runtime
+    /// trajectory, and the only value of a record not taken from the model.
+    pub fn run_timed(&self, ctx: &mut Context) -> Json {
+        let start = std::time::Instant::now(); // lint-allow(determinism): the figure timer; no figure value reads it
+        let record = (self.run)(ctx);
+        let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
+        let Json::Obj(mut pairs) = record else { panic!("{}: a record is an object", self.name) };
+        pairs.insert(0, (WALL_MS.to_string(), Json::Num(wall_ms)));
+        Json::Obj(pairs)
     }
 
     /// The text rendering of a record of this figure, `notes` (remarks the
@@ -267,14 +282,12 @@ pub fn diff(old: &Json, new: &Json) -> ReportDiff {
             out.failures.push(format!("{} (missing from fresh report)", figure.name));
             continue;
         };
-        for c in figure.columns.iter().filter(|c| matches!(c.kind, Kind::Wall)) {
-            let (before, after) = (committed.num(c.key), fresh.num(c.key));
-            let series = format!("{}.{}", figure.name, c.key);
-            if after.is_nan() && !before.is_nan() {
-                out.failures.push(format!("{series} (missing from fresh report)"));
-            } else if !before.is_nan() {
-                out.walls.push((series, before, after));
-            }
+        let (before, after) = (committed.num(WALL_MS), fresh.num(WALL_MS));
+        let series = format!("{}.{WALL_MS}", figure.name);
+        if after.is_nan() && !before.is_nan() {
+            out.failures.push(format!("{series} (missing from fresh report)"));
+        } else if !before.is_nan() {
+            out.walls.push((series, before, after));
         }
         if out.compared.is_some() {
             identity(figure.columns, committed, fresh, figure.name, &mut out);
@@ -290,7 +303,7 @@ fn identity(columns: &[Column], old: &Json, new: &Json, path: &str, out: &mut Re
         let Some(committed) = old.get(c.key) else { continue };
         let fresh = new.get(c.key).unwrap_or(&Json::Null);
         match c.kind {
-            Kind::Label | Kind::Wall => {}
+            Kind::Label => {}
             Kind::Count | Kind::Sim => {
                 // `null` in the committed report (an unsupported statement)
                 // pins nothing.
@@ -341,7 +354,6 @@ mod tests {
     fn row(locks: i64, sim_ms: Option<f64>) -> Json {
         let mut pairs = vec![("locks", Json::Int(locks))];
         pairs.extend(sim_ms.map(|ms| ("sim_ms", Json::Num(ms))));
-        pairs.push(("wall_ms", Json::Num(0.04)));
         Json::obj(pairs)
     }
 
@@ -368,8 +380,8 @@ mod tests {
         let outcome = diff(&fresh, &fresh);
         assert_eq!((outcome.compared, outcome.failures.len()), (Some(2), 0));
 
-        // A drifted value, a dropped row, a dropped table and a dropped
-        // figure all fail too.
+        // A drifted value, a dropped row, a dropped table, a dropped
+        // `wall_ms` and a dropped figure all fail too.
         let drifted = report(vec![row(10, Some(145.5)), row(100, Some(1450.0))]);
         assert_eq!(diff(&committed, &drifted).failures.len(), 1);
         let shorter = report(vec![row(10, Some(145.0))]);
@@ -380,6 +392,16 @@ mod tests {
             ("figures", Json::obj([("fig11", Json::obj([("wall_ms", Json::Num(9.0))]))])),
         ]);
         assert!(diff(&committed, &no_table).failures[0].contains("row count 2 → 0"));
+        let rows = Json::Arr(vec![row(10, Some(145.0)), row(100, Some(1450.0))]);
+        let no_wall = Json::obj([
+            ("customers", Json::Int(40)),
+            ("reps", Json::Int(2)),
+            ("figures", Json::obj([("fig11", Json::obj([("rows", rows)]))])),
+        ]);
+        assert_eq!(
+            diff(&committed, &no_wall).failures,
+            vec!["fig11.wall_ms (missing from fresh report)".to_string()]
+        );
         let no_figure = Json::obj([
             ("customers", Json::Int(40)),
             ("reps", Json::Int(2)),

@@ -3,7 +3,8 @@
 //!
 //! Each `figNN_*` / `tableN_*` function runs one experiment end to end —
 //! building the evaluated systems, loading the scaled TPC-W dataset, running
-//! every statement the configured number of repetitions — and returns the
+//! every statement (the comparison matrix's the configured number of
+//! repetitions, every other figure's once per point) — and returns the
 //! figure's record: ordered values against the figure's static column list
 //! (see [`figure`]).  [`FIGURES`] is the registry of all of them; the
 //! `report` binary runs and renders its entries, `bench_diff` compares two
@@ -14,28 +15,28 @@
 //! text header, text format, kind), a runner that builds records against
 //! it with [`figure::record`], and a [`Figure`] in [`FIGURES`].  The JSON
 //! fragment, the text table, `report`'s artifact name and `bench_diff`'s
-//! wall-clock and sim-identity series all follow from that entry.
+//! sim-identity series all follow from that entry; the figure's one
+//! wall-clock value, `wall_ms`, is added by [`Figure::run_timed`].
 //!
 //! All response times are **simulated milliseconds** from the shared cost
-//! model (see `DESIGN.md` §7); the paper's absolute numbers came from an EC2
-//! cluster, so only the *shape* (orderings, approximate ratios, crossovers)
-//! is expected to match.
+//! model ([`simclock::CostModel`]); the paper's absolute numbers came from an
+//! EC2 cluster, so only the *shape* (orderings, approximate ratios,
+//! crossovers) is expected to match.
 
 pub mod figure;
 pub mod json;
 
 use figure::Fmt::{Dec, Mib, Percent, Times};
-use figure::{column, count, label, object, record, sim, table, wall, Column, Figure, Kind};
+use figure::{column, count, label, object, record, sim, table, Column, Figure, Kind};
 use json::Json;
 use nosql_store::ops::{Get, Put, Scan};
 use nosql_store::{
     Cluster, ClusterConfig, FaultPlan, RetryPolicy, ServerFaultStats, StoreResult, TableSchema,
 };
 use relational::Value;
-use simclock::{SimDuration, Summary};
+use simclock::SimDuration;
 use sql::parse_statement;
 use std::collections::BTreeMap;
-use std::time::Instant;
 use synergy::LockManager;
 use tpcw::micro::MicroBench;
 use tpcw::queries::join_queries;
@@ -43,7 +44,8 @@ use tpcw::systems::{build_system, EvaluatedSystem, SystemKind};
 use tpcw::writes::write_statements;
 use tpcw::{TpcwDataset, TpcwScale};
 
-/// Default number of repetitions per measurement (the paper uses 10).
+/// Default number of repetitions per comparison-matrix statement (the
+/// paper uses 10).
 pub const DEFAULT_REPS: u64 = 10;
 
 /// Default database scale for the TPC-W experiments (number of customers).
@@ -58,7 +60,8 @@ pub const DEFAULT_CUSTOMERS: u64 = 500;
 pub struct Context {
     /// Database scale (number of customers).
     pub customers: u64,
-    /// Repetitions per measurement.
+    /// Repetitions per statement of the comparison matrix (the one figure
+    /// whose samples differ from repetition to repetition).
     pub reps: u64,
     /// Region-parallel worker count of the fig10 measurements.
     pub threads: usize,
@@ -80,11 +83,6 @@ impl Context {
     }
 }
 
-/// Milliseconds of wall clock since `start`.
-fn wall_ms(start: Instant) -> f64 {
-    start.elapsed().as_secs_f64() * 1_000.0
-}
-
 /// The customer scales of the Figure 10 sweep (the paper scales ×10 per
 /// step; the sweep here is ×4 anchored at a laptop-friendly base).
 pub fn fig10_scales(customers: u64) -> [u64; 3] {
@@ -99,39 +97,15 @@ pub fn fig10_scales(customers: u64) -> [u64; 3] {
 /// The `k` of the Figure 10 LIMIT companion query.
 const FIG10_LIMIT: usize = 50;
 
-/// Executions per timed loop of the fig10 prepared-statement companion.
-const FIG10_PREPARED_EXECS: u64 = 500;
-
-/// View scan vs join algorithm, per query per scale.  `plan_cache_hits` is
-/// the Synergy session's hits while the row's view measurements repeated
-/// (first repetition compiles, the rest hit).
+/// View scan vs join algorithm, per query per scale.
 const FIG10_ROWS: &[Column] = &[
     label("query", "query"),
     count("customers", "customers"),
     sim("view_sim_ms", "view scan (ms)", Dec(1)),
     sim("join_sim_ms", "join algo (ms)", Dec(1)),
-    wall("view_wall_ms", "view wall (ms)", Dec(2)),
-    wall("join_wall_ms", "join wall (ms)", Dec(2)),
     sim("sim_speedup", "speedup", Times(1)),
-    wall("wall_speedup", "wall speedup", Times(2)),
     count("view_peak_rows_resident", ""),
     count("join_peak_rows_resident", ""),
-    count("plan_cache_hits", ""),
-];
-
-/// Prepared vs one-shot point lookup, per scale: the one-shot path runs
-/// every pipeline phase per call, the prepared one re-executes one compiled
-/// plan.  Wall-clock only — both charge identical simulated cost.  The
-/// `session_*` counters are cumulative over the scale's whole deployment,
-/// not a per-loop delta like `plan_cache_hits` above.
-const FIG10_PREPARED_ROWS: &[Column] = &[
-    count("customers", "customers"),
-    count("executions", "executions"),
-    wall("oneshot_us_per_exec", "one-shot (us)", Dec(2)),
-    wall("prepared_us_per_exec", "prepared (us)", Dec(2)),
-    wall("prepared_speedup", "speedup", Times(2)),
-    count("session_plan_cache_hits", "session hits"),
-    count("session_plan_cache_misses", "session misses"),
 ];
 
 /// Q1 with `LIMIT k` through the view-backed read path: the store rows the
@@ -142,157 +116,57 @@ const FIG10_LIMIT_ROWS: &[Column] = &[
     count("store_rows_scanned", "store rows scanned"),
     count("peak_rows_resident", "peak rows resident"),
     sim("view_sim_ms", "view scan (ms)", Dec(2)),
-    wall("view_wall_ms", "wall (ms)", Dec(2)),
 ];
 
-/// The LIMIT companion is timed separately so `wall_ms` stays comparable
-/// across report versions.
 const FIG10: &[Column] = &[
-    wall("wall_ms", "", Dec(1)),
     table("rows", "", FIG10_ROWS),
-    table("prepared_rows", "prepared statements vs one-shot (point lookup)", FIG10_PREPARED_ROWS),
-    wall("limit_wall_ms", "", Dec(1)),
     table("limit_rows", "Q1 view scan with LIMIT (streaming pushdown)", FIG10_LIMIT_ROWS),
 ];
-
-/// Means over `reps` repetitions of one micro query through both
-/// evaluation strategies, and the peak rows either held materialized.
-struct ViewVsJoin {
-    view_sim_ms: f64,
-    join_sim_ms: f64,
-    view_wall_ms: f64,
-    join_wall_ms: f64,
-    view_peak_rows: u64,
-    join_peak_rows: u64,
-}
-
-fn view_vs_join(bench: &MicroBench, query_index: usize, reps: u64) -> ViewVsJoin {
-    let mut view_samples = Vec::new();
-    let mut join_samples = Vec::new();
-    let mut view_wall_samples = Vec::new();
-    let mut join_wall_samples = Vec::new();
-    let mut view_peak_rows = 0u64;
-    let mut join_peak_rows = 0u64;
-    for _ in 0..reps {
-        let m = bench.measure(query_index).expect("measurement succeeds");
-        view_samples.push(m.view_scan.as_millis_f64());
-        join_samples.push(m.join_algorithm.as_millis_f64());
-        view_wall_samples.push(m.view_scan_wall.as_secs_f64() * 1_000.0);
-        join_wall_samples.push(m.join_wall.as_secs_f64() * 1_000.0);
-        view_peak_rows = view_peak_rows.max(m.view_peak_rows as u64);
-        join_peak_rows = join_peak_rows.max(m.join_peak_rows as u64);
-    }
-    ViewVsJoin {
-        view_sim_ms: Summary::of(&view_samples).mean,
-        join_sim_ms: Summary::of(&join_samples).mean,
-        view_wall_ms: Summary::of(&view_wall_samples).mean,
-        join_wall_ms: Summary::of(&join_wall_samples).mean,
-        view_peak_rows,
-        join_peak_rows,
-    }
-}
 
 /// Runs the §IX-B micro-benchmark for every scale in `customer_scales`,
 /// with region-parallel execution at `threads` workers (1 = the serial
 /// pipeline; sim figures at 1 thread are byte-identical to earlier report
-/// versions).  After each scale's view/join measurements the
-/// prepared-vs-one-shot point-lookup loops run `prepared_execs` executions
-/// each on the same deployment, then the LIMIT-bearing micro-query runs at
-/// every scale on deployments of its own; `prepared_execs = 0` and
-/// `limit = 0` skip a companion.
-pub fn fig10_micro(
-    customer_scales: &[u64],
-    reps: u64,
-    threads: usize,
-    prepared_execs: u64,
-    limit: usize,
-) -> Json {
-    let start = Instant::now();
+/// versions), then the LIMIT-bearing micro-query on the same deployment;
+/// `limit = 0` skips the companion.  Every point is measured once: reads
+/// leave the store as they found it, so its sim figures do not change from
+/// one run to the next.
+pub fn fig10_micro(customer_scales: &[u64], threads: usize, limit: usize) -> Json {
     let mut rows = Vec::new();
-    let mut prepared_rows = Vec::new();
+    let mut limit_rows = Vec::new();
     for &customers in customer_scales {
         let bench =
             MicroBench::build_with_threads(customers, threads).expect("micro benchmark builds");
         for (query_index, query) in ["Q1", "Q2"].into_iter().enumerate() {
-            let hits_before = bench.system().plan_cache_stats().hits;
-            let m = view_vs_join(&bench, query_index, reps);
-            let plan_cache_hits = bench.system().plan_cache_stats().hits - hits_before;
+            let m = bench.measure(query_index).expect("measurement succeeds");
+            let (view_ms, join_ms) = (m.view_scan.as_millis_f64(), m.join_algorithm.as_millis_f64());
             rows.push(record(
                 FIG10_ROWS,
                 vec![
                     query.into(),
                     customers.into(),
-                    m.view_sim_ms.into(),
-                    m.join_sim_ms.into(),
-                    m.view_wall_ms.into(),
-                    m.join_wall_ms.into(),
-                    (m.join_sim_ms / m.view_sim_ms.max(f64::EPSILON)).into(),
-                    (m.join_wall_ms / m.view_wall_ms.max(f64::EPSILON)).into(),
+                    view_ms.into(),
+                    join_ms.into(),
+                    (join_ms / view_ms.max(f64::EPSILON)).into(),
                     m.view_peak_rows.into(),
                     m.join_peak_rows.into(),
-                    plan_cache_hits.into(),
                 ],
             ));
         }
-        if prepared_execs > 0 {
-            let m = bench
-                .measure_prepared(prepared_execs)
-                .expect("prepared comparison succeeds");
-            prepared_rows.push(record(
-                FIG10_PREPARED_ROWS,
+        if limit > 0 {
+            let m = bench.measure_limit(limit).expect("limit measurement succeeds");
+            limit_rows.push(record(
+                FIG10_LIMIT_ROWS,
                 vec![
                     customers.into(),
-                    m.executions.into(),
-                    m.oneshot_us_per_exec().into(),
-                    m.prepared_us_per_exec().into(),
-                    m.speedup().into(),
-                    m.cache_stats.hits.into(),
-                    m.cache_stats.misses.into(),
+                    limit.into(),
+                    m.store_rows_scanned.into(),
+                    m.peak_rows_resident.into(),
+                    m.view_scan.as_millis_f64().into(),
                 ],
             ));
         }
     }
-    let elapsed = wall_ms(start);
-
-    let limit_start = Instant::now();
-    let mut limit_rows = Vec::new();
-    let limit_scales = if limit > 0 { customer_scales } else { &[] };
-    for &customers in limit_scales {
-        let bench =
-            MicroBench::build_with_threads(customers, threads).expect("micro benchmark builds");
-        let mut sim_samples = Vec::new();
-        let mut wall_samples = Vec::new();
-        let mut store_rows_scanned = 0u64;
-        let mut peak_rows_resident = 0u64;
-        for _ in 0..reps {
-            let m = bench.measure_limit(limit).expect("limit measurement succeeds");
-            sim_samples.push(m.view_scan.as_millis_f64());
-            wall_samples.push(m.view_scan_wall.as_secs_f64() * 1_000.0);
-            store_rows_scanned = store_rows_scanned.max(m.store_rows_scanned);
-            peak_rows_resident = peak_rows_resident.max(m.peak_rows_resident as u64);
-        }
-        limit_rows.push(record(
-            FIG10_LIMIT_ROWS,
-            vec![
-                customers.into(),
-                limit.into(),
-                store_rows_scanned.into(),
-                peak_rows_resident.into(),
-                Summary::of(&sim_samples).mean.into(),
-                Summary::of(&wall_samples).mean.into(),
-            ],
-        ));
-    }
-    record(
-        FIG10,
-        vec![
-            elapsed.into(),
-            rows.into(),
-            prepared_rows.into(),
-            wall_ms(limit_start).into(),
-            limit_rows.into(),
-        ],
-    )
+    record(FIG10, vec![rows.into(), limit_rows.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -302,59 +176,50 @@ pub fn fig10_micro(
 /// The thread counts the fig_par sweep measures.
 const FIG_PAR_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Q2 at one thread count through both strategies; `*_x_vs_serial` is the
-/// view scan's time at the first axis entry over its time at this one
-/// (≥ 1 once the table spans several regions; exactly 1 at `threads = 1`).
+/// Q2 at one thread count through both strategies; `view_sim_x_vs_serial`
+/// is the view scan's time at the first axis entry over its time at this
+/// one (≥ 1 once the table spans several regions; exactly 1 at
+/// `threads = 1`).
 const FIG_PAR_ROWS: &[Column] = &[
     count("threads", "threads"),
     count("customers", "customers"),
     sim("view_sim_ms", "view sim (ms)", Dec(1)),
     sim("join_sim_ms", "join sim (ms)", Dec(1)),
-    wall("view_wall_ms", "view wall (ms)", Dec(2)),
-    wall("join_wall_ms", "join wall (ms)", Dec(2)),
     sim("sim_speedup", "", Times(1)),
-    wall("wall_speedup", "", Times(2)),
     sim("view_sim_x_vs_serial", "sim x vs 1t", Times(2)),
-    wall("view_wall_x_vs_serial", "wall x vs 1t", Times(2)),
 ];
 
-const FIG_PAR: &[Column] = &[wall("wall_ms", "", Dec(1)), table("rows", "", FIG_PAR_ROWS)];
+const FIG_PAR: &[Column] = &[table("rows", "", FIG_PAR_ROWS)];
 
 /// Sweeps the micro-benchmark's Q2 (Customer ⋈ Orders ⋈ Order_line) across
-/// `threads_axis`, measuring both strategies at each width.  The first axis
-/// entry is the baseline for the `*_x_vs_serial` ratios (callers pass 1
+/// `threads_axis`, measuring both strategies once at each width.  The first
+/// axis entry is the baseline for `view_sim_x_vs_serial` (callers pass 1
 /// first).  Sim figures are deterministic at every width — per-worker clock
 /// deltas merge as `max`, independent of OS scheduling.
-pub fn fig_par(customers: u64, threads_axis: &[usize], reps: u64) -> Json {
-    let start = Instant::now();
+pub fn fig_par(customers: u64, threads_axis: &[usize]) -> Json {
     let mut rows = Vec::new();
     let mut base_sim = f64::NAN;
-    let mut base_wall = f64::NAN;
     for &threads in threads_axis {
         let bench =
             MicroBench::build_with_threads(customers, threads).expect("micro benchmark builds");
-        let m = view_vs_join(&bench, 1, reps);
+        let m = bench.measure(1).expect("measurement succeeds");
+        let (view_ms, join_ms) = (m.view_scan.as_millis_f64(), m.join_algorithm.as_millis_f64());
         if rows.is_empty() {
-            base_sim = m.view_sim_ms;
-            base_wall = m.view_wall_ms;
+            base_sim = view_ms;
         }
         rows.push(record(
             FIG_PAR_ROWS,
             vec![
                 threads.into(),
                 customers.into(),
-                m.view_sim_ms.into(),
-                m.join_sim_ms.into(),
-                m.view_wall_ms.into(),
-                m.join_wall_ms.into(),
-                (m.join_sim_ms / m.view_sim_ms.max(f64::EPSILON)).into(),
-                (m.join_wall_ms / m.view_wall_ms.max(f64::EPSILON)).into(),
-                (base_sim / m.view_sim_ms.max(f64::EPSILON)).into(),
-                (base_wall / m.view_wall_ms.max(f64::EPSILON)).into(),
+                view_ms.into(),
+                join_ms.into(),
+                (join_ms / view_ms.max(f64::EPSILON)).into(),
+                (base_sim / view_ms.max(f64::EPSILON)).into(),
             ],
         ));
     }
-    record(FIG_PAR, vec![wall_ms(start).into(), rows.into()])
+    record(FIG_PAR, vec![rows.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -375,19 +240,17 @@ const FIG_WRITES_ROWS: &[Column] = &[
     count("customers", "customers"),
     count("writes", "writes"),
     sim("sim_ms_per_write", "sim ms/write", Dec(2)),
-    wall("wall_writes_per_sec", "writes/sec", Dec(0)),
     sim("store_rows_scanned_per_write", "rows scanned/wr", Dec(1)),
     column("store_puts_per_write", "puts/wr", Dec(2), Kind::Count),
     sim("view_rows_touched_per_write", "view rows/wr", Dec(1)),
 ];
 
-const FIG_WRITES: &[Column] = &[wall("wall_ms", "", Dec(1)), table("rows", "", FIG_WRITES_ROWS)];
+const FIG_WRITES: &[Column] = &[table("rows", "", FIG_WRITES_ROWS)];
 
 /// Runs the write-heavy maintenance figure on the micro-benchmark schema:
 /// `writes` W13-shaped Customer updates through delta-dataflow
 /// maintenance.  All sim figures are deterministic at `threads = 1`.
 pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Json {
-    let start = Instant::now();
     let update = parse_statement(
         "UPDATE Customer SET c_fname = ?, c_lname = ? WHERE c_id = ?",
     )
@@ -407,14 +270,12 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Json {
     let ops_before = system.cluster().metrics().ops;
     let touched_before = system.maintenance_stats().view_rows_touched;
     let sim_start = clock.now();
-    let wall_start = Instant::now();
     for i in 0..writes {
         let c_id = (i as i64 % customers.max(1) as i64) + 1;
         system
             .execute(&update, &params(i, c_id))
             .expect("maintenance write succeeds");
     }
-    let wall_secs = wall_start.elapsed().as_secs_f64();
     let sim_ms = (clock.now() - sim_start).as_millis_f64();
     let ops = system.cluster().metrics().ops.delta_since(&ops_before);
     let touched = system.maintenance_stats().view_rows_touched - touched_before;
@@ -425,13 +286,12 @@ pub fn fig_writes(customers: u64, writes: u64, threads: usize) -> Json {
             customers.into(),
             writes.into(),
             (sim_ms / per_write).into(),
-            (per_write / wall_secs.max(f64::EPSILON)).into(),
             (ops.scanned_rows as f64 / per_write).into(),
             (ops.puts as f64 / per_write).into(),
             (touched as f64 / per_write).into(),
         ],
     )];
-    record(FIG_WRITES, vec![wall_ms(start).into(), rows.into()])
+    record(FIG_WRITES, vec![rows.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -594,7 +454,6 @@ const FIG_FAULTS_RECOVERY: &[Column] = &[
 ];
 
 const FIG_FAULTS: &[Column] = &[
-    wall("wall_ms", "", Dec(1)),
     table("rows", "", FIG_FAULTS_ROWS),
     object("recovery", "recovery", FIG_FAULTS_RECOVERY),
 ];
@@ -605,7 +464,6 @@ const FIG_FAULTS: &[Column] = &[
 /// Everything is seeded and single-threaded, so the whole figure is
 /// deterministic — the same seed reproduces it byte-identically.
 pub fn fig_faults(customers: u64, ops: u64) -> Json {
-    let start = Instant::now();
     let mut rows = Vec::new();
     for (retry_name, retry) in [
         ("none", Some(RetryPolicy::no_retries())),
@@ -643,7 +501,7 @@ pub fn fig_faults(customers: u64, ops: u64) -> Json {
         }
     }
     let recovery = fig_faults_recovery(customers);
-    record(FIG_FAULTS, vec![wall_ms(start).into(), rows.into(), recovery])
+    record(FIG_FAULTS, vec![rows.into(), recovery])
 }
 
 /// The crash-recovery demonstration half of the figure: interrupt the
@@ -794,15 +652,13 @@ const FAULT_MATRIX_ROWS: &[Column] = &[
     count("reproducible", "reproducible"),
 ];
 
-const FAULT_MATRIX: &[Column] =
-    &[wall("wall_ms", "", Dec(1)), table("rows", "", FAULT_MATRIX_ROWS)];
+const FAULT_MATRIX: &[Column] = &[table("rows", "", FAULT_MATRIX_ROWS)];
 
 /// Runs the fault matrix: the fig_faults store workload for each of
 /// [`FAULT_MATRIX_SEEDS`] × five scenarios (no faults, crash-heavy at RF 1,
 /// 2 and 3, timeout-heavy) through the default backoff retry policy, every
 /// cell twice.  `bench_diff` gates each row (see its module doc).
 pub fn fault_matrix() -> Json {
-    let start = Instant::now();
     let mut rows = Vec::new();
     for (scenario, rf, plan) in FAULT_MATRIX_SCENARIOS {
         for seed in FAULT_MATRIX_SEEDS {
@@ -838,7 +694,7 @@ pub fn fault_matrix() -> Json {
             ));
         }
     }
-    record(FAULT_MATRIX, vec![wall_ms(start).into(), rows.into()])
+    record(FAULT_MATRIX, vec![rows.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -910,7 +766,6 @@ const FIG_AVAILABILITY_ROWS: &[Column] = &[
 ];
 
 const FIG_AVAILABILITY: &[Column] = &[
-    wall("wall_ms", "", Dec(1)),
     count("crashes", "scheduled crashes"),
     sim("mttr_ms", "MTTR (sim ms)", Dec(0)),
     count("servers", "servers"),
@@ -1041,13 +896,11 @@ pub fn run_availability_workload(rf: usize, ops: u64) -> Json {
 /// the whole MTTR; with RF ≥ 2 each crash fails over and clients ride
 /// through the window at steady-state goodput, losing nothing.
 pub fn fig_availability(ops: u64) -> Json {
-    let start = Instant::now();
     let rows: Vec<Json> =
         FIG_AVAILABILITY_RFS.iter().map(|&rf| run_availability_workload(rf, ops)).collect();
     record(
         FIG_AVAILABILITY,
         vec![
-            wall_ms(start).into(),
             FIG_AVAILABILITY_CRASHES.into(),
             (FIG_AVAILABILITY_MTTR_MS as f64).into(),
             FIG_AVAILABILITY_SERVERS.into(),
@@ -1140,7 +993,6 @@ const FIG_PARTIAL_ROWS: &[Column] = &[
 
 /// `hot_rank`: ranks `1..=hot_rank` count as hot keys.
 const FIG_PARTIAL: &[Column] = &[
-    wall("wall_ms", "", Dec(1)),
     count("customers", ""),
     count("order_keys", "key universe (orders)"),
     count("warmup_ops", "warm-up ops per cell"),
@@ -1245,7 +1097,6 @@ pub fn fig_partial(customers: u64) -> Json {
 
 /// [`fig_partial`] with explicit skew and budget axes (tests shrink both).
 pub fn fig_partial_with(customers: u64, skews: &[f64], fracs: &[f64]) -> Json {
-    let start = Instant::now();
     let order_keys = customers * 10;
     let warmup_ops = order_keys * 4;
     let measured_ops = order_keys * 2;
@@ -1346,7 +1197,6 @@ pub fn fig_partial_with(customers: u64, skews: &[f64], fracs: &[f64]) -> Json {
     record(
         FIG_PARTIAL,
         vec![
-            wall_ms(start).into(),
             customers.into(),
             order_keys.into(),
             warmup_ops.into(),
@@ -1362,65 +1212,45 @@ pub fn fig_partial_with(customers: u64, skews: &[f64], fracs: &[f64]) -> Json {
 // Figure 11: two-phase row-locking overhead
 // ---------------------------------------------------------------------
 
-const FIG11_ROWS: &[Column] = &[
-    count("locks", "locks"),
-    sim("sim_ms", "overhead (ms)", Dec(1)),
-    wall("wall_ms", "wall (ms)", Dec(2)),
-];
+const FIG11_ROWS: &[Column] = &[count("locks", "locks"), sim("sim_ms", "overhead (ms)", Dec(1))];
 
-const FIG11: &[Column] = &[wall("wall_ms", "", Dec(1)), table("rows", "", FIG11_ROWS)];
+const FIG11: &[Column] = &[table("rows", "", FIG11_ROWS)];
 
 /// Measures the overhead of acquiring and releasing `n` row locks through a
-/// lock table in the NoSQL store (the paper's §IX-C experiment).
-pub fn fig11_lock_overhead(lock_counts: &[u64], reps: u64) -> Json {
-    let figure_start = Instant::now();
+/// lock table in the NoSQL store (the paper's §IX-C experiment), once per
+/// lock count on a fresh cluster.
+pub fn fig11_lock_overhead(lock_counts: &[u64]) -> Json {
     let mut rows = Vec::new();
     for &locks in lock_counts {
-        let mut samples = Vec::new();
-        let mut wall_samples = Vec::new();
-        for _ in 0..reps {
-            let cluster = Cluster::new(ClusterConfig::default());
-            let manager = LockManager::new(cluster.clone());
-            manager.create_lock_table("bench").expect("lock table");
-            for key in 0..locks {
-                manager.ensure_entry("bench", &key.to_string()).expect("entry");
-            }
-            let clock = cluster.clock().clone();
-            let start = clock.now();
-            let wall_start = Instant::now();
-            let mut guards = Vec::with_capacity(locks as usize);
-            for key in 0..locks {
-                guards.push(
-                    manager
-                        .acquire("bench", &key.to_string())
-                        .expect("acquire")
-                        .expect("uncontended"),
-                );
-            }
-            for guard in guards {
-                manager.release(guard).expect("release");
-            }
-            samples.push((clock.now() - start).as_millis_f64());
-            wall_samples.push(wall_start.elapsed().as_secs_f64() * 1_000.0);
+        let cluster = Cluster::new(ClusterConfig::default());
+        let manager = LockManager::new(cluster.clone());
+        manager.create_lock_table("bench").expect("lock table");
+        for key in 0..locks {
+            manager.ensure_entry("bench", &key.to_string()).expect("entry");
         }
-        rows.push(record(
-            FIG11_ROWS,
-            vec![
-                locks.into(),
-                Summary::of(&samples).mean.into(),
-                Summary::of(&wall_samples).mean.into(),
-            ],
-        ));
+        let clock = cluster.clock().clone();
+        let start = clock.now();
+        let mut guards = Vec::with_capacity(locks as usize);
+        for key in 0..locks {
+            guards.push(
+                manager
+                    .acquire("bench", &key.to_string())
+                    .expect("acquire")
+                    .expect("uncontended"),
+            );
+        }
+        for guard in guards {
+            manager.release(guard).expect("release");
+        }
+        let sim_ms = (clock.now() - start).as_millis_f64();
+        rows.push(record(FIG11_ROWS, vec![locks.into(), sim_ms.into()]));
     }
-    record(FIG11, vec![wall_ms(figure_start).into(), rows.into()])
+    record(FIG11, vec![rows.into()])
 }
 
 // ---------------------------------------------------------------------
 // Figures 12 & 14 and Table II: the five-system TPC-W comparison
 // ---------------------------------------------------------------------
-
-/// Response time of one statement on one system (or `None` if unsupported).
-pub type CellMs = Option<Summary>;
 
 /// The full per-statement, per-system measurement matrix.
 #[derive(Debug, Clone, Default)]
@@ -1429,8 +1259,9 @@ pub struct ComparisonMatrix {
     pub statements: Vec<String>,
     /// System names in presentation order.
     pub systems: Vec<String>,
-    /// `cells[statement][system]` → summary of simulated ms.
-    pub cells: BTreeMap<String, BTreeMap<String, CellMs>>,
+    /// `cells[statement][system]` → mean simulated ms over the repetitions
+    /// (`None` if the system does not support the statement).
+    pub cells: BTreeMap<String, BTreeMap<String, Option<f64>>>,
     /// Total stored bytes per system (for Table III).
     pub database_bytes: BTreeMap<String, u64>,
 }
@@ -1438,11 +1269,7 @@ pub struct ComparisonMatrix {
 impl ComparisonMatrix {
     /// Mean response time of a statement on a system, if supported.
     pub fn mean_ms(&self, statement: &str, system: &str) -> Option<f64> {
-        self.cells
-            .get(statement)?
-            .get(system)?
-            .as_ref()
-            .map(|s| s.mean)
+        *self.cells.get(statement)?.get(system)?
     }
 
     /// Ratio of the two systems' average response times over the statements
@@ -1515,7 +1342,7 @@ pub fn comparison_matrix(customers: u64, reps: u64) -> ComparisonMatrix {
             let samples: Result<Vec<f64>, String> = (0..reps)
                 .map(|rep| Ok(system.execute(&statement, &params(rep))?.elapsed.as_millis_f64()))
                 .collect();
-            row.insert(system.name().to_string(), samples.ok().map(|s| Summary::of(&s)));
+            row.insert(system.name().to_string(), samples.ok().map(|s| simclock::mean(&s)));
         }
     };
     // Join queries Q1..Q11, then write statements W1..W13.
@@ -1528,9 +1355,10 @@ pub fn comparison_matrix(customers: u64, reps: u64) -> ComparisonMatrix {
     matrix
 }
 
-/// The wall time of building the matrix, reported once under its own key
-/// so the figures derived from it are not cross-contaminated.
-const COMPARISON_MATRIX: &[Column] = &[wall("wall_ms", "", Dec(1))];
+/// Building the matrix records nothing but its `wall_ms`, reported once
+/// under its own key so the figures derived from it are not
+/// cross-contaminated.
+const COMPARISON_MATRIX: &[Column] = &[];
 
 /// Mean simulated response time per statement per system; `X` (JSON
 /// `null`) = statement not supported by that system.
@@ -1625,13 +1453,12 @@ const ABLATION_ROWS: &[Column] = &[
     sim("per_row_locks_sim_ms", "per-row locks (ms)", Dec(1)),
 ];
 
-const ABLATION: &[Column] = &[wall("wall_ms", "", Dec(1)), table("rows", "", ABLATION_ROWS)];
+const ABLATION: &[Column] = &[table("rows", "", ABLATION_ROWS)];
 
 /// Quantifies the benefit of the single hierarchical lock (paper §III-2):
 /// lock acquisition/release cost as a function of how many rows a write
 /// transaction would otherwise have to lock.
 pub fn ablation_lock_granularity(rows_touched: &[u64]) -> Json {
-    let figure_start = Instant::now();
     let mut out = Vec::new();
     for &rows in rows_touched {
         let cluster = Cluster::new(ClusterConfig::default());
@@ -1669,7 +1496,7 @@ pub fn ablation_lock_granularity(rows_touched: &[u64]) -> Json {
             vec![rows.into(), single_lock_ms.into(), per_row_locks_ms.into()],
         ));
     }
-    record(ABLATION, vec![wall_ms(figure_start).into(), out.into()])
+    record(ABLATION, vec![out.into()])
 }
 
 // ---------------------------------------------------------------------
@@ -1761,14 +1588,10 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig10",
         title: "Figure 10: micro-benchmark, view scan vs join algorithm",
-        note: "(paper: view scan 6x / 11.7x faster than the join at 50k customers; prepared = one \
-               compiled plan re-executed, one-shot re-runs parse/bind/plan per call; store rows \
+        note: "(paper: view scan 6x / 11.7x faster than the join at 50k customers; store rows \
                scanned must stay at the limit while the database grows)",
         columns: FIG10,
-        run: |ctx| {
-            let scales = fig10_scales(ctx.customers);
-            fig10_micro(&scales, ctx.reps, ctx.threads, FIG10_PREPARED_EXECS, FIG10_LIMIT)
-        },
+        run: |ctx| fig10_micro(&fig10_scales(ctx.customers), ctx.threads, FIG10_LIMIT),
     },
     Figure {
         name: "fig_par",
@@ -1777,14 +1600,14 @@ pub static FIGURES: &[Figure] = &[
         columns: FIG_PAR,
         // At the largest fig10 scale, where the view spans several regions
         // and region-parallelism has shards to use.
-        run: |ctx| fig_par(fig10_scales(ctx.customers)[2], &FIG_PAR_THREADS, ctx.reps),
+        run: |ctx| fig_par(fig10_scales(ctx.customers)[2], &FIG_PAR_THREADS),
     },
     Figure {
         name: "fig11",
         title: "Figure 11: two-phase row locking overhead",
         note: "(paper: 342 / 571 / 2182 ms for 10 / 100 / 1000 locks)",
         columns: FIG11,
-        run: |ctx| fig11_lock_overhead(&[10, 100, 1000], ctx.reps),
+        run: |_| fig11_lock_overhead(&[10, 100, 1000]),
     },
     Figure {
         name: "fig13",
@@ -1799,9 +1622,8 @@ pub static FIGURES: &[Figure] = &[
         note: "",
         columns: COMPARISON_MATRIX,
         run: |ctx| {
-            let start = Instant::now();
             ctx.matrix();
-            record(COMPARISON_MATRIX, vec![wall_ms(start).into()])
+            record(COMPARISON_MATRIX, Vec::new())
         },
     },
     Figure {
@@ -1948,7 +1770,7 @@ mod tests {
 
     #[test]
     fn fig11_overhead_grows_with_lock_count() {
-        let output = fig11_lock_overhead(&[10, 100], 2);
+        let output = fig11_lock_overhead(&[10, 100]);
         let rows = output.rows("rows");
         assert_eq!(rows.len(), 2);
         assert!(rows[1].num("sim_ms") > rows[0].num("sim_ms") * 5.0);
@@ -1963,19 +1785,19 @@ mod tests {
 
     #[test]
     fn fig10_speedup_is_positive_and_grows_with_join_depth() {
-        let output = fig10_micro(&[30], 2, 1, 0, 0);
+        let output = fig10_micro(&[30], 1, 0);
         let rows = output.rows("rows");
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.num("sim_speedup") > 1.0));
         assert!(rows.iter().all(|r| {
             r.num("view_peak_rows_resident") > 0.0 && r.num("join_peak_rows_resident") > 0.0
         }));
-        assert!(output.rows("prepared_rows").is_empty() && output.rows("limit_rows").is_empty());
+        assert!(output.rows("limit_rows").is_empty());
     }
 
     #[test]
     fn fig10_limit_scan_rows_are_scale_independent() {
-        let output = fig10_micro(&[25, 100], 1, 1, 0, 8);
+        let output = fig10_micro(&[25, 100], 1, 8);
         let rows = output.rows("limit_rows");
         assert_eq!(rows.len(), 2);
         assert!(rows.iter().all(|r| r.num("store_rows_scanned") == 8.0));
@@ -1983,7 +1805,7 @@ mod tests {
 
     #[test]
     fn fig_par_sweep_is_deterministic_in_sim_and_beats_serial_joins() {
-        let output = fig_par(30, &[1, 2, 4], 2);
+        let output = fig_par(30, &[1, 2, 4]);
         let rows = output.rows("rows");
         assert_eq!(rows.len(), 3);
         assert!((rows[0].num("view_sim_x_vs_serial") - 1.0).abs() < 1e-9);
@@ -1991,7 +1813,7 @@ mod tests {
         // the tables are single-region at this tiny scale.
         assert!(rows[2].num("join_sim_ms") < rows[0].num("join_sim_ms"));
         // Re-running the sweep reproduces the sim figures exactly.
-        let again = fig_par(30, &[1, 2, 4], 2);
+        let again = fig_par(30, &[1, 2, 4]);
         for (a, b) in rows.iter().zip(again.rows("rows")) {
             assert_eq!(a.num("view_sim_ms").to_bits(), b.num("view_sim_ms").to_bits());
             assert_eq!(a.num("join_sim_ms").to_bits(), b.num("join_sim_ms").to_bits());

@@ -24,7 +24,13 @@ fn unknown_artifact_lists_the_valid_names_and_exits_2() {
 
 #[test]
 fn missing_or_unparsable_flag_value_prints_usage_and_exits_2() {
-    for args in [&["--customers"][..], &["fig10", "--reps", "many"], &["--out"], &["--bogus"]] {
+    for args in [
+        &["--customers"][..],
+        &["fig10", "--reps", "many"],
+        &["fig12", "--reps", "0"],
+        &["--out"],
+        &["--bogus"],
+    ] {
         let out = report(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");

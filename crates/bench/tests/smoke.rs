@@ -2,7 +2,7 @@
 //! points at tiny scale so CI exercises the same code paths as the `report`
 //! binary, in seconds instead of minutes.
 
-use bench::figure::{diff, Column, Kind};
+use bench::figure::{diff, Column, Kind, WALL_MS};
 use bench::json::Json;
 use bench::{
     ablation_lock_granularity, comparison_matrix, fig10_micro, fig11_lock_overhead,
@@ -11,7 +11,7 @@ use bench::{
 
 #[test]
 fn fig10_micro_runs_and_views_beat_joins() {
-    let output = fig10_micro(&[25], 2, 1, 0, 0);
+    let output = fig10_micro(&[25], 1, 0);
     let rows = output.rows("rows");
     assert_eq!(rows.len(), 2, "one row per micro query");
     for row in rows {
@@ -30,7 +30,7 @@ fn fig10_micro_runs_and_views_beat_joins() {
 
 #[test]
 fn fig10_limit_companion_is_o_of_k() {
-    let output = fig10_micro(&[25, 50], 1, 1, 0, 10);
+    let output = fig10_micro(&[25, 50], 1, 10);
     let rows = output.rows("limit_rows");
     assert_eq!(rows.len(), 2);
     for row in rows {
@@ -44,8 +44,8 @@ fn fig10_micro_parallel_sim_times_only_improve() {
     // the lower layers (query par_exec tests, tpcw micro tests); this
     // checks the harness-level invariant that sim time can only improve
     // under the max-of-workers merge rule.
-    let serial = fig10_micro(&[25], 1, 1, 0, 0);
-    let parallel = fig10_micro(&[25], 1, 4, 0, 0);
+    let serial = fig10_micro(&[25], 1, 0);
+    let parallel = fig10_micro(&[25], 4, 0);
     assert_eq!(serial.rows("rows").len(), parallel.rows("rows").len());
     for (s, p) in serial.rows("rows").iter().zip(parallel.rows("rows")) {
         assert_eq!(s.text("query"), p.text("query"));
@@ -56,7 +56,7 @@ fn fig10_micro_parallel_sim_times_only_improve() {
 
 #[test]
 fn fig_par_sweep_runs_at_tiny_scale() {
-    let output = fig_par(25, &[1, 2], 1);
+    let output = fig_par(25, &[1, 2]);
     let rows = output.rows("rows");
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0].num("threads"), 1.0);
@@ -66,7 +66,7 @@ fn fig_par_sweep_runs_at_tiny_scale() {
 
 #[test]
 fn fig11_lock_overhead_grows_with_lock_count() {
-    let output = fig11_lock_overhead(&[1, 8], 2);
+    let output = fig11_lock_overhead(&[1, 8]);
     let rows = output.rows("rows");
     assert_eq!(rows.len(), 2);
     assert!(
@@ -161,6 +161,14 @@ fn assert_conforms(columns: &[Column], record: &Json, path: &str) {
     }
 }
 
+/// Fails unless `record` is a figure's timed record: [`WALL_MS`] first,
+/// then exactly the keys of `columns`.
+fn assert_timed_conforms(columns: &[Column], record: &Json, name: &str) {
+    let Json::Obj(pairs) = record else { panic!("{name}: not a record: {record:?}") };
+    assert_eq!(pairs.first().map(|(k, _)| k.as_str()), Some(WALL_MS), "{name}: wall_ms first");
+    assert_conforms(columns, &Json::Obj(pairs[1..].to_vec()), name);
+}
+
 #[test]
 fn cheap_figures_reproduce_the_committed_tiny_report_through_the_registry() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_report_tiny.json");
@@ -174,11 +182,12 @@ fn cheap_figures_reproduce_the_committed_tiny_report_through_the_registry() {
         ])
     };
 
-    // Registry-wide: every record of the committed report carries exactly
-    // its table's keys, in order.
+    // Registry-wide: every record of the committed report carries its
+    // `wall_ms`, then exactly its table's keys, in order.
     let committed_figures = committed.get("figures").unwrap();
     for figure in FIGURES.iter().filter(|f| f.measured()) {
-        assert_conforms(figure.columns, committed_figures.get(figure.name).unwrap(), figure.name);
+        let record = committed_figures.get(figure.name).unwrap();
+        assert_timed_conforms(figure.columns, record, figure.name);
     }
 
     let cheap =
@@ -187,8 +196,8 @@ fn cheap_figures_reproduce_the_committed_tiny_report_through_the_registry() {
     let mut fresh = Vec::new();
     let mut pinned = Vec::new();
     for figure in FIGURES.iter().filter(|f| cheap.contains(&f.name)) {
-        let record = (figure.run)(&mut ctx);
-        assert_conforms(figure.columns, &record, figure.name);
+        let record = figure.run_timed(&mut ctx);
+        assert_timed_conforms(figure.columns, &record, figure.name);
         let text = figure.render_text(&record, &[]);
         assert!(text.starts_with(&format!("--- {} ---", figure.title)), "{text}");
         fresh.push((figure.name.to_string(), record));

@@ -6,8 +6,9 @@ use crate::{Violation, RULE_COST, RULE_DETERMINISM, RULE_PANIC, RULE_PRAGMA};
 
 /// Crates whose library code feeds the deterministic sim figures: any
 /// wall-clock read, RNG draw or hash-ordered iteration there can drift the
-/// 45-value sim-identity gate.
-pub const SIM_CRATES: &[&str] = &["simclock", "nosql-store", "synergy", "query", "tpcw"];
+/// values `bench_diff`'s sim-identity gate pins.  `bench` builds the
+/// figures themselves; its `report` and `bench_diff` binaries are exempt.
+pub const SIM_CRATES: &[&str] = &["simclock", "nosql-store", "synergy", "query", "tpcw", "bench"];
 
 /// Crates whose library code must return the retryable `StoreError`
 /// taxonomy instead of panicking (fault- and recovery-path discipline).
@@ -36,7 +37,7 @@ pub fn determinism(crate_name: &str, kind: FileKind, path: &str, m: &FileModel, 
             && m.tokens.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && m.tokens.get(i + 3).is_some_and(|n| n.is_ident("now"))
         {
-            Some("`Instant::now()` reads the wall clock in a sim-figure-affecting crate; use the `SimClock` (or justify a wall-clock companion measurement)".to_string())
+            Some("`Instant::now()` reads the wall clock in a sim-figure-affecting crate; use the `SimClock`".to_string())
         } else if t.is_ident("SystemTime") {
             Some("`SystemTime` is nondeterministic in a sim-figure-affecting crate; sim time comes from `SimClock`".to_string())
         } else if t.is_ident("thread_rng") || t.is_ident("from_entropy") {

@@ -33,20 +33,32 @@ fn determinism_rule_fires_on_each_trigger() {
     assert!(!det.iter().any(|x| x.message.contains("`HashSet`")));
     assert_eq!(det.iter().filter(|x| x.message.contains("`HashMap`")).count(), 1);
     assert!(v.iter().all(|x| x.rule != "pragma"), "fixture pragmas are well-formed");
+    // `bench` builds the figures: a figure function that reads the wall
+    // clock fires too.
+    let figure = "pub fn fig() -> f64 { std::time::Instant::now().elapsed().as_secs_f64() }";
+    let bench = lint_sources(&[src("bench", "crates/bench/src/lib.rs", figure)]);
+    assert!(bench.iter().any(|x| x.rule == "determinism" && x.message.contains("Instant::now")));
 }
 
 #[test]
 fn determinism_rule_ignores_non_sim_crates_and_test_files() {
     let text = include_str!("fixtures/determinism.rs");
-    let other_crate = lint_sources(&[src("bench", "crates/bench/src/fix.rs", text)]);
+    let other_crate = lint_sources(&[src("relational", "crates/relational/src/fix.rs", text)]);
     assert!(other_crate.iter().all(|x| x.rule != "determinism"));
-    let test_file = lint_sources(&[SourceFile {
-        crate_name: "tpcw".into(),
-        rel_path: "crates/tpcw/tests/fix.rs".into(),
-        kind: FileKind::Test,
-        text: text.into(),
-    }]);
-    assert!(test_file.iter().all(|x| x.rule != "determinism"));
+    // Test files, and the `report` / `bench_diff` binaries that time and
+    // diff the figures, are exempt.
+    for (crate_name, rel_path, kind) in [
+        ("tpcw", "crates/tpcw/tests/fix.rs", FileKind::Test),
+        ("bench", "crates/bench/src/bin/report.rs", FileKind::Bin),
+    ] {
+        let file = SourceFile {
+            crate_name: crate_name.into(),
+            rel_path: rel_path.into(),
+            kind,
+            text: text.into(),
+        };
+        assert!(lint_sources(&[file]).iter().all(|x| x.rule != "determinism"), "{rel_path}");
+    }
 }
 
 #[test]

@@ -16,8 +16,9 @@
 //!
 //! Instead of a physical cluster, every operation charges a deterministic
 //! cost from [`simclock::CostModel`] into a shared [`simclock::SimClock`]
-//! (network round trips, WAL syncs, scan streaming).  See `DESIGN.md` §2 for
-//! why this substitution preserves the paper's results.
+//! (network round trips, WAL syncs, scan streaming).  The cost model's
+//! module doc ([`simclock::CostModel`]) says why this substitution preserves
+//! the paper's results.
 //!
 //! # Quick start
 //!

@@ -37,4 +37,4 @@ mod stats;
 pub use clock::{SimClock, SimDuration, SimInstant};
 pub use cost::{CostModel, StorageMedium};
 pub use parallel::{merge_elapsed, WorkerClock};
-pub use stats::{mean, std_error, Summary};
+pub use stats::mean;

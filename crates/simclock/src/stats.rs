@@ -1,9 +1,7 @@
 //! Small statistics helpers used by the benchmark harness.
 //!
-//! The paper reports the mean and standard error of 10 repetitions for every
-//! experiment; [`Summary`] captures exactly that.
-
-use serde::{Deserialize, Serialize};
+//! The paper reports the mean of 10 repetitions for every experiment;
+//! [`mean`] is what the comparison matrix reads.
 
 /// Arithmetic mean of a slice; zero for an empty slice.
 pub fn mean(samples: &[f64]) -> f64 {
@@ -11,50 +9,6 @@ pub fn mean(samples: &[f64]) -> f64 {
         return 0.0;
     }
     samples.iter().sum::<f64>() / samples.len() as f64
-}
-
-/// Standard error of the mean (sample standard deviation / sqrt(n)).
-pub fn std_error(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(samples);
-    let var = samples.iter().map(|s| (s - m).powi(2)).sum::<f64>() / (samples.len() - 1) as f64;
-    (var / samples.len() as f64).sqrt()
-}
-
-/// Mean, standard error and range of a set of repeated measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples aggregated.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Standard error of the mean.
-    pub std_error: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarizes `samples`; an empty input produces an all-zero summary.
-    pub fn of(samples: &[f64]) -> Summary {
-        Summary {
-            n: samples.len(),
-            mean: mean(samples),
-            std_error: std_error(samples),
-            min: samples.iter().copied().fold(f64::INFINITY, f64::min).min(f64::INFINITY),
-            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max).max(f64::NEG_INFINITY),
-        }
-    }
-}
-
-impl std::fmt::Display for Summary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.2} ± {:.2} (n={})", self.mean, self.std_error, self.n)
-    }
 }
 
 #[cfg(test)]
@@ -68,27 +22,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
     }
 
-    #[test]
-    fn std_error_of_constant_samples_is_zero() {
-        assert_eq!(std_error(&[5.0; 10]), 0.0);
-        assert_eq!(std_error(&[1.0]), 0.0);
-    }
-
-    #[test]
-    fn summary_captures_range() {
-        let s = Summary::of(&[3.0, 1.0, 2.0]);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.mean, 2.0);
-    }
-
-    #[test]
-    fn display_is_compact() {
-        let s = Summary::of(&[2.0, 2.0]);
-        assert_eq!(format!("{s}"), "2.00 ± 0.00 (n=2)");
-    }
-
     proptest! {
         #[test]
         fn mean_is_bounded_by_min_and_max(samples in proptest::collection::vec(-1e6f64..1e6, 1..64)) {
@@ -96,11 +29,6 @@ mod tests {
             let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
             let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(m >= min - 1e-9 && m <= max + 1e-9);
-        }
-
-        #[test]
-        fn std_error_is_non_negative(samples in proptest::collection::vec(-1e6f64..1e6, 0..64)) {
-            prop_assert!(std_error(&samples) >= 0.0);
         }
     }
 }

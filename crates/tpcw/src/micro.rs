@@ -8,11 +8,10 @@
 //! view — reproducing the paper's Figure 10.
 
 use nosql_store::{Cluster, ClusterConfig};
-use query::{ColumnType, PlanCacheStats, QueryResult};
-use relational::{Relation, Row, Schema, Value};
+use query::{ColumnType, QueryResult};
+use relational::{Relation, Row, Schema};
 use simclock::SimDuration;
 use sql::{parse_statement, Statement};
-use std::time::{Duration, Instant};
 use synergy::{Materialization, SynergyConfig, SynergySystem, TxnError};
 
 /// The micro-benchmark schema (Customer, Orders, Order_line).
@@ -88,12 +87,9 @@ pub fn partial_queries() -> Vec<Statement> {
 }
 
 /// One measurement of the micro-benchmark: the same query answered through
-/// the materialized view and through the join algorithm.
-///
-/// Each strategy is timed twice: in **simulated** milliseconds (the cost
-/// model the paper's figures are built on) and in **wall-clock** time (how
-/// long this process actually spent executing the query), so perf work on
-/// the reproduction itself has a measured trajectory.
+/// the materialized view and through the join algorithm, each timed in
+/// **simulated** milliseconds (the cost model the paper's figures are built
+/// on).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MicroMeasurement {
     /// "Q1" or "Q2".
@@ -104,10 +100,6 @@ pub struct MicroMeasurement {
     pub view_scan: SimDuration,
     /// Simulated response time of the join algorithm over base tables.
     pub join_algorithm: SimDuration,
-    /// Wall-clock time of the view scan.
-    pub view_scan_wall: std::time::Duration,
-    /// Wall-clock time of the join algorithm.
-    pub join_wall: std::time::Duration,
     /// Number of result rows (identical for both evaluation strategies).
     pub result_rows: usize,
     /// Peak rows the executor held materialized during the view scan.
@@ -120,11 +112,6 @@ impl MicroMeasurement {
     /// How many times faster the view scan is, in simulated time.
     pub fn speedup(&self) -> f64 {
         self.join_algorithm.as_nanos() as f64 / self.view_scan.as_nanos().max(1) as f64
-    }
-
-    /// How many times faster the view scan is, in wall-clock time.
-    pub fn wall_speedup(&self) -> f64 {
-        self.join_wall.as_nanos() as f64 / self.view_scan_wall.as_nanos().max(1) as f64
     }
 }
 
@@ -256,17 +243,13 @@ impl MicroBench {
         let clock = self.system.cluster().clock().clone();
 
         // View scan: the rewritten query is a single-table scan of the view.
-        let wall_start = std::time::Instant::now(); // lint-allow(determinism): wall-clock companion measurement; figures use SimClock
         let (view_result, view_scan): (Result<QueryResult, TxnError>, SimDuration) =
             clock.measure(|| self.system.execute(statement, &[]));
-        let view_scan_wall = wall_start.elapsed();
         let view_result = view_result?;
 
         // Join algorithm: the original query against base tables only.
-        let wall_start = std::time::Instant::now(); // lint-allow(determinism): wall-clock companion measurement; figures use SimClock
         let (join_result, join_algorithm): (Result<QueryResult, _>, SimDuration) =
             clock.measure(|| self.system.executor().execute(statement, &[]));
-        let join_wall = wall_start.elapsed();
         let join_result = join_result?;
 
         assert_eq!(
@@ -279,8 +262,6 @@ impl MicroBench {
             customers: self.customers,
             view_scan,
             join_algorithm,
-            view_scan_wall,
-            join_wall,
             result_rows: view_result.len(),
             view_peak_rows: view_result.peak_rows_resident,
             join_peak_rows: join_result.peak_rows_resident,
@@ -301,55 +282,6 @@ impl MicroBench {
         })
     }
 
-    /// Compares prepared-statement execution against the one-shot path on
-    /// a point lookup (`SELECT * FROM Customer WHERE c_id = ?`), the shape
-    /// where per-execution work is small enough that parse/bind/plan cost
-    /// is visible: the one-shot loop runs every pipeline phase per call,
-    /// the prepared loop re-executes one compiled plan with fresh
-    /// parameters.  Both run through the Synergy session, so the rewrite
-    /// rule is probed (and declines) identically on each one-shot call.
-    ///
-    /// Wall clocks only — the two paths charge identical simulated cost
-    /// (pinned by the `prepared ≡ one-shot` property test in the query
-    /// crate), so only real planning overhead differs.
-    pub fn measure_prepared(&self, executions: u64) -> Result<PreparedComparison, TxnError> {
-        const TEXT: &str = "SELECT * FROM Customer WHERE c_id = ?";
-        let session = self.system.session();
-        let n = self.customers.max(1) as i64;
-        let params = |i: u64| vec![Value::Int((i as i64 % n) + 1)];
-
-        // Warm both paths (interning, first-touch allocations) untimed and
-        // check they agree.
-        let oneshot_result = session.prepare_uncached(TEXT)?.execute(&params(0))?;
-        let prepared = session.prepare(TEXT)?;
-        let prepared_result = prepared.execute(&params(0))?;
-        assert_eq!(
-            oneshot_result, prepared_result,
-            "prepared and one-shot execution must agree"
-        );
-
-        let start = Instant::now(); // lint-allow(determinism): wall-clock companion measurement; figures use SimClock
-        for i in 0..executions {
-            session.prepare_uncached(TEXT)?.execute(&params(i))?;
-        }
-        let oneshot_wall = start.elapsed();
-
-        let start = Instant::now(); // lint-allow(determinism): wall-clock companion measurement; figures use SimClock
-        for i in 0..executions {
-            prepared.execute(&params(i))?;
-        }
-        let prepared_wall = start.elapsed();
-
-        Ok(PreparedComparison {
-            customers: self.customers,
-            executions,
-            result_rows: prepared_result.len(),
-            oneshot_wall,
-            prepared_wall,
-            cache_stats: session.plan_cache_stats(),
-        })
-    }
-
     /// Measures Q1 with a `LIMIT` through the view-backed read path,
     /// recording how many store rows the scan actually touched
     /// ([`nosql_store::OpCounters::scanned_rows`] delta).  With the
@@ -363,10 +295,8 @@ impl MicroBench {
         .expect("limit query parses");
         let clock = self.system.cluster().clock().clone();
         let before = self.system.cluster().metrics().ops;
-        let wall_start = std::time::Instant::now(); // lint-allow(determinism): wall-clock companion measurement; figures use SimClock
         let (result, view_scan): (Result<QueryResult, TxnError>, SimDuration) =
             clock.measure(|| self.system.execute(&statement, &[]));
-        let view_scan_wall = wall_start.elapsed();
         let result = result?;
         let delta = self.system.cluster().metrics().ops.delta_since(&before);
         Ok(LimitMeasurement {
@@ -376,7 +306,6 @@ impl MicroBench {
             store_rows_scanned: delta.scanned_rows,
             peak_rows_resident: result.peak_rows_resident,
             view_scan,
-            view_scan_wall,
         })
     }
 }
@@ -391,41 +320,6 @@ pub struct QueryExplain {
     pub baseline: String,
     /// Plan through the Synergy session (view rewrite visible).
     pub synergy: String,
-}
-
-/// One prepared-vs-one-shot comparison (see [`MicroBench::measure_prepared`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PreparedComparison {
-    /// Number of customers in the database.
-    pub customers: u64,
-    /// Executions per timed loop.
-    pub executions: u64,
-    /// Result rows per execution (sanity: both paths agree).
-    pub result_rows: usize,
-    /// Total wall time of the one-shot loop (parse + bind + plan + execute
-    /// per call).
-    pub oneshot_wall: Duration,
-    /// Total wall time of the prepared loop (execute only).
-    pub prepared_wall: Duration,
-    /// The session's cumulative plan-cache counters at measurement end.
-    pub cache_stats: PlanCacheStats,
-}
-
-impl PreparedComparison {
-    /// Mean one-shot microseconds per execution.
-    pub fn oneshot_us_per_exec(&self) -> f64 {
-        self.oneshot_wall.as_secs_f64() * 1e6 / self.executions.max(1) as f64
-    }
-
-    /// Mean prepared microseconds per execution.
-    pub fn prepared_us_per_exec(&self) -> f64 {
-        self.prepared_wall.as_secs_f64() * 1e6 / self.executions.max(1) as f64
-    }
-
-    /// How many times faster the prepared path is.
-    pub fn speedup(&self) -> f64 {
-        self.oneshot_us_per_exec() / self.prepared_us_per_exec().max(f64::EPSILON)
-    }
 }
 
 /// One measurement of the LIMIT-bearing micro-query (Q1 with `LIMIT k`,
@@ -444,8 +338,6 @@ pub struct LimitMeasurement {
     pub peak_rows_resident: usize,
     /// Simulated response time.
     pub view_scan: SimDuration,
-    /// Wall-clock response time.
-    pub view_scan_wall: std::time::Duration,
 }
 
 #[cfg(test)]
@@ -500,21 +392,6 @@ mod tests {
         let bench = MicroBench::build(10).unwrap();
         let q1 = bench.measure(0).unwrap();
         assert_eq!(q1.result_rows, 100);
-    }
-
-    #[test]
-    fn prepared_comparison_agrees_and_reports_cache_counters() {
-        let bench = MicroBench::build(20).unwrap();
-        let m = bench.measure_prepared(25).unwrap();
-        assert_eq!(m.result_rows, 1, "point lookup returns one customer");
-        assert_eq!(m.executions, 25);
-        // The warm-up prepare compiled the point query (a miss); executing
-        // the prepared handle never touches the cache again.
-        assert!(m.cache_stats.misses >= 1);
-        assert!(
-            m.oneshot_wall > Duration::ZERO && m.prepared_wall > Duration::ZERO,
-            "both loops must be timed"
-        );
     }
 
     #[test]

@@ -62,5 +62,5 @@ fn main() {
         synergy.database_size_bytes() as f64 / (1024.0 * 1024.0),
         baseline.database_size_bytes() as f64 / (1024.0 * 1024.0),
     );
-    println!("(all times are simulated milliseconds from the cluster cost model — see DESIGN.md §7)");
+    println!("(all times are simulated milliseconds from the cluster cost model — see the simclock::cost module doc)");
 }

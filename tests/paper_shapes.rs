@@ -7,7 +7,7 @@ use bench::{ablation_lock_granularity, comparison_matrix, fig10_micro, fig11_loc
 
 #[test]
 fn figure_10_view_scans_beat_joins_and_the_gap_grows_with_depth() {
-    let output = fig10_micro(&[40, 160], 2, 1, 0, 0);
+    let output = fig10_micro(&[40, 160], 1, 0);
     let rows = output.rows("rows");
     for row in rows {
         assert!(
@@ -31,7 +31,7 @@ fn figure_10_view_scans_beat_joins_and_the_gap_grows_with_depth() {
 
 #[test]
 fn figure_11_locking_overhead_grows_with_lock_count() {
-    let output = fig11_lock_overhead(&[10, 100, 1000], 2);
+    let output = fig11_lock_overhead(&[10, 100, 1000]);
     let overhead: Vec<f64> = output.rows("rows").iter().map(|r| r.num("sim_ms")).collect();
     assert!(overhead[1] > overhead[0] * 5.0);
     assert!(overhead[2] > overhead[1] * 5.0);
