@@ -15,8 +15,8 @@
 //! registry's text rendering and collects the records as the JSON report.
 //!
 //! `--reps N` (at least 1) repeats each statement of the comparison matrix
-//! behind `fig12`, `fig14`, `table2` and `table3`, the one figure whose
-//! samples differ from repetition to repetition; every other figure
+//! behind `fig12`, `fig14`, `table2` and `table3`, the one measurement
+//! whose samples differ from repetition to repetition; every other figure
 //! measures each point once.  `--threads N` runs the fig10 measurements with
 //! N region-parallel workers (`fig_par` always sweeps its own 1/2/4/8 axis);
 //! `--out PATH` redirects the `--json` report; `--explain` additionally

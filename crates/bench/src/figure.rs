@@ -187,8 +187,9 @@ pub struct Figure {
     /// Columns of the figure's top-level record.
     pub columns: &'static [Column],
     /// Runs the experiment at the context's scale and returns the figure's
-    /// record (built against `columns`).
-    pub run: fn(&mut Context) -> Json,
+    /// record (built against `columns`); callers go through
+    /// [`Figure::run_timed`].
+    pub(crate) run: fn(&mut Context) -> Json,
 }
 
 /// The key of the wall-clock milliseconds [`Figure::run_timed`] adds to a

@@ -60,8 +60,8 @@ pub const DEFAULT_CUSTOMERS: u64 = 500;
 pub struct Context {
     /// Database scale (number of customers).
     pub customers: u64,
-    /// Repetitions per statement of the comparison matrix (the one figure
-    /// whose samples differ from repetition to repetition).
+    /// Repetitions per statement of the comparison matrix (the one
+    /// measurement whose samples differ from repetition to repetition).
     pub reps: u64,
     /// Region-parallel worker count of the fig10 measurements.
     pub threads: usize,
