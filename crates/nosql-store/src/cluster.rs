@@ -261,13 +261,6 @@ impl Cluster {
         &self.inner.cost_model
     }
 
-    /// True if a fault plan is configured (used to route parallel scans to
-    /// the serial path: outage windows are instants on the shared timeline,
-    /// while parallel workers' private clocks start at the epoch).
-    pub fn faults_enabled(&self) -> bool {
-        self.inner.faults.is_some()
-    }
-
     /// Next logical cell timestamp (monotonically increasing).  Timestamps
     /// are globally unique across ops and servers, which is what lets
     /// recovery order replayed WAL records from different server logs.

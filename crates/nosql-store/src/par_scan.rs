@@ -13,7 +13,8 @@
 //! # Sim accounting
 //!
 //! The parallelism is a cost model, not OS threads.  Each worker charges its
-//! sim costs into a **private** clock, and at exhaustion (or drop) the deltas
+//! sim costs into a **private** clock that starts at the instant the scan
+//! opens on the shared timeline, and at exhaustion (or drop) the deltas
 //! merge per the workspace rule: **elapsed = max of workers** charged once
 //! into the shared clock ([`simclock::merge_elapsed`]), **cost counters =
 //! sum** (workers bump the shared atomic [`crate::OpCounters`] directly).  A
@@ -32,6 +33,14 @@
 //! worker's rows — then the error once, then the end.  Later sub-ranges are
 //! never read; a worker's retries resume its page, so no row is yielded
 //! twice.
+//!
+//! Faults apply to a parallel scan as to a serial one.  Every worker's clock
+//! reads shared-timeline instants, so a fault plan's outage windows and
+//! crash schedule are compared against the time the worker would run at.
+//! Fault state is shared, too: a worker sees every fault event an
+//! earlier-drained worker already fired — a server crash fired at a later
+//! instant of worker 1's clock is already down when worker 2 starts at the
+//! open instant.
 
 use crate::cell::Bytes;
 use crate::cluster::Cluster;
@@ -86,17 +95,12 @@ impl Cluster {
         scan: Scan,
         threads: usize,
     ) -> StoreResult<ParScanCursor> {
-        // Fault injection is defined on the shared timeline: outage windows
-        // are instants compared against the clock an op charges into, while
-        // a worker's private clock starts at the epoch.  Rather than inject
-        // against the wrong instants, a faulty cluster scans serially.
-        let partitionable = threads > 1 && !self.faults_enabled();
         // Candidate split keys: the region start boundaries strictly inside
         // the scan range, snapshotted now.  (A later split only refines a
         // sub-range; each worker's cursor re-locates regions per page.)  A
         // missing table and an inverted range have none, so both reach the
         // serial open below, which reports them.
-        let splits: Vec<Bytes> = match partitionable.then(|| self.table(table)) {
+        let splits: Vec<Bytes> = match (threads > 1).then(|| self.table(table)) {
             Some(Ok(state)) => {
                 let regions = state.regions.read();
                 let starts = regions.iter().skip(1).map(|r| r.start.clone());
@@ -125,12 +129,13 @@ impl Cluster {
         }
         bounds.push(scan.stop.clone());
 
+        let opened_at = self.clock().now();
         let mut workers = Vec::with_capacity(parts);
         for window in bounds.windows(2) {
             let mut sub = scan.clone();
             sub.start = window[0].clone();
             sub.stop = window[1].clone();
-            let clock = WorkerClock::new();
+            let clock = WorkerClock::starting_at(opened_at);
             let handle = self.with_charge_sink(clock.clock().clone());
             let cursor = handle.scan_stream_inner(table, sub, false)?;
             workers.push(ScanWorker { cursor, clock });

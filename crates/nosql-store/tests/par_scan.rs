@@ -4,11 +4,16 @@
 //! serial `scan_stream` produces, and both must agree with an independent
 //! `BTreeMap` reference model.  A deterministic unit test additionally
 //! forces a region split *between* worker pages and checks the workers
-//! resume correctly across the new region boundary.
+//! resume correctly across the new region boundary, and a third drives a
+//! 4-worker scan under an armed fault plan.
 
 use nosql_store::ops::{Put, Scan};
-use nosql_store::{Cluster, ClusterConfig, ParScanCursor, ResultRow, TableSchema, SCAN_PAGE_ROWS};
+use nosql_store::{
+    Cluster, ClusterConfig, FaultPlan, ParScanCursor, ResultRow, StoreResult, TableSchema,
+    SCAN_PAGE_ROWS,
+};
 use proptest::prelude::*;
+use simclock::SimDuration;
 use std::collections::BTreeMap;
 
 fn key_str(key: u16) -> String {
@@ -188,4 +193,74 @@ fn region_split_between_worker_pages_is_survived() {
     assert_eq!(keys.len(), 3_200);
     // Sanity: the split landed between pages, not after the scan finished.
     let _ = SCAN_PAGE_ROWS;
+}
+
+/// A one-server cluster holding 4 000 rows over many regions, bulk-loaded
+/// (never faulted) under `fault_plan`.
+fn one_server_table(fault_plan: Option<FaultPlan>) -> Cluster {
+    let cluster = Cluster::new(ClusterConfig {
+        region_servers: 1,
+        region_split_bytes: 20_000,
+        fault_plan,
+        ..ClusterConfig::default()
+    });
+    cluster
+        .create_table(TableSchema::new("t").with_family("cf"))
+        .unwrap();
+    cluster
+        .bulk_load(
+            "t",
+            (0..4_000u16).map(|i| Put::new(key_str(i)).with("cf", "v", vec![b'x'; 64])),
+        )
+        .unwrap();
+    cluster
+}
+
+/// Pulls a cursor to its end, or to its first error.
+fn drain_fallible(cursor: &mut ParScanCursor) -> StoreResult<Vec<ResultRow>> {
+    std::iter::from_fn(|| cursor.try_next().transpose()).collect()
+}
+
+/// A parallel scan keeps its four workers under an armed fault plan, and
+/// each run either fails in-band or returns exactly the fault-free rows in
+/// key order.  A server outage halfway through the clean 4-worker run fails
+/// the scan too: the run starts after a serial scan has moved the clock off
+/// the epoch, so only worker clocks that start at the scan's open instant
+/// reach the outage.
+#[test]
+fn parallel_scans_under_an_armed_fault_plan_fail_in_band_or_answer_exactly() {
+    let clean = one_server_table(None);
+    clean.scan("t", Scan::all()).unwrap();
+    let started = clean.clock().now();
+    let mut cursor = clean.par_scan_stream("t", Scan::all(), 4).unwrap();
+    assert_eq!(cursor.workers(), 4);
+    let twin = drain_fallible(&mut cursor).unwrap();
+    let elapsed = clean.clock().now() - started;
+    assert_eq!(twin.len(), 4_000);
+    assert!(twin.windows(2).all(|w| w[0].key < w[1].key), "fault-free rows in key order");
+
+    let mut failed = 0;
+    for seed in 0..16 {
+        let cluster = one_server_table(Some(FaultPlan::new(seed).with_timeouts(0.3)));
+        let mut cursor = cluster.par_scan_stream("t", Scan::all(), 4).unwrap();
+        assert_eq!(cursor.workers(), 4, "seed {seed}: an armed fault plan scans in parallel");
+        match drain_fallible(&mut cursor) {
+            Ok(rows) => assert!(rows == twin, "seed {seed}: a short Ok of {} rows", rows.len()),
+            Err(_) => failed += 1,
+        }
+        assert_eq!(cursor.try_next(), Ok(None), "seed {seed}: the scan ends after its error");
+    }
+    assert!(failed > 0, "16 seeds at 30% timeouts never faulted");
+
+    let halfway = SimDuration::from_nanos(started.as_nanos() + elapsed.as_nanos() / 2);
+    let outage = FaultPlan::new(1).with_crashes(vec![halfway], SimDuration::from_secs(3_600));
+    let cluster = one_server_table(Some(outage));
+    cluster.scan("t", Scan::all()).unwrap();
+    assert_eq!(cluster.clock().now(), started);
+    let mut cursor = cluster.par_scan_stream("t", Scan::all(), 4).unwrap();
+    assert_eq!(cursor.workers(), 4);
+    assert!(
+        drain_fallible(&mut cursor).is_err(),
+        "a server outage halfway through the 4-worker scan must fail it in-band"
+    );
 }

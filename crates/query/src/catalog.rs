@@ -271,10 +271,10 @@ impl TableDef {
 
 /// The catalog: every logical table known to the SQL skin.
 ///
-/// Every mutation stamps the catalog with a process-globally unique
-/// [`Catalog::version`], so plan caches (see [`crate::Session`]) can detect
-/// that a cached plan was compiled against stale definitions without
-/// comparing table contents.
+/// A catalog is built completely before its [`crate::Executor`] is created
+/// and never changes afterwards (the executor holds it behind an `Arc` with
+/// no mutator), so a plan compiled through an executor always matches that
+/// executor's catalog.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     /// Definitions are stored behind `Arc` so compiled plans can hold them
@@ -288,39 +288,12 @@ pub struct Catalog {
     /// the read optimizer never selects them, so adding one cannot change a
     /// read plan (or its simulated cost).
     maintenance_indexes: std::collections::BTreeSet<String>,
-    /// Stamp of the last mutation (globally unique across all catalogs).
-    version: u64,
-}
-
-/// Logical equality: two catalogs are equal when they define the same
-/// tables, regardless of the mutation history that built them (the
-/// `version` stamp is cache bookkeeping, not part of the schema).
-impl PartialEq for Catalog {
-    fn eq(&self, other: &Self) -> bool {
-        self.tables == other.tables
-            && self.indexes_of == other.indexes_of
-            && self.maintenance_indexes == other.maintenance_indexes
-    }
-}
-
-/// Hands out process-globally unique version stamps for catalog mutations.
-fn next_catalog_version() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Catalog {
     /// Creates an empty catalog.
     pub fn new() -> Catalog {
         Catalog::default()
-    }
-
-    /// The stamp of the last mutation.  Globally unique per mutation, so
-    /// two catalogs that went through different mutations never share a
-    /// version — the property plan-cache invalidation relies on.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Adds (or replaces) a table definition.
@@ -332,29 +305,13 @@ impl Catalog {
                 .push(def.name.clone());
         }
         self.tables.insert(def.name.clone(), Arc::new(def));
-        self.version = next_catalog_version();
-    }
-
-    /// Removes a table definition.
-    pub fn remove_table(&mut self, name: &str) {
-        if let Some(def) = self.tables.remove(name) {
-            if let TableKind::Index { of } = &def.kind {
-                if let Some(list) = self.indexes_of.get_mut(of) {
-                    list.retain(|n| n != name);
-                }
-            }
-            self.maintenance_indexes.remove(name);
-            self.version = next_catalog_version();
-        }
     }
 
     /// Flags an already-added index table as **maintenance-only**: writes
     /// keep it up to date, delta-join probes may use it, but read planning
     /// ignores it (see [`crate::select_probe_access`]).
     pub fn mark_maintenance_index(&mut self, name: &str) {
-        if self.maintenance_indexes.insert(name.to_string()) {
-            self.version = next_catalog_version();
-        }
+        self.maintenance_indexes.insert(name.to_string());
     }
 
     /// True when `name` is a maintenance-only index table.
@@ -522,8 +479,6 @@ mod tests {
         assert_eq!(catalog.len(), 2);
         assert_eq!(catalog.indexes_of("Customer").len(), 1);
         assert!(catalog.table_ci("CUSTOMER").is_some());
-        catalog.remove_table("customer_by_uname");
-        assert!(catalog.indexes_of("Customer").is_empty());
     }
 
     #[test]

@@ -123,13 +123,11 @@ enum DeltaNode {
 
 /// The compiled incremental form of one view-defining plan.
 ///
-/// Compiled once per view (see the maintenance engine's cache) and stamped
-/// with the catalog version, so — exactly like the plan cache — a catalog
-/// mutation lazily invalidates it.
+/// Compiled once per view, on first use, and cached by the maintenance
+/// engine for the life of its executor (whose catalog never changes).
 #[derive(Debug, Clone)]
 pub struct DeltaPlan {
     root: DeltaNode,
-    catalog_version: u64,
 }
 
 impl DeltaPlan {
@@ -142,14 +140,7 @@ impl DeltaPlan {
     pub fn compile(catalog: &Catalog, plan: &PhysicalPlan) -> Result<DeltaPlan, QueryError> {
         Ok(DeltaPlan {
             root: Compiler { catalog, plan }.node(&plan.root)?,
-            catalog_version: catalog.version(),
         })
-    }
-
-    /// The catalog version this plan was compiled against (caches treat a
-    /// mismatch as stale, like [`crate::Session`]'s plan cache).
-    pub fn catalog_version(&self) -> u64 {
-        self.catalog_version
     }
 
     /// True when the plan reads `relation` (deltas of other relations are

@@ -146,7 +146,8 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor over `cluster` with the given catalog.
+    /// Creates an executor over `cluster` with the given catalog, which is
+    /// fixed for the executor's (and its clones') lifetime.
     pub fn new(cluster: Cluster, catalog: Catalog) -> Self {
         Executor {
             cluster,
@@ -172,14 +173,6 @@ impl Executor {
     /// The configured degree of parallelism (1 = serial).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Replaces the catalog (e.g. after DDL).  Plans compiled against the
-    /// previous catalog keep executing against the definitions they
-    /// captured; [`crate::Session`] plan caches detect the version change
-    /// and re-plan on the next lookup.
-    pub fn set_catalog(&mut self, catalog: Catalog) {
-        self.catalog = Arc::new(catalog);
     }
 
     /// The underlying cluster.

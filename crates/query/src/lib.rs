@@ -22,8 +22,9 @@
 //! * [`Executor`] — executes parsed [`sql::Statement`]s with positional
 //!   parameters and returns [`QueryResult`]s (the one-shot path: all four
 //!   phases per call);
-//! * [`Session`] / [`PreparedStatement`] — prepared statements over a plan
-//!   cache keyed by statement text (invalidated on catalog change), plus
+//! * [`Session`] / [`PreparedStatement`] — the read path: prepared SELECTs
+//!   over a plan cache keyed by statement text (the catalog is fixed when
+//!   the executor is built, so a cached plan never goes stale), plus
 //!   `EXPLAIN`; [`PlanRewriter`] lets higher layers (Synergy) plug
 //!   statement rewrites into the planner as visible rules;
 //! * [`PhysicalPlan`] — a compiled SELECT: the plan tree plus its

@@ -381,7 +381,6 @@ pub(crate) fn plan_select(
         aliases,
         conditions,
         root: node,
-        catalog_version: catalog.version(),
     })
 }
 

@@ -45,19 +45,12 @@ pub struct PhysicalPlan {
     pub(crate) conditions: Vec<PlannedCondition>,
     /// The plan tree: what runs, and what `EXPLAIN` renders.
     pub(crate) root: PlanNode,
-    /// Catalog version at plan time; plan caches treat a mismatch as stale.
-    pub(crate) catalog_version: u64,
 }
 
 impl PhysicalPlan {
     /// Renders the stable, indented plan tree — the `EXPLAIN` text.
     pub fn explain(&self) -> String {
         self.root.render(&self.conditions)
-    }
-
-    /// The catalog version this plan was compiled against.
-    pub fn catalog_version(&self) -> u64 {
-        self.catalog_version
     }
 
     /// The table each FROM entry reads, in statement order (after any

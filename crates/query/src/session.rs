@@ -1,18 +1,19 @@
-//! The [`Session`]: prepared statements, the plan cache, and `EXPLAIN`.
+//! The [`Session`]: prepared SELECTs, the plan cache, and `EXPLAIN`.
 //!
-//! A session wraps an [`Executor`] and amortizes the parse → bind →
-//! optimize phases of the query pipeline across executions:
+//! A session is a **read path**: it wraps an [`Executor`] and amortizes
+//! the parse → bind → optimize phases of SELECTs across executions, and it
+//! refuses to prepare a write (writes run through [`Executor::execute`],
+//! or through the session's owner — Synergy's transaction layer, which
+//! logs, locks and maintains the views):
 //!
-//! * [`Session::prepare`] compiles a statement once into a
+//! * [`Session::prepare`] compiles a SELECT once into a
 //!   [`PreparedStatement`] whose bound, optimized [`PhysicalPlan`] is
 //!   re-executed with fresh positional parameters;
 //! * the **plan cache** keys compiled plans by statement text, so
 //!   [`Session::execute_sql`] on a repeated statement skips planning
 //!   entirely (hit/miss counters are exposed via
-//!   [`Session::plan_cache_stats`]);
-//! * cached plans are stamped with the catalog version they were compiled
-//!   against and are invalidated transparently when the catalog changes
-//!   (see [`crate::Catalog::version`]);
+//!   [`Session::plan_cache_stats`]).  The executor's catalog is fixed when
+//!   it is built, so a cached plan always matches it;
 //! * [`Session::explain`] renders the stable plan tree for a statement,
 //!   and `execute_sql` understands a leading `EXPLAIN` keyword, returning
 //!   the rendering as result rows.
@@ -23,8 +24,7 @@
 //! instead of an opaque pre-pass.  The rule is a **per-lookup switch**
 //! ([`Session::select_plan`]): the same session caches a statement's
 //! rewritten plan and its rule-skipped ("view-free") plan side by side, in
-//! key spaces kept apart by whether the rule was applied.  A session with
-//! a rule installed is a read path and refuses write statements.
+//! key spaces kept apart by whether the rule was applied.
 //!
 //! ```
 //! use nosql_store::{Cluster, ClusterConfig};
@@ -86,20 +86,8 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that compiled a new plan.
     pub misses: u64,
-    /// Cache entries dropped because the catalog changed underneath them
-    /// (each also counts as a miss).
-    pub invalidations: u64,
     /// Plans currently cached.
     pub entries: usize,
-}
-
-/// What a prepared statement executes: a compiled SELECT plan, or a parsed
-/// write statement (writes plan trivially — the executor resolves their
-/// target per execution).
-#[derive(Clone)]
-enum Prepared {
-    Select(Arc<PhysicalPlan>),
-    Write(Arc<Statement>),
 }
 
 /// Shared mutable state of a session (clones share the cache and counters).
@@ -107,10 +95,9 @@ enum Prepared {
 struct SessionState {
     /// Cached plans by statement text, one key space per rewrite switch
     /// position: `[0]` compiled with the rule skipped, `[1]` with it applied.
-    cache: Mutex<[BTreeMap<String, Prepared>; 2]>,
+    cache: Mutex<[BTreeMap<String, Arc<PhysicalPlan>>; 2]>,
     hits: AtomicU64,
     misses: AtomicU64,
-    invalidations: AtomicU64,
 }
 
 /// A connection-scoped handle running statements through the planner with
@@ -139,7 +126,8 @@ impl Session {
     /// with a different rewriter must not share cache entries (or counters)
     /// with its ancestor — otherwise a clone could serve un-rewritten plans
     /// for rewritten statements or vice versa.  Clones made *after* this
-    /// call share the new cache as usual.
+    /// call share the new cache and the same executor, so every plan in it
+    /// matches their catalog.
     pub fn with_rewriter(mut self, rewriter: Arc<dyn PlanRewriter>) -> Session {
         self.rewriter = Some(rewriter);
         self.state = Arc::new(SessionState::default());
@@ -151,32 +139,17 @@ impl Session {
         &self.executor
     }
 
-    /// Mutable access to the underlying executor (e.g. to swap the catalog
-    /// after DDL).  Cached plans compiled against the previous catalog are
-    /// invalidated lazily on their next lookup via the catalog version.
-    ///
-    /// Clones share the plan cache but each clone owns its executor, so
-    /// swapping the catalog on one clone while another keeps the old one
-    /// makes the two evict each other's plans on every lookup (the cache
-    /// holds one entry per statement text, validated against the
-    /// looking-up session's catalog).  Sessions whose catalogs need to
-    /// diverge should not share a cache — create a fresh `Session` instead
-    /// of cloning.
-    pub fn executor_mut(&mut self) -> &mut Executor {
-        &mut self.executor
-    }
-
-    /// Compiles (or fetches from the plan cache) a prepared statement for
-    /// the given SQL text.
+    /// Compiles (or fetches from the plan cache) a prepared SELECT for the
+    /// given SQL text.
     pub fn prepare(&self, sql_text: &str) -> Result<PreparedStatement, QueryError> {
-        Ok(self.statement(sql_text, self.cached(sql_text, None, true)?))
+        Ok(self.statement(sql_text, self.select_plan(sql_text, None, true)?))
     }
 
     /// [`Session::prepare`] for an already parsed statement (cache key is
     /// the statement's canonical text).
     pub fn prepare_statement(&self, stmt: &Statement) -> Result<PreparedStatement, QueryError> {
         let sql_text = stmt.to_string();
-        Ok(self.statement(&sql_text, self.cached(&sql_text, Some(stmt), true)?))
+        Ok(self.statement(&sql_text, self.select_plan(&sql_text, Some(stmt), true)?))
     }
 
     /// Compiles a statement *without* consulting or populating the plan
@@ -197,10 +170,34 @@ impl Session {
         parsed: Option<&Statement>,
         rewrite: bool,
     ) -> Result<Arc<PhysicalPlan>, QueryError> {
-        match self.cached(sql_text, parsed, rewrite)? {
-            Prepared::Select(plan) => Ok(plan),
-            Prepared::Write(_) => Err(QueryError::Unsupported(format!("not a SELECT: {sql_text}"))),
+        let space = usize::from(rewrite);
+        if let Some(plan) = self
+            .state
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)[space]
+            .get(sql_text)
+        {
+            self.state.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(plan.clone());
         }
+        self.state.misses.fetch_add(1, Ordering::Relaxed);
+        let stmt = match parsed {
+            Some(stmt) => Cow::Borrowed(stmt),
+            None => Cow::Owned(parse(sql_text)?),
+        };
+        let plan = self.compile(&stmt, rewrite)?;
+        let mut cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        // Bound the cache: statements with inlined literals produce a
+        // distinct text (and entry) per value, so a long-lived session
+        // fed ad-hoc SQL would otherwise grow without limit.  When the
+        // cap is reached the cache is flushed wholesale — crude but
+        // O(1) amortized, and repeated statements simply re-warm.
+        if cache.iter().map(BTreeMap::len).sum::<usize>() >= PLAN_CACHE_MAX_ENTRIES {
+            *cache = Default::default();
+        }
+        cache[space].insert(sql_text.to_string(), plan.clone());
+        Ok(plan)
     }
 
     /// Parses and executes a SQL string through the plan cache.  A leading
@@ -253,83 +250,30 @@ impl Session {
         PlanCacheStats {
             hits: self.state.hits.load(Ordering::Relaxed),
             misses: self.state.misses.load(Ordering::Relaxed),
-            invalidations: self.state.invalidations.load(Ordering::Relaxed),
             entries: cache.iter().map(BTreeMap::len).sum(),
         }
     }
 
-    fn statement(&self, sql_text: &str, prepared: Prepared) -> PreparedStatement {
+    fn statement(&self, sql_text: &str, plan: Arc<PhysicalPlan>) -> PreparedStatement {
         PreparedStatement {
             executor: self.executor.clone(),
             sql: sql_text.to_string(),
-            prepared,
+            plan,
         }
     }
 
-    /// Cache lookup + compile on miss, in the key space of `rewrite`.
-    /// `parsed` avoids re-parsing when the caller already holds the
-    /// statement.
-    fn cached(
-        &self,
-        key: &str,
-        parsed: Option<&Statement>,
-        rewrite: bool,
-    ) -> Result<Prepared, QueryError> {
-        let catalog_version = self.executor.catalog().version();
-        let space = usize::from(rewrite);
-        {
-            let mut cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
-            match cache[space].get(key) {
-                Some(Prepared::Select(plan)) if plan.catalog_version() != catalog_version => {
-                    // Stale: compiled against a previous catalog.  Drop the
-                    // entry now (re-planning below may legitimately fail —
-                    // e.g. the table was removed — and a failed compile must
-                    // not leave the dead plan counting as cached), then fall
-                    // through to re-plan.
-                    cache[space].remove(key);
-                    self.state.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(prepared) => {
-                    self.state.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(prepared.clone());
-                }
-                None => {}
-            }
-        }
-        self.state.misses.fetch_add(1, Ordering::Relaxed);
-        let stmt = match parsed {
-            Some(stmt) => Cow::Borrowed(stmt),
-            None => Cow::Owned(parse(key)?),
-        };
-        let prepared = self.compile(&stmt, rewrite)?;
-        let mut cache = self.state.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        // Bound the cache: statements with inlined literals produce a
-        // distinct text (and entry) per value, so a long-lived session
-        // fed ad-hoc SQL would otherwise grow without limit.  When the
-        // cap is reached the cache is flushed wholesale — crude but
-        // O(1) amortized, and repeated statements simply re-warm.
-        if cache.iter().map(BTreeMap::len).sum::<usize>() >= PLAN_CACHE_MAX_ENTRIES {
-            *cache = Default::default();
-        }
-        cache[space].insert(key.to_string(), prepared.clone());
-        Ok(prepared)
-    }
-
-    /// Compiles one statement.  A session with a rewrite rule installed is
-    /// a read path — its owner routes writes elsewhere (Synergy: through the
-    /// transaction layer, which logs, locks and maintains the views) — so it
-    /// refuses to prepare a write rather than run it around that owner.
-    fn compile(&self, stmt: &Statement, rewrite: bool) -> Result<Prepared, QueryError> {
-        match (stmt, &self.rewriter) {
-            (Statement::Select(select), _) => {
-                Ok(Prepared::Select(Arc::new(self.compile_select(select, rewrite)?)))
-            }
-            (write, None) => Ok(Prepared::Write(Arc::new(write.clone()))),
-            (_, Some(rewriter)) => Err(QueryError::Unsupported(format!(
-                "a session planning through `{}` is a read path: execute writes through its \
-                 owner (`SynergySystem::execute`)",
-                rewriter.rule_name()
-            ))),
+    /// Compiles one SELECT.  A session is a read path — writes run through
+    /// [`Executor::execute`] or the session's owner (Synergy: the
+    /// transaction layer, which logs, locks and maintains the views) — so
+    /// it refuses to prepare a write rather than run it around that owner.
+    fn compile(&self, stmt: &Statement, rewrite: bool) -> Result<Arc<PhysicalPlan>, QueryError> {
+        match stmt {
+            Statement::Select(select) => Ok(Arc::new(self.compile_select(select, rewrite)?)),
+            _ => Err(QueryError::Unsupported(
+                "a session is a read path: execute writes through `Executor::execute` or the \
+                 session's owner (`SynergySystem::execute`)"
+                    .into(),
+            )),
         }
     }
 
@@ -353,23 +297,20 @@ impl Session {
     }
 }
 
-/// A statement compiled once and executable many times with fresh
-/// positional parameters.  For SELECTs this holds the bound, optimized
-/// [`PhysicalPlan`]; execution binds only the parameter values.
+/// A SELECT compiled once and executable many times with fresh
+/// positional parameters: it holds the bound, optimized [`PhysicalPlan`],
+/// and execution binds only the parameter values.
 #[derive(Clone)]
 pub struct PreparedStatement {
     executor: Executor,
     sql: String,
-    prepared: Prepared,
+    plan: Arc<PhysicalPlan>,
 }
 
 impl PreparedStatement {
     /// Executes with the given positional parameters.
     pub fn execute(&self, params: &[Value]) -> Result<QueryResult, QueryError> {
-        match &self.prepared {
-            Prepared::Select(plan) => self.executor.execute_plan(plan, params),
-            Prepared::Write(stmt) => self.executor.execute(stmt, params),
-        }
+        self.executor.execute_plan(&self.plan, params)
     }
 
     /// The statement text this handle was prepared from.
@@ -377,20 +318,9 @@ impl PreparedStatement {
         &self.sql
     }
 
-    /// The compiled plan, for SELECT statements.
-    pub fn plan(&self) -> Option<&PhysicalPlan> {
-        match &self.prepared {
-            Prepared::Select(plan) => Some(plan),
-            Prepared::Write(_) => None,
-        }
-    }
-
-    /// Renders the plan tree (write statements render a summary line).
-    pub fn explain(&self) -> Result<String, QueryError> {
-        match &self.prepared {
-            Prepared::Select(plan) => Ok(plan.explain()),
-            Prepared::Write(stmt) => self.executor.explain_statement(stmt),
-        }
+    /// The compiled plan (its `explain()` renders the plan tree).
+    pub fn plan(&self) -> &Arc<PhysicalPlan> {
+        &self.plan
     }
 }
 

@@ -77,13 +77,6 @@ impl Executor {
         Ok(self.write(table, &[RowWrite::Remove(key)], false)?.1 == 1)
     }
 
-    /// Deletes one row by primary key and returns its **before-image**: a
-    /// [`Executor::write_rows`] of one removal, read atomically with it.
-    pub fn delete_row_fetch(&self, table: &str, key: &Row) -> Result<Option<Row>, QueryError> {
-        let (mut before, _) = self.write(table, &[RowWrite::Remove(key)], true)?;
-        Ok(before.pop().flatten())
-    }
-
     /// Writes one full row (an update's merged image) and returns the
     /// row's **before-image**: a [`Executor::write_rows`] of one upsert,
     /// read atomically with it.

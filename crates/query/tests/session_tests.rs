@@ -1,9 +1,9 @@
 //! Integration tests of the [`Session`] API: prepared statements, the plan
-//! cache (hit/miss/invalidation counters), catalog-change invalidation, and
+//! cache (hit/miss counters and its bound), the refusal of writes, and
 //! `EXPLAIN` handling.
 
 use nosql_store::{Cluster, ClusterConfig};
-use query::{baseline, ColumnType, Executor, QueryError, Session, TableDef, TableKind};
+use query::{baseline, ColumnType, Executor, QueryError, Session};
 use relational::{Relation, Row, Schema, Value};
 use std::error::Error;
 
@@ -68,65 +68,11 @@ fn plan_cache_counts_hits_misses_and_entries() {
     assert_eq!(stats.misses, 2, "two distinct statements compiled");
     assert_eq!(stats.hits, 1, "repeat served from cache");
     assert_eq!(stats.entries, 2);
-    assert_eq!(stats.invalidations, 0);
 
     // prepare_uncached never reads or populates the cache.
     session.prepare_uncached("SELECT * FROM Customer").unwrap();
     let after = session.plan_cache_stats();
     assert_eq!((after.hits, after.misses), (stats.hits, stats.misses));
-}
-
-#[test]
-fn catalog_change_invalidates_cached_plans() {
-    let mut session = Session::new(build_executor());
-    let sql = "SELECT c_id, c_group FROM Customer WHERE c_group = 'g1'";
-    let before = session.execute_sql(sql, &[]).unwrap();
-    assert_eq!(session.plan_cache_stats().misses, 1);
-
-    // DDL: add a covered index on the filtered column; the cached full-scan
-    // plan is stale and must be re-planned against the new catalog.
-    let mut catalog = session.executor().catalog().clone();
-    let index = TableDef::new(
-        "Customer_by_group",
-        vec![
-            ("c_group".to_string(), ColumnType::Str),
-            ("c_id".to_string(), ColumnType::Int),
-        ],
-        vec!["c_group".to_string(), "c_id".to_string()],
-        TableKind::Index {
-            of: "Customer".to_string(),
-        },
-    );
-    session
-        .executor()
-        .cluster()
-        .create_table(nosql_store::TableSchema::new("Customer_by_group").with_family("cf"))
-        .unwrap();
-    catalog.add_table(index.clone());
-    session.executor_mut().set_catalog(catalog);
-    // Populate the index so the re-planned access path finds the rows.
-    for c_id in 1..=10i64 {
-        let row = Row::new()
-            .with("c_id", c_id)
-            .with("c_group", format!("g{}", c_id % 3));
-        session
-            .executor()
-            .cluster()
-            .put("Customer_by_group", index.row_to_put(&row))
-            .unwrap();
-    }
-
-    let after = session.execute_sql(sql, &[]).unwrap();
-    let stats = session.plan_cache_stats();
-    assert_eq!(stats.invalidations, 1, "stale plan detected via catalog version");
-    assert_eq!(stats.misses, 2, "statement re-planned");
-    assert_eq!(before.rows, after.rows, "same answer through the new plan");
-    // The re-planned statement now uses the index.
-    let explain = session.explain(sql).unwrap();
-    assert!(
-        explain.contains("index:Customer_by_group"),
-        "re-planned access path must use the new index:\n{explain}"
-    );
 }
 
 #[test]
@@ -157,20 +103,31 @@ fn explain_via_sql_returns_plan_rows() {
     assert!(lines[2].starts_with("  Scan "));
 }
 
+/// Every session is a read path: a write is refused at prepare, before any
+/// store op, and runs through the executor instead.
 #[test]
-fn write_statements_prepare_and_execute_through_the_session() {
+fn a_session_refuses_writes_and_the_executor_runs_them() {
+    const INSERT: &str = "INSERT INTO Customer (c_id, c_name, c_group) VALUES (99, 'New', 'g9')";
     let session = Session::new(build_executor());
-    let insert = session
-        .prepare("INSERT INTO Customer (c_id, c_name, c_group) VALUES (?, ?, ?)")
-        .unwrap();
-    insert
-        .execute(&[Value::Int(99), Value::str("New"), Value::str("g9")])
-        .unwrap();
+    let ops = session.executor().cluster().metrics().ops;
+    for refusal in [
+        session.prepare(INSERT).map(drop),
+        session.prepare_uncached(INSERT).map(drop),
+        session.execute_sql(INSERT, &[]).map(drop),
+    ] {
+        assert!(
+            matches!(&refusal, Err(QueryError::Unsupported(m)) if m.contains("read path")),
+            "{refusal:?}"
+        );
+    }
+    assert_eq!(session.executor().cluster().metrics().ops, ops, "a refused write reached the store");
+    assert_eq!(session.explain(INSERT).unwrap(), "Insert Customer\n");
+
+    session.executor().execute_sql(INSERT, &[]).unwrap();
     let read = session
         .execute_sql("SELECT c_name FROM Customer WHERE c_id = 99", &[])
         .unwrap();
     assert_eq!(read.rows[0].get("c_name").unwrap(), &Value::str("New"));
-    assert_eq!(insert.explain().unwrap(), "Insert Customer\n");
 }
 
 /// Satellite: `QueryError` travels through `Box<dyn Error>` via `?` and

@@ -2,9 +2,10 @@
 //!
 //! Region parallelism is a cost model: a statement runs on one OS thread,
 //! and each of its modelled workers (a region-parallel scan's sub-range, a
-//! partitioned join's probe chunk) charges a **fresh, private** [`SimClock`]
-//! in turn.  When the workers are done, their deltas are merged under two
-//! rules, applied by every parallel layer in the workspace:
+//! partitioned join's probe chunk) charges a **private** [`SimClock`] in
+//! turn, started at the instant the fan-out opens.  When the workers are
+//! done, their deltas are merged under two rules, applied by every parallel
+//! layer in the workspace:
 //!
 //! * **elapsed time is the max** of the per-worker deltas — on the modelled
 //!   cluster the workers run concurrently, so the simulated wall time of the
@@ -23,16 +24,22 @@ use crate::clock::{SimClock, SimDuration, SimInstant};
 ///
 /// Workers charge into [`WorkerClock::clock`]; once they are done the caller
 /// merges the deltas with [`merge_elapsed`] and charges the result into the
-/// shared timeline once.
-#[derive(Debug, Clone, Default)]
+/// shared timeline once.  The clock reads the shared timeline's instants,
+/// so whatever a worker's ops compare against the clock (fault-plan outage
+/// windows, crash schedules) sees the time the worker would really run at.
+#[derive(Debug, Clone)]
 pub struct WorkerClock {
     clock: SimClock,
+    start: SimInstant,
 }
 
 impl WorkerClock {
-    /// A fresh worker clock starting at the simulated epoch.
-    pub fn new() -> Self {
-        WorkerClock { clock: SimClock::new() }
+    /// A worker clock starting at `start`: the instant its fan-out opens on
+    /// the shared timeline.
+    pub fn starting_at(start: SimInstant) -> Self {
+        let clock = SimClock::new();
+        clock.charge(start - SimInstant::EPOCH);
+        WorkerClock { clock, start }
     }
 
     /// The clock to hand to the worker.
@@ -42,7 +49,7 @@ impl WorkerClock {
 
     /// Everything the worker has charged so far.
     pub fn elapsed(&self) -> SimDuration {
-        self.clock.now() - SimInstant::EPOCH
+        self.clock.now() - self.start
     }
 }
 
@@ -68,8 +75,9 @@ mod tests {
     #[test]
     fn worker_clock_reports_its_own_delta_only() {
         let shared = SimClock::new();
-        let worker = WorkerClock::new();
         shared.charge(SimDuration::from_millis(10));
+        let worker = WorkerClock::starting_at(shared.now());
+        assert_eq!(worker.clock().now(), shared.now(), "starts at the fan-out's instant");
         worker.clock().charge(SimDuration::from_millis(2));
         assert_eq!(worker.elapsed(), SimDuration::from_millis(2));
         // Merging back: the shared timeline advances by the worker max once.

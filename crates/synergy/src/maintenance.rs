@@ -4,9 +4,9 @@
 //! Every selected view carries a defining SELECT (its FK-join path,
 //! [`ViewDefinition::defining_select`]).  The [`MaintenanceEngine`] compiles
 //! that statement's plan ([`query::PhysicalPlan`]) once into a [`query::DeltaPlan`]
-//! — cached per view and invalidated by catalog version, exactly like the
-//! read path's plan cache — and maintains the view by pushing the write's
-//! signed row-deltas through it:
+//! — on the view's first write, then cached for the engine's life (the
+//! catalog is fixed when the executor is built) — and maintains the view by
+//! pushing the write's signed row-deltas through it:
 //!
 //! * **insert** into the view's *last* relation: propagate `+row`; the
 //!   join probes read one ancestor row per edge (the paper's k−1 reads);
@@ -105,8 +105,7 @@ pub struct MaintenanceEngine {
     /// Precomputed applicability index: relation → views containing it
     /// anywhere (update applicability, §VII-C).
     by_member: Vec<(String, Vec<usize>)>,
-    /// Compiled delta plans, keyed by view table name; entries whose
-    /// catalog version is stale are recompiled lazily.
+    /// Compiled delta plans, keyed by view table name, filled on first use.
     plans: Arc<Mutex<BTreeMap<String, Arc<DeltaPlan>>>>,
     stats: Arc<MaintenanceStats>,
     /// Partial-materialization residency (`None` = views fully
@@ -181,18 +180,14 @@ impl MaintenanceEngine {
     // ------------------------------------------------------------------
 
     /// The compiled delta plan of a view, compiled from its defining SELECT
-    /// through the regular planner on first use and cached until the
-    /// catalog version changes (mirrors the read path's plan cache).
+    /// through the regular planner on first use and cached from then on.
+    /// The compile stays lazy: at build time the tables are still empty,
+    /// and planning against them could pick a different join order (and
+    /// with it different charges).
     fn delta_plan(&self, view: &ViewDefinition) -> Result<Arc<DeltaPlan>, QueryError> {
         let key = view.table_name();
-        let version = self.executor.catalog().version();
-        {
-            let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(plan) = plans.get(&key) {
-                if plan.catalog_version() == version {
-                    return Ok(plan.clone());
-                }
-            }
+        if let Some(plan) = self.plans.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
+            return Ok(plan.clone());
         }
         let statement = sql::parse_statement(&view.defining_select())
             .map_err(|e| QueryError::Unsupported(format!("view defining statement: {e}")))?;

@@ -352,9 +352,9 @@ impl TransactionLayer {
         match (before, after) {
             (None, Some(row)) => {
                 self.executor.insert_row(relation, &row)?;
-                // Inserting into a root relation creates its lock-table entry.
+                // Inserting into a root relation creates its lock-table entry
+                // (the lock table itself is created at build).
                 if self.locking_enabled && self.candidates.tree_for_root(relation).is_some() {
-                    self.locks.create_lock_table(relation)?;
                     self.locks
                         .ensure_entry(relation, &table.encode_row_key(&row))?;
                 }
