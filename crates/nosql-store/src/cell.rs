@@ -3,8 +3,7 @@
 //! Following the Bigtable/HBase data model, a cell is addressed by
 //! `(row key, column family, column qualifier, timestamp)` and holds an
 //! uninterpreted byte value.  Multiple timestamped versions of the same cell
-//! may coexist; reads see the newest version unless a timestamp bound is
-//! given.
+//! coexist until a major compaction; reads see the newest version.
 //!
 //! # `Val`: values stored in place
 //!

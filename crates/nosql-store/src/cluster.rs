@@ -9,10 +9,10 @@
 //!
 //! # The mutation pipeline
 //!
-//! Every client write — put, fenced put, put-fetch, delete, delete-fetch,
-//! increment, check-and-put, and the multi-row [`Cluster::batch`] — is one
-//! call of `Cluster::mutate` over a list of rows (a single-row op is a
-//! batch of one), which runs these steps in this order:
+//! Every client write — put, fenced put, delete, check-and-put, and the
+//! multi-row [`Cluster::batch`] / [`Cluster::batch_fetch`] — is one call of
+//! `Cluster::mutate` over a list of rows (a single-row op is a batch of
+//! one), which runs these steps in this order:
 //!
 //! 1. table lookup (so `TableNotFound` beats `ClusterDown`);
 //! 2. `precheck`: the crashed flag, then any due crash / rejoin events; then
@@ -84,7 +84,7 @@ use crate::cell::Timestamp;
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultDraw, FaultPlan, FaultState, FaultStats};
 use crate::metrics::{AtomicOpCounters, ClusterMetrics, ReplicationStats, TableMetrics};
-use crate::ops::{CheckAndPut, Delete, Get, Increment, Mutation, Put, Scan};
+use crate::ops::{CheckAndPut, Delete, Get, Mutation, Put, Scan};
 use crate::region::{check_cells, Region, RegionId, RegionServerId};
 use crate::replication::Replication;
 use crate::retry::{RetryPolicy, RetryRuntime};
@@ -608,16 +608,11 @@ impl Cluster {
     }
 
     /// A batch of one under the retry policy: every single-row entry point.
-    fn write_one(
-        &self,
-        table: &str,
-        row: Mutation,
-        fence: Option<u64>,
-        fetch: bool,
-    ) -> StoreResult<Applied> {
+    /// Returns the row's [`Applied::outcome`].
+    fn write_one(&self, table: &str, row: Mutation, fence: Option<u64>) -> StoreResult<Option<i64>> {
         let rows = std::slice::from_ref(&row);
-        let mut applied = self.with_retry(|| self.mutate(table, rows, fence, fetch))?;
-        Ok(applied.pop().unwrap_or_default())
+        let mut applied = self.with_retry(|| self.mutate(table, rows, fence, false))?;
+        Ok(applied.pop().and_then(|row| row.outcome))
     }
 
     /// Writes many rows of one table: one RPC per region the rows route to,
@@ -633,9 +628,12 @@ impl Cluster {
         Ok(rows.iter().zip(&applied).filter(|(row, a)| row.changed(a.outcome)).count())
     }
 
-    /// Like [`Cluster::batch`], and returns each row's **before-image**,
-    /// read under the same lock, in batch order.  Charges exactly like
-    /// [`Cluster::batch`].
+    /// Like [`Cluster::batch`], and returns each row's **before-image**: its
+    /// prior contents, read under the same region write lock, atomically
+    /// with its mutation, in batch order.  Charges exactly like
+    /// [`Cluster::batch`] — the read shares the write's RPC and row
+    /// positioning (a server-side read-modify-write), so no extra round trip
+    /// is modelled and no `gets` counter moves.
     pub fn batch_fetch(&self, table: &str, rows: &[Mutation]) -> StoreResult<Vec<Option<ResultRow>>> {
         let applied = self.batch_rows(table, rows, true)?;
         Ok(applied.into_iter().map(|row| row.before).collect())
@@ -653,7 +651,7 @@ impl Cluster {
     /// under group commit).  Retries injected faults per the configured
     /// policy.
     pub fn put(&self, table: &str, put: Put) -> StoreResult<()> {
-        self.write_one(table, Mutation::Put(put), None, false).map(drop)
+        self.write_one(table, Mutation::Put(put), None).map(drop)
     }
 
     /// Fenced write: like [`Cluster::put`], but the caller presents the
@@ -664,16 +662,7 @@ impl Cluster {
     /// this is how a zombie ex-primary's writes are fenced off.  The error
     /// is **not** retryable; the caller must re-read the epoch first.
     pub fn put_fenced(&self, table: &str, put: Put, epoch: u64) -> StoreResult<()> {
-        self.write_one(table, Mutation::Put(put), Some(epoch), false).map(drop)
-    }
-
-    /// Writes one row and returns its **before-image**: the row's prior
-    /// contents read under the same region write-lock, atomically with the
-    /// mutation.  Charges exactly like [`Cluster::put`] — the read shares
-    /// the write's RPC and row positioning (a server-side read-modify-write),
-    /// so no extra round trip is modeled and only the `puts` counter moves.
-    pub fn put_fetch(&self, table: &str, put: Put) -> StoreResult<Option<ResultRow>> {
-        Ok(self.write_one(table, Mutation::Put(put), None, true)?.before)
+        self.write_one(table, Mutation::Put(put), Some(epoch)).map(drop)
     }
 
     /// Bulk-loads rows without charging simulated cost or writing the WAL.
@@ -716,29 +705,15 @@ impl Cluster {
         Ok(regions[idx].get(get))
     }
 
-    /// Deletes a row or columns of a row.  Charges one RPC + WAL sync.
+    /// Deletes a row; true if it existed.  Charges one RPC + WAL sync.
     pub fn delete(&self, table: &str, delete: Delete) -> StoreResult<bool> {
-        let applied = self.write_one(table, Mutation::Delete(delete), None, false)?;
-        Ok(applied.outcome.is_some_and(|removed| removed != 0))
-    }
-
-    /// Deletes a row and returns its **before-image**, read under the same
-    /// region write-lock.  Charges exactly like [`Cluster::delete`]; only
-    /// the `deletes` counter moves.  Returns `None` when the row was absent.
-    pub fn delete_fetch(&self, table: &str, delete: Delete) -> StoreResult<Option<ResultRow>> {
-        Ok(self.write_one(table, Mutation::Delete(delete), None, true)?.before)
-    }
-
-    /// Atomically adds to a counter cell.  Charges like a put.
-    pub fn increment(&self, table: &str, inc: Increment) -> StoreResult<i64> {
-        let applied = self.write_one(table, Mutation::Increment(inc), None, false)?;
-        Ok(applied.outcome.unwrap_or_default())
+        let outcome = self.write_one(table, Mutation::Delete(delete), None)?;
+        Ok(outcome.is_some_and(|removed| removed != 0))
     }
 
     /// Atomic compare-and-set.  Charges one RPC + server work + WAL sync.
     pub fn check_and_put(&self, table: &str, cap: CheckAndPut) -> StoreResult<bool> {
-        let applied = self.write_one(table, Mutation::CheckAndPut(cap), None, false)?;
-        Ok(applied.outcome.is_some())
+        Ok(self.write_one(table, Mutation::CheckAndPut(cap), None)?.is_some())
     }
 
     /// Scans rows in key order across all regions intersecting the range.
@@ -773,7 +748,7 @@ impl Cluster {
         let state = self.table(table)?;
         let mut regions = state.regions.write();
         for region in regions.iter_mut() {
-            region.major_compact(&state.schema);
+            region.major_compact();
         }
         Ok(())
     }
@@ -824,7 +799,6 @@ impl Mutation {
         match self {
             Mutation::Put(put) => &put.row,
             Mutation::Delete(delete) => &delete.row,
-            Mutation::Increment(inc) => &inc.row,
             Mutation::CheckAndPut(cap) => &cap.row,
         }
     }
@@ -835,7 +809,7 @@ impl Mutation {
             Mutation::Put(put) | Mutation::CheckAndPut(CheckAndPut { put, .. }) => {
                 check_cells(schema, &put.cells)
             }
-            Mutation::Delete(_) | Mutation::Increment(_) => Ok(()),
+            Mutation::Delete(_) => Ok(()),
         }
     }
 
@@ -844,7 +818,6 @@ impl Mutation {
         match self {
             Mutation::Put(put) => model.put_work(put.cell_count()),
             Mutation::Delete(_) => model.delete_server_work,
-            Mutation::Increment(_) => model.put_work(1),
             Mutation::CheckAndPut(_) => model.check_and_put_work,
         }
     }
@@ -853,7 +826,6 @@ impl Mutation {
         match self {
             Mutation::Put(_) => &counters.puts,
             Mutation::Delete(_) => &counters.deletes,
-            Mutation::Increment(_) => &counters.increments,
             Mutation::CheckAndPut(_) => &counters.check_and_puts,
         }
     }
@@ -880,18 +852,7 @@ impl Mutation {
         let before = fetch.then(|| region.get(&Get::new(self.key()))).flatten();
         let op = match self {
             Mutation::Put(put) => put_record(put, ts),
-            Mutation::Delete(delete) => WalOp::Delete {
-                row: delete.row.clone(),
-                scope: delete.scope.clone(),
-                timestamp: ts,
-            },
-            Mutation::Increment(inc) => WalOp::Increment {
-                row: inc.row.clone(),
-                family: inc.family.clone(),
-                qualifier: inc.qualifier.clone(),
-                amount: inc.amount,
-                timestamp: ts,
-            },
+            Mutation::Delete(delete) => WalOp::Delete { row: delete.row.clone(), timestamp: ts },
             Mutation::CheckAndPut(cap) => {
                 if !region.matches(&cap.put.row, &cap.family, &cap.qualifier, &cap.expect) {
                     return Ok((Applied { before, outcome: None }, None));
@@ -997,39 +958,12 @@ mod tests {
             rows: 1,
         },
         EntryPoint {
-            name: "put_fetch",
-            run: |c, t, i| c.put_fetch(t, row(i)).map(drop),
-            cost: |m| m.put_cost(1),
-            counter: |ops| ops.puts,
-            logs: Some(is_put),
-            regions: 1,
-            rows: 1,
-        },
-        EntryPoint {
             // Deleting an absent row is still an applied, logged mutation.
             name: "delete",
             run: |c, t, i| c.delete(t, Delete::row(format!("o{i:04}"))).map(drop),
             cost: |m| m.delete_cost(),
             counter: |ops| ops.deletes,
             logs: Some(is_delete),
-            regions: 1,
-            rows: 1,
-        },
-        EntryPoint {
-            name: "delete_fetch",
-            run: |c, t, i| c.delete_fetch(t, Delete::row(format!("o{i:04}"))).map(drop),
-            cost: |m| m.delete_cost(),
-            counter: |ops| ops.deletes,
-            logs: Some(is_delete),
-            regions: 1,
-            rows: 1,
-        },
-        EntryPoint {
-            name: "increment",
-            run: |c, t, i| c.increment(t, Increment::new(format!("o{i:04}"), "cf", "n", 1)).map(drop),
-            cost: |m| m.put_cost(1),
-            counter: |ops| ops.increments,
-            logs: Some(|op| matches!(op, WalOp::Increment { amount: 1, .. })),
             regions: 1,
             rows: 1,
         },
@@ -1222,32 +1156,26 @@ mod tests {
     fn writes_round_trip_and_fetch_variants_return_before_images() {
         let c = cluster();
         c.create_table(orders_schema()).unwrap();
-        assert!(c
-            .put_fetch("orders", Put::new("o1").with("cf", "v", "1"))
-            .unwrap()
-            .is_none());
-        let before = c
-            .put_fetch("orders", Put::new("o1").with("cf", "v", "2"))
-            .unwrap()
-            .unwrap();
+        let fetch = |row: Mutation| c.batch_fetch("orders", &[row]).unwrap().pop().unwrap();
+        let put = |value: &str| Mutation::Put(Put::new("o1").with("cf", "v", value));
+        assert!(fetch(put("1")).is_none());
+        let before = fetch(put("2")).unwrap();
         assert_eq!(before.value_str("cf", "v").unwrap(), "1");
         let row = c.get("orders", Get::new("o1")).unwrap().unwrap();
         assert_eq!(row.value_str("cf", "v").unwrap(), "2");
-        let removed = c.delete_fetch("orders", Delete::row("o1")).unwrap().unwrap();
+        let removed = fetch(Mutation::Delete(Delete::row("o1"))).unwrap();
         assert_eq!(removed.value_str("cf", "v").unwrap(), "2");
-        assert!(c.delete_fetch("orders", Delete::row("o1")).unwrap().is_none());
+        assert!(fetch(Mutation::Delete(Delete::row("o1"))).is_none());
         assert!(c.get("orders", Get::new("o1")).unwrap().is_none());
         c.put("orders", Put::new("o2").with("cf", "v", "3")).unwrap();
         assert!(c.delete("orders", Delete::row("o2")).unwrap());
         assert!(!c.delete("orders", Delete::row("o2")).unwrap());
-        assert_eq!(c.increment("orders", Increment::new("n", "cf", "n", 5)).unwrap(), 5);
-        assert_eq!(c.increment("orders", Increment::new("n", "cf", "n", -2)).unwrap(), 3);
         assert_eq!(c.metrics().ops.gets, 2, "before-images never count as gets");
     }
 
     /// The split check runs after every *applied* mutation, whichever entry
-    /// point applied it: a table loaded through check-and-put or increment
-    /// splits exactly like one loaded through put.
+    /// point applied it: a table loaded through check-and-put or one-row
+    /// batches splits exactly like one loaded through put.
     #[test]
     fn regions_grown_by_any_mutation_kind_split() {
         let load = |ops: usize, write: fn(&Cluster, usize)| {
@@ -1269,11 +1197,10 @@ mod tests {
             assert!(c.check_and_put("orders", cap).unwrap());
         });
         assert_eq!(by_cas, by_put, "same rows, same splits");
-        let by_increment = load(400, |c, i| {
-            c.increment("orders", Increment::new(format!("o{i:04}"), "cf", "n", 1)).unwrap();
+        let by_batch = load(200, |c, i| {
+            assert_eq!(c.batch("orders", &[Mutation::Put(wide(i))]).unwrap(), 1);
         });
-        assert_eq!(by_increment.rows, 400);
-        assert!(by_increment.regions > 1, "increment-grown regions split too");
+        assert_eq!(by_batch, by_put, "same rows, same splits");
     }
 
     #[test]
@@ -1351,25 +1278,6 @@ mod tests {
                 ),
             )
             .unwrap());
-    }
-
-    #[test]
-    fn increments_are_atomic_across_threads() {
-        let c = cluster();
-        c.create_table(TableSchema::new("counters").with_family("cf")).unwrap();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        c.increment("counters", Increment::new("hits", "cf", "n", 1)).unwrap();
-                    }
-                });
-            }
-        });
-        let row = c.get("counters", Get::new("hits")).unwrap().unwrap();
-        let value = i64::from_be_bytes(row.value("cf", "n").unwrap().try_into().unwrap());
-        assert_eq!(value, 400);
     }
 
     #[test]

@@ -23,18 +23,8 @@ pub enum StoreError {
     },
     /// A mutation carried no cells.
     EmptyMutation,
-    /// An increment was applied to a value that is not an 8-byte integer.
-    NotACounter {
-        /// Row key of the offending cell.
-        row: String,
-        /// Qualifier of the offending cell.
-        qualifier: String,
-    },
     /// A scan requested an invalid key range (start > stop).
     InvalidRange,
-    /// CheckAndPut condition failed (reported as a distinct error only when
-    /// the caller asked for strict behaviour; normally surfaced as `false`).
-    ConditionFailed,
     /// The region server hosting the addressed key is down (injected
     /// region-server crash; the server comes back after its simulated MTTR).
     /// Retryable: re-routing/backing off succeeds once the server restarts.
@@ -108,11 +98,7 @@ impl fmt::Display for StoreError {
                 write!(f, "unknown column family {family} in table {table}")
             }
             StoreError::EmptyMutation => write!(f, "mutation contains no cells"),
-            StoreError::NotACounter { row, qualifier } => {
-                write!(f, "cell {row}/{qualifier} does not hold a counter value")
-            }
             StoreError::InvalidRange => write!(f, "scan start key is after stop key"),
-            StoreError::ConditionFailed => write!(f, "checkAndPut condition failed"),
             StoreError::RegionUnavailable { server } => {
                 write!(f, "region server {server} is unavailable")
             }

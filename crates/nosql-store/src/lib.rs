@@ -5,10 +5,13 @@
 //! substrate.  This crate reproduces the parts of HBase the paper depends on:
 //!
 //! * tables of rows sorted by row key, grouped into column families;
-//! * multi-versioned cells (`(row, family, qualifier, timestamp) → value`);
-//! * the five-primitive data-manipulation API — [`ops::Get`], [`ops::Put`],
-//!   [`ops::Scan`], [`ops::Delete`], [`ops::Increment`] — plus the atomic
-//!   [`ops::CheckAndPut`] used by Synergy's lock tables;
+//! * multi-versioned cells (`(row, family, qualifier, timestamp) → value`):
+//!   versions pile up until a major compaction keeps only the newest, and a
+//!   read returns the newest;
+//! * the HBase calls Synergy issues — [`ops::Get`], [`ops::Put`],
+//!   [`ops::Delete`] (whole rows), [`ops::Scan`] and the atomic
+//!   [`ops::CheckAndPut`] its lock tables use — plus multi-row
+//!   [`ops::Mutation`] batches;
 //! * single-row atomicity and read-committed visibility for row operations;
 //! * horizontal partitioning of each table into regions hosted by region
 //!   servers, with a write-ahead log per server and major compaction;
@@ -69,5 +72,5 @@ pub use retry::RetryPolicy;
 pub use error::{StoreError, StoreResult};
 pub use metrics::{ClusterMetrics, OpCounters, ReplicationStats, TableMetrics};
 pub use region::{Region, RegionId, RegionServerId};
-pub use table::{ColumnFamily, ResultRow, TableSchema};
+pub use table::{ResultRow, TableSchema};
 pub use wal::{WalEntry, WalOp, WriteAheadLog};

@@ -18,7 +18,8 @@ pub struct OpCounters {
     pub puts: u64,
     /// Number of Delete operations.
     pub deletes: u64,
-    /// Number of Increment operations.
+    /// Always 0: the store has no increment operation.  The field stays
+    /// for callers that still sum it.
     pub increments: u64,
     /// Number of CheckAndPut operations.
     pub check_and_puts: u64,
@@ -33,7 +34,7 @@ pub struct OpCounters {
 impl OpCounters {
     /// Total number of client-visible operations.
     pub fn total_ops(&self) -> u64 {
-        self.gets + self.puts + self.deletes + self.increments + self.check_and_puts + self.scans
+        self.gets + self.puts + self.deletes + self.check_and_puts + self.scans
     }
 
     /// Per-field difference `self - earlier`, useful for measuring one
@@ -63,7 +64,6 @@ pub(crate) struct AtomicOpCounters {
     pub(crate) gets: AtomicU64,
     pub(crate) puts: AtomicU64,
     pub(crate) deletes: AtomicU64,
-    pub(crate) increments: AtomicU64,
     pub(crate) check_and_puts: AtomicU64,
     pub(crate) scans: AtomicU64,
     pub(crate) scanned_rows: AtomicU64,
@@ -83,7 +83,7 @@ impl AtomicOpCounters {
             gets: self.gets.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
-            increments: self.increments.load(Ordering::Relaxed),
+            increments: 0,
             check_and_puts: self.check_and_puts.load(Ordering::Relaxed),
             scans: self.scans.load(Ordering::Relaxed),
             scanned_rows: self.scanned_rows.load(Ordering::Relaxed),

@@ -1,10 +1,11 @@
 //! The HBase-style data-manipulation API.
 //!
-//! The store exposes the five primitive operations the paper lists in §II-C
-//! — [`Get`], [`Put`], [`Scan`], [`Delete`] and [`Increment`] — plus the
-//! atomic [`CheckAndPut`] that HBase provides and Synergy's lock tables rely
-//! on (§IX-C).  All single-row operations are atomic with respect to each
-//! other, which is exactly the guarantee the paper builds on.
+//! The store exposes the HBase calls Synergy builds its write transactions
+//! (paper §VIII) and lock tables (§IX-C) from — [`Get`], [`Put`], [`Delete`],
+//! [`Scan`] and the atomic [`CheckAndPut`] — plus multi-row [`Mutation`]
+//! batches.  A read returns the newest version of each cell.  All
+//! single-row operations are atomic with respect to each other, which is
+//! exactly the guarantee the paper builds on.
 
 use crate::cell::{Bytes, Timestamp};
 
@@ -19,10 +20,6 @@ pub struct Get {
     pub row: Bytes,
     /// If non-empty, only these `(family, qualifier)` columns are returned.
     pub columns: Vec<(String, String)>,
-    /// Maximum number of versions per cell to return (default 1).
-    pub max_versions: usize,
-    /// If set, only versions with `timestamp <= bound` are visible.
-    pub time_bound: Option<Timestamp>,
 }
 
 impl Get {
@@ -31,26 +28,12 @@ impl Get {
         Get {
             row: to_bytes(row),
             columns: Vec::new(),
-            max_versions: 1,
-            time_bound: None,
         }
     }
 
     /// Restricts the read to a single column.
     pub fn column(mut self, family: impl Into<String>, qualifier: impl Into<String>) -> Self {
         self.columns.push((family.into(), qualifier.into()));
-        self
-    }
-
-    /// Returns up to `n` versions per cell instead of only the newest.
-    pub fn versions(mut self, n: usize) -> Self {
-        self.max_versions = n.max(1);
-        self
-    }
-
-    /// Only returns versions written at or before `ts`.
-    pub fn up_to(mut self, ts: Timestamp) -> Self {
-        self.time_bound = Some(ts);
         self
     }
 }
@@ -111,43 +94,17 @@ impl Put {
     }
 }
 
-/// Which rows a [`Delete`] removes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeleteScope {
-    /// Remove the whole row.
-    Row,
-    /// Remove only the listed `(family, qualifier)` columns.
-    Columns(Vec<(String, String)>),
-}
-
-/// Removal of a row or of specific columns of a row.
+/// Removal of a whole row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delete {
-    /// Row key to delete from.
+    /// Row key to delete.
     pub row: Bytes,
-    /// What to delete.
-    pub scope: DeleteScope,
 }
 
 impl Delete {
     /// Deletes the entire row.
     pub fn row(row: impl Into<Vec<u8>>) -> Self {
-        Delete {
-            row: to_bytes(row),
-            scope: DeleteScope::Row,
-        }
-    }
-
-    /// Deletes a single column of the row.
-    pub fn column(
-        row: impl Into<Vec<u8>>,
-        family: impl Into<String>,
-        qualifier: impl Into<String>,
-    ) -> Self {
-        Delete {
-            row: to_bytes(row),
-            scope: DeleteScope::Columns(vec![(family.into(), qualifier.into())]),
-        }
+        Delete { row: to_bytes(row) }
     }
 }
 
@@ -157,42 +114,10 @@ impl Delete {
 pub enum Mutation {
     /// Write cells of one row.
     Put(Put),
-    /// Remove a row or columns of a row.
+    /// Remove a row.
     Delete(Delete),
-    /// Add to a counter cell.
-    Increment(Increment),
     /// Write one row if one of its cells matches an expectation.
     CheckAndPut(CheckAndPut),
-}
-
-/// Atomic add to an 8-byte big-endian counter cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Increment {
-    /// Row key holding the counter.
-    pub row: Bytes,
-    /// Column family of the counter cell.
-    pub family: String,
-    /// Qualifier of the counter cell.
-    pub qualifier: String,
-    /// Signed amount to add.
-    pub amount: i64,
-}
-
-impl Increment {
-    /// Adds `amount` to the counter at `row`/`family`:`qualifier`.
-    pub fn new(
-        row: impl Into<Vec<u8>>,
-        family: impl Into<String>,
-        qualifier: impl Into<String>,
-        amount: i64,
-    ) -> Self {
-        Increment {
-            row: to_bytes(row),
-            family: family.into(),
-            qualifier: qualifier.into(),
-            amount,
-        }
-    }
 }
 
 /// The expected current value in a [`CheckAndPut`].
@@ -244,33 +169,6 @@ impl CheckAndPut {
     }
 }
 
-/// A predicate evaluated server-side against the newest version of a column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Filter {
-    /// `family:qualifier == value` (rows missing the column are excluded).
-    ColumnEquals {
-        /// Column family of the filtered column.
-        family: String,
-        /// Qualifier of the filtered column.
-        qualifier: String,
-        /// Value the column must equal.
-        value: Bytes,
-    },
-    /// `family:qualifier != value` (rows missing the column are excluded).
-    ColumnNotEquals {
-        /// Column family of the filtered column.
-        family: String,
-        /// Qualifier of the filtered column.
-        qualifier: String,
-        /// Value the column must differ from.
-        value: Bytes,
-    },
-    /// Row key starts with the given prefix.
-    RowPrefix(Bytes),
-    /// All of the contained filters must pass.
-    And(Vec<Filter>),
-}
-
 /// A range read over a table, in row-key order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Scan {
@@ -278,16 +176,11 @@ pub struct Scan {
     pub start: Bytes,
     /// Exclusive stop key; empty means "to the end".
     pub stop: Bytes,
-    /// Optional server-side filter.
-    pub filter: Option<Filter>,
     /// Maximum number of rows to return (`0` = unlimited).
     pub limit: usize,
-    /// If set, only versions written at or before this timestamp are visible.
-    pub time_bound: Option<Timestamp>,
     /// If non-empty, only these `(family, qualifier)` columns are returned
-    /// (server-side projection pushed into the region walk).  Filters still
-    /// see the whole row; rows with none of the requested columns are
-    /// skipped, mirroring [`Get::columns`].
+    /// (server-side projection pushed into the region walk); rows with none
+    /// of the requested columns are skipped, mirroring [`Get::columns`].
     pub columns: Vec<(String, String)>,
 }
 
@@ -325,15 +218,6 @@ impl Scan {
         }
     }
 
-    /// Adds a server-side filter.
-    pub fn with_filter(mut self, filter: Filter) -> Self {
-        self.filter = Some(match self.filter.take() {
-            Some(existing) => Filter::And(vec![existing, filter]),
-            None => filter,
-        });
-        self
-    }
-
     /// Caps the number of returned rows.
     pub fn with_limit(mut self, limit: usize) -> Self {
         self.limit = limit;
@@ -350,12 +234,6 @@ impl Scan {
     /// columns (replacing any previous projection; empty = all columns).
     pub fn with_columns(mut self, columns: Vec<(String, String)>) -> Self {
         self.columns = columns;
-        self
-    }
-
-    /// Only returns cell versions written at or before `ts`.
-    pub fn up_to(mut self, ts: Timestamp) -> Self {
-        self.time_bound = Some(ts);
         self
     }
 }
@@ -389,20 +267,5 @@ mod tests {
     fn check_and_put_rejects_cross_row_mutation() {
         let put = Put::new("other");
         let _ = CheckAndPut::new("row", "cf", "lock", Expectation::Absent, put);
-    }
-
-    #[test]
-    fn with_filter_composes_into_and() {
-        let scan = Scan::all()
-            .with_filter(Filter::RowPrefix(b"a".to_vec()))
-            .with_filter(Filter::ColumnEquals {
-                family: "cf".into(),
-                qualifier: "x".into(),
-                value: b"1".to_vec(),
-            });
-        match scan.filter.unwrap() {
-            Filter::And(parts) => assert_eq!(parts.len(), 2),
-            other => panic!("expected And, got {other:?}"),
-        }
     }
 }

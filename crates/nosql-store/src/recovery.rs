@@ -291,7 +291,7 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::error::StoreError;
     use crate::fault::FaultPlan;
-    use crate::ops::{Delete, Get, Increment, Put, Scan};
+    use crate::ops::{Delete, Get, Put, Scan};
     use crate::retry::RetryPolicy;
     use crate::table::{ResultRow, TableSchema};
     use crate::wal::WalOp;
@@ -382,24 +382,27 @@ mod tests {
     }
 
     #[test]
-    fn recovery_replays_deletes_and_increments_in_order() {
+    fn recovery_replays_deletes_and_overwrites_in_order() {
         let c = Cluster::new(ClusterConfig {
             region_servers: 3,
             ..ClusterConfig::default()
         });
         c.create_table(orders_schema()).unwrap();
         c.put("orders", Put::new("a").with("cf", "v", "1")).unwrap();
-        c.increment("orders", Increment::new("n", "cf", "count", 5)).unwrap();
+        c.put("orders", Put::new("n").with("cf", "count", "5")).unwrap();
         c.put("orders", Put::new("b").with("cf", "v", "2")).unwrap();
         c.delete("orders", Delete::row("a")).unwrap();
-        c.increment("orders", Increment::new("n", "cf", "count", -2)).unwrap();
+        c.delete("orders", Delete::row("b")).unwrap();
+        c.put("orders", Put::new("n").with("cf", "count", "3")).unwrap();
+        c.put("orders", Put::new("b").with("cf", "v", "4")).unwrap();
         c.crash();
         c.recover();
         assert!(c.get("orders", Get::new("a")).unwrap().is_none(), "delete replayed");
-        assert!(c.get("orders", Get::new("b")).unwrap().is_some());
-        let row = c.get("orders", Get::new("n")).unwrap().unwrap();
-        let count = i64::from_be_bytes(row.value("cf", "count").unwrap().try_into().unwrap());
-        assert_eq!(count, 3, "increments replay to the same value");
+        let value = |key: &str, column: &str| {
+            c.get("orders", Get::new(key)).unwrap().unwrap().value_str("cf", column).unwrap()
+        };
+        assert_eq!(value("b", "v"), "4", "a put after a delete replays after it");
+        assert_eq!(value("n", "count"), "3", "overwrites replay to the newest value");
     }
 
     #[test]

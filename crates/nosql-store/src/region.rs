@@ -9,7 +9,7 @@
 use crate::cell::{Bytes, Cell, Timestamp, Val};
 use crate::error::{StoreError, StoreResult};
 use crate::intern::position_from;
-use crate::ops::{Delete, DeleteScope, Expectation, Filter, Get, Increment, Put, Scan};
+use crate::ops::{Expectation, Get, Put, Scan};
 use crate::table::{ColKey, ResultRow, RowData, TableSchema};
 use crate::wal::WalOp;
 use std::collections::BTreeMap;
@@ -104,17 +104,13 @@ impl Region {
     /// path applies the record it is about to log through here and recovery
     /// replays synced records through here, so the two cannot drift apart.
     /// Returns the mutation's scalar outcome — cells written (put), `1` if
-    /// any data was removed (delete), the new counter value (increment);
-    /// logical records touch nothing.
+    /// the row existed (delete); logical records touch nothing.
     pub(crate) fn apply_op(&mut self, schema: &TableSchema, op: &WalOp) -> StoreResult<i64> {
         match op {
             WalOp::Put { row, cells, timestamp } => {
                 self.put_cells(schema, row, cells, *timestamp).map(|n| n as i64)
             }
-            WalOp::Delete { row, scope, .. } => Ok(i64::from(self.delete_scope(row, scope))),
-            WalOp::Increment { row, family, qualifier, amount, timestamp } => {
-                self.increment_cell(schema, row, family, qualifier, *amount, *timestamp)
-            }
+            WalOp::Delete { row, .. } => Ok(i64::from(self.delete_row(row))),
             WalOp::Logical { .. } => Ok(0),
         }
     }
@@ -176,111 +172,13 @@ impl Region {
         out
     }
 
-    /// Applies a [`Delete`]; returns `true` if any data was removed.
-    pub fn delete(&mut self, delete: &Delete) -> StoreResult<bool> {
-        Ok(self.delete_scope(&delete.row, &delete.scope))
-    }
-
-    fn delete_scope(&mut self, row_key: &[u8], scope: &DeleteScope) -> bool {
-        let key_len = row_key.len();
-        let mut freed = 0usize;
-        let removed = match scope {
-            DeleteScope::Row => match self.rows.remove(row_key) {
-                Some(row) => {
-                    freed = row.heap_size(key_len);
-                    true
-                }
-                None => false,
-            },
-            DeleteScope::Columns(columns) => {
-                let mut removed = false;
-                if let Some(row) = self.rows.get_mut(row_key) {
-                    for (family, qualifier) in columns {
-                        let Some(col) = ColKey::lookup(family, qualifier) else {
-                            continue; // names never seen → column cannot exist
-                        };
-                        if let Some(column) = row.remove(col) {
-                            freed += column.heap_size(key_len);
-                            removed = true;
-                        }
-                    }
-                    if row.is_empty() {
-                        self.rows.remove(row_key);
-                    }
-                }
-                removed
-            }
+    /// Removes the row stored under `row_key`; returns `true` if it existed.
+    fn delete_row(&mut self, row_key: &[u8]) -> bool {
+        let Some(row) = self.rows.remove(row_key) else {
+            return false;
         };
-        self.bytes -= freed;
-        removed
-    }
-
-    /// Applies an [`Increment`]; returns the new counter value.
-    pub fn increment(
-        &mut self,
-        schema: &TableSchema,
-        inc: &Increment,
-        ts: Timestamp,
-    ) -> StoreResult<i64> {
-        self.increment_cell(schema, &inc.row, &inc.family, &inc.qualifier, inc.amount, ts)
-    }
-
-    fn increment_cell(
-        &mut self,
-        schema: &TableSchema,
-        row_key: &[u8],
-        family: &str,
-        qualifier: &str,
-        amount: i64,
-        ts: Timestamp,
-    ) -> StoreResult<i64> {
-        if !schema.has_family(family) {
-            return Err(StoreError::UnknownColumnFamily {
-                table: schema.name.clone(),
-                family: family.to_string(),
-            });
-        }
-        let col = ColKey::new(family, qualifier);
-        let cell_size = col.cell_heap_size(8) + row_key.len();
-        let (next, delta) = self.with_row(row_key, 1, |row| {
-            let current = match row.column(col) {
-                Some(column) => {
-                    let bytes: [u8; 8] = column.value[..].try_into().map_err(|_| {
-                        StoreError::NotACounter {
-                            row: String::from_utf8_lossy(row_key).into_owned(),
-                            qualifier: qualifier.to_string(),
-                        }
-                    })?;
-                    i64::from_be_bytes(bytes)
-                }
-                None => 0,
-            };
-            let next = current + amount;
-            let delta = match row.put(col, ts, Val::from(&next.to_be_bytes()[..])) {
-                Some(old_len) => 8isize - old_len as isize,
-                None => cell_size as isize,
-            };
-            Ok((next, delta))
-        })?;
-        self.bytes = (self.bytes as isize + delta) as usize;
-        Ok(next)
-    }
-
-    /// Applies a [`crate::ops::CheckAndPut`]; returns whether the put was applied.
-    pub fn check_and_put(
-        &mut self,
-        schema: &TableSchema,
-        family: &str,
-        qualifier: &str,
-        expect: &Expectation,
-        put: &Put,
-        ts: Timestamp,
-    ) -> StoreResult<bool> {
-        let matches = self.matches(&put.row, family, qualifier, expect);
-        if matches {
-            self.put(schema, put, ts)?;
-        }
-        Ok(matches)
+        self.bytes -= row.heap_size(row_key.len());
+        true
     }
 
     /// The check half of a check-and-put: does the newest version of
@@ -322,14 +220,9 @@ impl Region {
         Some(keys)
     }
 
-    /// The cells of `row` a read returns: per projected column, its newest
-    /// `max_versions` versions at or before `time_bound`, newest first.
-    fn visible_cells(
-        row: &RowData,
-        projection: Option<&[ColKey]>,
-        max_versions: usize,
-        time_bound: Option<Timestamp>,
-    ) -> Vec<Cell> {
+    /// The cells of `row` a read returns: the newest version of each
+    /// projected column.
+    fn visible_cells(row: &RowData, projection: Option<&[ColKey]>) -> Vec<Cell> {
         let columns = row.columns();
         let width = projection.map_or(columns.len(), |cols| cols.len().min(columns.len()));
         let mut cells = Vec::with_capacity(width);
@@ -341,13 +234,11 @@ impl Region {
                     None => continue,
                 }
             }
-            column.visible(max_versions, time_bound, |timestamp, value| {
-                cells.push(Cell {
-                    family: column.key.family,
-                    qualifier: column.key.qualifier,
-                    timestamp,
-                    value: value.clone(),
-                });
+            cells.push(Cell {
+                family: column.key.family,
+                qualifier: column.key.qualifier,
+                timestamp: column.timestamp,
+                value: column.value.clone(),
             });
         }
         cells
@@ -357,8 +248,7 @@ impl Region {
     pub fn get(&self, get: &Get) -> Option<ResultRow> {
         let row = self.rows.get(&get.row)?;
         let projection = Self::resolve_projection(&get.columns);
-        let cells =
-            Self::visible_cells(row, projection.as_deref(), get.max_versions, get.time_bound);
+        let cells = Self::visible_cells(row, projection.as_deref());
         if cells.is_empty() {
             return None;
         }
@@ -366,57 +256,6 @@ impl Region {
             key: get.row.clone(),
             cells,
         })
-    }
-
-    /// Newest version of one column visible at or before `bound`
-    /// (`None` bound = newest overall).
-    fn newest_visible<'a>(
-        row: &'a RowData,
-        family: &str,
-        qualifier: &str,
-        bound: Option<Timestamp>,
-    ) -> Option<&'a Val> {
-        row.column(ColKey::lookup(family, qualifier)?)?.newest_visible(bound)
-    }
-
-    /// Evaluates a scan filter against the stored row itself (not the
-    /// returned cells), so a column projection never hides the filtered
-    /// column from the filter.
-    fn filter_matches(
-        row_key: &[u8],
-        row: &RowData,
-        filter: &Filter,
-        bound: Option<Timestamp>,
-    ) -> bool {
-        match filter {
-            Filter::ColumnEquals {
-                family,
-                qualifier,
-                value,
-            } => Self::newest_visible(row, family, qualifier, bound)
-                .is_some_and(|v| v[..] == value[..]),
-            Filter::ColumnNotEquals {
-                family,
-                qualifier,
-                value,
-            } => Self::newest_visible(row, family, qualifier, bound)
-                .is_some_and(|v| v[..] != value[..]),
-            Filter::RowPrefix(prefix) => row_key.starts_with(prefix),
-            Filter::And(filters) => filters
-                .iter()
-                .all(|f| Self::filter_matches(row_key, row, f, bound)),
-        }
-    }
-
-    /// Applies a [`Scan`] to the portion of the range owned by this region.
-    ///
-    /// `remaining_limit` is the number of rows the overall scan may still
-    /// return (`usize::MAX` when unlimited).
-    pub fn scan(&self, scan: &Scan, remaining_limit: usize) -> StoreResult<Vec<ResultRow>> {
-        let projection = Self::resolve_projection(&scan.columns);
-        let mut out = Vec::new();
-        self.scan_page(scan, projection.as_deref(), None, remaining_limit, &mut out)?;
-        Ok(out)
     }
 
     /// One page of a [`Scan`]: appends up to `max_rows` matching rows whose
@@ -455,14 +294,9 @@ impl Region {
             if taken >= max_rows {
                 break;
             }
-            let cells = Self::visible_cells(row, projection, 1, scan.time_bound);
+            let cells = Self::visible_cells(row, projection);
             if cells.is_empty() {
                 continue;
-            }
-            if let Some(filter) = &scan.filter {
-                if !Self::filter_matches(key, row, filter, scan.time_bound) {
-                    continue;
-                }
             }
             out.push(ResultRow {
                 key: key.clone(),
@@ -473,22 +307,14 @@ impl Region {
         Ok(())
     }
 
-    /// Drops excess cell versions in every row, per the schema's
-    /// `max_versions` settings, and reclaims their space.  Models an HBase
-    /// major compaction (the paper major-compacts after every load).
-    pub fn major_compact(&mut self, schema: &TableSchema) {
-        let mut bytes = 0;
-        for (key, row) in self.rows.iter_mut() {
-            row.compact(|family| {
-                schema
-                    .family(family)
-                    .map(|f| f.max_versions)
-                    .unwrap_or(1)
-            });
-            bytes += row.heap_size(key.len());
+    /// Drops every cell version but the newest and reclaims their space.
+    /// Models an HBase major compaction of single-version families (the
+    /// paper major-compacts after every load).
+    pub fn major_compact(&mut self) {
+        for row in self.rows.values_mut() {
+            row.compact();
         }
-        self.rows.retain(|_, row| !row.is_empty());
-        self.bytes = bytes;
+        self.recompute_bytes();
     }
 
     /// Splits this region at its median row key, returning the upper half.
@@ -546,7 +372,7 @@ mod tests {
     use super::*;
 
     fn schema() -> TableSchema {
-        TableSchema::new("t").with_versioned_family("cf", 4)
+        TableSchema::new("t").with_family("cf")
     }
 
     fn region() -> Region {
@@ -576,17 +402,19 @@ mod tests {
     }
 
     #[test]
-    fn newer_timestamp_wins_and_time_bound_reads_history() {
+    fn newer_timestamp_wins_and_older_versions_are_kept() {
         let mut r = region();
         r.put(&schema(), &Put::new("a").with("cf", "x", "old"), 5).unwrap();
+        let one_version = r.byte_size();
         r.put(&schema(), &Put::new("a").with("cf", "x", "new"), 9).unwrap();
-        assert_eq!(r.get(&Get::new("a")).unwrap().value("cf", "x").unwrap(), b"new");
-        let historic = r.get(&Get::new("a").up_to(6)).unwrap();
-        assert_eq!(historic.value("cf", "x").unwrap(), b"old");
+        r.put(&schema(), &Put::new("a").with("cf", "x", "mid").at(7), 1).unwrap();
+        let row = r.get(&Get::new("a")).unwrap();
+        assert_eq!((row.cells[0].timestamp, row.value("cf", "x").unwrap()), (9, &b"new"[..]));
+        assert_eq!(r.byte_size(), 3 * one_version, "every version is stored until compaction");
     }
 
     #[test]
-    fn delete_row_and_column() {
+    fn delete_removes_the_whole_row() {
         let mut r = region();
         r.put(
             &schema(),
@@ -594,57 +422,23 @@ mod tests {
             1,
         )
         .unwrap();
-        assert!(r.delete(&Delete::column("a", "cf", "x")).unwrap());
-        let row = r.get(&Get::new("a")).unwrap();
-        assert!(row.value("cf", "x").is_none());
-        assert!(r.delete(&Delete::row("a")).unwrap());
+        let delete = |r: &mut Region| r.apply_op(&schema(), &WalOp::Delete { row: b"a".to_vec(), timestamp: 2 });
+        assert_eq!(delete(&mut r).unwrap(), 1);
         assert!(r.get(&Get::new("a")).is_none());
-        assert!(!r.delete(&Delete::row("a")).unwrap());
-    }
-
-    #[test]
-    fn increment_creates_and_advances_counter() {
-        let mut r = region();
-        assert_eq!(r.increment(&schema(), &Increment::new("c", "cf", "n", 5), 1).unwrap(), 5);
-        assert_eq!(r.increment(&schema(), &Increment::new("c", "cf", "n", -2), 2).unwrap(), 3);
-    }
-
-    #[test]
-    fn increment_rejects_non_counter_cells() {
-        let mut r = region();
-        r.put(&schema(), &Put::new("c").with("cf", "n", "oops"), 1).unwrap();
-        assert!(matches!(
-            r.increment(&schema(), &Increment::new("c", "cf", "n", 1), 2),
-            Err(StoreError::NotACounter { .. })
-        ));
+        assert_eq!((r.row_count(), r.byte_size()), (0, 0));
+        assert_eq!(delete(&mut r).unwrap(), 0, "an absent row removes nothing");
     }
 
     #[test]
     fn check_and_put_is_conditional() {
         let mut r = region();
-        let acquire = Put::new("lock1").with("cf", "held", "1");
-        let applied = r
-            .check_and_put(&schema(), "cf", "held", &Expectation::Absent, &acquire, 1)
-            .unwrap();
-        assert!(applied);
-        // Second acquire against the same lock must fail.
-        let applied = r
-            .check_and_put(&schema(), "cf", "held", &Expectation::Absent, &acquire, 2)
-            .unwrap();
-        assert!(!applied);
-        // Release: expect current value "1", write "0".
-        let release = Put::new("lock1").with("cf", "held", "0");
-        let applied = r
-            .check_and_put(
-                &schema(),
-                "cf",
-                "held",
-                &Expectation::Equals(b"1".to_vec()),
-                &release,
-                3,
-            )
-            .unwrap();
-        assert!(applied);
+        assert!(r.matches(b"lock1", "cf", "held", &Expectation::Absent));
+        r.put(&schema(), &Put::new("lock1").with("cf", "held", "1"), 1).unwrap();
+        // A second acquire against the same lock must fail.
+        assert!(!r.matches(b"lock1", "cf", "held", &Expectation::Absent));
+        // Release: expect current value "1".
+        assert!(r.matches(b"lock1", "cf", "held", &Expectation::Equals(b"1".to_vec())));
+        assert!(!r.matches(b"lock1", "cf", "held", &Expectation::Equals(b"0".to_vec())));
     }
 
     #[test]
@@ -658,37 +452,33 @@ mod tests {
             )
             .unwrap();
         }
-        let rows = r.scan(&Scan::range("row02", "row05"), usize::MAX).unwrap();
-        assert_eq!(rows.len(), 3);
-        let rows = r
-            .scan(
-                &Scan::all().with_filter(Filter::ColumnEquals {
-                    family: "cf".into(),
-                    qualifier: "v".into(),
-                    value: b"7".to_vec(),
-                }),
-                usize::MAX,
-            )
-            .unwrap();
+        r.put(&schema(), &Put::new("row07").with("cf", "w", "7"), 10).unwrap();
+        let scan = |r: &Region, scan: &Scan, limit: usize| {
+            let projection = Region::resolve_projection(&scan.columns);
+            let mut rows = Vec::new();
+            r.scan_page(scan, projection.as_deref(), None, limit, &mut rows).map(|()| rows)
+        };
+        assert_eq!(scan(&r, &Scan::range("row02", "row05"), usize::MAX).unwrap().len(), 3);
+        // A projection filters out the rows that hold none of its columns.
+        let rows = scan(&r, &Scan::all().column("cf", "w"), usize::MAX).unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].key_str(), "row07");
-        let rows = r.scan(&Scan::all(), 4).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert!(r.scan(&Scan::range("z", "a"), usize::MAX).is_err());
+        assert_eq!((rows[0].key_str(), rows[0].cells.len()), ("row07".to_string(), 1));
+        assert_eq!(scan(&r, &Scan::all(), 4).unwrap().len(), 4);
+        assert!(scan(&r, &Scan::range("z", "a"), usize::MAX).is_err());
     }
 
     #[test]
     fn compaction_trims_versions_and_size() {
         let mut r = region();
-        let compact_schema = TableSchema::new("t").with_family("cf"); // 1 version
-        for ts in 1..=20u64 {
+        r.put(&schema(), &Put::new("a").with("cf", "x", vec![0u8; 100]), 1).unwrap();
+        let one_version = r.byte_size();
+        for ts in 2..=20u64 {
             r.put(&schema(), &Put::new("a").with("cf", "x", vec![0u8; 100]), ts).unwrap();
         }
-        let before = r.byte_size();
-        r.major_compact(&compact_schema);
-        assert!(r.byte_size() < before);
-        let row = r.get(&Get::new("a").versions(10)).unwrap();
-        assert_eq!(row.cells.len(), 1);
+        assert_eq!(r.byte_size(), 20 * one_version);
+        r.major_compact();
+        assert_eq!(r.byte_size(), one_version, "only the newest version is kept");
+        assert_eq!(r.get(&Get::new("a")).unwrap().cells[0].timestamp, 20);
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the backoff range.
-    pub fn with_backoff(mut self, base: SimDuration, max: SimDuration) -> Self {
-        self.base_backoff = base;
-        self.max_backoff = max;
-        self
-    }
-
     /// Nominal (pre-jitter) backoff before retry number `retry` (0-based).
     pub fn nominal_backoff(&self, retry: u32) -> SimDuration {
         let shift = retry.min(32);
@@ -151,8 +144,11 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy::default()
-            .with_backoff(SimDuration::from_millis(2), SimDuration::from_millis(10));
+        let policy = RetryPolicy {
+            base_backoff: SimDuration::from_millis(2),
+            max_backoff: SimDuration::from_millis(10),
+            ..RetryPolicy::default()
+        };
         assert_eq!(policy.nominal_backoff(0), SimDuration::from_millis(2));
         assert_eq!(policy.nominal_backoff(1), SimDuration::from_millis(4));
         assert_eq!(policy.nominal_backoff(2), SimDuration::from_millis(8));

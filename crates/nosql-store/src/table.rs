@@ -5,10 +5,10 @@
 //! A stored row ([`RowData`]) is one flat `Vec` of columns; a column holds
 //! its newest version **in place** — interned names, timestamp and a
 //! [`Val`] that keeps short values inline — and every other version in a
-//! side `Vec`.  A default read (one version, no timestamp bound) therefore
-//! walks one contiguous array and copies 64 bytes per cell: no tree node,
-//! no allocation and no reference count per cell.  Four invariants hold
-//! after every mutation:
+//! side `Vec`.  A read, which returns only the newest version of each
+//! column, therefore walks one contiguous array and copies 64 bytes per
+//! cell: no tree node, no allocation and no reference count per cell.  Four
+//! invariants hold after every mutation:
 //!
 //! 1. **Name-sorted columns.**  `columns` is strictly ascending by
 //!    `(family, qualifier)` string order, so reads return cells in that
@@ -22,8 +22,7 @@
 //! 3. **`older` ascending.**  The remaining versions are strictly ascending
 //!    by timestamp, all below the newest; a put with an explicit older
 //!    timestamp (`Put::timestamp`, MVCC, WAL replay) is inserted at its
-//!    position.  After a single-version compaction `older` is empty and
-//!    unallocated.
+//!    position.  After a major compaction `older` is empty and unallocated.
 //! 4. **Modelled bytes unchanged.**  [`RowData::heap_size`],
 //!    [`Cell::heap_size`] and [`ResultRow::byte_size`] charge each version
 //!    its names, its value, [`Cell::PER_CELL_OVERHEAD`] and the row key —
@@ -35,42 +34,18 @@ use crate::cell::{Bytes, Cell, Timestamp, Val};
 use crate::intern::{intern_name, lookup_name, Name};
 use serde::{Deserialize, Serialize};
 
-/// Declaration of one column family of a table.
+/// Schema of a table: its name and declared column families.
 ///
 /// HBase stores each column family in its own set of files; the paper's
 /// baseline transformation (§II-D) puts all attributes of a relation into a
-/// single family, which is also the default here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ColumnFamily {
-    /// Family name.
-    pub name: String,
-    /// Maximum number of cell versions retained after compaction.
-    pub max_versions: usize,
-}
-
-impl ColumnFamily {
-    /// A family retaining a single version per cell (HBase's default).
-    pub fn new(name: impl Into<String>) -> Self {
-        ColumnFamily {
-            name: name.into(),
-            max_versions: 1,
-        }
-    }
-
-    /// Sets the number of retained versions.
-    pub fn with_versions(mut self, versions: usize) -> Self {
-        self.max_versions = versions.max(1);
-        self
-    }
-}
-
-/// Schema of a table: its name and declared column families.
+/// single family.  Every family keeps one version per cell through a major
+/// compaction (HBase's default).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TableSchema {
     /// Table name (unique within the cluster).
     pub name: String,
-    /// Declared column families.
-    pub families: Vec<ColumnFamily>,
+    /// Declared column family names.
+    pub families: Vec<String>,
 }
 
 impl TableSchema {
@@ -82,26 +57,15 @@ impl TableSchema {
         }
     }
 
-    /// Adds a single-version column family.
+    /// Adds a column family.
     pub fn with_family(mut self, name: impl Into<String>) -> Self {
-        self.families.push(ColumnFamily::new(name));
+        self.families.push(name.into());
         self
-    }
-
-    /// Adds a column family retaining `versions` versions per cell.
-    pub fn with_versioned_family(mut self, name: impl Into<String>, versions: usize) -> Self {
-        self.families.push(ColumnFamily::new(name).with_versions(versions));
-        self
-    }
-
-    /// Returns the declared family with the given name, if any.
-    pub fn family(&self, name: &str) -> Option<&ColumnFamily> {
-        self.families.iter().find(|f| f.name == name)
     }
 
     /// True if `name` is a declared family.
     pub fn has_family(&self, name: &str) -> bool {
-        self.family(name).is_some()
+        self.families.iter().any(|f| f == name)
     }
 }
 
@@ -156,39 +120,6 @@ pub(crate) struct Column {
 }
 
 impl Column {
-    /// Hands `emit` the newest `max_versions` (at least one) versions at or
-    /// before `bound`, newest first.  The slot in place is looked at first,
-    /// so a default read — one version, no bound — never touches `older`.
-    pub(crate) fn visible<'a>(
-        &'a self,
-        max_versions: usize,
-        bound: Option<Timestamp>,
-        mut emit: impl FnMut(Timestamp, &'a Val),
-    ) {
-        let in_bound = |ts: Timestamp| bound.is_none_or(|bound| ts <= bound);
-        let mut wanted = max_versions.max(1);
-        if in_bound(self.timestamp) {
-            emit(self.timestamp, &self.value);
-            wanted -= 1;
-        }
-        for (ts, value) in self.older.iter().rev() {
-            if wanted == 0 {
-                break;
-            }
-            if in_bound(*ts) {
-                emit(*ts, value);
-                wanted -= 1;
-            }
-        }
-    }
-
-    /// Newest version at or before `bound` (`None` = newest overall).
-    pub(crate) fn newest_visible(&self, bound: Option<Timestamp>) -> Option<&Val> {
-        let mut newest = None;
-        self.visible(1, bound, |_, value| newest = Some(value));
-        newest
-    }
-
     /// Stores `value` as version `ts`; returns the length of the value it
     /// replaced when that exact version already existed.  The common case —
     /// `ts` above every stored version — moves the current newest to the
@@ -216,11 +147,8 @@ impl Column {
     /// Modelled bytes of every version of this column in a row whose key is
     /// `row_key_len` bytes long.
     pub(crate) fn heap_size(&self, row_key_len: usize) -> usize {
-        let mut bytes = 0;
-        self.visible(usize::MAX, None, |_, value| {
-            bytes += self.key.cell_heap_size(value.len()) + row_key_len;
-        });
-        bytes
+        let versions = std::iter::once(&self.value).chain(self.older.iter().map(|(_, v)| v));
+        versions.map(|value| self.key.cell_heap_size(value.len()) + row_key_len).sum()
     }
 }
 
@@ -265,12 +193,6 @@ impl RowData {
         }
     }
 
-    /// Removes column `key` with all its versions.
-    pub(crate) fn remove(&mut self, key: ColKey) -> Option<Column> {
-        let i = self.columns.iter().position(|column| column.key == key)?;
-        Some(self.columns.remove(i))
-    }
-
     /// Modelled byte footprint of the row: every version of every column,
     /// each carrying the row key (HBase stores the full coordinate per
     /// cell).
@@ -284,14 +206,11 @@ impl RowData {
         self.columns.iter().map(|column| 1 + column.older.len()).sum()
     }
 
-    /// Drops all but the newest `max_versions` versions of every column and
-    /// gives back the side vectors' unused capacity.
-    pub(crate) fn compact(&mut self, max_versions: impl Fn(&str) -> usize) {
+    /// Drops every version but the newest of each column and gives back
+    /// the side vectors' memory.
+    pub(crate) fn compact(&mut self) {
         for column in &mut self.columns {
-            let keep_older = max_versions(&column.key.family).max(1) - 1;
-            let excess = column.older.len().saturating_sub(keep_older);
-            column.older.drain(..excess);
-            column.older.shrink_to_fit();
+            column.older = Vec::new();
         }
     }
 
@@ -306,8 +225,8 @@ impl RowData {
 pub struct ResultRow {
     /// Row key of the returned row.
     pub key: Bytes,
-    /// Returned cells (newest visible version per column unless more
-    /// versions were requested), sorted by family then qualifier.
+    /// Returned cells (the newest version of each column), sorted by family
+    /// then qualifier.
     pub cells: Vec<Cell>,
 }
 
@@ -363,19 +282,19 @@ mod tests {
         Val::from(text.as_bytes())
     }
 
+    /// Every stored version of column `key`, newest first.
     fn versions_of(row: &RowData, key: ColKey) -> Vec<(Timestamp, Vec<u8>)> {
-        let mut versions = Vec::new();
-        if let Some(column) = row.column(key) {
-            column.visible(usize::MAX, None, |ts, value| versions.push((ts, value.to_vec())));
-        }
-        versions
+        let Some(column) = row.column(key) else {
+            return Vec::new();
+        };
+        let older = column.older.iter().rev().map(|(ts, value)| (*ts, value.to_vec()));
+        std::iter::once((column.timestamp, column.value.to_vec())).chain(older).collect()
     }
 
     #[test]
     fn schema_family_lookup() {
-        let schema = TableSchema::new("t").with_family("cf").with_versioned_family("v", 3);
-        assert!(schema.has_family("cf"));
-        assert_eq!(schema.family("v").unwrap().max_versions, 3);
+        let schema = TableSchema::new("t").with_family("cf").with_family("v");
+        assert!(schema.has_family("cf") && schema.has_family("v"));
         assert!(!schema.has_family("missing"));
     }
 
@@ -407,9 +326,6 @@ mod tests {
             versions_of(&row, key),
             [(9, b"NINE!".to_vec()), (7, b"seven".to_vec()), (5, b"five".to_vec()), (2, b"2".to_vec()), (1, b"one".to_vec())]
         );
-        assert_eq!(&**column.newest_visible(None).unwrap(), b"NINE!");
-        assert_eq!(&**column.newest_visible(Some(6)).unwrap(), b"five");
-        assert!(column.newest_visible(Some(0)).is_none());
         assert_eq!(row.cell_count(), 5);
     }
 
@@ -420,9 +336,7 @@ mod tests {
         for ts in 1..=5u64 {
             row.put(key, ts, Val::from(&[ts as u8][..]));
         }
-        row.compact(|_| 2);
-        assert_eq!(versions_of(&row, key), [(5, vec![5]), (4, vec![4])]);
-        row.compact(|_| 1);
+        row.compact();
         assert_eq!(versions_of(&row, key), [(5, vec![5])]);
         assert_eq!(row.column(key).unwrap().older.capacity(), 0, "side vector is given back");
     }
@@ -455,7 +369,6 @@ mod tests {
         let expected = (2 + 1 + 5 + 24 + 3) + (2 + 1 + 100 + 24 + 3);
         assert_eq!(row.heap_size(3), expected);
         assert_eq!(row.cell_count(), 2);
-        assert_eq!(row.remove(key).unwrap().heap_size(3), expected);
-        assert!(row.is_empty());
+        assert_eq!(row.column(key).unwrap().heap_size(3), expected);
     }
 }

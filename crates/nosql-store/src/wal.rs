@@ -2,7 +2,7 @@
 //!
 //! Each region server appends every mutation to a WAL before acking it, so a
 //! crashed server can be replayed.  Entries carry the **full mutation
-//! payload** (cells, delete scope, increment amount) plus the cell timestamp
+//! payload** (a put's cells, a deleted row's key) plus the cell timestamp
 //! the mutation was applied at, which is what makes [`Cluster::recover`]
 //! (`crate::Cluster::recover`) able to rebuild region state from the log:
 //! replaying synced entries in timestamp order over the last durable
@@ -32,7 +32,6 @@
 //! check each record's own `synced` flag rather than assume a pure suffix.
 
 use crate::cell::{Bytes, Timestamp};
-use crate::ops::DeleteScope;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -48,27 +47,12 @@ pub enum WalOp {
         /// Cell timestamp the put was applied at.
         timestamp: Timestamp,
     },
-    /// A delete of `row` (whole row or specific columns).
+    /// A delete of the whole of `row`.
     Delete {
         /// Row key deleted.
         row: Bytes,
-        /// What was deleted.
-        scope: DeleteScope,
         /// Logical timestamp the delete was applied at (orders it against
         /// puts during replay).
-        timestamp: Timestamp,
-    },
-    /// An increment applied to `row`.
-    Increment {
-        /// Row key incremented.
-        row: Bytes,
-        /// Column family of the counter cell.
-        family: String,
-        /// Qualifier of the counter cell.
-        qualifier: String,
-        /// Amount added.
-        amount: i64,
-        /// Cell timestamp the increment was applied at.
         timestamp: Timestamp,
     },
     /// An arbitrary logical record appended by a higher layer (the Synergy
@@ -86,9 +70,7 @@ impl WalOp {
     /// reconstructs the cluster-wide mutation order during replay.
     pub fn timestamp(&self) -> Option<Timestamp> {
         match self {
-            WalOp::Put { timestamp, .. }
-            | WalOp::Delete { timestamp, .. }
-            | WalOp::Increment { timestamp, .. } => Some(*timestamp),
+            WalOp::Put { timestamp, .. } | WalOp::Delete { timestamp, .. } => Some(*timestamp),
             WalOp::Logical { .. } => None,
         }
     }
@@ -96,9 +78,7 @@ impl WalOp {
     /// Row key the mutation routes by (`None` for [`WalOp::Logical`]).
     pub(crate) fn row(&self) -> Option<&[u8]> {
         match self {
-            WalOp::Put { row, .. }
-            | WalOp::Delete { row, .. }
-            | WalOp::Increment { row, .. } => Some(row),
+            WalOp::Put { row, .. } | WalOp::Delete { row, .. } => Some(row),
             WalOp::Logical { .. } => None,
         }
     }
@@ -297,7 +277,6 @@ mod tests {
             "t",
             WalOp::Delete {
                 row: b"r".to_vec(),
-                scope: DeleteScope::Row,
                 timestamp: 1,
             },
         );

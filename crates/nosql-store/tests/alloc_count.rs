@@ -67,7 +67,7 @@ fn exclusive_window() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn schema() -> TableSchema {
-    TableSchema::new("t").with_versioned_family("cf", 8)
+    TableSchema::new("t").with_family("cf")
 }
 
 fn region() -> Region {

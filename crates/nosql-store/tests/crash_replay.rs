@@ -33,7 +33,6 @@ type Model = BTreeMap<String, BTreeMap<String, u8>>;
 enum Op {
     Put { key: u8, column: u8, value: u8 },
     DeleteRow { key: u8 },
-    DeleteColumn { key: u8, column: u8 },
     /// One `Cluster::batch` of single-row ops, in key order.
     Batch(Vec<Op>),
 }
@@ -41,7 +40,7 @@ enum Op {
 impl Op {
     fn key(&self) -> u8 {
         match self {
-            Op::Put { key, .. } | Op::DeleteRow { key } | Op::DeleteColumn { key, .. } => *key,
+            Op::Put { key, .. } | Op::DeleteRow { key } => *key,
             Op::Batch(rows) => rows[0].key(),
         }
     }
@@ -82,7 +81,7 @@ fn single_op_strategy() -> impl Strategy<Value = Op> {
             value
         }),
         any::<u8>().prop_map(|key| Op::DeleteRow { key }),
-        (any::<u8>(), 0u8..4).prop_map(|(key, column)| Op::DeleteColumn { key, column }),
+        any::<u8>().prop_map(|key| Op::DeleteRow { key }),
     ]
 }
 
@@ -101,9 +100,6 @@ fn mutation(op: &Op) -> Mutation {
             Mutation::Put(Put::new(key_str(*key)).with("cf", col_str(*column), vec![*value]))
         }
         Op::DeleteRow { key } => Mutation::Delete(Delete::row(key_str(*key))),
-        Op::DeleteColumn { key, column } => {
-            Mutation::Delete(Delete::column(key_str(*key), "cf", col_str(*column)))
-        }
         Op::Batch(_) => unreachable!("a batch is not one row"),
     }
 }
@@ -133,14 +129,6 @@ fn apply_to_model(model: &mut Model, op: &Op) {
         }
         Op::DeleteRow { key } => {
             model.remove(&key_str(*key));
-        }
-        Op::DeleteColumn { key, column } => {
-            if let Some(row) = model.get_mut(&key_str(*key)) {
-                row.remove(&col_str(*column));
-                if row.is_empty() {
-                    model.remove(&key_str(*key));
-                }
-            }
         }
     }
 }
@@ -310,7 +298,7 @@ fn interval_one_loses_nothing_at_any_crash_position() {
         .map(|i| match i % 5 {
             0 | 1 => Op::Put { key: i % 8, column: i % 4, value: i },
             2 => Op::DeleteRow { key: (i + 2) % 8 },
-            3 => Op::DeleteColumn { key: i % 8, column: 0 },
+            3 => Op::DeleteRow { key: i % 8 },
             // A batch spanning the table's regions.
             _ => batch_of(vec![
                 Op::Put { key: i.wrapping_mul(37), column: 1, value: i },
@@ -415,7 +403,7 @@ fn double_crash_recover_cycle_with_splits_matches_model() {
                     value: i,
                 },
                 3 => Op::DeleteRow { key: i.wrapping_add(offset) },
-                _ => Op::DeleteColumn { key: i.wrapping_mul(3), column: 0 },
+                _ => Op::DeleteRow { key: i.wrapping_mul(3) },
             })
             .collect()
     };

@@ -1,20 +1,20 @@
 //! Model-based property tests: the cluster must behave exactly like a simple
 //! in-memory map of `row key → column → timestamp → value` under arbitrary
 //! sequences of puts (cluster-stamped and at explicit older timestamps),
-//! deletes, column deletes, increments, check-and-puts, the before-image
-//! (`*_fetch`) write variants, multi-version and time-bounded gets, scans
-//! and major compactions — with and without region splits happening
-//! underneath.  Value lengths straddle the inline capacity of `Val`, so
-//! both of its arms are stored, read back and replaced.
+//! row deletes, check-and-puts, one-row `batch_fetch` writes (whose
+//! before-images are checked), gets, scans and major compactions — with and
+//! without region splits happening underneath.  Reads return only each
+//! column's newest version; the versions the store retains are observed
+//! through its storage accounting, checked after every op against the
+//! modelled size of every version the model holds.  Value lengths straddle
+//! the inline capacity of `Val`, so both of its arms are stored, read back
+//! and replaced.
 
-use nosql_store::ops::{CheckAndPut, Delete, Expectation, Get, Increment, Put, Scan};
+use nosql_store::ops::{CheckAndPut, Delete, Expectation, Get, Mutation, Put, Scan};
 use nosql_store::{Cluster, ClusterConfig, ResultRow, TableSchema, Timestamp, Val};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
-
-/// Versions a column keeps through a major compaction.
-const MAX_VERSIONS: usize = 3;
 
 /// Value lengths: empty, one byte, the longest inline value, the shortest
 /// heap value, and a long one.
@@ -39,12 +39,8 @@ enum Op {
     PutFetch { key: u8, column: u8, value: (u8, usize) },
     DeleteRow { key: u8 },
     DeleteFetch { key: u8 },
-    DeleteColumn { key: u8, column: u8 },
-    Increment { key: u8, amount: i8 },
     CheckAndPut { key: u8, column: u8, expect: Expect, value: (u8, usize) },
-    /// `up_to`: `None` = unbounded, `Some(pct)` = at or before that share
-    /// of the timestamps handed out so far.
-    Get { key: u8, versions: usize, up_to: Option<u64> },
+    Get { key: u8 },
     ScanRange { start: u8, len: u8 },
     MajorCompact,
 }
@@ -83,15 +79,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(key, column, value)| Op::PutFetch { key, column, value }),
         key().prop_map(|key| Op::DeleteRow { key }),
         key().prop_map(|key| Op::DeleteFetch { key }),
-        (key(), column()).prop_map(|(key, column)| Op::DeleteColumn { key, column }),
-        (key(), any::<i8>()).prop_map(|(key, amount)| Op::Increment { key, amount }),
         (key(), column(), expect(), value()).prop_map(|(key, column, expect, value)| {
             Op::CheckAndPut { key, column, expect, value }
         }),
-        (key(), 1usize..4, proptest::option::of(0u64..101))
-            .prop_map(|(key, versions, up_to)| Op::Get { key, versions, up_to }),
-        (key(), 1usize..4, proptest::option::of(0u64..101))
-            .prop_map(|(key, versions, up_to)| Op::Get { key, versions, up_to }),
+        key().prop_map(|key| Op::Get { key }),
+        key().prop_map(|key| Op::Get { key }),
         (key(), any::<u8>()).prop_map(|(start, len)| Op::ScanRange { start, len }),
         Just(Op::MajorCompact),
     ]
@@ -108,10 +100,6 @@ fn col_str(column: u8) -> String {
 fn bytes((byte, length): (u8, usize)) -> Vec<u8> {
     vec![byte; LENGTHS[length]]
 }
-
-/// Counters live in their own column so an increment never meets a put
-/// value (which the store rightly rejects as not-a-counter).
-const COUNTER: &str = "n";
 
 type Versions = BTreeMap<Timestamp, Vec<u8>>;
 type ModelRow = BTreeMap<String, Versions>;
@@ -138,44 +126,40 @@ impl Model {
         Some((*ts, value))
     }
 
-    /// What a read of `key` returns: per column in name order, its newest
-    /// `versions` versions at or before `up_to`, newest first.
-    fn read(
-        &self,
-        key: &str,
-        versions: usize,
-        up_to: Option<Timestamp>,
-    ) -> Vec<(String, Timestamp, Vec<u8>)> {
+    /// What a read of `key` returns: the newest version of every column,
+    /// in name order.
+    fn read(&self, key: &str) -> Vec<(String, Timestamp, Vec<u8>)> {
         let Some(row) = self.rows.get(key) else {
             return Vec::new();
         };
         row.iter()
-            .flat_map(|(column, history)| {
-                history
-                    .iter()
-                    .rev()
-                    .filter(|(ts, _)| up_to.is_none_or(|bound| **ts <= bound))
-                    .take(versions)
-                    .map(|(ts, value)| (column.clone(), *ts, value.clone()))
+            .filter_map(|(column, history)| {
+                let (ts, value) = history.last_key_value()?;
+                Some((column.clone(), *ts, value.clone()))
             })
             .collect()
     }
 
-    fn delete_column(&mut self, key: &str, column: &str) {
-        if let Some(row) = self.rows.get_mut(key) {
-            row.remove(column);
-            if row.is_empty() {
-                self.rows.remove(key);
+    /// A major compaction keeps only the newest version of every column.
+    fn compact(&mut self) {
+        for history in self.rows.values_mut().flat_map(BTreeMap::values_mut) {
+            while history.len() > 1 {
+                history.pop_first();
             }
         }
     }
 
-    fn compact(&mut self) {
-        for history in self.rows.values_mut().flat_map(BTreeMap::values_mut) {
-            while history.len() > MAX_VERSIONS {
-                history.pop_first();
-            }
-        }
+    /// The modelled storage size of every version held: names, value, 24
+    /// bytes of per-cell overhead and the row key, per version.
+    fn bytes(&self) -> usize {
+        self.rows
+            .iter()
+            .flat_map(|(key, row)| {
+                row.iter().flat_map(move |(column, history)| {
+                    history.values().map(move |v| key.len() + 2 + column.len() + v.len() + 24)
+                })
+            })
+            .sum()
     }
 }
 
@@ -196,15 +180,19 @@ fn check_against_model(ops: &[Op], region_split_bytes: usize) -> Result<(), Test
         ..ClusterConfig::default()
     });
     cluster
-        .create_table(TableSchema::new("t").with_versioned_family("cf", MAX_VERSIONS))
+        .create_table(TableSchema::new("t").with_family("cf"))
         .unwrap();
     let mut model = Model::default();
     // Every write the cluster stamps itself takes the one timestamp handed
     // out right before this probe.
     let stamped = |cluster: &Cluster| cluster.next_timestamp() - 1;
+    // A one-row batch that returns its row's before-image.
+    let fetch = |row: Mutation| -> Option<ResultRow> {
+        cluster.batch_fetch("t", &[row]).unwrap().pop().flatten()
+    };
 
-    for op in ops.iter().cloned() {
-        match op {
+    for op in ops {
+        match op.clone() {
             Op::Put { key, column, value } => {
                 let (key, column, value) = (key_str(key), col_str(column), bytes(value));
                 cluster.put("t", Put::new(&*key).with("cf", &*column, value.clone())).unwrap();
@@ -221,10 +209,8 @@ fn check_against_model(ops: &[Op], region_split_bytes: usize) -> Result<(), Test
             }
             Op::PutFetch { key, column, value } => {
                 let (key, column, value) = (key_str(key), col_str(column), bytes(value));
-                let before = cluster
-                    .put_fetch("t", Put::new(&*key).with("cf", &*column, value.clone()))
-                    .unwrap();
-                prop_assert_eq!(cells_of(before.as_ref()), model.read(&key, 1, None));
+                let before = fetch(Mutation::Put(Put::new(&*key).with("cf", &*column, value.clone())));
+                prop_assert_eq!(cells_of(before.as_ref()), model.read(&key));
                 model.put(&key, &column, stamped(&cluster), value);
             }
             Op::DeleteRow { key } => {
@@ -232,26 +218,9 @@ fn check_against_model(ops: &[Op], region_split_bytes: usize) -> Result<(), Test
                 prop_assert_eq!(removed, model.rows.remove(&key_str(key)).is_some());
             }
             Op::DeleteFetch { key } => {
-                let before = cluster.delete_fetch("t", Delete::row(key_str(key))).unwrap();
-                prop_assert_eq!(cells_of(before.as_ref()), model.read(&key_str(key), 1, None));
+                let before = fetch(Mutation::Delete(Delete::row(key_str(key))));
+                prop_assert_eq!(cells_of(before.as_ref()), model.read(&key_str(key)));
                 model.rows.remove(&key_str(key));
-            }
-            Op::DeleteColumn { key, column } => {
-                cluster
-                    .delete("t", Delete::column(key_str(key), "cf", col_str(column)))
-                    .unwrap();
-                model.delete_column(&key_str(key), &col_str(column));
-            }
-            Op::Increment { key, amount } => {
-                let key = key_str(key);
-                let value = cluster
-                    .increment("t", Increment::new(&*key, "cf", COUNTER, amount.into()))
-                    .unwrap();
-                let current = model
-                    .newest(&key, COUNTER)
-                    .map_or(0, |(_, v)| i64::from_be_bytes(v.as_slice().try_into().unwrap()));
-                prop_assert_eq!(value, current + i64::from(amount));
-                model.put(&key, COUNTER, stamped(&cluster), value.to_be_bytes().to_vec());
             }
             Op::CheckAndPut { key, column, expect, value } => {
                 let (key, column, value) = (key_str(key), col_str(column), bytes(value));
@@ -282,15 +251,10 @@ fn check_against_model(ops: &[Op], region_split_bytes: usize) -> Result<(), Test
                     model.put(&key, &column, stamped(&cluster), value);
                 }
             }
-            Op::Get { key, versions, up_to } => {
+            Op::Get { key } => {
                 let key = key_str(key);
-                let bound = up_to.map(|pct| cluster.next_timestamp() * pct / 100);
-                let mut get = Get::new(&*key).versions(versions);
-                if let Some(bound) = bound {
-                    get = get.up_to(bound);
-                }
-                let stored = cluster.get("t", get).unwrap();
-                let expected = model.read(&key, versions, bound);
+                let stored = cluster.get("t", Get::new(&*key)).unwrap();
+                let expected = model.read(&key);
                 prop_assert_eq!(stored.is_some(), !expected.is_empty());
                 prop_assert_eq!(cells_of(stored.as_ref()), expected);
             }
@@ -312,32 +276,21 @@ fn check_against_model(ops: &[Op], region_split_bytes: usize) -> Result<(), Test
                 model.compact();
             }
         }
+        // Version retention, op by op: the stored bytes are the modelled
+        // size of exactly the versions the model holds, so a version kept
+        // or dropped wrongly shows at the op that did it.
+        let stats = cluster.table_stats("t").unwrap();
+        prop_assert_eq!(stats.bytes as usize, model.bytes(), "after {:?}", op);
+        prop_assert_eq!(stats.rows as usize, model.rows.len(), "after {:?}", op);
     }
 
-    // Final full-scan comparison: same rows, in order, cell for cell, and
-    // every surviving version of every row.
+    // Final full-scan comparison: same rows, in order, cell for cell.
     let rows = cluster.scan("t", Scan::all()).unwrap();
     prop_assert_eq!(rows.len(), model.rows.len());
     for (row, key) in rows.iter().zip(model.rows.keys()) {
         prop_assert_eq!(&row.key_str(), key);
-        prop_assert_eq!(cells_of(Some(row)), model.read(key, 1, None));
-        let history = cluster.get("t", Get::new(&**key).versions(usize::MAX)).unwrap();
-        prop_assert_eq!(cells_of(history.as_ref()), model.read(key, usize::MAX, None));
+        prop_assert_eq!(cells_of(Some(row)), model.read(key));
     }
-    // Storage accounting never goes negative / inconsistent: it is the
-    // modelled size of exactly the versions the model holds.
-    let metrics = cluster.metrics();
-    prop_assert_eq!(metrics.tables["t"].rows as usize, model.rows.len());
-    let modelled: usize = model
-        .rows
-        .iter()
-        .flat_map(|(key, row)| {
-            row.iter().flat_map(move |(column, history)| {
-                history.values().map(move |v| key.len() + 2 + column.len() + v.len() + 24)
-            })
-        })
-        .sum();
-    prop_assert_eq!(metrics.tables["t"].bytes as usize, modelled);
     Ok(())
 }
 

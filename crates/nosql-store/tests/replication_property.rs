@@ -25,7 +25,6 @@ use std::collections::BTreeMap;
 enum Op {
     Put { key: u8, column: u8, value: u8 },
     DeleteRow { key: u8 },
-    DeleteColumn { key: u8, column: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -41,7 +40,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             value
         }),
         any::<u8>().prop_map(|key| Op::DeleteRow { key }),
-        (any::<u8>(), 0u8..4).prop_map(|(key, column)| Op::DeleteColumn { key, column }),
+        any::<u8>().prop_map(|key| Op::DeleteRow { key }),
     ]
 }
 
@@ -63,11 +62,6 @@ fn apply(cluster: &Cluster, op: &Op) {
             .unwrap(),
         Op::DeleteRow { key } => {
             cluster.delete("t", Delete::row(key_str(*key))).unwrap();
-        }
-        Op::DeleteColumn { key, column } => {
-            cluster
-                .delete("t", Delete::column(key_str(*key), "cf", col_str(*column)))
-                .unwrap();
         }
     }
 }
@@ -177,10 +171,7 @@ fn failover_run_matches_fault_free_shadow_with_zero_acked_loss() {
                     column: i % 3,
                     value: i,
                 },
-                3 => Op::DeleteColumn {
-                    key: i % 16,
-                    column: (i + 1) % 3,
-                },
+                3 => Op::DeleteRow { key: i % 16 },
                 _ => Op::Put {
                     key: 200 + i % 16,
                     column: 0,

@@ -1,5 +1,5 @@
 //! Property tests for the streaming scan cursor: for arbitrary data sets,
-//! key ranges, row limits and timestamp bounds — including tables that have
+//! key ranges and row limits — including tables that have
 //! split into multiple regions — collecting a [`nosql_store::ScanCursor`]
 //! must produce exactly what the one-shot `Cluster::scan` returns, and both
 //! must agree with an independent `BTreeMap` reference model.
@@ -14,9 +14,9 @@ fn key_str(key: u16) -> String {
 }
 
 /// Loads `writes` as individual puts (each gets its own cluster timestamp,
-/// starting at 1) and returns the cluster plus a model mapping each key to
-/// every `(timestamp, value)` version written to it, oldest first.
-fn build(writes: &[(u16, u8)], split_bytes: usize) -> (Cluster, BTreeMap<String, Vec<(u64, u8)>>) {
+/// so a later write to a key is its newer version) and returns the cluster
+/// plus a model mapping each key to its newest value.
+fn build(writes: &[(u16, u8)], split_bytes: usize) -> (Cluster, BTreeMap<String, u8>) {
     let cluster = Cluster::new(ClusterConfig {
         region_split_bytes: split_bytes,
         ..ClusterConfig::default()
@@ -24,9 +24,8 @@ fn build(writes: &[(u16, u8)], split_bytes: usize) -> (Cluster, BTreeMap<String,
     cluster
         .create_table(TableSchema::new("t").with_family("cf"))
         .unwrap();
-    let mut model: BTreeMap<String, Vec<(u64, u8)>> = BTreeMap::new();
-    for (i, (key, value)) in writes.iter().enumerate() {
-        let ts = (i + 1) as u64;
+    let mut model = BTreeMap::new();
+    for (key, value) in writes {
         cluster
             .bulk_load(
                 "t",
@@ -34,33 +33,20 @@ fn build(writes: &[(u16, u8)], split_bytes: usize) -> (Cluster, BTreeMap<String,
                 [Put::new(key_str(*key)).with("cf", "v", vec![*value; 48])],
             )
             .unwrap();
-        model.entry(key_str(*key)).or_default().push((ts, *value));
+        model.insert(key_str(*key), *value);
     }
     (cluster, model)
 }
 
 /// The rows the model predicts for a scan of `[start, stop)` with the given
-/// limit (0 = unlimited) and timestamp bound: per key, the newest version
-/// visible under the bound; keys with no visible version are skipped.
-fn model_scan(
-    model: &BTreeMap<String, Vec<(u64, u8)>>,
-    start: &str,
-    stop: &str,
-    limit: usize,
-    time_bound: Option<u64>,
-) -> Vec<(String, u8)> {
+/// limit (0 = unlimited): per key, its newest version.
+fn model_scan(model: &BTreeMap<String, u8>, start: &str, stop: &str, limit: usize) -> Vec<(String, u8)> {
     let limit = if limit == 0 { usize::MAX } else { limit };
     model
         .iter()
         .filter(|(key, _)| start.is_empty() || key.as_str() >= start)
         .filter(|(key, _)| stop.is_empty() || key.as_str() < stop)
-        .filter_map(|(key, versions)| {
-            versions
-                .iter()
-                .rev()
-                .find(|(ts, _)| time_bound.is_none_or(|bound| *ts <= bound))
-                .map(|(_, value)| (key.clone(), *value))
-        })
+        .map(|(key, value)| (key.clone(), *value))
         .take(limit)
         .collect()
 }
@@ -74,7 +60,6 @@ proptest! {
         start in 0u16..400,
         len in 0u16..400,
         limit in 0usize..40,
-        bound_frac in 0u8..5,
     ) {
         // A small split threshold so larger write sets span several regions.
         let (cluster, model) = build(&writes, 1_500);
@@ -82,22 +67,13 @@ proptest! {
 
         let start_key = key_str(start);
         let stop_key = key_str(start.saturating_add(len));
-        // bound_frac sweeps the timestamp bound from "sees nothing written
-        // last" to "sees everything" (None).
-        let time_bound = (bound_frac < 4)
-            .then(|| (writes.len() as u64 * bound_frac as u64) / 4)
-            .filter(|b| *b > 0);
-
-        let mut scan = Scan::range(start_key.clone(), stop_key.clone()).with_limit(limit);
-        if let Some(bound) = time_bound {
-            scan = scan.up_to(bound);
-        }
+        let scan = Scan::range(start_key.clone(), stop_key.clone()).with_limit(limit);
 
         let collected = cluster.scan("t", scan.clone()).unwrap();
         let streamed: Vec<ResultRow> = cluster.scan_stream("t", scan).unwrap().collect();
         prop_assert_eq!(&collected, &streamed);
 
-        let expected = model_scan(&model, &start_key, &stop_key, limit, time_bound);
+        let expected = model_scan(&model, &start_key, &stop_key, limit);
         prop_assert_eq!(streamed.len(), expected.len(), "regions={}", regions);
         for (row, (key, value)) in streamed.iter().zip(&expected) {
             prop_assert_eq!(&row.key_str(), key);

@@ -41,7 +41,8 @@ pub enum StorageMedium {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Client ⇄ region-server round-trip latency charged once per RPC
-    /// (Get/Put/Delete/Increment/CheckAndPut and per scan batch).
+    /// (Get/Put/Delete/CheckAndPut, one per region of a multi-row batch,
+    /// and per scan batch).
     pub rpc_latency: SimDuration,
     /// Cost of opening a scanner on one region.
     pub scan_open: SimDuration,

@@ -42,6 +42,12 @@ pub const LOCK_EXPIRY_COLUMN: &str = "exp";
 /// interval) before reclaiming a crashed holder's lock.
 pub const DEFAULT_LOCK_LEASE: SimDuration = SimDuration::from_secs(1);
 
+/// Acquisition attempts [`LockManager::acquire`] makes before giving up (a
+/// failed transaction).  Each contended attempt charges 200 µs of simulated
+/// backoff, so a writer waits about two simulated seconds — longer than
+/// [`DEFAULT_LOCK_LEASE`] — before it gives up.
+pub const MAX_LOCK_ATTEMPTS: usize = 10_000;
+
 /// Name of the lock table for a root relation, e.g. `L_Customer`.
 pub fn lock_table_name(root: &str) -> String {
     format!("L_{root}")
@@ -60,10 +66,6 @@ pub fn lock_table_name(root: &str) -> String {
 #[derive(Clone)]
 pub struct LockManager {
     cluster: Cluster,
-    /// How many acquisition attempts before giving up (a failed transaction).
-    max_attempts: usize,
-    /// Lease length written into every acquired lock row.
-    lease: SimDuration,
     /// Locks released under a different region epoch than they were acquired
     /// under — i.e. held straight through a region failover.  Shared across
     /// clones of the manager.
@@ -122,8 +124,6 @@ impl LockManager {
     pub fn new(cluster: Cluster) -> Self {
         LockManager {
             cluster,
-            max_attempts: 10_000,
-            lease: DEFAULT_LOCK_LEASE,
             survivals: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -133,26 +133,6 @@ impl LockManager {
     /// failover.  Always 0 when region replication is off.
     pub fn failover_survivals(&self) -> u64 {
         self.survivals.load(Ordering::Relaxed)
-    }
-
-    /// Overrides the maximum number of acquisition attempts (tests use small
-    /// values to exercise the failure path).
-    pub fn with_max_attempts(mut self, attempts: usize) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Overrides the lock-lease length (default [`DEFAULT_LOCK_LEASE`]).
-    /// Tests use short leases to exercise expiry without advancing the
-    /// simulated clock far.
-    pub fn with_lease(mut self, lease: SimDuration) -> Self {
-        self.lease = lease;
-        self
-    }
-
-    /// The configured lock-lease length.
-    pub fn lease(&self) -> SimDuration {
-        self.lease
     }
 
     /// Creates the lock table for a root relation (idempotent).
@@ -178,19 +158,19 @@ impl LockManager {
     /// The `held = 1` put for an acquisition at the current simulated time,
     /// stamping the lease expiry.
     fn held_put(&self, key: &str) -> Put {
-        let expiry = self.cluster.clock().now() + self.lease;
+        let expiry = self.cluster.clock().now() + DEFAULT_LOCK_LEASE;
         Put::new(key.to_string())
             .with(LOCK_FAMILY, LOCK_COLUMN, "1")
             .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, expiry.as_nanos().to_string())
     }
 
     /// Acquires the hierarchical lock for root row `key`, spinning (with a
-    /// simulated backoff charge) until it succeeds or `max_attempts` is
-    /// exhausted.  A held lock is never stolen, whatever its lease says —
+    /// simulated backoff charge) until it succeeds or [`MAX_LOCK_ATTEMPTS`]
+    /// are exhausted.  A held lock is never stolen, whatever its lease says —
     /// only [`LockManager::reclaim_expired`] (crash recovery) breaks one.
     pub fn acquire(&self, root: &str, key: &str) -> StoreResult<Option<LockGuard>> {
         let table = lock_table_name(root);
-        for attempt in 0..self.max_attempts {
+        for attempt in 0..MAX_LOCK_ATTEMPTS {
             let put = self.held_put(key);
             // Fast path: the entry exists and is free.
             let acquired = self.cluster.check_and_put(
@@ -353,10 +333,14 @@ mod tests {
 
     #[test]
     fn contended_lock_times_out_after_max_attempts() {
-        let m = manager().with_max_attempts(3);
+        let m = manager();
         let _held = m.acquire("Customer", "7").unwrap().unwrap();
+        let before = m.cluster.clock().now();
         let second = m.acquire("Customer", "7").unwrap();
         assert!(second.is_none());
+        // Every attempt failed and backed off.
+        let backoff = SimDuration::from_micros(200) * MAX_LOCK_ATTEMPTS as u64;
+        assert!(m.cluster.clock().now() - before > backoff);
     }
 
     #[test]
@@ -412,22 +396,23 @@ mod tests {
         std::mem::forget(orphan);
         assert!(m.is_held("Customer", "12").unwrap());
         // Contenders spin out without stealing, however long they wait.
-        let blocked = m.clone().with_max_attempts(3).acquire("Customer", "12").unwrap();
+        let blocked = m.acquire("Customer", "12").unwrap();
         assert!(blocked.is_none());
         assert!(m.is_held("Customer", "12").unwrap());
     }
 
     #[test]
     fn reclaim_waits_out_the_lease_and_frees_orphaned_locks() {
-        let m = manager().with_lease(SimDuration::from_millis(250));
+        let m = manager();
         let orphan = m.acquire("Customer", "a").unwrap().unwrap();
         std::mem::forget(orphan);
         let before = m.cluster.clock().now();
         assert_eq!(m.reclaim_expired("Customer").unwrap(), 1);
-        // The sweep charged the fencing wait: most of the orphan's 250ms
-        // lease was still outstanding (acquisition itself costs only a few
+        // The sweep charged the fencing wait: most of the orphan's lease
+        // was still outstanding (acquisition itself costs only a few
         // simulated milliseconds).
-        assert!(m.cluster.clock().now() - before >= SimDuration::from_millis(200));
+        let outstanding = DEFAULT_LOCK_LEASE - SimDuration::from_millis(50);
+        assert!(m.cluster.clock().now() - before >= outstanding);
         assert!(!m.is_held("Customer", "a").unwrap());
         // The lock is usable again, and an empty sweep is a no-op.
         let again = m.acquire("Customer", "a").unwrap().unwrap();

@@ -7,7 +7,7 @@
 //! the selected views is added to the schema, and view-indexes are created
 //! for queries whose filters are not covered by a view's key (§VI-C).
 
-use crate::viewgen::{CandidateViews, RootedTree, ViewDefinition};
+use crate::viewgen::{joined_pairs, CandidateViews, RootedTree, ViewDefinition};
 use relational::{GraphEdge, Schema};
 use sql::{SelectStatement, Statement};
 use std::collections::{BTreeMap, BTreeSet};
@@ -117,35 +117,11 @@ pub fn select_views_for_query(
 fn mark_tree(tree: &RootedTree, select: &SelectStatement) -> TreeMarks {
     let mut marks = TreeMarks::default();
     for condition in select.join_conditions() {
-        let sql::Expr::Column(right) = &condition.right else {
-            continue;
-        };
-        let left = &condition.left;
-        let left_table = left
-            .qualifier
-            .as_deref()
-            .and_then(|q| select.resolve_alias(q))
-            .unwrap_or("");
-        let right_table = right
-            .qualifier
-            .as_deref()
-            .and_then(|q| select.resolve_alias(q))
-            .unwrap_or("");
         for (idx, edge) in tree.edges.iter().enumerate() {
-            for (pk, fk) in edge.pk.iter().zip(edge.fk.iter()) {
-                let forward = left_table.eq_ignore_ascii_case(&edge.from)
-                    && right_table.eq_ignore_ascii_case(&edge.to)
-                    && left.column.eq_ignore_ascii_case(pk)
-                    && right.column.eq_ignore_ascii_case(fk);
-                let backward = right_table.eq_ignore_ascii_case(&edge.from)
-                    && left_table.eq_ignore_ascii_case(&edge.to)
-                    && right.column.eq_ignore_ascii_case(pk)
-                    && left.column.eq_ignore_ascii_case(fk);
-                if forward || backward {
-                    marks.edges.insert(idx);
-                    marks.relations.insert(edge.from.clone());
-                    marks.relations.insert(edge.to.clone());
-                }
+            if joined_pairs(edge, select, condition) > 0 {
+                marks.edges.insert(idx);
+                marks.relations.insert(edge.from.clone());
+                marks.relations.insert(edge.to.clone());
             }
         }
     }

@@ -24,7 +24,7 @@
 //! relation in the path.
 
 use relational::{GraphEdge, Schema, SchemaGraph};
-use sql::Statement;
+use sql::{ColumnRef, Condition, SelectStatement, Statement};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A rooted tree produced by the candidate views generation mechanism.
@@ -242,43 +242,38 @@ impl CandidateViews {
 /// of join conditions in the workload that join exactly that `(PK, FK)`
 /// attribute pair between the edge's two relations.
 pub fn edge_workload_weight(edge: &GraphEdge, workload: &[Statement]) -> usize {
-    let mut weight = 0;
-    for statement in workload {
-        let Some(select) = statement.as_select() else {
-            continue;
-        };
-        for condition in select.join_conditions() {
-            let sql::Expr::Column(right) = &condition.right else {
-                continue;
-            };
-            let left = &condition.left;
-            let left_table = left
-                .qualifier
-                .as_deref()
-                .and_then(|q| select.resolve_alias(q))
-                .unwrap_or("");
-            let right_table = right
-                .qualifier
-                .as_deref()
-                .and_then(|q| select.resolve_alias(q))
-                .unwrap_or("");
-            let pairs = edge.pk.iter().zip(edge.fk.iter());
-            for (pk, fk) in pairs {
-                let forward = left_table.eq_ignore_ascii_case(&edge.from)
-                    && right_table.eq_ignore_ascii_case(&edge.to)
-                    && left.column.eq_ignore_ascii_case(pk)
-                    && right.column.eq_ignore_ascii_case(fk);
-                let backward = right_table.eq_ignore_ascii_case(&edge.from)
-                    && left_table.eq_ignore_ascii_case(&edge.to)
-                    && right.column.eq_ignore_ascii_case(pk)
-                    && left.column.eq_ignore_ascii_case(fk);
-                if forward || backward {
-                    weight += 1;
-                }
-            }
-        }
+    workload
+        .iter()
+        .filter_map(Statement::as_select)
+        .flat_map(|select| {
+            let conditions = select.join_conditions();
+            conditions.into_iter().map(move |condition| joined_pairs(edge, select, condition))
+        })
+        .sum()
+}
+
+/// How many of `edge`'s `(PK, FK)` attribute pairs the join `condition` of
+/// `select` joins, in either direction, with its column qualifiers resolved
+/// through `select`'s aliases.
+pub(crate) fn joined_pairs(edge: &GraphEdge, select: &SelectStatement, condition: &Condition) -> usize {
+    let sql::Expr::Column(right) = &condition.right else {
+        return 0;
+    };
+    // Each side as (table, column), its qualifier resolved through the aliases.
+    fn side<'a>(select: &'a SelectStatement, column: &'a ColumnRef) -> (&'a str, &'a str) {
+        let table = column.qualifier.as_deref().and_then(|q| select.resolve_alias(q));
+        (table.unwrap_or(""), &column.column)
     }
-    weight
+    let (left, right) = (side(select, &condition.left), side(select, right));
+    // Does `from` name the edge's PK attribute `pk` and `to` its FK `fk`?
+    let joins = |from: (&str, &str), to: (&str, &str), pk: &str, fk: &str| {
+        from.0.eq_ignore_ascii_case(&edge.from)
+            && to.0.eq_ignore_ascii_case(&edge.to)
+            && from.1.eq_ignore_ascii_case(pk)
+            && to.1.eq_ignore_ascii_case(fk)
+    };
+    let pairs = edge.pk.iter().zip(&edge.fk);
+    pairs.filter(|(pk, fk)| joins(left, right, pk, fk) || joins(right, left, pk, fk)).count()
 }
 
 /// Weight of a path: the sum of its edge weights (the number of workload
