@@ -15,9 +15,14 @@
 //! bytes out of the row.  The capacity is not a tuning knob; it is what
 //! fits beside a length byte and the enum tag in the three words an
 //! `Arc<[u8]>` variant needs anyway.
+//!
+//! A written value is built into its `Val` once, when the cell is added to
+//! its [`crate::ops::Put`]; the put's WAL record and the stored row then
+//! hold copies of that one `Val` — an inline copy of 24 bytes, or a
+//! reference-count bump for a long value — so writing a cell neither
+//! re-encodes nor re-allocates its value on the way through the store.
 
-use crate::intern::{intern_name, Name};
-use serde::{Deserialize, Serialize};
+use crate::intern::Name;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -31,19 +36,6 @@ pub type Bytes = Vec<u8>;
 /// increasing sequence number handed out by the cluster, which keeps the
 /// simulation deterministic.
 pub type Timestamp = u64;
-
-/// Fully-qualified coordinate of a cell version.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct CellCoord {
-    /// Row key the cell belongs to.
-    pub row: Bytes,
-    /// Column family name.
-    pub family: String,
-    /// Column qualifier within the family.
-    pub qualifier: String,
-    /// Version timestamp.
-    pub timestamp: Timestamp,
-}
 
 /// A cell value: short values inline, long ones shared (see the module
 /// docs).  Dereferences to the value bytes; equality compares bytes.
@@ -84,6 +76,12 @@ impl Deref for Val {
     }
 }
 
+impl AsRef<[u8]> for Val {
+    fn as_ref(&self) -> &[u8] {
+        self
+    }
+}
+
 impl PartialEq for Val {
     fn eq(&self, other: &Self) -> bool {
         **self == **other
@@ -120,16 +118,17 @@ impl Cell {
     /// (length prefixes + timestamp + type tag).
     pub const PER_CELL_OVERHEAD: usize = 24;
 
-    /// Creates a cell, interning its names; mostly useful in tests.
+    /// Creates a cell, interning names given as strings; mostly useful in
+    /// tests.
     pub fn new(
-        family: impl AsRef<str>,
-        qualifier: impl AsRef<str>,
+        family: impl Into<Name>,
+        qualifier: impl Into<Name>,
         timestamp: Timestamp,
         value: impl AsRef<[u8]>,
     ) -> Self {
         Cell {
-            family: intern_name(family.as_ref()),
-            qualifier: intern_name(qualifier.as_ref()),
+            family: family.into(),
+            qualifier: qualifier.into(),
             timestamp,
             value: Val::from(value.as_ref()),
         }

@@ -80,7 +80,6 @@
 //! path adds a single branch per op: no RNG draws, no extra charges, and
 //! figures are byte-identical to a build without this module.
 
-use crate::cell::Timestamp;
 use crate::error::{StoreError, StoreResult};
 use crate::fault::{FaultDraw, FaultPlan, FaultState, FaultStats};
 use crate::metrics::{AtomicOpCounters, ClusterMetrics, ReplicationStats, TableMetrics};
@@ -90,6 +89,7 @@ use crate::replication::Replication;
 use crate::retry::{RetryPolicy, RetryRuntime};
 use crate::table::{ResultRow, TableSchema};
 use crate::wal::{WalOp, WriteAheadLog};
+use crate::{Name, Timestamp};
 use parking_lot::RwLock;
 use simclock::{CostModel, SimClock, SimDuration, SimInstant};
 use std::collections::BTreeMap;
@@ -147,8 +147,18 @@ impl Default for ClusterConfig {
     }
 }
 
+/// One table: its schema and its region lock, which every op on the table
+/// takes from every client.  Aligned to 128 bytes (two cache lines, the
+/// unit adjacent-line prefetch moves) so the lock never shares a line with
+/// another table's state or with a neighbouring allocation another thread
+/// writes.  Measured with two clients on a 2-core x86-64 box: without the
+/// alignment, which table state happened to sit next to what moved
+/// `tpcw_browse`'s `read_p50_us` by 20 %.
+#[repr(align(128))]
 pub(crate) struct TableState {
     pub(crate) schema: TableSchema,
+    /// The table's name as every WAL record of the table carries it.
+    log_name: Name,
     pub(crate) regions: RwLock<Vec<Region>>,
 }
 
@@ -416,6 +426,7 @@ impl Cluster {
         tables.insert(
             schema.name.clone(),
             Arc::new(TableState {
+                log_name: Name::from(schema.name.as_str()),
                 schema,
                 regions: RwLock::new(vec![region]),
             }),
@@ -585,7 +596,7 @@ impl Cluster {
                 work += rows[i].work(model);
                 applied[i] = row;
                 if let Some(op) = record {
-                    wal.append_region(table, region, op);
+                    wal.append_region(state.log_name, region, op);
                     logged = true;
                 }
             }
@@ -854,7 +865,7 @@ impl Mutation {
             Mutation::Put(put) => put_record(put, ts),
             Mutation::Delete(delete) => WalOp::Delete { row: delete.row.clone(), timestamp: ts },
             Mutation::CheckAndPut(cap) => {
-                if !region.matches(&cap.put.row, &cap.family, &cap.qualifier, &cap.expect) {
+                if !region.matches(&cap.put.row, cap.family, cap.qualifier, &cap.expect) {
                     return Ok((Applied { before, outcome: None }, None));
                 }
                 put_record(&cap.put, ts)

@@ -1,7 +1,8 @@
-//! Interner for column-family and qualifier names.
+//! Interner for column-family, qualifier and table names.
 //!
 //! A store holds millions of cells but only a handful of distinct
-//! `(family, qualifier)` names (one per declared column).  Every name is
+//! `(family, qualifier)` names (one per declared column), and its WAL holds
+//! a record per mutation but one table name per table.  Every name is
 //! interned once into a [`Name`]: a `Copy` handle to a leaked `&'static str`.
 //! Stored columns, materialized [`crate::Cell`]s and projections carry the
 //! handle, so copying a name is a 16-byte copy with no reference count, and
@@ -12,20 +13,20 @@
 //! stay valid and unique for as long as any row, cell or plan holds it,
 //! which is the life of the process — so an interned name is never freed
 //! whichever way it is owned, and leaking it gives up nothing.  The
-//! universe is bounded by the declared schemas (column names, not data):
-//! probe-only paths go through [`lookup_name`], which never inserts, so
-//! data-derived strings cannot grow the table.
+//! universe is bounded by the declared schemas (table and column names, not
+//! data): probe-only paths go through [`lookup_name`], which never inserts,
+//! so data-derived strings cannot grow the table.
 
 use std::collections::HashSet; // lint-allow(determinism): interner is probe/insert only, never iterated
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{OnceLock, PoisonError, RwLock};
 
-/// An interned family or qualifier name.
+/// An interned family, qualifier or table name.
 ///
-/// The only way to obtain one is [`intern_name`] / [`lookup_name`], so two
-/// `Name`s spell the same string iff they point at the same characters:
-/// `==` is a pointer compare.  `Ord` follows the string order, so sorted
+/// The only way to obtain one is [`intern_name`] (directly or through the
+/// `From` conversions) or [`lookup_name`], so two `Name`s spell the same
+/// string iff they point at the same characters: `==` is a pointer compare.  `Ord` follows the string order, so sorted
 /// containers of names iterate as a `BTreeMap<String, _>` would.
 #[derive(Clone, Copy)]
 pub struct Name(&'static str);
@@ -68,6 +69,21 @@ impl Ord for Name {
     }
 }
 
+/// Interning conversions, so builders such as [`crate::ops::Put::add`]
+/// take a `&str`, a `String` or an already-resolved `Name` (which passes
+/// through without touching the table).
+impl From<&str> for Name {
+    fn from(name: &str) -> Name {
+        intern_name(name)
+    }
+}
+
+impl From<String> for Name {
+    fn from(name: String) -> Name {
+        intern_name(&name)
+    }
+}
+
 impl fmt::Debug for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.0, f)
@@ -87,7 +103,7 @@ fn table() -> &'static RwLock<HashSet<&'static str>> {
     TABLE.get_or_init(|| RwLock::new(HashSet::new())) // lint-allow(determinism): interner is probe/insert only, never iterated
 }
 
-/// Interns a family or qualifier name, returning its handle.
+/// Interns a family, qualifier or table name, returning its handle.
 pub fn intern_name(name: &str) -> Name {
     if let Some(existing) = lookup_name(name) {
         return existing;

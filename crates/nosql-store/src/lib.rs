@@ -61,7 +61,7 @@ mod retry;
 mod table;
 mod wal;
 
-pub use cell::{Bytes, Cell, CellCoord, Timestamp, Val};
+pub use cell::{Bytes, Cell, Timestamp, Val};
 pub use cluster::{Cluster, ClusterConfig};
 pub use cursor::{ScanCursor, SCAN_PAGE_ROWS};
 pub use fault::{FaultPlan, FaultStats, ServerFaultStats};

@@ -6,12 +6,16 @@
 //! batches.  A read returns the newest version of each cell.  All
 //! single-row operations are atomic with respect to each other, which is
 //! exactly the guarantee the paper builds on.
+//!
+//! A [`Put`] carries each written cell in the form the store keeps it in:
+//! interned family and qualifier [`Name`]s and a [`Val`].  The cell is
+//! built once, when it is added; the put's WAL record and the stored row
+//! copy it without re-interning a name or re-allocating a short value.
+//! Callers that write the same columns over and over (the lock and marker
+//! puts, catalog row encoding) pass `Name`s they resolved once, which skips
+//! the interner altogether.
 
-use crate::cell::{Bytes, Timestamp};
-
-fn to_bytes(v: impl Into<Vec<u8>>) -> Bytes {
-    v.into()
-}
+use crate::{Bytes, Name, Timestamp, Val};
 
 /// A point read of one row (optionally restricted to specific columns).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +30,7 @@ impl Get {
     /// Reads the newest version of every column of `row`.
     pub fn new(row: impl Into<Vec<u8>>) -> Self {
         Get {
-            row: to_bytes(row),
+            row: row.into(),
             columns: Vec::new(),
         }
     }
@@ -44,7 +48,7 @@ pub struct Put {
     /// Row key being written.
     pub row: Bytes,
     /// Cells to write as `(family, qualifier, value)`.
-    pub cells: Vec<(String, String, Bytes)>,
+    pub cells: Vec<(Name, Name, Val)>,
     /// Explicit timestamp; `None` lets the cluster assign the next sequence
     /// number (the normal case).
     pub timestamp: Option<Timestamp>,
@@ -54,29 +58,30 @@ impl Put {
     /// Starts a put against `row`.
     pub fn new(row: impl Into<Vec<u8>>) -> Self {
         Put {
-            row: to_bytes(row),
+            row: row.into(),
             cells: Vec::new(),
             timestamp: None,
         }
     }
 
-    /// Adds one cell to the put.
+    /// Adds one cell to the put.  Names given as strings are interned here;
+    /// a [`Name`] is taken as is.
     pub fn add(
         &mut self,
-        family: impl Into<String>,
-        qualifier: impl Into<String>,
-        value: impl Into<Vec<u8>>,
+        family: impl Into<Name>,
+        qualifier: impl Into<Name>,
+        value: impl AsRef<[u8]>,
     ) -> &mut Self {
-        self.cells.push((family.into(), qualifier.into(), to_bytes(value)));
+        self.cells.push((family.into(), qualifier.into(), Val::from(value.as_ref())));
         self
     }
 
     /// Builder-style variant of [`Put::add`].
     pub fn with(
         mut self,
-        family: impl Into<String>,
-        qualifier: impl Into<String>,
-        value: impl Into<Vec<u8>>,
+        family: impl Into<Name>,
+        qualifier: impl Into<Name>,
+        value: impl AsRef<[u8]>,
     ) -> Self {
         self.add(family, qualifier, value);
         self
@@ -104,7 +109,7 @@ pub struct Delete {
 impl Delete {
     /// Deletes the entire row.
     pub fn row(row: impl Into<Vec<u8>>) -> Self {
-        Delete { row: to_bytes(row) }
+        Delete { row: row.into() }
     }
 }
 
@@ -137,9 +142,9 @@ pub struct CheckAndPut {
     /// Row whose cell is checked (must equal the put's row).
     pub row: Bytes,
     /// Family of the checked cell.
-    pub family: String,
+    pub family: Name,
     /// Qualifier of the checked cell.
-    pub qualifier: String,
+    pub qualifier: Name,
     /// Expected current state of the checked cell.
     pub expect: Expectation,
     /// Mutation applied when the check succeeds.
@@ -151,12 +156,12 @@ impl CheckAndPut {
     /// because HBase only supports single-row atomicity.
     pub fn new(
         row: impl Into<Vec<u8>>,
-        family: impl Into<String>,
-        qualifier: impl Into<String>,
+        family: impl Into<Name>,
+        qualifier: impl Into<Name>,
         expect: Expectation,
         put: Put,
     ) -> Self {
-        let row = to_bytes(row);
+        let row = row.into();
         // lint-allow(panic-freedom): documented constructor precondition (caller bug, not a fault path)
         assert_eq!(row, put.row, "CheckAndPut is single-row atomic");
         CheckAndPut {
@@ -193,15 +198,15 @@ impl Scan {
     /// Scans `[start, stop)`.
     pub fn range(start: impl Into<Vec<u8>>, stop: impl Into<Vec<u8>>) -> Self {
         Scan {
-            start: to_bytes(start),
-            stop: to_bytes(stop),
+            start: start.into(),
+            stop: stop.into(),
             ..Scan::default()
         }
     }
 
     /// Scans every row whose key starts with `prefix`.
     pub fn prefix(prefix: impl Into<Vec<u8>>) -> Self {
-        let start: Bytes = to_bytes(prefix);
+        let start: Bytes = prefix.into();
         let mut stop = start.clone();
         // Successor of the prefix: increment the last byte that is not 0xff.
         while let Some(last) = stop.last_mut() {
@@ -246,7 +251,7 @@ mod tests {
     fn put_builder_collects_cells() {
         let put = Put::new("r1").with("cf", "a", "1").with("cf", "b", "2");
         assert_eq!(put.cell_count(), 2);
-        assert_eq!(put.cells[1].1, "b");
+        assert_eq!(put.cells[1].1.as_str(), "b");
     }
 
     #[test]

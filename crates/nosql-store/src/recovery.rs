@@ -169,7 +169,7 @@ impl Cluster {
         }
         let mut replayed = 0u64;
         for entry in &self.synced_physical_entries() {
-            if let Some(state) = tables.get(&entry.table) {
+            if let Some(state) = tables.get(entry.table.as_str()) {
                 replay(&state.schema, &mut state.regions.write(), &entry.op, |_| true);
                 replayed += 1;
             }
@@ -278,7 +278,7 @@ impl Cluster {
                     regions[idx].insert_row(key.clone(), row.clone());
                 }
             }
-            for entry in entries.iter().filter(|e| e.table == *name) {
+            for entry in entries.iter().filter(|e| *e.table == **name) {
                 replay(&state.schema, &mut regions, &entry.op, affected);
             }
             regions.iter_mut().filter(|r| affected(r)).for_each(Region::recompute_bytes);

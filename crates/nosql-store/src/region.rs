@@ -8,7 +8,7 @@
 
 use crate::cell::{Bytes, Cell, Timestamp, Val};
 use crate::error::{StoreError, StoreResult};
-use crate::intern::position_from;
+use crate::intern::{position_from, Name};
 use crate::ops::{Expectation, Get, Put, Scan};
 use crate::table::{ColKey, ResultRow, RowData, TableSchema};
 use crate::wal::WalOp;
@@ -120,7 +120,10 @@ impl Region {
         self.put_cells(schema, &put.row, &put.cells, put.timestamp.unwrap_or(ts))
     }
 
-    /// Writes `cells` to `row` at version `ts`.
+    /// Writes `cells` to `row` at version `ts`: the one put path, shared by
+    /// [`Region::put`] (bulk load) and [`Region::apply_op`] (live writes and
+    /// replay).  A cell's names are already interned and its value already
+    /// built, so storing it copies them.
     ///
     /// Byte accounting is incremental: each written cell adjusts the
     /// region's size by its own footprint (or by the value-length delta when
@@ -130,7 +133,7 @@ impl Region {
         &mut self,
         schema: &TableSchema,
         row: &[u8],
-        cells: &[(String, String, Bytes)],
+        cells: &[(Name, Name, Val)],
         ts: Timestamp,
     ) -> StoreResult<usize> {
         check_cells(schema, cells)?;
@@ -138,8 +141,8 @@ impl Region {
         let delta = self.with_row(row, cells.len(), |stored| {
             let mut delta = 0isize;
             for (family, qualifier, value) in cells {
-                let col = ColKey::new(family, qualifier);
-                delta += match stored.put(col, ts, Val::from(&value[..])) {
+                let col = ColKey::new(*family, *qualifier);
+                delta += match stored.put(col, ts, value.clone()) {
                     Some(old_len) => value.len() as isize - old_len as isize,
                     None => (col.cell_heap_size(value.len()) + key_len) as isize,
                 };
@@ -186,14 +189,14 @@ impl Region {
     pub(crate) fn matches(
         &self,
         row: &[u8],
-        family: &str,
-        qualifier: &str,
+        family: Name,
+        qualifier: Name,
         expect: &Expectation,
     ) -> bool {
         let current = self
             .rows
             .get(row)
-            .and_then(|row| row.column(ColKey::lookup(family, qualifier)?))
+            .and_then(|row| row.column(ColKey::new(family, qualifier)))
             .map(|column| &column.value);
         match (expect, current) {
             (Expectation::Absent, None) => true,
@@ -354,14 +357,14 @@ impl Region {
 }
 
 /// Refuses a put that carries no cells or names a family `schema` lacks.
-pub(crate) fn check_cells(schema: &TableSchema, cells: &[(String, String, Bytes)]) -> StoreResult<()> {
+pub(crate) fn check_cells(schema: &TableSchema, cells: &[(Name, Name, Val)]) -> StoreResult<()> {
     if cells.is_empty() {
         return Err(StoreError::EmptyMutation);
     }
     match cells.iter().find(|(family, _, _)| !schema.has_family(family)) {
         Some((family, _, _)) => Err(StoreError::UnknownColumnFamily {
             table: schema.name.clone(),
-            family: family.clone(),
+            family: family.to_string(),
         }),
         None => Ok(()),
     }
@@ -432,13 +435,14 @@ mod tests {
     #[test]
     fn check_and_put_is_conditional() {
         let mut r = region();
-        assert!(r.matches(b"lock1", "cf", "held", &Expectation::Absent));
+        let (cf, held) = (Name::from("cf"), Name::from("held"));
+        assert!(r.matches(b"lock1", cf, held, &Expectation::Absent));
         r.put(&schema(), &Put::new("lock1").with("cf", "held", "1"), 1).unwrap();
         // A second acquire against the same lock must fail.
-        assert!(!r.matches(b"lock1", "cf", "held", &Expectation::Absent));
+        assert!(!r.matches(b"lock1", cf, held, &Expectation::Absent));
         // Release: expect current value "1".
-        assert!(r.matches(b"lock1", "cf", "held", &Expectation::Equals(b"1".to_vec())));
-        assert!(!r.matches(b"lock1", "cf", "held", &Expectation::Equals(b"0".to_vec())));
+        assert!(r.matches(b"lock1", cf, held, &Expectation::Equals(b"1".to_vec())));
+        assert!(!r.matches(b"lock1", cf, held, &Expectation::Equals(b"0".to_vec())));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! cluster: every method returns plain data and releases first.
 
 use crate::metrics::ReplicationStats;
-use crate::wal::WalEntry;
 use parking_lot::Mutex;
 use simclock::SimInstant;
 use std::collections::BTreeMap;
@@ -120,16 +119,18 @@ impl Replication {
         self.registry.lock().prune(keep);
     }
 
-    /// Ships a freshly synced group-commit batch to the followers of the
-    /// regions it touched and returns the number of ship events (record ×
-    /// acknowledging follower) for the batch-closing write to pay.  A live
-    /// follower that was in sync acknowledges the record; a follower inside
-    /// a crash window falls behind and catches up on rejoin.
-    pub(crate) fn ship(&self, newly: &[WalEntry], is_down: impl Fn(usize) -> bool) -> u64 {
+    /// Ships a freshly synced group-commit batch — the `(sequence, region)`
+    /// of each record, as [`crate::WriteAheadLog::sync_take_new`] returns
+    /// them — to the followers of the regions it touched and returns the
+    /// number of ship events (record × acknowledging follower) for the
+    /// batch-closing write to pay.  A live follower that was in sync
+    /// acknowledges the record; a follower inside a crash window falls
+    /// behind and catches up on rejoin.
+    pub(crate) fn ship(&self, newly: &[(u64, Option<u64>)], is_down: impl Fn(usize) -> bool) -> u64 {
         let mut ship_events = 0u64;
         let mut registry = self.registry.lock();
-        for entry in newly {
-            let Some(set) = entry.region.and_then(|id| registry.regions.get_mut(&id)) else {
+        for &(_, region) in newly {
+            let Some(set) = region.and_then(|id| registry.regions.get_mut(&id)) else {
                 continue;
             };
             set.shipped += 1;

@@ -4,8 +4,8 @@
 //!
 //! A stored row ([`RowData`]) is one flat `Vec` of columns; a column holds
 //! its newest version **in place** — interned names, timestamp and a
-//! [`Val`] that keeps short values inline — and every other version in a
-//! side `Vec`.  A read, which returns only the newest version of each
+//! [`Val`] that keeps short values inline — and the timestamp and length of
+//! every other version in a side `Vec`.  A read, which returns only the newest version of each
 //! column, therefore walks one contiguous array and copies 64 bytes per
 //! cell: no tree node, no allocation and no reference count per cell.  Four
 //! invariants hold after every mutation:
@@ -16,22 +16,27 @@
 //!    table in step with them.
 //! 2. **Newest in place.**  A column's `timestamp`/`value` is its version
 //!    with the largest timestamp.  A put at a timestamp above it — every
-//!    cluster-stamped write — moves the old newest to the end of `older`
-//!    and overwrites in place: O(1) however many versions have piled up
+//!    cluster-stamped write — moves the old newest's timestamp and length
+//!    to the end of `older` and overwrites in place: O(1) however many versions have piled up
 //!    (lock rows and dirty markers collect thousands between compactions).
-//! 3. **`older` ascending.**  The remaining versions are strictly ascending
-//!    by timestamp, all below the newest; a put with an explicit older
-//!    timestamp (`Put::timestamp`, MVCC, WAL replay) is inserted at its
-//!    position.  After a major compaction `older` is empty and unallocated.
+//! 3. **`older` ascending, lengths only.**  The remaining versions are
+//!    strictly ascending by timestamp, all below the newest; a put with an
+//!    explicit older timestamp (`Put::timestamp`, WAL replay) is inserted at
+//!    its position.  An older version keeps only its timestamp and its
+//!    value's length: every read returns the newest version, so an older
+//!    value is never read again, while its length is all the modelled bytes
+//!    (invariant 4) need.  A superseded value is therefore freed when it is
+//!    superseded, not at the next compaction.  After a major compaction
+//!    `older` is empty and unallocated.
 //! 4. **Modelled bytes unchanged.**  [`RowData::heap_size`],
 //!    [`Cell::heap_size`] and [`ResultRow::byte_size`] charge each version
-//!    its names, its value, [`Cell::PER_CELL_OVERHEAD`] and the row key —
-//!    the HBase on-disk model that region splits, scan costs and the
-//!    paper's Table III are built on — whatever the process's own layout
-//!    costs.
+//!    its names, its value's length, [`Cell::PER_CELL_OVERHEAD`] and the
+//!    row key — the HBase on-disk model that region splits, scan costs and
+//!    the paper's Table III are built on — whatever the process's own
+//!    layout costs.
 
 use crate::cell::{Bytes, Cell, Timestamp, Val};
-use crate::intern::{intern_name, lookup_name, Name};
+use crate::intern::{lookup_name, Name};
 use serde::{Deserialize, Serialize};
 
 /// Schema of a table: its name and declared column families.
@@ -81,11 +86,11 @@ pub(crate) struct ColKey {
 }
 
 impl ColKey {
-    /// Builds a key, interning both names.
-    pub(crate) fn new(family: &str, qualifier: &str) -> ColKey {
+    /// Builds a key, interning names given as strings.
+    pub(crate) fn new(family: impl Into<Name>, qualifier: impl Into<Name>) -> ColKey {
         ColKey {
-            family: intern_name(family),
-            qualifier: intern_name(qualifier),
+            family: family.into(),
+            qualifier: qualifier.into(),
         }
     }
 
@@ -114,21 +119,22 @@ pub(crate) struct Column {
     pub(crate) timestamp: Timestamp,
     /// Value of the newest version, in place.
     pub(crate) value: Val,
-    /// Every other version, oldest first (all timestamps below
-    /// `timestamp`, strictly ascending).
-    older: Vec<(Timestamp, Val)>,
+    /// Every other version as `(timestamp, value length)`, oldest first (all
+    /// timestamps below `timestamp`, strictly ascending).  16 bytes each,
+    /// the same as a `u32` length would take beside the timestamp.
+    older: Vec<(Timestamp, usize)>,
 }
 
 impl Column {
     /// Stores `value` as version `ts`; returns the length of the value it
     /// replaced when that exact version already existed.  The common case —
-    /// `ts` above every stored version — moves the current newest to the
-    /// end of `older` and writes the new one in place; an explicit older
-    /// timestamp is inserted at its sorted position.
+    /// `ts` above every stored version — moves the current newest's length
+    /// to the end of `older` and writes the new one in place; an explicit
+    /// older timestamp records its length at its sorted position.
     fn put(&mut self, ts: Timestamp, value: Val) -> Option<usize> {
         if ts > self.timestamp {
             let previous = std::mem::replace(&mut self.value, value);
-            self.older.push((self.timestamp, previous));
+            self.older.push((self.timestamp, previous.len()));
             self.timestamp = ts;
             return None;
         }
@@ -136,9 +142,9 @@ impl Column {
             return Some(std::mem::replace(&mut self.value, value).len());
         }
         match self.older.binary_search_by_key(&ts, |(t, _)| *t) {
-            Ok(i) => Some(std::mem::replace(&mut self.older[i].1, value).len()),
+            Ok(i) => Some(std::mem::replace(&mut self.older[i].1, value.len())),
             Err(i) => {
-                self.older.insert(i, (ts, value));
+                self.older.insert(i, (ts, value.len()));
                 None
             }
         }
@@ -147,8 +153,8 @@ impl Column {
     /// Modelled bytes of every version of this column in a row whose key is
     /// `row_key_len` bytes long.
     pub(crate) fn heap_size(&self, row_key_len: usize) -> usize {
-        let versions = std::iter::once(&self.value).chain(self.older.iter().map(|(_, v)| v));
-        versions.map(|value| self.key.cell_heap_size(value.len()) + row_key_len).sum()
+        let lengths = self.older.iter().map(|&(_, len)| len).chain([self.value.len()]);
+        lengths.map(|len| self.key.cell_heap_size(len) + row_key_len).sum()
     }
 }
 
@@ -277,18 +283,20 @@ impl ResultRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::intern_name;
 
     fn val(text: &str) -> Val {
         Val::from(text.as_bytes())
     }
 
-    /// Every stored version of column `key`, newest first.
-    fn versions_of(row: &RowData, key: ColKey) -> Vec<(Timestamp, Vec<u8>)> {
+    /// Every stored version of column `key` as `(timestamp, value length)`,
+    /// newest first.
+    fn versions_of(row: &RowData, key: ColKey) -> Vec<(Timestamp, usize)> {
         let Some(column) = row.column(key) else {
             return Vec::new();
         };
-        let older = column.older.iter().rev().map(|(ts, value)| (*ts, value.to_vec()));
-        std::iter::once((column.timestamp, column.value.to_vec())).chain(older).collect()
+        let older = column.older.iter().rev().copied();
+        std::iter::once((column.timestamp, column.value.len())).chain(older).collect()
     }
 
     #[test]
@@ -322,10 +330,7 @@ mod tests {
         let column = row.column(key).unwrap();
         assert_eq!((column.timestamp, &*column.value), (9, &b"NINE!"[..]));
         assert!(column.older.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(
-            versions_of(&row, key),
-            [(9, b"NINE!".to_vec()), (7, b"seven".to_vec()), (5, b"five".to_vec()), (2, b"2".to_vec()), (1, b"one".to_vec())]
-        );
+        assert_eq!(versions_of(&row, key), [(9, 5), (7, 5), (5, 4), (2, 1), (1, 3)]);
         assert_eq!(row.cell_count(), 5);
     }
 
@@ -337,7 +342,8 @@ mod tests {
             row.put(key, ts, Val::from(&[ts as u8][..]));
         }
         row.compact();
-        assert_eq!(versions_of(&row, key), [(5, vec![5])]);
+        assert_eq!(versions_of(&row, key), [(5, 1)]);
+        assert_eq!(&*row.column(key).unwrap().value, &[5]);
         assert_eq!(row.column(key).unwrap().older.capacity(), 0, "side vector is given back");
     }
 

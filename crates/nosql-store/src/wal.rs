@@ -8,6 +8,18 @@
 //! replaying synced entries in timestamp order over the last durable
 //! checkpoint reproduces the exact acked-synced state.
 //!
+//! # Record payload
+//!
+//! A put record holds its cells in the form the put and the stored row
+//! hold them — interned family and qualifier [`Name`]s and a [`Val`] — so
+//! logging a put copies each cell: two pointer-sized names, and a 24-byte
+//! inline value or a reference-count bump on a long one.  The record's
+//! `table` is an interned [`Name`] too — a copy, not a string per record,
+//! and no reference count two writers would bump on one shared cache line.
+//! The log is kept until the next
+//! checkpoint, so what a record holds is memory every write keeps for the
+//! rest of the run.
+//!
 //! Group commit: [`WriteAheadLog::sync`] makes every appended record durable
 //! at once, so a cluster configured with a sync interval > 1 acks writes
 //! before they are durable — a crash then loses the unsynced tail
@@ -31,7 +43,7 @@
 //! synced record *behind* unsynced ones, so the walks over the tail still
 //! check each record's own `synced` flag rather than assume a pure suffix.
 
-use crate::cell::{Bytes, Timestamp};
+use crate::{Bytes, Name, Timestamp, Val};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -43,7 +55,7 @@ pub enum WalOp {
         /// Row key written.
         row: Bytes,
         /// The written cells, `(family, qualifier, value)`.
-        cells: Vec<(String, String, Bytes)>,
+        cells: Vec<(Name, Name, Val)>,
         /// Cell timestamp the put was applied at.
         timestamp: Timestamp,
     },
@@ -90,7 +102,7 @@ pub struct WalEntry {
     /// Monotonically increasing sequence number within the log.
     pub sequence: u64,
     /// Table (or logical stream) the record belongs to.
-    pub table: String,
+    pub table: Name,
     /// Region the mutation was applied to, when known.  This is the
     /// per-region shipping offset key: replication ships each synced record
     /// to the followers of *this* region, and a rejoining replica replays
@@ -120,7 +132,7 @@ struct WalInner {
 }
 
 impl WalInner {
-    fn push(&mut self, table: String, region: Option<u64>, op: WalOp, synced: bool) -> u64 {
+    fn push(&mut self, table: Name, region: Option<u64>, op: WalOp, synced: bool) -> u64 {
         let sequence = self.next_sequence;
         self.next_sequence += 1;
         if !synced {
@@ -152,20 +164,20 @@ impl WriteAheadLog {
 
     /// Appends a record and returns its sequence number.  The record is not
     /// durable until [`WriteAheadLog::sync`] is called.
-    pub fn append(&self, table: impl Into<String>, op: WalOp) -> u64 {
+    pub fn append(&self, table: impl Into<Name>, op: WalOp) -> u64 {
         self.inner.lock().push(table.into(), None, op, false)
     }
 
     /// Appends a record tagged with the region it mutated, so replication
     /// can ship it to that region's followers once it syncs.
-    pub fn append_region(&self, table: impl Into<String>, region: u64, op: WalOp) -> u64 {
+    pub fn append_region(&self, table: impl Into<Name>, region: u64, op: WalOp) -> u64 {
         self.inner.lock().push(table.into(), Some(region), op, false)
     }
 
     /// Appends a record that is durable immediately (used for offline bulk
     /// loads, which model a population phase that is flushed and compacted
     /// before any measurement starts).
-    pub fn append_synced(&self, table: impl Into<String>, op: WalOp) -> u64 {
+    pub fn append_synced(&self, table: impl Into<Name>, op: WalOp) -> u64 {
         self.inner.lock().push(table.into(), None, op, true)
     }
 
@@ -175,14 +187,15 @@ impl WriteAheadLog {
         self.inner.lock().sync(|_| {})
     }
 
-    /// Like [`WriteAheadLog::sync`], but returns clones of the records this
-    /// flush made durable, in sequence order.  Replication hooks in here:
-    /// the newly synced batch is exactly the set of records the group
-    /// commit ships to follower replicas.
-    pub fn sync_take_new(&self) -> Vec<WalEntry> {
+    /// Like [`WriteAheadLog::sync`], but returns the `(sequence, region)` of
+    /// each record this flush made durable, in sequence order.  Replication
+    /// hooks in here: the newly synced batch is exactly the set of records
+    /// the group commit ships to follower replicas, and shipping needs only
+    /// their regions.
+    pub fn sync_take_new(&self) -> Vec<(u64, Option<u64>)> {
         let mut inner = self.inner.lock();
         let mut newly = Vec::with_capacity(inner.unsynced);
-        inner.sync(|entry| newly.push(entry.clone()));
+        inner.sync(|entry| newly.push((entry.sequence, entry.region)));
         newly
     }
 
@@ -265,7 +278,7 @@ mod tests {
     fn put_op(row: &str, ts: Timestamp) -> WalOp {
         WalOp::Put {
             row: row.as_bytes().to_vec(),
-            cells: vec![("cf".into(), "v".into(), b"1".to_vec())],
+            cells: vec![("cf".into(), "v".into(), Val::from(&b"1"[..]))],
             timestamp: ts,
         }
     }
@@ -319,14 +332,12 @@ mod tests {
         wal.append_region("t", 7, put_op("b", 2));
         wal.append_region("t", 8, put_op("c", 3));
         let newly = wal.sync_take_new();
-        assert_eq!(newly.len(), 2, "already-synced records are not re-shipped");
-        assert_eq!(newly[0].region, Some(7));
-        assert_eq!(newly[1].region, Some(8));
-        assert!(newly.iter().all(|e| e.synced));
+        assert_eq!(newly, [(1, Some(7)), (2, Some(8))], "already-synced records are not re-shipped");
+        assert!(wal.entries().iter().all(|e| e.synced));
         assert!(wal.sync_take_new().is_empty());
         // Plain appends carry no region tag.
         wal.append("t", WalOp::Logical { payload: "x".into() });
-        assert_eq!(wal.sync_take_new()[0].region, None);
+        assert_eq!(wal.sync_take_new(), [(3, None)]);
     }
 
     #[test]

@@ -59,11 +59,12 @@ impl NaiveLog {
         self.entries.iter().filter(|e| !e.synced).cloned().collect()
     }
 
-    fn sync_take_new(&mut self) -> Vec<WalEntry> {
+    /// `(sequence, region)` of each newly synced record.
+    fn sync_take_new(&mut self) -> Vec<(u64, Option<u64>)> {
         let mut newly = Vec::new();
         for entry in self.entries.iter_mut().filter(|e| !e.synced) {
             entry.synced = true;
-            newly.push(entry.clone());
+            newly.push((entry.sequence, entry.region));
         }
         newly
     }
@@ -138,7 +139,7 @@ fn synced_record_behind_pending_ones_is_neither_resynced_nor_dropped() {
     assert_eq!(wal.unsynced_len(), 2);
     let pending: Vec<u64> = wal.unsynced().iter().map(|e| e.sequence).collect();
     assert_eq!(pending, [0, 2]);
-    let shipped: Vec<u64> = wal.sync_take_new().iter().map(|e| e.sequence).collect();
+    let shipped: Vec<u64> = wal.sync_take_new().iter().map(|&(sequence, _)| sequence).collect();
     assert_eq!(shipped, [0, 2], "the already-synced record is not shipped again");
     wal.append("t", op(3));
     wal.append_synced("t", op(4));

@@ -169,14 +169,19 @@ impl TableDef {
     }
 
     /// Converts a row into a [`Put`] against this table (all attributes into
-    /// the single column family).
+    /// the single column family), its cells in column-name order.  The
+    /// family and qualifiers are the handles resolved at construction, and
+    /// every value is encoded through one buffer, so a short value's cell
+    /// costs no allocation of its own.
     pub fn row_to_put(&self, row: &Row) -> Put {
         let mut put = Put::new(self.encode_row_key(row));
-        for (i, (column, _)) in self.columns.iter().enumerate() {
-            if let Some(value) = row.get_interned(&self.col_syms[i]) {
-                if !value.is_null() {
-                    put.add(FAMILY, column.clone(), value.encode());
-                }
+        put.cells.reserve_exact(self.columns.len());
+        let mut encoded = String::new();
+        for &(qualifier, i) in &self.by_name {
+            if let Some(value) = row.get_interned(&self.col_syms[i]).filter(|v| !v.is_null()) {
+                encoded.clear();
+                value.encode_into(&mut encoded);
+                put.add(self.family, qualifier, &encoded);
             }
         }
         put
@@ -414,7 +419,7 @@ mod tests {
             cells: put
                 .cells
                 .iter()
-                .map(|(f, q, v)| nosql_store::Cell::new(f.clone(), q.clone(), 1, v.clone()))
+                .map(|(f, q, v)| nosql_store::Cell::new(*f, *q, 1, v))
                 .collect(),
         };
         let decoded = def.decode_row(&stored);

@@ -32,7 +32,6 @@ use crate::catalog::{Catalog, TableDef, FAMILY};
 use crate::optimize;
 use crate::physical::PhysicalPlan;
 use crate::result::{QueryError, QueryResult};
-use nosql_store::intern::intern_name;
 use nosql_store::ops::{Get, Scan};
 use nosql_store::{Cluster, Name, ParScanCursor, ResultRow};
 use relational::{Row, Value, KEY_DELIMITER};
@@ -130,9 +129,16 @@ impl Iterator for StoredRows {
 /// Every scanned row is probed, so the marker column is addressed by its
 /// interned names: pointer compares per cell, no string compares.
 pub(crate) fn stored_row_is_dirty(stored: &nosql_store::ResultRow) -> bool {
-    static MARKER: OnceLock<(Name, Name)> = OnceLock::new();
-    let (family, marker) = *MARKER.get_or_init(|| (intern_name(FAMILY), intern_name(DIRTY_MARKER)));
+    let (family, marker) = dirty_marker_names();
     stored.value_interned(family, marker).is_some_and(|v| v == b"1")
+}
+
+/// [`FAMILY`] and [`DIRTY_MARKER`] as the store interned them, resolved
+/// once: every scanned row is probed for the marker and every view update
+/// writes it, so both sides address it by handle, not by string.
+pub fn dirty_marker_names() -> (Name, Name) {
+    static MARKER: OnceLock<(Name, Name)> = OnceLock::new();
+    *MARKER.get_or_init(|| (FAMILY.into(), DIRTY_MARKER.into()))
 }
 
 /// Executes SQL statements against a [`Cluster`] using a [`Catalog`].

@@ -75,7 +75,7 @@ mod writes;
 
 pub use catalog::{Catalog, ColumnType, TableDef, TableKind, FAMILY};
 pub use delta::{overlay, DeltaPlan, DeltaSign, RowDelta};
-pub use executor::{AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT};
+pub use executor::{dirty_marker_names, AccessPath, Executor, DIRTY_MARKER, DIRTY_RETRY_LIMIT};
 pub use optimize::select_probe_access;
 pub use physical::PhysicalPlan;
 pub use result::{QueryError, QueryResult};

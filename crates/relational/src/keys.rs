@@ -18,7 +18,7 @@ pub fn encode_key<'a>(values: impl IntoIterator<Item = &'a Value>) -> String {
         if i > 0 {
             out.push(KEY_DELIMITER);
         }
-        out.push_str(&v.encode());
+        v.encode_into(&mut out);
     }
     out
 }

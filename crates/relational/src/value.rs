@@ -65,11 +65,20 @@ impl Value {
     /// verbatim) because HBase row keys in the paper are delimited
     /// concatenations of attribute values.
     pub fn encode(&self) -> String {
+        let mut encoded = String::new();
+        self.encode_into(&mut encoded);
+        encoded
+    }
+
+    /// Appends [`Value::encode`]'s text to `out`, so a caller encoding many
+    /// values (every cell of a row) can reuse one buffer.
+    pub fn encode_into(&self, out: &mut String) {
+        use fmt::Write;
         match self {
-            Value::Null => String::new(),
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => format!("{v}"),
-            Value::Str(s) => s.clone(),
+            Value::Null => {}
+            Value::Str(s) => out.push_str(s),
+            // A number encodes as it displays; writing to a `String` cannot fail.
+            number => write!(out, "{number}").unwrap_or(()),
         }
     }
 

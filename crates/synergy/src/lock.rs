@@ -22,10 +22,10 @@
 //! and then force-releases every expired lock in one sweep.
 
 use nosql_store::ops::{CheckAndPut, Expectation, Put, Scan};
-use nosql_store::{Cluster, StoreResult, TableSchema};
+use nosql_store::{Cluster, Name, StoreResult, TableSchema};
 use simclock::SimDuration;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Column family used by lock tables.
 pub const LOCK_FAMILY: &str = "l";
@@ -47,6 +47,14 @@ pub const DEFAULT_LOCK_LEASE: SimDuration = SimDuration::from_secs(1);
 /// backoff, so a writer waits about two simulated seconds — longer than
 /// [`DEFAULT_LOCK_LEASE`] — before it gives up.
 pub const MAX_LOCK_ATTEMPTS: usize = 10_000;
+
+/// [`LOCK_FAMILY`], [`LOCK_COLUMN`] and [`LOCK_EXPIRY_COLUMN`] as the store
+/// interned them, resolved once: every acquire and release writes them, and
+/// a resolved `Name` goes into a put without a trip through the interner.
+pub(crate) fn lock_names() -> (Name, Name, Name) {
+    static NAMES: OnceLock<(Name, Name, Name)> = OnceLock::new();
+    *NAMES.get_or_init(|| (LOCK_FAMILY.into(), LOCK_COLUMN.into(), LOCK_EXPIRY_COLUMN.into()))
+}
 
 /// Name of the lock table for a root relation, e.g. `L_Customer`.
 pub fn lock_table_name(root: &str) -> String {
@@ -104,18 +112,11 @@ impl Drop for LockGuard {
 /// flips `held` from 1 to 0 and clears the lease expiry.  `Ok(false)` when
 /// the lock was not held.
 fn release_row(cluster: &Cluster, table: &str, key: &str) -> StoreResult<bool> {
-    let release = Put::new(key.to_string())
-        .with(LOCK_FAMILY, LOCK_COLUMN, "0")
-        .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, "0");
+    let (family, held, expiry) = lock_names();
+    let release = Put::new(key.to_string()).with(family, held, "0").with(family, expiry, "0");
     cluster.check_and_put(
         table,
-        CheckAndPut::new(
-            key.to_string(),
-            LOCK_FAMILY,
-            LOCK_COLUMN,
-            Expectation::Equals(b"1".to_vec()),
-            release,
-        ),
+        CheckAndPut::new(key.to_string(), family, held, Expectation::Equals(b"1".to_vec()), release),
     )
 }
 
@@ -149,19 +150,18 @@ impl LockManager {
     /// created when a tuple is inserted into the root table", §VIII-A).
     pub fn ensure_entry(&self, root: &str, key: &str) -> StoreResult<()> {
         let table = lock_table_name(root);
-        self.cluster.put(
-            &table,
-            Put::new(key.to_string()).with(LOCK_FAMILY, LOCK_COLUMN, "0"),
-        )
+        let (family, held, _) = lock_names();
+        self.cluster.put(&table, Put::new(key.to_string()).with(family, held, "0"))
     }
 
     /// The `held = 1` put for an acquisition at the current simulated time,
     /// stamping the lease expiry.
     fn held_put(&self, key: &str) -> Put {
+        let (family, held, expiry_column) = lock_names();
         let expiry = self.cluster.clock().now() + DEFAULT_LOCK_LEASE;
         Put::new(key.to_string())
-            .with(LOCK_FAMILY, LOCK_COLUMN, "1")
-            .with(LOCK_FAMILY, LOCK_EXPIRY_COLUMN, expiry.as_nanos().to_string())
+            .with(family, held, "1")
+            .with(family, expiry_column, expiry.as_nanos().to_string())
     }
 
     /// Acquires the hierarchical lock for root row `key`, spinning (with a
@@ -170,6 +170,7 @@ impl LockManager {
     /// only [`LockManager::reclaim_expired`] (crash recovery) breaks one.
     pub fn acquire(&self, root: &str, key: &str) -> StoreResult<Option<LockGuard>> {
         let table = lock_table_name(root);
+        let (family, held, _) = lock_names();
         for attempt in 0..MAX_LOCK_ATTEMPTS {
             let put = self.held_put(key);
             // Fast path: the entry exists and is free.
@@ -177,8 +178,8 @@ impl LockManager {
                 &table,
                 CheckAndPut::new(
                     key.to_string(),
-                    LOCK_FAMILY,
-                    LOCK_COLUMN,
+                    family,
+                    held,
                     Expectation::Equals(b"0".to_vec()),
                     put.clone(),
                 ),
@@ -190,13 +191,7 @@ impl LockManager {
             // Synergy); create-and-acquire atomically.
             let acquired = self.cluster.check_and_put(
                 &table,
-                CheckAndPut::new(
-                    key.to_string(),
-                    LOCK_FAMILY,
-                    LOCK_COLUMN,
-                    Expectation::Absent,
-                    put,
-                ),
+                CheckAndPut::new(key.to_string(), family, held, Expectation::Absent, put),
             )?;
             if acquired {
                 return Ok(Some(self.guard(&table, key)));

@@ -47,7 +47,7 @@
 use crate::partial::ViewResidency;
 use crate::viewgen::ViewDefinition;
 use nosql_store::ops::{Mutation, Put};
-use query::{DeltaPlan, DeltaSign, Executor, QueryError, RowDelta, RowWrite, TableDef, FAMILY};
+use query::{DeltaPlan, DeltaSign, Executor, QueryError, RowDelta, RowWrite, TableDef};
 use relational::Row;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -477,9 +477,9 @@ impl MaintenanceEngine {
         value: &str,
     ) -> Result<(), QueryError> {
         let def = self.catalog_view_def(view)?;
+        let (family, column) = query::dirty_marker_names();
         let put = |rows: Vec<&Row>| {
-            let marker =
-                |row: &Row| Put::new(def.encode_row_key(row)).with(FAMILY, DIRTY_MARKER, value);
+            let marker = |row: &Row| Put::new(def.encode_row_key(row)).with(family, column, value);
             let markers: Vec<Mutation> = rows
                 .into_iter()
                 .map(|row| Mutation::Put(marker(row)))

@@ -742,15 +742,10 @@ impl SynergySystem {
                 .catalog()
                 .table_ci(relation)
                 .ok_or_else(|| QueryError::UnknownTable(relation.to_string()))?;
+            let (family, held, _) = crate::lock::lock_names();
             let puts: Vec<nosql_store::ops::Put> = rows
                 .iter()
-                .map(|row| {
-                    nosql_store::ops::Put::new(def.encode_row_key(row)).with(
-                        crate::lock::LOCK_FAMILY,
-                        crate::lock::LOCK_COLUMN,
-                        "0",
-                    )
-                })
+                .map(|row| nosql_store::ops::Put::new(def.encode_row_key(row)).with(family, held, "0"))
                 .collect();
             self.cluster()
                 .bulk_load(&crate::lock::lock_table_name(relation), puts)

@@ -64,7 +64,6 @@ use query::{
 use relational::{encode_key, Row, Schema, Value};
 use sql::Statement;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
 /// Errors raised by the transaction layer.
@@ -147,6 +146,10 @@ pub struct WritePlan {
     pub uses_dirty_marking: bool,
 }
 
+/// The table tag of every record in the statement WAL.  The log's own
+/// sequence numbers order the records, so one constant tag serves them all.
+const STATEMENT_LOG: &str = "statements";
+
 /// The Synergy transaction layer: one logical slave node with its
 /// write-ahead log, plus the plan generator and transaction procedures.
 #[derive(Clone)]
@@ -157,7 +160,6 @@ pub struct TransactionLayer {
     locks: LockManager,
     maintainer: MaintenanceEngine,
     wal: WriteAheadLog,
-    next_txn: Arc<AtomicU64>,
     locking_enabled: bool,
     /// One-shot fault-injection hook: abort the next update transaction
     /// after the given §VIII-B step completes (see
@@ -181,7 +183,6 @@ impl TransactionLayer {
             locks,
             maintainer,
             wal: WriteAheadLog::new(),
-            next_txn: Arc::new(AtomicU64::new(1)),
             locking_enabled: true,
             interrupt_after: Arc::new(std::sync::Mutex::new(None)),
         }
@@ -282,9 +283,8 @@ impl TransactionLayer {
         // Step 1 — log: the slave's transaction manager appends the
         // statement to its WAL (one durable append per transaction) before
         // executing it.
-        let txn_id = self.next_txn.fetch_add(1, Ordering::SeqCst);
         self.wal.append(
-            format!("txn-{txn_id}"),
+            STATEMENT_LOG,
             WalOp::Logical {
                 payload: statement.to_string(),
             },
