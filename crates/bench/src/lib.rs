@@ -1843,7 +1843,7 @@ mod tests {
         // customers — and net of them the cost stays flat to well under a
         // percent.
         let m = simclock::CostModel::default();
-        let rpc_ms = (m.rpc_latency + m.effective_wal_sync()).as_millis_f64();
+        let rpc_ms = (m.rpc_latency + m.wal_sync).as_millis_f64();
         let (cost, cost_l) = (delta.num("sim_ms_per_write"), delta_l.num("sim_ms_per_write"));
         let (puts, puts_l) = (delta.num("store_puts_per_write"), delta_l.num("store_puts_per_write"));
         assert!(

@@ -1,6 +1,6 @@
 //! Workspace invariant linter.
 //!
-//! Four rules, each encoding an invariant this repo's correctness argument
+//! Five rules, each encoding an invariant this repo's correctness argument
 //! already leans on (see README § "Static analysis"):
 //!
 //! | rule            | invariant |
@@ -9,6 +9,7 @@
 //! | `lock-discipline` | lock acquisition order is acyclic; no guard is held across a thread fan-out |
 //! | `cost-accounting` | public `Cluster` ops that touch region state charge the cost model |
 //! | `panic-freedom` | store/view/query library code returns errors instead of panicking |
+//! | `reachability`  | every `pub fn` of library code is named by some non-test file |
 //!
 //! The only way to suppress a violation is a per-line
 //! `// lint-allow(<rule>): <reason>` pragma (reason mandatory).
@@ -28,11 +29,12 @@ pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_LOCKS: &str = "lock-discipline";
 pub const RULE_COST: &str = "cost-accounting";
 pub const RULE_PANIC: &str = "panic-freedom";
+pub const RULE_REACH: &str = "reachability";
 /// Meta-rule for malformed pragmas (not itself suppressible).
 pub const RULE_PRAGMA: &str = "pragma";
 
 /// Rule slugs a `lint-allow(...)` pragma may name.
-pub const KNOWN_RULES: &[&str] = &[RULE_DETERMINISM, RULE_LOCKS, RULE_COST, RULE_PANIC];
+pub const KNOWN_RULES: &[&str] = &[RULE_DETERMINISM, RULE_LOCKS, RULE_COST, RULE_PANIC, RULE_REACH];
 
 /// One reported violation.
 #[derive(Debug, Clone)]
@@ -85,11 +87,13 @@ pub fn fnv1a64(s: &str) -> String {
     format!("{h:016x}")
 }
 
-/// Walks the workspace and collects `.rs` sources: every `crates/*` member
-/// plus the root package's `src/`.  Shims are excluded (vendored
-/// compatibility surface, not part of the invariant story), as is anything
-/// under a `fixtures/` directory (linter test inputs violate rules on
-/// purpose).
+/// Walks the workspace and collects `.rs` sources: every `crates/*` member,
+/// the root package and, as crate [`loc::BENCHMARK`], the standalone
+/// `benchmark/` package (outside the workspace, read-only to most changes),
+/// whose files the rules read as references but never lint.  Shims are
+/// excluded (vendored compatibility surface, not part of the invariant
+/// story), as is anything under a `fixtures/` directory (linter test inputs
+/// violate rules on purpose).
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
@@ -107,14 +111,6 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
         collect_crate(root, &dir, &name, &mut out)?;
     }
     collect_crate(root, root, "root", &mut out)?;
-    Ok(out)
-}
-
-/// The sources of the standalone `benchmark/` package (outside the
-/// workspace, read-only to most changes), as crate [`loc::BENCHMARK`].
-/// Collected for the LOC table only: the rules do not run over them.
-pub fn collect_benchmark(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    let mut out = Vec::new();
     collect_crate(root, &root.join(loc::BENCHMARK), loc::BENCHMARK, &mut out)?;
     Ok(out)
 }
@@ -178,23 +174,26 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Runs every rule over the given sources and returns fingerprinted,
-/// pragma-filtered violations sorted by (file, line, rule).
+/// pragma-filtered violations sorted by (file, line, rule).  Files of crate
+/// [`loc::BENCHMARK`] only feed `reachability` its references.
 pub fn lint_sources(sources: &[SourceFile]) -> Vec<Violation> {
-    let mut models: BTreeMap<&str, FileModel> = BTreeMap::new();
+    let parsed: Vec<FileModel> = sources.iter().map(|s| FileModel::parse(&s.text)).collect();
+    let files: Vec<(&SourceFile, &FileModel)> = sources.iter().zip(&parsed).collect();
+    let mut models: BTreeMap<&str, &FileModel> = BTreeMap::new();
     let mut raw: Vec<Violation> = Vec::new();
     let mut lock_facts: BTreeMap<&str, Vec<locks::LockFacts>> = BTreeMap::new();
 
-    for s in sources {
-        let m = FileModel::parse(&s.text);
-        rules::pragma_hygiene(&s.rel_path, &m, &mut raw);
-        rules::determinism(&s.crate_name, s.kind, &s.rel_path, &m, &mut raw);
-        rules::cost_accounting(&s.crate_name, s.kind, &s.rel_path, &m, &mut raw);
-        rules::panic_freedom(&s.crate_name, s.kind, &s.rel_path, &m, &mut raw);
+    rules::reachability(&files, &mut raw);
+    for &(s, m) in files.iter().filter(|(s, _)| s.crate_name != loc::BENCHMARK) {
+        rules::pragma_hygiene(&s.rel_path, m, &mut raw);
+        rules::determinism(&s.crate_name, s.kind, &s.rel_path, m, &mut raw);
+        rules::cost_accounting(&s.crate_name, s.kind, &s.rel_path, m, &mut raw);
+        rules::panic_freedom(&s.crate_name, s.kind, &s.rel_path, m, &mut raw);
         if matches!(s.kind, FileKind::Lib | FileKind::Bin) {
             lock_facts
                 .entry(s.crate_name.as_str())
                 .or_default()
-                .push(locks::extract(&s.rel_path, &m));
+                .push(locks::extract(&s.rel_path, m));
         }
         models.insert(s.rel_path.as_str(), m);
     }
@@ -240,9 +239,15 @@ pub fn lint_sources(sources: &[SourceFile]) -> Vec<Violation> {
     raw
 }
 
-/// Convenience: collect + lint from a workspace root.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(lint_sources(&collect_sources(root)?))
+/// Collects and lints a workspace root: the one run both `cargo run -p
+/// lint` and the `workspace_lints_clean` gate make.
+pub fn lint_workspace(root: &Path) -> std::io::Result<report::RunReport> {
+    let sources = collect_sources(root)?;
+    Ok(report::RunReport {
+        violations: lint_sources(&sources),
+        files_scanned: sources.iter().filter(|s| s.crate_name != loc::BENCHMARK).count(),
+        loc: loc::count(&sources),
+    })
 }
 
 #[cfg(test)]

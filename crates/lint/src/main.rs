@@ -78,24 +78,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let scanned = lint::collect_sources(&opts.root)
-        .and_then(|sources| Ok((sources, lint::collect_benchmark(&opts.root)?)));
-    let (mut sources, benchmark) = match scanned {
-        Ok(s) => s,
+    let run = match lint::lint_workspace(&opts.root) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("lint: cannot scan {}: {e}", opts.root.display());
             return ExitCode::from(2);
         }
-    };
-    let files_scanned = sources.len();
-    let violations = lint::lint_sources(&sources);
-    sources.extend(benchmark);
-    let loc = lint::loc::count(&sources);
-
-    let run = report::RunReport {
-        violations: &violations,
-        files_scanned,
-        loc: &loc,
     };
     let rendered = match opts.format {
         Format::Human => report::human(&run),

@@ -20,8 +20,7 @@ pub enum FileKind {
 /// An inline suppression: `// lint-allow(<rule>): <reason>`.
 #[derive(Debug, Clone)]
 pub struct Pragma {
-    /// Rule slug the pragma names (`determinism`, `lock-discipline`,
-    /// `cost-accounting`, `panic-freedom`).
+    /// Rule slug the pragma names (one of [`crate::KNOWN_RULES`]).
     pub rule: String,
     /// Mandatory free-text justification.
     pub reason: String,
@@ -43,6 +42,9 @@ pub struct FnInfo {
     pub is_pub: bool,
     /// Line of the `fn` keyword.
     pub line: usize,
+    /// Token index of the `fn` keyword: the item's extent is
+    /// `start..=body.1`, signature and body.
+    pub start: usize,
     /// Token index range of the body, `{` and `}` inclusive.
     pub body: (usize, usize),
     /// Name of the innermost enclosing `impl` type, if any.
@@ -313,6 +315,7 @@ fn find_functions(tokens: &[Token], impls: &[(String, (usize, usize))]) -> Vec<F
             name: name_tok.text.clone(),
             is_pub,
             line: tokens[i].line,
+            start: i,
             body,
             impl_type,
         });

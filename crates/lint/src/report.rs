@@ -7,16 +7,16 @@ use crate::Violation;
 use std::fmt::Write as _;
 
 /// Everything a run produced, ready to render.
-pub struct RunReport<'a> {
+pub struct RunReport {
     /// Violations no `lint-allow` pragma covers.
-    pub violations: &'a [Violation],
-    /// Total files scanned.
+    pub violations: Vec<Violation>,
+    /// Workspace files scanned (the benchmark package's are not).
     pub files_scanned: usize,
     /// Non-test lines of code (informational; never gates).
-    pub loc: &'a LocReport,
+    pub loc: LocReport,
 }
 
-impl RunReport<'_> {
+impl RunReport {
     /// Gate verdict: clean means no violation.
     pub fn clean(&self) -> bool {
         self.violations.is_empty()
@@ -26,7 +26,7 @@ impl RunReport<'_> {
 /// Human-readable report (the default `cargo run -p lint` output).
 pub fn human(r: &RunReport) -> String {
     let mut s = String::new();
-    for v in r.violations {
+    for v in &r.violations {
         let _ = writeln!(s, "{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
         if !v.snippet.is_empty() {
             let _ = writeln!(s, "    | {}", v.snippet);
@@ -43,7 +43,7 @@ pub fn human(r: &RunReport) -> String {
         let _ = writeln!(s, "  {file:<44} {lines:>6}");
     }
     let mut by_rule: std::collections::BTreeMap<&str, usize> = std::collections::BTreeMap::new();
-    for v in r.violations {
+    for v in &r.violations {
         *by_rule.entry(v.rule).or_insert(0) += 1;
     }
     let counts = if by_rule.is_empty() {
@@ -139,7 +139,7 @@ mod tests {
         loc.crates.insert("nosql-store".into(), 40);
         loc.crates.insert("lint".into(), 2);
         loc.files.insert("crates/nosql-store/src/a.rs".into(), 40);
-        let r = RunReport { violations: &fresh, files_scanned: 2, loc: &loc };
+        let r = RunReport { violations: fresh, files_scanned: 2, loc };
         let j = json(&r);
         assert!(j.contains("\\\"no\\\""));
         assert!(j.contains("\\t"));
@@ -147,7 +147,7 @@ mod tests {
         assert!(j.contains("\"total\": 42"));
         assert!(j.contains("\"crates\": {\"lint\": 2, \"nosql-store\": 40}"));
         assert!(j.contains("\"files\": {\"crates/nosql-store/src/a.rs\": 40}"));
-        let empty = RunReport { violations: &[], files_scanned: 2, loc: &loc };
+        let empty = RunReport { violations: Vec::new(), ..r };
         assert!(json(&empty).contains("\"pass\": true"));
         assert!(human(&empty).contains("PASS"));
         assert!(human(&empty).contains("nosql-store"), "the LOC table is printed");

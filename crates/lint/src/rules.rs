@@ -1,8 +1,11 @@
-//! R1 (determinism), R3 (cost-accounting), R4 (panic-freedom) and pragma
-//! validation.  R2 (lock-discipline) lives in [`crate::locks`].
+//! R1 (determinism), R3 (cost-accounting), R4 (panic-freedom),
+//! R5 (reachability) and pragma validation.  R2 (lock-discipline) lives in
+//! [`crate::locks`].
 
+use crate::lexer::TokKind;
 use crate::model::{FileKind, FileModel};
-use crate::{Violation, RULE_COST, RULE_DETERMINISM, RULE_PANIC, RULE_PRAGMA};
+use crate::{SourceFile, Violation, RULE_COST, RULE_DETERMINISM, RULE_PANIC, RULE_PRAGMA, RULE_REACH};
+use std::collections::BTreeMap;
 
 /// Crates whose library code feeds the deterministic sim figures: any
 /// wall-clock read, RNG draw or hash-ordered iteration there can drift the
@@ -149,6 +152,84 @@ pub fn panic_freedom(crate_name: &str, kind: FileKind, path: &str, m: &FileModel
             out.push(Violation::new(RULE_PANIC, path, t.line, msg, m));
         }
     }
+}
+
+/// R5 — reachability: an unrestricted `pub fn` in a workspace crate's
+/// library code is dead when no non-test file names it outside its own
+/// signature and body.  Library, binary and example files of every crate
+/// count as references, and so do the benchmark package's (which is never
+/// linted itself); test files, `#[cfg(test)]` regions, `pub use`
+/// re-exports and other `fn` definitions do not.  Names match by
+/// identifier alone, so a collision (two types' `stats`) keeps an item
+/// alive: the rule errs toward keeping code.  `pub(crate)` items are left
+/// to rustc's `dead_code`, which already sees them.
+pub fn reachability(files: &[(&SourceFile, &FileModel)], out: &mut Vec<Violation>) {
+    let masks: Vec<Vec<bool>> = files.iter().map(|(_, m)| use_mask(m)).collect();
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for ((s, m), mask) in files.iter().zip(&masks) {
+        if s.kind == FileKind::Test {
+            continue;
+        }
+        for (t, _) in m.tokens.iter().zip(mask).filter(|(_, &is_use)| is_use) {
+            *uses.entry(t.text.as_str()).or_insert(0) += 1;
+        }
+    }
+    for ((s, m), mask) in files.iter().zip(&masks) {
+        if s.kind != FileKind::Lib || s.crate_name == crate::loc::BENCHMARK {
+            continue;
+        }
+        for f in m.functions.iter().filter(|f| f.is_pub && !m.in_test_region(f.start)) {
+            let own = (f.start..=f.body.1)
+                .filter(|&i| mask[i] && m.tokens[i].text == f.name)
+                .count();
+            if uses.get(f.name.as_str()).copied().unwrap_or(0) > own {
+                continue;
+            }
+            out.push(Violation::new(
+                RULE_REACH,
+                &s.rel_path,
+                f.line,
+                format!(
+                    "`pub fn {}` is named by no non-test file outside its own definition; \
+                     delete it, move it into the test that calls it, or add \
+                     `// lint-allow(reachability): <the test that needs it>`",
+                    f.name
+                ),
+                m,
+            ));
+        }
+    }
+}
+
+/// Per token: does it count as a use of its name?  Identifiers outside
+/// `#[cfg(test)]` regions and `pub use` items that are not the name of a
+/// `fn` being defined.
+fn use_mask(m: &FileModel) -> Vec<bool> {
+    let toks = &m.tokens;
+    let mut mask: Vec<bool> = toks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            t.kind == TokKind::Ident
+                && !(i > 0 && toks[i - 1].is_ident("fn"))
+                && !m.in_test_region(i)
+        })
+        .collect();
+    for i in 0..toks.len() {
+        if !toks[i].is_ident("pub") {
+            continue;
+        }
+        // `pub use` or `pub(<scope>) use`: blank out through its `;`.
+        let mut j = i + 1;
+        if toks.get(j).is_some_and(|t| t.is_punct('(')) {
+            j = (j..toks.len()).find(|&k| toks[k].is_punct(')')).map_or(toks.len(), |k| k + 1);
+        }
+        if toks.get(j).is_some_and(|t| t.is_ident("use")) {
+            let end = (j..toks.len()).find(|&k| toks[k].is_punct(';')).unwrap_or(toks.len() - 1);
+            mask[i..=end].fill(false);
+        }
+    }
+    mask
 }
 
 /// Pragma hygiene: unknown rule slugs and missing reasons are violations —

@@ -154,6 +154,89 @@ fn lock_discipline_rule_accepts_disciplined_code() {
     assert!(locks.is_empty(), "{locks:?}");
 }
 
+/// The reachability fixture's library file plus the files that name its
+/// items: a test file, a `pub use`, an example, a binary and the
+/// benchmark package.
+fn reachability_sources() -> Vec<SourceFile> {
+    let file = |crate_name: &str, rel_path: &str, kind, text: &str| SourceFile {
+        crate_name: crate_name.into(),
+        rel_path: rel_path.into(),
+        kind,
+        text: text.into(),
+    };
+    vec![
+        src("fix", "crates/fix/src/lib.rs", include_str!("fixtures/reachability.rs")),
+        src("fix", "crates/fix/src/reexport.rs", "pub use crate::named_only_by_a_pub_use;\n"),
+        file(
+            "fix",
+            "crates/fix/tests/t.rs",
+            FileKind::Test,
+            "#[test]\nfn t() { fix::named_only_in_a_tests_file(); }\n",
+        ),
+        file("fix", "crates/fix/examples/e.rs", FileKind::Example, "fn main() { fix::named_by_an_example(); }\n"),
+        file("fix", "crates/fix/src/main.rs", FileKind::Bin, "fn main() { fix::named_by_a_binary(); }\n"),
+        file(
+            lint::loc::BENCHMARK,
+            "benchmark/src/main.rs",
+            FileKind::Bin,
+            "fn main() { fix::named_by_the_benchmark(); }\n",
+        ),
+    ]
+}
+
+#[test]
+fn reachability_flags_pub_fns_no_non_test_file_names() {
+    let v = lint_sources(&reachability_sources());
+    let mut flagged: Vec<&str> = v
+        .iter()
+        .filter(|x| x.rule == "reachability")
+        .map(|x| x.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(
+        flagged,
+        [
+            "pub fn dead",
+            "pub fn named_only_by_a_pub_use",
+            "pub fn named_only_by_itself",
+            "pub fn named_only_in_a_tests_file",
+            "pub fn named_only_in_cfg_test",
+        ],
+        "{v:?}"
+    );
+    // A benchmark, example or binary reference keeps an item; `pub(crate)`
+    // items and trait methods are out of scope; a reasoned pragma
+    // suppresses.  Every violation sits in the library file.
+    assert!(v.iter().all(|x| x.file == "crates/fix/src/lib.rs"), "{v:?}");
+}
+
+/// Uses are matched by name alone: another crate's call of a same-named
+/// function keeps an item alive, while another `fn` definition of the name
+/// does not count as a use.
+#[test]
+fn reachability_matches_names_not_paths() {
+    let v = lint_sources(&[
+        src("a", "crates/a/src/lib.rs", "pub fn stats() {}\npub fn render() {}\n"),
+        src("b", "crates/b/src/lib.rs", "pub fn stats() {}\nfn render() {}\nfn go() { x.stats(); }\n"),
+    ]);
+    let mut flagged: Vec<(&str, usize)> = v
+        .iter()
+        .filter(|x| x.rule == "reachability")
+        .map(|x| (x.file.as_str(), x.line))
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(flagged, [("crates/a/src/lib.rs", 2)], "{v:?}");
+}
+
+#[test]
+fn benchmark_files_are_references_never_linted() {
+    let text = include_str!("fixtures/locks_bad.rs");
+    let as_crate = lint_sources(&[src("fixturecrate", "crates/fixturecrate/src/bad.rs", text)]);
+    assert!(as_crate.iter().any(|x| x.rule == "lock-discipline"));
+    let as_benchmark = lint_sources(&[src(lint::loc::BENCHMARK, "benchmark/src/bad.rs", text)]);
+    assert!(as_benchmark.is_empty(), "{as_benchmark:?}");
+}
+
 #[test]
 fn pragma_hygiene_rejects_unknown_rules_and_missing_reasons() {
     let text = "pub fn f() {} // lint-allow(determinsim): typo'd rule\n\
@@ -175,7 +258,11 @@ fn workspace_lints_clean() {
         .nth(2)
         .expect("lint crate lives two levels under the workspace root")
         .to_path_buf();
-    let violations = lint::lint_workspace(&root).expect("workspace scan");
+    let run = lint::lint_workspace(&root).expect("workspace scan");
+    // The benchmark package is read, as references, in this gate exactly
+    // as in `cargo run -p lint`.
+    assert!(run.loc.crates.contains_key(lint::loc::BENCHMARK));
+    let violations = run.violations;
     assert!(
         violations.is_empty(),
         "lint violations:\n{}",

@@ -9,7 +9,7 @@
 //!
 //! # The mutation pipeline
 //!
-//! Every client write — put, fenced put, delete, check-and-put, and the
+//! Every client write — put, delete, check-and-put, and the
 //! multi-row [`Cluster::batch`] / [`Cluster::batch_fetch`] — is one call of
 //! `Cluster::mutate` over a list of rows (a single-row op is a batch of
 //! one), which runs these steps in this order:
@@ -24,26 +24,24 @@
 //! 5. `inject_faults` once per group against its region's server, every
 //!    group before any applies — a faulted attempt charges its penalty,
 //!    draws no timestamp, applies and logs nothing and counts nothing;
-//! 6. for a fenced put, the epoch check — a stale writer is charged one RPC
-//!    round trip, refused, and bumps nothing;
 //!
 //! then per group, in order:
 //!
-//! 7. draw one mutation timestamp per row — under the region lock, so
+//! 6. draw one mutation timestamp per row — under the region lock, so
 //!    versions written to one row order like lock acquisitions; deletes
 //!    draw one too, so replay can sequence them against puts from other
 //!    server logs;
-//! 8. apply — each row builds its [`WalOp`], applies it through
+//! 7. apply — each row builds its [`WalOp`], applies it through
 //!    [`Region::apply_op`] and appends it to the server's WAL, or declines
 //!    (a failed check-and-put);
-//! 9. one group-commit decision for the group's records — under group
+//! 8. one group-commit decision for the group's records — under group
 //!    commit the batch-closing write pays the sync and, with replication
 //!    on, the ship cost of the whole batch; a group that logged nothing
-//!    pays full cost, skips step 10;
-//! 10. split check on the mutated region, once after its rows; count the
-//!     group as one op, on its first row's counter;
+//!    pays full cost, skips step 9;
+//! 9. split check on the mutated region, once after its rows; count the
+//!    group as one op, on its first row's counter;
 //!
-//! 11. unlock; charge each group `CostModel::batch_cost` of its rows'
+//! 10. unlock; charge each group `CostModel::batch_cost` of its rows'
 //!     server work (one round trip, one WAL sync).
 //!
 //! The order is a contract, not an implementation detail: the fault
@@ -69,12 +67,12 @@
 //! * **Durability** (WAL + checkpoint): writes append full-payload
 //!   [`WalOp`]s to their server's log; with `wal_sync_interval > 1` the sync
 //!   is deferred (group commit) and only the syncing write pays
-//!   `effective_wal_sync`.  The durable state is the last
+//!   `wal_sync`.  The durable state is the last
 //!   [`Cluster::checkpoint`] snapshot plus all *synced* WAL records;
 //!   [`Cluster::crash`] drops everything else and [`Cluster::recover`]
 //!   rebuilds exactly that state by timestamp-ordered replay (both in
-//!   `recovery.rs`).  Replica placement, failover and fencing epochs live
-//!   in `replication.rs`.
+//!   `recovery.rs`).  Replica placement and failover live in
+//!   `replication.rs`.
 //!
 //! With no fault plan and no retry policy configured (the default), the hot
 //! path adds a single branch per op: no RNG draws, no extra charges, and
@@ -382,25 +380,6 @@ impl Cluster {
         }
     }
 
-    /// The region owning `key` in `table` and that region's current fencing
-    /// epoch.  A metadata read (like [`Cluster::table_stats`]): charges
-    /// nothing and moves no counter.  Epoch is always 0 with replication
-    /// off.
-    // lint-allow(cost-accounting): epoch metadata probe (fencing tests), no data movement to charge
-    pub fn region_epoch_for(&self, table: &str, key: &[u8]) -> StoreResult<(u64, u64)> {
-        let state = self.table(table)?;
-        let regions = state.regions.read();
-        let id = regions[Self::region_index_for(&regions, key)].id.0;
-        drop(regions);
-        Ok((id, self.current_epoch(id)))
-    }
-
-    /// Current fencing epoch of a region (0 with replication off or for an
-    /// untracked region).
-    pub fn current_epoch(&self, region: u64) -> u64 {
-        self.inner.replication.as_ref().map_or(0, |rep| rep.epoch(region))
-    }
-
     /// Snapshot of the replication registry's counters.
     pub fn replication_stats(&self) -> ReplicationStats {
         let registry = self.inner.replication.as_ref();
@@ -438,6 +417,7 @@ impl Cluster {
     /// Drops a table and all its data (including its checkpoint snapshot and
     /// its regions' replication-registry entries).
     // lint-allow(cost-accounting): DDL; reads the dropped table's region ids only to prune the registry
+    // lint-allow(reachability): synergy's fault_truthfulness test drops a table a delta probe scans
     pub fn drop_table(&self, name: &str) -> StoreResult<()> {
         self.inner.baseline.write().remove(name);
         let dropped = self
@@ -500,17 +480,17 @@ impl Cluster {
         true
     }
 
-    /// Step 9's group-commit decision, once a region's records are
+    /// Step 8's group-commit decision, once a region's records are
     /// appended to `wal`: returns the cost to charge.  A write that leaves
     /// the unsynced batch below `wal_sync_interval` defers the sync and
-    /// charges `effective_wal_sync` less; the batch-closing write syncs,
+    /// charges `wal_sync` less; the batch-closing write syncs,
     /// pays in full and — with replication on — ships the newly synced
     /// records to their regions' followers and pays for that too.  Charges
     /// therefore sum to exactly `interval - 1` syncs per batch fewer than at
     /// interval 1.
     fn commit(&self, wal: &WriteAheadLog, cost: SimDuration) -> SimDuration {
         if wal.unsynced_len() < self.inner.config.wal_sync_interval.max(1) {
-            return cost.saturating_sub(self.cost_model().effective_wal_sync());
+            return cost.saturating_sub(self.cost_model().wal_sync);
         }
         let Some(rep) = &self.inner.replication else {
             wal.sync();
@@ -542,15 +522,13 @@ impl Cluster {
 
     /// One attempt of a client mutation — the single write pipeline (see
     /// the module docs for the step order, which is a contract).  `rows`
-    /// supply what differs per row (key, server work, counter, record); an
-    /// optional fencing epoch applies to every region; `fetch` reads each
-    /// row's before-image under the same lock.  Returns one [`Applied`] per
-    /// row, in `rows` order.
+    /// supply what differs per row (key, server work, counter, record);
+    /// `fetch` reads each row's before-image under the same lock.  Returns
+    /// one [`Applied`] per row, in `rows` order.
     fn mutate(
         &self,
         table: &str,
         rows: &[Mutation],
-        fence: Option<u64>,
         fetch: bool,
     ) -> StoreResult<Vec<Applied>> {
         let state = self.open(table)?;
@@ -566,22 +544,7 @@ impl Cluster {
         routes.sort_unstable();
         let groups = || routes.chunk_by(|a, b| a.0 == b.0);
         for group in groups() {
-            let idx = group[0].0;
-            self.inject_faults(regions[idx].server)?;
-            let Some(presented) = fence else { continue };
-            // Zombie fencing: the epoch check happens server-side after
-            // routing, so a stale writer burns a round trip and is refused.
-            let region = regions[idx].id.0;
-            let current = self.current_epoch(region);
-            if presented != current {
-                drop(regions);
-                self.charge(self.cost_model().rpc_round_trip());
-                return Err(StoreError::StaleRegionEpoch {
-                    region,
-                    current,
-                    presented,
-                });
-            }
+            self.inject_faults(regions[group[0].0].server)?;
         }
         let model = self.cost_model();
         let mut applied: Vec<Applied> = rows.iter().map(|_| Applied::default()).collect();
@@ -620,9 +583,9 @@ impl Cluster {
 
     /// A batch of one under the retry policy: every single-row entry point.
     /// Returns the row's [`Applied::outcome`].
-    fn write_one(&self, table: &str, row: Mutation, fence: Option<u64>) -> StoreResult<Option<i64>> {
+    fn write_one(&self, table: &str, row: Mutation) -> StoreResult<Option<i64>> {
         let rows = std::slice::from_ref(&row);
-        let mut applied = self.with_retry(|| self.mutate(table, rows, fence, false))?;
+        let mut applied = self.with_retry(|| self.mutate(table, rows, false))?;
         Ok(applied.pop().and_then(|row| row.outcome))
     }
 
@@ -655,25 +618,14 @@ impl Cluster {
         if rows.is_empty() {
             return Ok(Vec::new());
         }
-        self.with_retry(|| self.mutate(table, rows, None, fetch))
+        self.with_retry(|| self.mutate(table, rows, fetch))
     }
 
     /// Writes one row.  Charges one RPC + server work + WAL sync (deferred
     /// under group commit).  Retries injected faults per the configured
     /// policy.
     pub fn put(&self, table: &str, put: Put) -> StoreResult<()> {
-        self.write_one(table, Mutation::Put(put), None).map(drop)
-    }
-
-    /// Fenced write: like [`Cluster::put`], but the caller presents the
-    /// region epoch it captured (via [`Cluster::region_epoch_for`]) when it
-    /// took ownership of the key.  If the region failed over since — its
-    /// epoch advanced — the write is refused with
-    /// [`StoreError::StaleRegionEpoch`] after charging one RPC round trip:
-    /// this is how a zombie ex-primary's writes are fenced off.  The error
-    /// is **not** retryable; the caller must re-read the epoch first.
-    pub fn put_fenced(&self, table: &str, put: Put, epoch: u64) -> StoreResult<()> {
-        self.write_one(table, Mutation::Put(put), Some(epoch)).map(drop)
+        self.write_one(table, Mutation::Put(put)).map(drop)
     }
 
     /// Bulk-loads rows without charging simulated cost or writing the WAL.
@@ -718,13 +670,13 @@ impl Cluster {
 
     /// Deletes a row; true if it existed.  Charges one RPC + WAL sync.
     pub fn delete(&self, table: &str, delete: Delete) -> StoreResult<bool> {
-        let outcome = self.write_one(table, Mutation::Delete(delete), None)?;
+        let outcome = self.write_one(table, Mutation::Delete(delete))?;
         Ok(outcome.is_some_and(|removed| removed != 0))
     }
 
     /// Atomic compare-and-set.  Charges one RPC + server work + WAL sync.
     pub fn check_and_put(&self, table: &str, cap: CheckAndPut) -> StoreResult<bool> {
-        Ok(self.write_one(table, Mutation::CheckAndPut(cap), None)?.is_some())
+        Ok(self.write_one(table, Mutation::CheckAndPut(cap))?.is_some())
     }
 
     /// Scans rows in key order across all regions intersecting the range.
@@ -850,7 +802,7 @@ impl Mutation {
         }
     }
 
-    /// Step 8: builds the row's record at `ts` and applies it to `region`,
+    /// Step 7: builds the row's record at `ts` and applies it to `region`,
     /// or declines (a failed check-and-put).  A delete is logged even when
     /// it removed nothing.
     fn apply_to(
@@ -953,16 +905,7 @@ mod tests {
         EntryPoint {
             name: "put",
             run: |c, t, i| c.put(t, row(i)),
-            cost: |m| m.put_cost(1),
-            counter: |ops| ops.puts,
-            logs: Some(is_put),
-            regions: 1,
-            rows: 1,
-        },
-        EntryPoint {
-            name: "put_fenced",
-            run: |c, t, i| c.put_fenced(t, row(i), 0),
-            cost: |m| m.put_cost(1),
+            cost: |m| m.batch_cost(m.put_work(1)),
             counter: |ops| ops.puts,
             logs: Some(is_put),
             regions: 1,
@@ -972,7 +915,7 @@ mod tests {
             // Deleting an absent row is still an applied, logged mutation.
             name: "delete",
             run: |c, t, i| c.delete(t, Delete::row(format!("o{i:04}"))).map(drop),
-            cost: |m| m.delete_cost(),
+            cost: |m| m.batch_cost(m.delete_server_work),
             counter: |ops| ops.deletes,
             logs: Some(is_delete),
             regions: 1,
@@ -981,7 +924,7 @@ mod tests {
         EntryPoint {
             name: "check_and_put (applied)",
             run: |c, t, i| c.check_and_put(t, cas(i, Expectation::Absent)).map(|applied| assert!(applied)),
-            cost: |m| m.check_and_put_cost(),
+            cost: |m| m.batch_cost(m.check_and_put_work),
             counter: |ops| ops.check_and_puts,
             logs: Some(is_put),
             regions: 1,
@@ -994,7 +937,7 @@ mod tests {
                 c.check_and_put(t, cas(i, Expectation::Equals(b"other".to_vec())))
                     .map(|applied| assert!(!applied))
             },
-            cost: |m| m.check_and_put_cost(),
+            cost: |m| m.batch_cost(m.check_and_put_work),
             counter: |ops| ops.check_and_puts,
             logs: None,
             regions: 1,
@@ -1020,6 +963,11 @@ mod tests {
             rows: 2,
         },
     ];
+
+    /// Every counted client op.
+    fn total_ops(ops: &OpCounters) -> u64 {
+        ops.gets + ops.puts + ops.deletes + ops.check_and_puts + ops.scans
+    }
 
     /// Rows of [`contract_cluster`]'s bulk load: wide enough that the table
     /// spans many regions.
@@ -1068,7 +1016,7 @@ mod tests {
                     ..ClusterConfig::default()
                 });
                 let full = (entry.cost)(c.cost_model());
-                let sync = c.cost_model().effective_wal_sync();
+                let sync = c.cost_model().wal_sync;
                 let (mut last_stamp, mut pending) = (0, 0);
                 for i in 0..8 {
                     let ops_before = c.metrics().ops;
@@ -1087,7 +1035,7 @@ mod tests {
                     let delta = c.metrics().ops.delta_since(&ops_before);
                     let ops = entry.regions as u64;
                     assert_eq!((entry.counter)(&delta), ops, "{name}: own counter, once per region");
-                    assert_eq!(delta.total_ops(), ops, "{name}: no other counter moves");
+                    assert_eq!(total_ops(&delta), ops, "{name}: no other counter moves");
                     let logged = &c.wal(0).entries()[wal_before..];
                     let Some(kind) = entry.logs else {
                         assert!(logged.is_empty(), "{name}: nothing applied, nothing logged");
@@ -1125,7 +1073,7 @@ mod tests {
                 late_faults += c.fault_stats().slowdowns.min(1);
                 assert_eq!(c.next_timestamp(), stamp + 1, "{name}: faulted attempt drew a timestamp");
                 assert!(c.wal(0).is_empty(), "{name}: faulted attempt logged");
-                assert_eq!(c.metrics().ops.total_ops(), 0, "{name}: faulted attempt counted");
+                assert_eq!(total_ops(&c.metrics().ops), 0, "{name}: faulted attempt counted");
                 assert_eq!(c.row_count("orders").unwrap(), LOADED as u64, "{name}: applied");
             }
             assert!(faulted > 0, "{name}: no seed faulted");
@@ -1171,11 +1119,11 @@ mod tests {
         let put = |value: &str| Mutation::Put(Put::new("o1").with("cf", "v", value));
         assert!(fetch(put("1")).is_none());
         let before = fetch(put("2")).unwrap();
-        assert_eq!(before.value_str("cf", "v").unwrap(), "1");
+        assert_eq!(before.value("cf", "v").unwrap(), b"1");
         let row = c.get("orders", Get::new("o1")).unwrap().unwrap();
-        assert_eq!(row.value_str("cf", "v").unwrap(), "2");
+        assert_eq!(row.value("cf", "v").unwrap(), b"2");
         let removed = fetch(Mutation::Delete(Delete::row("o1"))).unwrap();
-        assert_eq!(removed.value_str("cf", "v").unwrap(), "2");
+        assert_eq!(removed.value("cf", "v").unwrap(), b"2");
         assert!(fetch(Mutation::Delete(Delete::row("o1"))).is_none());
         assert!(c.get("orders", Get::new("o1")).unwrap().is_none());
         c.put("orders", Put::new("o2").with("cf", "v", "3")).unwrap();
@@ -1336,7 +1284,7 @@ mod tests {
         assert_eq!(c.fault_stats().timeouts, 1);
         // Always-timeout plan + retries: exhaustion with a source chain.
         let c = Cluster::new(ClusterConfig {
-            retry: Some(RetryPolicy::default().with_max_attempts(3)),
+            retry: Some(RetryPolicy { max_attempts: 3 }),
             ..base
         });
         c.create_table(orders_schema()).unwrap();

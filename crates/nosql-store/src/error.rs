@@ -44,19 +44,6 @@ pub enum StoreError {
         /// Index of the region server that raised the transient error.
         server: usize,
     },
-    /// A fenced write presented a region epoch older than the region's
-    /// current one: the region failed over to a replica since the writer
-    /// captured its epoch, and the old primary (a "zombie") must not mutate
-    /// the range it no longer owns.  **Not** retryable — the writer has to
-    /// re-read the region's epoch and re-route before trying again.
-    StaleRegionEpoch {
-        /// Region whose epoch check failed.
-        region: u64,
-        /// The region's current epoch (bumped once per failover).
-        current: u64,
-        /// The stale epoch the writer presented.
-        presented: u64,
-    },
     /// The whole cluster is crashed and must be recovered with
     /// [`crate::Cluster::recover`] before serving requests.  Not retryable
     /// from the client's point of view.
@@ -108,15 +95,6 @@ impl fmt::Display for StoreError {
             StoreError::TransientOp { server } => {
                 write!(f, "transient error on region server {server}")
             }
-            StoreError::StaleRegionEpoch {
-                region,
-                current,
-                presented,
-            } => write!(
-                f,
-                "stale epoch {presented} for region {region} (current epoch {current}); \
-                 the region failed over and this writer is fenced"
-            ),
             StoreError::ClusterDown => write!(f, "cluster is crashed; call recover() first"),
             StoreError::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts: {last}")
@@ -157,13 +135,6 @@ mod tests {
         assert!(!StoreError::ClusterDown.retryable());
         assert!(!StoreError::TableNotFound("t".into()).retryable());
         assert!(!StoreError::EmptyMutation.retryable());
-        // A fenced zombie must re-read the epoch, not blindly retry.
-        let stale = StoreError::StaleRegionEpoch {
-            region: 4,
-            current: 2,
-            presented: 1,
-        };
-        assert!(!stale.retryable());
         let exhausted = StoreError::RetriesExhausted {
             attempts: 3,
             last: Box::new(StoreError::RpcTimeout { server: 0 }),
@@ -172,16 +143,9 @@ mod tests {
     }
 
     #[test]
-    fn fault_errors_render_their_server_and_epoch_context() {
+    fn fault_errors_render_their_server_context() {
         assert!(StoreError::RpcTimeout { server: 3 }.to_string().contains("server 3"));
         assert!(StoreError::TransientOp { server: 4 }.to_string().contains("server 4"));
-        let stale = StoreError::StaleRegionEpoch {
-            region: 7,
-            current: 2,
-            presented: 1,
-        };
-        let text = stale.to_string();
-        assert!(text.contains("region 7") && text.contains("epoch 1") && text.contains("epoch 2"));
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl Cluster {
     /// truncated rather than replayed again next time).
     ///
     /// With replication on, routing is then re-derived from the registry:
-    /// failover decisions (and fencing epochs) live there — the simulated
+    /// failover decisions live there — the simulated
     /// ZooKeeper layer — so they survive the baseline restore, while the
     /// restored region snapshots may predate them.
     pub fn recover(&self) -> RecoveryReport {
@@ -201,7 +201,7 @@ impl Cluster {
     /// Makes the current state durable: snapshots every table's regions as
     /// the new recovery baseline, then syncs and truncates every WAL (the
     /// snapshot covers all of it — the memstore-flush that lets HBase
-    /// archive logs).  Charges one `effective_wal_sync` per server log that
+    /// archive logs).  Charges one `wal_sync` per server log that
     /// had an unsynced tail (the forced flush); a cluster whose logs are
     /// clean checkpoints for free.  Call only at quiescent points: the
     /// snapshot is per-table atomic, not cluster-atomic.  Returns the number
@@ -219,7 +219,7 @@ impl Cluster {
         let mut flush_cost = SimDuration::ZERO;
         for wal in &self.inner.wals {
             if wal.unsynced_len() > 0 {
-                flush_cost += self.cost_model().effective_wal_sync();
+                flush_cost += self.cost_model().wal_sync;
                 wal.sync();
             }
             truncated += wal.len() as u64;
@@ -399,10 +399,10 @@ mod tests {
         c.recover();
         assert!(c.get("orders", Get::new("a")).unwrap().is_none(), "delete replayed");
         let value = |key: &str, column: &str| {
-            c.get("orders", Get::new(key)).unwrap().unwrap().value_str("cf", column).unwrap()
+            c.get("orders", Get::new(key)).unwrap().unwrap().value("cf", column).unwrap().to_vec()
         };
-        assert_eq!(value("b", "v"), "4", "a put after a delete replays after it");
-        assert_eq!(value("n", "count"), "3", "overwrites replay to the newest value");
+        assert_eq!(value("b", "v"), b"4", "a put after a delete replays after it");
+        assert_eq!(value("n", "count"), b"3", "overwrites replay to the newest value");
     }
 
     #[test]
@@ -436,7 +436,7 @@ mod tests {
                 vec![SimDuration::from_nanos(1)],
                 SimDuration::from_millis(20),
             )),
-            retry: Some(RetryPolicy::default().with_max_attempts(16)),
+            retry: Some(RetryPolicy { max_attempts: 16 }),
             ..ClusterConfig::default()
         });
         c.create_table(orders_schema()).unwrap();

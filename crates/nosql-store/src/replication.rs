@@ -1,9 +1,9 @@
-//! The replication registry: replica placement, fencing epochs and
-//! log-shipping offsets for every region.
+//! The replication registry: replica placement and log-shipping offsets for
+//! every region.
 //!
 //! Models the metadata a real deployment keeps in ZooKeeper.  It lives
-//! *outside* the region structs on purpose, so failover decisions and epochs
-//! survive checkpoint-baseline restores.
+//! *outside* the region structs on purpose, so failover decisions survive
+//! checkpoint-baseline restores.
 //!
 //! What this module hides: the registry's mutex and everything behind it —
 //! how followers are placed, what "caught up" means, how a promotion is
@@ -37,9 +37,6 @@ use std::collections::BTreeMap;
 struct ReplicaSet {
     /// Server currently owning the region (serves reads and writes).
     primary: usize,
-    /// Fencing epoch, bumped once per failover.  A writer that captured an
-    /// older epoch is a zombie and its fenced writes are refused.
-    epoch: u64,
     /// Follower servers, in placement order (the failover tie-break).
     followers: Vec<usize>,
     /// Records of this region shipped (synced) so far.
@@ -101,7 +98,6 @@ impl Replication {
             (1..self.factor).map(|k| (primary + k) % self.servers).collect();
         ReplicaSet {
             primary,
-            epoch: 0,
             acked: followers.iter().map(|&f| (f, 0)).collect(),
             followers,
             shipped: 0,
@@ -150,9 +146,7 @@ impl Replication {
     }
 
     /// Fails over every region whose primary is `victim` to its
-    /// most-caught-up **live** follower, bumping the region's fencing epoch
-    /// so the victim cannot accept stale fenced writes when it comes back
-    /// mid-window.  Because shipping is synchronous, any live follower
+    /// most-caught-up **live** follower.  Because shipping is synchronous, any live follower
     /// whose acked position equals `shipped` is fully caught up; candidates
     /// are tried in placement order (the deterministic tie-break).  The
     /// victim is demoted to follower — its synced log copy survives the
@@ -184,7 +178,6 @@ impl Replication {
             set.acked.insert(victim, set.shipped);
             set.acked.remove(&new_primary);
             set.primary = new_primary;
-            set.epoch += 1;
             promotions.insert(*id, new_primary);
         }
         registry.failovers += promotions.len() as u64;
@@ -225,11 +218,6 @@ impl Replication {
         registry.catchup_replays += replays;
         registry.catchup_records += records;
         records
-    }
-
-    /// Current fencing epoch of a region (0 for an untracked region).
-    pub(crate) fn epoch(&self, region: u64) -> u64 {
-        self.registry.lock().regions.get(&region).map_or(0, |set| set.epoch)
     }
 
     /// Marks every replica — including a currently-down follower, which
@@ -290,7 +278,6 @@ impl Replication {
 #[cfg(test)]
 mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
-    use crate::error::StoreError;
     use crate::fault::FaultPlan;
     use crate::ops::{Get, Put};
     use crate::table::TableSchema;
@@ -305,18 +292,15 @@ mod tests {
     }
 
     #[test]
-    fn replication_off_keeps_registry_empty_and_epochs_zero() {
+    fn replication_off_keeps_the_registry_empty() {
         let c = cluster();
         c.create_table(orders_schema()).unwrap();
         assert!(!c.replication_enabled());
+        c.put("orders", Put::new("o1").with("cf", "v", "1")).unwrap();
         let stats = c.replication_stats();
         assert_eq!(stats.replication_factor, 1);
         assert_eq!(stats.replicated_regions, 0);
         assert_eq!(stats.records_shipped, 0);
-        let (_, epoch) = c.region_epoch_for("orders", b"o1").unwrap();
-        assert_eq!(epoch, 0);
-        // put_fenced with the (zero) captured epoch works unchanged.
-        c.put_fenced("orders", Put::new("o1").with("cf", "v", "1"), epoch).unwrap();
     }
 
     #[test]
@@ -364,7 +348,7 @@ mod tests {
             c.put("orders", Put::new(format!("o{i:02}")).with("cf", "v", format!("{i}")))
                 .unwrap();
             let row = c.get("orders", Get::new(format!("o{i:02}"))).unwrap().unwrap();
-            assert_eq!(row.value_str("cf", "v").unwrap(), format!("{i}"));
+            assert_eq!(row.value("cf", "v").unwrap(), format!("{i}").as_bytes());
         }
         let stats = c.replication_stats();
         assert!(stats.failovers >= 1, "the crash must have triggered a failover");
@@ -401,47 +385,10 @@ mod tests {
     }
 
     #[test]
-    fn put_fenced_refuses_zombie_writers_after_failover() {
-        let c = Cluster::new(ClusterConfig {
-            region_servers: 2,
-            replication_factor: 2,
-            fault_plan: Some(FaultPlan::new(1).with_crashes(
-                vec![SimDuration::from_nanos(1)],
-                SimDuration::from_millis(20),
-            )),
-            ..ClusterConfig::default()
-        });
-        c.create_table(orders_schema()).unwrap();
-        // The writer captures the epoch, then the primary crashes.
-        let (region, epoch) = c.region_epoch_for("orders", b"o1").unwrap();
-        assert_eq!(epoch, 0);
-        c.put("orders", Put::new("seed").with("cf", "v", "1")).unwrap();
-        let _ = c.get("orders", Get::new("seed")).unwrap(); // fires the crash + failover
-        let ops_before = c.metrics().ops;
-        let (err, charged) = c.clock().measure(|| {
-            c.put_fenced("orders", Put::new("o1").with("cf", "v", "zombie"), epoch)
-                .unwrap_err()
-        });
-        assert_eq!(
-            err,
-            StoreError::StaleRegionEpoch { region, current: 1, presented: 0 }
-        );
-        assert!(!err.retryable());
-        assert_eq!(charged, c.cost_model().rpc_round_trip(), "a stale writer burns one round trip");
-        assert_eq!(c.metrics().ops, ops_before, "and bumps nothing");
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_none(), "the write was fenced");
-        // Re-reading the epoch un-fences the writer.
-        let (_, fresh) = c.region_epoch_for("orders", b"o1").unwrap();
-        assert_eq!(fresh, 1);
-        c.put_fenced("orders", Put::new("o1").with("cf", "v", "ok"), fresh).unwrap();
-        assert!(c.get("orders", Get::new("o1")).unwrap().is_some());
-    }
-
-    #[test]
     fn recover_realigns_routing_with_the_replication_registry() {
         // A failover moves the region to server 1; a full-cluster crash and
         // recovery must keep routing it to server 1 (the registry, i.e. the
-        // ZooKeeper layer, survives), and keep its bumped epoch.
+        // ZooKeeper layer, survives).
         let c = Cluster::new(ClusterConfig {
             region_servers: 2,
             replication_factor: 2,
@@ -455,11 +402,8 @@ mod tests {
         c.put("orders", Put::new("a").with("cf", "v", "1")).unwrap();
         c.put("orders", Put::new("b").with("cf", "v", "2")).unwrap(); // fires failover
         assert_eq!(c.replication_stats().failovers, 1);
-        let (region, epoch) = c.region_epoch_for("orders", b"a").unwrap();
-        assert_eq!(epoch, 1);
         c.crash();
         c.recover();
-        assert_eq!(c.current_epoch(region), 1, "epochs survive recovery");
         // Server 0 is still inside its MTTR window: if routing had reverted
         // to it, this op would be rejected as unavailable.
         c.put("orders", Put::new("c").with("cf", "v", "3")).unwrap();
@@ -479,8 +423,7 @@ mod tests {
         assert_eq!(c.replication_stats().replicated_regions, 2);
         c.drop_table("carts").unwrap();
         assert_eq!(c.replication_stats().replicated_regions, 1);
-        let (orders_region, _) = c.region_epoch_for("orders", b"o1").unwrap();
         c.put("orders", Put::new("o1").with("cf", "v", "1")).unwrap();
-        assert_eq!(c.replication_stats().records_shipped, 1, "region {orders_region} still ships");
+        assert_eq!(c.replication_stats().records_shipped, 1, "the orders region still ships");
     }
 }

@@ -8,8 +8,10 @@
 //! retries convert injected faults into latency instead of errors, which is
 //! what the `fig_faults` goodput sweep measures.
 //!
-//! Jitter is drawn from a dedicated seeded RNG so the retry schedule is
-//! deterministic per seed and independent of the fault-injection RNG.
+//! Jitter is drawn from a dedicated RNG with a fixed seed, so the retry
+//! schedule is deterministic and independent of the fault-injection RNG.
+//! The attempt budget is the one setting; the backoff curve and the jitter
+//! are constants.
 
 use crate::error::{StoreError, StoreResult};
 use parking_lot::Mutex;
@@ -18,60 +20,45 @@ use rand::{RngExt, SeedableRng};
 use simclock::{SimClock, SimDuration};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Backoff charged before the first retry; doubles on each subsequent
+/// retry.
+const BASE_BACKOFF: SimDuration = SimDuration::from_millis(2);
+/// Cap on a single backoff step.
+const MAX_BACKOFF: SimDuration = SimDuration::from_millis(64);
+/// Jitter fraction: each backoff is perturbed uniformly in
+/// `[-JITTER, +JITTER]` of its nominal value.
+const JITTER: f64 = 0.2;
+/// Seed of the jitter RNG.
+const JITTER_SEED: u64 = 0x8E_784;
+
 /// A capped exponential backoff + jitter retry policy.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Maximum total attempts (including the first). 1 disables retries.
     pub max_attempts: u32,
-    /// Backoff charged before the first retry; doubles on each subsequent
-    /// retry.
-    pub base_backoff: SimDuration,
-    /// Cap on a single backoff step.
-    pub max_backoff: SimDuration,
-    /// Jitter fraction in `[0, 1]`: each backoff is perturbed uniformly in
-    /// `[-jitter, +jitter]` of its nominal value.
-    pub jitter: f64,
-    /// Seed of the jitter RNG.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 8,
-            base_backoff: SimDuration::from_millis(2),
-            max_backoff: SimDuration::from_millis(64),
-            jitter: 0.2,
-            seed: 0x8E_784,
-        }
+        RetryPolicy { max_attempts: 8 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries (ops fail on the first fault).
     pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_attempts: 1 }
     }
+}
 
-    /// Sets the attempt budget.
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Nominal (pre-jitter) backoff before retry number `retry` (0-based).
-    pub fn nominal_backoff(&self, retry: u32) -> SimDuration {
-        let shift = retry.min(32);
-        let nanos = self
-            .base_backoff
-            .as_nanos()
-            .saturating_mul(1u64.checked_shl(shift).unwrap_or(u64::MAX))
-            .min(self.max_backoff.as_nanos());
-        SimDuration::from_nanos(nanos)
-    }
+/// Nominal (pre-jitter) backoff before retry number `retry` (0-based).
+fn nominal_backoff(retry: u32) -> SimDuration {
+    let shift = retry.min(32);
+    let nanos = BASE_BACKOFF
+        .as_nanos()
+        .saturating_mul(1u64.checked_shl(shift).unwrap_or(u64::MAX))
+        .min(MAX_BACKOFF.as_nanos());
+    SimDuration::from_nanos(nanos)
 }
 
 /// Live retry state for one cluster: policy + jitter RNG + counters.
@@ -86,7 +73,7 @@ pub(crate) struct RetryRuntime {
 impl RetryRuntime {
     pub(crate) fn new(policy: RetryPolicy) -> Self {
         RetryRuntime {
-            rng: Mutex::new(StdRng::seed_from_u64(policy.seed)),
+            rng: Mutex::new(StdRng::seed_from_u64(JITTER_SEED)),
             policy,
             retries: AtomicU64::new(0),
             giveups: AtomicU64::new(0),
@@ -95,14 +82,8 @@ impl RetryRuntime {
 
     /// Backoff for retry number `retry`, with jitter applied.
     fn backoff(&self, retry: u32) -> SimDuration {
-        let nominal = self.policy.nominal_backoff(retry).as_nanos();
-        if self.policy.jitter <= 0.0 || nominal == 0 {
-            return SimDuration::from_nanos(nominal);
-        }
-        let spread = (nominal as f64 * self.policy.jitter) as u64;
-        if spread == 0 {
-            return SimDuration::from_nanos(nominal);
-        }
+        let nominal = nominal_backoff(retry).as_nanos();
+        let spread = (nominal as f64 * JITTER) as u64;
         // Uniform in [nominal - spread, nominal + spread].
         let offset = self.rng.lock().random_range(0..=2 * spread);
         SimDuration::from_nanos(nominal - spread + offset)
@@ -144,16 +125,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy {
-            base_backoff: SimDuration::from_millis(2),
-            max_backoff: SimDuration::from_millis(10),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.nominal_backoff(0), SimDuration::from_millis(2));
-        assert_eq!(policy.nominal_backoff(1), SimDuration::from_millis(4));
-        assert_eq!(policy.nominal_backoff(2), SimDuration::from_millis(8));
-        assert_eq!(policy.nominal_backoff(3), SimDuration::from_millis(10));
-        assert_eq!(policy.nominal_backoff(40), SimDuration::from_millis(10));
+        assert_eq!(nominal_backoff(0), SimDuration::from_millis(2));
+        assert_eq!(nominal_backoff(1), SimDuration::from_millis(4));
+        assert_eq!(nominal_backoff(2), SimDuration::from_millis(8));
+        assert_eq!(nominal_backoff(5), SimDuration::from_millis(64));
+        assert_eq!(nominal_backoff(6), SimDuration::from_millis(64));
+        assert_eq!(nominal_backoff(40), SimDuration::from_millis(64));
     }
 
     #[test]
@@ -178,7 +155,7 @@ mod tests {
 
     #[test]
     fn run_exhausts_into_retries_exhausted_with_source() {
-        let runtime = RetryRuntime::new(RetryPolicy::default().with_max_attempts(3));
+        let runtime = RetryRuntime::new(RetryPolicy { max_attempts: 3 });
         let clock = SimClock::new();
         let result: StoreResult<()> =
             runtime.run(&clock, || Err(StoreError::TransientOp { server: 0 }));
@@ -205,19 +182,18 @@ mod tests {
 
     #[test]
     fn jitter_is_deterministic_per_seed_and_bounded() {
-        let seq = |seed: u64| {
-            let runtime = RetryRuntime::new(RetryPolicy { seed, ..Default::default() });
+        let seq = || {
+            let runtime = RetryRuntime::new(RetryPolicy::default());
             (0..32).map(|i| runtime.backoff(i % 6).as_nanos()).collect::<Vec<_>>()
         };
-        assert_eq!(seq(11), seq(11));
-        assert_ne!(seq(11), seq(12));
-        let policy = RetryPolicy::default();
-        let runtime = RetryRuntime::new(policy.clone());
-        for retry in 0..8 {
-            let nominal = policy.nominal_backoff(retry).as_nanos() as f64;
-            let b = runtime.backoff(retry).as_nanos() as f64;
-            assert!(b >= nominal * (1.0 - policy.jitter) - 1.0);
-            assert!(b <= nominal * (1.0 + policy.jitter) + 1.0);
+        let first = seq();
+        assert_eq!(first, seq(), "one seed, one schedule");
+        let nominal: Vec<u64> = (0..32).map(|i| nominal_backoff(i % 6).as_nanos()).collect();
+        assert_ne!(first, nominal, "jitter moves the schedule off its nominal values");
+        for (&b, &n) in first.iter().zip(&nominal) {
+            let (b, n) = (b as f64, n as f64);
+            assert!(b >= n * (1.0 - JITTER) - 1.0);
+            assert!(b <= n * (1.0 + JITTER) + 1.0);
         }
     }
 }

@@ -257,12 +257,6 @@ impl ResultRow {
             .map(|c| &c.value[..])
     }
 
-    /// The newest returned value of `family:qualifier` decoded as UTF-8.
-    pub fn value_str(&self, family: &str, qualifier: &str) -> Option<String> {
-        self.value(family, qualifier)
-            .map(|v| String::from_utf8_lossy(v).into_owned())
-    }
-
     /// Row key decoded as UTF-8 (lossy).
     pub fn key_str(&self) -> String {
         String::from_utf8_lossy(&self.key).into_owned()
@@ -358,7 +352,7 @@ mod tests {
             ],
         };
         assert_eq!(row.value("cf", "a").unwrap(), b"new");
-        assert_eq!(row.value_str("cf", "b").unwrap(), "x");
+        assert_eq!(row.value("cf", "b").unwrap(), b"x");
         assert_eq!(row.value("cf", "zzz"), None);
         assert_eq!(row.value_interned(intern_name("cf"), intern_name("a")).unwrap(), b"new");
         assert_eq!(row.value_interned(intern_name("cf"), intern_name("zzz")), None);

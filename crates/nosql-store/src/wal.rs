@@ -33,15 +33,12 @@
 //! The log is never truncated between checkpoints, and every mutation asks
 //! it "how many records are pending?" under the table's write lock, so that
 //! question must not cost a pass over the log.  The log therefore keeps a
-//! **watermark** `first_unsynced` and a counter `unsynced` with one
-//! invariant: *every record before the watermark is synced, and `unsynced`
-//! is the exact number of unsynced records (all at or after it)*.
-//! [`WriteAheadLog::unsynced_len`] reads the counter; `sync`,
-//! `sync_take_new` and `unsynced` touch only `entries[first_unsynced..]`.
-//! That tail is normally exactly the pending batch.  The one case it is
-//! not: [`WriteAheadLog::append_synced`] while records are pending lands a
-//! synced record *behind* unsynced ones, so the walks over the tail still
-//! check each record's own `synced` flag rather than assume a pure suffix.
+//! **watermark** `first_unsynced` with one invariant: *every record before
+//! the watermark is synced and every record at or after it is not*.  A
+//! record is always appended unsynced and a sync marks the whole tail, so
+//! the pending batch is always the suffix `entries[first_unsynced..]`:
+//! [`WriteAheadLog::unsynced_len`] is its length, and `sync`,
+//! `sync_take_new` and `unsynced` walk only it.
 
 use crate::{Bytes, Name, Timestamp, Val};
 use parking_lot::Mutex;
@@ -125,34 +122,34 @@ pub struct WriteAheadLog {
 struct WalInner {
     entries: Vec<WalEntry>,
     next_sequence: u64,
-    /// Every record before this index is synced (see the module docs).
+    /// Records before this index are synced, the rest are pending (see
+    /// the module docs).
     first_unsynced: usize,
-    /// Exact number of unsynced records.
-    unsynced: usize,
 }
 
 impl WalInner {
-    fn push(&mut self, table: Name, region: Option<u64>, op: WalOp, synced: bool) -> u64 {
+    fn push(&mut self, table: Name, region: Option<u64>, op: WalOp) -> u64 {
         let sequence = self.next_sequence;
         self.next_sequence += 1;
-        if !synced {
-            if self.unsynced == 0 {
-                self.first_unsynced = self.entries.len();
-            }
-            self.unsynced += 1;
-        }
-        self.entries.push(WalEntry { sequence, table, region, op, synced });
+        self.entries.push(WalEntry { sequence, table, region, op, synced: false });
         sequence
+    }
+
+    /// The pending records.
+    fn pending(&self) -> &[WalEntry] {
+        &self.entries[self.first_unsynced..]
     }
 
     /// Marks the pending records synced, handing each to `newly`.
     fn sync(&mut self, mut newly: impl FnMut(&WalEntry)) -> usize {
-        for entry in self.entries[self.first_unsynced..].iter_mut().filter(|e| !e.synced) {
+        let pending = &mut self.entries[self.first_unsynced..];
+        for entry in pending.iter_mut() {
             entry.synced = true;
             newly(entry);
         }
+        let synced = pending.len();
         self.first_unsynced = self.entries.len();
-        std::mem::take(&mut self.unsynced)
+        synced
     }
 }
 
@@ -165,20 +162,13 @@ impl WriteAheadLog {
     /// Appends a record and returns its sequence number.  The record is not
     /// durable until [`WriteAheadLog::sync`] is called.
     pub fn append(&self, table: impl Into<Name>, op: WalOp) -> u64 {
-        self.inner.lock().push(table.into(), None, op, false)
+        self.inner.lock().push(table.into(), None, op)
     }
 
     /// Appends a record tagged with the region it mutated, so replication
     /// can ship it to that region's followers once it syncs.
     pub fn append_region(&self, table: impl Into<Name>, region: u64, op: WalOp) -> u64 {
-        self.inner.lock().push(table.into(), Some(region), op, false)
-    }
-
-    /// Appends a record that is durable immediately (used for offline bulk
-    /// loads, which model a population phase that is flushed and compacted
-    /// before any measurement starts).
-    pub fn append_synced(&self, table: impl Into<Name>, op: WalOp) -> u64 {
-        self.inner.lock().push(table.into(), None, op, true)
+        self.inner.lock().push(table.into(), Some(region), op)
     }
 
     /// Marks every appended record as durable and returns how many records
@@ -194,7 +184,7 @@ impl WriteAheadLog {
     /// their regions.
     pub fn sync_take_new(&self) -> Vec<(u64, Option<u64>)> {
         let mut inner = self.inner.lock();
-        let mut newly = Vec::with_capacity(inner.unsynced);
+        let mut newly = Vec::with_capacity(inner.pending().len());
         inner.sync(|entry| newly.push((entry.sequence, entry.region)));
         newly
     }
@@ -206,14 +196,13 @@ impl WriteAheadLog {
 
     /// Records that have not yet been marked durable.
     pub fn unsynced(&self) -> Vec<WalEntry> {
-        let inner = self.inner.lock();
-        inner.entries[inner.first_unsynced..].iter().filter(|e| !e.synced).cloned().collect()
+        self.inner.lock().pending().to_vec()
     }
 
     /// Number of records that have not yet been marked durable (the pending
     /// group-commit batch).
     pub fn unsynced_len(&self) -> usize {
-        self.inner.lock().unsynced
+        self.inner.lock().pending().len()
     }
 
     /// Drops every record that has not been synced and returns how many
@@ -221,12 +210,9 @@ impl WriteAheadLog {
     /// writes under deferred log flush.
     pub fn drop_unsynced(&self) -> usize {
         let mut inner = self.inner.lock();
-        let lost = inner.unsynced;
-        if lost > 0 {
-            inner.entries.retain(|e| e.synced);
-        }
-        inner.first_unsynced = inner.entries.len();
-        inner.unsynced = 0;
+        let lost = inner.pending().len();
+        let synced = inner.first_unsynced;
+        inner.entries.truncate(synced);
         lost
     }
 
@@ -251,8 +237,7 @@ impl WriteAheadLog {
         let mut inner = self.inner.lock();
         inner.entries.retain(|e| e.sequence >= up_to);
         // Pending records may have been among the dropped: re-derive the
-        // watermark and the counter from what is left.
-        inner.unsynced = inner.entries.iter().filter(|e| !e.synced).count();
+        // watermark from what is left.
         inner.first_unsynced =
             inner.entries.iter().position(|e| !e.synced).unwrap_or(inner.entries.len());
     }
@@ -338,14 +323,6 @@ mod tests {
         // Plain appends carry no region tag.
         wal.append("t", WalOp::Logical { payload: "x".into() });
         assert_eq!(wal.sync_take_new(), [(3, None)]);
-    }
-
-    #[test]
-    fn append_synced_is_durable_immediately() {
-        let wal = WriteAheadLog::new();
-        wal.append_synced("t", put_op("a", 1));
-        assert_eq!(wal.unsynced_len(), 0);
-        assert_eq!(wal.len(), 1);
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! it replaced: a model that keeps no watermark and answers every question
 //! by filtering the whole record vector.  After every step of a random op
 //! sequence the two must agree on `unsynced_len`, `unsynced()`, `entries()`,
-//! the step's return value and the `replay` order — including the one case
-//! where the pending records are not a suffix of the log (`append_synced`
-//! while unsynced records are pending).
+//! the step's return value and the `replay` order.
 
 use nosql_store::{WalEntry, WalOp, WriteAheadLog};
 use proptest::prelude::*;
@@ -14,7 +12,6 @@ use proptest::test_runner::TestCaseError;
 enum Step {
     Append,
     AppendRegion(u64),
-    AppendSynced,
     Sync,
     SyncTakeNew,
     DropUnsynced,
@@ -24,15 +21,12 @@ enum Step {
 
 fn step_strategy() -> impl Strategy<Value = Step> {
     // Appends are listed more often than the rest so batches build up
-    // between flushes and `append_synced` regularly lands behind pending
-    // records.
+    // between flushes.
     prop_oneof![
         Just(Step::Append),
         Just(Step::Append),
         (0u64..4).prop_map(Step::AppendRegion),
         (0u64..4).prop_map(Step::AppendRegion),
-        Just(Step::AppendSynced),
-        Just(Step::AppendSynced),
         Just(Step::Sync),
         Just(Step::SyncTakeNew),
         Just(Step::DropUnsynced),
@@ -48,10 +42,10 @@ struct NaiveLog {
 }
 
 impl NaiveLog {
-    fn push(&mut self, region: Option<u64>, op: WalOp, synced: bool) -> u64 {
+    fn push(&mut self, region: Option<u64>, op: WalOp) -> u64 {
         let sequence = self.next_sequence;
         self.next_sequence += 1;
-        self.entries.push(WalEntry { sequence, table: "t".into(), region, op, synced });
+        self.entries.push(WalEntry { sequence, table: "t".into(), region, op, synced: false });
         sequence
     }
 
@@ -86,16 +80,13 @@ fn check(steps: &[Step]) -> Result<(), TestCaseError> {
     for (n, step) in steps.iter().enumerate() {
         match step {
             Step::Append => {
-                prop_assert_eq!(wal.append("t", op(n)), model.push(None, op(n), false));
+                prop_assert_eq!(wal.append("t", op(n)), model.push(None, op(n)));
             }
             Step::AppendRegion(region) => {
                 prop_assert_eq!(
                     wal.append_region("t", *region, op(n)),
-                    model.push(Some(*region), op(n), false)
+                    model.push(Some(*region), op(n))
                 );
-            }
-            Step::AppendSynced => {
-                prop_assert_eq!(wal.append_synced("t", op(n)), model.push(None, op(n), true));
             }
             Step::Sync => prop_assert_eq!(wal.sync(), model.sync_take_new().len()),
             Step::SyncTakeNew => prop_assert_eq!(wal.sync_take_new(), model.sync_take_new()),
@@ -127,24 +118,4 @@ proptest! {
     fn watermark_agrees_with_the_full_filter(steps in proptest::collection::vec(step_strategy(), 1..60)) {
         check(&steps)?;
     }
-}
-
-/// The case the watermark must not mistake for a suffix, spelled out.
-#[test]
-fn synced_record_behind_pending_ones_is_neither_resynced_nor_dropped() {
-    let wal = WriteAheadLog::new();
-    wal.append("t", op(0));
-    wal.append_synced("t", op(1));
-    wal.append("t", op(2));
-    assert_eq!(wal.unsynced_len(), 2);
-    let pending: Vec<u64> = wal.unsynced().iter().map(|e| e.sequence).collect();
-    assert_eq!(pending, [0, 2]);
-    let shipped: Vec<u64> = wal.sync_take_new().iter().map(|&(sequence, _)| sequence).collect();
-    assert_eq!(shipped, [0, 2], "the already-synced record is not shipped again");
-    wal.append("t", op(3));
-    wal.append_synced("t", op(4));
-    assert_eq!(wal.drop_unsynced(), 1);
-    let kept: Vec<u64> = wal.entries().iter().map(|e| e.sequence).collect();
-    assert_eq!(kept, [0, 1, 2, 4]);
-    assert_eq!(wal.unsynced_len(), 0);
 }

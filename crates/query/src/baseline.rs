@@ -5,24 +5,20 @@
 //!   in a single column family.  Every index `X(R)` becomes a table keyed on
 //!   `X_tuple(R) ++ PK(R)`.
 //! * **Workload**: every read statement is kept; a write statement is kept
-//!   only if it specifies every key attribute of its target relation in the
-//!   WHERE clause (single-row writes).
+//!   only if it specifies every key attribute of its target relation
+//!   (single-row writes).  [`crate::bind_write`] refuses an UPDATE or DELETE
+//!   that leaves a key attribute unfixed, and execution refuses an INSERT
+//!   without one, both with [`QueryError::IncompleteKey`].
 
 use crate::catalog::{Catalog, ColumnType, TableDef, TableKind};
 use crate::result::QueryError;
 use nosql_store::{Cluster, TableSchema};
 use relational::{Relation, Schema};
-use sql::Statement;
 
 /// How column types are assigned when building a catalog from a relational
 /// schema.  The relational model is untyped, so callers provide a typing
 /// function; [`ColumnType::Str`] is used when it returns `None`.
 pub type TypeHint<'a> = &'a dyn Fn(&str, &str) -> Option<ColumnType>;
-
-/// Builds the baseline catalog with all columns typed as strings.
-pub fn baseline_catalog(schema: &Schema) -> Catalog {
-    baseline_catalog_with_types(schema, &|_, _| None)
-}
 
 /// Builds the baseline catalog, consulting `types(relation, column)` for
 /// column types.
@@ -34,7 +30,7 @@ pub fn baseline_catalog_with_types(schema: &Schema, types: TypeHint<'_>) -> Cata
     for index in &schema.indexes {
         let relation = schema
             .relation(&index.relation)
-            // lint-allow(panic-freedom): schema validation rejects dangling index refs at load
+            // lint-allow(panic-freedom): Schema::add_index refuses an unknown relation, and SynergySystem::build runs Schema::validate first
             .expect("index references a known relation");
         let mut columns: Vec<(String, ColumnType)> = Vec::new();
         for column in &index.covered {
@@ -87,57 +83,6 @@ pub fn create_tables(cluster: &Cluster, catalog: &Catalog) -> Result<(), QueryEr
     Ok(())
 }
 
-/// The baseline workload transformation: keeps every read statement and every
-/// write statement that specifies all key attributes of its target relation.
-/// Returns the kept statements and the ones that were excluded.
-pub fn baseline_workload(
-    schema: &Schema,
-    workload: &[Statement],
-) -> (Vec<Statement>, Vec<Statement>) {
-    let catalog = baseline_catalog(schema);
-    let mut kept = Vec::new();
-    let mut excluded = Vec::new();
-    for statement in workload {
-        if statement.is_read() {
-            kept.push(statement.clone());
-            continue;
-        }
-        let supported = match statement {
-            Statement::Insert(insert) => catalog
-                .table_ci(&insert.table)
-                .map(|def| {
-                    def.key
-                        .iter()
-                        .all(|k| insert.columns.iter().any(|c| c == k))
-                })
-                .unwrap_or(false),
-            Statement::Update(update) => catalog
-                .table_ci(&update.table)
-                .map(|def| write_specifies_key(def, &update.conditions))
-                .unwrap_or(false),
-            Statement::Delete(delete) => catalog
-                .table_ci(&delete.table)
-                .map(|def| write_specifies_key(def, &delete.conditions))
-                .unwrap_or(false),
-            Statement::Select(_) => true,
-        };
-        if supported {
-            kept.push(statement.clone());
-        } else {
-            excluded.push(statement.clone());
-        }
-    }
-    (kept, excluded)
-}
-
-fn write_specifies_key(def: &TableDef, conditions: &[sql::Condition]) -> bool {
-    def.key.iter().all(|k| {
-        conditions
-            .iter()
-            .any(|c| c.op == sql::Comparison::Eq && c.is_filter() && c.left.column == *k)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +92,7 @@ mod tests {
     #[test]
     fn baseline_catalog_mirrors_schema() {
         let schema = company::company_schema();
-        let catalog = baseline_catalog(&schema);
+        let catalog = baseline_catalog_with_types(&schema, &|_, _| None);
         // 7 relations + 2 indexes.
         assert_eq!(catalog.len(), 9);
         let works_on = catalog.table("Works_On").unwrap();
@@ -172,26 +117,32 @@ mod tests {
     #[test]
     fn workload_transformation_drops_multi_row_writes() {
         let schema = company::company_schema();
-        let workload = vec![
-            parse_statement("SELECT * FROM Employee WHERE EID = ?").unwrap(),
-            parse_statement("DELETE FROM Works_On WHERE WO_EID = ? AND WO_PNo = ?").unwrap(),
+        let catalog = baseline_catalog_with_types(&schema, &|_, _| None);
+        let cluster = Cluster::new(nosql_store::ClusterConfig::default());
+        create_tables(&cluster, &catalog).unwrap();
+        let executor = crate::Executor::new(cluster, catalog);
+        for (sql_text, kept) in [
+            ("SELECT * FROM Employee WHERE EID = ?", true),
+            ("DELETE FROM Works_On WHERE WO_EID = ? AND WO_PNo = ?", true),
             // Affects multiple rows (only part of the composite key) — must be
             // excluded, like the shopping-cart-line DELETE in the paper.
-            parse_statement("DELETE FROM Works_On WHERE WO_EID = ?").unwrap(),
-            parse_statement("UPDATE Employee SET EName = ? WHERE EID = ?").unwrap(),
-            parse_statement("UPDATE Employee SET EName = ? WHERE EName = ?").unwrap(),
-            parse_statement("INSERT INTO Department (DNo, DName) VALUES (?, ?)").unwrap(),
-            parse_statement("INSERT INTO Department (DName) VALUES (?)").unwrap(),
-        ];
-        let (kept, excluded) = baseline_workload(&schema, &workload);
-        assert_eq!(kept.len(), 4);
-        assert_eq!(excluded.len(), 3);
+            ("DELETE FROM Works_On WHERE WO_EID = ?", false),
+            ("UPDATE Employee SET EName = ? WHERE EID = ?", true),
+            ("UPDATE Employee SET EName = ? WHERE EName = ?", false),
+            ("INSERT INTO Department (DNo, DName) VALUES (?, ?)", true),
+            ("INSERT INTO Department (DName) VALUES (?)", false),
+        ] {
+            let params = vec![relational::Value::str("1"); sql_text.matches('?').count()];
+            let result = executor.execute(&parse_statement(sql_text).unwrap(), &params);
+            let refused = matches!(result, Err(QueryError::IncompleteKey { .. }));
+            assert_eq!(refused, !kept, "{sql_text}: {result:?}");
+        }
     }
 
     #[test]
     fn create_tables_is_idempotent() {
         let schema = company::company_schema();
-        let catalog = baseline_catalog(&schema);
+        let catalog = baseline_catalog_with_types(&schema, &|_, _| None);
         let cluster = Cluster::new(nosql_store::ClusterConfig::default());
         create_tables(&cluster, &catalog).unwrap();
         create_tables(&cluster, &catalog).unwrap();

@@ -681,7 +681,10 @@ mod tests {
         assert!(out.iter().all(|d| d.sign == DeltaSign::Minus));
         let mut b_ids: Vec<i64> = out
             .iter()
-            .map(|d| d.row.get("b_id").unwrap().as_int().unwrap())
+            .filter_map(|d| match d.row.get("b_id") {
+                Some(Value::Int(id)) => Some(*id),
+                _ => None,
+            })
             .collect();
         b_ids.sort_unstable();
         assert_eq!(b_ids, vec![10, 11]);

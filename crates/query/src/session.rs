@@ -220,15 +220,6 @@ impl Session {
         self.prepare(sql_text)?.execute(params)
     }
 
-    /// Executes an already parsed statement through the plan cache.
-    pub fn execute_statement(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-    ) -> Result<QueryResult, QueryError> {
-        self.prepare_statement(stmt)?.execute(params)
-    }
-
     /// Renders the stable plan tree for a SQL string (the `EXPLAIN` text),
     /// including any rewrite rule that fired.
     pub fn explain(&self, sql_text: &str) -> Result<String, QueryError> {

@@ -198,6 +198,7 @@ fn sift_down(heap: &mut [Row], mut i: usize, cmp: &impl Fn(&Row, &Row) -> Orderi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relational::Value;
 
     fn rows(values: &[i64]) -> RowStream<'_> {
         Box::new(values.iter().map(|v| Ok(Row::new().with("n", *v))))
@@ -208,7 +209,11 @@ mod tests {
     }
 
     fn ns(rows: &[Row]) -> Vec<i64> {
-        rows.iter().map(|r| r.get("n").unwrap().as_int().unwrap()).collect()
+        let n = |r: &Row| match r.get("n") {
+            Some(Value::Int(n)) => Some(*n),
+            _ => None,
+        };
+        rows.iter().filter_map(n).collect()
     }
 
     #[test]

@@ -6,10 +6,18 @@
 use nosql_store::{Cluster, ClusterConfig, TableSchema};
 use proptest::prelude::*;
 use query::{Catalog, ColumnType, Executor, TableDef, TableKind};
-use relational::{Row};
+use relational::{Row, Value};
 
 /// One generated left row: key, join value, payload seed.
 type GenRow = (i64, i64, i64);
+
+/// The integer `column` of `row`.
+fn int(row: &Row, column: &str) -> i64 {
+    match row.get(column) {
+        Some(Value::Int(v)) => *v,
+        other => panic!("{column} is not an integer: {other:?}"),
+    }
+}
 
 fn build_executor(payload_cols: usize) -> Executor {
     let mut left_columns = vec![
@@ -110,8 +118,8 @@ proptest! {
             .iter()
             .map(|row| {
                 (
-                    row.get("l.l_id").unwrap().as_int().unwrap(),
-                    row.get("r.r_id").unwrap().as_int().unwrap(),
+                    int(row, "l.l_id"),
+                    int(row, "r.r_id"),
                 )
             })
             .collect();
@@ -121,12 +129,12 @@ proptest! {
         // Spot-check full row content: every output row must carry both
         // halves' attributes consistent with its id pair.
         for row in &result.rows {
-            let lid = row.get("l.l_id").unwrap().as_int().unwrap();
-            let rid = row.get("r.r_id").unwrap().as_int().unwrap();
+            let lid = int(row, "l.l_id");
+            let rid = int(row, "r.r_id");
             let (_, lk, lseed) = left.iter().find(|(id, _, _)| *id == lid).unwrap();
             let (_, rk, rseed) = right.iter().find(|(id, _, _)| *id == rid).unwrap();
-            prop_assert_eq!(row.get("l.l_k").unwrap().as_int().unwrap(), *lk);
-            prop_assert_eq!(row.get("r.r_k").unwrap().as_int().unwrap(), *rk);
+            prop_assert_eq!(int(row, "l.l_k"), *lk);
+            prop_assert_eq!(int(row, "r.r_k"), *rk);
             prop_assert_eq!(row.len(), 2 * (2 + payload_cols));
             for p in 0..payload_cols {
                 prop_assert_eq!(

@@ -5,7 +5,7 @@
 
 use nosql_store::{Cluster, ClusterConfig, SCAN_PAGE_ROWS};
 use query::{baseline, ColumnType, Executor};
-use relational::{Relation, Row, Schema};
+use relational::{Relation, Row, Schema, Value};
 
 fn orders_executor(rows: i64) -> Executor {
     let schema = Schema::new().with_relation(
@@ -97,7 +97,10 @@ fn order_by_limit_uses_a_bounded_buffer() {
     let ids: Vec<i64> = top
         .rows
         .iter()
-        .map(|r| r.get("o_id").unwrap().as_int().unwrap())
+        .filter_map(|r| match r.get("o_id") {
+            Some(Value::Int(id)) => Some(*id),
+            _ => None,
+        })
         .collect();
     assert_eq!(ids, vec![2_000, 1_999, 1_998]);
     assert!(

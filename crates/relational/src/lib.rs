@@ -24,7 +24,7 @@ mod value;
 
 pub use graph::{GraphEdge, SchemaGraph};
 pub use intern::Symbol;
-pub use keys::{decode_key, encode_key, KEY_DELIMITER};
+pub use keys::{encode_key, KEY_DELIMITER};
 pub use row::Row;
 pub use schema::{ForeignKey, Index, Relation, Schema};
 pub use value::Value;

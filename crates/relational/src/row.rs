@@ -277,15 +277,6 @@ impl Row {
         true
     }
 
-    /// Merges another row into this one, prefixing its attributes with
-    /// `prefix.` — used when concatenating join operands.
-    pub fn merge_prefixed(&mut self, prefix: &str, other: &Row) {
-        for e in other.ordered_entries() {
-            let bare = e.0.bare_name();
-            self.set(format!("{prefix}.{bare}"), e.1.clone());
-        }
-    }
-
     /// Returns a copy whose attribute names are stripped of any qualifier.
     /// When two attributes collapse to the same bare name, the value of the
     /// lexicographically larger qualified name wins (the former `BTreeMap`
@@ -370,24 +361,12 @@ mod tests {
     #[test]
     fn set_get_and_suffix_match() {
         let row = Row::new().with("e.EID", 7).with("EName", "alice");
-        assert_eq!(row.get("e.EID").unwrap().as_int(), Some(7));
-        assert_eq!(row.get("EID").unwrap().as_int(), Some(7));
+        assert_eq!(row.get("e.EID"), Some(&Value::Int(7)));
+        assert_eq!(row.get("EID"), Some(&Value::Int(7)));
         assert_eq!(row.get("e.EName").unwrap().as_str(), Some("alice"));
         assert!(row.get("missing").is_none());
         assert!(row.contains("EName"));
         assert_eq!(row.len(), 2);
-    }
-
-    #[test]
-    fn merge_prefixed_namespaces_attributes() {
-        let left = Row::new().with("EID", 1);
-        let right = Row::new().with("AID", 9).with("City", "Nashville");
-        let mut joined = Row::new();
-        joined.merge_prefixed("e", &left);
-        joined.merge_prefixed("a", &right);
-        assert_eq!(joined.len(), 3);
-        assert_eq!(joined.get("a.City").unwrap().as_str(), Some("Nashville"));
-        assert_eq!(joined.get("e.EID").unwrap().as_int(), Some(1));
     }
 
     #[test]
@@ -412,11 +391,11 @@ mod tests {
         // the lexicographically smallest full name, regardless of insertion
         // order.
         let row = Row::new().with("zz.X", 1).with("aa.X", 2);
-        assert_eq!(row.get("X").unwrap().as_int(), Some(2));
-        assert_eq!(row.get("other.X").unwrap().as_int(), Some(2));
+        assert_eq!(row.get("X"), Some(&Value::Int(2)));
+        assert_eq!(row.get("other.X"), Some(&Value::Int(2)));
         // And the same via the reversed insertion order.
         let row = Row::new().with("aa.X", 2).with("zz.X", 1);
-        assert_eq!(row.get("X").unwrap().as_int(), Some(2));
+        assert_eq!(row.get("X"), Some(&Value::Int(2)));
     }
 
     #[test]
@@ -429,7 +408,7 @@ mod tests {
         assert_eq!(joined.len(), 3);
         let names: Vec<&str> = joined.attributes().collect();
         assert_eq!(names, vec!["a.A", "a.C", "b.B"]);
-        assert_eq!(joined.get("B").unwrap().as_int(), Some(2));
+        assert_eq!(joined.get("B"), Some(&Value::Int(2)));
         // Equality must see through the segment structure.
         let flat = Row::new().with("a.A", 1).with("a.C", 3).with("b.B", 2);
         assert_eq!(joined, flat);
@@ -441,8 +420,8 @@ mod tests {
         let mut row = Row::new().with("a.A", 1).with("a.B", 2);
         row.freeze();
         row.set("a.A", 10);
-        assert_eq!(row.get("a.A").unwrap().as_int(), Some(10));
-        assert_eq!(row.get("a.B").unwrap().as_int(), Some(2));
+        assert_eq!(row.get("a.A"), Some(&Value::Int(10)));
+        assert_eq!(row.get("a.B"), Some(&Value::Int(2)));
         assert_eq!(row.len(), 2);
     }
 
@@ -460,6 +439,6 @@ mod tests {
         // Re-pushing the last attribute overwrites in place.
         row.push_sorted(crate::intern::intern("m.c"), Value::Int(9));
         assert_eq!(row.len(), 3);
-        assert_eq!(row.get("m.c").unwrap().as_int(), Some(9));
+        assert_eq!(row.get("m.c"), Some(&Value::Int(9)));
     }
 }

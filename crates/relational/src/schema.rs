@@ -1,5 +1,6 @@
 //! Relations, indexes, foreign keys and schemas (paper §II-A).
 
+use crate::graph::SchemaGraph;
 use serde::{Deserialize, Serialize};
 
 /// A foreign key of one relation referencing another relation's primary key.
@@ -61,20 +62,6 @@ impl Relation {
     /// True if the relation declares this attribute.
     pub fn has_attribute(&self, attribute: &str) -> bool {
         self.attributes.iter().any(|a| a == attribute)
-    }
-
-    /// The foreign key (if any) referencing `other`.
-    pub fn foreign_key_to(&self, other: &str) -> Option<&ForeignKey> {
-        self.foreign_keys.iter().find(|fk| fk.references == other)
-    }
-
-    /// All foreign keys referencing `other` (a relation may reference the
-    /// same target twice, e.g. Employee's home and office addresses).
-    pub fn foreign_keys_to(&self, other: &str) -> Vec<&ForeignKey> {
-        self.foreign_keys
-            .iter()
-            .filter(|fk| fk.references == other)
-            .collect()
     }
 }
 
@@ -253,9 +240,11 @@ impl Schema {
         self.relations.iter().map(|r| r.name.clone()).collect()
     }
 
-    /// Checks referential consistency of every foreign key: the referenced
-    /// relation must exist and the referenced attributes must be its primary
-    /// key.  Returns a list of human-readable problems (empty = consistent).
+    /// Checks the schema's references: every foreign key must reference an
+    /// existing relation by its primary key, every index must be on an
+    /// existing relation, and the foreign keys must form no cycle (the paper
+    /// assumes a schema free of simple and transitive circular references).
+    /// Returns a list of human-readable problems (empty = consistent).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         for r in &self.relations {
@@ -281,6 +270,17 @@ impl Schema {
                     }
                 }
             }
+        }
+        for index in &self.indexes {
+            if self.relation(&index.relation).is_none() {
+                problems.push(format!(
+                    "index {} is on unknown relation {}",
+                    index.name, index.relation
+                ));
+            }
+        }
+        if SchemaGraph::from_schema(self).topological_order().is_none() {
+            problems.push("foreign keys form a circular reference".to_string());
         }
         problems
     }
@@ -310,8 +310,8 @@ mod tests {
         let e = employee();
         assert_eq!(e.primary_key, vec!["EID"]);
         assert!(e.has_attribute("EName"));
-        assert!(e.foreign_key_to("Department").is_some());
-        assert!(e.foreign_key_to("Nowhere").is_none());
+        assert_eq!(e.foreign_keys.len(), 1);
+        assert_eq!(e.foreign_keys[0].references, "Department");
     }
 
     #[test]
@@ -344,6 +344,36 @@ mod tests {
             .build();
         let schema = Schema::new().with_relation(bad_dept).with_relation(employee());
         assert_eq!(schema.validate().len(), 1);
+    }
+
+    #[test]
+    fn validation_flags_cycles_and_dangling_indexes() {
+        let boss = Relation::new("Emp")
+            .attributes(["id", "boss"])
+            .primary_key(["id"])
+            .foreign_key("boss", "Emp", "id")
+            .build();
+        let a = Relation::new("A")
+            .attributes(["a_id", "a_b"])
+            .primary_key(["a_id"])
+            .foreign_key("a_b", "B", "b_id")
+            .build();
+        let b = Relation::new("B")
+            .attributes(["b_id", "b_a"])
+            .primary_key(["b_id"])
+            .foreign_key("b_a", "A", "a_id")
+            .build();
+        for schema in [Schema::new().with_relation(boss), Schema::new().with_relation(a).with_relation(b)] {
+            let problems = schema.validate();
+            assert_eq!(problems.len(), 1);
+            assert!(problems[0].contains("circular"), "{problems:?}");
+        }
+
+        let mut schema = Schema::new().with_relation(dept());
+        schema.indexes.push(Index::new("i", "Nowhere", ["a"], ["a"]));
+        let problems = schema.validate();
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("unknown relation Nowhere"), "{problems:?}");
     }
 
     #[test]

@@ -29,14 +29,6 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Returns the integer if this is an `Int`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Returns the float if this is numeric.
     pub fn as_float(&self) -> Option<f64> {
         match self {
@@ -79,16 +71,6 @@ impl Value {
             Value::Str(s) => out.push_str(s),
             // A number encodes as it displays; writing to a `String` cannot fail.
             number => write!(out, "{number}").unwrap_or(()),
-        }
-    }
-
-    /// Decodes a cell back into a value given the original's type as a hint.
-    pub fn decode_as(&self, encoded: &str) -> Value {
-        match self {
-            Value::Null => Value::Null,
-            Value::Int(_) => encoded.parse().map(Value::Int).unwrap_or(Value::Null),
-            Value::Float(_) => encoded.parse().map(Value::Float).unwrap_or(Value::Null),
-            Value::Str(_) => Value::Str(encoded.to_string()),
         }
     }
 
@@ -207,7 +189,7 @@ mod tests {
 
     #[test]
     fn conversions_and_accessors() {
-        assert_eq!(Value::from(5i64).as_int(), Some(5));
+        assert_eq!(Value::from(5i64), Value::Int(5));
         assert_eq!(Value::from(2.5).as_float(), Some(2.5));
         assert_eq!(Value::from("x").as_str(), Some("x"));
         assert!(Value::Null.is_null());
@@ -231,12 +213,9 @@ mod tests {
 
     #[test]
     fn encode_round_trips_with_type_hint() {
-        let v = Value::Int(42);
-        assert_eq!(v.decode_as(&v.encode()), v);
-        let s = Value::str("hello world");
-        assert_eq!(s.decode_as(&s.encode()), s);
-        let f = Value::Float(1.25);
-        assert_eq!(f.decode_as(&f.encode()), f);
+        assert_eq!(Value::Int(42).encode().parse(), Ok(42));
+        assert_eq!(Value::str("hello world").encode(), "hello world");
+        assert_eq!(Value::Float(1.25).encode().parse(), Ok(1.25));
     }
 
     #[test]
@@ -250,7 +229,7 @@ mod tests {
         #[test]
         fn int_encode_decode_round_trip(v in any::<i64>()) {
             let value = Value::Int(v);
-            prop_assert_eq!(value.decode_as(&value.encode()), value);
+            prop_assert_eq!(value.encode().parse(), Ok(v));
         }
 
         #[test]

@@ -50,16 +50,6 @@ impl SimDuration {
         self.nanos
     }
 
-    /// Total whole microseconds in this duration.
-    pub const fn as_micros(&self) -> u64 {
-        self.nanos / 1_000
-    }
-
-    /// Total whole milliseconds in this duration.
-    pub const fn as_millis(&self) -> u64 {
-        self.nanos / 1_000_000
-    }
-
     /// The duration expressed as fractional milliseconds.
     pub fn as_millis_f64(&self) -> f64 {
         self.nanos as f64 / 1e6
@@ -75,11 +65,6 @@ impl SimDuration {
         SimDuration {
             nanos: self.nanos.saturating_sub(rhs.nanos),
         }
-    }
-
-    /// Checked addition, returning `None` on overflow.
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.nanos.checked_add(rhs.nanos).map(|nanos| SimDuration { nanos })
     }
 }
 
@@ -222,11 +207,6 @@ impl SimClock {
         let elapsed = self.now() - start;
         (value, elapsed)
     }
-
-    /// Returns `true` if both handles refer to the same underlying counter.
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.nanos, &other.nanos)
-    }
 }
 
 #[cfg(test)]
@@ -236,18 +216,18 @@ mod tests {
     #[test]
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimDuration::from_millis(2).as_micros(), 2_000);
-        assert_eq!(SimDuration::from_secs(1).as_millis(), 1_000);
+        assert_eq!(SimDuration::from_millis(2), SimDuration::from_micros(2_000));
+        assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
     }
 
     #[test]
     fn duration_arithmetic() {
         let a = SimDuration::from_micros(10);
         let b = SimDuration::from_micros(3);
-        assert_eq!((a + b).as_micros(), 13);
-        assert_eq!((a - b).as_micros(), 7);
-        assert_eq!((a * 4).as_micros(), 40);
-        assert_eq!((a / 2).as_micros(), 5);
+        assert_eq!(a + b, SimDuration::from_micros(13));
+        assert_eq!(a - b, SimDuration::from_micros(7));
+        assert_eq!(a * 4, SimDuration::from_micros(40));
+        assert_eq!(a / 2, SimDuration::from_micros(5));
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
     }
 
@@ -257,7 +237,7 @@ mod tests {
         let start = clock.now();
         clock.charge(SimDuration::from_micros(100));
         clock.charge(SimDuration::from_micros(50));
-        assert_eq!((clock.now() - start).as_micros(), 150);
+        assert_eq!(clock.now() - start, SimDuration::from_micros(150));
     }
 
     #[test]
@@ -266,7 +246,7 @@ mod tests {
         let clone = clock.clone();
         clone.charge(SimDuration::from_millis(1));
         assert_eq!(clock.now().as_nanos(), 1_000_000);
-        assert!(clock.same_clock(&clone));
+        assert!(Arc::ptr_eq(&clock.nanos, &clone.nanos));
     }
 
     #[test]
@@ -277,7 +257,7 @@ mod tests {
             42
         });
         assert_eq!(value, 42);
-        assert_eq!(elapsed.as_millis(), 3);
+        assert_eq!(elapsed, SimDuration::from_millis(3));
     }
 
     #[test]

@@ -19,20 +19,6 @@
 //!   system (Fig. 12 / Fig. 14).
 
 use crate::clock::SimDuration;
-use serde::{Deserialize, Serialize};
-
-/// The storage medium backing write-ahead-log syncs.
-///
-/// The paper's cluster used EBS SSD volumes; `Memory` is useful for tests
-/// that want to isolate algorithmic costs from durability costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum StorageMedium {
-    /// Durability writes charge the full SSD sync cost.
-    #[default]
-    Ssd,
-    /// Durability writes are free (pure in-memory experiments).
-    Memory,
-}
 
 /// Simulated cost of every primitive used by the reproduction.
 ///
@@ -56,7 +42,8 @@ pub struct CostModel {
     pub get_server_work: SimDuration,
     /// Server-side work for a Put (memstore insert).
     pub put_server_work: SimDuration,
-    /// Durability (WAL sync) cost charged per write RPC.
+    /// Durability (WAL sync) cost charged per write RPC (the paper's
+    /// cluster logged to EBS SSD volumes).
     pub wal_sync: SimDuration,
     /// Server-side work for an atomic CheckAndPut (used by lock tables).
     pub check_and_put_work: SimDuration,
@@ -96,8 +83,6 @@ pub struct CostModel {
     /// `f` followers charges `n * f` of this on the batch-closing write.
     /// Never charged when replication is off.
     pub replica_ship: SimDuration,
-    /// Storage medium for WAL syncs.
-    pub medium: StorageMedium,
 }
 
 impl Default for CostModel {
@@ -126,28 +111,11 @@ impl Default for CostModel {
             recovery_base: SimDuration::from_millis(50),
             wal_replay_entry: SimDuration::from_micros(20),
             replica_ship: SimDuration::from_micros(400),
-            medium: StorageMedium::Ssd,
         }
     }
 }
 
 impl CostModel {
-    /// A cost model with free durability, for algorithm-only experiments.
-    pub fn in_memory() -> Self {
-        CostModel {
-            medium: StorageMedium::Memory,
-            ..CostModel::default()
-        }
-    }
-
-    /// Effective WAL sync cost for the configured medium.
-    pub fn effective_wal_sync(&self) -> SimDuration {
-        match self.medium {
-            StorageMedium::Ssd => self.wal_sync,
-            StorageMedium::Memory => SimDuration::ZERO,
-        }
-    }
-
     /// Cost of a single client ⇄ server RPC round trip.
     pub fn rpc_round_trip(&self) -> SimDuration {
         self.rpc_latency
@@ -167,28 +135,15 @@ impl CostModel {
     /// server work in total: one round trip and one WAL sync however many
     /// rows it carries.
     pub fn batch_cost(&self, work: SimDuration) -> SimDuration {
-        self.rpc_latency + work + self.effective_wal_sync()
-    }
-
-    /// Total cost of a Put carrying `cells` cell values.
-    pub fn put_cost(&self, cells: usize) -> SimDuration {
-        self.batch_cost(self.put_work(cells))
-    }
-
-    /// Total cost of a Delete.
-    pub fn delete_cost(&self) -> SimDuration {
-        self.batch_cost(self.delete_server_work)
-    }
-
-    /// Total cost of an atomic CheckAndPut (lock acquire / release).
-    pub fn check_and_put_cost(&self) -> SimDuration {
-        self.batch_cost(self.check_and_put_work)
+        self.rpc_latency + work + self.wal_sync
     }
 
     /// Total cost of scanning `rows` rows totalling `bytes` bytes.
     ///
     /// A scan pays one scanner-open, one RPC per `scan_batch_rows` batch and
-    /// per-row / per-byte streaming costs.
+    /// per-row / per-byte streaming costs.  The store charges a scan page
+    /// by page; this closed form is the reference its tests sum against.
+    // lint-allow(reachability): reference formula of the store's cursor_charges_the_closed_form_scan_cost test
     pub fn scan_cost(&self, rows: u64, bytes: u64) -> SimDuration {
         let batches = rows.div_ceil(self.scan_batch_rows).max(1);
         self.scan_open
@@ -205,12 +160,6 @@ impl CostModel {
     /// Cost of `probes` probes into a hash-join build table.
     pub fn probe_cost(&self, probes: u64) -> SimDuration {
         self.join_probe * probes
-    }
-
-    /// Fixed MVCC transaction overhead (begin + commit), independent of the
-    /// statement body.  The paper measures this at 800–900 ms.
-    pub fn mvcc_overhead(&self) -> SimDuration {
-        self.mvcc_begin + self.mvcc_commit
     }
 
     /// Cost of MVCC visibility filtering over `cells` cell versions.
@@ -268,7 +217,7 @@ mod tests {
         let m = CostModel::default();
         // One MVCC round trip dwarfs a locked write's lock traffic: this is
         // the core reason Synergy writes beat the MVCC systems (Fig. 14).
-        assert!(m.mvcc_overhead() > m.check_and_put_cost() * 20);
+        assert!(m.mvcc_begin + m.mvcc_commit > m.batch_cost(m.check_and_put_work) * 20);
         // Scanning a row out of a view is cheaper than shuffling and probing
         // the same row through a join: the reason views win (Fig. 10).
         assert!(m.scan_next_row < m.join_shuffle_row + m.join_probe);
@@ -283,29 +232,25 @@ mod tests {
             m.rpc_latency
                 + m.put_server_work
                 + SimDuration::from_nanos(200 * cells)
-                + m.effective_wal_sync()
+                + m.wal_sync
         };
         for cells in [1usize, 4, 37] {
             assert_eq!(m.batch_cost(m.put_work(cells)), closed_put(cells as u64));
-            assert_eq!(m.batch_cost(m.put_work(cells)), m.put_cost(cells));
         }
-        let closed_delete = m.rpc_latency + m.delete_server_work + m.effective_wal_sync();
+        let closed_delete = m.rpc_latency + m.delete_server_work + m.wal_sync;
         assert_eq!(m.batch_cost(m.delete_server_work), closed_delete);
-        assert_eq!(m.batch_cost(m.delete_server_work), m.delete_cost());
         // n rows: one round trip, one sync, n rows of server work.
         let n = 110u64;
         let rows = m.put_work(2) * n;
         assert_eq!(
             m.batch_cost(rows),
-            m.rpc_latency + m.effective_wal_sync() + m.put_work(2) * n
+            m.rpc_latency + m.wal_sync + m.put_work(2) * n
         );
         assert_eq!(
-            m.put_cost(2) * n - m.batch_cost(rows),
-            (m.rpc_latency + m.effective_wal_sync()) * (n - 1),
+            m.batch_cost(m.put_work(2)) * n - m.batch_cost(rows),
+            (m.rpc_latency + m.wal_sync) * (n - 1),
             "a batch saves n - 1 round trips and syncs"
         );
-        let mem = CostModel::in_memory();
-        assert_eq!(mem.batch_cost(rows), mem.rpc_latency + rows);
     }
 
     #[test]
@@ -314,14 +259,6 @@ mod tests {
         let small = m.scan_cost(100, 100 * 64);
         let large = m.scan_cost(100_000, 100_000 * 64);
         assert!(large > small * 50);
-    }
-
-    #[test]
-    fn memory_medium_removes_wal_cost() {
-        let ssd = CostModel::default();
-        let mem = CostModel::in_memory();
-        assert!(ssd.put_cost(4) > mem.put_cost(4));
-        assert_eq!(mem.effective_wal_sync(), SimDuration::ZERO);
     }
 
     #[test]

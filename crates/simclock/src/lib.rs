@@ -18,15 +18,15 @@
 //! # Example
 //!
 //! ```
-//! use simclock::{CostModel, SimClock};
+//! use simclock::{CostModel, SimClock, SimDuration};
 //!
 //! let clock = SimClock::new();
 //! let model = CostModel::default();
 //! let start = clock.now();
-//! clock.charge(model.rpc_round_trip());           // one Get
-//! clock.charge(model.scan_cost(1_000, 128));      // scan 1000 rows of 128 B
+//! clock.charge(model.get_cost());                 // one point Get
+//! clock.charge(model.shuffle_cost(1_000));        // shuffle 1000 join rows
 //! let elapsed = clock.now() - start;
-//! assert!(elapsed.as_micros() > 0);
+//! assert!(elapsed > SimDuration::ZERO);
 //! ```
 
 mod clock;
@@ -35,6 +35,6 @@ mod parallel;
 mod stats;
 
 pub use clock::{SimClock, SimDuration, SimInstant};
-pub use cost::{CostModel, StorageMedium};
+pub use cost::CostModel;
 pub use parallel::{merge_elapsed, WorkerClock};
 pub use stats::mean;

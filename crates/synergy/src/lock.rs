@@ -24,8 +24,7 @@
 use nosql_store::ops::{CheckAndPut, Expectation, Put, Scan};
 use nosql_store::{Cluster, Name, StoreResult, TableSchema};
 use simclock::SimDuration;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Column family used by lock tables.
 pub const LOCK_FAMILY: &str = "l";
@@ -63,21 +62,13 @@ pub fn lock_table_name(root: &str) -> String {
 
 /// Manages the per-root lock tables.
 ///
-/// Two fencing mechanisms compose here.  The lock *lease* fences in time: a
-/// crashed holder's lock becomes reclaimable once its lease has been waited
-/// out.  The region *epoch* (see `nosql_store::Cluster::region_epoch_for`)
-/// fences in space: when the lock table's region fails over to another
-/// server, the epoch bumps, and the old primary can no longer serve writes
-/// for it.  A held lock survives a region failover — the `checkAndPut`
-/// release simply lands on the new primary — and the manager counts those
-/// survivals so tests and benchmarks can observe the composition working.
+/// The lock *lease* fences in time: a crashed holder's lock becomes
+/// reclaimable once its lease has been waited out.  A held lock survives a
+/// failover of its row's region: the `checkAndPut` release simply lands on
+/// the new primary.
 #[derive(Clone)]
 pub struct LockManager {
     cluster: Cluster,
-    /// Locks released under a different region epoch than they were acquired
-    /// under — i.e. held straight through a region failover.  Shared across
-    /// clones of the manager.
-    survivals: Arc<AtomicU64>,
 }
 
 /// A held hierarchical lock.  Release it with [`LockManager::release`]; the
@@ -86,10 +77,6 @@ pub struct LockGuard {
     cluster: Cluster,
     table: String,
     key: String,
-    /// Epoch of the lock row's region at acquisition time (0 when region
-    /// replication is off).  Compared at release to detect a failover the
-    /// lock lived through.
-    region_epoch: u64,
     released: bool,
 }
 
@@ -123,17 +110,7 @@ fn release_row(cluster: &Cluster, table: &str, key: &str) -> StoreResult<bool> {
 impl LockManager {
     /// Creates a lock manager over `cluster`.
     pub fn new(cluster: Cluster) -> Self {
-        LockManager {
-            cluster,
-            survivals: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Number of locks that were released under a different region epoch
-    /// than they were acquired under — i.e. held straight through a region
-    /// failover.  Always 0 when region replication is off.
-    pub fn failover_survivals(&self) -> u64 {
-        self.survivals.load(Ordering::Relaxed)
+        LockManager { cluster }
     }
 
     /// Creates the lock table for a root relation (idempotent).
@@ -207,14 +184,10 @@ impl LockManager {
     }
 
     /// Releases a previously acquired lock.  If the lock row's region failed
-    /// over while the lock was held (its epoch moved on), the release still
-    /// succeeds — `checkAndPut` routes to the new primary — and the survival
-    /// is counted in [`LockManager::failover_survivals`].
+    /// over while the lock was held, the release still succeeds:
+    /// `checkAndPut` routes to the new primary.
     pub fn release(&self, mut guard: LockGuard) -> StoreResult<()> {
         release_row(&self.cluster, &guard.table, &guard.key)?;
-        if self.region_epoch(&guard.table, &guard.key) != guard.region_epoch {
-            self.survivals.fetch_add(1, Ordering::Relaxed);
-        }
         guard.released = true;
         Ok(())
     }
@@ -265,32 +238,11 @@ impl LockManager {
         Ok(reclaimed)
     }
 
-    /// True if the lock for `key` is currently held.
-    pub fn is_held(&self, root: &str, key: &str) -> StoreResult<bool> {
-        let table = lock_table_name(root);
-        Ok(self
-            .cluster
-            .get(&table, nosql_store::ops::Get::new(key.to_string()))?
-            .and_then(|row| row.value(LOCK_FAMILY, LOCK_COLUMN).map(|v| v == b"1"))
-            .unwrap_or(false))
-    }
-
-    /// Current replication epoch of the region holding `key`'s lock row
-    /// (0 when replication is off or the table is unknown — both sides of a
-    /// survival comparison then read 0 and no survival is counted).
-    fn region_epoch(&self, table: &str, key: &str) -> u64 {
-        self.cluster
-            .region_epoch_for(table, key.as_bytes())
-            .map(|(_, epoch)| epoch)
-            .unwrap_or(0)
-    }
-
     fn guard(&self, table: &str, key: &str) -> LockGuard {
         LockGuard {
             cluster: self.cluster.clone(),
             table: table.to_string(),
             key: key.to_string(),
-            region_epoch: self.region_epoch(table, key),
             released: false,
         }
     }
@@ -299,6 +251,7 @@ impl LockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nosql_store::ops::Get;
     use nosql_store::ClusterConfig;
 
     fn manager() -> LockManager {
@@ -308,21 +261,27 @@ mod tests {
         m
     }
 
+    /// True if the lock for root row `key` of `root` is held.
+    fn is_held(m: &LockManager, root: &str, key: &str) -> bool {
+        let row = m.cluster.get(&lock_table_name(root), Get::new(key.to_string())).unwrap();
+        row.is_some_and(|row| row.value(LOCK_FAMILY, LOCK_COLUMN) == Some(b"1".as_slice()))
+    }
+
     #[test]
     fn acquire_and_release_round_trip() {
         let m = manager();
         m.ensure_entry("Customer", "42").unwrap();
         let guard = m.acquire("Customer", "42").unwrap().unwrap();
-        assert!(m.is_held("Customer", "42").unwrap());
+        assert!(is_held(&m, "Customer", "42"));
         m.release(guard).unwrap();
-        assert!(!m.is_held("Customer", "42").unwrap());
+        assert!(!is_held(&m, "Customer", "42"));
     }
 
     #[test]
     fn acquire_creates_missing_entries() {
         let m = manager();
         let guard = m.acquire("Customer", "never-inserted").unwrap().unwrap();
-        assert!(m.is_held("Customer", "never-inserted").unwrap());
+        assert!(is_held(&m, "Customer", "never-inserted"));
         m.release(guard).unwrap();
     }
 
@@ -343,9 +302,9 @@ mod tests {
         let m = manager();
         {
             let _guard = m.acquire("Customer", "9").unwrap().unwrap();
-            assert!(m.is_held("Customer", "9").unwrap());
+            assert!(is_held(&m, "Customer", "9"));
         }
-        assert!(!m.is_held("Customer", "9").unwrap());
+        assert!(!is_held(&m, "Customer", "9"));
     }
 
     #[test]
@@ -389,11 +348,11 @@ mod tests {
         // Simulate the holder crashing: the guard is forgotten, the lock
         // row stays held.
         std::mem::forget(orphan);
-        assert!(m.is_held("Customer", "12").unwrap());
+        assert!(is_held(&m, "Customer", "12"));
         // Contenders spin out without stealing, however long they wait.
         let blocked = m.acquire("Customer", "12").unwrap();
         assert!(blocked.is_none());
-        assert!(m.is_held("Customer", "12").unwrap());
+        assert!(is_held(&m, "Customer", "12"));
     }
 
     #[test]
@@ -408,7 +367,7 @@ mod tests {
         // simulated milliseconds).
         let outstanding = DEFAULT_LOCK_LEASE - SimDuration::from_millis(50);
         assert!(m.cluster.clock().now() - before >= outstanding);
-        assert!(!m.is_held("Customer", "a").unwrap());
+        assert!(!is_held(&m, "Customer", "a"));
         // The lock is usable again, and an empty sweep is a no-op.
         let again = m.acquire("Customer", "a").unwrap().unwrap();
         m.release(again).unwrap();
@@ -416,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn lock_survives_region_failover_with_bumped_epoch() {
+    fn lock_survives_region_failover() {
         use nosql_store::FaultPlan;
         // Lock table's region lands on server 0 (first table created);
         // the first scheduled crash also hits server 0, so the lock row's
@@ -435,23 +394,21 @@ mod tests {
         m.ensure_entry("Customer", "42").unwrap();
 
         let guard = m.acquire("Customer", "42").unwrap().unwrap();
-        assert_eq!(guard.region_epoch, 0, "acquired before any failover");
+        assert_eq!(m.cluster.replication_stats().failovers, 0, "acquired before any failover");
         // Hold the lock across the scheduled crash; the release's
         // checkAndPut advances faults, fails the region over to server 1,
-        // and still lands — the lease fences time, the epoch fences space,
-        // and neither invalidates a healthy holder.
+        // and still lands: the lease does not invalidate a healthy holder.
         m.cluster.clock().charge(SimDuration::from_millis(40));
         m.release(guard).unwrap();
 
         let stats = m.cluster.replication_stats();
         assert!(stats.failovers >= 1, "no failover fired: {stats:?}");
-        assert_eq!(m.failover_survivals(), 1);
-        assert!(!m.is_held("Customer", "42").unwrap());
-        // A lock without replication enabled never counts survivals.
-        let plain = manager();
-        let g = plain.acquire("Customer", "1").unwrap().unwrap();
-        plain.release(g).unwrap();
-        assert_eq!(plain.failover_survivals(), 0);
+        assert_eq!(m.cluster.fault_stats().unavailable_rejections, 0, "no op saw the outage");
+        assert!(!is_held(&m, "Customer", "42"), "released on the new primary");
+        // The lock is free to take again on the new primary.
+        let again = m.acquire("Customer", "42").unwrap().unwrap();
+        assert!(is_held(&m, "Customer", "42"));
+        m.release(again).unwrap();
     }
 
     #[test]

@@ -285,6 +285,7 @@ impl ViewResidency {
 
     /// Reader pins currently held, summed over every entry (0 between
     /// reads: step 2's guard drops them on every way out).
+    // lint-allow(reachability): read_pipeline_contract and fault_truthfulness check no read leaks a pin; no other API exposes the count
     pub fn pins_held(&self) -> u32 {
         let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         state.views.values().flat_map(|v| v.values()).map(|e| e.pins).sum()

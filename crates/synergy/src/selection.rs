@@ -49,11 +49,6 @@ impl SelectionOutcome {
         self.views.iter().find(|v| v.table_name() == table)
     }
 
-    /// The views that a given relation participates in.
-    pub fn views_containing(&self, relation: &str) -> Vec<&ViewDefinition> {
-        self.views.iter().filter(|v| v.contains(relation)).collect()
-    }
-
     /// Indexes declared on a given view.
     pub fn indexes_of_view(&self, view_table: &str) -> Vec<&ViewIndexDefinition> {
         self.view_indexes.iter().filter(|i| i.view == view_table).collect()
@@ -469,7 +464,8 @@ mod tests {
         let outcome = select_views(&schema, &candidates, &workload);
         assert!(outcome.view_by_table_name("V_Address__Employee").is_some());
         assert!(outcome.view_by_table_name("V_Nope").is_none());
-        assert_eq!(outcome.views_containing("Employee").len(), 2);
-        assert_eq!(outcome.views_containing("Department").len(), 0);
+        let containing = |relation| outcome.views.iter().filter(|v| v.contains(relation)).count();
+        assert_eq!(containing("Employee"), 2);
+        assert_eq!(containing("Department"), 0);
     }
 }

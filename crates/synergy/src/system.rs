@@ -234,6 +234,13 @@ impl SynergySystem {
             view_budget,
         } = config;
 
+        // 0. Every later step assumes known references and an acyclic
+        // foreign-key graph.
+        let problems = schema.validate();
+        if !problems.is_empty() {
+            return Err(QueryError::Unsupported(format!("invalid schema: {}", problems.join("; "))));
+        }
+
         // 1. Baseline schema transformation.
         let mut catalog = baseline_catalog_with_types(&schema, types);
 
@@ -716,6 +723,7 @@ impl SynergySystem {
 
     /// Renders the delta-operator tree maintaining `view` (EXPLAIN-style,
     /// see [`query::DeltaPlan::render`]).
+    // lint-allow(reachability): the golden_delta_plans test pins this text; the delta plans are otherwise internal
     pub fn explain_delta_plan(&self, view: &ViewDefinition) -> Result<String, TxnError> {
         Ok(self.txn.maintainer().explain_delta_plan(view)?)
     }

@@ -294,7 +294,7 @@ impl TransactionLayer {
         self.executor
             .cluster()
             .clock()
-            .charge(model.rpc_latency + model.effective_wal_sync());
+            .charge(model.rpc_latency + model.wal_sync);
 
         // Step 2 — bind (catalog only, nothing charged).
         let BoundWrite { table, change } = bind_write(self.executor.catalog(), statement, params)

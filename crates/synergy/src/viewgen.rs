@@ -144,12 +144,6 @@ impl ViewDefinition {
         self.relations.last().expect("non-empty path")
     }
 
-    /// The first relation of the path.
-    pub fn first_relation(&self) -> &str {
-        // lint-allow(panic-freedom): JoinPath::new rejects empty relation lists
-        self.relations.first().expect("non-empty path")
-    }
-
     /// True if `relation` participates in the view.
     pub fn contains(&self, relation: &str) -> bool {
         self.relations.iter().any(|r| r == relation)
@@ -230,11 +224,6 @@ impl CandidateViews {
     /// assigned to at most one root, there is at most one.
     pub fn tree_containing(&self, relation: &str) -> Option<&RootedTree> {
         self.trees.iter().find(|t| t.contains(relation))
-    }
-
-    /// Every candidate view across all rooted trees.
-    pub fn all_candidate_views(&self) -> Vec<ViewDefinition> {
-        self.trees.iter().flat_map(RootedTree::all_paths).collect()
     }
 }
 
@@ -326,7 +315,7 @@ pub fn generate_candidate_views(
     // Step 2: topological order of the DAG.
     let topo = dag
         .topological_order()
-        // lint-allow(panic-freedom): schema validation rejects cyclic FK graphs at load
+        // lint-allow(panic-freedom): SynergySystem::build, the only non-test caller, rejects a cyclic FK graph (Schema::validate) first, and this DAG is a subgraph of it
         .expect("schema graph free of circular references");
 
     // Step 3: assign non-root relations to roots in topological order.
@@ -465,7 +454,7 @@ mod tests {
         let edges = candidates.dag.edges_between("Address", "Employee");
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].fk, vec!["EHome_AID"]);
-        assert_eq!(candidates.dag.edge_count(), 8);
+        assert_eq!(candidates.dag.edges().len(), 8);
     }
 
     #[test]
@@ -514,7 +503,7 @@ mod tests {
     #[test]
     fn candidate_views_enumerate_all_tree_paths() {
         let candidates = company_candidates();
-        let views = candidates.all_candidate_views();
+        let views: Vec<ViewDefinition> = candidates.trees.iter().flat_map(RootedTree::all_paths).collect();
         let names: Vec<String> = views.iter().map(ViewDefinition::display_name).collect();
         // Address tree paths.
         assert!(names.contains(&"Address-Employee".to_string()));
@@ -538,7 +527,7 @@ mod tests {
         assert_eq!(view.display_name(), "Address-Employee-Works_On");
         assert_eq!(view.table_name(), "V_Address__Employee__Works_On");
         assert_eq!(view.last_relation(), "Works_On");
-        assert_eq!(view.first_relation(), "Address");
+        assert_eq!(view.relations[0], "Address");
         assert_eq!(view.key_attributes(&schema), vec!["WO_EID", "WO_PNo"]);
         let attrs = view.attributes(&schema);
         assert!(attrs.contains(&"City".to_string()));

@@ -18,6 +18,8 @@
 //! Each of these used to come back short when a scan lost a page, because a
 //! cursor's failure was an early end-of-stream.
 
+mod common;
+
 use nosql_store::ops::Scan;
 use nosql_store::{Cluster, ClusterConfig, FaultPlan, StoreError};
 use query::{baseline, ColumnType, Executor, QueryError, RowWrite};
@@ -344,7 +346,7 @@ fn a_failed_delta_probe_fails_the_update_before_its_first_write_and_frees_the_lo
             TxnError::Query(QueryError::Store(StoreError::TableNotFound("Order_line".into()))),
             "{sql_text}"
         );
-        assert!(!system.locks().is_held("Customer", "1").unwrap(), "{sql_text}: lock leaked");
+        assert!(!common::lock_held(system.cluster(), "Customer", "1").unwrap(), "{sql_text}: lock leaked");
     }
     assert_eq!(system.cluster().metrics().ops.puts, writes_before, "a failed probe wrote");
 }

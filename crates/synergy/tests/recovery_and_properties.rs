@@ -1,13 +1,15 @@
 //! Failure-injection and property tests for the transaction layer and the
 //! candidate-view generation mechanism.
 
+mod common;
+
 use nosql_store::{Cluster, ClusterConfig};
 use proptest::prelude::*;
 use query::ColumnType;
 use relational::{company, Row, Value};
 use sql::{parse_statement, parse_workload};
 use synergy::viewgen::generate_candidate_views;
-use synergy::{SynergyConfig, SynergySystem};
+use synergy::{RootedTree, SynergyConfig, SynergySystem};
 
 fn company_types(_relation: &str, column: &str) -> Option<ColumnType> {
     matches!(
@@ -257,7 +259,7 @@ fn crash_between_steps_3_and_5_recovers_consistent_views() {
         );
         // The dead client's lock is still held (Employee 2's root is its
         // home address row, AID = EHome_AID = 2).
-        assert!(system.locks().is_held("Address", "2").unwrap());
+        assert!(common::lock_held(system.cluster(), "Address", "2").unwrap());
 
         system.cluster().crash();
         let report = system.recover().unwrap();
@@ -270,7 +272,7 @@ fn crash_between_steps_3_and_5_recovers_consistent_views() {
             "step {step}: both marked view rows roll forward"
         );
         assert_eq!(report.view_rows_removed, 0, "step {step}");
-        assert!(!system.locks().is_held("Address", "2").unwrap());
+        assert!(!common::lock_held(system.cluster(), "Address", "2").unwrap());
 
         // No dirty marker survives anywhere, and every view equals a full
         // recompute from the recovered base tables.
@@ -466,7 +468,7 @@ proptest! {
             }
         }
         // Candidate views are always paths of length >= 1 fully inside one tree.
-        for view in candidates.all_candidate_views() {
+        for view in candidates.trees.iter().flat_map(RootedTree::all_paths) {
             prop_assert!(view.len() >= 2);
             let tree = candidates.tree_containing(view.last_relation()).unwrap();
             for relation in &view.relations {

@@ -2,9 +2,11 @@
 //! example database: view materialization, rewritten reads, single-lock
 //! write transactions and view maintenance.
 
+mod common;
+
 use nosql_store::{Cluster, ClusterConfig};
 use query::{ColumnType, QueryError};
-use relational::{company, Row, Value};
+use relational::{company, Relation, Row, Schema, Value};
 use sql::parse_workload;
 use synergy::{SynergyConfig, SynergySystem, TxnError};
 
@@ -301,7 +303,7 @@ fn writes_release_their_lock() {
         .unwrap();
     // Employee 3 has home address 3, so the Address lock for key "3" must be
     // free again after the transaction.
-    assert!(!system.locks().is_held("Address", "3").unwrap());
+    assert!(!common::lock_held(system.cluster(), "Address", "3").unwrap());
     assert_eq!(system.transaction_layer().wal().len(), 1);
 }
 
@@ -327,7 +329,7 @@ fn concurrent_writes_to_the_same_root_serialize_correctly() {
     // 4 original rows + 20 inserted.
     assert_eq!(system.cluster().row_count("Works_On").unwrap(), 24);
     assert_eq!(system.cluster().row_count("V_Employee__Works_On").unwrap(), 24);
-    assert!(!system.locks().is_held("Address", "1").unwrap());
+    assert!(!common::lock_held(system.cluster(), "Address", "1").unwrap());
 }
 
 #[test]
@@ -379,13 +381,50 @@ fn reads_concurrent_with_updates_never_observe_dirty_rows() {
     });
 }
 
+/// A schema whose foreign keys form a cycle is refused by `build` with an
+/// error, not a panic: a self-reference and a two-relation cycle.
+#[test]
+fn build_refuses_a_cyclic_foreign_key_graph() {
+    let emp = Relation::new("Emp")
+        .attributes(["id", "boss"])
+        .primary_key(["id"])
+        .foreign_key("boss", "Emp", "id")
+        .build();
+    let a = Relation::new("A")
+        .attributes(["a_id", "a_b"])
+        .primary_key(["a_id"])
+        .foreign_key("a_b", "B", "b_id")
+        .build();
+    let b = Relation::new("B")
+        .attributes(["b_id", "b_a"])
+        .primary_key(["b_id"])
+        .foreign_key("b_a", "A", "a_id")
+        .build();
+    for (schema, root, query) in [
+        (Schema::new().with_relation(emp), "Emp", "SELECT * FROM Emp WHERE id = ?"),
+        (Schema::new().with_relation(a).with_relation(b), "A", "SELECT * FROM A WHERE a_id = ?"),
+    ] {
+        let workload = parse_workload([query]).unwrap();
+        let config = SynergyConfig::new(schema, workload, vec![root.to_string()], &|_, _| None);
+        let refused = SynergySystem::build(Cluster::new(ClusterConfig::default()), config);
+        assert!(
+            matches!(&refused, Err(QueryError::Unsupported(m)) if m.contains("circular")),
+            "{root}: {:?}",
+            refused.err()
+        );
+    }
+}
+
 #[test]
 fn database_size_grows_with_views() {
     let system = build_system();
     let total = system.database_size_bytes();
     let metrics = system.cluster().metrics();
-    let views_bytes = metrics.bytes_where(|n| n.starts_with("V_"));
-    let base_bytes = metrics.bytes_where(|n| !n.starts_with("V_") && !n.starts_with("L_"));
+    let bytes_where = |pred: fn(&str) -> bool| -> u64 {
+        metrics.tables.iter().filter(|(name, _)| pred(name)).map(|(_, t)| t.bytes).sum()
+    };
+    let views_bytes = bytes_where(|n| n.starts_with("V_"));
+    let base_bytes = bytes_where(|n| !n.starts_with("V_") && !n.starts_with("L_"));
     assert!(views_bytes > 0);
     assert!(total >= views_bytes + base_bytes);
 }
@@ -455,7 +494,7 @@ fn a_write_through_the_read_session_is_refused_and_touches_nothing() {
         session.execute_sql(UPDATE, &[]).map(drop),
         session.prepare(UPDATE).map(drop),
         session.prepare_uncached(UPDATE).map(drop),
-        session.execute_statement(&sql::parse_statement(UPDATE).unwrap(), &[]).map(drop),
+        session.prepare_statement(&sql::parse_statement(UPDATE).unwrap()).map(drop),
     ];
     for refusal in refusals {
         let err = refusal.unwrap_err();
@@ -464,11 +503,7 @@ fn a_write_through_the_read_session_is_refused_and_touches_nothing() {
             "{err}"
         );
     }
-    assert_eq!(
-        system.cluster().metrics().ops.delta_since(&before).total_ops(),
-        0,
-        "a refused write reaches the store"
-    );
+    assert_eq!(system.cluster().metrics().ops, before, "a refused write reaches the store");
     for view in &system.selection().views {
         let mut stored: Vec<String> = system
             .executor()

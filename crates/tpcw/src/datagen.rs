@@ -278,6 +278,15 @@ pub fn customer_uname(c_id: i64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relational::Value;
+
+    /// The integer `column` of `row`.
+    fn int(row: &Row, column: &str) -> i64 {
+        match row.get(column) {
+            Some(Value::Int(v)) => *v,
+            other => panic!("{column} is not an integer: {other:?}"),
+        }
+    }
 
     #[test]
     fn ratios_match_the_paper() {
@@ -294,7 +303,7 @@ mod tests {
         let first_customer_orders = data
             .rows("Orders")
             .iter()
-            .filter(|o| o.get("o_c_id").unwrap().as_int() == Some(1))
+            .filter(|o| o.get("o_c_id") == Some(&Value::Int(1)))
             .count();
         assert_eq!(first_customer_orders, 10);
     }
@@ -313,15 +322,15 @@ mod tests {
         let num_items = data.rows("Item").len() as i64;
         let num_customers = data.rows("Customer").len() as i64;
         for ol in data.rows("Order_line") {
-            let i = ol.get("ol_i_id").unwrap().as_int().unwrap();
+            let i = int(ol, "ol_i_id");
             assert!(i >= 1 && i <= num_items);
         }
         for o in data.rows("Orders") {
-            let c = o.get("o_c_id").unwrap().as_int().unwrap();
+            let c = int(o, "o_c_id");
             assert!(c >= 1 && c <= num_customers);
         }
         for i in data.rows("Item") {
-            let a = i.get("i_a_id").unwrap().as_int().unwrap();
+            let a = int(i, "i_a_id");
             assert!(a >= 1 && a <= data.rows("Author").len() as i64);
         }
     }

@@ -199,7 +199,7 @@ mod tests {
         for q in join_queries() {
             assert_eq!(q.params(scale, 5), q.params(scale, 5));
             for p in q.params(scale, 9) {
-                if let Some(v) = p.as_int() {
+                if let Value::Int(v) = p {
                     assert!(v >= 1);
                 }
             }

@@ -256,11 +256,21 @@ mod tests {
 
     #[test]
     fn writes_specify_full_keys() {
-        use query::baseline::baseline_workload;
-        let schema = crate::schema::tpcw_schema();
-        let (kept, excluded) = baseline_workload(&schema, &write_statement_asts());
-        assert_eq!(kept.len(), 13, "every W statement is single-row");
-        assert!(excluded.is_empty());
+        use crate::schema::{tpcw_schema, tpcw_types};
+        use query::{baseline::baseline_catalog_with_types, bind_write, WriteChange};
+        let catalog = baseline_catalog_with_types(&tpcw_schema(), &tpcw_types);
+        let scale = TpcwScale::new(100);
+        let writes = write_statements();
+        assert_eq!(writes.len(), 13);
+        for w in writes {
+            // Every W statement is single-row: an UPDATE or DELETE binds
+            // only when it fixes the whole key, and an INSERT names it.
+            let bound = bind_write(&catalog, &w.statement(), &w.params(scale, 2))
+                .unwrap_or_else(|e| panic!("{}: {e}", w.id));
+            if let WriteChange::Insert(row) = &bound.change {
+                assert!(bound.table.key.iter().all(|k| row.contains(k)), "{}", w.id);
+            }
+        }
     }
 
     #[test]
