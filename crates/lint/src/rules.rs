@@ -159,10 +159,14 @@ pub fn panic_freedom(crate_name: &str, kind: FileKind, path: &str, m: &FileModel
 /// signature and body.  Library, binary and example files of every crate
 /// count as references, and so do the benchmark package's (which is never
 /// linted itself); test files, `#[cfg(test)]` regions, `pub use`
-/// re-exports and other `fn` definitions do not.  Names match by
-/// identifier alone, so a collision (two types' `stats`) keeps an item
-/// alive: the rule errs toward keeping code.  `pub(crate)` items are left
-/// to rustc's `dead_code`, which already sees them.
+/// re-exports and other `fn` definitions do not.  A name counts only where
+/// a function can stand: called (`name(`, `name::<`), as a path or method
+/// segment (`::name`, `.name`) or passed as a value (`&name`, or followed
+/// by `,` or `)`), so a `let` binding, a struct field or a bare local read
+/// of the same name keeps nothing alive.  Names match by identifier
+/// alone, so a collision (two types' `stats`) keeps an item alive: the rule
+/// errs toward keeping code.  `pub(crate)` items are left to rustc's
+/// `dead_code`, which already sees them.
 pub fn reachability(files: &[(&SourceFile, &FileModel)], out: &mut Vec<Violation>) {
     let masks: Vec<Vec<bool>> = files.iter().map(|(_, m)| use_mask(m)).collect();
     let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
@@ -202,16 +206,24 @@ pub fn reachability(files: &[(&SourceFile, &FileModel)], out: &mut Vec<Violation
 }
 
 /// Per token: does it count as a use of its name?  Identifiers outside
-/// `#[cfg(test)]` regions and `pub use` items that are not the name of a
-/// `fn` being defined.
+/// `#[cfg(test)]` regions and `pub use` items, in a position a function
+/// can stand in (see [`reachability`]); the name of a `fn` being defined
+/// stands in none of them.
 fn use_mask(m: &FileModel) -> Vec<bool> {
     let toks = &m.tokens;
+    let punct = |i: usize, ch| toks.get(i).is_some_and(|t| t.is_punct(ch));
+    let path_sep = |i: usize| punct(i, ':') && punct(i + 1, ':');
     let mut mask: Vec<bool> = toks
         .iter()
         .enumerate()
         .map(|(i, t)| {
+            let defined = i > 0 && toks[i - 1].is_ident("fn");
+            let called = punct(i + 1, '(') || (path_sep(i + 1) && punct(i + 3, '<'));
+            let segment = (i > 1 && path_sep(i - 2)) || (i > 0 && punct(i - 1, '.'));
+            let value = (i > 0 && punct(i - 1, '&')) || punct(i + 1, ',') || punct(i + 1, ')');
             t.kind == TokKind::Ident
-                && !(i > 0 && toks[i - 1].is_ident("fn"))
+                && !defined
+                && (called || segment || value)
                 && !m.in_test_region(i)
         })
         .collect();

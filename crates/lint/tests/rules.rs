@@ -228,6 +228,49 @@ fn reachability_matches_names_not_paths() {
     assert_eq!(flagged, [("crates/a/src/lib.rs", 2)], "{v:?}");
 }
 
+/// A name counts as a use only where a function can stand: a `let`
+/// binding, a struct field or a bare local read of the same name keeps a
+/// dead fn flagged, while a fn passed as a value (`Self::f` into `.map`,
+/// `&f`, an argument) is alive.
+#[test]
+fn reachability_counts_only_positions_a_function_can_stand_in() {
+    let v = lint_sources(&[
+        src(
+            "a",
+            "crates/a/src/lib.rs",
+            "pub fn named_by_a_let() {}\n\
+             pub fn named_by_a_field() {}\n\
+             pub fn named_by_a_local_read() {}\n\
+             pub fn mapped_as_a_path() {}\n\
+             pub fn referenced() {}\n\
+             pub fn passed_as_an_argument() {}\n",
+        ),
+        src(
+            "b",
+            "crates/b/src/lib.rs",
+            "pub struct S { named_by_a_field: u8 }\n\
+             fn go(named_by_a_local_read: u8, xs: &[u8]) -> u8 {\n\
+                 let named_by_a_let = S { named_by_a_field: 1 };\n\
+                 xs.iter().map(Self::mapped_as_a_path).count();\n\
+                 let f = &referenced;\n\
+                 g(passed_as_an_argument, f);\n\
+                 named_by_a_local_read + 1\n\
+             }\n",
+        ),
+    ]);
+    let mut flagged: Vec<&str> = v
+        .iter()
+        .filter(|x| x.rule == "reachability")
+        .map(|x| x.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(
+        flagged,
+        ["pub fn named_by_a_field", "pub fn named_by_a_let", "pub fn named_by_a_local_read"],
+        "{v:?}"
+    );
+}
+
 #[test]
 fn benchmark_files_are_references_never_linted() {
     let text = include_str!("fixtures/locks_bad.rs");

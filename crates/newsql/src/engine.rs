@@ -25,25 +25,16 @@ pub enum TableDistribution {
     Replicated,
 }
 
-/// A named partitioning scheme: table → distribution.  The paper evaluates
-/// three different schemes because no single one supports every TPC-W join.
+/// A partitioning scheme: table → distribution, built from
+/// `PartitionScheme::default()`.  The paper evaluates three different
+/// schemes because no single one supports every TPC-W join.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionScheme {
-    /// Human-readable name of the scheme.
-    pub name: String,
     /// Distribution per table.
     pub tables: BTreeMap<String, TableDistribution>,
 }
 
 impl PartitionScheme {
-    /// Creates an empty scheme.
-    pub fn new(name: impl Into<String>) -> Self {
-        PartitionScheme {
-            name: name.into(),
-            tables: BTreeMap::new(),
-        }
-    }
-
     /// Declares a table partitioned on `column`.
     pub fn partitioned(mut self, table: impl Into<String>, column: impl Into<String>) -> Self {
         self.tables.insert(
@@ -80,6 +71,13 @@ pub enum NewSqlError {
         /// The table being written.
         table: String,
     },
+    /// An UPDATE may not assign a key column (the row would move keys).
+    KeyAssignment {
+        /// The table being written.
+        table: String,
+        /// The assigned key column.
+        column: String,
+    },
 }
 
 impl fmt::Display for NewSqlError {
@@ -90,6 +88,9 @@ impl fmt::Display for NewSqlError {
             NewSqlError::MissingParameter(i) => write!(f, "missing parameter {i}"),
             NewSqlError::IncompleteKey { table } => {
                 write!(f, "write to {table} must specify the full key")
+            }
+            NewSqlError::KeyAssignment { table, column } => {
+                write!(f, "UPDATE of {table} must not assign key column {column}")
             }
         }
     }
@@ -116,25 +117,18 @@ pub struct NewSqlEngine {
     model: CostModel,
     meta: Arc<Mutex<BTreeMap<String, TableMeta>>>,
     partitions: Arc<Vec<Mutex<Partition>>>,
-    scheme_name: String,
 }
 
 impl NewSqlEngine {
     /// Creates an engine with `partitions` partitions (the paper uses a five
     /// node VoltDB cluster) charging costs into `clock`.
-    pub fn new(partitions: usize, clock: SimClock, model: CostModel, scheme: &PartitionScheme) -> Self {
+    pub fn new(partitions: usize, clock: SimClock, model: CostModel) -> Self {
         NewSqlEngine {
             clock,
             model,
             meta: Arc::new(Mutex::new(BTreeMap::new())),
             partitions: Arc::new((0..partitions.max(1)).map(|_| Mutex::new(Partition::default())).collect()),
-            scheme_name: scheme.name.clone(),
         }
-    }
-
-    /// The partitioning-scheme name this engine was built with.
-    pub fn scheme_name(&self) -> &str {
-        &self.scheme_name
     }
 
     /// Declares a table with its key and distribution.
@@ -373,6 +367,12 @@ impl NewSqlEngine {
             }
             Statement::Update(update) => {
                 let (name, meta) = self.meta_for(&update.table)?;
+                if let Some((column, _)) = update.assignments.iter().find(|(c, _)| meta.key.contains(c)) {
+                    return Err(NewSqlError::KeyAssignment {
+                        table: name,
+                        column: column.clone(),
+                    });
+                }
                 let assignments = update.assignments.iter()
                     .map(|(column, expr)| Ok((column, bind(expr, params)?)))
                     .collect::<Result<Vec<_>, NewSqlError>>()?;
@@ -783,11 +783,7 @@ mod tests {
     use sql::parse_statement;
 
     fn engine() -> NewSqlEngine {
-        let scheme = PartitionScheme::new("by-customer")
-            .partitioned("Customer", "c_id")
-            .partitioned("Orders", "o_c_id")
-            .replicated("Country");
-        let engine = NewSqlEngine::new(4, SimClock::new(), CostModel::default(), &scheme);
+        let engine = NewSqlEngine::new(4, SimClock::new(), CostModel::default());
         engine.create_table(
             "Customer",
             vec!["c_id".into()],
@@ -958,6 +954,18 @@ mod tests {
             e.execute(&stmt, &[Value::str("a"), Value::str("b")]),
             Err(NewSqlError::IncompleteKey { table }) if table == "Customer"
         ));
+    }
+
+    #[test]
+    fn an_update_assigning_a_key_column_is_refused() {
+        let e = engine();
+        let stmt = parse_statement("UPDATE Orders SET o_id = ? WHERE o_id = 101").unwrap();
+        assert!(matches!(
+            e.execute(&stmt, &[Value::Int(999)]),
+            Err(NewSqlError::KeyAssignment { table, column }) if table == "Orders" && column == "o_id"
+        ));
+        let read = parse_statement("SELECT o_id FROM Orders WHERE o_id = 101").unwrap();
+        assert_eq!(e.execute(&read, &[]).unwrap().len(), 1);
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! the watermark is synced and every record at or after it is not*.  A
 //! record is always appended unsynced and a sync marks the whole tail, so
 //! the pending batch is always the suffix `entries[first_unsynced..]`:
-//! [`WriteAheadLog::unsynced_len`] is its length, and `sync`,
-//! `sync_take_new` and `unsynced` walk only it.
+//! [`WriteAheadLog::unsynced_len`] is its length, and `sync` and
+//! `sync_take_new` walk only it.
 
 use crate::{Bytes, Name, Timestamp, Val};
 use parking_lot::Mutex;
@@ -194,11 +194,6 @@ impl WriteAheadLog {
         self.inner.lock().entries.clone()
     }
 
-    /// Records that have not yet been marked durable.
-    pub fn unsynced(&self) -> Vec<WalEntry> {
-        self.inner.lock().pending().to_vec()
-    }
-
     /// Number of records that have not yet been marked durable (the pending
     /// group-commit batch).
     pub fn unsynced_len(&self) -> usize {
@@ -289,10 +284,9 @@ mod tests {
     fn sync_marks_records_durable() {
         let wal = WriteAheadLog::new();
         wal.append("t", WalOp::Logical { payload: "INSERT ...".into() });
-        assert_eq!(wal.unsynced().len(), 1);
         assert_eq!(wal.unsynced_len(), 1);
         assert_eq!(wal.sync(), 1);
-        assert_eq!(wal.unsynced().len(), 0);
+        assert_eq!(wal.unsynced_len(), 0);
         assert_eq!(wal.sync(), 0);
     }
 

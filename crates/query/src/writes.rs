@@ -247,7 +247,8 @@ pub enum WriteChange {
 /// [`QueryError::MissingParameter`], [`QueryError::IncompleteKey`] when an
 /// UPDATE or DELETE does not fix every key attribute by equality (paper §IV:
 /// such write shapes are excluded from the workload), and
-/// [`QueryError::Unsupported`] for a SELECT.
+/// [`QueryError::Unsupported`] for a SELECT or an UPDATE that assigns a key
+/// column.
 pub fn bind_write(
     catalog: &Catalog,
     statement: &Statement,
@@ -269,6 +270,14 @@ pub fn bind_write(
         }
         Statement::Update(update) => {
             let table = table_of(&update.table)?;
+            if let Some((column, _)) = update.assignments.iter().find(|(c, _)| table.key.contains(c)) {
+                // The after-image would land under a new key and leave the
+                // old row in place.
+                return Err(QueryError::Unsupported(format!(
+                    "an UPDATE assigning key column {}.{column}",
+                    table.name
+                )));
+            }
             let key = bind_key(&table, &update.conditions, params)?;
             let assigned = update
                 .assignments

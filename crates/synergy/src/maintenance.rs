@@ -98,13 +98,9 @@ impl StagedViewUpdate {
 #[derive(Clone)]
 pub struct MaintenanceEngine {
     executor: Executor,
+    /// The selected views, in selection order (the order they are
+    /// maintained in).
     views: Vec<ViewDefinition>,
-    /// Precomputed applicability index: relation → views whose *last*
-    /// relation it is (insert/delete applicability, §VII-A/B).
-    by_last: Vec<(String, Vec<usize>)>,
-    /// Precomputed applicability index: relation → views containing it
-    /// anywhere (update applicability, §VII-C).
-    by_member: Vec<(String, Vec<usize>)>,
     /// Compiled delta plans, keyed by view table name, filled on first use.
     plans: Arc<Mutex<BTreeMap<String, Arc<DeltaPlan>>>>,
     stats: Arc<MaintenanceStats>,
@@ -120,19 +116,9 @@ impl MaintenanceEngine {
     /// Creates an engine; `executor`'s catalog must already contain the
     /// view and view-index tables.
     pub fn new(executor: Executor, views: Vec<ViewDefinition>) -> Self {
-        let mut by_last: Vec<(String, Vec<usize>)> = Vec::new();
-        let mut by_member: Vec<(String, Vec<usize>)> = Vec::new();
-        for (i, view) in views.iter().enumerate() {
-            push_id(&mut by_last, view.last_relation(), i);
-            for relation in &view.relations {
-                push_id(&mut by_member, relation, i);
-            }
-        }
         MaintenanceEngine {
             executor,
             views,
-            by_last,
-            by_member,
             plans: Arc::new(Mutex::new(BTreeMap::new())),
             stats: Arc::new(MaintenanceStats::default()),
             residency: None,
@@ -155,24 +141,23 @@ impl MaintenanceEngine {
     }
 
     // ------------------------------------------------------------------
-    // Applicability tests (§VII-A/B/C, step 1) — precomputed
+    // Applicability tests (§VII-A/B/C, step 1)
     // ------------------------------------------------------------------
 
     /// Views to which an insert into (or a delete from) `relation` applies:
-    /// those whose *last* relation is `relation`.  Served from the
-    /// precomputed index — no allocation per write.
-    pub(crate) fn views_for_insert(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
-        ids_for(&self.by_last, relation)
+    /// those whose *last* relation is `relation`, in selection order.
+    pub(crate) fn views_for_insert<'a>(&'a self, relation: &'a str) -> impl Iterator<Item = &'a ViewDefinition> {
+        self.views
             .iter()
-            .map(|&i| &self.views[i])
+            .filter(move |v| v.last_relation().eq_ignore_ascii_case(relation))
     }
 
     /// Views to which an update of `relation` applies: those containing
-    /// `relation` anywhere in their sequence.
-    pub(crate) fn views_for_update(&self, relation: &str) -> impl Iterator<Item = &ViewDefinition> {
-        ids_for(&self.by_member, relation)
+    /// `relation` anywhere in their sequence, in selection order.
+    pub(crate) fn views_for_update<'a>(&'a self, relation: &'a str) -> impl Iterator<Item = &'a ViewDefinition> {
+        self.views
             .iter()
-            .map(|&i| &self.views[i])
+            .filter(move |v| v.relations.iter().any(|r| r.eq_ignore_ascii_case(relation)))
     }
 
     // ------------------------------------------------------------------
@@ -492,26 +477,4 @@ impl MaintenanceEngine {
             None => put(view_rows.into_iter().collect()),
         }
     }
-}
-
-fn push_id(index: &mut Vec<(String, Vec<usize>)>, relation: &str, id: usize) {
-    match index
-        .iter_mut()
-        .find(|(r, _)| r.eq_ignore_ascii_case(relation))
-    {
-        Some((_, ids)) => {
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-        None => index.push((relation.to_string(), vec![id])),
-    }
-}
-
-fn ids_for<'a>(index: &'a [(String, Vec<usize>)], relation: &str) -> &'a [usize] {
-    index
-        .iter()
-        .find(|(r, _)| r.eq_ignore_ascii_case(relation))
-        .map(|(_, ids)| ids.as_slice())
-        .unwrap_or(&[])
 }

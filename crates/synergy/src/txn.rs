@@ -14,7 +14,8 @@
 //!    runs too — resolves the table, rejects unknown columns, substitutes
 //!    parameters and extracts the full primary key.  Catalog only: reads
 //!    nothing, charges nothing.  An incomplete key surfaces as
-//!    [`TxnError::Unsupported`] (§IV excludes such writes).
+//!    [`TxnError::Unsupported`] (§IV excludes such writes); an UPDATE that
+//!    assigns a key column is refused with [`QueryError::Unsupported`].
 //! 3. **Before-image.**  An UPDATE or DELETE reads the row it names (one
 //!    charged `get`); an INSERT reads nothing.  An absent row ends the
 //!    transaction with `affected(0)`: no lock taken, no view touched.

@@ -97,7 +97,7 @@ fn every_write_transaction_is_logged_and_synced_before_execution() {
     }
     let wal = system.transaction_layer().wal();
     assert_eq!(wal.len(), 3);
-    assert!(wal.unsynced().is_empty(), "the statement WAL is synced per transaction");
+    assert_eq!(wal.unsynced_len(), 0, "the statement WAL is synced per transaction");
 }
 
 #[test]

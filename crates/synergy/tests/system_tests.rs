@@ -438,6 +438,22 @@ fn unsupported_write_shapes_are_rejected() {
     assert!(matches!(err, synergy::TxnError::Unsupported(_)));
 }
 
+/// An UPDATE that assigns a key column would write its after-image under
+/// the new key and leave the old row in place; binding refuses it.
+#[test]
+fn an_update_assigning_a_key_column_is_refused() {
+    let system = build_system();
+    let err = system
+        .execute_sql("UPDATE Employee SET EID = ? WHERE EID = ?", &[Value::Int(99), Value::Int(2)])
+        .unwrap_err();
+    assert!(matches!(err, TxnError::Query(QueryError::Unsupported(_))), "{err:?}");
+    assert_eq!(system.cluster().row_count("Employee").unwrap(), 3);
+    let moved = system
+        .execute_sql("SELECT * FROM Employee WHERE EID = ?", &[Value::Int(99)])
+        .unwrap();
+    assert_eq!(moved.len(), 0);
+}
+
 #[test]
 fn txn_error_chains_through_box_dyn_error() {
     // Satellite: TxnError implements std::error::Error with a source chain,

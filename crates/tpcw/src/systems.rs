@@ -335,7 +335,8 @@ impl VoltDbSystem {
     /// The three partitioning schemes.
     pub fn schemes() -> Vec<PartitionScheme> {
         vec![
-            PartitionScheme::new("by_customer")
+            // by customer
+            PartitionScheme::default()
                 .partitioned("Customer", "c_id")
                 .partitioned("Orders", "o_c_id")
                 .partitioned("Order_line", "ol_o_id")
@@ -346,7 +347,8 @@ impl VoltDbSystem {
                 .partitioned("Shopping_cart", "sc_id")
                 .partitioned("Shopping_cart_line", "scl_sc_id")
                 .replicated("Country"),
-            PartitionScheme::new("by_item")
+            // by item
+            PartitionScheme::default()
                 .partitioned("Item", "i_id")
                 .partitioned("Order_line", "ol_i_id")
                 .partitioned("Shopping_cart_line", "scl_i_id")
@@ -357,7 +359,8 @@ impl VoltDbSystem {
                 .partitioned("CC_Xacts", "cx_o_id")
                 .partitioned("Shopping_cart", "sc_id")
                 .replicated("Country"),
-            PartitionScheme::new("by_author")
+            // by author
+            PartitionScheme::default()
                 .partitioned("Author", "a_id")
                 .partitioned("Item", "i_a_id")
                 .partitioned("Orders", "o_id")
@@ -378,7 +381,7 @@ impl VoltDbSystem {
         let mut engines = Vec::new();
         for scheme in Self::schemes() {
             let clock = SimClock::new();
-            let engine = NewSqlEngine::new(5, clock.clone(), CostModel::default(), &scheme);
+            let engine = NewSqlEngine::new(5, clock.clone(), CostModel::default());
             for relation in &schema.relations {
                 let distribution = scheme
                     .tables
